@@ -26,8 +26,6 @@ from .field import (
     format_scalar,
     parse_rational,
     pow_int,
-    quad_inv,
-    quad_mul,
 )
 from .lemmas import (
     LemmaReport,

@@ -1,9 +1,9 @@
 """Timing comparison of iterative vs doubling evaluation of (u_n, v_n).
 
-With a prime modulus the run uses raw-integer modular loops (the fastest
-honest realization of each strategy, so the reported speedup is
-conservative); without one it falls back to the exact generic paths.
-Correctness is asserted by comparing both strategies' results.
+Times the library's own evaluators: `term` for u and for v against
+`fast_uv`, over GF(M) when a prime modulus is given and over Q otherwise.
+Correctness is asserted by comparing both strategies' results. The layered
+benchmark of the whole library lives in `perfbench/`.
 """
 from __future__ import annotations
 
@@ -49,52 +49,26 @@ class BenchReport:
         }
 
 
-def _iterative_uv_mod(p: int, q: int, n: int, mod: int):
-    x0, x1 = 0, 1
-    for _ in range(n):
-        x0, x1 = x1, (p * x1 - q * x0) % mod
-    return x0, (2 * x1 - p * x0) % mod
-
-
-def _doubling_uv_mod(p: int, q: int, n: int, mod: int):
-    uk, uk1 = 0, 1
-    for i in range(n.bit_length() - 1, -1, -1):
-        u2 = uk * (2 * uk1 - p * uk) % mod
-        u21 = (uk1 * uk1 - q * uk * uk) % mod
-        if (n >> i) & 1:
-            uk, uk1 = u21, (p * u21 - q * u2) % mod
-        else:
-            uk, uk1 = u2, u21
-    return uk, (2 * uk1 - p * uk) % mod
-
-
 def run_bench(p: Fraction, q: Fraction, n: int, modulus: Optional[int] = None) -> BenchReport:
     """Time both strategies for u_n, v_n and check they agree.
 
     modulus, when given, must be prime (negative-index division and rational
-    parameter reduction need invertibility).
+    parameter reduction need invertibility), and p, q must not vanish
+    modulo it.
     """
     if n < 1:
         raise ValueError("bench needs n >= 1")
     if modulus is not None:
-        fld = PrimeField(modulus)  # raises CompositeModulus
-        pm, qm = fld(Fraction(p)).value, fld(Fraction(q)).value
-        t0 = time.perf_counter()
-        it_u, it_v = _iterative_uv_mod(pm, qm, n, modulus)
-        t1 = time.perf_counter()
-        db_u, db_v = _doubling_uv_mod(pm, qm, n, modulus)
-        t2 = time.perf_counter()
-        u, v = fld(db_u), fld(db_v)
-        match = (it_u, it_v) == (db_u, db_v)
+        F = PrimeField(modulus)  # raises CompositeModulus
+        params = HoradamParams(F(0), F(1), F(Fraction(p)), F(Fraction(q)))
     else:
         params = HoradamParams(0, 1, p, q)
-        t0 = time.perf_counter()
-        it_u = term(params, SequenceKind.U, n)
-        it_v = term(params, SequenceKind.V, n)
-        t1 = time.perf_counter()
-        u, v = fast_uv(params, n)
-        t2 = time.perf_counter()
-        match = (it_u, it_v) == (u, v)
+    t0 = time.perf_counter()
+    it_u = term(params, SequenceKind.U, n)
+    it_v = term(params, SequenceKind.V, n)
+    t1 = time.perf_counter()
+    u, v = fast_uv(params, n)
+    t2 = time.perf_counter()
     return BenchReport(
         n=n,
         modulus=modulus,
@@ -104,5 +78,5 @@ def run_bench(p: Fraction, q: Fraction, n: int, modulus: Optional[int] = None) -
         doubling_seconds=t2 - t1,
         iterative_steps=n,
         doubling_steps=n.bit_length(),
-        results_match=match,
+        results_match=(it_u, it_v) == (u, v),
     )

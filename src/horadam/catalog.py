@@ -10,13 +10,14 @@ generic evaluator.
 Key scheme: H/F/G/J are the master identity and its index permutations;
 lin.9/dbl.10/mul.15-18/neg.* cover the basic linear, doubling,
 multiplication and reflection laws; spec.21-28 are the u/v forms of the
-masters; cor1.29-59 and cor2.55-75 are the two corollary families in
+masters, generated by running each master's own evaluators with w read as
+u or v; cor1.29-59 and cor2.55-75 are the two corollary families in
 source order.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
@@ -75,8 +76,8 @@ def _I(key, tag, variables, lhs, rhs, formula, derived=None):
 
 _U, _V = SequenceKind.U, SequenceKind.V
 
-_ENTRIES = [
-    # -- master identity and its index permutations --
+# -- master identity and its index permutations --
+_MASTERS = [
     _I("H", "H", "nmrs",
        lambda t, n, m, r, s: t.u(r-s) * t.w(n+m),
        lambda t, n, m, r, s: t.u(m-s) * t.w(n+r) - t.qp(r-s) * t.u(m-r) * t.w(n+s),
@@ -93,6 +94,32 @@ _ENTRIES = [
        lambda t, n, m, r, s: t.u(r-s) * t.w(n+m),
        lambda t, n, m, r, s: t.u(m+r) * t.w(n-s) - t.qp(r-s) * t.u(m+s) * t.w(n-r),
        "u(r-s)*w(n+m) = u(m+r)*w(n-s) - q^(r-s)*u(m+s)*w(n-r)"),
+]
+
+
+class _WAs:
+    """The accessors a master identity reads (u, qp, w), with w reading the
+    u or v sequence of the same context."""
+
+    __slots__ = ("u", "qp", "w")
+
+    def __init__(self, t, kind: SequenceKind):
+        self.u, self.qp = t.u, t.qp
+        self.w = t.u if kind is _U else t.v
+
+
+def _specialization(number: int, master: Identity, kind: SequenceKind) -> Identity:
+    """spec.<number>: `master` with w read as u or v. Its sides are the
+    master's own evaluators, so only the substitution itself is new."""
+    return _I(f"spec.{number}", str(number), master.variables,
+              lambda t, **asg: master.lhs(_WAs(t, kind), **asg),
+              lambda t, **asg: master.rhs(_WAs(t, kind), **asg),
+              master.formula.replace("w(", f"{kind.value}("),
+              Derivation(master.key, lambda A: dict(A), kind))
+
+
+_ENTRIES = [
+    *_MASTERS,
     # -- linear form, doubling, multiplication laws, reflections --
     _I("lin.9", "9", "n",
        lambda t, n: t.w(n),
@@ -131,47 +158,9 @@ _ENTRIES = [
        lambda t, n: t.qp(n) * t.w(-n),
        lambda t, n: t.a * t.v(n) - t.w(n),
        "q^n*w(-n) = a*v(n) - w(n)"),
-    # -- u/v specializations of the masters --
-    _I("spec.21", "21", "nmrs",
-       lambda t, n, m, r, s: t.u(r-s) * t.u(n+m),
-       lambda t, n, m, r, s: t.u(m-s) * t.u(n+r) - t.qp(r-s) * t.u(m-r) * t.u(n+s),
-       "u(r-s)*u(n+m) = u(m-s)*u(n+r) - q^(r-s)*u(m-r)*u(n+s)",
-       Derivation("H", lambda A: dict(A), _U)),
-    _I("spec.22", "22", "nmrs",
-       lambda t, n, m, r, s: t.u(r-s) * t.u(n+m),
-       lambda t, n, m, r, s: t.u(n-s) * t.u(m+r) - t.qp(r-s) * t.u(n-r) * t.u(m+s),
-       "u(r-s)*u(n+m) = u(n-s)*u(m+r) - q^(r-s)*u(n-r)*u(m+s)",
-       Derivation("F", lambda A: dict(A), _U)),
-    _I("spec.23", "23", "nmrs",
-       lambda t, n, m, r, s: t.u(r-s) * t.u(n+m),
-       lambda t, n, m, r, s: t.u(n+r) * t.u(m-s) - t.qp(r-s) * t.u(n+s) * t.u(m-r),
-       "u(r-s)*u(n+m) = u(n+r)*u(m-s) - q^(r-s)*u(n+s)*u(m-r)",
-       Derivation("G", lambda A: dict(A), _U)),
-    _I("spec.24", "24", "nmrs",
-       lambda t, n, m, r, s: t.u(r-s) * t.u(n+m),
-       lambda t, n, m, r, s: t.u(m+r) * t.u(n-s) - t.qp(r-s) * t.u(m+s) * t.u(n-r),
-       "u(r-s)*u(n+m) = u(m+r)*u(n-s) - q^(r-s)*u(m+s)*u(n-r)",
-       Derivation("J", lambda A: dict(A), _U)),
-    _I("spec.25", "25", "nmrs",
-       lambda t, n, m, r, s: t.u(r-s) * t.v(n+m),
-       lambda t, n, m, r, s: t.u(m-s) * t.v(n+r) - t.qp(r-s) * t.u(m-r) * t.v(n+s),
-       "u(r-s)*v(n+m) = u(m-s)*v(n+r) - q^(r-s)*u(m-r)*v(n+s)",
-       Derivation("H", lambda A: dict(A), _V)),
-    _I("spec.26", "26", "nmrs",
-       lambda t, n, m, r, s: t.u(r-s) * t.v(n+m),
-       lambda t, n, m, r, s: t.u(n-s) * t.v(m+r) - t.qp(r-s) * t.u(n-r) * t.v(m+s),
-       "u(r-s)*v(n+m) = u(n-s)*v(m+r) - q^(r-s)*u(n-r)*v(m+s)",
-       Derivation("F", lambda A: dict(A), _V)),
-    _I("spec.27", "27", "nmrs",
-       lambda t, n, m, r, s: t.u(r-s) * t.v(n+m),
-       lambda t, n, m, r, s: t.u(n+r) * t.v(m-s) - t.qp(r-s) * t.u(n+s) * t.v(m-r),
-       "u(r-s)*v(n+m) = u(n+r)*v(m-s) - q^(r-s)*u(n+s)*v(m-r)",
-       Derivation("G", lambda A: dict(A), _V)),
-    _I("spec.28", "28", "nmrs",
-       lambda t, n, m, r, s: t.u(r-s) * t.v(n+m),
-       lambda t, n, m, r, s: t.u(m+r) * t.v(n-s) - t.qp(r-s) * t.u(m+s) * t.v(n-r),
-       "u(r-s)*v(n+m) = u(m+r)*v(n-s) - q^(r-s)*u(m+s)*v(n-r)",
-       Derivation("J", lambda A: dict(A), _V)),
+    # -- u/v specializations of the masters (spec.21-28) --
+    *(_specialization(21 + 4 * i + j, master, kind)
+      for i, kind in enumerate((_U, _V)) for j, master in enumerate(_MASTERS)),
     # -- first corollary family --
     _I("cor1.29", "29", "nm",
        lambda t, n, m: t.v(m) * t.w(n),
@@ -434,8 +423,6 @@ _ENTRIES = [
 
 REGISTRY = {ident.key: ident for ident in _ENTRIES}
 assert len(REGISTRY) == len(_ENTRIES), "duplicate identity key"
-
-_VARNAMES = {"n": "n", "m": "m", "r": "r", "s": "s", "t": "t", "j": "j"}
 
 
 def _lookup(key: str, registry=None) -> Identity:

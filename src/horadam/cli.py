@@ -19,14 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import bench, catalog, theorems
-from .errors import (
-    CompositeModulus,
-    DegenerateRoot,
-    GuardViolation,
-    HoradamError,
-    SingularSummand,
-    UnknownIdentity,
-)
+from .errors import DegenerateRoot, GuardViolation, HoradamError, SingularSummand
 from .field import format_scalar, parse_rational
 from .sequences import (
     PRESETS,
@@ -45,6 +38,13 @@ EXIT_DEGENERATE_ROOT = 3
 EXIT_UNEQUAL = 4
 EXIT_SINGULAR = 5
 EXIT_GUARD = 6
+
+# errors with their own exit code; every other caught error is a usage error
+_EXIT_CODES = {
+    DegenerateRoot: EXIT_DEGENERATE_ROOT,
+    SingularSummand: EXIT_SINGULAR,
+    GuardViolation: EXIT_GUARD,
+}
 
 
 def _emit_json(command: str, payload: dict) -> None:
@@ -311,21 +311,9 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except DegenerateRoot as exc:
+    except (HoradamError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE_ROOT
-    except SingularSummand as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except GuardViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except (UnknownIdentity, CompositeModulus, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except HoradamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _EXIT_CODES.get(type(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -57,10 +57,6 @@ class GuardViolation(HoradamError):
         self.name = name
 
 
-class EvaluationError(HoradamError):
-    """An identity could not be evaluated for the given assignment."""
-
-
 class UnknownIdentity(HoradamError):
     """Identity key not present in the registry."""
 

@@ -151,6 +151,9 @@ class QuadExt:
         return self.c1 == 0 and self.c0 == other
 
     def __hash__(self):
+        # a rational element equals its c0, so it must hash like it too
+        if self.c1 == 0:
+            return hash(self.c0)
         return hash((self.c0, self.c1, self.d))
 
     def is_rational(self) -> bool:
@@ -158,14 +161,6 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({self.c0!r}, {self.c1!r}, d={self.d!r})"
-
-
-def quad_mul(x: QuadExt, y: QuadExt) -> QuadExt:
-    return x * y
-
-
-def quad_inv(x: QuadExt) -> QuadExt:
-    return x.inverse()
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

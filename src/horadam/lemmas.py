@@ -49,19 +49,20 @@ class LemmaReport:
         return self.lhs == self.rhs
 
 
-def check_config(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, window) -> bool:
-    """True iff h*X_n = f1*X_{n-c} + f2*Y_{n-d} at every n in `window`."""
-    for n in window:
-        if cfg.h * X(n) != cfg.f1 * X(n - cfg.c) + cfg.f2 * Y(n - cfg.d):
-            return False
-    return True
-
-
 def _probe(cfg, X, Y, points, where):
     for n in points:
         if cfg.h * X(n) != cfg.f1 * X(n - cfg.c) + cfg.f2 * Y(n - cfg.d):
             raise ConfigViolation(
                 f"recurrence fails at index {n} while evaluating {where}")
+
+
+def check_config(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, window) -> bool:
+    """True iff h*X_n = f1*X_{n-c} + f2*Y_{n-d} at every n in `window`."""
+    try:
+        _probe(cfg, X, Y, window, "check_config")
+    except ConfigViolation:
+        return False
+    return True
 
 
 def _require_k(k: int):
@@ -142,7 +143,7 @@ def _reciprocal_denominators(n, stride, k):
     return [n - stride * (k + 1) + stride * i for i in range(k + 2)]
 
 
-def _scan_denominators(X, n, stride, k, where):
+def _scan_denominators(X, n, stride, k):
     for i, idx in enumerate(_reciprocal_denominators(n, stride, k)):
         if X(idx) == 0:
             raise SingularSummand(max(0, i - 1), idx)
@@ -161,7 +162,7 @@ def lemma45_reciprocal(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, n: int, 
     if variant in ("L4", "L5a"):
         if variant == "L5a":
             Y = X
-        _scan_denominators(X, n, c, k, variant)
+        _scan_denominators(X, n, c, k)
         _probe(cfg, X, Y, [n - c * i for i in range(k + 1)], variant)
         lhs = X(n) * X(n - c * (k + 1)) * f2 * sum(
             h ** (k - j) * f1 ** j * Y(n - d - c * k + c * j)
@@ -170,7 +171,7 @@ def lemma45_reciprocal(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, n: int, 
         rhs = h ** (k + 1) * X(n) - f1 ** (k + 1) * X(n - c * (k + 1))
         return LemmaReport("4" if variant == "L4" else "5", variant, cfg, n, k, lhs, rhs)
     if variant == "L5b":
-        _scan_denominators(X, n, d, k, variant)
+        _scan_denominators(X, n, d, k)
         _probe(cfg, X, X, [n - d * i for i in range(k + 1)], variant)
         lhs = X(n) * X(n - d * (k + 1)) * f1 * sum(
             h ** (k - j) * f2 ** j * X(n - c - d * k + d * j)
@@ -182,7 +183,7 @@ def lemma45_reciprocal(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, n: int, 
         e = d - c
         if e == 0:
             raise DegenerateStride("lemma 5 variant c needs d != c")
-        _scan_denominators(X, n, e, k, variant)
+        _scan_denominators(X, n, e, k)
         _probe(cfg, X, X, [n + c - e * i for i in range(k + 1)], variant)
         lhs = X(n) * X(n - e * (k + 1)) * h * sum(
             (-1) ** j * f1 ** (k - j) * f2 ** j * X(n + c - e * k + e * j)

@@ -173,7 +173,8 @@ def binet_term(params: HoradamParams, kind: SequenceKind, n: int):
         val = alpha ** n + beta ** n
     else:
         val = params.b * u_at(n) - params.a * params.q * u_at(n - 1)
-    assert val.is_rational(), "sqrt component failed to cancel"
+    if not val.is_rational():
+        raise AssertionError("sqrt component failed to cancel")
     return val.c0
 
 

@@ -28,12 +28,13 @@ no q-power on the right side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from .errors import GuardViolation, SingularSummand
 from .field import binomial, format_scalar
 from .lemmas import (
     RecurrenceConfig,
+    _reciprocal_denominators,
     lemma1_sum,
     lemma2_sums,
     lemma3_binomial_sums,
@@ -363,8 +364,12 @@ def _check_guards(t, sel, n, m, r, s):
             raise GuardViolation(name, f"theorem {sel.theorem} variant {sel.variant}")
 
 
-def _denominator_indices(stride, n, k):
-    return [n - stride * (k + 1) + stride * i for i in range(k + 2)]
+def _scan(t: TermContext, sel: TheoremSelector, n, m, r, s, k) -> list:
+    # (j, index, is_zero) over the denominator window at effective indices
+    stride = _denominator_stride(sel, n, m, r, s)
+    acc = t.u if sel.theorem == 5 else t.w
+    return [(max(0, i - 1), idx, acc(idx) == 0)
+            for i, idx in enumerate(_reciprocal_denominators(n, stride, k))]
 
 
 def singularity_scan(sel: TheoremSelector, params: HoradamParams,
@@ -378,14 +383,7 @@ def singularity_scan(sel: TheoremSelector, params: HoradamParams,
         raise ValueError("k must be >= 0")
     if sel.theorem not in (5, 6):
         return []
-    t = _context(sel, params)
-    en, em, er, es = _effective(sel, n, m, r, s)
-    stride = _denominator_stride(sel, en, em, er, es)
-    acc = t.u if sel.theorem == 5 else t.w
-    out = []
-    for i, idx in enumerate(_denominator_indices(stride, en, k)):
-        out.append((max(0, i - 1), idx, acc(idx) == 0))
-    return out
+    return _scan(_context(sel, params), sel, *_effective(sel, n, m, r, s), k)
 
 
 def _evaluate(sel: TheoremSelector, params: HoradamParams,
@@ -403,7 +401,7 @@ def _evaluate(sel: TheoremSelector, params: HoradamParams,
                      "the sum still evaluates")
 
     if sel.theorem in (5, 6):
-        for j, idx, is_zero in singularity_scan(sel, params, n, m, r, s, k):
+        for j, idx, is_zero in _scan(t, sel, en, em, er, es, k):
             if is_zero:
                 raise SingularSummand(j, idx)
 

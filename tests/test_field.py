@@ -20,8 +20,6 @@ from horadam.field import (
     is_prime,
     parse_rational,
     pow_int,
-    quad_inv,
-    quad_mul,
 )
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
@@ -112,37 +110,44 @@ class TestQuadExt:
         half = Fraction(1, 2)
         alpha = QuadExt(half, half, 5)
         beta = QuadExt(half, -half, 5)
-        assert quad_mul(alpha, beta) == QuadExt(-1, 0, 5)
+        assert alpha * beta == QuadExt(-1, 0, 5)
 
     def test_inverse_identity(self):
         one = QuadExt(1, 0, 5)
-        assert quad_inv(one) == one
+        assert one.inverse() == one
 
     def test_inverse_of_root(self):
-        assert quad_inv(QuadExt(0, 1, 5)) == QuadExt(0, Fraction(1, 5), 5)
+        assert QuadExt(0, 1, 5).inverse() == QuadExt(0, Fraction(1, 5), 5)
 
     def test_inverse_round_trip(self):
         x = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
-        assert quad_mul(x, quad_inv(x)) == QuadExt(1, 0, 5)
+        assert x * x.inverse() == QuadExt(1, 0, 5)
 
     def test_discriminant_mismatch(self):
         with pytest.raises(DiscriminantMismatch):
-            quad_mul(QuadExt(1, 1, 5), QuadExt(1, 1, 7))
+            QuadExt(1, 1, 5) * QuadExt(1, 1, 7)
 
     def test_non_invertible(self):
         # norm 0: (2 + sqrt(4)) with d = 4 a perfect square
         with pytest.raises(NonInvertible):
-            quad_inv(QuadExt(2, 1, 4))
+            QuadExt(2, 1, 4).inverse()
 
     def test_negative_discriminant_stays_exact(self):
         x = QuadExt(1, 1, -3)
-        assert x * quad_inv(x) == QuadExt(1, 0, -3)
+        assert x * x.inverse() == QuadExt(1, 0, -3)
 
     def test_integer_powers(self):
         x = QuadExt(1, 1, 5)
         assert x ** 3 == x * x * x
-        assert x ** -2 == quad_inv(x * x)
+        assert x ** -2 == (x * x).inverse()
         assert x ** 0 == QuadExt(1, 0, 5)
+
+    def test_rational_element_hashes_like_its_value(self):
+        # equal objects must hash equal, or sets and dicts disagree with ==
+        assert QuadExt(3, 0, 5) == 3
+        assert len({QuadExt(3, 0, 5), 3}) == 1
+        assert {3: "x"}.get(QuadExt(3, 0, 5)) == "x"
+        assert {Fraction(1, 2): "y"}.get(QuadExt(Fraction(1, 2), 0, -3)) == "y"
 
     @given(quad5, quad5)
     def test_mul_commutative(self, x, y):

@@ -1,4 +1,9 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -193,6 +198,23 @@ class TestBinet:
         params = HoradamParams(1, 2, 1, 1)  # D = -3
         for n in range(-6, 7):
             assert binet_term(params, W, n) == term(params, W, n)
+
+    def test_uncancelled_sqrt_raises_under_optimize(self):
+        # `python -O` strips assert statements; the check must survive it
+        code = textwrap.dedent("""
+            from horadam.field import QuadExt
+            from horadam.sequences import PRESETS, SequenceKind, binet_term
+            QuadExt.is_rational = lambda self: False
+            try:
+                binet_term(PRESETS["fibonacci"], SequenceKind.U, 3)
+            except AssertionError as exc:
+                print(f"raised: {exc}")
+            """)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "raised: sqrt component failed to cancel"
 
     def test_agrees_with_iteration_randomized(self):
         rng = random.Random(29)
