@@ -425,18 +425,16 @@ REGISTRY = {ident.key: ident for ident in _ENTRIES}
 assert len(REGISTRY) == len(_ENTRIES), "duplicate identity key"
 
 
-def _lookup(key: str, registry=None) -> Identity:
-    reg = REGISTRY if registry is None else registry
+def _lookup(key: str) -> Identity:
     try:
-        return reg[key]
+        return REGISTRY[key]
     except KeyError:
         raise UnknownIdentity(f"no identity with key {key!r}") from None
 
 
-def list_identities(registry=None):
+def list_identities():
     """All (key, free-variable signature, tag) triples, registry order."""
-    reg = REGISTRY if registry is None else registry
-    return [(i.key, i.variables, i.tag) for i in reg.values()]
+    return [(i.key, i.variables, i.tag) for i in REGISTRY.values()]
 
 
 def _call(fn, ctx, assignment):
@@ -447,12 +445,12 @@ def _call(fn, ctx, assignment):
 
 
 def evaluate(key: str, params: HoradamParams, assignment: dict,
-             registry=None, ctx=None) -> VerificationReport:
+             ctx=None) -> VerificationReport:
     """Evaluate both sides of an identity at an integer assignment.
 
     The two sides are computed only through sequence-term evaluations.
     """
-    ident = _lookup(key, registry)
+    ident = _lookup(key)
     got, want = set(assignment), set(ident.variables)
     if got != want:
         missing, extra = want - got, got - want
@@ -545,8 +543,7 @@ class FuzzReport:
         }
 
 
-def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int,
-         registry=None) -> FuzzReport:
+def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
     """Randomized exact verification; deterministic for a fixed seed.
 
     One parameter set is drawn per trial and shared (with a common term
@@ -554,8 +551,7 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    reg = REGISTRY if registry is None else registry
-    idents = [_lookup(key, reg) for key in ids]
+    idents = [_lookup(key) for key in ids]
     rng = random.Random(seed)
     passes = {i.key: 0 for i in idents}
     counterexamples = {i.key: None for i in idents}
@@ -564,7 +560,7 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int,
         ctx = TermContext(params)
         for ident in idents:
             asg = sampler.draw_assignment(rng, ident.variables)
-            report = evaluate(ident.key, params, asg, registry=reg, ctx=ctx)
+            report = evaluate(ident.key, params, asg, ctx=ctx)
             if report.equal:
                 passes[ident.key] += 1
             elif counterexamples[ident.key] is None:

@@ -18,7 +18,8 @@ class DiscriminantMismatch(HoradamError):
 
 
 class NonInvertible(HoradamError):
-    """Quadratic-extension element with zero norm has no inverse."""
+    """A value with no inverse: a zero-norm quadratic-extension element, or a
+    rational whose denominator the modulus divides."""
 
 
 class DegenerateRoot(HoradamError):

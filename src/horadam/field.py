@@ -44,12 +44,23 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num))
 
 
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size, past Python's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        pass
+    half = n.bit_length() * 3 // 20  # about half of n's decimal digits
+    hi, lo = divmod(abs(n), 10 ** half)
+    return ("-" if n < 0 else "") + _decimal(hi) + _decimal(lo).zfill(half)
+
+
 def format_scalar(x) -> str:
     """Canonical rendering: 'num/den' with the denominator omitted when 1."""
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+            return _decimal(x.numerator)
+        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
     if isinstance(x, ModInt):
         return str(x.value)
     return str(x)
@@ -191,6 +202,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _residue(x: Fraction, modulus: int) -> int:
+    """x as a residue mod `modulus`; NonInvertible when its denominator has none."""
+    try:
+        inverse = pow(x.denominator, -1, modulus)
+    except ValueError:
+        raise NonInvertible(f"{x} has no residue mod {modulus}: its denominator "
+                            f"is not invertible") from None
+    return x.numerator % modulus * inverse % modulus
+
+
 class ModInt:
     """Residue modulo a prime, supporting the same protocol as Fraction."""
 
@@ -262,6 +283,11 @@ class ModInt:
             return self.modulus == other.modulus and self.value == other.value
         if isinstance(other, int):
             return self.value == other % self.modulus
+        if isinstance(other, Fraction):
+            try:
+                return self.value == _residue(other, self.modulus)
+            except NonInvertible:   # no residue equals it
+                return False
         return NotImplemented
 
     def __hash__(self):
@@ -281,7 +307,5 @@ class PrimeField:
 
     def __call__(self, x) -> ModInt:
         if isinstance(x, Fraction):
-            num = x.numerator % self.modulus
-            den = pow(x.denominator, -1, self.modulus)
-            return ModInt(num * den, self.modulus)
+            return ModInt(_residue(x, self.modulus), self.modulus)
         return ModInt(int(x), self.modulus)

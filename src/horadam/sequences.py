@@ -195,16 +195,18 @@ class TermContext:
     synchronized; confine an instance to a single thread of work.
     """
 
-    __slots__ = ("params", "p", "q", "a", "b", "_vals", "_qpows")
+    __slots__ = ("params", "p", "q", "a", "b", "_vals", "_span", "_qpows")
 
     def __init__(self, params: HoradamParams):
         self.params = params
         self.p, self.q = params.p, params.q
         self.a, self.b = params.a, params.b
         self._vals = {}
+        self._span = {}     # [lowest, highest] cached index; _vals is contiguous
         for kind in SequenceKind:
             x0, x1 = params.seeds(kind)
             self._vals[kind] = {0: x0, 1: x1}
+            self._span[kind] = [0, 1]
         self._qpows = {}
 
     def _get(self, kind: SequenceKind, n: int):
@@ -212,14 +214,15 @@ class TermContext:
         if n in vals:
             return vals[n]
         p, q = self.p, self.q
+        span = self._span[kind]
         if n > 1:
-            top = max(k for k in vals if k >= 0)
-            for i in range(top + 1, n + 1):
+            for i in range(span[1] + 1, n + 1):
                 vals[i] = p * vals[i - 1] - q * vals[i - 2]
+            span[1] = n
         else:
-            bot = min(vals)
-            for i in range(bot - 1, n - 1, -1):
+            for i in range(span[0] - 1, n - 1, -1):
                 vals[i] = (p * vals[i + 1] - vals[i + 2]) / q
+            span[0] = n
         return vals[n]
 
     def u(self, n: int):

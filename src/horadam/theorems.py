@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import GuardViolation, SingularSummand
+from .errors import GuardViolation
 from .field import binomial, format_scalar
 from .lemmas import (
     RecurrenceConfig,
@@ -86,53 +86,23 @@ class SumReport:
         }
 
 
-def _swap(n, m, r, s):
-    return n, m, -s, -r
-
-
-def _guards_uuu(t, n, m, r, s):
-    return [(f"u({r - s})", t.u(r - s)),
-            (f"u({m - s})", t.u(m - s)),
-            (f"u({m - r})", t.u(m - r))]
-
-
-def _guards_wwu(t, n, m, r, s):
-    return [(f"w({m + r})", t.w(m + r)),
-            (f"w({m + s})", t.w(m + s)),
-            (f"u({r - s})", t.u(r - s))]
-
-
-def _cfg_w(t, n, m, r, s):
-    # three-term relation satisfied by every w-shift: h=u(r-s), f1=u(m-s),
-    # f2=-q^(r-s)*u(m-r), offsets c=m-r, d=m-s
-    return RecurrenceConfig(t.u(r - s), t.u(m - s), -t.qp(r - s) * t.u(m - r),
-                            m - r, m - s)
-
-
-def _cfg_uw(t, n, m, r, s):
-    # relation linking u with the shifted w-sequence: h=w(m+r),
-    # f1=q^(r-s)*w(m+s), f2=u(r-s), offsets c=r-s, d=0
-    return RecurrenceConfig(t.w(m + r), t.qp(r - s) * t.w(m + s), t.u(r - s),
-                            r - s, 0)
-
-
 # Variant tables. Each entry:
 #   swap: apply (r,s)->(-s,-r) before using the base formulas
 #   prefix(t,n,m,r,s,k): factor multiplying the sum on the displayed left side
 #   summand(t,n,m,r,s,k,j)
 #   closed(t,n,m,r,s,k): displayed right side
-#   lemma(t,cfg,X,Y,n,m,r,s,k): lemma-engine report for the same statement
-#   factor(t,n,m,r,s,k): scale turning the lemma report sides into the
-#     displayed sides
+#   factor(t,n,m,r,s,k): scale turning the lemma report (see _lemma) into
+#     the displayed left side
 
 def _one(t, n, m, r, s, k):
     return 1
 
 
-def _t2_variant(base, swap):
-    def prefix(t, n, m, r, s, k):
-        return 1
+def _alternating(t, n, m, r, s, k):
+    return (-1) ** k
 
+
+def _t2_variant(base, swap):
     if base == 1:
         def summand(t, n, m, r, s, k, j):
             return ((-1) ** j * t.qp((r - s) * (k - j)) * binomial(k, j)
@@ -141,8 +111,6 @@ def _t2_variant(base, swap):
 
         def closed(t, n, m, r, s, k):
             return (-1) ** k * t.u(r - s) ** k * t.w(n)
-
-        lemma_variant, factor = 1, lambda t, n, m, r, s, k: (-1) ** k
     elif base == 2:
         # corrected misprint: q^((r-s)(k-j)) inside, no q-power on the right
         def summand(t, n, m, r, s, k, j):
@@ -152,8 +120,6 @@ def _t2_variant(base, swap):
 
         def closed(t, n, m, r, s, k):
             return t.u(m - s) ** k * t.w(n)
-
-        lemma_variant, factor = 2, lambda t, n, m, r, s, k: (-1) ** k
     else:
         def summand(t, n, m, r, s, k, j):
             return ((-1) ** j * binomial(k, j)
@@ -163,13 +129,8 @@ def _t2_variant(base, swap):
         def closed(t, n, m, r, s, k):
             return t.qp((r - s) * k) * t.u(m - r) ** k * t.w(n)
 
-        lemma_variant, factor = 3, _one
-
-    def lemma(t, cfg, X, Y, n, m, r, s, k):
-        return lemma3_binomial_sums(cfg, X, n, k, lemma_variant)
-
-    return dict(swap=swap, prefix=prefix, summand=summand, closed=closed,
-                lemma=lemma, factor=factor)
+    return dict(swap=swap, prefix=_one, summand=summand, closed=closed,
+                factor=_one if base == 3 else _alternating)
 
 
 def _t4_variant(base, swap):
@@ -185,7 +146,7 @@ def _t4_variant(base, swap):
             return (t.u(r - s) ** (k + 1) * t.w(n)
                     - t.u(m - s) ** (k + 1) * t.w(n - (m - r) * (k + 1)))
 
-        lemma_variant, factor = 1, _one
+        factor = _one
     elif base == 2:
         def prefix(t, n, m, r, s, k):
             return (-1) ** k * t.u(m - s)
@@ -200,7 +161,7 @@ def _t4_variant(base, swap):
                     - (-1) ** (k + 1) * t.qp((r - s) * (k + 1))
                     * t.u(m - r) ** (k + 1) * t.w(n - (m - s) * (k + 1)))
 
-        lemma_variant, factor = 2, _one
+        factor = _one
     else:
         def prefix(t, n, m, r, s, k):
             return t.u(r - s)
@@ -217,13 +178,7 @@ def _t4_variant(base, swap):
         def factor(t, n, m, r, s, k):
             return (-1) ** k * t.qp((s - r) * k)
 
-        lemma_variant = 3
-
-    def lemma(t, cfg, X, Y, n, m, r, s, k):
-        return lemma2_sums(cfg, X, n, k, lemma_variant)
-
-    return dict(swap=swap, prefix=prefix, summand=summand, closed=closed,
-                lemma=lemma, factor=factor)
+    return dict(swap=swap, prefix=prefix, summand=summand, closed=closed, factor=factor)
 
 
 def _t3_variant(swap):
@@ -238,14 +193,10 @@ def _t3_variant(swap):
         return (t.qp((s - r) * k) * t.u(n) * t.w(m + r) ** (k + 1)
                 - t.qp(r - s) * t.u(n - (r - s) * (k + 1)) * t.w(m + s) ** (k + 1))
 
-    def lemma(t, cfg, X, Y, n, m, r, s, k):
-        return lemma1_sum(cfg, X, Y, n, k)
-
     def factor(t, n, m, r, s, k):
         return t.qp((s - r) * k)
 
-    return dict(swap=swap, prefix=prefix, summand=summand, closed=closed,
-                lemma=lemma, factor=factor)
+    return dict(swap=swap, prefix=prefix, summand=summand, closed=closed, factor=factor)
 
 
 def _t5_variant(swap):
@@ -263,11 +214,7 @@ def _t5_variant(swap):
         return (t.u(n) * t.w(m + r) ** (k + 1)
                 - t.qp(e * (k + 1)) * t.u(n - e * (k + 1)) * t.w(m + s) ** (k + 1))
 
-    def lemma(t, cfg, X, Y, n, m, r, s, k):
-        return lemma45_reciprocal(cfg, X, Y, n, k, "L4")
-
-    return dict(swap=swap, prefix=prefix, summand=summand, closed=closed,
-                lemma=lemma, factor=_one)
+    return dict(swap=swap, prefix=prefix, summand=summand, closed=closed, factor=_one)
 
 
 def _t6_variant(base, swap):
@@ -284,8 +231,6 @@ def _t6_variant(base, swap):
         def closed(t, n, m, r, s, k):
             return (t.u(r - s) ** (k + 1) * t.w(n)
                     - t.u(m - s) ** (k + 1) * t.w(n - (m - r) * (k + 1)))
-
-        lemma_variant = "L5a"
     elif base == 2:
         def prefix(t, n, m, r, s, k):
             return t.u(m - s) * t.w(n) * t.w(n - (m - s) * (k + 1))
@@ -301,8 +246,6 @@ def _t6_variant(base, swap):
             return (t.u(r - s) ** (k + 1) * t.w(n)
                     - (-1) ** (k + 1) * t.qp((r - s) * (k + 1))
                     * t.u(m - r) ** (k + 1) * t.w(n - (m - s) * (k + 1)))
-
-        lemma_variant = "L5b"
     else:
         def prefix(t, n, m, r, s, k):
             return t.u(r - s) * t.w(n) * t.w(n - (r - s) * (k + 1))
@@ -319,13 +262,7 @@ def _t6_variant(base, swap):
                     - t.qp(e * (k + 1)) * t.u(m - r) ** (k + 1)
                     * t.w(n - e * (k + 1)))
 
-        lemma_variant = "L5c"
-
-    def lemma(t, cfg, X, Y, n, m, r, s, k):
-        return lemma45_reciprocal(cfg, X, X, n, k, lemma_variant)
-
-    return dict(swap=swap, prefix=prefix, summand=summand, closed=closed,
-                lemma=lemma, factor=_one)
+    return dict(swap=swap, prefix=prefix, summand=summand, closed=closed, factor=_one)
 
 
 _VARIANTS = {}
@@ -342,9 +279,7 @@ def _denominator_stride(sel: TheoremSelector, n, m, r, s):
     """Stride of the denominator window (reciprocal theorems only)."""
     if sel.theorem == 5:
         return r - s
-    if sel.theorem == 6:
-        return {1: m - r, 2: m - s, 3: r - s}[1 + (sel.variant - 1) % 3]
-    return None
+    return {1: m - r, 2: m - s, 3: r - s}[1 + (sel.variant - 1) % 3]
 
 
 def _context(sel: TheoremSelector, params: HoradamParams) -> TermContext:
@@ -353,15 +288,47 @@ def _context(sel: TheoremSelector, params: HoradamParams) -> TermContext:
 
 def _effective(sel, n, m, r, s):
     if _VARIANTS[(sel.theorem, sel.variant)]["swap"]:
-        return _swap(n, m, r, s)
+        return n, m, -s, -r
     return n, m, r, s
 
 
-def _check_guards(t, sel, n, m, r, s):
-    guards = (_guards_wwu if sel.theorem in (3, 5) else _guards_uuu)(t, n, m, r, s)
-    for name, value in guards:
+def _relation(t, sel, n, m, r, s):
+    """(cfg, X, Y): the three-term relation the selected theorem follows from.
+
+    Raises GuardViolation for the first of its coefficient terms that is zero.
+    """
+    if sel.theorem in (3, 5):
+        # u linked with the shifted w-sequence: h=w(m+r), f1=q^(r-s)*w(m+s),
+        # f2=u(r-s), offsets c=r-s, d=0
+        terms = [(f"w({m + r})", t.w(m + r)), (f"w({m + s})", t.w(m + s)),
+                 (f"u({r - s})", t.u(r - s))]
+    else:
+        # satisfied by every w-shift: h=u(r-s), f1=u(m-s), f2=-q^(r-s)*u(m-r),
+        # offsets c=m-r, d=m-s
+        terms = [(f"u({r - s})", t.u(r - s)), (f"u({m - s})", t.u(m - s)),
+                 (f"u({m - r})", t.u(m - r))]
+    for name, value in terms:
         if value == 0:
             raise GuardViolation(name, f"theorem {sel.theorem} variant {sel.variant}")
+    (_, h), (_, f1), (_, f2) = terms
+    if sel.theorem in (3, 5):
+        return (RecurrenceConfig(h, t.qp(r - s) * f1, f2, r - s, 0),
+                t.u, lambda i: t.w(i + m + s))
+    return RecurrenceConfig(h, f1, -t.qp(r - s) * f2, m - r, m - s), t.w, t.w
+
+
+def _lemma(sel, cfg, X, Y, n, k):
+    """The lemma-engine report the selected theorem follows from."""
+    base = 1 + (sel.variant - 1) % 3
+    if sel.theorem == 2:
+        return lemma3_binomial_sums(cfg, X, n, k, base)
+    if sel.theorem == 3:
+        return lemma1_sum(cfg, X, Y, n, k)
+    if sel.theorem == 4:
+        return lemma2_sums(cfg, X, n, k, base)
+    if sel.theorem == 5:
+        return lemma45_reciprocal(cfg, X, Y, n, k, "L4")
+    return lemma45_reciprocal(cfg, X, X, n, k, ("L5a", "L5b", "L5c")[base - 1])
 
 
 def _scan(t: TermContext, sel: TheoremSelector, n, m, r, s, k) -> list:
@@ -392,33 +359,21 @@ def _evaluate(sel: TheoremSelector, params: HoradamParams,
         raise ValueError("summation bound k must be >= 0")
     spec = _VARIANTS[(sel.theorem, sel.variant)]
     t = _context(sel, params)
-    en, em, er, es = _effective(sel, n, m, r, s)
-    _check_guards(t, sel, en, em, er, es)
+    eff = _effective(sel, n, m, r, s)
+    cfg, X, Y = _relation(t, sel, *eff)
 
     notes = []
     if sel.theorem == 2 and k == 0:
         notes.append("k=0 is outside the stated hypothesis (positive k); "
                      "the sum still evaluates")
 
-    if sel.theorem in (5, 6):
-        for j, idx, is_zero in _scan(t, sel, en, em, er, es, k):
-            if is_zero:
-                raise SingularSummand(j, idx)
-
-    direct = spec["prefix"](t, en, em, er, es, k) * sum(
-        spec["summand"](t, en, em, er, es, k, j) for j in range(k + 1))
-    closed = spec["closed"](t, en, em, er, es, k)
-
-    if sel.theorem in (3, 5):
-        cfg = _cfg_uw(t, en, em, er, es)
-        X = t.u
-        Y = (lambda i, t=t, em=em, es=es: t.w(i + em + es))
-    else:
-        cfg = _cfg_w(t, en, em, er, es)
-        X = Y = t.w
-    rep = spec["lemma"](t, cfg, X, Y, en, em, er, es, k)
-    scale = spec["factor"](t, en, em, er, es, k)
-    lemma_lhs = scale * rep.lhs
+    # first, so that the lemma's denominator scan raises SingularSummand
+    # before the direct sum divides by a vanishing term
+    rep = _lemma(sel, cfg, X, Y, eff[0], k)
+    lemma_lhs = spec["factor"](t, *eff, k) * rep.lhs
+    direct = spec["prefix"](t, *eff, k) * sum(
+        spec["summand"](t, *eff, k, j) for j in range(k + 1))
+    closed = spec["closed"](t, *eff, k)
 
     assignment = dict(n=n, m=m, r=r, s=s, k=k)
     return SumReport(sel, assignment, direct, closed, lemma_lhs, tuple(notes))

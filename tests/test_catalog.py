@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from horadam import catalog
 from horadam.catalog import (
     REGISTRY,
     Identity,
@@ -165,7 +166,7 @@ class TestFuzz:
         rep = fuzz(["H"], 1, SamplerConfig(max_index=0, bound=5), seed=3)
         assert rep.all_passed
 
-    def test_corrupted_identity_reports_counterexample(self):
+    def test_corrupted_identity_reports_counterexample(self, monkeypatch):
         broken = Identity(
             key="broken", tag="x", variables=("n",),
             lhs=lambda t, n: t.u(n),
@@ -173,8 +174,8 @@ class TestFuzz:
             formula="u(n) = u(n) + 1")
         registry = dict(REGISTRY)
         registry["broken"] = broken
-        rep = fuzz(["H", "broken"], 20, SamplerConfig(max_index=5, bound=5),
-                   seed=4, registry=registry)
+        monkeypatch.setattr(catalog, "REGISTRY", registry)
+        rep = fuzz(["H", "broken"], 20, SamplerConfig(max_index=5, bound=5), seed=4)
         assert not rep.all_passed
         stats = {s.key: s for s in rep.stats}
         assert stats["H"].passes == 20

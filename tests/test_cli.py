@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from horadam import catalog
+from horadam import bench, catalog
 from horadam.catalog import Identity
+from horadam.errors import NonInvertible
+from horadam.sequences import PRESETS, fast_uv
 from horadam.cli import main
 
 GOLDEN_EVAL = (
@@ -90,6 +93,15 @@ class TestEval:
             values[method] = out
         assert len(set(values.values())) == 1
 
+    def test_term_past_int_str_digit_limit(self, capsys):
+        code, out, _ = run(capsys, ["eval", "--preset", "fibonacci", "--kind", "u",
+                                    "--n", "21000", "--method", "doubling", "--json"])
+        assert code == 0
+        value = json.loads(out)["value"]
+        u, _ = fast_uv(PRESETS["fibonacci"], 21000)
+        assert len(value) == 4389 and 10 ** 4388 <= u < 10 ** 4389
+        assert int(value[-18:]) == u % 10 ** 18 and int(value[:18]) == u // 10 ** 4371
+
     def test_negative_rational_flags(self, capsys):
         code, out, _ = run(capsys, ["eval", "--p", "1/2", "--q=-3/7", "--a", "2",
                                     "--b=-5/3", "--kind", "w", "--n", "-4"])
@@ -122,6 +134,12 @@ class TestExitCodes:
     def test_composite_modulus_is_2(self, capsys):
         code, _, err = run(capsys, ["bench", "--n", "100", "--mod", "10"])
         assert code == 2 and "not prime" in err
+
+    def test_parameter_without_residue_is_2(self, capsys):
+        code, _, err = run(capsys, ["bench", "--n", "5", "--p", "1/7", "--mod", "7"])
+        assert code == 2 and "no residue mod 7" in err
+        with pytest.raises(NonInvertible):
+            bench.run_bench(Fraction(1, 7), Fraction(-1), 5, 7)
 
     def test_bad_arguments_are_2(self, capsys):
         assert run(capsys, ["eval", "--kind", "u", "--n", "1"])[0] == 2  # no params

@@ -46,6 +46,13 @@ class TestRationalLiterals:
         for text in ("-3/7", "42", "0", "9/2"):
             assert format_scalar(parse_rational(text)) == text.lstrip("+")
 
+    def test_format_past_int_str_digit_limit(self):
+        # Python refuses str() on ints over 4300 digits by default
+        assert format_scalar(Fraction(10 ** 5000 - 1)) == "9" * 5000
+        assert format_scalar(Fraction(-(10 ** 4400 + 1))) == "-1" + "0" * 4399 + "1"
+        assert (format_scalar(Fraction(7, 10 ** 9000 + 3))
+                == "7/1" + "0" * 8999 + "3")
+
     def test_canonical_form(self):
         x = parse_rational("-4/6")
         assert (x.numerator, x.denominator) == (-2, 3)
@@ -188,6 +195,17 @@ class TestModInt:
     def test_rational_reduction(self):
         f = PrimeField(97)
         assert f(Fraction(1, 2)) * f(2) == f(1)
+
+    def test_rational_equality(self):
+        assert ModInt(3, 7) == Fraction(3)
+        assert ModInt(5, 7) == Fraction(1, 3) == ModInt(5, 7)
+        assert ModInt(3, 7) != Fraction(1, 3)
+        # no residue mod 7 equals 1/7: unequal, and comparing raises nothing
+        assert all(ModInt(v, 7) != Fraction(1, 7) for v in range(7))
+
+    def test_rational_without_residue_is_named_error(self):
+        with pytest.raises(NonInvertible):
+            PrimeField(7)(Fraction(1, 7))
 
     def test_int_interop(self):
         f = PrimeField(97)

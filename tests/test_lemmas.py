@@ -245,3 +245,46 @@ class TestReciprocal:
                        * ctx.w(n - d - c * k + c * j))
             swapped = f2 * h ** (k - j) * f1 ** j * ctx.w(n - k * c - d + c * j)
             assert cleared == swapped
+
+
+class TestDerivedVariantsPinned:
+    # (lhs, rhs) recorded from the variants' written-out sums, before they
+    # were derived from rearrangements of the relation; k = 3 is odd, so a
+    # lost (-1)^k shows
+    CASES = [
+        (lambda cfg, w: lemma2_sums(cfg, w, 6, 3, 2), 8),
+        (lambda cfg, w: lemma2_sums(cfg, w, 6, 3, 3), -492),
+        (lambda cfg, w: lemma3_binomial_sums(cfg, w, 6, 3, 2), -248),
+        (lambda cfg, w: lemma3_binomial_sums(cfg, w, 6, 3, 3), 31),
+        (lambda cfg, w: lemma45_reciprocal(cfg, w, w, 11, 3, "L5b"), 344),
+        (lambda cfg, w: lemma45_reciprocal(cfg, w, w, 11, 3, "L5c"), 5481),
+    ]
+
+    @pytest.mark.parametrize("call,value", CASES)
+    def test_sides(self, call, value):
+        ctx = TermContext(FIBW)
+        cfg = master_cfg(ctx, r=2, s=0, m=3)
+        rep = call(cfg, ctx.w)
+        assert (rep.lhs, rep.rhs) == (value, value)
+        assert rep.cfg is cfg
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda cfg, w: lemma2_sums(cfg, w, 6, 3, 2),
+         "index 6 while evaluating lemma 2 variant 2"),
+        (lambda cfg, w: lemma2_sums(cfg, w, 6, 3, 3),
+         "index 7 while evaluating lemma 2 variant 3"),
+        (lambda cfg, w: lemma3_binomial_sums(cfg, w, 6, 3, 2),
+         "index 3 while evaluating lemma 3 variant 2"),
+        (lambda cfg, w: lemma3_binomial_sums(cfg, w, 6, 3, 3),
+         "index 9 while evaluating lemma 3 variant 3"),
+        (lambda cfg, w: lemma45_reciprocal(cfg, w, w, 11, 3, "L5c"),
+         "index 12 while evaluating L5c"),
+    ])
+    def test_perturbed_config_message(self, call, message):
+        # the failing index is stated in the caller's relation
+        ctx = TermContext(FIBW)
+        cfg = master_cfg(ctx, r=2, s=0, m=3)
+        bad = RecurrenceConfig(cfg.h, cfg.f1 + 1, cfg.f2, cfg.c, cfg.d)
+        with pytest.raises(ConfigViolation) as exc:
+            call(bad, ctx.w)
+        assert str(exc.value) == "recurrence fails at " + message
