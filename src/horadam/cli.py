@@ -1,9 +1,10 @@
 """Command-line surface: eval, verify, fuzz, sum, bench.
 
-Thin adapters over the library; every report printed here is exactly what
-the corresponding library call returns. JSON output is byte-stable for a
-fixed argv and seed (sorted keys, fixed separators, canonical rational
-strings).
+Thin adapters over the library; every report printed here is what the
+corresponding library call returns, except that `eval --method doubling`
+turns `fast_uv`'s (u_|n|, v_|n|) into the requested kind and index itself.
+JSON output is byte-stable for a fixed argv and seed (sorted keys, fixed
+separators, canonical rational strings).
 
 Exit codes: 0 success / verified; 2 argument or usage errors (unknown
 identity, composite modulus, malformed rationals); 3 degenerate root;
@@ -132,15 +133,18 @@ def _add_param_flags(sub):
 
 def cmd_eval(args) -> int:
     params = _params_from_args(args)
-    kind = SequenceKind.from_str(args.kind)
+    kind = SequenceKind(args.kind)
     if args.method == "iterative":
         value = term(params, kind, args.n)
     elif args.method == "doubling":
-        if args.n >= 0 and kind in (SequenceKind.U, SequenceKind.V):
-            pair = fast_uv(params, args.n)
-            value = pair[0] if kind is SequenceKind.U else pair[1]
-        else:
-            value = term(params, kind, args.n)
+        # neg.19 reflects a negative index; lin.9, w_n = b*u_n - a*q*u_{n-1}
+        # with 2*q*u_{n-1} = p*u_n - v_n, gives u, v and w from (u_n, v_n)
+        u, v = fast_uv(params, abs(args.n))
+        if args.n < 0:
+            qn = params.q ** -args.n
+            u, v = -u / qn, v / qn
+        a, b = params.seeds(kind)
+        value = b * u + a * (v - params.p * u) / 2
     else:
         value = binet_term(params, kind, args.n)
     if args.json:
@@ -198,8 +202,7 @@ def cmd_sum(args) -> int:
     needed = {"n", "m", "r", "s", "k"}
     if set(assignment) != needed:
         raise ValueError(f"sum needs assignment of exactly {sorted(needed)}")
-    sel = theorems.TheoremSelector(args.theorem, args.variant,
-                                   SequenceKind.from_str(args.kind))
+    sel = theorems.TheoremSelector(args.theorem, args.variant, SequenceKind(args.kind))
     av = (assignment["n"], assignment["m"], assignment["r"],
           assignment["s"], assignment["k"])
     if args.scan:

@@ -290,8 +290,9 @@ class ModInt:
                 return False
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.value, self.modulus))
+    # Unhashable: a ModInt equals every member of its residue class (3 and 10
+    # both equal ModInt(3, 7)), and no hash agrees with all of them.
+    __hash__ = None
 
     def __repr__(self):
         return f"ModInt({self.value}, mod {self.modulus})"

@@ -154,20 +154,19 @@ def lemma3_binomial_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int,
     return LemmaReport("3", str(variant), cfg, n, k, *sides)
 
 
-def _reciprocal_denominators(n, stride, k):
-    # both denominator families merge into one arithmetic progression
-    return [n - stride * (k + 1) + stride * i for i in range(k + 2)]
-
-
-def _scan_denominators(X, n, stride, k):
-    for i, idx in enumerate(_reciprocal_denominators(n, stride, k)):
-        if X(idx) == 0:
-            raise SingularSummand(max(0, i - 1), idx)
+def _denominator_window(X, n, stride, k):
+    # (j, index, is_zero), lazily: both denominator families merge into one
+    # arithmetic progression; j is the first summand using the index
+    for i in range(k + 2):
+        idx = n - stride * (k + 1 - i)
+        yield max(0, i - 1), idx, X(idx) == 0
 
 
 def _reciprocal(cfg, X, Y, n, k, where, shift=0):
     h, f1, f2, c, d = cfg.h, cfg.f1, cfg.f2, cfg.c, cfg.d
-    _scan_denominators(X, n, c, k)
+    for j, idx, zero in _denominator_window(X, n, c, k):
+        if zero:
+            raise SingularSummand(j, idx)
     _probe(cfg, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift)
     lhs = X(n) * X(n - c * (k + 1)) * f2 * sum(
         h ** (k - j) * f1 ** j * Y(n - d - c * k + c * j)

@@ -6,8 +6,9 @@ index reachable. u = w(0,1;p,q) and v = w(2,p;p,q) are the first- and
 second-kind specializations.
 
 Three independent evaluation strategies are provided: plain iteration
-(`term`, `term_range`), index doubling in O(log n) steps (`fast_uv`), and
-the closed form over Q(sqrt(p^2-4q)) (`binet_term`).
+(`term`, and `term_range` reading the same walk off a `TermContext`), index
+doubling in O(log n) steps (`fast_uv`, u_n and v_n for n >= 0), and the
+closed form over Q(sqrt(p^2-4q)) (`binet_term`).
 """
 from __future__ import annotations
 
@@ -24,13 +25,6 @@ class SequenceKind(enum.Enum):
     U = "u"
     V = "v"
     W = "w"
-
-    @classmethod
-    def from_str(cls, s: str) -> "SequenceKind":
-        try:
-            return cls(s.lower())
-        except ValueError:
-            raise ValueError(f"unknown sequence kind {s!r}; expected u, v or w") from None
 
 
 U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
@@ -102,29 +96,11 @@ def term(params: HoradamParams, kind: SequenceKind, n: int):
 
 
 def term_range(params: HoradamParams, kind: SequenceKind, lo: int, hi: int) -> list:
-    """Terms lo..hi inclusive in one pass."""
+    """Terms lo..hi inclusive, read off one fresh TermContext."""
     if lo > hi:
         raise EmptyRange(f"lo={lo} > hi={hi}")
-    p, q = params.p, params.q
-    x0, x1 = params.seeds(kind)
-    out = []
-    if lo >= 0:
-        for _ in range(lo):
-            x0, x1 = x1, p * x1 - q * x0
-    else:
-        back = []
-        for _ in range(-lo):
-            x0, x1 = (p * x0 - x1) / q, x0
-            back.append(x0)
-        # back holds terms lo..-1 in descending index order
-        out.extend(reversed(back[max(0, -hi - 1):]))
-        if hi < 0:
-            return out
-        x0, x1 = params.seeds(kind)
-    for _ in range(max(0, hi - max(lo, 0)) + 1):
-        out.append(x0)
-        x0, x1 = x1, p * x1 - q * x0
-    return out
+    ctx = TermContext(params)
+    return [ctx._get(kind, n) for n in range(lo, hi + 1)]
 
 
 def fast_uv(params: HoradamParams, n: int):
@@ -138,8 +114,7 @@ def fast_uv(params: HoradamParams, n: int):
     if n < 0:
         raise ValueError("fast_uv requires n >= 0")
     p, q = params.p, params.q
-    uk = q - q
-    uk1 = q / q
+    uk, uk1 = params.seeds(SequenceKind.U)
     for i in range(n.bit_length() - 1, -1, -1):
         u2 = uk * (2 * uk1 - p * uk)
         u21 = uk1 * uk1 - q * uk * uk

@@ -34,7 +34,7 @@ from .errors import GuardViolation
 from .field import binomial, format_scalar
 from .lemmas import (
     RecurrenceConfig,
-    _reciprocal_denominators,
+    _denominator_window,
     lemma1_sum,
     lemma2_sums,
     lemma3_binomial_sums,
@@ -331,14 +331,6 @@ def _lemma(sel, cfg, X, Y, n, k):
     return lemma45_reciprocal(cfg, X, X, n, k, ("L5a", "L5b", "L5c")[base - 1])
 
 
-def _scan(t: TermContext, sel: TheoremSelector, n, m, r, s, k) -> list:
-    # (j, index, is_zero) over the denominator window at effective indices
-    stride = _denominator_stride(sel, n, m, r, s)
-    acc = t.u if sel.theorem == 5 else t.w
-    return [(max(0, i - 1), idx, acc(idx) == 0)
-            for i, idx in enumerate(_reciprocal_denominators(n, stride, k))]
-
-
 def singularity_scan(sel: TheoremSelector, params: HoradamParams,
                      n: int, m: int, r: int, s: int, k: int) -> list:
     """Every distinct denominator index the selected sum touches, with a
@@ -350,7 +342,10 @@ def singularity_scan(sel: TheoremSelector, params: HoradamParams,
         raise ValueError("k must be >= 0")
     if sel.theorem not in (5, 6):
         return []
-    return _scan(_context(sel, params), sel, *_effective(sel, n, m, r, s), k)
+    t = _context(sel, params)
+    eff = _effective(sel, n, m, r, s)
+    return list(_denominator_window(t.u if sel.theorem == 5 else t.w, eff[0],
+                                    _denominator_stride(sel, *eff), k))
 
 
 def _evaluate(sel: TheoremSelector, params: HoradamParams,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from horadam import bench, catalog
+from horadam import bench, catalog, cli
 from horadam.catalog import Identity
 from horadam.errors import NonInvertible
 from horadam.sequences import PRESETS, fast_uv
@@ -85,13 +85,26 @@ class TestEval:
         assert code == 0 and out == "2\n"
 
     def test_methods_agree(self, capsys):
-        values = {}
-        for method in ("iterative", "doubling", "binet"):
-            code, out, _ = run(capsys, ["eval", "--preset", "pell", "--kind", "u",
-                                        "--n", "12", "--method", method])
-            assert code == 0
-            values[method] = out
-        assert len(set(values.values())) == 1
+        for kind in "uvw":
+            for n in (12, 1, 0, -1, -12):
+                values = {}
+                for method in ("iterative", "doubling", "binet"):
+                    code, out, _ = run(capsys, ["eval", "--preset", "pell",
+                                                "--a=-3/2", "--b", "5/7", "--kind", kind,
+                                                "--n", str(n), "--method", method])
+                    assert code == 0
+                    values[method] = out
+                assert len(set(values.values())) == 1, (kind, n, values)
+
+    def test_doubling_never_iterates(self, capsys, monkeypatch):
+        def no_term(*args):
+            raise AssertionError("term called")
+        monkeypatch.setattr(cli, "term", no_term)
+        for kind, n in (("w", 9), ("u", -9), ("v", -9), ("w", -9)):
+            code, _, err = run(capsys, ["eval", "--p", "1/2", "--q=-3/7", "--a", "2",
+                                        "--b=-5/3", "--kind", kind, "--n", str(n),
+                                        "--method", "doubling"])
+            assert code == 0 and err == ""
 
     def test_term_past_int_str_digit_limit(self, capsys):
         code, out, _ = run(capsys, ["eval", "--preset", "fibonacci", "--kind", "u",

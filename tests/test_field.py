@@ -203,6 +203,11 @@ class TestModInt:
         # no residue mod 7 equals 1/7: unequal, and comparing raises nothing
         assert all(ModInt(v, 7) != Fraction(1, 7) for v in range(7))
 
+    def test_unhashable(self):
+        # equal to every member of its residue class, so no hash can agree
+        with pytest.raises(TypeError):
+            hash(ModInt(3, 7))
+
     def test_rational_without_residue_is_named_error(self):
         with pytest.raises(NonInvertible):
             PrimeField(7)(Fraction(1, 7))

@@ -146,6 +146,19 @@ class TestTermRange:
         with pytest.raises(EmptyRange):
             term_range(FIB, U, 3, 2)
 
+    def test_prime_field_matches_rational_residues(self):
+        # the backward walk divides by q: over GF(M) it must reduce the Q terms
+        f = PrimeField(1_000_000_007)
+        qparams = HoradamParams(Fraction(1, 2), Fraction(-5, 3),
+                                Fraction(3, 4), Fraction(-2, 7))
+        gparams = HoradamParams(*(f(getattr(qparams, x)) for x in "abpq"))
+        for kind in SequenceKind:
+            expected = [f(term(qparams, kind, n)) for n in range(-15, 16)]
+            assert [term(gparams, kind, n) for n in range(-15, 16)] == expected
+            assert term_range(gparams, kind, -15, 15) == expected
+            assert term_range(gparams, kind, -15, -3) == expected[:13]
+            assert term_range(gparams, kind, 4, 15) == expected[19:]
+
     @settings(max_examples=60)
     @given(st.integers(-12, 12), st.integers(0, 10))
     def test_matches_term_everywhere(self, lo, span):
