@@ -1,22 +1,29 @@
 """Registry of term identities with exact two-sided evaluation.
 
-Every entry stores independent left/right evaluators over a `TermContext`;
-no algebraic simplification is shared between the sides, so an exact match
-is evidence, not tautology. Entries derived from a master identity by an
-index substitution (and possibly a u/v specialization) carry a
-`Derivation` record, which the meta-consistency checks replay through the
-generic evaluator.
+Each entry is written once, as the formula `horadam verify` displays. Its
+left and right evaluators over a `TermContext` are compiled from that
+formula's two sides at import (`_I`), so what is displayed is what is
+evaluated. The sides stay independent: no algebraic simplification is
+shared between them, so an exact match is evidence, not tautology. Entries
+derived from a master identity by an index substitution (and possibly a u/v
+specialization) carry a `Derivation` record, which the meta-consistency
+checks replay through the generic evaluator.
+
+Formula grammar: u(e), v(e), w(e) are terms at an integer index expression
+e; p, q, a, b are the parameters; `^` is a power and `q^e` reads the
+memoized q-power; a digit before a letter or a parenthesis multiplies
+(`2n`, `2(n+r)`, `4q`).
 
 Key scheme: H/F/G/J are the master identity and its index permutations;
 lin.9/dbl.10/mul.15-18/neg.* cover the basic linear, doubling,
 multiplication and reflection laws; spec.21-28 are the u/v forms of the
-masters, generated by running each master's own evaluators with w read as
-u or v; cor1.29-59 and cor2.55-75 are the two corollary families in
-source order.
+masters, their formulas with w( replaced by u( or v(; cor1.29-59 and
+cor2.55-75 are the two corollary families in source order.
 """
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
@@ -70,354 +77,154 @@ class VerificationReport:
         }
 
 
-def _I(key, tag, variables, lhs, rhs, formula, derived=None):
-    return Identity(key, tag, tuple(variables), lhs, rhs, formula, derived)
+def _python(side: str) -> str:
+    """One side of a displayed formula as a Python expression over the
+    accessor `t` (the index variable t is renamed t_)."""
+    side = re.sub(r"(\d)([a-z(])", r"\1*\2", side)      # 2n, 2(n+r), 4q
+    side = re.sub(r"\bq\^(?:\(([^()]*)\)|([a-z]))", r"qp(\1\2)", side).replace("^", "**")
+    side = re.sub(r"\bt\b", "t_", side)
+    return re.sub(r"\b(u|v|w|qp|p|q|a|b)\b", r"t.\1", side)
+
+
+def _I(key, variables, formula, derived=None):
+    """An entry whose two sides are compiled from its displayed formula, so
+    what `horadam verify` prints is what is evaluated. Only the constant
+    formulas of this module reach `eval`."""
+    args = ", ".join("t_" if v == "t" else v for v in variables)
+    lhs, rhs = (eval(f"lambda t, {args}: {_python(side)}", {})
+                for side in formula.split(" = "))
+    return Identity(key, key.rpartition(".")[2], tuple(variables), lhs, rhs,
+                    formula, derived)
 
 
 _U, _V = SequenceKind.U, SequenceKind.V
 
 # -- master identity and its index permutations --
 _MASTERS = [
-    _I("H", "H", "nmrs",
-       lambda t, n, m, r, s: t.u(r-s) * t.w(n+m),
-       lambda t, n, m, r, s: t.u(m-s) * t.w(n+r) - t.qp(r-s) * t.u(m-r) * t.w(n+s),
-       "u(r-s)*w(n+m) = u(m-s)*w(n+r) - q^(r-s)*u(m-r)*w(n+s)"),
-    _I("F", "F", "nmrs",
-       lambda t, n, m, r, s: t.u(r-s) * t.w(n+m),
-       lambda t, n, m, r, s: t.u(n-s) * t.w(m+r) - t.qp(r-s) * t.u(n-r) * t.w(m+s),
-       "u(r-s)*w(n+m) = u(n-s)*w(m+r) - q^(r-s)*u(n-r)*w(m+s)"),
-    _I("G", "G", "nmrs",
-       lambda t, n, m, r, s: t.u(r-s) * t.w(n+m),
-       lambda t, n, m, r, s: t.u(n+r) * t.w(m-s) - t.qp(r-s) * t.u(n+s) * t.w(m-r),
-       "u(r-s)*w(n+m) = u(n+r)*w(m-s) - q^(r-s)*u(n+s)*w(m-r)"),
-    _I("J", "J", "nmrs",
-       lambda t, n, m, r, s: t.u(r-s) * t.w(n+m),
-       lambda t, n, m, r, s: t.u(m+r) * t.w(n-s) - t.qp(r-s) * t.u(m+s) * t.w(n-r),
-       "u(r-s)*w(n+m) = u(m+r)*w(n-s) - q^(r-s)*u(m+s)*w(n-r)"),
+    _I("H", "nmrs", "u(r-s)*w(n+m) = u(m-s)*w(n+r) - q^(r-s)*u(m-r)*w(n+s)"),
+    _I("F", "nmrs", "u(r-s)*w(n+m) = u(n-s)*w(m+r) - q^(r-s)*u(n-r)*w(m+s)"),
+    _I("G", "nmrs", "u(r-s)*w(n+m) = u(n+r)*w(m-s) - q^(r-s)*u(n+s)*w(m-r)"),
+    _I("J", "nmrs", "u(r-s)*w(n+m) = u(m+r)*w(n-s) - q^(r-s)*u(m+s)*w(n-r)"),
 ]
-
-
-class _WAs:
-    """The accessors a master identity reads (u, qp, w), with w reading the
-    u or v sequence of the same context."""
-
-    __slots__ = ("u", "qp", "w")
-
-    def __init__(self, t, kind: SequenceKind):
-        self.u, self.qp = t.u, t.qp
-        self.w = t.u if kind is _U else t.v
-
-
-def _specialization(number: int, master: Identity, kind: SequenceKind) -> Identity:
-    """spec.<number>: `master` with w read as u or v. Its sides are the
-    master's own evaluators, so only the substitution itself is new."""
-    return _I(f"spec.{number}", str(number), master.variables,
-              lambda t, **asg: master.lhs(_WAs(t, kind), **asg),
-              lambda t, **asg: master.rhs(_WAs(t, kind), **asg),
-              master.formula.replace("w(", f"{kind.value}("),
-              Derivation(master.key, lambda A: dict(A), kind))
-
 
 _ENTRIES = [
     *_MASTERS,
     # -- linear form, doubling, multiplication laws, reflections --
-    _I("lin.9", "9", "n",
-       lambda t, n: t.w(n),
-       lambda t, n: t.b * t.u(n) - t.a * t.q * t.u(n-1),
-       "w(n) = b*u(n) - a*q*u(n-1)"),
-    _I("dbl.10", "10", "n",
-       lambda t, n: t.u(2*n),
-       lambda t, n: t.u(n) * t.v(n),
-       "u(2n) = u(n)*v(n)",
+    _I("lin.9", "n", "w(n) = b*u(n) - a*q*u(n-1)"),
+    _I("dbl.10", "n", "u(2n) = u(n)*v(n)",
        Derivation("mul.15", lambda A: {"n": A["n"], "m": A["n"]})),
-    _I("mul.15", "15", "nm",
-       lambda t, n, m: t.u(m) * t.v(n),
-       lambda t, n, m: t.u(n+m) - t.qp(m) * t.u(n-m),
-       "u(m)*v(n) = u(n+m) - q^m*u(n-m)"),
-    _I("mul.16", "16", "nm",
-       lambda t, n, m: t.disc * t.u(m) * t.u(n),
-       lambda t, n, m: t.v(n+m) - t.qp(m) * t.v(n-m),
-       "(p^2-4q)*u(m)*u(n) = v(n+m) - q^m*v(n-m)"),
-    _I("mul.17", "17", "nm",
-       lambda t, n, m: t.v(m) * t.u(n),
-       lambda t, n, m: t.u(n+m) + t.qp(m) * t.u(n-m),
-       "v(m)*u(n) = u(n+m) + q^m*u(n-m)"),
-    _I("mul.18", "18", "nm",
-       lambda t, n, m: t.v(m) * t.v(n),
-       lambda t, n, m: t.v(n+m) + t.qp(m) * t.v(n-m),
-       "v(m)*v(n) = v(n+m) + q^m*v(n-m)"),
-    _I("neg.19u", "19u", "n",
-       lambda t, n: t.qp(n) * t.u(-n),
-       lambda t, n: -t.u(n),
-       "q^n*u(-n) = -u(n)"),
-    _I("neg.19v", "19v", "n",
-       lambda t, n: t.qp(n) * t.v(-n),
-       lambda t, n: t.v(n),
-       "q^n*v(-n) = v(n)"),
-    _I("neg.20", "20", "n",
-       lambda t, n: t.qp(n) * t.w(-n),
-       lambda t, n: t.a * t.v(n) - t.w(n),
-       "q^n*w(-n) = a*v(n) - w(n)"),
+    _I("mul.15", "nm", "u(m)*v(n) = u(n+m) - q^m*u(n-m)"),
+    _I("mul.16", "nm", "(p^2-4q)*u(m)*u(n) = v(n+m) - q^m*v(n-m)"),
+    _I("mul.17", "nm", "v(m)*u(n) = u(n+m) + q^m*u(n-m)"),
+    _I("mul.18", "nm", "v(m)*v(n) = v(n+m) + q^m*v(n-m)"),
+    _I("neg.19u", "n", "q^n*u(-n) = -u(n)"),
+    _I("neg.19v", "n", "q^n*v(-n) = v(n)"),
+    _I("neg.20", "n", "q^n*w(-n) = a*v(n) - w(n)"),
     # -- u/v specializations of the masters (spec.21-28) --
-    *(_specialization(21 + 4 * i + j, master, kind)
+    *(_I(f"spec.{21 + 4 * i + j}", master.variables,
+         master.formula.replace("w(", f"{kind.value}("), Derivation(master.key, dict, kind))
       for i, kind in enumerate((_U, _V)) for j, master in enumerate(_MASTERS)),
     # -- first corollary family --
-    _I("cor1.29", "29", "nm",
-       lambda t, n, m: t.v(m) * t.w(n),
-       lambda t, n, m: t.w(n+m) + t.qp(m) * t.w(n-m),
-       "v(m)*w(n) = w(n+m) + q^m*w(n-m)",
+    _I("cor1.29", "nm", "v(m)*w(n) = w(n+m) + q^m*w(n-m)",
        Derivation("H", lambda A: {"n": A["n"], "m": A["m"], "r": 0, "s": -A["m"]})),
-    _I("cor1.30", "30", "n",
-       lambda t, n: t.v(n) * t.w(n),
-       lambda t, n: t.w(2*n) + t.qp(n) * t.a,
-       "v(n)*w(n) = w(2n) + q^n*a",
+    _I("cor1.30", "n", "v(n)*w(n) = w(2n) + q^n*a",
        Derivation("cor1.29", lambda A: {"n": A["n"], "m": A["n"]})),
-    _I("cor1.31", "31", "nm",
-       lambda t, n, m: t.u(m) * t.w(n),
-       lambda t, n, m: t.u(n) * t.w(m) - t.qp(m) * t.a * t.u(n-m),
-       "u(m)*w(n) = u(n)*w(m) - q^m*a*u(n-m)",
+    _I("cor1.31", "nm", "u(m)*w(n) = u(n)*w(m) - q^m*a*u(n-m)",
        Derivation("F", lambda A: {"n": A["n"] - A["m"], "m": A["m"], "r": 0, "s": -A["m"]})),
-    _I("cor1.32", "32", "nm",
-       lambda t, n, m: t.w(n+m),
-       lambda t, n, m: t.u(m) * t.w(n+1) - t.q * t.u(m-1) * t.w(n),
-       "w(n+m) = u(m)*w(n+1) - q*u(m-1)*w(n)",
+    _I("cor1.32", "nm", "w(n+m) = u(m)*w(n+1) - q*u(m-1)*w(n)",
        Derivation("H", lambda A: {"n": A["n"], "m": A["m"], "r": 1, "s": 0})),
-    _I("cor1.33", "33", "nm",
-       lambda t, n, m: t.qp(m) * t.w(n-m),
-       lambda t, n, m: t.u(m+1) * t.w(n) - t.u(m) * t.w(n+1),
-       "q^m*w(n-m) = u(m+1)*w(n) - u(m)*w(n+1)",
+    _I("cor1.33", "nm", "q^m*w(n-m) = u(m+1)*w(n) - u(m)*w(n+1)",
        Derivation("cor1.32", lambda A: {"n": A["n"], "m": -A["m"]})),
-    _I("cor1.34", "34", "nm",
-       lambda t, n, m: t.w(n+m) - t.qp(m) * t.w(n-m),
-       lambda t, n, m: t.u(m) * (t.w(n+1) - t.q * t.w(n-1)),
-       "w(n+m) - q^m*w(n-m) = u(m)*(w(n+1) - q*w(n-1))"),
-    _I("cor1.35", "35", "nm",
-       lambda t, n, m: t.w(n+m),
-       lambda t, n, m: t.u(n) * t.w(m+1) - t.q * t.u(n-1) * t.w(m),
-       "w(n+m) = u(n)*w(m+1) - q*u(n-1)*w(m)",
+    _I("cor1.34", "nm", "w(n+m) - q^m*w(n-m) = u(m)*(w(n+1) - q*w(n-1))"),
+    _I("cor1.35", "nm", "w(n+m) = u(n)*w(m+1) - q*u(n-1)*w(m)",
        Derivation("cor1.32", lambda A: {"n": A["m"], "m": A["n"]})),
-    _I("cor1.36", "36", "nmj",
-       lambda t, n, m, j: t.w(n+m),
-       lambda t, n, m, j: t.u(m-j) * t.w(n+j+1) - t.q * t.u(m-j-1) * t.w(n+j),
-       "w(n+m) = u(m-j)*w(n+j+1) - q*u(m-j-1)*w(n+j)",
+    _I("cor1.36", "nmj", "w(n+m) = u(m-j)*w(n+j+1) - q*u(m-j-1)*w(n+j)",
        Derivation("H", lambda A: {"n": A["n"] + A["j"], "m": A["m"] - A["j"], "r": 1, "s": 0})),
-    _I("cor1.37", "37", "nmj",
-       lambda t, n, m, j: t.w(n+m),
-       lambda t, n, m, j: t.u(n-j) * t.w(m+j+1) - t.q * t.u(n-j-1) * t.w(m+j),
-       "w(n+m) = u(n-j)*w(m+j+1) - q*u(n-j-1)*w(m+j)",
+    _I("cor1.37", "nmj", "w(n+m) = u(n-j)*w(m+j+1) - q*u(n-j-1)*w(m+j)",
        Derivation("H", lambda A: {"n": A["m"] + A["j"], "m": A["n"] - A["j"], "r": 1, "s": 0})),
-    _I("cor1.38", "38", "n",
-       lambda t, n: t.w(2*n),
-       lambda t, n: t.u(n) * t.w(n+1) - t.q * t.u(n-1) * t.w(n),
-       "w(2n) = u(n)*w(n+1) - q*u(n-1)*w(n)",
+    _I("cor1.38", "n", "w(2n) = u(n)*w(n+1) - q*u(n-1)*w(n)",
        Derivation("cor1.32", lambda A: {"n": A["n"], "m": A["n"]})),
-    _I("cor1.39", "39", "n",
-       lambda t, n: t.w(2*n),
-       lambda t, n: t.u(n+1) * t.w(n) - t.q * t.u(n) * t.w(n-1),
-       "w(2n) = u(n+1)*w(n) - q*u(n)*w(n-1)",
+    _I("cor1.39", "n", "w(2n) = u(n+1)*w(n) - q*u(n)*w(n-1)",
        Derivation("cor1.35", lambda A: {"n": A["n"] + 1, "m": A["n"] - 1})),
-    _I("cor1.40", "40", "n",
-       lambda t, n: t.w(2*n-1),
-       lambda t, n: t.u(n+1) * t.w(n-1) - t.q * t.u(n) * t.w(n-2),
-       "w(2n-1) = u(n+1)*w(n-1) - q*u(n)*w(n-2)",
+    _I("cor1.40", "n", "w(2n-1) = u(n+1)*w(n-1) - q*u(n)*w(n-2)",
        Derivation("cor1.35", lambda A: {"n": A["n"] + 1, "m": A["n"] - 2})),
-    _I("cor1.41", "41", "n",
-       lambda t, n: t.w(2*n-1),
-       lambda t, n: t.u(n) * t.w(n) - t.q * t.u(n-1) * t.w(n-1),
-       "w(2n-1) = u(n)*w(n) - q*u(n-1)*w(n-1)",
+    _I("cor1.41", "n", "w(2n-1) = u(n)*w(n) - q*u(n-1)*w(n-1)",
        Derivation("cor1.32", lambda A: {"n": A["n"] - 1, "m": A["n"]})),
-    _I("cor1.42", "42", "nm",
-       lambda t, n, m: t.u(n-m) * t.w(n+m),
-       lambda t, n, m: t.u(n) * t.w(n) - t.qp(n-m) * t.u(m) * t.w(m),
-       "u(n-m)*w(n+m) = u(n)*w(n) - q^(n-m)*u(m)*w(m)",
+    _I("cor1.42", "nm", "u(n-m)*w(n+m) = u(n)*w(n) - q^(n-m)*u(m)*w(m)",
        Derivation("H", lambda A: {"n": A["n"], "m": A["m"], "r": 0, "s": A["m"] - A["n"]})),
-    _I("cor1.43", "43", "nm",
-       lambda t, n, m: t.u(n-m) * t.w(n+m),
-       lambda t, n, m: t.u(2*n-m) * t.w(m) - t.qp(n-m) * t.u(n) * t.w(2*m-n),
-       "u(n-m)*w(n+m) = u(2n-m)*w(m) - q^(n-m)*u(n)*w(2m-n)",
+    _I("cor1.43", "nm", "u(n-m)*w(n+m) = u(2n-m)*w(m) - q^(n-m)*u(n)*w(2m-n)",
        Derivation("F", lambda A: {"n": A["n"], "m": A["m"], "r": 0, "s": A["m"] - A["n"]})),
-    _I("cor1.44", "44", "n",
-       lambda t, n: t.qp(n) * t.w(-n),
-       lambda t, n: t.a * t.v(n) - t.w(n),
-       "q^n*w(-n) = a*v(n) - w(n)",
+    _I("cor1.44", "n", "q^n*w(-n) = a*v(n) - w(n)",
        Derivation("cor1.43", lambda A: {"n": A["n"], "m": 0})),
-    _I("cor1.45", "45", "nm",
-       lambda t, n, m: t.v(n) * t.w(m) - t.a * t.qp(m) * t.v(n-m),
-       lambda t, n, m: t.w(n+m) - t.qp(m) * t.w(n-m),
-       "v(n)*w(m) - a*q^m*v(n-m) = w(n+m) - q^m*w(n-m)"),
-    _I("cor1.46", "46", "nm",
-       lambda t, n, m: t.w(n+m)**2 - t.qp(2*m) * t.w(n-m)**2,
-       lambda t, n, m: t.v(m) * t.w(n) * (t.v(n) * t.w(m) - t.a * t.qp(m) * t.v(n-m)),
-       "w(n+m)^2 - q^(2m)*w(n-m)^2 = v(m)*w(n)*(v(n)*w(m) - a*q^m*v(n-m))"),
-    _I("cor1.47", "47", "nmr",
-       lambda t, n, m, r: t.u(2*r) * t.w(n+m),
-       lambda t, n, m, r: t.u(m+r) * t.w(n+r) - t.qp(2*r) * t.u(m-r) * t.w(n-r),
-       "u(2r)*w(n+m) = u(m+r)*w(n+r) - q^(2r)*u(m-r)*w(n-r)",
+    _I("cor1.45", "nm", "v(n)*w(m) - a*q^m*v(n-m) = w(n+m) - q^m*w(n-m)"),
+    _I("cor1.46", "nm", "w(n+m)^2 - q^(2m)*w(n-m)^2 = v(m)*w(n)*(v(n)*w(m) - a*q^m*v(n-m))"),
+    _I("cor1.47", "nmr", "u(2r)*w(n+m) = u(m+r)*w(n+r) - q^(2r)*u(m-r)*w(n-r)",
        Derivation("H", lambda A: {"n": A["n"], "m": A["m"], "r": A["r"], "s": -A["r"]})),
-    _I("cor1.48", "48", "nmr",
-       lambda t, n, m, r: t.qp(m-r) * t.u(2*r) * t.w(n-m),
-       lambda t, n, m, r: t.u(m+r) * t.w(n-r) - t.u(m-r) * t.w(n+r),
-       "q^(m-r)*u(2r)*w(n-m) = u(m+r)*w(n-r) - u(m-r)*w(n+r)",
+    _I("cor1.48", "nmr", "q^(m-r)*u(2r)*w(n-m) = u(m+r)*w(n-r) - u(m-r)*w(n+r)",
        Derivation("cor1.47", lambda A: {"n": A["n"], "m": -A["m"], "r": A["r"]})),
-    _I("cor1.49", "49", "nmr",
-       lambda t, n, m, r: t.u(2*r) * t.w(n+m),
-       lambda t, n, m, r: t.u(n+r) * t.w(m+r) - t.qp(2*r) * t.u(n-r) * t.w(m-r),
-       "u(2r)*w(n+m) = u(n+r)*w(m+r) - q^(2r)*u(n-r)*w(m-r)",
+    _I("cor1.49", "nmr", "u(2r)*w(n+m) = u(n+r)*w(m+r) - q^(2r)*u(n-r)*w(m-r)",
        Derivation("H", lambda A: {"n": A["m"], "m": A["n"], "r": A["r"], "s": -A["r"]})),
-    _I("cor1.50", "50", "nr",
-       lambda t, n, r: t.u(2*r) * t.w(2*n),
-       lambda t, n, r: t.u(n+r) * t.w(n+r) - t.qp(2*r) * t.u(n-r) * t.w(n-r),
-       "u(2r)*w(2n) = u(n+r)*w(n+r) - q^(2r)*u(n-r)*w(n-r)",
+    _I("cor1.50", "nr", "u(2r)*w(2n) = u(n+r)*w(n+r) - q^(2r)*u(n-r)*w(n-r)",
        Derivation("cor1.49", lambda A: {"n": A["n"], "m": A["n"], "r": A["r"]})),
-    _I("cor1.51", "51", "nr",
-       lambda t, n, r: t.u(2*r) * t.w(2*n-1),
-       lambda t, n, r: t.u(n+r) * t.w(n+r-1) - t.qp(2*r) * t.u(n-r) * t.w(n-r-1),
-       "u(2r)*w(2n-1) = u(n+r)*w(n+r-1) - q^(2r)*u(n-r)*w(n-r-1)",
+    _I("cor1.51", "nr", "u(2r)*w(2n-1) = u(n+r)*w(n+r-1) - q^(2r)*u(n-r)*w(n-r-1)",
        Derivation("cor1.49", lambda A: {"n": A["n"], "m": A["n"] - 1, "r": A["r"]})),
-    _I("cor1.52", "52", "nm",
-       lambda t, n, m: t.p * t.w(n+m),
-       lambda t, n, m: t.u(m+1) * t.w(n+1) - t.q**2 * t.u(m-1) * t.w(n-1),
-       "p*w(n+m) = u(m+1)*w(n+1) - q^2*u(m-1)*w(n-1)",
+    _I("cor1.52", "nm", "p*w(n+m) = u(m+1)*w(n+1) - q^2*u(m-1)*w(n-1)",
        Derivation("cor1.47", lambda A: {"n": A["n"], "m": A["m"], "r": 1})),
-    _I("cor1.53", "53", "nm",
-       lambda t, n, m: t.p * t.w(n+m),
-       lambda t, n, m: t.u(n+1) * t.w(m+1) - t.q**2 * t.u(n-1) * t.w(m-1),
-       "p*w(n+m) = u(n+1)*w(m+1) - q^2*u(n-1)*w(m-1)",
+    _I("cor1.53", "nm", "p*w(n+m) = u(n+1)*w(m+1) - q^2*u(n-1)*w(m-1)",
        Derivation("cor1.49", lambda A: {"n": A["n"], "m": A["m"], "r": 1})),
-    _I("cor1.54", "54", "n",
-       lambda t, n: t.p * t.w(2*n),
-       lambda t, n: t.u(n+1) * t.w(n+1) - t.q**2 * t.u(n-1) * t.w(n-1),
-       "p*w(2n) = u(n+1)*w(n+1) - q^2*u(n-1)*w(n-1)",
+    _I("cor1.54", "n", "p*w(2n) = u(n+1)*w(n+1) - q^2*u(n-1)*w(n-1)",
        Derivation("cor1.50", lambda A: {"n": A["n"], "r": 1})),
-    _I("cor1.55", "55", "n",
-       lambda t, n: t.p * t.w(2*n-1),
-       lambda t, n: t.u(n+1) * t.w(n) - t.q**2 * t.u(n-1) * t.w(n-2),
-       "p*w(2n-1) = u(n+1)*w(n) - q^2*u(n-1)*w(n-2)",
+    _I("cor1.55", "n", "p*w(2n-1) = u(n+1)*w(n) - q^2*u(n-1)*w(n-2)",
        Derivation("cor1.51", lambda A: {"n": A["n"], "r": 1})),
-    _I("cor1.56", "56", "nst",
-       lambda t, n, s, t_: t.u(t_) * t.w(n),
-       lambda t, n, s, t_: t.u(s) * t.w(n+t_-s) - t.qp(t_) * t.u(s-t_) * t.w(n-s),
-       "u(t)*w(n) = u(s)*w(n+t-s) - q^t*u(s-t)*w(n-s)",
+    _I("cor1.56", "nst", "u(t)*w(n) = u(s)*w(n+t-s) - q^t*u(s-t)*w(n-s)",
        Derivation("H", lambda A: {"n": A["n"], "m": 0, "r": A["t"] - A["s"], "s": -A["s"]})),
-    _I("cor1.57", "57", "nst",
-       lambda t, n, s, t_: t.u(t_) * t.w(n),
-       lambda t, n, s, t_: t.u(n-s) * t.w(t_+s) - t.qp(t_) * t.u(n-t_-s) * t.w(s),
-       "u(t)*w(n) = u(n-s)*w(t+s) - q^t*u(n-t-s)*w(s)",
+    _I("cor1.57", "nst", "u(t)*w(n) = u(n-s)*w(t+s) - q^t*u(n-t-s)*w(s)",
        Derivation("F", lambda A: {"n": A["n"], "m": 0, "r": A["t"] + A["s"], "s": A["s"]})),
-    _I("cor1.58", "58", "nst",
-       lambda t, n, s, t_: t.u(t_) * t.w(n),
-       lambda t, n, s, t_: t.u(n+t_-s) * t.w(s) - t.qp(t_) * t.u(n-s) * t.w(s-t_),
-       "u(t)*w(n) = u(n+t-s)*w(s) - q^t*u(n-s)*w(s-t)",
+    _I("cor1.58", "nst", "u(t)*w(n) = u(n+t-s)*w(s) - q^t*u(n-s)*w(s-t)",
        Derivation("G", lambda A: {"n": A["n"], "m": 0, "r": A["t"] - A["s"], "s": -A["s"]})),
-    _I("cor1.59", "59", "nst",
-       lambda t, n, s, t_: t.u(t_) * t.w(n),
-       lambda t, n, s, t_: t.u(t_+s) * t.w(n-s) - t.qp(t_) * t.u(s) * t.w(n-s-t_),
-       "u(t)*w(n) = u(t+s)*w(n-s) - q^t*u(s)*w(n-s-t)",
+    _I("cor1.59", "nst", "u(t)*w(n) = u(t+s)*w(n-s) - q^t*u(s)*w(n-s-t)",
        Derivation("J", lambda A: {"n": A["n"], "m": 0, "r": A["t"] + A["s"], "s": A["s"]})),
     # -- second corollary family (u/v consequences) --
-    _I("cor2.55", "55", "n",
-       lambda t, n: t.v(n)**2,
-       lambda t, n: t.v(2*n) + 2 * t.qp(n),
-       "v(n)^2 = v(2n) + 2*q^n",
-       Derivation("cor1.30", lambda A: dict(A), _V)),
-    _I("cor2.56", "56", "nm",
-       lambda t, n, m: t.u(n) * t.v(m) - t.u(m) * t.v(n),
-       lambda t, n, m: 2 * t.qp(m) * t.u(n-m),
-       "u(n)*v(m) - u(m)*v(n) = 2*q^m*u(n-m)",
-       Derivation("cor1.31", lambda A: dict(A), _V)),
-    _I("cor2.57", "57", "n",
-       lambda t, n: t.v(n),
-       lambda t, n: t.p * t.u(n) - 2 * t.q * t.u(n-1),
-       "v(n) = p*u(n) - 2*q*u(n-1)",
+    _I("cor2.55", "n", "v(n)^2 = v(2n) + 2*q^n",
+       Derivation("cor1.30", dict, _V)),
+    _I("cor2.56", "nm", "u(n)*v(m) - u(m)*v(n) = 2*q^m*u(n-m)",
+       Derivation("cor1.31", dict, _V)),
+    _I("cor2.57", "n", "v(n) = p*u(n) - 2*q*u(n-1)",
        Derivation("cor1.35", lambda A: {"n": A["n"], "m": 0}, _V)),
-    _I("cor2.58", "58", "nm",
-       lambda t, n, m: t.u(n+m),
-       lambda t, n, m: t.u(m) * t.u(n+1) - t.q * t.u(m-1) * t.u(n),
-       "u(n+m) = u(m)*u(n+1) - q*u(m-1)*u(n)",
-       Derivation("cor1.32", lambda A: dict(A), _U)),
-    _I("cor2.59", "59", "nm",
-       lambda t, n, m: t.v(n+m),
-       lambda t, n, m: t.u(m) * t.v(n+1) - t.q * t.u(m-1) * t.v(n),
-       "v(n+m) = u(m)*v(n+1) - q*u(m-1)*v(n)",
-       Derivation("cor1.32", lambda A: dict(A), _V)),
-    _I("cor2.60", "60", "m",
-       lambda t, m: t.u(2*m-1),
-       lambda t, m: t.u(m)**2 - t.q * t.u(m-1)**2,
-       "u(2m-1) = u(m)^2 - q*u(m-1)^2",
+    _I("cor2.58", "nm", "u(n+m) = u(m)*u(n+1) - q*u(m-1)*u(n)",
+       Derivation("cor1.32", dict, _U)),
+    _I("cor2.59", "nm", "v(n+m) = u(m)*v(n+1) - q*u(m-1)*v(n)",
+       Derivation("cor1.32", dict, _V)),
+    _I("cor2.60", "m", "u(2m-1) = u(m)^2 - q*u(m-1)^2",
        Derivation("cor1.41", lambda A: {"n": A["m"]}, _U)),
-    _I("cor2.61", "61", "m",
-       lambda t, m: t.v(2*m-1),
-       lambda t, m: t.u(2*m) - t.q * t.u(2*m-2),
-       "v(2m-1) = u(2m) - q*u(2m-2)",
+    _I("cor2.61", "m", "v(2m-1) = u(2m) - q*u(2m-2)",
        Derivation("cor1.41", lambda A: {"n": A["m"]}, _V)),
-    _I("cor2.62", "62", "nm",
-       lambda t, n, m: t.u(n-m) * t.u(n+m),
-       lambda t, n, m: t.u(n)**2 - t.qp(n-m) * t.u(m)**2,
-       "u(n-m)*u(n+m) = u(n)^2 - q^(n-m)*u(m)^2",
-       Derivation("cor1.42", lambda A: dict(A), _U)),
-    _I("cor2.63", "63", "nm",
-       lambda t, n, m: t.u(n-m) * t.v(n+m),
-       lambda t, n, m: t.u(2*n) - t.qp(n-m) * t.u(2*m),
-       "u(n-m)*v(n+m) = u(2n) - q^(n-m)*u(2m)",
-       Derivation("cor1.42", lambda A: dict(A), _V)),
-    _I("cor2.64", "64", "nm",
-       lambda t, n, m: t.v(n) * t.v(m) - t.disc * t.u(m) * t.u(n),
-       lambda t, n, m: 2 * t.qp(m) * t.v(n-m),
-       "v(n)*v(m) - (p^2-4q)*u(m)*u(n) = 2*q^m*v(n-m)",
-       Derivation("cor1.45", lambda A: dict(A), _V)),
-    _I("cor2.65", "65", "nmr",
-       lambda t, n, m, r: t.u(2*r) * t.u(n+m),
-       lambda t, n, m, r: t.u(n+r) * t.u(m+r) - t.qp(2*r) * t.u(m-r) * t.u(n-r),
-       "u(2r)*u(n+m) = u(n+r)*u(m+r) - q^(2r)*u(m-r)*u(n-r)",
-       Derivation("cor1.49", lambda A: dict(A), _U)),
-    _I("cor2.66", "66", "nmr",
-       lambda t, n, m, r: t.u(2*r) * t.v(n+m),
-       lambda t, n, m, r: t.u(n+r) * t.v(m+r) - t.qp(2*r) * t.u(n-r) * t.v(m-r),
-       "u(2r)*v(n+m) = u(n+r)*v(m+r) - q^(2r)*u(n-r)*v(m-r)",
-       Derivation("cor1.49", lambda A: dict(A), _V)),
-    _I("cor2.67", "67", "nr",
-       lambda t, n, r: t.u(2*r) * t.u(2*n),
-       lambda t, n, r: t.u(n+r)**2 - t.qp(2*r) * t.u(n-r)**2,
-       "u(2r)*u(2n) = u(n+r)^2 - q^(2r)*u(n-r)^2",
-       Derivation("cor1.50", lambda A: dict(A), _U)),
-    _I("cor2.68", "68", "nr",
-       lambda t, n, r: t.u(2*r) * t.v(2*n),
-       lambda t, n, r: t.u(2*(n+r)) - t.qp(2*r) * t.u(2*(n-r)),
-       "u(2r)*v(2n) = u(2(n+r)) - q^(2r)*u(2(n-r))",
-       Derivation("cor1.50", lambda A: dict(A), _V)),
-    _I("cor2.69", "69", "n",
-       lambda t, n: t.p * t.u(2*n),
-       lambda t, n: t.u(n+1)**2 - t.q**2 * t.u(n-1)**2,
-       "p*u(2n) = u(n+1)^2 - q^2*u(n-1)^2",
-       Derivation("cor1.54", lambda A: dict(A), _U)),
-    _I("cor2.70", "70", "n",
-       lambda t, n: t.p * t.v(2*n),
-       lambda t, n: t.u(2*(n+1)) - t.q**2 * t.u(2*(n-1)),
-       "p*v(2n) = u(2(n+1)) - q^2*u(2(n-1))",
-       Derivation("cor1.54", lambda A: dict(A), _V)),
-    _I("cor2.71", "71", "nst",
-       lambda t, n, s, t_: t.u(t_) * t.u(n),
-       lambda t, n, s, t_: t.u(s) * t.u(n+t_-s) - t.qp(t_) * t.u(s-t_) * t.u(n-s),
-       "u(t)*u(n) = u(s)*u(n+t-s) - q^t*u(s-t)*u(n-s)",
-       Derivation("cor1.56", lambda A: dict(A), _U)),
-    _I("cor2.72", "72", "nst",
-       lambda t, n, s, t_: t.u(t_) * t.v(n),
-       lambda t, n, s, t_: t.u(s) * t.v(n+t_-s) - t.qp(t_) * t.u(s-t_) * t.v(n-s),
-       "u(t)*v(n) = u(s)*v(n+t-s) - q^t*u(s-t)*v(n-s)",
-       Derivation("cor1.56", lambda A: dict(A), _V)),
-    _I("cor2.73", "73", "nt",
-       lambda t, n, t_: t.u(n) * t.v(t_) + t.u(t_) * t.v(n),
-       lambda t, n, t_: 2 * t.u(n+t_),
-       "u(n)*v(t) + u(t)*v(n) = 2*u(n+t)",
+    _I("cor2.62", "nm", "u(n-m)*u(n+m) = u(n)^2 - q^(n-m)*u(m)^2",
+       Derivation("cor1.42", dict, _U)),
+    _I("cor2.63", "nm", "u(n-m)*v(n+m) = u(2n) - q^(n-m)*u(2m)",
+       Derivation("cor1.42", dict, _V)),
+    _I("cor2.64", "nm", "v(n)*v(m) - (p^2-4q)*u(m)*u(n) = 2*q^m*v(n-m)",
+       Derivation("cor1.45", dict, _V)),
+    _I("cor2.65", "nmr", "u(2r)*u(n+m) = u(n+r)*u(m+r) - q^(2r)*u(m-r)*u(n-r)",
+       Derivation("cor1.49", dict, _U)),
+    _I("cor2.66", "nmr", "u(2r)*v(n+m) = u(n+r)*v(m+r) - q^(2r)*u(n-r)*v(m-r)",
+       Derivation("cor1.49", dict, _V)),
+    _I("cor2.67", "nr", "u(2r)*u(2n) = u(n+r)^2 - q^(2r)*u(n-r)^2",
+       Derivation("cor1.50", dict, _U)),
+    _I("cor2.68", "nr", "u(2r)*v(2n) = u(2(n+r)) - q^(2r)*u(2(n-r))",
+       Derivation("cor1.50", dict, _V)),
+    _I("cor2.69", "n", "p*u(2n) = u(n+1)^2 - q^2*u(n-1)^2",
+       Derivation("cor1.54", dict, _U)),
+    _I("cor2.70", "n", "p*v(2n) = u(2(n+1)) - q^2*u(2(n-1))",
+       Derivation("cor1.54", dict, _V)),
+    _I("cor2.71", "nst", "u(t)*u(n) = u(s)*u(n+t-s) - q^t*u(s-t)*u(n-s)",
+       Derivation("cor1.56", dict, _U)),
+    _I("cor2.72", "nst", "u(t)*v(n) = u(s)*v(n+t-s) - q^t*u(s-t)*v(n-s)",
+       Derivation("cor1.56", dict, _V)),
+    _I("cor2.73", "nt", "u(n)*v(t) + u(t)*v(n) = 2*u(n+t)",
        Derivation("cor1.58", lambda A: {"n": A["n"], "s": 0, "t": A["t"]}, _V)),
-    _I("cor2.74", "74", "nt",
-       lambda t, n, t_: t.u(n)**2 * t.v(t_)**2 - t.u(t_)**2 * t.v(n)**2,
-       lambda t, n, t_: 4 * t.qp(t_) * t.u(n+t_) * t.u(n-t_),
-       "u(n)^2*v(t)^2 - u(t)^2*v(n)^2 = 4*q^t*u(n+t)*u(n-t)"),
-    _I("cor2.75", "75", "n",
-       lambda t, n: t.p**2 * t.u(n)**2 - t.v(n)**2,
-       lambda t, n: 4 * t.q * t.u(n+1) * t.u(n-1),
-       "p^2*u(n)^2 - v(n)^2 = 4*q*u(n+1)*u(n-1)",
+    _I("cor2.74", "nt", "u(n)^2*v(t)^2 - u(t)^2*v(n)^2 = 4*q^t*u(n+t)*u(n-t)"),
+    _I("cor2.75", "n", "p^2*u(n)^2 - v(n)^2 = 4*q*u(n+1)*u(n-1)",
        Derivation("cor2.74", lambda A: {"n": A["n"], "t": 1})),
 ]
 

@@ -181,7 +181,7 @@ def _t4_variant(base, swap):
     return dict(swap=swap, prefix=prefix, summand=summand, closed=closed, factor=factor)
 
 
-def _t3_variant(swap):
+def _t3_variant(base, swap):
     def prefix(t, n, m, r, s, k):
         return t.u(r - s)
 
@@ -199,7 +199,7 @@ def _t3_variant(swap):
     return dict(swap=swap, prefix=prefix, summand=summand, closed=closed, factor=factor)
 
 
-def _t5_variant(swap):
+def _t5_variant(base, swap):
     def prefix(t, n, m, r, s, k):
         return t.u(n) * t.u(n - (r - s) * (k + 1)) * t.u(r - s)
 
@@ -218,6 +218,8 @@ def _t5_variant(swap):
 
 
 def _t6_variant(base, swap):
+    # bases 1 and 2 share theorem 4's closed form; base 3 has its own
+    closed = _t4_variant(base, swap)["closed"]
     if base == 1:
         def prefix(t, n, m, r, s, k):
             return -t.qp(r - s) * t.u(m - r) * t.w(n) * t.w(n - (m - r) * (k + 1))
@@ -227,10 +229,6 @@ def _t6_variant(base, swap):
             return (t.u(r - s) ** (k - j) * t.u(m - s) ** j
                     * t.w(n - m + s - c * k + c * j)
                     / (t.w(n - c * k + c * j) * t.w(n - c - c * k + c * j)))
-
-        def closed(t, n, m, r, s, k):
-            return (t.u(r - s) ** (k + 1) * t.w(n)
-                    - t.u(m - s) ** (k + 1) * t.w(n - (m - r) * (k + 1)))
     elif base == 2:
         def prefix(t, n, m, r, s, k):
             return t.u(m - s) * t.w(n) * t.w(n - (m - s) * (k + 1))
@@ -241,11 +239,6 @@ def _t6_variant(base, swap):
                     * t.u(r - s) ** (k - j) * t.u(m - r) ** j
                     * t.w(n - (m - r) - d * k + d * j)
                     / (t.w(n - d * k + d * j) * t.w(n - d - d * k + d * j)))
-
-        def closed(t, n, m, r, s, k):
-            return (t.u(r - s) ** (k + 1) * t.w(n)
-                    - (-1) ** (k + 1) * t.qp((r - s) * (k + 1))
-                    * t.u(m - r) ** (k + 1) * t.w(n - (m - s) * (k + 1)))
     else:
         def prefix(t, n, m, r, s, k):
             return t.u(r - s) * t.w(n) * t.w(n - (r - s) * (k + 1))
@@ -265,14 +258,11 @@ def _t6_variant(base, swap):
     return dict(swap=swap, prefix=prefix, summand=summand, closed=closed, factor=_one)
 
 
-_VARIANTS = {}
-for v in range(1, 7):
-    _VARIANTS[(2, v)] = _t2_variant(1 + (v - 1) % 3, swap=v > 3)
-    _VARIANTS[(4, v)] = _t4_variant(1 + (v - 1) % 3, swap=v > 3)
-    _VARIANTS[(6, v)] = _t6_variant(1 + (v - 1) % 3, swap=v > 3)
-for v in (1, 2):
-    _VARIANTS[(3, v)] = _t3_variant(swap=v == 2)
-    _VARIANTS[(5, v)] = _t5_variant(swap=v == 2)
+# The second half of each theorem's variants repeats the base forms of the
+# first half after the swap; theorems 3 and 5 have one base form.
+_BUILDERS = {2: _t2_variant, 3: _t3_variant, 4: _t4_variant, 5: _t5_variant, 6: _t6_variant}
+_VARIANTS = {(theorem, v): _BUILDERS[theorem](1 + (v - 1) % (count // 2), swap=v > count // 2)
+             for theorem, count in VARIANT_COUNT.items() for v in range(1, count + 1)}
 
 
 def _denominator_stride(sel: TheoremSelector, n, m, r, s):

@@ -149,6 +149,75 @@ class TestDerivations:
                 assert (spec_rep.lhs, spec_rep.rhs) == (master_rep.lhs, master_rep.rhs)
 
 
+def _laurent_difference(ident):
+    """lhs - rhs of `ident` over the Binet form, as one rational function.
+
+    u_e = (alpha^e - beta^e)/(alpha - beta), v_e = alpha^e + beta^e, w through
+    lin.9 and q^e = alpha^e*beta^e, where each index expression
+    e = c + sum(k_x * x), linear in the identity's variables, reads
+    alpha^c * prod(alpha_x^k_x) with alpha_x, beta_x independent symbols per
+    variable x. The difference cancels to 0 exactly when the identity is a
+    Laurent-polynomial identity, which holds at every integer assignment.
+    """
+    sympy = pytest.importorskip("sympy")
+    alpha, beta, a, b = sympy.symbols("alpha beta a b")
+    index = {x: sympy.Symbol(x) for x in ident.variables}
+    roots = {x: sympy.symbols(f"alpha_{x} beta_{x}") for x in ident.variables}
+
+    def power(e):
+        e = sympy.sympify(e)
+        coeffs = {x: e.coeff(sym) for x, sym in index.items()}
+        const = e - sum(k * index[x] for x, k in coeffs.items())
+        assert const.is_integer and all(k.is_integer for k in coeffs.values()), e
+        pa, pb = alpha ** const, beta ** const
+        for x, k in coeffs.items():
+            pa, pb = pa * roots[x][0] ** k, pb * roots[x][1] ** k
+        return pa, pb
+
+    class Laurent:
+        # exactly the attributes of perfbench's RefTerms accessor
+        __slots__ = ("p", "q", "a", "b", "disc")
+
+        def u(self, e):
+            pa, pb = power(e)
+            return (pa - pb) / (alpha - beta)
+
+        def v(self, e):
+            pa, pb = power(e)
+            return pa + pb
+
+        def w(self, e):
+            return self.b * self.u(e) - self.a * self.q * self.u(e - 1)
+
+        def qp(self, e):
+            pa, pb = power(e)
+            return pa * pb
+
+    t = Laurent()
+    t.p, t.q, t.a, t.b = alpha + beta, alpha * beta, a, b
+    t.disc = t.p ** 2 - 4 * t.q
+    kwargs = {("t_" if x == "t" else x): sym for x, sym in index.items()}
+    return sympy.cancel(sympy.together(ident.lhs(t, **kwargs) - ident.rhs(t, **kwargs)))
+
+
+class TestSymbolicProof:
+    # lin.9 defines w under this accessor, so its proof is a tautology;
+    # fuzzing and acceptance criteria 1 and 4 still check it numerically.
+
+    def test_every_identity_is_a_laurent_identity(self):
+        unproved = [key for key, ident in REGISTRY.items() if _laurent_difference(ident) != 0]
+        assert unproved == []
+
+    @pytest.mark.parametrize("key, variables, formula", [
+        ("H", "nmrs",
+         "u(r-s)*w(n+m) = u(m-s)*w(n+r) - q^(r-s)*u(m-r)*w(n+s) + q^(r-s)"),
+        ("cor2.75", "n", "p^2*u(n)^2 - v(n)^2 = 4*q*u(n+1)*u(n)"),
+        ("neg.20", "n", "q^n*w(-n) = a*v(n) - w(n) + w(n)"),
+    ])
+    def test_corrupted_formula_fails(self, key, variables, formula):
+        assert _laurent_difference(catalog._I(key, variables, formula)) != 0
+
+
 class TestFuzz:
     def test_deterministic(self):
         sampler = SamplerConfig(max_index=6, bound=7)
