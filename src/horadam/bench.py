@@ -2,6 +2,9 @@
 
 Times the library's own evaluators: `term` for u and for v against
 `fast_uv`, over GF(M) when a prime modulus is given and over Q otherwise.
+Both run on the sequences module's integer kernel, so the ratio compares
+O(n) integer recurrence steps with O(log n) integer doubling steps (over
+GF(M), each step reduced mod M); neither times `Fraction` arithmetic.
 Correctness is asserted by comparing both strategies' results. The layered
 benchmark of the whole library lives in `perfbench/`.
 """

@@ -14,6 +14,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -252,7 +253,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK if report.results_match else EXIT_UNEQUAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="horadam",
         description="Exact Horadam/Lucas sequence terms, identity verification, "

@@ -3,22 +3,32 @@
 The sequence w(a,b;p,q) follows w_n = p*w_{n-1} - q*w_{n-2} with w_0 = a,
 w_1 = b; backward extension divides by q, so q != 0 keeps every integer
 index reachable. u = w(0,1;p,q) and v = w(2,p;p,q) are the first- and
-second-kind specializations.
+second-kind specializations. Scalars are `Fraction` (over Q) or `ModInt`
+(over GF(M)).
 
 Three independent evaluation strategies are provided: plain iteration
 (`term`, and `term_range` reading the same walk off a `TermContext`), index
 doubling in O(log n) steps (`fast_uv`, u_n and v_n for n >= 0), and the
 closed form over Q(sqrt(p^2-4q)) (`binet_term`).
+
+All three run on one fraction-free integer kernel. Over Q, with
+L = lcm(den p, den q), P = p*L, Q = q*L^2 and D the seeds' common
+denominator, X_n = L^n*D*x_n obeys X_n = P*X_{n-1} - Q*X_{n-2} over int,
+so the walk does no gcd and builds one `Fraction` per returned or cached
+term. Over GF(M) the same recurrence runs on the residues, reduced each
+step. A negative index walks the reversed recurrence y_k = x_{-k}, with
+coefficients (p/q, 1/q) and seeds (x_0, x_{-1}), so no step divides.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
 from .errors import DegenerateRoot, EmptyRange
-from .field import QuadExt, pow_int
+from .field import ModInt, QuadExt, pow_int
 
 
 class SequenceKind(enum.Enum):
@@ -38,7 +48,8 @@ def _coerce(x):
 
 @dataclass(frozen=True)
 class HoradamParams:
-    """The tuple (a, b, p, q); p and q must be nonzero."""
+    """The tuple (a, b, p, q) over Q (`Fraction`; ints and strings are
+    coerced) or over GF(M) (`ModInt`, one prime M); p and q must be nonzero."""
 
     a: Any
     b: Any
@@ -82,17 +93,45 @@ PRESETS = {
 }
 
 
-def term(params: HoradamParams, kind: SequenceKind, n: int):
-    """Exact n-th term by iteration; negative n via the backward recurrence."""
-    x0, x1 = params.seeds(kind)
+def _scaled(p, q):
+    """(P, Q, L, M): the recurrence's coefficients as integers.
+
+    Over Q, L = lcm(den p, den q), P = p*L and Q = q*L^2, and M is None;
+    over GF(M), P and Q are the residues themselves and L = 1.
+    """
+    if isinstance(p, ModInt):
+        return p.value, q.value, 1, p.modulus
+    L = math.lcm(p.denominator, q.denominator)
+    return p.numerator * (L // p.denominator), q.numerator * (L * L // q.denominator), L, None
+
+
+def _kernel(params: HoradamParams, kind: SequenceKind, backward: bool):
+    """(P, Q, X0, X1, L, D, M): the integer walk from index 0, forward or
+    along the reversed recurrence y_k = x_{-k}; X_k = L^k*D*x_k over Q with
+    D = lcm(den x_0, den x_1), and X_k = x_k with L = D = 1 over GF(M)."""
     p, q = params.p, params.q
-    if n >= 0:
-        for _ in range(n):
-            x0, x1 = x1, p * x1 - q * x0
-        return x0
-    for _ in range(-n):
-        x0, x1 = (p * x0 - x1) / q, x0
-    return x0
+    x0, x1 = params.seeds(kind)
+    if backward:
+        p, q, x1 = p / q, 1 / q, (p * x0 - x1) / q
+    P, Q, L, M = _scaled(p, q)
+    if M:
+        return P, Q, x0.value, x1.value, 1, 1, M
+    D = math.lcm(x0.denominator, x1.denominator)
+    return (P, Q, x0.numerator * (D // x0.denominator),
+            x1.numerator * (L * D // x1.denominator), L, D, None)
+
+
+def term(params: HoradamParams, kind: SequenceKind, n: int):
+    """Exact n-th term by iteration; negative n walks the reversed recurrence."""
+    P, Q, X0, X1, L, D, M = _kernel(params, kind, n < 0)
+    steps = abs(n)
+    if M:
+        for _ in range(steps):
+            X0, X1 = X1, (P * X1 - Q * X0) % M
+        return ModInt(X0, M)
+    for _ in range(steps):
+        X0, X1 = X1, P * X1 - Q * X0
+    return Fraction(X0, L ** steps * D)
 
 
 def term_range(params: HoradamParams, kind: SequenceKind, lo: int, hi: int) -> list:
@@ -104,53 +143,75 @@ def term_range(params: HoradamParams, kind: SequenceKind, lo: int, hi: int) -> l
 
 
 def fast_uv(params: HoradamParams, n: int):
-    """(u_n, v_n) in O(log n) doubling steps; exact over any scalar field.
+    """(u_n, v_n) in O(log n) doubling steps.
 
-    Carries the pair (u_k, u_{k+1}) through the bits of n, using
-    u_{2k} = u_k*(2*u_{k+1} - p*u_k) and u_{2k+1} = u_{k+1}^2 - q*u_k^2;
-    v_n = 2*u_{n+1} - p*u_n at the end. No division anywhere, so this works
-    over the mod-p benchmark field too.
+    Carries the pair (U_k, U_{k+1}) through the bits of n, using
+    U_{2k} = U_k*(2*U_{k+1} - P*U_k) and U_{2k+1} = U_{k+1}^2 - Q*U_k^2;
+    V_n = 2*U_{n+1} - P*U_n at the end. The formulas are homogeneous, so
+    they run over int on the scaled coefficients (P, Q) of `_scaled`, and
+    u_n = U_n/L^(n-1), v_n = V_n/L^n; over GF(M) every step is reduced.
     """
     if n < 0:
         raise ValueError("fast_uv requires n >= 0")
-    p, q = params.p, params.q
-    uk, uk1 = params.seeds(SequenceKind.U)
+    P, Q, L, M = _scaled(params.p, params.q)
+    uk, uk1 = 0, 1
     for i in range(n.bit_length() - 1, -1, -1):
-        u2 = uk * (2 * uk1 - p * uk)
-        u21 = uk1 * uk1 - q * uk * uk
+        u2 = uk * (2 * uk1 - P * uk)
+        u21 = uk1 * uk1 - Q * uk * uk
         if (n >> i) & 1:
-            uk, uk1 = u21, p * u21 - q * u2
+            uk, uk1 = u21, P * u21 - Q * u2
         else:
             uk, uk1 = u2, u21
-    return uk, 2 * uk1 - p * uk
+        if M:
+            uk, uk1 = uk % M, uk1 % M
+    vk = 2 * uk1 - P * uk
+    if M:
+        return ModInt(uk, M), ModInt(vk, M)
+    scale = L ** n
+    return Fraction(uk * L, scale), Fraction(vk, scale)
+
+
+def _quad_pow(x: int, d: int, e: int):
+    """(x + sqrt(d))^e for e >= 0, as the integer pair (c0, c1) of c0 + c1*sqrt(d)."""
+    c0, c1 = 1, 0
+    for i in range(e.bit_length() - 1, -1, -1):
+        c0, c1 = c0 * c0 + c1 * c1 * d, 2 * c0 * c1
+        if (e >> i) & 1:
+            c0, c1 = c0 * x + c1 * d, c0 + c1 * x
+    return c0, c1
 
 
 def binet_term(params: HoradamParams, kind: SequenceKind, n: int):
     """n-th term assembled from exact root powers in Q(sqrt(p^2-4q)).
 
-    Requires distinct roots (p^2 - 4q != 0). The sqrt-component of the
-    assembled expression always cancels; the rational part is returned.
+    Requires rational parameters with distinct roots (p^2 - 4q != 0).
+    alpha = (P + sqrt(d'))/(2L) with d' = P^2 - 4Q, so its power comes from
+    integer pairs and beta's by conjugation. The term
+    (c_alpha*alpha^n - c_beta*beta^n)/(alpha - beta) is assembled over one
+    integer scale; its sqrt-component must cancel.
     """
     d = params.discriminant
     if d == 0:
         raise DegenerateRoot(f"p^2 - 4q = 0 for p={params.p}, q={params.q}")
-    half = Fraction(1, 2)
-    alpha = QuadExt(half * params.p, half, d)
-    beta = QuadExt(half * params.p, -half, d)
-    sqrt_d = QuadExt(0, 1, d)
-
-    def u_at(i: int):
-        return (alpha ** i - beta ** i) / sqrt_d
-
-    if kind is SequenceKind.U:
-        val = u_at(n)
-    elif kind is SequenceKind.V:
-        val = alpha ** n + beta ** n
-    else:
-        val = params.b * u_at(n) - params.a * params.q * u_at(n - 1)
+    P, Q, X0, X1, L, D, M = _kernel(params, kind, False)
+    if M:
+        raise TypeError("binet_term needs rational parameters")
+    disc = P * P - 4 * Q    # L^2 * d
+    m = abs(n)
+    e0, e1 = _quad_pow(P, disc, m)     # E = (P + sqrt(d'))^m
+    if n < 0:   # alpha^-m = beta^m/q^m = conj(E)*L^m/(2Q)^m
+        e1, top, bottom = -e1, L ** m, (2 * Q) ** m
+    else:       # alpha^m = E/(2L)^m
+        top, bottom = 1, (2 * L) ** m
+    # 2LD*c_alpha = C = (2*X1 - P*X0) + X0*sqrt(d'), c_beta its conjugate
+    c0, c1 = 2 * X1 - P * X0, X0
+    alpha_part = QuadExt(c0, c1, disc) * QuadExt(e0, e1, disc)
+    beta_part = QuadExt(c0, -c1, disc) * QuadExt(e0, -e1, disc)
+    # alpha - beta = sqrt(d')/L; times sqrt(d') the difference is rational
+    val = (alpha_part - beta_part) * QuadExt(0, 1, disc)
     if not val.is_rational():
         raise AssertionError("sqrt component failed to cancel")
-    return val.c0
+    return Fraction(val.c0.numerator * top, 2 * D * disc * bottom)
 
 
 def reflect_w(params: HoradamParams, n: int):
@@ -166,11 +227,13 @@ def reflect_w(params: HoradamParams, n: int):
 class TermContext:
     """Cached u/v/w accessors for one parameter set.
 
-    Purely an optimization: results are identical to term(). Not
+    Purely an optimization: results are identical to term(). Each kind
+    keeps the integer state of `term`'s kernel for the walk in each
+    direction, and caches every term it passes as one scalar. Not
     synchronized; confine an instance to a single thread of work.
     """
 
-    __slots__ = ("params", "p", "q", "a", "b", "_vals", "_span", "_qpows")
+    __slots__ = ("params", "p", "q", "a", "b", "_vals", "_span", "_walks", "_qpows")
 
     def __init__(self, params: HoradamParams):
         self.params = params
@@ -182,22 +245,42 @@ class TermContext:
             x0, x1 = params.seeds(kind)
             self._vals[kind] = {0: x0, 1: x1}
             self._span[kind] = [0, 1]
+        # (kind, forward) -> [P, Q, L, M, X_{k-1}, X_k, L^k*D], k the span's end
+        self._walks = {}
         self._qpows = {}
+
+    def _walk(self, kind: SequenceKind, forward: bool) -> list:
+        P, Q, X0, X1, L, D, M = _kernel(self.params, kind, not forward)
+        if not forward:     # the reversed walk starts at y_1 = x_{-1}
+            self._vals[kind][-1] = ModInt(X1, M) if M else Fraction(X1, L * D)
+            self._span[kind][0] = -1
+        self._walks[kind, forward] = walk = [P, Q, L, M, X0, X1, L * D]
+        return walk
 
     def _get(self, kind: SequenceKind, n: int):
         vals = self._vals[kind]
         if n in vals:
             return vals[n]
-        p, q = self.p, self.q
+        forward = n > 1
+        walk = self._walks.get((kind, forward)) or self._walk(kind, forward)
+        P, Q, L, M, X0, X1, scale = walk
         span = self._span[kind]
-        if n > 1:
-            for i in range(span[1] + 1, n + 1):
-                vals[i] = p * vals[i - 1] - q * vals[i - 2]
+        if forward:
+            indices = range(span[1] + 1, n + 1)
             span[1] = n
         else:
-            for i in range(span[0] - 1, n - 1, -1):
-                vals[i] = (p * vals[i + 1] - vals[i + 2]) / q
+            indices = range(span[0] - 1, n - 1, -1)
             span[0] = n
+        if M:
+            for i in indices:
+                X0, X1 = X1, (P * X1 - Q * X0) % M
+                vals[i] = ModInt(X1, M)
+        else:
+            for i in indices:
+                X0, X1 = X1, P * X1 - Q * X0
+                scale *= L
+                vals[i] = Fraction(X1, scale)
+        walk[4:] = X0, X1, scale
         return vals[n]
 
     def u(self, n: int):
@@ -215,7 +298,3 @@ class TermContext:
         if val is None:
             val = self._qpows[e] = pow_int(self.q, e)
         return val
-
-    @property
-    def disc(self):
-        return self.params.discriminant

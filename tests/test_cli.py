@@ -162,6 +162,18 @@ class TestExitCodes:
                             "--kind", "u", "--n", "1"])[0] == 2
         assert run(capsys, ["nosuchcommand"])[0] == 2
 
+    def test_usage_error_leaves_the_next_parse_untouched(self, capsys):
+        # the parser is built once per process and reused by every call
+        valid = ["eval", "--p=3/4", "--q=-5/6", "--a=1/2", "--b=2", "--kind", "w",
+                 "--n=-7", "--json"]
+        alone = run(capsys, valid)
+        assert alone[0] == 0 and '"method":"iterative"' in alone[1]
+        code, out, err = run(capsys, ["eval", "--preset", "fibonacci", "--method", "binet",
+                                      "--kind", "x", "--n", "3"])
+        assert (code, out) == (2, "") and "invalid choice" in err
+        assert run(capsys, valid) == alone
+        assert cli.build_parser() is cli.build_parser()
+
     def test_verify_inequality_is_4(self, capsys, monkeypatch):
         broken = Identity(key="broken", tag="x", variables=("n",),
                           lhs=lambda t, n: t.u(n),

@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import random
@@ -262,6 +263,83 @@ class TestReflect:
             params = random_params(rng)
             for n in range(-8, 9):
                 assert reflect_w(params, n) == term(params, W, -n)
+
+
+# Parameter sets that exercise the integer kernel's scaling: lcm(den p, den q)
+# below den p * den q, a square denominator in q, seeds with denominators
+# (and a seed denominator that no coefficient shares), integer parameters.
+KERNEL_PARAMS = [
+    HoradamParams(Fraction(2, 9), Fraction(-5, 4), Fraction(5, 6), Fraction(-7, 10)),
+    HoradamParams(Fraction(-3, 7), Fraction(1, 2), Fraction(1, 6), Fraction(1, 4)),
+    HoradamParams(Fraction(7, 11), Fraction(-8, 13), Fraction(-3, 2), Fraction(5, 9)),
+    HoradamParams(Fraction(1, 3), 4, 2, Fraction(-9, 25)),
+    HoradamParams(3, -2, -1, 5),
+]
+KERNEL_N = range(-40, 41)
+
+
+class TestKernel:
+    """term, fast_uv, binet_term and TermContext against the brute_terms walk."""
+
+    @pytest.mark.parametrize("params", KERNEL_PARAMS)
+    def test_term_and_binet(self, params):
+        for kind in SequenceKind:
+            oracle = brute_terms(params, kind, KERNEL_N[0], KERNEL_N[-1])
+            for n in KERNEL_N:
+                assert term(params, kind, n) == oracle[n], (kind, n)
+                assert binet_term(params, kind, n) == oracle[n], (kind, n)
+
+    @pytest.mark.parametrize("params", KERNEL_PARAMS)
+    def test_fast_uv(self, params):
+        us, vs = brute_terms(params, U, 0, 40), brute_terms(params, V, 0, 40)
+        for n in range(41):
+            assert fast_uv(params, n) == (us[n], vs[n]), n
+
+    @pytest.mark.parametrize("params", KERNEL_PARAMS)
+    def test_context_access_orders(self, params):
+        oracles = {kind: brute_terms(params, kind, -40, 40) for kind in SequenceKind}
+        orders = [
+            [-40, 40, -1, 2, 0],            # a negative index first
+            [-3, -17, 25, 31, -40, 40],     # forward extension after backward
+            [7, -1, 3, -39, 40, 1],
+        ]
+        for order in orders:
+            ctx = TermContext(params)
+            for n in order:
+                for kind in (W, U, V):      # kinds interleaved
+                    assert ctx._get(kind, n) == oracles[kind][n], (kind, n)
+            for kind in SequenceKind:
+                assert [ctx._get(kind, n) for n in KERNEL_N] == \
+                    [oracles[kind][n] for n in KERNEL_N]
+
+    @pytest.mark.parametrize("params", KERNEL_PARAMS[:4])
+    def test_prime_field_at_negative_n(self, params):
+        f = PrimeField(1_000_003)
+        gparams = HoradamParams(*(f(getattr(params, x)) for x in "abpq"))
+        for kind in SequenceKind:
+            oracle = brute_terms(params, kind, -40, 40)
+            ctx = TermContext(gparams)
+            for n in range(-40, 1):
+                assert term(gparams, kind, n) == f(oracle[n]), (kind, n)
+                assert ctx._get(kind, n) == f(oracle[n]), (kind, n)
+        us, vs = brute_terms(params, U, 0, 40), brute_terms(params, V, 0, 40)
+        for n in range(41):
+            assert fast_uv(gparams, n) == (f(us[n]), f(vs[n]))
+
+    def test_results_are_reduced_scalars(self):
+        params = KERNEL_PARAMS[1]
+        for value in (term(params, W, -9), term(params, V, 12), binet_term(params, W, -9),
+                      *fast_uv(params, 12), TermContext(params).w(-9)):
+            assert type(value) is Fraction
+            assert math.gcd(value.numerator, value.denominator) == 1
+        f = PrimeField(101)
+        gparams = HoradamParams(*(f(getattr(params, x)) for x in "abpq"))
+        assert term(gparams, U, -5).modulus == 101
+
+    def test_binet_needs_rational_parameters(self):
+        f = PrimeField(101)
+        with pytest.raises(TypeError):
+            binet_term(HoradamParams(f(0), f(1), f(1), f(-1)), U, 5)
 
 
 class TestTermContext:
