@@ -10,9 +10,15 @@ specialization) carry a `Derivation` record, which the meta-consistency
 checks replay through the generic evaluator.
 
 Formula grammar: u(e), v(e), w(e) are terms at an integer index expression
-e; p, q, a, b are the parameters; `^` is a power and `q^e` reads the
-memoized q-power; a digit before a letter or a parenthesis multiplies
-(`2n`, `2(n+r)`, `4q`).
+e; p, q, a, b are the parameters; `^` is a power and `q^e` or `q^(e)` reads
+the memoized q-power, with one level of parentheses inside (`q^((r-s)(k-j))`);
+a digit or a `)` before a letter or a parenthesis multiplies (`2n`,
+`2(n+r)`, `4q`, `(r-s)k`, `(r-s)(k+1)`); `C(k,j)` is the binomial
+coefficient; `sum_{j=0}^{k} S` is the sum of S over j = 0..k, and its
+summand S runs to the end of its side, so a factor before `sum` multiplies
+the whole sum. Text after ` # ` is a note, displayed but not evaluated. The
+summation theorems (`theorems`) compile their displayed forms with the same
+helper, `compile_sides`.
 
 Key scheme: H/F/G/J are the master identity and its index permutations;
 lin.9/dbl.10/mul.15-18/neg.* cover the basic linear, doubling,
@@ -29,7 +35,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .errors import HoradamError, UnknownIdentity
-from .field import format_scalar
+from .field import binomial, format_scalar
 from .sequences import HoradamParams, SequenceKind, TermContext
 
 
@@ -80,19 +86,28 @@ class VerificationReport:
 def _python(side: str) -> str:
     """One side of a displayed formula as a Python expression over the
     accessor `t` (the index variable t is renamed t_)."""
-    side = re.sub(r"(\d)([a-z(])", r"\1*\2", side)      # 2n, 2(n+r), 4q
-    side = re.sub(r"\bq\^(?:\(([^()]*)\)|([a-z]))", r"qp(\1\2)", side).replace("^", "**")
+    side = re.sub(r"sum_\{(\w)=0\}\^\{(\w)\} (.*)", r"sum(\3 for \1 in range(\2+1))", side)
+    side = re.sub(r"([\d)])([a-z(])", r"\1*\2", side)    # 2n, 2(n+r), 4q, (r-s)k
+    side = re.sub(r"\bq\^(?:\(((?:[^()]|\([^()]*\))*)\)|([a-z]))", r"qp(\1\2)", side)
+    side = re.sub(r"\bC\(", "binomial(", side.replace("^", "**"))
     side = re.sub(r"\bt\b", "t_", side)
     return re.sub(r"\b(u|v|w|qp|p|q|a|b)\b", r"t.\1", side)
 
 
+def compile_sides(variables, formula) -> tuple:
+    """(lhs, rhs): the two sides of a displayed formula as functions of the
+    accessor and the variables, in order. Only the constant formulas of this
+    package reach `eval`."""
+    args = ", ".join("t_" if v == "t" else v for v in variables)
+    equation = formula.partition(" # ")[0]
+    return tuple(eval(f"lambda t, {args}: {_python(side)}", {"binomial": binomial})
+                 for side in equation.split(" = "))
+
+
 def _I(key, variables, formula, derived=None):
     """An entry whose two sides are compiled from its displayed formula, so
-    what `horadam verify` prints is what is evaluated. Only the constant
-    formulas of this module reach `eval`."""
-    args = ", ".join("t_" if v == "t" else v for v in variables)
-    lhs, rhs = (eval(f"lambda t, {args}: {_python(side)}", {})
-                for side in formula.split(" = "))
+    what `horadam verify` prints is what is evaluated."""
+    lhs, rhs = compile_sides(variables, formula)
     return Identity(key, key.rpartition(".")[2], tuple(variables), lhs, rhs,
                     formula, derived)
 

@@ -227,7 +227,10 @@ def cmd_sum(args) -> int:
         _emit_json("sum", {"params": _params_payload(params),
                            "report": report.to_dict()})
     else:
-        print(f"theorem {sel.theorem} variant {sel.variant} ({sel.kind.value}-form)")
+        print(f"theorem {sel.theorem} variant {sel.variant} "
+              f"({sel.kind.value}-form): {sel.formula}")
+        if sel.swapped:
+            print("  evaluated at (r, s) -> (-s, -r)")
         print(f"  assignment: {report.assignment}")
         print(f"  direct sum  = {format_scalar(report.lhs)}")
         print(f"  closed form = {format_scalar(report.rhs)}")

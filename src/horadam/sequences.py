@@ -36,6 +36,10 @@ class SequenceKind(enum.Enum):
     V = "v"
     W = "w"
 
+    # members are singletons, so identity hashing agrees with equality and
+    # keeps Enum's Python-level __hash__ off TermContext's lookup path
+    __hash__ = object.__hash__
+
 
 U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
 
@@ -49,7 +53,8 @@ def _coerce(x):
 @dataclass(frozen=True)
 class HoradamParams:
     """The tuple (a, b, p, q) over Q (`Fraction`; ints and strings are
-    coerced) or over GF(M) (`ModInt`, one prime M); p and q must be nonzero."""
+    coerced) or over GF(M) (`ModInt`, one prime M); p and q must be nonzero.
+    All four must share one field: ValueError for a mix of types or moduli."""
 
     a: Any
     b: Any
@@ -59,6 +64,10 @@ class HoradamParams:
     def __post_init__(self):
         for name in ("a", "b", "p", "q"):
             object.__setattr__(self, name, _coerce(getattr(self, name)))
+        values = (self.a, self.b, self.p, self.q)
+        if len({(type(x), getattr(x, "modulus", None)) for x in values}) > 1:
+            raise ValueError("a, b, p and q must share one field (all rational, or all "
+                             f"ModInt of one modulus), got {values!r}")
         if self.p == 0:
             raise ValueError("p must be nonzero")
         if self.q == 0:

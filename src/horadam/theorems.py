@@ -1,10 +1,14 @@
 """Summation theorems over Horadam terms, evaluated three independent ways.
 
-Each theorem variant is written out verbatim (summand, leading factor,
-closed form). `theorem_sum` / `reciprocal_sum` compute:
+Each theorem has one to three base forms, each written once as the formula
+`horadam sum` displays (`_BASES`). Its two sides are compiled from that text
+at import by the catalog's helper and grammar (`catalog.compile_sides`;
+`sum_{j=0}^{k}`, `C(k,j)` and nested `q^((r-s)(k-j))` are part of it), so
+what is displayed is what is evaluated. `theorem_sum` / `reciprocal_sum`
+compute:
 
   1. the direct sum of the displayed left side,
-  2. the displayed closed form,
+  2. the displayed right side, the closed form,
   3. the same quantity through the generic lemma engine, instantiated with
      the configuration from which the theorem follows,
 
@@ -16,22 +20,24 @@ returned silently.
 Theorems 2 and 4 share the configuration h=u(r-s), f1=u(m-s),
 f2=-q^(r-s)*u(m-r), c=m-r, d=m-s over w; theorems 3 and 5 use h=w(m+r),
 f1=q^(r-s)*w(m+s), f2=u(r-s), c=r-s, d=0 connecting u with shifted w;
-theorem 6 reuses the theorem-2 configuration in the reciprocal lemmas.
-Variants 4-6 (or the second variant, for theorems 3 and 5) arise from the
-swap (r, s) -> (-s, -r).
+theorem 6 reuses the theorem-2 configuration in the reciprocal lemmas. The
+variants past the base forms (4-6, or 2 for theorems 3 and 5) evaluate a
+base form after the swap (r, s) -> (-s, -r). The lemma leg is code, not
+display text: each base form's `factor` scales the lemma report into the
+displayed left side.
 
-Two displayed equations in the source are misprints and are implemented in
-the form their own derivation produces (they are otherwise false): the
-second/fifth variants of theorem 2 carry q^((r-s)(k-j)) inside the sum and
-no q-power on the right side.
+Two displayed equations in the source are misprints (they are otherwise
+false); theorem 2's second base form is written as its own derivation
+produces it, and its formula's note says what was corrected.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
 
+from .catalog import compile_sides
 from .errors import GuardViolation
-from .field import binomial, format_scalar
+from .field import format_scalar
 from .lemmas import (
     RecurrenceConfig,
     _denominator_window,
@@ -42,7 +48,63 @@ from .lemmas import (
 )
 from .sequences import HoradamParams, SequenceKind, TermContext
 
-VARIANT_COUNT = {2: 6, 3: 2, 4: 6, 5: 2, 6: 6}
+
+def _one(t, n, m, r, s, k):
+    return 1
+
+
+def _alternating(t, n, m, r, s, k):
+    return (-1) ** k
+
+
+# theorem 4's first two closed forms, which theorem 6 shares
+_T4_CLOSED = (
+    "u(r-s)^(k+1)*w(n) - u(m-s)^(k+1)*w(n-(m-r)(k+1))",
+    "u(r-s)^(k+1)*w(n) - (-1)^(k+1)*q^((r-s)(k+1))*u(m-r)^(k+1)*w(n-(m-s)(k+1))",
+)
+
+# theorem -> [(displayed base form over n, m, r, s, k, factor)]; factor(t,
+# n, m, r, s, k) scales the lemma report (see _lemma) into the left side
+_BASES = {
+    2: [("sum_{j=0}^{k} (-1)^j*q^((r-s)(k-j))*C(k,j)*u(m-s)^j*u(m-r)^(k-j)"
+         "*w(n-(m-s)k+(r-s)j) = (-1)^k*u(r-s)^k*w(n)", _alternating),
+        ("sum_{j=0}^{k} q^((r-s)(k-j))*C(k,j)*u(r-s)^j*u(m-r)^(k-j)"
+         "*w(n-(r-s)k+(m-s)j) = u(m-s)^k*w(n)"
+         " # misprint corrected: q^((r-s)(k-j)) inside the sum, no q-power on the right",
+         _alternating),
+        ("sum_{j=0}^{k} (-1)^j*C(k,j)*u(r-s)^j*u(m-s)^(k-j)*w(n+(r-s)k+(m-r)j)"
+         " = q^((r-s)k)*u(m-r)^k*w(n)", _one)],
+    3: [("u(r-s)*sum_{j=0}^{k} q^((s-r)j)*w(m+s)^(k-j)*w(m+r)^j*w(n-(r-s)k+m+s+(r-s)j)"
+         " = q^((s-r)k)*u(n)*w(m+r)^(k+1) - q^(r-s)*u(n-(r-s)(k+1))*w(m+s)^(k+1)",
+         lambda t, n, m, r, s, k: t.qp((s - r) * k))],
+    4: [("-q^(r-s)*u(m-r)*sum_{j=0}^{k} u(m-s)^(k-j)*u(r-s)^j*w(n-(m-r)k-(m-s)+(m-r)j)"
+         f" = {_T4_CLOSED[0]}", _one),
+        ("(-1)^k*u(m-s)*sum_{j=0}^{k} (-1)^j*q^((r-s)(k-j))*u(m-r)^(k-j)*u(r-s)^j"
+         f"*w(n-(m-s)k-(m-r)+(m-s)j) = {_T4_CLOSED[1]}", _one),
+        ("u(r-s)*sum_{j=0}^{k} q^((s-r)j)*u(m-r)^(k-j)*u(m-s)^j*w(n-(r-s)k+(m-r)+(r-s)j)"
+         " = q^((s-r)k)*u(m-s)^(k+1)*w(n) - q^(r-s)*u(m-r)^(k+1)*w(n-(r-s)(k+1))",
+         lambda t, n, m, r, s, k: (-1) ** k * t.qp((s - r) * k))],
+    5: [("u(n)*u(n-(r-s)(k+1))*u(r-s)*sum_{j=0}^{k} q^((r-s)j)*w(m+r)^(k-j)*w(m+s)^j"
+         "*w(n+m+s-(r-s)k+(r-s)j)/(u(n-(r-s)k+(r-s)j)*u(n-(r-s)-(r-s)k+(r-s)j))"
+         " = u(n)*w(m+r)^(k+1) - q^((r-s)(k+1))*u(n-(r-s)(k+1))*w(m+s)^(k+1)", _one)],
+    6: [("-q^(r-s)*u(m-r)*w(n)*w(n-(m-r)(k+1))*sum_{j=0}^{k} u(r-s)^(k-j)*u(m-s)^j"
+         "*w(n-m+s-(m-r)k+(m-r)j)/(w(n-(m-r)k+(m-r)j)*w(n-(m-r)-(m-r)k+(m-r)j))"
+         f" = {_T4_CLOSED[0]}", _one),
+        ("u(m-s)*w(n)*w(n-(m-s)(k+1))*sum_{j=0}^{k} (-1)^j*q^((r-s)j)*u(r-s)^(k-j)*u(m-r)^j"
+         "*w(n-(m-r)-(m-s)k+(m-s)j)/(w(n-(m-s)k+(m-s)j)*w(n-(m-s)-(m-s)k+(m-s)j))"
+         f" = {_T4_CLOSED[1]}", _one),
+        ("u(r-s)*w(n)*w(n-(r-s)(k+1))*sum_{j=0}^{k} q^((r-s)j)*u(m-s)^(k-j)*u(m-r)^j"
+         "*w(n+m-r-(r-s)k+(r-s)j)/(w(n-(r-s)k+(r-s)j)*w(n-(r-s)-(r-s)k+(r-s)j))"
+         " = u(m-s)^(k+1)*w(n) - q^((r-s)(k+1))*u(m-r)^(k+1)*w(n-(r-s)(k+1))", _one)],
+}
+
+# each base form once as given, once after the swap
+VARIANT_COUNT = {theorem: 2 * len(bases) for theorem, bases in _BASES.items()}
+
+# (theorem, base) -> (direct sum, closed form, factor)
+_FORMS = {(theorem, base): (*compile_sides("nmrsk", formula), factor)
+          for theorem, bases in _BASES.items()
+          for base, (formula, factor) in enumerate(bases, 1)}
 
 
 @dataclass(frozen=True)
@@ -57,6 +119,21 @@ class TheoremSelector:
         if not 1 <= self.variant <= VARIANT_COUNT[self.theorem]:
             raise ValueError(
                 f"theorem {self.theorem} has variants 1..{VARIANT_COUNT[self.theorem]}")
+
+    @property
+    def base(self) -> int:
+        """The base form (numbered from 1) that the variant evaluates."""
+        return 1 + (self.variant - 1) % len(_BASES[self.theorem])
+
+    @property
+    def swapped(self) -> bool:
+        """True when the variant evaluates its base form at (r, s) -> (-s, -r)."""
+        return self.variant > len(_BASES[self.theorem])
+
+    @property
+    def formula(self) -> str:
+        """The evaluated base form as displayed, with w read as the selected kind."""
+        return _BASES[self.theorem][self.base - 1][0].replace("w(", f"{self.kind.value}(")
 
 
 @dataclass(frozen=True)
@@ -86,190 +163,11 @@ class SumReport:
         }
 
 
-# Variant tables. Each entry:
-#   swap: apply (r,s)->(-s,-r) before using the base formulas
-#   prefix(t,n,m,r,s,k): factor multiplying the sum on the displayed left side
-#   summand(t,n,m,r,s,k,j)
-#   closed(t,n,m,r,s,k): displayed right side
-#   factor(t,n,m,r,s,k): scale turning the lemma report (see _lemma) into
-#     the displayed left side
-
-def _one(t, n, m, r, s, k):
-    return 1
-
-
-def _alternating(t, n, m, r, s, k):
-    return (-1) ** k
-
-
-def _t2_variant(base, swap):
-    if base == 1:
-        def summand(t, n, m, r, s, k, j):
-            return ((-1) ** j * t.qp((r - s) * (k - j)) * binomial(k, j)
-                    * t.u(m - s) ** j * t.u(m - r) ** (k - j)
-                    * t.w(n - (m - s) * k + (r - s) * j))
-
-        def closed(t, n, m, r, s, k):
-            return (-1) ** k * t.u(r - s) ** k * t.w(n)
-    elif base == 2:
-        # corrected misprint: q^((r-s)(k-j)) inside, no q-power on the right
-        def summand(t, n, m, r, s, k, j):
-            return (t.qp((r - s) * (k - j)) * binomial(k, j)
-                    * t.u(r - s) ** j * t.u(m - r) ** (k - j)
-                    * t.w(n - (r - s) * k + (m - s) * j))
-
-        def closed(t, n, m, r, s, k):
-            return t.u(m - s) ** k * t.w(n)
-    else:
-        def summand(t, n, m, r, s, k, j):
-            return ((-1) ** j * binomial(k, j)
-                    * t.u(r - s) ** j * t.u(m - s) ** (k - j)
-                    * t.w(n + (r - s) * k + (m - r) * j))
-
-        def closed(t, n, m, r, s, k):
-            return t.qp((r - s) * k) * t.u(m - r) ** k * t.w(n)
-
-    return dict(swap=swap, prefix=_one, summand=summand, closed=closed,
-                factor=_one if base == 3 else _alternating)
-
-
-def _t4_variant(base, swap):
-    if base == 1:
-        def prefix(t, n, m, r, s, k):
-            return -t.qp(r - s) * t.u(m - r)
-
-        def summand(t, n, m, r, s, k, j):
-            return (t.u(m - s) ** (k - j) * t.u(r - s) ** j
-                    * t.w(n - (m - r) * k - (m - s) + (m - r) * j))
-
-        def closed(t, n, m, r, s, k):
-            return (t.u(r - s) ** (k + 1) * t.w(n)
-                    - t.u(m - s) ** (k + 1) * t.w(n - (m - r) * (k + 1)))
-
-        factor = _one
-    elif base == 2:
-        def prefix(t, n, m, r, s, k):
-            return (-1) ** k * t.u(m - s)
-
-        def summand(t, n, m, r, s, k, j):
-            return ((-1) ** j * t.qp((r - s) * (k - j))
-                    * t.u(m - r) ** (k - j) * t.u(r - s) ** j
-                    * t.w(n - (m - s) * k - (m - r) + (m - s) * j))
-
-        def closed(t, n, m, r, s, k):
-            return (t.u(r - s) ** (k + 1) * t.w(n)
-                    - (-1) ** (k + 1) * t.qp((r - s) * (k + 1))
-                    * t.u(m - r) ** (k + 1) * t.w(n - (m - s) * (k + 1)))
-
-        factor = _one
-    else:
-        def prefix(t, n, m, r, s, k):
-            return t.u(r - s)
-
-        def summand(t, n, m, r, s, k, j):
-            return (t.qp((s - r) * j) * t.u(m - r) ** (k - j) * t.u(m - s) ** j
-                    * t.w(n - (r - s) * k + (m - r) + (r - s) * j))
-
-        def closed(t, n, m, r, s, k):
-            return (t.qp((s - r) * k) * t.u(m - s) ** (k + 1) * t.w(n)
-                    - t.qp(r - s) * t.u(m - r) ** (k + 1)
-                    * t.w(n - (r - s) * (k + 1)))
-
-        def factor(t, n, m, r, s, k):
-            return (-1) ** k * t.qp((s - r) * k)
-
-    return dict(swap=swap, prefix=prefix, summand=summand, closed=closed, factor=factor)
-
-
-def _t3_variant(base, swap):
-    def prefix(t, n, m, r, s, k):
-        return t.u(r - s)
-
-    def summand(t, n, m, r, s, k, j):
-        return (t.qp((s - r) * j) * t.w(m + s) ** (k - j) * t.w(m + r) ** j
-                * t.w(n - (r - s) * k + m + s + (r - s) * j))
-
-    def closed(t, n, m, r, s, k):
-        return (t.qp((s - r) * k) * t.u(n) * t.w(m + r) ** (k + 1)
-                - t.qp(r - s) * t.u(n - (r - s) * (k + 1)) * t.w(m + s) ** (k + 1))
-
-    def factor(t, n, m, r, s, k):
-        return t.qp((s - r) * k)
-
-    return dict(swap=swap, prefix=prefix, summand=summand, closed=closed, factor=factor)
-
-
-def _t5_variant(base, swap):
-    def prefix(t, n, m, r, s, k):
-        return t.u(n) * t.u(n - (r - s) * (k + 1)) * t.u(r - s)
-
-    def summand(t, n, m, r, s, k, j):
-        e = r - s
-        return (t.qp(e * j) * t.w(m + r) ** (k - j) * t.w(m + s) ** j
-                * t.w(n + m + s - e * k + e * j)
-                / (t.u(n - e * k + e * j) * t.u(n - e - e * k + e * j)))
-
-    def closed(t, n, m, r, s, k):
-        e = r - s
-        return (t.u(n) * t.w(m + r) ** (k + 1)
-                - t.qp(e * (k + 1)) * t.u(n - e * (k + 1)) * t.w(m + s) ** (k + 1))
-
-    return dict(swap=swap, prefix=prefix, summand=summand, closed=closed, factor=_one)
-
-
-def _t6_variant(base, swap):
-    # bases 1 and 2 share theorem 4's closed form; base 3 has its own
-    closed = _t4_variant(base, swap)["closed"]
-    if base == 1:
-        def prefix(t, n, m, r, s, k):
-            return -t.qp(r - s) * t.u(m - r) * t.w(n) * t.w(n - (m - r) * (k + 1))
-
-        def summand(t, n, m, r, s, k, j):
-            c = m - r
-            return (t.u(r - s) ** (k - j) * t.u(m - s) ** j
-                    * t.w(n - m + s - c * k + c * j)
-                    / (t.w(n - c * k + c * j) * t.w(n - c - c * k + c * j)))
-    elif base == 2:
-        def prefix(t, n, m, r, s, k):
-            return t.u(m - s) * t.w(n) * t.w(n - (m - s) * (k + 1))
-
-        def summand(t, n, m, r, s, k, j):
-            d = m - s
-            return ((-1) ** j * t.qp((r - s) * j)
-                    * t.u(r - s) ** (k - j) * t.u(m - r) ** j
-                    * t.w(n - (m - r) - d * k + d * j)
-                    / (t.w(n - d * k + d * j) * t.w(n - d - d * k + d * j)))
-    else:
-        def prefix(t, n, m, r, s, k):
-            return t.u(r - s) * t.w(n) * t.w(n - (r - s) * (k + 1))
-
-        def summand(t, n, m, r, s, k, j):
-            e = r - s
-            return (t.qp(e * j) * t.u(m - s) ** (k - j) * t.u(m - r) ** j
-                    * t.w(n + m - r - e * k + e * j)
-                    / (t.w(n - e * k + e * j) * t.w(n - e - e * k + e * j)))
-
-        def closed(t, n, m, r, s, k):
-            e = r - s
-            return (t.u(m - s) ** (k + 1) * t.w(n)
-                    - t.qp(e * (k + 1)) * t.u(m - r) ** (k + 1)
-                    * t.w(n - e * (k + 1)))
-
-    return dict(swap=swap, prefix=prefix, summand=summand, closed=closed, factor=_one)
-
-
-# The second half of each theorem's variants repeats the base forms of the
-# first half after the swap; theorems 3 and 5 have one base form.
-_BUILDERS = {2: _t2_variant, 3: _t3_variant, 4: _t4_variant, 5: _t5_variant, 6: _t6_variant}
-_VARIANTS = {(theorem, v): _BUILDERS[theorem](1 + (v - 1) % (count // 2), swap=v > count // 2)
-             for theorem, count in VARIANT_COUNT.items() for v in range(1, count + 1)}
-
-
 def _denominator_stride(sel: TheoremSelector, n, m, r, s):
     """Stride of the denominator window (reciprocal theorems only)."""
     if sel.theorem == 5:
         return r - s
-    return {1: m - r, 2: m - s, 3: r - s}[1 + (sel.variant - 1) % 3]
+    return {1: m - r, 2: m - s, 3: r - s}[sel.base]
 
 
 def _context(sel: TheoremSelector, params: HoradamParams) -> TermContext:
@@ -277,9 +175,7 @@ def _context(sel: TheoremSelector, params: HoradamParams) -> TermContext:
 
 
 def _effective(sel, n, m, r, s):
-    if _VARIANTS[(sel.theorem, sel.variant)]["swap"]:
-        return n, m, -s, -r
-    return n, m, r, s
+    return (n, m, -s, -r) if sel.swapped else (n, m, r, s)
 
 
 def _relation(t, sel, n, m, r, s):
@@ -309,16 +205,15 @@ def _relation(t, sel, n, m, r, s):
 
 def _lemma(sel, cfg, X, Y, n, k):
     """The lemma-engine report the selected theorem follows from."""
-    base = 1 + (sel.variant - 1) % 3
     if sel.theorem == 2:
-        return lemma3_binomial_sums(cfg, X, n, k, base)
+        return lemma3_binomial_sums(cfg, X, n, k, sel.base)
     if sel.theorem == 3:
         return lemma1_sum(cfg, X, Y, n, k)
     if sel.theorem == 4:
-        return lemma2_sums(cfg, X, n, k, base)
+        return lemma2_sums(cfg, X, n, k, sel.base)
     if sel.theorem == 5:
         return lemma45_reciprocal(cfg, X, Y, n, k, "L4")
-    return lemma45_reciprocal(cfg, X, X, n, k, ("L5a", "L5b", "L5c")[base - 1])
+    return lemma45_reciprocal(cfg, X, X, n, k, ("L5a", "L5b", "L5c")[sel.base - 1])
 
 
 def singularity_scan(sel: TheoremSelector, params: HoradamParams,
@@ -342,7 +237,7 @@ def _evaluate(sel: TheoremSelector, params: HoradamParams,
               n: int, m: int, r: int, s: int, k: int) -> SumReport:
     if k < 0:
         raise ValueError("summation bound k must be >= 0")
-    spec = _VARIANTS[(sel.theorem, sel.variant)]
+    lhs, rhs, factor = _FORMS[sel.theorem, sel.base]
     t = _context(sel, params)
     eff = _effective(sel, n, m, r, s)
     cfg, X, Y = _relation(t, sel, *eff)
@@ -355,10 +250,9 @@ def _evaluate(sel: TheoremSelector, params: HoradamParams,
     # first, so that the lemma's denominator scan raises SingularSummand
     # before the direct sum divides by a vanishing term
     rep = _lemma(sel, cfg, X, Y, eff[0], k)
-    lemma_lhs = spec["factor"](t, *eff, k) * rep.lhs
-    direct = spec["prefix"](t, *eff, k) * sum(
-        spec["summand"](t, *eff, k, j) for j in range(k + 1))
-    closed = spec["closed"](t, *eff, k)
+    lemma_lhs = factor(t, *eff, k) * rep.lhs
+    direct = lhs(t, *eff, k)
+    closed = rhs(t, *eff, k)
 
     assignment = dict(n=n, m=m, r=r, s=s, k=k)
     return SumReport(sel, assignment, direct, closed, lemma_lhs, tuple(notes))

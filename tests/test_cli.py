@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from horadam import bench, catalog, cli
+from horadam import bench, catalog, cli, theorems
 from horadam.catalog import Identity
 from horadam.errors import NonInvertible
 from horadam.sequences import PRESETS, fast_uv
@@ -220,6 +220,26 @@ class TestSumCommand:
         doc = json.loads(out)
         assert doc["safe"] is False
         assert any(e["zero"] and e["index"] == 0 for e in doc["scan"])
+
+    def test_text_output_shows_the_evaluated_formula(self, capsys):
+        argv = ["sum", "--theorem", "4", "--variant", "1", "--preset", "fibonacci",
+                "--a", "3", "--b", "2", "--assign", "n=5,m=3,r=2,s=0,k=2"]
+        code, out, _ = run(capsys, argv)
+        first = out.splitlines()[0]
+        assert code == 0
+        assert first == f"theorem 4 variant 1 (w-form): {theorems._BASES[4][0][0]}"
+        assert "(r, s) -> (-s, -r)" not in out
+
+    def test_text_output_names_the_swap_and_the_kind(self, capsys):
+        argv = ["sum", "--theorem", "2", "--variant", "5", "--kind", "v",
+                "--preset", "fibonacci", "--assign", "n=4,m=2,r=1,s=0,k=2"]
+        code, out, _ = run(capsys, argv)
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0].startswith("theorem 2 variant 5 (v-form): sum_{j=0}^{k} ")
+        assert lines[0].endswith(theorems.TheoremSelector(2, 5).formula.replace("w(", "v("))
+        assert "misprint corrected" in lines[0]
+        assert lines[1] == "  evaluated at (r, s) -> (-s, -r)"
 
     def test_kind_specialization(self, capsys):
         argv = ["sum", "--theorem", "4", "--variant", "3", "--kind", "u",

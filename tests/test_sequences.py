@@ -66,6 +66,21 @@ class TestParams:
         params = HoradamParams(0, 1, 1, -1)
         assert isinstance(params.q, Fraction)
 
+    def test_rejects_mixed_scalar_types(self):
+        # ints coerce to Fraction, so a and b would sit beside GF(101) p and q
+        f = PrimeField(101)
+        with pytest.raises(ValueError, match="share one field"):
+            HoradamParams(0, 1, f(1), f(-1))
+
+    def test_rejects_mixed_moduli(self):
+        f101, f103 = PrimeField(101), PrimeField(103)
+        with pytest.raises(ValueError, match="share one field"):
+            HoradamParams(f101(0), f101(1), f103(1), f101(-1))
+
+    def test_kinds_hash_by_identity(self):
+        # keeps Enum's Python-level __hash__ off TermContext's lookup path
+        assert SequenceKind.__hash__ is object.__hash__
+
     def test_uv_ignore_ab(self):
         other = HoradamParams(7, 9, 1, -1)
         for n in range(-8, 9):

@@ -1,10 +1,13 @@
+import pathlib
 import random
+import re
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from horadam.catalog import SamplerConfig
+from horadam import theorems
+from horadam.catalog import SamplerConfig, _python, compile_sides
 from horadam.errors import GuardViolation, SingularSummand
 from horadam.sequences import PRESETS, HoradamParams, SequenceKind, TermContext
 from horadam.theorems import (
@@ -303,3 +306,72 @@ class TestSingularityScan:
                 continue
             checked += 1
             assert raised == any(z for _, _, z in scan)
+
+
+class TestFormulaGrammar:
+    """The constructs the theorem forms add to the catalog's grammar, each
+    pinned to the Python text it compiles to."""
+
+    @pytest.mark.parametrize("side,python", [
+        ("sum_{j=0}^{k} u(j)*w(n-j)", "sum(t.u(j)*t.w(n-j) for j in range(k+1))"),
+        ("u(r-s)*sum_{j=0}^{k} w(j)/u(j)", "t.u(r-s)*sum(t.w(j)/t.u(j) for j in range(k+1))"),
+        ("C(k,j)*w(n)", "binomial(k,j)*t.w(n)"),
+        ("w(n-(r-s)k+(m-s)(k+1))", "t.w(n-(r-s)*k+(m-s)*(k+1))"),
+        ("q^((r-s)(k-j))*q^(r-s)", "t.qp((r-s)*(k-j))*t.qp(r-s)"),
+        ("(-1)^j*u(m)/w(n)", "(-1)**j*t.u(m)/t.w(n)"),
+    ])
+    def test_construct(self, side, python):
+        assert _python(side) == python
+
+    def test_note_is_displayed_not_evaluated(self):
+        lhs, rhs = compile_sides("n", "w(n) = u(n) # a note, even with w(n) = 0 in it")
+        t = TermContext(FIBW)
+        assert (lhs(t, 4), rhs(t, 4)) == (t.w(4), t.u(4))
+
+
+# one assignment at which every base form passes its guards and windows
+CONTROL_PARAMS = HoradamParams(Fraction(2, 3), -1, Fraction(3, 2), Fraction(-5, 7))
+CONTROL_ARGS = (5, 3, 2, -1, 3)
+
+
+class TestFormulaStrings:
+    BASES = [(theorem, base) for theorem, bases in theorems._BASES.items()
+             for base in range(1, len(bases) + 1)]
+
+    @pytest.mark.parametrize("theorem,base", BASES)
+    def test_corrupted_string_breaks_agreement(self, monkeypatch, theorem, base):
+        # the direct sum is whatever the string says: one index moved makes
+        # the legs disagree, and the string itself restores agreement
+        formula, factor = theorems._BASES[theorem][base - 1]
+        corrupted = formula.replace("w(n", "w(n+1", 1)
+        assert corrupted != formula
+        sel = TheoremSelector(theorem, base)
+        for text, equal in ((formula, True), (corrupted, False)):
+            monkeypatch.setitem(theorems._FORMS, (theorem, base),
+                                (*compile_sides("nmrsk", text), factor))
+            assert run(sel, CONTROL_PARAMS, *CONTROL_ARGS).equal is equal
+
+    def test_selector_shows_its_base_form(self):
+        assert VARIANT_COUNT == {t: 2 * len(b) for t, b in theorems._BASES.items()}
+        for theorem, nvar in VARIANT_COUNT.items():
+            half = nvar // 2
+            for variant in range(1, nvar + 1):
+                sel = TheoremSelector(theorem, variant, U)
+                text = theorems._BASES[theorem][(variant - 1) % half][0]
+                assert sel.swapped == (variant > half)
+                assert sel.formula == text.replace("w(", "u(")
+                assert TheoremSelector(theorem, variant).formula == text
+
+    def test_theorem6_shares_theorem4_closed_forms(self):
+        for base in (0, 1):
+            closed = theorems._BASES[4][base][0].split(" = ")[1]
+            assert theorems._BASES[6][base][0].split(" = ")[1] == closed
+
+    def test_readme_table_matches_bases(self):
+        readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+        rows = re.findall(r"^\| (\d) \| (\d), (\d) \| `([^`]+)` \|$",
+                          readme.read_text(encoding="utf-8"), re.MULTILINE)
+        expected = [(str(theorem), str(base), str(base + len(bases)), formula)
+                    for theorem, bases in theorems._BASES.items()
+                    for base, (formula, _) in enumerate(bases, 1)]
+        assert rows == expected
