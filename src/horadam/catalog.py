@@ -1,9 +1,11 @@
 """Registry of term identities with exact two-sided evaluation.
 
 Each entry is written once, as the formula `horadam verify` displays. Its
-left and right evaluators over a `TermContext` are compiled from that
-formula's two sides at import (`_I`), so what is displayed is what is
-evaluated. The sides stay independent: no algebraic simplification is
+left and right evaluators are compiled from that formula's two sides at
+import (`_I`), so what is displayed is what is evaluated. `evaluate` runs
+them on a `TermContext`'s checker accessor (`sequences.Terms`), over the
+cache's unreduced `Ratio` pairs, and reduces each side to a `Fraction` once,
+for the report. The sides stay independent: no algebraic simplification is
 shared between them, so an exact match is evidence, not tautology. Entries
 derived from a master identity by an index substitution (and possibly a u/v
 specialization) carry a `Derivation` record, which the meta-consistency
@@ -35,8 +37,8 @@ from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .errors import HoradamError, UnknownIdentity
-from .field import binomial, format_scalar
-from .sequences import HoradamParams, SequenceKind, TermContext
+from .field import binomial, format_scalar, reduced
+from .sequences import HoradamParams, SequenceKind, TermContext, Terms
 
 
 @dataclass(frozen=True)
@@ -270,7 +272,8 @@ def evaluate(key: str, params: HoradamParams, assignment: dict,
              ctx=None) -> VerificationReport:
     """Evaluate both sides of an identity at an integer assignment.
 
-    The two sides are computed only through sequence-term evaluations.
+    The two sides are computed only through sequence-term evaluations, on
+    `Terms(ctx)`; the report holds each side reduced (a `Fraction` over Q).
     """
     ident = _lookup(key)
     got, want = set(assignment), set(ident.variables)
@@ -282,14 +285,13 @@ def evaluate(key: str, params: HoradamParams, assignment: dict,
         if extra:
             parts.append(f"unexpected {sorted(extra)}")
         raise ValueError(f"assignment for {key}: " + ", ".join(parts))
-    if ctx is None:
-        ctx = TermContext(params)
+    t = Terms(TermContext(params) if ctx is None else ctx)
     try:
-        lhs = _call(ident.lhs, ctx, assignment)
-        rhs = _call(ident.rhs, ctx, assignment)
+        lhs = _call(ident.lhs, t, assignment)
+        rhs = _call(ident.rhs, t, assignment)
     except HoradamError as exc:
         return VerificationReport(key, dict(assignment), None, None, error=str(exc))
-    return VerificationReport(key, dict(assignment), lhs, rhs)
+    return VerificationReport(key, dict(assignment), reduced(lhs), reduced(rhs))
 
 
 def base_assignment(ident: Identity, assignment: dict) -> Optional[tuple]:

@@ -18,8 +18,9 @@ class DiscriminantMismatch(HoradamError):
 
 
 class NonInvertible(HoradamError):
-    """A value with no inverse: a zero-norm quadratic-extension element, or a
-    rational whose denominator the modulus divides."""
+    """A value with no inverse: a zero-norm quadratic-extension element, a
+    rational whose denominator the modulus divides, or a residue that is zero
+    modulo the modulus (`ModInt` division by zero)."""
 
 
 class DegenerateRoot(HoradamError):

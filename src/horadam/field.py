@@ -1,10 +1,12 @@
 """Exact scalar arithmetic.
 
-Three scalar realizations share one informal protocol (+, -, *, /, **, ==,
+Four scalar realizations share one informal protocol (+, -, *, /, **, ==,
 interop with small ints): arbitrary-precision rationals (`fractions.Fraction`,
 re-exported as `Rational`), elements of the quadratic extension Q(sqrt(D))
-(`QuadExt`), and residues modulo a prime (`ModInt`, benchmark mode only).
-All values are immutable; every operation is pure.
+(`QuadExt`), residues modulo a prime (`ModInt`), and `Ratio`, an unreduced
+integer pair internal to the checkers: the term cache fills it straight from
+the integer kernel, and `reduced` turns it into a `Fraction` wherever a value
+is reported. All values are immutable; every operation is pure.
 """
 from __future__ import annotations
 
@@ -71,6 +73,126 @@ def pow_int(x, e: int):
     if e < 0 and x == 0:
         raise ZeroToNegativePower(f"0 ** {e}")
     return x ** e
+
+
+def _mul(na, da, nb, db):
+    # cross-cancel first, as Fraction does
+    g1 = math.gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = math.gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return Ratio(na * nb, da * db)
+
+
+def _div(na, da, nb, db):
+    if not nb:
+        raise ZeroDivisionError("Ratio division by zero")
+    return _mul(na, da, db, nb)
+
+
+def _add(na, da, nb, db):
+    # the gcd of the denominators, then of the result: Fraction's two steps,
+    # without which telescoping sums grow without bound
+    g = math.gcd(da, db)
+    if g == 1:
+        return Ratio(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return Ratio(t, s * db)
+    return Ratio(t // g2, s * (db // g2))
+
+
+def _sub(na, da, nb, db):
+    return _add(na, da, -nb, db)
+
+
+def _operators(op):
+    """(forward, reverse) methods applying op(na, da, nb, db) to a Ratio and a
+    Ratio, an int or a Fraction."""
+
+    def forward(a, b):
+        if type(b) is Ratio:
+            return op(a.n, a.d, b.n, b.d)
+        if isinstance(b, int):
+            return op(a.n, a.d, b, 1)
+        if isinstance(b, Fraction):
+            return op(a.n, a.d, b.numerator, b.denominator)
+        return NotImplemented
+
+    def reverse(b, a):
+        if isinstance(a, int):
+            return op(a, 1, b.n, b.d)
+        if isinstance(a, Fraction):
+            return op(a.numerator, a.denominator, b.n, b.d)
+        return NotImplemented
+
+    return forward, reverse
+
+
+class Ratio:
+    """The exact rational n/d (d != 0), not necessarily reduced.
+
+    Internal to the checkers, which evaluate on the term cache's integer
+    pairs without `Fraction`'s numeric-tower dispatch. `*` and `/`
+    cross-cancel before multiplying, and `+`/`-` divide out the gcd of the
+    denominators and then of the result, as `Fraction` does; `**` reduces
+    its base once before raising it. `==` cross-multiplies, with a Ratio,
+    an int or a Fraction on either side.
+    Division by zero raises ZeroDivisionError and 0 ** -e ZeroToNegativePower.
+    Unhashable, since equal values need not share a pair; `reduced` gives
+    the value as a `Fraction`.
+    """
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int):
+        self.n = n
+        self.d = d
+
+    __mul__, __rmul__ = _operators(_mul)
+    __truediv__, __rtruediv__ = _operators(_div)
+    __add__, __radd__ = _operators(_add)
+    __sub__, __rsub__ = _operators(_sub)
+
+    def __neg__(self):
+        return Ratio(-self.n, self.d)
+
+    def __pow__(self, e):
+        if not isinstance(e, int):
+            return NotImplemented
+        n, d = self.n, self.d
+        if e < 0:
+            if not n:
+                raise ZeroToNegativePower(f"0 ** {e}")
+            n, d, e = d, n, -e
+        # reduce the base first: a common factor would come out e-fold
+        g = math.gcd(n, d)
+        return Ratio((n // g) ** e, (d // g) ** e)
+
+    def __eq__(self, other):
+        if type(other) is Ratio:
+            return self.n * other.d == other.n * self.d
+        if isinstance(other, int):
+            return self.n == other * self.d
+        if isinstance(other, Fraction):
+            return self.n * other.denominator == other.numerator * self.d
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Ratio({self.n}, {self.d})"
+
+
+def reduced(x):
+    """A Ratio as the reduced Fraction of its value; any other scalar as is."""
+    return Fraction(x.n, x.d) if type(x) is Ratio else x
 
 
 def binomial(k: int, j: int) -> int:
@@ -261,17 +383,23 @@ class ModInt:
 
     __rmul__ = __mul__
 
+    def _inverse(self, v: int) -> int:
+        try:
+            return pow(v, -1, self.modulus)
+        except ValueError:
+            raise NonInvertible(f"{v} has no inverse mod {self.modulus}") from None
+
     def __truediv__(self, other):
         v = self._lift(other)
         if v is NotImplemented:
             return NotImplemented
-        return ModInt(self.value * pow(v, -1, self.modulus), self.modulus)
+        return ModInt(self.value * self._inverse(v), self.modulus)
 
     def __rtruediv__(self, other):
         v = self._lift(other)
         if v is NotImplemented:
             return NotImplemented
-        return ModInt(v * pow(self.value, -1, self.modulus), self.modulus)
+        return ModInt(v * self._inverse(self.value), self.modulus)
 
     def __pow__(self, e: int):
         if e < 0 and self.value == 0:

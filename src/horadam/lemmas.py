@@ -12,8 +12,9 @@ swapped, h*X_n = f2*X_{n-d} + f1*X_{n-c}, or solved for its f1 term,
 f1*X_m = h*X_{m+c} - f2*X_{m+c-d} at m = n - c. Reports keep the caller's
 configuration, and a probe failure names the index in the caller's relation.
 
-Accessors are plain callables int -> scalar; `TermContext` methods and
-shifted lambdas both qualify.
+Accessors are plain callables int -> scalar; `TermContext` methods, the
+members of its checker accessor `Terms` (over unreduced `Ratio` pairs, as
+the theorem checkers pass them) and shifted lambdas all qualify.
 """
 from __future__ import annotations
 

@@ -14,10 +14,12 @@ closed form over Q(sqrt(p^2-4q)) (`binet_term`).
 All three run on one fraction-free integer kernel. Over Q, with
 L = lcm(den p, den q), P = p*L, Q = q*L^2 and D the seeds' common
 denominator, X_n = L^n*D*x_n obeys X_n = P*X_{n-1} - Q*X_{n-2} over int,
-so the walk does no gcd and builds one `Fraction` per returned or cached
-term. Over GF(M) the same recurrence runs on the residues, reduced each
-step. A negative index walks the reversed recurrence y_k = x_{-k}, with
-coefficients (p/q, 1/q) and seeds (x_0, x_{-1}), so no step divides.
+so the walk does no gcd. `term` builds one `Fraction` per returned term;
+`TermContext` caches each term as the pair itself (a `Ratio`) and reduces
+it only when a public accessor returns it. Over GF(M) the same recurrence
+runs on the residues, reduced each step. A negative index walks the
+reversed recurrence y_k = x_{-k}, with coefficients (p/q, 1/q) and seeds
+(x_0, x_{-1}), so no step divides.
 """
 from __future__ import annotations
 
@@ -25,10 +27,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any
 
 from .errors import DegenerateRoot, EmptyRange
-from .field import ModInt, QuadExt, pow_int
+from .field import ModInt, QuadExt, Ratio, pow_int, reduced
 
 
 class SequenceKind(enum.Enum):
@@ -47,14 +50,21 @@ U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
 def _coerce(x):
     if isinstance(x, (int, str)):
         return Fraction(x)
-    return x
+    if isinstance(x, (Fraction, ModInt)):
+        return x
+    raise ValueError(f"a Horadam parameter must be an int or str (coerced to Fraction), "
+                     f"a Fraction or a ModInt, got {type(x).__name__} {x!r}")
+
+
+_ZERO, _ONE, _TWO = Fraction(0), Fraction(1), Fraction(2)
 
 
 @dataclass(frozen=True)
 class HoradamParams:
     """The tuple (a, b, p, q) over Q (`Fraction`; ints and strings are
     coerced) or over GF(M) (`ModInt`, one prime M); p and q must be nonzero.
-    All four must share one field: ValueError for a mix of types or moduli."""
+    ValueError for any other scalar type (float, Decimal, ...) and for a mix
+    of types or moduli: all four must share one field."""
 
     a: Any
     b: Any
@@ -75,13 +85,14 @@ class HoradamParams:
 
     def seeds(self, kind: SequenceKind):
         """Initial pair (x_0, x_1) for the requested kind."""
-        zero = self.q - self.q
-        one = self.q / self.q
-        if kind is SequenceKind.U:
-            return zero, one
-        if kind is SequenceKind.V:
-            return one + one, self.p
-        return self.a, self.b
+        if kind is SequenceKind.W:
+            return self.a, self.b
+        if isinstance(self.q, ModInt):
+            M = self.q.modulus
+            zero, one, two = ModInt(0, M), ModInt(1, M), ModInt(2, M)
+        else:
+            zero, one, two = _ZERO, _ONE, _TWO
+        return (zero, one) if kind is SequenceKind.U else (two, self.p)
 
     def specialized(self, kind: SequenceKind) -> "HoradamParams":
         """Params whose w-sequence IS the requested kind."""
@@ -148,7 +159,7 @@ def term_range(params: HoradamParams, kind: SequenceKind, lo: int, hi: int) -> l
     if lo > hi:
         raise EmptyRange(f"lo={lo} > hi={hi}")
     ctx = TermContext(params)
-    return [ctx._get(kind, n) for n in range(lo, hi + 1)]
+    return [reduced(ctx._get(kind, n)) for n in range(lo, hi + 1)]
 
 
 def fast_uv(params: HoradamParams, n: int):
@@ -233,26 +244,55 @@ def reflect_w(params: HoradamParams, n: int):
     return (a_vn - wn) / pow_int(params.q, n)
 
 
+def _ratio(x):
+    """A Fraction as the checkers' Ratio; a ModInt as is."""
+    return Ratio(x.numerator, x.denominator) if isinstance(x, Fraction) else x
+
+
+class Terms:
+    """The checkers' accessor over one TermContext: u, v, w, qp, p, q, a, b
+    as in the context, on the cached scalars themselves (`Ratio` over Q, not
+    reduced). u, v and w are `partial(ctx._get, kind)`, so every term read
+    goes through `TermContext._get`. The context keeps no reference to it:
+    a cached accessor would close a reference cycle, and the cache would
+    then outlive its last user until a full garbage collection."""
+
+    __slots__ = ("u", "v", "w", "qp", "p", "q", "a", "b")
+
+    def __init__(self, ctx: "TermContext"):
+        get = ctx._get
+        self.u, self.v, self.w = partial(get, U), partial(get, V), partial(get, W)
+        self.qp = ctx._qpow
+        self.p, self.q, self.a, self.b = ctx._scalars
+
+
 class TermContext:
     """Cached u/v/w accessors for one parameter set.
 
     Purely an optimization: results are identical to term(). Each kind
     keeps the integer state of `term`'s kernel for the walk in each
-    direction, and caches every term it passes as one scalar. Not
-    synchronized; confine an instance to a single thread of work.
+    direction, and caches every term it passes as one scalar: over Q the
+    unreduced `Ratio(X_k, L^k*D)` read straight off the walk, over GF(M) a
+    `ModInt`. The public accessors u, v, w and qp return what term() does,
+    a reduced `Fraction` (one gcd per call) or a `ModInt`. `Terms(ctx)` is
+    the checkers' accessor over the cached scalars themselves; the catalog
+    and theorem engines evaluate on it and reduce each reported value once.
+    Not synchronized; confine an instance to a single thread of work.
     """
 
-    __slots__ = ("params", "p", "q", "a", "b", "_vals", "_span", "_walks", "_qpows")
+    __slots__ = ("params", "p", "q", "a", "b", "_scalars", "_vals", "_span", "_walks",
+                 "_qpows")
 
     def __init__(self, params: HoradamParams):
         self.params = params
         self.p, self.q = params.p, params.q
         self.a, self.b = params.a, params.b
+        self._scalars = tuple(map(_ratio, (self.p, self.q, self.a, self.b)))
         self._vals = {}
         self._span = {}     # [lowest, highest] cached index; _vals is contiguous
-        for kind in SequenceKind:
+        for kind in (U, V, W):     # a tuple iterates faster than the Enum
             x0, x1 = params.seeds(kind)
-            self._vals[kind] = {0: x0, 1: x1}
+            self._vals[kind] = {0: _ratio(x0), 1: _ratio(x1)}
             self._span[kind] = [0, 1]
         # (kind, forward) -> [P, Q, L, M, X_{k-1}, X_k, L^k*D], k the span's end
         self._walks = {}
@@ -261,7 +301,7 @@ class TermContext:
     def _walk(self, kind: SequenceKind, forward: bool) -> list:
         P, Q, X0, X1, L, D, M = _kernel(self.params, kind, not forward)
         if not forward:     # the reversed walk starts at y_1 = x_{-1}
-            self._vals[kind][-1] = ModInt(X1, M) if M else Fraction(X1, L * D)
+            self._vals[kind][-1] = ModInt(X1, M) if M else Ratio(X1, L * D)
             self._span[kind][0] = -1
         self._walks[kind, forward] = walk = [P, Q, L, M, X0, X1, L * D]
         return walk
@@ -288,22 +328,25 @@ class TermContext:
             for i in indices:
                 X0, X1 = X1, P * X1 - Q * X0
                 scale *= L
-                vals[i] = Fraction(X1, scale)
+                vals[i] = Ratio(X1, scale)
         walk[4:] = X0, X1, scale
         return vals[n]
 
+    def _qpow(self, e: int):
+        val = self._qpows.get(e)
+        if val is None:
+            val = self._qpows[e] = pow_int(_ratio(self.q), e)
+        return val
+
     def u(self, n: int):
-        return self._get(SequenceKind.U, n)
+        return reduced(self._get(SequenceKind.U, n))
 
     def v(self, n: int):
-        return self._get(SequenceKind.V, n)
+        return reduced(self._get(SequenceKind.V, n))
 
     def w(self, n: int):
-        return self._get(SequenceKind.W, n)
+        return reduced(self._get(SequenceKind.W, n))
 
     def qp(self, e: int):
         """q**e, memoized."""
-        val = self._qpows.get(e)
-        if val is None:
-            val = self._qpows[e] = pow_int(self.q, e)
-        return val
+        return reduced(self._qpow(e))

@@ -12,7 +12,10 @@ compute:
   3. the same quantity through the generic lemma engine, instantiated with
      the configuration from which the theorem follows,
 
-and require all three to agree exactly. Assignments that zero a lemma
+and require all three to agree exactly. The legs, the guards and the
+denominator scan run on the checker accessor of one `TermContext`
+(`sequences.Terms`, over unreduced `Ratio` pairs); each leg is reduced to
+a `Fraction` once, for the `SumReport`. Assignments that zero a lemma
 coefficient raise GuardViolation; reciprocal sums whose denominator window
 contains a vanishing term raise SingularSummand. Wrong numbers are never
 returned silently.
@@ -37,7 +40,7 @@ from typing import Any
 
 from .catalog import compile_sides
 from .errors import GuardViolation
-from .field import format_scalar
+from .field import format_scalar, reduced
 from .lemmas import (
     RecurrenceConfig,
     _denominator_window,
@@ -46,7 +49,7 @@ from .lemmas import (
     lemma3_binomial_sums,
     lemma45_reciprocal,
 )
-from .sequences import HoradamParams, SequenceKind, TermContext
+from .sequences import HoradamParams, SequenceKind, TermContext, Terms
 
 
 def _one(t, n, m, r, s, k):
@@ -227,7 +230,7 @@ def singularity_scan(sel: TheoremSelector, params: HoradamParams,
         raise ValueError("k must be >= 0")
     if sel.theorem not in (5, 6):
         return []
-    t = _context(sel, params)
+    t = Terms(_context(sel, params))
     eff = _effective(sel, n, m, r, s)
     return list(_denominator_window(t.u if sel.theorem == 5 else t.w, eff[0],
                                     _denominator_stride(sel, *eff), k))
@@ -238,7 +241,7 @@ def _evaluate(sel: TheoremSelector, params: HoradamParams,
     if k < 0:
         raise ValueError("summation bound k must be >= 0")
     lhs, rhs, factor = _FORMS[sel.theorem, sel.base]
-    t = _context(sel, params)
+    t = Terms(_context(sel, params))
     eff = _effective(sel, n, m, r, s)
     cfg, X, Y = _relation(t, sel, *eff)
 
@@ -255,7 +258,8 @@ def _evaluate(sel: TheoremSelector, params: HoradamParams,
     closed = rhs(t, *eff, k)
 
     assignment = dict(n=n, m=m, r=r, s=s, k=k)
-    return SumReport(sel, assignment, direct, closed, lemma_lhs, tuple(notes))
+    return SumReport(sel, assignment, reduced(direct), reduced(closed), reduced(lemma_lhs),
+                     tuple(notes))
 
 
 def theorem_sum(sel: TheoremSelector, params: HoradamParams,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import horadam
 from horadam.errors import (
     CompositeModulus,
     DiscriminantMismatch,
@@ -15,11 +16,13 @@ from horadam.field import (
     ModInt,
     PrimeField,
     QuadExt,
+    Ratio,
     binomial,
     format_scalar,
     is_prime,
     parse_rational,
     pow_int,
+    reduced,
 )
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
@@ -226,6 +229,96 @@ class TestModInt:
         f = PrimeField(97)
         with pytest.raises(ZeroToNegativePower):
             f(0) ** -1
+
+    def test_division_by_zero_is_named_error(self):
+        f = PrimeField(7)
+        for divide in (lambda: f(3) / f(0), lambda: 3 / f(0), lambda: f(3) / 0,
+                       lambda: f(3) / 7):
+            with pytest.raises(NonInvertible, match="no inverse mod 7"):
+                divide()
+
+
+# (numerator, denominator) pairs, unreduced and with either sign
+pairs = st.tuples(st.integers(-40, 40), st.integers(-12, 12).filter(bool))
+operands = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+    st.builds(lambda nd: Ratio(*nd), pairs),
+)
+steps = st.lists(st.tuples(st.sampled_from("+-*/^"), operands, st.booleans()), max_size=8)
+
+
+def _fraction(x):
+    return Fraction(x.n, x.d) if isinstance(x, Ratio) else Fraction(x)
+
+
+def _apply(op, x, y):
+    if op == "+":
+        return x + y
+    if op == "-":
+        return x - y
+    if op == "*":
+        return x * y
+    return x / y
+
+
+class TestRatio:
+    @given(pairs, steps)
+    def test_matches_fraction_oracle(self, start, ops):
+        value, oracle = Ratio(*start), Fraction(*start)
+        for op, operand, left in ops:
+            if op == "^":
+                e = _fraction(operand).numerator % 5 - 2
+                if oracle == 0 and e < 0:
+                    with pytest.raises(ZeroToNegativePower):
+                        value ** e
+                    continue
+                value, oracle = value ** e, oracle ** e
+                continue
+            x, y = (operand, value) if left else (value, operand)
+            ox, oy = (_fraction(operand), oracle) if left else (oracle, _fraction(operand))
+            if op == "/" and oy == 0:
+                with pytest.raises(ZeroDivisionError):
+                    _apply(op, x, y)
+                continue
+            value, oracle = _apply(op, x, y), _apply(op, ox, oy)
+            assert type(value) is Ratio
+        assert type(reduced(value)) is Fraction
+        assert reduced(value) == oracle
+        assert value == oracle and oracle == value
+
+    def test_equality_in_both_directions(self):
+        assert Ratio(6, 4) == Fraction(3, 2) and Fraction(3, 2) == Ratio(6, 4)
+        assert Ratio(-6, -4) == Ratio(3, 2) and Ratio(3, 2) == Ratio(-6, -4)
+        assert Ratio(4, 2) == 2 and 2 == Ratio(4, 2)
+        assert Ratio(0, -5) == 0 and 0 == Ratio(0, 7)
+        assert Ratio(1, 2) != 1 and 1 != Ratio(1, 2)
+        assert Ratio(1, 2) != Fraction(1, 3) and Fraction(1, 3) != Ratio(1, 2)
+        assert Ratio(1, 1) != ModInt(1, 7)
+
+    def test_division_by_zero(self):
+        for divide in (lambda: Ratio(1, 2) / Ratio(0, 5), lambda: Ratio(1, 2) / 0,
+                       lambda: 3 / Ratio(0, 1), lambda: Fraction(1, 2) / Ratio(0, 3)):
+            with pytest.raises(ZeroDivisionError):
+                divide()
+
+    def test_zero_to_negative_power(self):
+        with pytest.raises(ZeroToNegativePower):
+            Ratio(0, 3) ** -1
+        with pytest.raises(ZeroToNegativePower):
+            pow_int(Ratio(0, 3), -2)
+        assert Ratio(0, 3) ** 0 == 1
+
+    def test_unhashable_and_internal(self):
+        with pytest.raises(TypeError):
+            hash(Ratio(1, 2))
+        assert not hasattr(horadam, "Ratio")
+
+    def test_reduced(self):
+        x = reduced(Ratio(-6, -4))
+        assert type(x) is Fraction and (x.numerator, x.denominator) == (3, 2)
+        assert reduced(ModInt(3, 7)) == ModInt(3, 7)
+        assert reduced(5) == 5 and type(reduced(5)) is int
 
 
 class TestIsPrime:

@@ -5,19 +5,22 @@ import random
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horadam import catalog, theorems
 from horadam.errors import DegenerateRoot, EmptyRange
-from horadam.field import PrimeField
+from horadam.field import PrimeField, Ratio
 from horadam.sequences import (
     PRESETS,
     HoradamParams,
     SequenceKind,
     TermContext,
+    Terms,
     binet_term,
     fast_uv,
     reflect_w,
@@ -71,6 +74,15 @@ class TestParams:
         f = PrimeField(101)
         with pytest.raises(ValueError, match="share one field"):
             HoradamParams(0, 1, f(1), f(-1))
+
+    @pytest.mark.parametrize("scalar", [1.0, Decimal("1.5"), Ratio(3, 2)],
+                             ids=["float", "Decimal", "Ratio"])
+    def test_rejects_scalars_outside_the_two_fields(self, scalar):
+        for position in range(4):
+            values = [Fraction(1), Fraction(1), Fraction(1), Fraction(-1)]
+            values[position] = scalar
+            with pytest.raises(ValueError, match="int or str .* Fraction or a ModInt"):
+                HoradamParams(*values)
 
     def test_rejects_mixed_moduli(self):
         f101, f103 = PrimeField(101), PrimeField(103)
@@ -343,8 +355,14 @@ class TestKernel:
 
     def test_results_are_reduced_scalars(self):
         params = KERNEL_PARAMS[1]
+        ctx = TermContext(params)
+        verified = catalog.evaluate("H", params, dict(n=5, m=-3, r=2, s=-4))
+        sel = theorems.TheoremSelector(6, 1)
+        summed = theorems.reciprocal_sum(sel, params, 5, 2, 1, -1, 3)
         for value in (term(params, W, -9), term(params, V, 12), binet_term(params, W, -9),
-                      *fast_uv(params, 12), TermContext(params).w(-9)):
+                      *fast_uv(params, 12), ctx.w(-9), ctx.u(-7), ctx.v(11), ctx.qp(-3),
+                      ctx.qp(4), *term_range(params, W, -6, 6), verified.lhs, verified.rhs,
+                      summed.lhs, summed.rhs, summed.lemma_lhs):
             assert type(value) is Fraction
             assert math.gcd(value.numerator, value.denominator) == 1
         f = PrimeField(101)
@@ -368,6 +386,14 @@ class TestTermContext:
                 assert ctx.u(n) == term(params, U, n)
                 assert ctx.v(n) == term(params, V, n)
                 assert ctx.w(n) == term(params, W, n)
+
+    def test_checkers_keep_no_reference_to_the_context(self):
+        # an accessor cached on the context would close a reference cycle, and
+        # a dead cache would then wait for a full garbage collection
+        ctx = TermContext(FIBW)
+        catalog.evaluate("H", FIBW, dict(n=5, m=-3, r=2, s=-4), ctx=ctx)
+        assert Terms(ctx).u(7) == 13
+        assert sys.getrefcount(ctx) == 2    # the name ctx and the call's argument
 
     def test_qp(self):
         ctx = TermContext(HoradamParams(0, 1, 1, Fraction(2, 3)))
