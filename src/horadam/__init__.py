@@ -20,7 +20,6 @@ from .catalog import (
 from .field import (
     ModInt,
     PrimeField,
-    QuadExt,
     Rational,
     binomial,
     format_scalar,
@@ -43,7 +42,6 @@ from .sequences import (
     TermContext,
     binet_term,
     fast_uv,
-    reflect_w,
     term,
     term_range,
 )

@@ -245,8 +245,18 @@ _ENTRIES = [
        Derivation("cor2.74", lambda A: {"n": A["n"], "t": 1})),
 ]
 
-REGISTRY = {ident.key: ident for ident in _ENTRIES}
-assert len(REGISTRY) == len(_ENTRIES), "duplicate identity key"
+
+def _registry(entries) -> dict:
+    """key -> Identity; ValueError naming the first key that repeats."""
+    registry = {}
+    for ident in entries:
+        if ident.key in registry:
+            raise ValueError(f"duplicate identity key {ident.key!r}")
+        registry[ident.key] = ident
+    return registry
+
+
+REGISTRY = _registry(_ENTRIES)
 
 
 def _lookup(key: str) -> Identity:

@@ -13,14 +13,10 @@ class NegativeK(HoradamError):
     """binomial() called with k < 0."""
 
 
-class DiscriminantMismatch(HoradamError):
-    """Arithmetic between quadratic-extension elements over different discriminants."""
-
-
 class NonInvertible(HoradamError):
-    """A value with no inverse: a zero-norm quadratic-extension element, a
-    rational whose denominator the modulus divides, or a residue that is zero
-    modulo the modulus (`ModInt` division by zero)."""
+    """A value with no inverse: a rational whose denominator the modulus
+    divides, or a residue with no inverse modulo the modulus (`ModInt`
+    division by zero, or a negative power of a nonunit)."""
 
 
 class DegenerateRoot(HoradamError):

@@ -1,12 +1,12 @@
 """Exact scalar arithmetic.
 
-Four scalar realizations share one informal protocol (+, -, *, /, **, ==,
+Three scalar realizations share one informal protocol (+, -, *, /, **, ==,
 interop with small ints): arbitrary-precision rationals (`fractions.Fraction`,
-re-exported as `Rational`), elements of the quadratic extension Q(sqrt(D))
-(`QuadExt`), residues modulo a prime (`ModInt`), and `Ratio`, an unreduced
-integer pair internal to the checkers: the term cache fills it straight from
-the integer kernel, and `reduced` turns it into a `Fraction` wherever a value
-is reported. All values are immutable; every operation is pure.
+re-exported as `Rational`), residues modulo a prime (`ModInt`), and `Ratio`,
+an unreduced integer pair internal to the checkers: the term cache fills it
+straight from the integer kernel, and `reduced` turns it into a `Fraction`
+wherever a value is reported. All values are immutable; every operation is
+pure.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .errors import (
     CompositeModulus,
-    DiscriminantMismatch,
     NegativeK,
     NonInvertible,
     ZeroToNegativePower,
@@ -204,98 +203,6 @@ def binomial(k: int, j: int) -> int:
     return math.comb(k, j)
 
 
-class QuadExt:
-    """Element c0 + c1*sqrt(d) of the quadratic extension Q(sqrt(d)).
-
-    d is an arbitrary rational (negative d gives an imaginary extension,
-    which stays exact). Elements interoperate only when their d agree.
-    """
-
-    __slots__ = ("c0", "c1", "d")
-
-    def __init__(self, c0, c1, d):
-        self.c0 = Fraction(c0)
-        self.c1 = Fraction(c1)
-        self.d = Fraction(d)
-
-    def _check(self, other) -> "QuadExt":
-        if not isinstance(other, QuadExt):
-            return QuadExt(other, 0, self.d)
-        if other.d != self.d:
-            raise DiscriminantMismatch(f"{self.d} vs {other.d}")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return QuadExt(self.c0 + other.c0, self.c1 + other.c1, self.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return QuadExt(self.c0 - other.c0, self.c1 - other.c1, self.d)
-
-    def __rsub__(self, other):
-        return self._check(other) - self
-
-    def __neg__(self):
-        return QuadExt(-self.c0, -self.c1, self.d)
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return QuadExt(
-            self.c0 * other.c0 + self.c1 * other.c1 * self.d,
-            self.c0 * other.c1 + self.c1 * other.c0,
-            self.d,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * self._check(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._check(other) * self.inverse()
-
-    def norm(self) -> Fraction:
-        return self.c0 * self.c0 - self.c1 * self.c1 * self.d
-
-    def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if n == 0:
-            raise NonInvertible(f"zero-norm element {self}")
-        return QuadExt(self.c0 / n, -self.c1 / n, self.d)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = QuadExt(1, 0, self.d)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, QuadExt):
-            return self.d == other.d and self.c0 == other.c0 and self.c1 == other.c1
-        return self.c1 == 0 and self.c0 == other
-
-    def __hash__(self):
-        # a rational element equals its c0, so it must hash like it too
-        if self.c1 == 0:
-            return hash(self.c0)
-        return hash((self.c0, self.c1, self.d))
-
-    def is_rational(self) -> bool:
-        return self.c1 == 0
-
-    def __repr__(self):
-        return f"QuadExt({self.c0!r}, {self.c1!r}, d={self.d!r})"
-
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -402,9 +309,12 @@ class ModInt:
         return ModInt(v * self._inverse(self.value), self.modulus)
 
     def __pow__(self, e: int):
-        if e < 0 and self.value == 0:
-            raise ZeroToNegativePower(f"0 ** {e} (mod {self.modulus})")
-        return ModInt(pow(self.value, e, self.modulus), self.modulus)
+        v = self.value
+        if e < 0:
+            if v == 0:
+                raise ZeroToNegativePower(f"0 ** {e} (mod {self.modulus})")
+            v, e = self._inverse(v), -e
+        return ModInt(pow(v, e, self.modulus), self.modulus)
 
     def __eq__(self, other):
         if isinstance(other, ModInt):

@@ -9,7 +9,8 @@ second-kind specializations. Scalars are `Fraction` (over Q) or `ModInt`
 Three independent evaluation strategies are provided: plain iteration
 (`term`, and `term_range` reading the same walk off a `TermContext`), index
 doubling in O(log n) steps (`fast_uv`, u_n and v_n for n >= 0), and the
-closed form over Q(sqrt(p^2-4q)) (`binet_term`).
+Binet closed form, whose root powers in Q(sqrt(p^2-4q)) are raised as
+integer pairs (`binet_term`).
 
 All three run on one fraction-free integer kernel. Over Q, with
 L = lcm(den p, den q), P = p*L, Q = q*L^2 and D the seeds' common
@@ -31,7 +32,7 @@ from functools import partial
 from typing import Any
 
 from .errors import DegenerateRoot, EmptyRange
-from .field import ModInt, QuadExt, Ratio, pow_int, reduced
+from .field import ModInt, Ratio, reduced
 
 
 class SequenceKind(enum.Enum):
@@ -206,42 +207,26 @@ def binet_term(params: HoradamParams, kind: SequenceKind, n: int):
 
     Requires rational parameters with distinct roots (p^2 - 4q != 0).
     alpha = (P + sqrt(d'))/(2L) with d' = P^2 - 4Q, so its power comes from
-    integer pairs and beta's by conjugation. The term
-    (c_alpha*alpha^n - c_beta*beta^n)/(alpha - beta) is assembled over one
-    integer scale; its sqrt-component must cancel.
+    the integer pair E = (P + sqrt(d'))^|n| and beta's by conjugation. With
+    C = 2LD*c_alpha = (2*X1 - P*X0) + X0*sqrt(d') and c_beta its conjugate,
+    the term (c_alpha*alpha^n - c_beta*beta^n)/(alpha - beta) is the
+    sqrt(d')-component of C*E over one integer scale; the rational
+    components cancel, so neither is computed.
     """
-    d = params.discriminant
-    if d == 0:
+    if params.discriminant == 0:
         raise DegenerateRoot(f"p^2 - 4q = 0 for p={params.p}, q={params.q}")
     P, Q, X0, X1, L, D, M = _kernel(params, kind, False)
     if M:
         raise TypeError("binet_term needs rational parameters")
-    disc = P * P - 4 * Q    # L^2 * d
     m = abs(n)
-    e0, e1 = _quad_pow(P, disc, m)     # E = (P + sqrt(d'))^m
+    e0, e1 = _quad_pow(P, P * P - 4 * Q, m)     # E = (P + sqrt(d'))^m
     if n < 0:   # alpha^-m = beta^m/q^m = conj(E)*L^m/(2Q)^m
         e1, top, bottom = -e1, L ** m, (2 * Q) ** m
     else:       # alpha^m = E/(2L)^m
         top, bottom = 1, (2 * L) ** m
-    # 2LD*c_alpha = C = (2*X1 - P*X0) + X0*sqrt(d'), c_beta its conjugate
+    # C*E - conj(C*E) = 2*(c0*e1 + c1*e0)*sqrt(d'), and alpha - beta = sqrt(d')/L
     c0, c1 = 2 * X1 - P * X0, X0
-    alpha_part = QuadExt(c0, c1, disc) * QuadExt(e0, e1, disc)
-    beta_part = QuadExt(c0, -c1, disc) * QuadExt(e0, -e1, disc)
-    # alpha - beta = sqrt(d')/L; times sqrt(d') the difference is rational
-    val = (alpha_part - beta_part) * QuadExt(0, 1, disc)
-    if not val.is_rational():
-        raise AssertionError("sqrt component failed to cancel")
-    return Fraction(val.c0.numerator * top, 2 * D * disc * bottom)
-
-
-def reflect_w(params: HoradamParams, n: int):
-    """w_{-n} from the closed form q^n * w_{-n} = a*v_n - w_n.
-
-    Unlike the quotient reflection formula this needs no w_n != 0 guard.
-    """
-    a_vn = params.a * term(params, SequenceKind.V, n)
-    wn = term(params, SequenceKind.W, n)
-    return (a_vn - wn) / pow_int(params.q, n)
+    return Fraction((c0 * e1 + c1 * e0) * top, D * bottom)
 
 
 def _ratio(x):
@@ -280,46 +265,38 @@ class TermContext:
     Not synchronized; confine an instance to a single thread of work.
     """
 
-    __slots__ = ("params", "p", "q", "a", "b", "_scalars", "_vals", "_span", "_walks",
-                 "_qpows")
+    __slots__ = ("params", "p", "q", "a", "b", "_scalars", "_vals", "_walks", "_qpows")
 
     def __init__(self, params: HoradamParams):
         self.params = params
         self.p, self.q = params.p, params.q
         self.a, self.b = params.a, params.b
         self._scalars = tuple(map(_ratio, (self.p, self.q, self.a, self.b)))
-        self._vals = {}
-        self._span = {}     # [lowest, highest] cached index; _vals is contiguous
+        self._vals = {}     # kind -> {index: scalar} over one contiguous index run
         for kind in (U, V, W):     # a tuple iterates faster than the Enum
             x0, x1 = params.seeds(kind)
             self._vals[kind] = {0: _ratio(x0), 1: _ratio(x1)}
-            self._span[kind] = [0, 1]
-        # (kind, forward) -> [P, Q, L, M, X_{k-1}, X_k, L^k*D], k the span's end
+        # (kind, step) -> [P, Q, L, M, X_{k-1}, X_k, L^k*D, k], step 1 forward
+        # and -1 backward, k the walk's signed end index
         self._walks = {}
         self._qpows = {}
 
-    def _walk(self, kind: SequenceKind, forward: bool) -> list:
-        P, Q, X0, X1, L, D, M = _kernel(self.params, kind, not forward)
-        if not forward:     # the reversed walk starts at y_1 = x_{-1}
+    def _walk(self, kind: SequenceKind, step: int) -> list:
+        P, Q, X0, X1, L, D, M = _kernel(self.params, kind, step < 0)
+        if step < 0:     # the reversed walk starts at y_1 = x_{-1}
             self._vals[kind][-1] = ModInt(X1, M) if M else Ratio(X1, L * D)
-            self._span[kind][0] = -1
-        self._walks[kind, forward] = walk = [P, Q, L, M, X0, X1, L * D]
+        # a new walk ends at index step: x_1, or x_{-1} on the reversed walk
+        self._walks[kind, step] = walk = [P, Q, L, M, X0, X1, L * D, step]
         return walk
 
     def _get(self, kind: SequenceKind, n: int):
         vals = self._vals[kind]
         if n in vals:
             return vals[n]
-        forward = n > 1
-        walk = self._walks.get((kind, forward)) or self._walk(kind, forward)
-        P, Q, L, M, X0, X1, scale = walk
-        span = self._span[kind]
-        if forward:
-            indices = range(span[1] + 1, n + 1)
-            span[1] = n
-        else:
-            indices = range(span[0] - 1, n - 1, -1)
-            span[0] = n
+        step = 1 if n > 1 else -1
+        walk = self._walks.get((kind, step)) or self._walk(kind, step)
+        P, Q, L, M, X0, X1, scale, end = walk
+        indices = range(end + step, n + step, step)
         if M:
             for i in indices:
                 X0, X1 = X1, (P * X1 - Q * X0) % M
@@ -329,13 +306,13 @@ class TermContext:
                 X0, X1 = X1, P * X1 - Q * X0
                 scale *= L
                 vals[i] = Ratio(X1, scale)
-        walk[4:] = X0, X1, scale
+        walk[4:] = X0, X1, scale, n
         return vals[n]
 
     def _qpow(self, e: int):
         val = self._qpows.get(e)
         if val is None:
-            val = self._qpows[e] = pow_int(_ratio(self.q), e)
+            val = self._qpows[e] = self._scalars[1] ** e
         return val
 
     def u(self, n: int):

@@ -36,6 +36,10 @@ class TestRegistry:
         assert keys == EXPECTED_KEYS
         assert len(set(keys)) == len(keys) == 73
 
+    def test_duplicate_key_is_named(self):
+        with pytest.raises(ValueError, match="duplicate identity key 'H'"):
+            catalog._registry([REGISTRY["H"], REGISTRY["mul.16"], REGISTRY["H"]])
+
     def test_signatures(self):
         sigs = {k: vars_ for k, vars_, _ in list_identities()}
         assert sigs["H"] == ("n", "m", "r", "s")

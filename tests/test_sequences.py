@@ -1,10 +1,6 @@
 import math
-import os
-import pathlib
 import random
-import subprocess
 import sys
-import textwrap
 from decimal import Decimal
 from fractions import Fraction
 
@@ -23,7 +19,6 @@ from horadam.sequences import (
     Terms,
     binet_term,
     fast_uv,
-    reflect_w,
     term,
     term_range,
 )
@@ -240,22 +235,29 @@ class TestBinet:
         for n in range(-6, 7):
             assert binet_term(params, W, n) == term(params, W, n)
 
-    def test_uncancelled_sqrt_raises_under_optimize(self):
-        # `python -O` strips assert statements; the check must survive it
-        code = textwrap.dedent("""
-            from horadam.field import QuadExt
-            from horadam.sequences import PRESETS, SequenceKind, binet_term
-            QuadExt.is_rational = lambda self: False
-            try:
-                binet_term(PRESETS["fibonacci"], SequenceKind.U, 3)
-            except AssertionError as exc:
-                print(f"raised: {exc}")
-            """)
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "raised: sqrt component failed to cancel"
+    @pytest.mark.parametrize("p,q", [(3, 2), (Fraction(5, 2), 1)], ids=["d=1", "d=9/4"])
+    def test_perfect_square_discriminant(self, p, q):
+        # rational roots: sqrt(d') is an integer, and the pairs stay formal
+        params = HoradamParams(Fraction(2, 3), Fraction(-5, 7), p, q)
+        for kind in SequenceKind:
+            for n in range(-30, 31):
+                assert binet_term(params, kind, n) == term(params, kind, n), (kind, n)
+
+    @pytest.mark.parametrize("params", [
+        HoradamParams(Fraction(1, 2), -2, Fraction(3, 4), Fraction(-5, 6)),
+        HoradamParams(1, 2, 1, 1),
+    ], ids=["p=3/4,q=-5/6", "D=-3"])
+    def test_large_index_both_signs(self, params):
+        n = 1500
+        u, v = fast_uv(params, n)
+        qn = params.q ** n
+        # neg.19: u_{-n} = -u_n/q^n, v_{-n} = v_n/q^n
+        assert binet_term(params, U, n) == u == term(params, U, n)
+        assert binet_term(params, V, n) == v == term(params, V, n)
+        assert binet_term(params, U, -n) == -u / qn == term(params, U, -n)
+        assert binet_term(params, V, -n) == v / qn == term(params, V, -n)
+        for m in (n, -n):
+            assert binet_term(params, W, m) == term(params, W, m)
 
     def test_agrees_with_iteration_randomized(self):
         rng = random.Random(29)
@@ -271,25 +273,33 @@ class TestBinet:
 
 
 class TestReflect:
+    """The backward walk against neg.20's closed form q^n*w_{-n} = a*v_n - w_n,
+    which needs no w_n != 0 guard."""
+
+    @staticmethod
+    def closed_form(params, n):
+        return (params.a * term(params, V, n) - term(params, W, n)) / params.q ** n
+
     def test_fibonacci_w(self):
-        assert reflect_w(FIBW, 2) == 4
+        assert self.closed_form(FIBW, 2) == term(FIBW, W, -2) == 4
         for n in range(-12, 13):
-            assert reflect_w(FIBW, n) == term(FIBW, W, -n)
+            assert self.closed_form(FIBW, n) == term(FIBW, W, -n)
 
     def test_v_case(self):
         params = HoradamParams(2, Fraction(5, 3), Fraction(5, 3), Fraction(2, 7))
         for n in range(0, 10):
-            assert reflect_w(params, n) == term(params, V, n) / params.q ** n
+            assert self.closed_form(params, n) == term(params, W, -n)
+            assert term(params, W, -n) == term(params, V, n) / params.q ** n
 
     def test_n_zero(self):
-        assert reflect_w(FIBW, 0) == FIBW.a
+        assert self.closed_form(FIBW, 0) == term(FIBW, W, 0) == FIBW.a
 
     def test_randomized(self):
         rng = random.Random(31)
         for _ in range(20):
             params = random_params(rng)
             for n in range(-8, 9):
-                assert reflect_w(params, n) == term(params, W, -n)
+                assert self.closed_form(params, n) == term(params, W, -n)
 
 
 # Parameter sets that exercise the integer kernel's scaling: lcm(den p, den q)
