@@ -20,11 +20,9 @@ from .catalog import (
 from .field import (
     ModInt,
     PrimeField,
-    Rational,
     binomial,
     format_scalar,
     parse_rational,
-    pow_int,
 )
 from .lemmas import (
     LemmaReport,

@@ -283,7 +283,8 @@ def evaluate(key: str, params: HoradamParams, assignment: dict,
     """Evaluate both sides of an identity at an integer assignment.
 
     The two sides are computed only through sequence-term evaluations, on
-    `Terms(ctx)`; the report holds each side reduced (a `Fraction` over Q).
+    `Terms(ctx, W)`; the report holds each side reduced (a `Fraction` over Q).
+    A shared `ctx` must be built for `params` (ValueError otherwise).
     """
     ident = _lookup(key)
     got, want = set(assignment), set(ident.variables)
@@ -295,7 +296,11 @@ def evaluate(key: str, params: HoradamParams, assignment: dict,
         if extra:
             parts.append(f"unexpected {sorted(extra)}")
         raise ValueError(f"assignment for {key}: " + ", ".join(parts))
-    t = Terms(TermContext(params) if ctx is None else ctx)
+    if ctx is None:
+        ctx = TermContext(params)
+    elif ctx.params is not params and ctx.params != params:
+        raise ValueError(f"{key}: the term cache was built for {ctx.params}, not {params}")
+    t = Terms(ctx, SequenceKind.W)
     try:
         lhs = _call(ident.lhs, t, assignment)
         rhs = _call(ident.rhs, t, assignment)

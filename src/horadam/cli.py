@@ -62,8 +62,11 @@ def _load_preset_file(path: str) -> HoradamParams:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
-            values[key.strip()] = parse_rational(val.strip())
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key not in ("a", "b", "p", "q") or key in values:
+                problem = "given twice" if key in values else "unknown; expected a, b, p or q"
+                raise ValueError(f"preset file {path}: key {key!r} {problem}")
+            values[key] = parse_rational(val)
     missing = {"p", "q"} - set(values)
     if missing:
         raise ValueError(f"preset file {path} missing keys: {sorted(missing)}")
@@ -118,7 +121,10 @@ def _parse_assignment(text: str) -> dict:
         key, _, val = piece.partition("=")
         if not val:
             raise ValueError(f"bad assignment entry {piece!r}; expected var=int")
-        out[key.strip()] = int(val)
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"assignment gives {key!r} twice")
+        out[key] = int(val)
     return out
 
 

@@ -1,12 +1,11 @@
 """Exact scalar arithmetic.
 
 Three scalar realizations share one informal protocol (+, -, *, /, **, ==,
-interop with small ints): arbitrary-precision rationals (`fractions.Fraction`,
-re-exported as `Rational`), residues modulo a prime (`ModInt`), and `Ratio`,
-an unreduced integer pair internal to the checkers: the term cache fills it
-straight from the integer kernel, and `reduced` turns it into a `Fraction`
-wherever a value is reported. All values are immutable; every operation is
-pure.
+interop with small ints): arbitrary-precision rationals (`fractions.Fraction`),
+residues modulo a prime (`ModInt`), and `Ratio`, an unreduced integer pair
+internal to the checkers: the term cache fills it straight from the integer
+kernel, and `reduced` turns it into a `Fraction` wherever a value is
+reported. All values are immutable; every operation is pure.
 """
 from __future__ import annotations
 
@@ -20,10 +19,6 @@ from .errors import (
     NonInvertible,
     ZeroToNegativePower,
 )
-
-# Canonical form (reduced, positive denominator) is guaranteed by Fraction
-# itself, so equality is structural.
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -65,13 +60,6 @@ def format_scalar(x) -> str:
     if isinstance(x, ModInt):
         return str(x.value)
     return str(x)
-
-
-def pow_int(x, e: int):
-    """x**e for integer e, exact; negative exponents need x != 0."""
-    if e < 0 and x == 0:
-        raise ZeroToNegativePower(f"0 ** {e}")
-    return x ** e
 
 
 def _mul(na, da, nb, db):

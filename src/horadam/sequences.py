@@ -3,8 +3,8 @@
 The sequence w(a,b;p,q) follows w_n = p*w_{n-1} - q*w_{n-2} with w_0 = a,
 w_1 = b; backward extension divides by q, so q != 0 keeps every integer
 index reachable. u = w(0,1;p,q) and v = w(2,p;p,q) are the first- and
-second-kind specializations. Scalars are `Fraction` (over Q) or `ModInt`
-(over GF(M)).
+second-kind specializations, read off the same term cache since they share
+p and q. Scalars are `Fraction` (over Q) or `ModInt` (over GF(M)).
 
 Three independent evaluation strategies are provided: plain iteration
 (`term`, and `term_range` reading the same walk off a `TermContext`), index
@@ -94,13 +94,6 @@ class HoradamParams:
         else:
             zero, one, two = _ZERO, _ONE, _TWO
         return (zero, one) if kind is SequenceKind.U else (two, self.p)
-
-    def specialized(self, kind: SequenceKind) -> "HoradamParams":
-        """Params whose w-sequence IS the requested kind."""
-        if kind is SequenceKind.W:
-            return self
-        a0, a1 = self.seeds(kind)
-        return HoradamParams(a0, a1, self.p, self.q)
 
     @property
     def discriminant(self):
@@ -235,20 +228,23 @@ def _ratio(x):
 
 
 class Terms:
-    """The checkers' accessor over one TermContext: u, v, w, qp, p, q, a, b
-    as in the context, on the cached scalars themselves (`Ratio` over Q, not
-    reduced). u, v and w are `partial(ctx._get, kind)`, so every term read
-    goes through `TermContext._get`. The context keeps no reference to it:
-    a cached accessor would close a reference cycle, and the cache would
-    then outlive its last user until a full garbage collection."""
+    """The checkers' accessor over one TermContext with w read as `kind`:
+    u, v, w, qp, p, q, and a, b = that kind's x_0, x_1, on the cached scalars
+    themselves (`Ratio` over Q, not reduced). u, v and w are
+    `partial(ctx._get, kind)`, so every term read goes through
+    `TermContext._get`. The context keeps no reference to it: a cached
+    accessor would close a reference cycle, and the cache would then outlive
+    its last user until a full garbage collection."""
 
     __slots__ = ("u", "v", "w", "qp", "p", "q", "a", "b")
 
-    def __init__(self, ctx: "TermContext"):
+    def __init__(self, ctx: "TermContext", kind: SequenceKind):
         get = ctx._get
-        self.u, self.v, self.w = partial(get, U), partial(get, V), partial(get, W)
+        self.u, self.v, self.w = partial(get, U), partial(get, V), partial(get, kind)
         self.qp = ctx._qpow
-        self.p, self.q, self.a, self.b = ctx._scalars
+        self.p, self.q = ctx._scalars
+        seeds = ctx._vals[kind]
+        self.a, self.b = seeds[0], seeds[1]
 
 
 class TermContext:
@@ -259,8 +255,8 @@ class TermContext:
     direction, and caches every term it passes as one scalar: over Q the
     unreduced `Ratio(X_k, L^k*D)` read straight off the walk, over GF(M) a
     `ModInt`. The public accessors u, v, w and qp return what term() does,
-    a reduced `Fraction` (one gcd per call) or a `ModInt`. `Terms(ctx)` is
-    the checkers' accessor over the cached scalars themselves; the catalog
+    a reduced `Fraction` (one gcd per call) or a `ModInt`. `Terms(ctx, kind)`
+    is the checkers' accessor over the cached scalars themselves; the catalog
     and theorem engines evaluate on it and reduce each reported value once.
     Not synchronized; confine an instance to a single thread of work.
     """
@@ -271,7 +267,7 @@ class TermContext:
         self.params = params
         self.p, self.q = params.p, params.q
         self.a, self.b = params.a, params.b
-        self._scalars = tuple(map(_ratio, (self.p, self.q, self.a, self.b)))
+        self._scalars = _ratio(self.p), _ratio(self.q)
         self._vals = {}     # kind -> {index: scalar} over one contiguous index run
         for kind in (U, V, W):     # a tuple iterates faster than the Enum
             x0, x1 = params.seeds(kind)

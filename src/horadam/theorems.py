@@ -13,12 +13,13 @@ compute:
      the configuration from which the theorem follows,
 
 and require all three to agree exactly. The legs, the guards and the
-denominator scan run on the checker accessor of one `TermContext`
-(`sequences.Terms`, over unreduced `Ratio` pairs); each leg is reduced to
-a `Fraction` once, for the `SumReport`. Assignments that zero a lemma
-coefficient raise GuardViolation; reciprocal sums whose denominator window
-contains a vanishing term raise SingularSummand. Wrong numbers are never
-returned silently.
+denominator scan run on the checker accessor of one `TermContext` for the
+caller's parameters, with w read as the selected kind (`sequences.Terms`,
+over unreduced `Ratio` pairs); each leg is reduced to a `Fraction` once,
+for the `SumReport`. Assignments that zero a lemma coefficient raise
+GuardViolation; reciprocal sums whose denominator window contains a
+vanishing term raise SingularSummand. Wrong numbers are never returned
+silently.
 
 Theorems 2 and 4 share the configuration h=u(r-s), f1=u(m-s),
 f2=-q^(r-s)*u(m-r), c=m-r, d=m-s over w; theorems 3 and 5 use h=w(m+r),
@@ -173,10 +174,6 @@ def _denominator_stride(sel: TheoremSelector, n, m, r, s):
     return {1: m - r, 2: m - s, 3: r - s}[sel.base]
 
 
-def _context(sel: TheoremSelector, params: HoradamParams) -> TermContext:
-    return TermContext(params.specialized(sel.kind))
-
-
 def _effective(sel, n, m, r, s):
     return (n, m, -s, -r) if sel.swapped else (n, m, r, s)
 
@@ -230,7 +227,7 @@ def singularity_scan(sel: TheoremSelector, params: HoradamParams,
         raise ValueError("k must be >= 0")
     if sel.theorem not in (5, 6):
         return []
-    t = Terms(_context(sel, params))
+    t = Terms(TermContext(params), sel.kind)
     eff = _effective(sel, n, m, r, s)
     return list(_denominator_window(t.u if sel.theorem == 5 else t.w, eff[0],
                                     _denominator_stride(sel, *eff), k))
@@ -241,7 +238,7 @@ def _evaluate(sel: TheoremSelector, params: HoradamParams,
     if k < 0:
         raise ValueError("summation bound k must be >= 0")
     lhs, rhs, factor = _FORMS[sel.theorem, sel.base]
-    t = Terms(_context(sel, params))
+    t = Terms(TermContext(params), sel.kind)
     eff = _effective(sel, n, m, r, s)
     cfg, X, Y = _relation(t, sel, *eff)
 

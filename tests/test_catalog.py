@@ -14,6 +14,7 @@ from horadam.catalog import (
     list_identities,
 )
 from horadam.errors import UnknownIdentity
+from horadam.field import ModInt, PrimeField
 from horadam.sequences import PRESETS, HoradamParams, SequenceKind, TermContext
 
 FIB = PRESETS["fibonacci"]
@@ -91,6 +92,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unexpected"):
             evaluate("mul.15", FIB, dict(n=1, m=3, r=2))
 
+    def test_context_must_match_the_parameters(self):
+        pell_ctx = TermContext(PRESETS["pell"])
+        with pytest.raises(ValueError, match="term cache was built for"):
+            evaluate("lin.9", FIB, dict(n=5), ctx=pell_ctx)
+        # an equal parameter set, not only the same object, may share the cache
+        assert evaluate("lin.9", HoradamParams(0, 1, 2, -1), dict(n=5), ctx=pell_ctx).lhs == 29
+
     def test_pure(self):
         asg = dict(n=3, m=2, r=1, s=0)
         a = evaluate("H", FIBW, asg)
@@ -108,6 +116,24 @@ class TestEvaluate:
             assert rep.equal, (key, asg, rep)
 
 
+class TestOverPrimeField:
+    def test_reports_equal_the_rational_reports(self):
+        # GF(M) runs the same catalog paths on residues; with denominators
+        # below M every value is the residue of the rational one
+        field = PrimeField(1_000_000_007)
+        rng = random.Random(79)
+        sampler = SamplerConfig(max_index=10, bound=9)
+        for key, variables, _ in list_identities():
+            for _ in range(20):
+                params = sampler.draw_params(rng)
+                gf_params = HoradamParams(*map(field, (params.a, params.b, params.p, params.q)))
+                asg = sampler.draw_assignment(rng, variables)
+                rep, gf_rep = evaluate(key, params, asg), evaluate(key, gf_params, asg)
+                assert rep.equal and gf_rep.equal, (key, asg)
+                assert isinstance(gf_rep.lhs, ModInt)
+                assert (gf_rep.lhs, gf_rep.rhs) == (rep.lhs, rep.rhs), (key, asg)
+
+
 class TestDerivations:
     def test_replaying_derivations_through_base_evaluators(self):
         # every derivation record must produce an exactly-verified base
@@ -121,8 +147,8 @@ class TestDerivations:
                 params = sampler.draw_params(rng)
                 asg = sampler.draw_assignment(rng, ident.variables)
                 base_key, specialize, mapped = base_assignment(ident, asg)
-                base_params = (params if specialize is None
-                               else params.specialized(specialize))
+                base_params = (params if specialize is None else HoradamParams(
+                    *params.seeds(specialize), params.p, params.q))
                 rep = evaluate(base_key, base_params, mapped)
                 assert rep.equal, (ident.key, base_key, asg, mapped)
 
@@ -148,7 +174,8 @@ class TestDerivations:
                 params = sampler.draw_params(rng)
                 asg = sampler.draw_assignment(rng, REGISTRY[key].variables)
                 spec_rep = evaluate(key, params, asg)
-                master_rep = evaluate(base, params.specialized(kind), asg)
+                seed_params = HoradamParams(*params.seeds(kind), params.p, params.q)
+                master_rep = evaluate(base, seed_params, asg)
                 assert spec_rep.equal and master_rep.equal
                 assert (spec_rep.lhs, spec_rep.rhs) == (master_rep.lhs, master_rep.rhs)
 

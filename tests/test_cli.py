@@ -162,6 +162,11 @@ class TestExitCodes:
                             "--kind", "u", "--n", "1"])[0] == 2
         assert run(capsys, ["nosuchcommand"])[0] == 2
 
+    def test_repeated_assignment_key_is_2(self, capsys):
+        code, out, err = run(capsys, ["verify", "--id", "H", "--preset", "fibonacci",
+                                      "--assign", "n=1,m=3,r=2,s=0,n=5"])
+        assert (code, out) == (2, "") and "'n' twice" in err
+
     def test_usage_error_leaves_the_next_parse_untouched(self, capsys):
         # the parser is built once per process and reused by every call
         valid = ["eval", "--p=3/4", "--q=-5/6", "--a=1/2", "--b=2", "--kind", "w",
@@ -279,6 +284,18 @@ class TestPresets:
         code, _, err = run(capsys, ["eval", "--preset-file", str(bad),
                                     "--kind", "u", "--n", "1"])
         assert code == 2 and "missing" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("p=1\nq=-1\nA=3\nb=2\n", "key 'A' unknown"),
+        ("p=1\nq=-1\na=3\nb=2\nb=5\n", "key 'b' given twice"),
+    ])
+    def test_preset_file_rejects_unknown_and_repeated_keys(self, tmp_path, capsys,
+                                                           text, message):
+        bad = tmp_path / "bad.preset"
+        bad.write_text(text)
+        code, out, err = run(capsys, ["eval", "--preset-file", str(bad),
+                                      "--kind", "w", "--n", "4"])
+        assert (code, out) == (2, "") and message in err
 
     def test_builtin_presets(self, capsys):
         for name, expect in (("fibonacci", "55"), ("lucas", "123"), ("pell", "2378")):

@@ -19,12 +19,10 @@ from horadam.field import (
     format_scalar,
     is_prime,
     parse_rational,
-    pow_int,
     reduced,
 )
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
-nonzero_rationals = rationals.filter(lambda x: x != 0)
 
 
 class TestRationalLiterals:
@@ -57,25 +55,6 @@ class TestRationalLiterals:
     def test_canonical_form(self):
         x = parse_rational("-4/6")
         assert (x.numerator, x.denominator) == (-2, 3)
-
-
-class TestPowInt:
-    def test_negative_exponent(self):
-        assert pow_int(Fraction(2, 3), -2) == Fraction(9, 4)
-
-    def test_sign_parity(self):
-        assert pow_int(Fraction(-1), 5) == -1
-
-    def test_empty_product(self):
-        assert pow_int(Fraction(7, 2), 0) == 1
-
-    def test_zero_to_negative(self):
-        with pytest.raises(ZeroToNegativePower):
-            pow_int(Fraction(0), -1)
-
-    @given(nonzero_rationals, st.integers(-8, 8), st.integers(-8, 8))
-    def test_additive_exponents(self, x, a, b):
-        assert pow_int(x, a + b) == pow_int(x, a) * pow_int(x, b)
 
 
 class TestBinomial:
@@ -242,7 +221,7 @@ class TestRatio:
         with pytest.raises(ZeroToNegativePower):
             Ratio(0, 3) ** -1
         with pytest.raises(ZeroToNegativePower):
-            pow_int(Ratio(0, 3), -2)
+            Ratio(0, 3) ** -2
         assert Ratio(0, 3) ** 0 == 1
 
     def test_unhashable_and_internal(self):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from horadam import catalog, theorems
-from horadam.sequences import HoradamParams, TermContext
+from horadam.sequences import HoradamParams, SequenceKind, TermContext
 
 PARAMS = HoradamParams(Fraction(1, 2), -2, Fraction(3, 4), Fraction(-5, 6))
 ASSIGNMENT = (3, 2, 1, -1, 3)   # n, m, r, s, k
@@ -36,6 +36,20 @@ def counts(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def walked(monkeypatch):
+    """The (kind, step) of every walk a context sets up."""
+    walked = []
+    walk = TermContext._walk
+
+    def recording_walk(self, kind, step):
+        walked.append((kind, step))
+        return walk(self, kind, step)
+
+    monkeypatch.setattr(TermContext, "_walk", recording_walk)
+    return walked
+
+
 def test_fuzz_trial(counts):
     keys = [key for key, _, _ in catalog.list_identities()]
     assert catalog.fuzz(keys, 1, catalog.SamplerConfig(), 1).all_passed
@@ -47,6 +61,18 @@ def test_theorem_sum(counts, theorem, lookups):
     fn = theorems.reciprocal_sum if theorem in (5, 6) else theorems.theorem_sum
     assert fn(theorems.TheoremSelector(theorem, 1), PARAMS, *ASSIGNMENT).equal
     assert counts == {"created": 1, "lookups": lookups}
+
+
+@pytest.mark.parametrize("kind", [SequenceKind.U, SequenceKind.V])
+@pytest.mark.parametrize("theorem,lookups", [(2, 40), (3, 38), (4, 38), (5, 63), (6, 63)])
+def test_uv_selectors_read_the_callers_context(counts, walked, theorem, lookups, kind):
+    # a u or v selector reads its kind off the one context built for the
+    # caller's parameters: the same lookups as the w selector, no w walk.
+    # n=5 keeps theorem 6's u denominators off u(0) = 0.
+    fn = theorems.reciprocal_sum if theorem in (5, 6) else theorems.theorem_sum
+    assert fn(theorems.TheoremSelector(theorem, 1, kind), PARAMS, 5, *ASSIGNMENT[1:]).equal
+    assert counts == {"created": 1, "lookups": lookups}
+    assert walked and SequenceKind.W not in {walk_kind for walk_kind, _ in walked}
 
 
 @pytest.mark.parametrize("theorem", [5, 6])

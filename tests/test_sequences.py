@@ -128,8 +128,9 @@ class TestTerm:
         for _ in range(10):
             params = random_params(rng)
             for n in range(-15, 16):
-                assert term(params.specialized(U), W, n) == term(params, U, n)
-                assert term(params.specialized(V), W, n) == term(params, V, n)
+                for kind in (U, V):
+                    seed_params = HoradamParams(*params.seeds(kind), params.p, params.q)
+                    assert term(seed_params, W, n) == term(params, kind, n)
 
     def test_reflection_laws(self):
         rng = random.Random(17)
@@ -402,7 +403,7 @@ class TestTermContext:
         # a dead cache would then wait for a full garbage collection
         ctx = TermContext(FIBW)
         catalog.evaluate("H", FIBW, dict(n=5, m=-3, r=2, s=-4), ctx=ctx)
-        assert Terms(ctx).u(7) == 13
+        assert Terms(ctx, W).u(7) == 13
         assert sys.getrefcount(ctx) == 2    # the name ctx and the call's argument
 
     def test_qp(self):

@@ -9,6 +9,7 @@ import pytest
 from horadam import theorems
 from horadam.catalog import SamplerConfig, _python, compile_sides
 from horadam.errors import GuardViolation, SingularSummand
+from horadam.field import ModInt, PrimeField
 from horadam.sequences import PRESETS, HoradamParams, SequenceKind, TermContext
 from horadam.theorems import (
     VARIANT_COUNT,
@@ -107,7 +108,7 @@ class TestDisplayedFormOracles:
     re-implemented here against the plain term evaluator."""
 
     def _ctx(self, params, kind):
-        return TermContext(params.specialized(kind))
+        return TermContext(HoradamParams(*params.seeds(kind), params.p, params.q))
 
     def test_theorem2_variant4_verbatim(self):
         rng = random.Random(83)
@@ -211,11 +212,44 @@ class TestSpecializationConsistency:
                 sel = TheoremSelector(theorem, variant, kind)
                 for params, asg, rep in guard_passing_draws(
                         rng, sampler, sel, 5, kmax=3, span=5):
-                    spec_params = params.specialized(kind)
+                    spec_params = HoradamParams(*params.seeds(kind), params.p, params.q)
                     w_rep = run(TheoremSelector(theorem, variant, W),
                                 spec_params, *asg)
                     assert (rep.lhs, rep.rhs, rep.lemma_lhs) == (
                         w_rep.lhs, w_rep.rhs, w_rep.lemma_lhs)
+
+
+class TestOverPrimeField:
+    def test_reports_equal_the_rational_reports(self):
+        # every selector over GF(M): the same legs, guards and scan on
+        # residues; a rejection over Q is the same rejection over GF(M)
+        field = PrimeField(1_000_000_007)
+        rng = random.Random(131)
+        sampler = SamplerConfig(max_index=6, bound=9)
+        agreed = 0
+        for theorem, nvar in VARIANT_COUNT.items():
+            for variant in range(1, nvar + 1):
+                for kind in SequenceKind:
+                    sel = TheoremSelector(theorem, variant, kind)
+                    for _ in range(5):
+                        params = sampler.draw_params(rng)
+                        gf_params = HoradamParams(
+                            *map(field, (params.a, params.b, params.p, params.q)))
+                        args = [rng.randint(-6, 6) for _ in range(4)] + [rng.randint(0, 5)]
+                        try:
+                            rep = run(sel, params, *args)
+                        except (GuardViolation, SingularSummand) as exc:
+                            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                                run(sel, gf_params, *args)
+                            continue
+                        gf_rep = run(sel, gf_params, *args)
+                        assert gf_rep.equal and isinstance(gf_rep.lhs, ModInt)
+                        assert (gf_rep.lhs, gf_rep.rhs, gf_rep.lemma_lhs, gf_rep.notes) == (
+                            rep.lhs, rep.rhs, rep.lemma_lhs, rep.notes), (sel, args)
+                        assert singularity_scan(sel, gf_params, *args) == singularity_scan(
+                            sel, params, *args)
+                        agreed += 1
+        assert agreed >= 200
 
 
 class TestTripleAgreement:
