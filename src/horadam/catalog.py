@@ -5,11 +5,11 @@ left and right evaluators are compiled from that formula's two sides at
 import (`_I`), so what is displayed is what is evaluated. `evaluate` runs
 them on a `TermContext`'s checker accessor (`sequences.Terms`), over the
 cache's unreduced `Ratio` pairs, and reduces each side to a `Fraction` once,
-for the report. The sides stay independent: no algebraic simplification is
-shared between them, so an exact match is evidence, not tautology. Entries
-derived from a master identity by an index substitution (and possibly a u/v
-specialization) carry a `Derivation` record, which the meta-consistency
-checks replay through the generic evaluator.
+for the report; `fuzz` compares unreduced sides and reports only an entry's
+first failing draw, through `evaluate`. The sides stay independent: no
+algebraic simplification is shared between them, so an exact match is
+evidence, not tautology. A derived entry's `Derivation` record (an index
+map, after an optional u/v specialization) is replayed through `evaluate`.
 
 Formula grammar: u(e), v(e), w(e) are terms at an integer index expression
 e; p, q, a, b are the parameters; `^` is a power and `q^e` or `q^(e)` reads
@@ -53,6 +53,8 @@ class Derivation:
 
 @dataclass(frozen=True)
 class Identity:
+    """lhs and rhs take the accessor, then the `variables` values in order."""
+
     key: str
     tag: str
     variables: tuple
@@ -271,13 +273,6 @@ def list_identities():
     return [(i.key, i.variables, i.tag) for i in REGISTRY.values()]
 
 
-def _call(fn, ctx, assignment):
-    # identity lambdas name the variable t as t_ to avoid clashing with the
-    # context argument
-    kwargs = {("t_" if k == "t" else k): v for k, v in assignment.items()}
-    return fn(ctx, **kwargs)
-
-
 def evaluate(key: str, params: HoradamParams, assignment: dict,
              ctx=None) -> VerificationReport:
     """Evaluate both sides of an identity at an integer assignment.
@@ -301,9 +296,9 @@ def evaluate(key: str, params: HoradamParams, assignment: dict,
     elif ctx.params is not params and ctx.params != params:
         raise ValueError(f"{key}: the term cache was built for {ctx.params}, not {params}")
     t = Terms(ctx, SequenceKind.W)
+    args = [assignment[v] for v in ident.variables]
     try:
-        lhs = _call(ident.lhs, t, assignment)
-        rhs = _call(ident.rhs, t, assignment)
+        lhs, rhs = ident.lhs(t, *args), ident.rhs(t, *args)
     except HoradamError as exc:
         return VerificationReport(key, dict(assignment), None, None, error=str(exc))
     return VerificationReport(key, dict(assignment), reduced(lhs), reduced(rhs))
@@ -385,8 +380,8 @@ class FuzzReport:
 def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
     """Randomized exact verification; deterministic for a fixed seed.
 
-    One parameter set is drawn per trial and shared (with a common term
-    cache) across all requested identities; indices are drawn per identity.
+    One parameter set, term cache and accessor per trial, indices per identity;
+    unreduced sides are compared, and an entry's first failure goes to `evaluate`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -397,13 +392,17 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
     for _ in range(trials):
         params = sampler.draw_params(rng)
         ctx = TermContext(params)
+        t = Terms(ctx, SequenceKind.W)
         for ident in idents:
             asg = sampler.draw_assignment(rng, ident.variables)
-            report = evaluate(ident.key, params, asg, ctx=ctx)
-            if report.equal:
+            try:
+                equal = ident.lhs(t, *asg.values()) == ident.rhs(t, *asg.values())
+            except HoradamError:
+                equal = False
+            if equal:
                 passes[ident.key] += 1
             elif counterexamples[ident.key] is None:
-                counterexamples[ident.key] = report
+                counterexamples[ident.key] = evaluate(ident.key, params, asg, ctx=ctx)
     stats = tuple(IdentityStats(i.key, trials, passes[i.key], counterexamples[i.key])
                   for i in idents)
     return FuzzReport(seed, trials, sampler, stats)

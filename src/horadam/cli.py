@@ -124,7 +124,11 @@ def _parse_assignment(text: str) -> dict:
         key = key.strip()
         if key in out:
             raise ValueError(f"assignment gives {key!r} twice")
-        out[key] = int(val)
+        try:
+            out[key] = int(val)
+        except ValueError:
+            raise ValueError(f"bad assignment entry {piece!r}: the value of {key!r} is "
+                             "not an integer; expected var=int") from None
     return out
 
 

@@ -57,6 +57,11 @@ def _coerce(x):
                      f"a Fraction or a ModInt, got {type(x).__name__} {x!r}")
 
 
+def _field(x):
+    """(type, modulus): the field a coerced scalar lives in."""
+    return type(x), getattr(x, "modulus", None)
+
+
 _ZERO, _ONE, _TWO = Fraction(0), Fraction(1), Fraction(2)
 
 
@@ -76,13 +81,21 @@ class HoradamParams:
         for name in ("a", "b", "p", "q"):
             object.__setattr__(self, name, _coerce(getattr(self, name)))
         values = (self.a, self.b, self.p, self.q)
-        if len({(type(x), getattr(x, "modulus", None)) for x in values}) > 1:
+        if len({_field(x) for x in values}) > 1:
             raise ValueError("a, b, p and q must share one field (all rational, or all "
                              f"ModInt of one modulus), got {values!r}")
         if self.p == 0:
             raise ValueError("p must be nonzero")
         if self.q == 0:
             raise ValueError("q must be nonzero")
+
+    def __eq__(self, other):
+        # a ModInt equals every rational of its residue class, so the field
+        # (type and modulus) is compared as well as the four values
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (_field(self.q) == _field(other.q)
+                and (self.a, self.b, self.p, self.q) == (other.a, other.b, other.p, other.q))
 
     def seeds(self, kind: SequenceKind):
         """Initial pair (x_0, x_1) for the requested kind."""
@@ -122,17 +135,33 @@ def _scaled(p, q):
 def _kernel(params: HoradamParams, kind: SequenceKind, backward: bool):
     """(P, Q, X0, X1, L, D, M): the integer walk from index 0, forward or
     along the reversed recurrence y_k = x_{-k}; X_k = L^k*D*x_k over Q with
-    D = lcm(den x_0, den x_1), and X_k = x_k with L = D = 1 over GF(M)."""
-    p, q = params.p, params.q
+    D = lcm(den x_0, den x_1), and X_k = x_k with L = D = 1 over GF(M).
+
+    The reversed recurrence has coefficients p/q = P*L/Q and 1/q = L^2/Q and
+    seed x_{-1} = (p*x_0 - x_1)/q; they are derived from the forward integers
+    with gcds, in the reduced form `Fraction` would give them.
+    """
     x0, x1 = params.seeds(kind)
-    if backward:
-        p, q, x1 = p / q, 1 / q, (p * x0 - x1) / q
-    P, Q, L, M = _scaled(p, q)
+    P, Q, L, M = _scaled(params.p, params.q)
     if M:
-        return P, Q, x0.value, x1.value, 1, 1, M
-    D = math.lcm(x0.denominator, x1.denominator)
-    return (P, Q, x0.numerator * (D // x0.denominator),
-            x1.numerator * (L * D // x1.denominator), L, D, None)
+        X0, X1 = x0.value, x1.value
+        if backward:
+            inv = pow(Q, -1, M)
+            P, Q, X1 = P * inv % M, inv, (P * X0 - X1) * inv % M
+        return P, Q, X0, X1, 1, 1, M
+    n0, d0 = x0.numerator, x0.denominator
+    D = math.lcm(d0, x1.denominator)
+    X0, X1 = n0 * (D // d0), x1.numerator * (L * D // x1.denominator)
+    if not backward:
+        return P, Q, X0, X1, L, D, None
+    # Lr: the lowest common denominator of P*L/Q and L^2/Q
+    Lr = abs(Q) // math.gcd(P * L, L * L, Q)
+    n1, d1 = (P * X0 - X1) * L, D * Q
+    h = math.gcd(n1, d1) if Q > 0 else -math.gcd(n1, d1)    # leaves d1 > 0
+    n1, d1 = n1 // h, d1 // h
+    Dr = math.lcm(d0, d1)
+    return (P * L * Lr // Q, L * L * Lr * Lr // Q, n0 * (Dr // d0), n1 * (Lr * Dr // d1),
+            Lr, Dr, None)
 
 
 def term(params: HoradamParams, kind: SequenceKind, n: int):

@@ -6,7 +6,9 @@ import pytest
 from horadam import catalog
 from horadam.catalog import (
     REGISTRY,
+    FuzzReport,
     Identity,
+    IdentityStats,
     SamplerConfig,
     base_assignment,
     evaluate,
@@ -98,6 +100,10 @@ class TestEvaluate:
             evaluate("lin.9", FIB, dict(n=5), ctx=pell_ctx)
         # an equal parameter set, not only the same object, may share the cache
         assert evaluate("lin.9", HoradamParams(0, 1, 2, -1), dict(n=5), ctx=pell_ctx).lhs == 29
+        # Pell's values over GF(7) are residues of its rationals, not the same set
+        gf7_ctx = TermContext(HoradamParams(*map(PrimeField(7), (0, 1, 2, -1))))
+        with pytest.raises(ValueError, match="term cache was built for"):
+            evaluate("lin.9", PRESETS["pell"], dict(n=5), ctx=gf7_ctx)
 
     def test_pure(self):
         asg = dict(n=3, m=2, r=1, s=0)
@@ -283,6 +289,50 @@ class TestFuzz:
         ce = stats["broken"].first_counterexample
         assert ce is not None and not ce.equal
         assert set(ce.assignment) == {"n"}
+
+    @staticmethod
+    def _replay(ids, trials, sampler, seed):
+        """The FuzzReport of the same draws, each evaluated through `evaluate`."""
+        rng = random.Random(seed)
+        passes = dict.fromkeys(ids, 0)
+        first = dict.fromkeys(ids)
+        for _ in range(trials):
+            params = sampler.draw_params(rng)
+            ctx = TermContext(params)
+            for key in ids:
+                asg = sampler.draw_assignment(rng, catalog.REGISTRY[key].variables)
+                report = evaluate(key, params, asg, ctx=ctx)
+                if report.equal:
+                    passes[key] += 1
+                elif first[key] is None:
+                    first[key] = report
+        return FuzzReport(seed, trials, sampler, tuple(
+            IdentityStats(key, trials, passes[key], first[key]) for key in ids))
+
+    @pytest.mark.parametrize("sampler", [SamplerConfig(10, 9), SamplerConfig(30, 3)],
+                             ids=["10-9", "30-3"])
+    def test_equals_a_replay_through_evaluate(self, monkeypatch, sampler):
+        # a corrupted identity, and one whose side raises NegativeK for n < 20
+        monkeypatch.setattr(catalog, "REGISTRY", dict(
+            REGISTRY, broken=catalog._I("broken", "n", "u(n) = u(n) + 1"),
+            raising=catalog._I("raising", "n", "u(n) = C(n-20,0)*u(n)")))
+        ids = [key for key, _, _ in list_identities()] + ["broken", "raising"]
+        raising_passes = 0
+        for seed in range(4):
+            rep = fuzz(ids, 3, sampler, seed)
+            assert rep.to_dict() == self._replay(ids, 3, sampler, seed).to_dict()
+            stats = {s.key: s for s in rep.stats}
+            assert all(stats[key].passes == 3 for key in REGISTRY)
+            broken = stats["broken"].first_counterexample
+            assert broken.error is None and broken.rhs == broken.lhs + 1
+            raising = stats["raising"].first_counterexample
+            raising_passes += stats["raising"].passes
+            if raising is not None:
+                k = raising.assignment["n"] - 20
+                assert k < 0 and raising.error == f"binomial needs k >= 0, got k={k}"
+                assert (raising.lhs, raising.rhs, raising.equal) == (None, None, False)
+        # the wide sampler reaches n >= 20, where the raising side passes
+        assert (raising_passes > 0) == (sampler.max_index >= 20)
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):

@@ -24,12 +24,26 @@ GOLDEN_FUZZ = (
     '{"counterexample":null,"identity":"mul.16","passes":3,"trials":3}],'
     '"max_index":5,"schema_version":1,"seed":7,"trials":3}\n'
 )
+GOLDEN_FUZZ_FAILING = (
+    '{"all_passed":false,"bound":9,"command":"fuzz","identities":['
+    '{"counterexample":null,"identity":"H","passes":3,"trials":3},'
+    '{"counterexample":{"assignment":{"n":-3},"equal":false,"error":null,'
+    '"identity":"broken","lhs":"3708/343","rhs":"4051/343"},'
+    '"identity":"broken","passes":0,"trials":3}],'
+    '"max_index":5,"schema_version":1,"seed":2,"trials":3}\n'
+)
 GOLDEN_SUM = (
     '{"command":"sum","params":{"a":"0","b":"1","p":"1","q":"-1"},'
     '"report":{"assignment":{"k":1,"m":2,"n":9,"r":1,"s":0},"closed_form":"123",'
     '"direct_sum":"123","equal":true,"kind":"w","lemma_engine":"123","notes":[],'
     '"theorem":5,"variant":1},"schema_version":1}\n'
 )
+
+
+BROKEN = Identity(key="broken", tag="x", variables=("n",),
+                  lhs=lambda t, n: t.u(n),
+                  rhs=lambda t, n: t.u(n) + 1,
+                  formula="u(n) = u(n) + 1")
 
 
 def run(capsys, argv):
@@ -57,6 +71,14 @@ class TestGolden:
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
         assert out == GOLDEN_FUZZ
+
+    def test_failing_fuzz_bytes(self, capsys, monkeypatch):
+        monkeypatch.setattr(catalog, "REGISTRY", dict(catalog.REGISTRY, broken=BROKEN))
+        argv = ["fuzz", "--ids", "H,broken", "--trials", "3", "--seed", "2",
+                "--max-index", "5", "--json"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (4, "")
+        assert out == GOLDEN_FUZZ_FAILING
 
     def test_sum_bytes(self, capsys):
         argv = ["sum", "--theorem", "5", "--variant", "1", "--preset", "fibonacci",
@@ -167,6 +189,13 @@ class TestExitCodes:
                                       "--assign", "n=1,m=3,r=2,s=0,n=5"])
         assert (code, out) == (2, "") and "'n' twice" in err
 
+    def test_non_integer_assignment_value_is_2(self, capsys):
+        code, out, err = run(capsys, ["verify", "--id", "H", "--preset", "fibonacci",
+                                      "--assign", "n=x,m=3,r=2,s=0"])
+        assert (code, out) == (2, "")
+        assert err == ("error: bad assignment entry 'n=x': the value of 'n' is not "
+                       "an integer; expected var=int\n")
+
     def test_usage_error_leaves_the_next_parse_untouched(self, capsys):
         # the parser is built once per process and reused by every call
         valid = ["eval", "--p=3/4", "--q=-5/6", "--a=1/2", "--b=2", "--kind", "w",
@@ -180,13 +209,7 @@ class TestExitCodes:
         assert cli.build_parser() is cli.build_parser()
 
     def test_verify_inequality_is_4(self, capsys, monkeypatch):
-        broken = Identity(key="broken", tag="x", variables=("n",),
-                          lhs=lambda t, n: t.u(n),
-                          rhs=lambda t, n: t.u(n) + 1,
-                          formula="u(n) = u(n) + 1")
-        registry = dict(catalog.REGISTRY)
-        registry["broken"] = broken
-        monkeypatch.setattr(catalog, "REGISTRY", registry)
+        monkeypatch.setattr(catalog, "REGISTRY", dict(catalog.REGISTRY, broken=BROKEN))
         code, out, _ = run(capsys, ["verify", "--id", "broken",
                                     "--preset", "fibonacci", "--assign", "n=2"])
         assert code == 4

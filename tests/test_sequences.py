@@ -17,6 +17,8 @@ from horadam.sequences import (
     SequenceKind,
     TermContext,
     Terms,
+    _kernel,
+    _scaled,
     binet_term,
     fast_uv,
     term,
@@ -83,6 +85,16 @@ class TestParams:
         f101, f103 = PrimeField(101), PrimeField(103)
         with pytest.raises(ValueError, match="share one field"):
             HoradamParams(f101(0), f101(1), f103(1), f101(-1))
+
+    def test_equality_compares_the_field(self):
+        # a ModInt equals the rationals of its residue class, but a GF(7)
+        # parameter set is not Pell's rational one
+        gf7 = HoradamParams(*map(PrimeField(7), (0, 1, 2, -1)))
+        assert PELL != gf7 and gf7 != PELL
+        assert gf7 != HoradamParams(*map(PrimeField(11), (0, 1, 2, -1)))
+        assert gf7 == HoradamParams(*map(PrimeField(7), (7, 8, 9, 6)))
+        assert HoradamParams(0, 1, 2, -1) == PELL
+        assert hash(HoradamParams(0, 1, 2, -1)) == hash(PELL)
 
     def test_kinds_hash_by_identity(self):
         # keeps Enum's Python-level __hash__ off TermContext's lookup path
@@ -379,6 +391,38 @@ class TestKernel:
         f = PrimeField(101)
         gparams = HoradamParams(*(f(getattr(params, x)) for x in "abpq"))
         assert term(gparams, U, -5).modulus == 101
+
+    @staticmethod
+    def _fraction_kernel(params, kind, backward):
+        """The reversed recurrence built with `Fraction`/`ModInt` division."""
+        p, q = params.p, params.q
+        x0, x1 = params.seeds(kind)
+        if backward:
+            p, q, x1 = p / q, 1 / q, (p * x0 - x1) / q
+        P, Q, L, M = _scaled(p, q)
+        if M:
+            return P, Q, x0.value, x1.value, 1, 1, M
+        D = math.lcm(x0.denominator, x1.denominator)
+        return (P, Q, x0.numerator * (D // x0.denominator),
+                x1.numerator * (L * D // x1.denominator), L, D, None)
+
+    def test_integer_kernel_equals_the_fraction_derivation(self):
+        # a sweep of signs and denominators (zero seeds included) over Q,
+        # and every parameter set over GF(5)
+        rng = random.Random(83)
+        values = [Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3, 4, 6, 9)]
+        nonzero = [x for x in values if x]
+        rational = [HoradamParams(rng.choice(values), rng.choice(values),
+                                  rng.choice(nonzero), rng.choice(nonzero))
+                    for _ in range(3000)]
+        f = PrimeField(5)
+        modular = [HoradamParams(f(a), f(b), f(p), f(q)) for a in range(5) for b in range(5)
+                   for p in range(1, 5) for q in range(1, 5)]
+        for params in rational + modular:
+            for kind in SequenceKind:
+                for backward in (False, True):
+                    assert _kernel(params, kind, backward) == \
+                        self._fraction_kernel(params, kind, backward), (params, kind)
 
     def test_binet_needs_rational_parameters(self):
         f = PrimeField(101)
