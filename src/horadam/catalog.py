@@ -321,6 +321,12 @@ class SamplerConfig:
     max_index: int = 10
     bound: int = 9
 
+    def __post_init__(self):
+        if self.max_index < 0:
+            raise ValueError(f"max_index must be >= 0, got {self.max_index}")
+        if self.bound < 1:
+            raise ValueError(f"bound must be >= 1, got {self.bound}")
+
     def draw_params(self, rng: random.Random) -> HoradamParams:
         def rational(nonzero):
             while True:
@@ -382,13 +388,17 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
 
     One parameter set, term cache and accessor per trial, indices per identity;
     unreduced sides are compared, and an entry's first failure goes to `evaluate`.
+    ValueError for trials < 1 and for an empty or repeating id list.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     idents = [_lookup(key) for key in ids]
+    keys = [i.key for i in idents]
+    if not keys or len(set(keys)) < len(keys):
+        raise ValueError(f"fuzz needs one or more distinct identity ids, got {keys}")
     rng = random.Random(seed)
-    passes = {i.key: 0 for i in idents}
-    counterexamples = {i.key: None for i in idents}
+    passes = dict.fromkeys(keys, 0)
+    counterexamples = dict.fromkeys(keys)
     for _ in range(trials):
         params = sampler.draw_params(rng)
         ctx = TermContext(params)

@@ -4,7 +4,8 @@ The sequence w(a,b;p,q) follows w_n = p*w_{n-1} - q*w_{n-2} with w_0 = a,
 w_1 = b; backward extension divides by q, so q != 0 keeps every integer
 index reachable. u = w(0,1;p,q) and v = w(2,p;p,q) are the first- and
 second-kind specializations, read off the same term cache since they share
-p and q. Scalars are `Fraction` (over Q) or `ModInt` (over GF(M)).
+p and q. Scalars are `Fraction` (over Q) or `ModInt` (over GF(M)), and
+`HoradamParams.modulus` names the field: M, or None over Q.
 
 Three independent evaluation strategies are provided: plain iteration
 (`term`, and `term_range` reading the same walk off a `TermContext`), index
@@ -12,7 +13,7 @@ doubling in O(log n) steps (`fast_uv`, u_n and v_n for n >= 0), and the
 Binet closed form, whose root powers in Q(sqrt(p^2-4q)) are raised as
 integer pairs (`binet_term`).
 
-All three run on one fraction-free integer kernel. Over Q, with
+All three run on one fraction-free integer kernel, `_kernel`. Over Q, with
 L = lcm(den p, den q), P = p*L, Q = q*L^2 and D the seeds' common
 denominator, X_n = L^n*D*x_n obeys X_n = P*X_{n-1} - Q*X_{n-2} over int,
 so the walk does no gcd. `term` builds one `Fraction` per returned term;
@@ -26,10 +27,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Any
+from typing import Any, Optional
 
 from .errors import DegenerateRoot, EmptyRange
 from .field import ModInt, Ratio, reduced
@@ -57,11 +58,6 @@ def _coerce(x):
                      f"a Fraction or a ModInt, got {type(x).__name__} {x!r}")
 
 
-def _field(x):
-    """(type, modulus): the field a coerced scalar lives in."""
-    return type(x), getattr(x, "modulus", None)
-
-
 _ZERO, _ONE, _TWO = Fraction(0), Fraction(1), Fraction(2)
 
 
@@ -70,43 +66,38 @@ class HoradamParams:
     """The tuple (a, b, p, q) over Q (`Fraction`; ints and strings are
     coerced) or over GF(M) (`ModInt`, one prime M); p and q must be nonzero.
     ValueError for any other scalar type (float, Decimal, ...) and for a mix
-    of types or moduli: all four must share one field."""
+    of types or moduli: all four must share one field. `modulus` is derived
+    from them (M, or None over Q) and compared by ==, since a ModInt equals
+    every rational of its residue class; it is not in the hash or the repr."""
 
     a: Any
     b: Any
     p: Any
     q: Any
+    modulus: Optional[int] = field(init=False, repr=False, hash=False)
 
     def __post_init__(self):
-        for name in ("a", "b", "p", "q"):
-            object.__setattr__(self, name, _coerce(getattr(self, name)))
-        values = (self.a, self.b, self.p, self.q)
-        if len({_field(x) for x in values}) > 1:
+        values = tuple(map(_coerce, (self.a, self.b, self.p, self.q)))
+        moduli = {getattr(x, "modulus", None) for x in values}
+        if len(moduli) > 1:
             raise ValueError("a, b, p and q must share one field (all rational, or all "
                              f"ModInt of one modulus), got {values!r}")
+        for name, x in zip(("a", "b", "p", "q"), values):
+            object.__setattr__(self, name, x)
+        object.__setattr__(self, "modulus", moduli.pop())
         if self.p == 0:
             raise ValueError("p must be nonzero")
         if self.q == 0:
             raise ValueError("q must be nonzero")
 
-    def __eq__(self, other):
-        # a ModInt equals every rational of its residue class, so the field
-        # (type and modulus) is compared as well as the four values
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (_field(self.q) == _field(other.q)
-                and (self.a, self.b, self.p, self.q) == (other.a, other.b, other.p, other.q))
-
     def seeds(self, kind: SequenceKind):
         """Initial pair (x_0, x_1) for the requested kind."""
         if kind is SequenceKind.W:
             return self.a, self.b
-        if isinstance(self.q, ModInt):
-            M = self.q.modulus
-            zero, one, two = ModInt(0, M), ModInt(1, M), ModInt(2, M)
-        else:
-            zero, one, two = _ZERO, _ONE, _TWO
-        return (zero, one) if kind is SequenceKind.U else (two, self.p)
+        M = self.modulus
+        if kind is SequenceKind.U:
+            return (ModInt(0, M), ModInt(1, M)) if M else (_ZERO, _ONE)
+        return (ModInt(2, M) if M else _TWO), self.p
 
     @property
     def discriminant(self):
@@ -120,35 +111,27 @@ PRESETS = {
 }
 
 
-def _scaled(p, q):
-    """(P, Q, L, M): the recurrence's coefficients as integers.
-
-    Over Q, L = lcm(den p, den q), P = p*L and Q = q*L^2, and M is None;
-    over GF(M), P and Q are the residues themselves and L = 1.
-    """
-    if isinstance(p, ModInt):
-        return p.value, q.value, 1, p.modulus
-    L = math.lcm(p.denominator, q.denominator)
-    return p.numerator * (L // p.denominator), q.numerator * (L * L // q.denominator), L, None
-
-
 def _kernel(params: HoradamParams, kind: SequenceKind, backward: bool):
-    """(P, Q, X0, X1, L, D, M): the integer walk from index 0, forward or
-    along the reversed recurrence y_k = x_{-k}; X_k = L^k*D*x_k over Q with
-    D = lcm(den x_0, den x_1), and X_k = x_k with L = D = 1 over GF(M).
+    """(P, Q, X0, X1, L, D, M): (p, q) and the kind's seeds as integers, for
+    the walk from index 0, forward or along the reversed recurrence
+    y_k = x_{-k}. Over Q, L = lcm(den p, den q), P = p*L, Q = q*L^2,
+    D = lcm(den x_0, den x_1) and X_k = L^k*D*x_k; over GF(M), the residues,
+    L = D = 1 and M = params.modulus.
 
     The reversed recurrence has coefficients p/q = P*L/Q and 1/q = L^2/Q and
-    seed x_{-1} = (p*x_0 - x_1)/q; they are derived from the forward integers
-    with gcds, in the reduced form `Fraction` would give them.
+    seed x_{-1} = (p*x_0 - x_1)/q: over Q derived with gcds, in the reduced
+    form `Fraction` would give; over GF(M) with q's inverse, or NonInvertible.
     """
     x0, x1 = params.seeds(kind)
-    P, Q, L, M = _scaled(params.p, params.q)
+    p, q, M = params.p, params.q, params.modulus
     if M:
-        X0, X1 = x0.value, x1.value
+        P, Q, X0, X1 = p.value, q.value, x0.value, x1.value
         if backward:
-            inv = pow(Q, -1, M)
+            inv = (q ** -1).value
             P, Q, X1 = P * inv % M, inv, (P * X0 - X1) * inv % M
         return P, Q, X0, X1, 1, 1, M
+    L = math.lcm(p.denominator, q.denominator)
+    P, Q = p.numerator * (L // p.denominator), q.numerator * (L * L // q.denominator)
     n0, d0 = x0.numerator, x0.denominator
     D = math.lcm(d0, x1.denominator)
     X0, X1 = n0 * (D // d0), x1.numerator * (L * D // x1.denominator)
@@ -191,12 +174,12 @@ def fast_uv(params: HoradamParams, n: int):
     Carries the pair (U_k, U_{k+1}) through the bits of n, using
     U_{2k} = U_k*(2*U_{k+1} - P*U_k) and U_{2k+1} = U_{k+1}^2 - Q*U_k^2;
     V_n = 2*U_{n+1} - P*U_n at the end. The formulas are homogeneous, so
-    they run over int on the scaled coefficients (P, Q) of `_scaled`, and
+    they run over int on the scaled coefficients (P, Q) of `_kernel`, and
     u_n = U_n/L^(n-1), v_n = V_n/L^n; over GF(M) every step is reduced.
     """
     if n < 0:
         raise ValueError("fast_uv requires n >= 0")
-    P, Q, L, M = _scaled(params.p, params.q)
+    P, Q, _, _, L, _, M = _kernel(params, U, False)
     uk, uk1 = 0, 1
     for i in range(n.bit_length() - 1, -1, -1):
         u2 = uk * (2 * uk1 - P * uk)
@@ -235,11 +218,11 @@ def binet_term(params: HoradamParams, kind: SequenceKind, n: int):
     sqrt(d')-component of C*E over one integer scale; the rational
     components cancel, so neither is computed.
     """
+    if params.modulus:
+        raise TypeError("binet_term needs rational parameters")
     if params.discriminant == 0:
         raise DegenerateRoot(f"p^2 - 4q = 0 for p={params.p}, q={params.q}")
-    P, Q, X0, X1, L, D, M = _kernel(params, kind, False)
-    if M:
-        raise TypeError("binet_term needs rational parameters")
+    P, Q, X0, X1, L, D, _ = _kernel(params, kind, False)
     m = abs(n)
     e0, e1 = _quad_pow(P, P * P - 4 * Q, m)     # E = (P + sqrt(d'))^m
     if n < 0:   # alpha^-m = beta^m/q^m = conj(E)*L^m/(2Q)^m
@@ -290,13 +273,11 @@ class TermContext:
     Not synchronized; confine an instance to a single thread of work.
     """
 
-    __slots__ = ("params", "p", "q", "a", "b", "_scalars", "_vals", "_walks", "_qpows")
+    __slots__ = ("params", "_scalars", "_vals", "_walks", "_qpows")
 
     def __init__(self, params: HoradamParams):
         self.params = params
-        self.p, self.q = params.p, params.q
-        self.a, self.b = params.a, params.b
-        self._scalars = _ratio(self.p), _ratio(self.q)
+        self._scalars = _ratio(params.p), _ratio(params.q)
         self._vals = {}     # kind -> {index: scalar} over one contiguous index run
         for kind in (U, V, W):     # a tuple iterates faster than the Enum
             x0, x1 = params.seeds(kind)

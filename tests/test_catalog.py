@@ -316,7 +316,7 @@ class TestFuzz:
         monkeypatch.setattr(catalog, "REGISTRY", dict(
             REGISTRY, broken=catalog._I("broken", "n", "u(n) = u(n) + 1"),
             raising=catalog._I("raising", "n", "u(n) = C(n-20,0)*u(n)")))
-        ids = [key for key, _, _ in list_identities()] + ["broken", "raising"]
+        ids = list(REGISTRY) + ["broken", "raising"]
         raising_passes = 0
         for seed in range(4):
             rep = fuzz(ids, 3, sampler, seed)
@@ -337,6 +337,20 @@ class TestFuzz:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             fuzz(["H"], 0, SamplerConfig(), seed=1)
+
+    def test_ids_must_be_distinct_and_nonempty(self):
+        with pytest.raises(ValueError, match=r"distinct identity ids, got \['H', 'mul.16', 'H'\]"):
+            fuzz(["H", "mul.16", "H"], 1, SamplerConfig(), seed=1)
+        with pytest.raises(ValueError, match=r"distinct identity ids, got \[\]$"):
+            fuzz([], 2, SamplerConfig(), seed=1)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(max_index=-1), "max_index must be >= 0, got -1"),
+        (dict(bound=0), "bound must be >= 1, got 0"),
+    ])
+    def test_sampler_bounds_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SamplerConfig(**kwargs)
 
     def test_sampler_never_draws_zero_pq(self):
         rng = random.Random(73)

@@ -218,6 +218,16 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(out)["all_passed"] is False
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--ids", "H,H", "--seed", "1", "--json"],
+         "error: fuzz needs one or more distinct identity ids, got ['H', 'H']\n"),
+        (["--ids", ",,"], "error: fuzz needs one or more distinct identity ids, got []\n"),
+        (["--ids", "H", "--max-index", "-1"], "error: max_index must be >= 0, got -1\n"),
+        (["--ids", "H", "--max-numden", "0"], "error: bound must be >= 1, got 0\n"),
+    ], ids=["repeated-id", "no-ids", "negative-max-index", "zero-bound"])
+    def test_bad_fuzz_arguments_are_2(self, capsys, flags, message):
+        assert run(capsys, ["fuzz", "--trials", "2", *flags]) == (2, "", message)
+
     def test_success_paths_keep_stderr_clean(self, capsys):
         for argv in (
             ["eval", "--preset", "fibonacci", "--kind", "u", "--n", "5"],

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horadam import catalog, theorems
-from horadam.errors import DegenerateRoot, EmptyRange
-from horadam.field import PrimeField, Ratio
+from horadam.errors import DegenerateRoot, EmptyRange, NonInvertible
+from horadam.field import ModInt, PrimeField, Ratio
 from horadam.sequences import (
     PRESETS,
     HoradamParams,
@@ -18,7 +18,6 @@ from horadam.sequences import (
     TermContext,
     Terms,
     _kernel,
-    _scaled,
     binet_term,
     fast_uv,
     term,
@@ -95,6 +94,15 @@ class TestParams:
         assert gf7 == HoradamParams(*map(PrimeField(7), (7, 8, 9, 6)))
         assert HoradamParams(0, 1, 2, -1) == PELL
         assert hash(HoradamParams(0, 1, 2, -1)) == hash(PELL)
+
+    def test_modulus_is_derived_from_the_scalars(self):
+        assert FIB.modulus is None
+        gf7 = HoradamParams(*map(PrimeField(7), (0, 1, 2, -1)))
+        assert gf7.modulus == 7
+        assert repr(gf7) == ("HoradamParams(a=ModInt(0, mod 7), b=ModInt(1, mod 7), "
+                             "p=ModInt(2, mod 7), q=ModInt(6, mod 7))")
+        with pytest.raises(TypeError):
+            HoradamParams(0, 1, 1, -1, None)
 
     def test_kinds_hash_by_identity(self):
         # keeps Enum's Python-level __hash__ off TermContext's lookup path
@@ -399,9 +407,11 @@ class TestKernel:
         x0, x1 = params.seeds(kind)
         if backward:
             p, q, x1 = p / q, 1 / q, (p * x0 - x1) / q
-        P, Q, L, M = _scaled(p, q)
+        M = params.modulus
         if M:
-            return P, Q, x0.value, x1.value, 1, 1, M
+            return p.value, q.value, x0.value, x1.value, 1, 1, M
+        L = math.lcm(p.denominator, q.denominator)
+        P, Q = p.numerator * (L // p.denominator), q.numerator * (L * L // q.denominator)
         D = math.lcm(x0.denominator, x1.denominator)
         return (P, Q, x0.numerator * (D // x0.denominator),
                 x1.numerator * (L * D // x1.denominator), L, D, None)
@@ -428,6 +438,19 @@ class TestKernel:
         f = PrimeField(101)
         with pytest.raises(TypeError):
             binet_term(HoradamParams(f(0), f(1), f(1), f(-1)), U, 5)
+        # the field is checked before the discriminant: p^2 - 4q = 0 in GF(7)
+        f7 = PrimeField(7)
+        with pytest.raises(TypeError):
+            binet_term(HoradamParams(f7(0), f7(1), f7(2), f7(1)), U, 5)
+
+    def test_reversed_kernel_needs_an_invertible_q(self):
+        # only a ModInt built directly on a composite modulus reaches it
+        params = HoradamParams(ModInt(0, 10), ModInt(1, 10), ModInt(3, 10), ModInt(4, 10))
+        assert term(params, U, 5) == 9
+        with pytest.raises(NonInvertible, match="no inverse mod 10"):
+            term(params, U, -1)
+        with pytest.raises(NonInvertible, match="no inverse mod 10"):
+            TermContext(params).u(-1)
 
 
 class TestTermContext:
