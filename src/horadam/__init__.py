@@ -39,6 +39,7 @@ from .sequences import (
     SequenceKind,
     TermContext,
     binet_term,
+    doubling_term,
     fast_uv,
     term,
     term_range,

@@ -1,10 +1,11 @@
 """Command-line surface: eval, verify, fuzz, sum, bench.
 
 Thin adapters over the library; every report printed here is what the
-corresponding library call returns, except that `eval --method doubling`
-turns `fast_uv`'s (u_|n|, v_|n|) into the requested kind and index itself.
-JSON output is byte-stable for a fixed argv and seed (sorted keys, fixed
-separators, canonical rational strings).
+corresponding library call returns. `eval --method doubling` is
+`doubling_term`: lin.9 on the integer kernel's doubled u, on the reversed
+kernel for n < 0, with one reduction per term. JSON output is byte-stable
+for a fixed argv and seed (sorted keys, fixed separators, canonical
+rational strings).
 
 Exit codes: 0 success / verified; 2 argument or usage errors (unknown
 identity, composite modulus, malformed rationals); 3 degenerate root;
@@ -28,7 +29,8 @@ from .sequences import (
     HoradamParams,
     SequenceKind,
     binet_term,
-    fast_uv,
+    doubling_term,
+    fast_uv,  # not called here; perfbench/layers.py rebinds cli.fast_uv by name
     term,
 )
 
@@ -148,14 +150,7 @@ def cmd_eval(args) -> int:
     if args.method == "iterative":
         value = term(params, kind, args.n)
     elif args.method == "doubling":
-        # neg.19 reflects a negative index; lin.9, w_n = b*u_n - a*q*u_{n-1}
-        # with 2*q*u_{n-1} = p*u_n - v_n, gives u, v and w from (u_n, v_n)
-        u, v = fast_uv(params, abs(args.n))
-        if args.n < 0:
-            qn = params.q ** -args.n
-            u, v = -u / qn, v / qn
-        a, b = params.seeds(kind)
-        value = b * u + a * (v - params.p * u) / 2
+        value = doubling_term(params, kind, args.n)
     else:
         value = binet_term(params, kind, args.n)
     if args.json:

@@ -60,4 +60,5 @@ class UnknownIdentity(HoradamError):
 
 
 class CompositeModulus(HoradamError):
-    """Benchmark modulus must be prime so every nonzero residue is invertible."""
+    """A modulus that is not prime, for a `PrimeField` or a GF(M) parameter
+    set: every nonzero residue must be invertible."""

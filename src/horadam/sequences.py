@@ -9,9 +9,9 @@ p and q. Scalars are `Fraction` (over Q) or `ModInt` (over GF(M)), and
 
 Three independent evaluation strategies are provided: plain iteration
 (`term`, and `term_range` reading the same walk off a `TermContext`), index
-doubling in O(log n) steps (`fast_uv`, u_n and v_n for n >= 0), and the
-Binet closed form, whose root powers in Q(sqrt(p^2-4q)) are raised as
-integer pairs (`binet_term`).
+doubling in O(log |n|) steps (`doubling_term` for any kind and sign, and
+`fast_uv`, u_n and v_n for n >= 0), and the Binet closed form, whose root
+powers in Q(sqrt(p^2-4q)) are raised as integer pairs (`binet_term`).
 
 All three run on one fraction-free integer kernel, `_kernel`. Over Q, with
 L = lcm(den p, den q), P = p*L, Q = q*L^2 and D the seeds' common
@@ -19,9 +19,13 @@ denominator, X_n = L^n*D*x_n obeys X_n = P*X_{n-1} - Q*X_{n-2} over int,
 so the walk does no gcd. `term` builds one `Fraction` per returned term;
 `TermContext` caches each term as the pair itself (a `Ratio`) and reduces
 it only when a public accessor returns it. Over GF(M) the same recurrence
-runs on the residues, reduced each step. A negative index walks the
+runs on the residues, reduced each step; `term` walks it with -Q in place
+of Q, so every residue it forms is non-negative. A negative index walks the
 reversed recurrence y_k = x_{-k}, with coefficients (p/q, 1/q) and seeds
-(x_0, x_{-1}), so no step divides.
+(x_0, x_{-1}), so no step divides. `doubling_term` doubles on u of the
+same kernel, forward or reversed, and turns (u_{m-1}, u_m) into the term by
+lin.9, w_m = x_1*u_m - q*x_0*u_{m-1}, over the kernel's integers: one
+reduction per term.
 """
 from __future__ import annotations
 
@@ -32,8 +36,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Any, Optional
 
-from .errors import DegenerateRoot, EmptyRange
-from .field import ModInt, Ratio, reduced
+from .errors import CompositeModulus, DegenerateRoot, EmptyRange
+from .field import ModInt, Ratio, is_prime, reduced
 
 
 class SequenceKind(enum.Enum):
@@ -66,7 +70,8 @@ class HoradamParams:
     """The tuple (a, b, p, q) over Q (`Fraction`; ints and strings are
     coerced) or over GF(M) (`ModInt`, one prime M); p and q must be nonzero.
     ValueError for any other scalar type (float, Decimal, ...) and for a mix
-    of types or moduli: all four must share one field. `modulus` is derived
+    of types or moduli: all four must share one field; CompositeModulus for
+    a composite M, where a nonzero q can lack an inverse. `modulus` is derived
     from them (M, or None over Q) and compared by ==, since a ModInt equals
     every rational of its residue class; it is not in the hash or the repr."""
 
@@ -84,7 +89,10 @@ class HoradamParams:
                              f"ModInt of one modulus), got {values!r}")
         for name, x in zip(("a", "b", "p", "q"), values):
             object.__setattr__(self, name, x)
-        object.__setattr__(self, "modulus", moduli.pop())
+        M = moduli.pop()
+        if M and not is_prime(M):
+            raise CompositeModulus(f"{M} is not prime")
+        object.__setattr__(self, "modulus", M)
         if self.p == 0:
             raise ValueError("p must be nonzero")
         if self.q == 0:
@@ -120,7 +128,8 @@ def _kernel(params: HoradamParams, kind: SequenceKind, backward: bool):
 
     The reversed recurrence has coefficients p/q = P*L/Q and 1/q = L^2/Q and
     seed x_{-1} = (p*x_0 - x_1)/q: over Q derived with gcds, in the reduced
-    form `Fraction` would give; over GF(M) with q's inverse, or NonInvertible.
+    form `Fraction` would give; over GF(M) with q's inverse, which exists
+    since M is prime and q nonzero.
     """
     x0, x1 = params.seeds(kind)
     p, q, M = params.p, params.q, params.modulus
@@ -152,9 +161,11 @@ def term(params: HoradamParams, kind: SequenceKind, n: int):
     P, Q, X0, X1, L, D, M = _kernel(params, kind, n < 0)
     steps = abs(n)
     if M:
-        for _ in range(steps):
-            X0, X1 = X1, (P * X1 - Q * X0) % M
-        return ModInt(X0, M)
+        Q = M - Q   # x_{k+2} = P*x_{k+1} + (M - Q)*x_k: every residue non-negative
+        for _ in range(steps >> 1):
+            X0 = (P * X1 + Q * X0) % M
+            X1 = (P * X0 + Q * X1) % M
+        return ModInt(X1 if steps & 1 else X0, M)
     for _ in range(steps):
         X0, X1 = X1, P * X1 - Q * X0
     return Fraction(X0, L ** steps * D)
@@ -168,28 +179,59 @@ def term_range(params: HoradamParams, kind: SequenceKind, lo: int, hi: int) -> l
     return [reduced(ctx._get(kind, n)) for n in range(lo, hi + 1)]
 
 
+def _ladder(P: int, Q: int, m: int, M: Optional[int]):
+    """(U'_{m-1}, U'_m) for m >= 1 in O(log m) doubling steps, where
+    U'_0 = 0, U'_1 = 1 and U'_{k+1} = P*U'_k - Q*U'_{k-1} over int, or mod M.
+
+    On `_kernel`'s (P, Q) this is U'_k = L^(k-1)*u_k, not the kernel's
+    X_k = L^k*D*x_k scaling, so a caller divides U'_k by L^(k-1). The pair
+    (U'_{k-1}, U'_k) doubles to U'_{2k-1} = U'_k^2 - Q*U'_{k-1}^2 and
+    U'_{2k} = U'_k*(P*U'_k - 2*Q*U'_{k-1}), and one recurrence step takes it
+    to (U'_{2k}, U'_{2k+1}) on a set bit of m.
+    """
+    um1, um = 0, 1      # k = 1, the top bit of m
+    for i in range(m.bit_length() - 2, -1, -1):
+        u2m1 = um * um - Q * um1 * um1
+        u2m = um * (P * um - 2 * Q * um1)
+        if (m >> i) & 1:
+            um1, um = u2m, P * u2m - Q * u2m1
+        else:
+            um1, um = u2m1, u2m
+        if M:
+            um1, um = um1 % M, um % M
+    return um1, um
+
+
+def doubling_term(params: HoradamParams, kind: SequenceKind, n: int):
+    """Exact n-th term in O(log |n|) doubling steps, for any kind and sign.
+
+    lin.9, x_m = x_1*u_m - q*x_0*u_{m-1}, on the kernel of the walk toward n
+    (the reversed recurrence for n < 0, as in `term`), with (U'_{m-1}, U'_m)
+    for m = |n| from `_ladder`. Over the kernel's integers
+    X_1*U'_m - Q*X_0*U'_{m-1} = L^m*D*x_m, so the term is one reduction.
+    """
+    if n == 0:
+        return params.seeds(kind)[0]
+    P, Q, X0, X1, L, D, M = _kernel(params, kind, n < 0)
+    m = abs(n)
+    um1, um = _ladder(P, Q, m, M)
+    top = X1 * um - Q * X0 * um1
+    if M:
+        return ModInt(top, M)
+    return Fraction(top, L ** m * D)
+
+
 def fast_uv(params: HoradamParams, n: int):
     """(u_n, v_n) in O(log n) doubling steps.
 
-    Carries the pair (U_k, U_{k+1}) through the bits of n, using
-    U_{2k} = U_k*(2*U_{k+1} - P*U_k) and U_{2k+1} = U_{k+1}^2 - Q*U_k^2;
-    V_n = 2*U_{n+1} - P*U_n at the end. The formulas are homogeneous, so
-    they run over int on the scaled coefficients (P, Q) of `_kernel`, and
-    u_n = U_n/L^(n-1), v_n = V_n/L^n; over GF(M) every step is reduced.
+    Takes (U'_n, U'_{n+1}) from `_ladder` on the scaled coefficients (P, Q)
+    of `_kernel`, and V'_n = 2*U'_{n+1} - P*U'_n; then u_n = U'_n/L^(n-1)
+    and v_n = V'_n/L^n, or over GF(M) the residues.
     """
     if n < 0:
         raise ValueError("fast_uv requires n >= 0")
     P, Q, _, _, L, _, M = _kernel(params, U, False)
-    uk, uk1 = 0, 1
-    for i in range(n.bit_length() - 1, -1, -1):
-        u2 = uk * (2 * uk1 - P * uk)
-        u21 = uk1 * uk1 - Q * uk * uk
-        if (n >> i) & 1:
-            uk, uk1 = u21, P * u21 - Q * u2
-        else:
-            uk, uk1 = u2, u21
-        if M:
-            uk, uk1 = uk % M, uk1 % M
+    uk, uk1 = _ladder(P, Q, n + 1, M)
     vk = 2 * uk1 - P * uk
     if M:
         return ModInt(uk, M), ModInt(vk, M)

@@ -107,16 +107,20 @@ class TestEval:
         assert code == 0 and out == "2\n"
 
     def test_methods_agree(self, capsys):
-        for kind in "uvw":
-            for n in (12, 1, 0, -1, -12):
-                values = {}
-                for method in ("iterative", "doubling", "binet"):
-                    code, out, _ = run(capsys, ["eval", "--preset", "pell",
-                                                "--a=-3/2", "--b", "5/7", "--kind", kind,
-                                                "--n", str(n), "--method", method])
-                    assert code == 0
-                    values[method] = out
-                assert len(set(values.values())) == 1, (kind, n, values)
+        # Pell has L = lcm(den p, den q) = 1; the second set has L = 12, so a
+        # wrong power of L in the doubling scale shows
+        cases = [(["--preset", "pell", "--a=-3/2", "--b", "5/7"], (12, 1, 0, -1, -12)),
+                 (["--p", "3/4", "--q=-5/6", "--a", "9/4", "--b=-7/6"], (1500, -1500))]
+        for params, ns in cases:
+            for kind in "uvw":
+                for n in ns:
+                    values = {}
+                    for method in ("iterative", "doubling", "binet"):
+                        code, out, _ = run(capsys, ["eval", *params, "--kind", kind,
+                                                    "--n", str(n), "--method", method])
+                        assert code == 0
+                        values[method] = out
+                    assert len(set(values.values())) == 1, (params, kind, n, values)
 
     def test_doubling_never_iterates(self, capsys, monkeypatch):
         def no_term(*args):

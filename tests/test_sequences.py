@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horadam import catalog, theorems
-from horadam.errors import DegenerateRoot, EmptyRange, NonInvertible
+from horadam.errors import CompositeModulus, DegenerateRoot, EmptyRange
 from horadam.field import ModInt, PrimeField, Ratio
 from horadam.sequences import (
     PRESETS,
@@ -19,6 +19,7 @@ from horadam.sequences import (
     Terms,
     _kernel,
     binet_term,
+    doubling_term,
     fast_uv,
     term,
     term_range,
@@ -337,7 +338,8 @@ KERNEL_N = range(-40, 41)
 
 
 class TestKernel:
-    """term, fast_uv, binet_term and TermContext against the brute_terms walk."""
+    """term, doubling_term, fast_uv, binet_term and TermContext against the
+    brute_terms walk."""
 
     @pytest.mark.parametrize("params", KERNEL_PARAMS)
     def test_term_and_binet(self, params):
@@ -345,6 +347,7 @@ class TestKernel:
             oracle = brute_terms(params, kind, KERNEL_N[0], KERNEL_N[-1])
             for n in KERNEL_N:
                 assert term(params, kind, n) == oracle[n], (kind, n)
+                assert doubling_term(params, kind, n) == oracle[n], (kind, n)
                 assert binet_term(params, kind, n) == oracle[n], (kind, n)
 
     @pytest.mark.parametrize("params", KERNEL_PARAMS)
@@ -377,8 +380,9 @@ class TestKernel:
         for kind in SequenceKind:
             oracle = brute_terms(params, kind, -40, 40)
             ctx = TermContext(gparams)
-            for n in range(-40, 1):
+            for n in KERNEL_N:
                 assert term(gparams, kind, n) == f(oracle[n]), (kind, n)
+                assert doubling_term(gparams, kind, n) == f(oracle[n]), (kind, n)
                 assert ctx._get(kind, n) == f(oracle[n]), (kind, n)
         us, vs = brute_terms(params, U, 0, 40), brute_terms(params, V, 0, 40)
         for n in range(41):
@@ -391,7 +395,7 @@ class TestKernel:
         sel = theorems.TheoremSelector(6, 1)
         summed = theorems.reciprocal_sum(sel, params, 5, 2, 1, -1, 3)
         for value in (term(params, W, -9), term(params, V, 12), binet_term(params, W, -9),
-                      *fast_uv(params, 12), ctx.w(-9), ctx.u(-7), ctx.v(11), ctx.qp(-3),
+                      doubling_term(params, W, -9), *fast_uv(params, 12), ctx.w(-9), ctx.u(-7), ctx.v(11), ctx.qp(-3),
                       ctx.qp(4), *term_range(params, W, -6, 6), verified.lhs, verified.rhs,
                       summed.lhs, summed.rhs, summed.lemma_lhs):
             assert type(value) is Fraction
@@ -444,13 +448,10 @@ class TestKernel:
             binet_term(HoradamParams(f7(0), f7(1), f7(2), f7(1)), U, 5)
 
     def test_reversed_kernel_needs_an_invertible_q(self):
-        # only a ModInt built directly on a composite modulus reaches it
-        params = HoradamParams(ModInt(0, 10), ModInt(1, 10), ModInt(3, 10), ModInt(4, 10))
-        assert term(params, U, 5) == 9
-        with pytest.raises(NonInvertible, match="no inverse mod 10"):
-            term(params, U, -1)
-        with pytest.raises(NonInvertible, match="no inverse mod 10"):
-            TermContext(params).u(-1)
+        # a nonzero q lacks an inverse only modulo a composite, which only a
+        # ModInt built directly on it could bring; the parameter set refuses it
+        with pytest.raises(CompositeModulus, match="10 is not prime"):
+            HoradamParams(ModInt(0, 10), ModInt(1, 10), ModInt(3, 10), ModInt(4, 10))
 
 
 class TestTermContext:
