@@ -8,8 +8,9 @@ cache's unreduced `Ratio` pairs, and reduces each side to a `Fraction` once,
 for the report; `fuzz` compares unreduced sides and reports only an entry's
 first failing draw, through `evaluate`. The sides stay independent: no
 algebraic simplification is shared between them, so an exact match is
-evidence, not tautology. A derived entry's `Derivation` record (an index
-map, after an optional u/v specialization) is replayed through `evaluate`.
+evidence, not tautology. A derived entry's `Derivation` is text in the
+same grammar, its base at mapped indices (`"H at r=0, s=-m"`), read as u
+or v where it says so (`"cor1.35 at m=0 as v"`).
 
 Formula grammar: u(e), v(e), w(e) are terms at an integer index expression
 e; p, q, a, b are the parameters; `^` is a power and `q^e` or `q^(e)` reads
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
@@ -43,17 +44,20 @@ from .sequences import HoradamParams, SequenceKind, TermContext, Terms
 
 @dataclass(frozen=True)
 class Derivation:
-    """How an entry follows from a base entry: substitute indices, optionally
-    specialize w to u or v first."""
+    """How an entry follows from a base entry, as formula-grammar text
+    `<base>[ at <var>=<expr>, ...][ as u|v]`; a base variable it does not map
+    keeps its value. `index_map(None, *values)` is the compiled map."""
 
+    text: str
     base: str
-    index_map: Callable[[dict], dict]
-    specialize: Optional[SequenceKind] = None
+    specialize: Optional[SequenceKind]
+    index_map: Callable
 
 
 @dataclass(frozen=True)
 class Identity:
-    """lhs and rhs take the accessor, then the `variables` values in order."""
+    """lhs and rhs take the accessor, then the `variables` values in order.
+    `derived` holds the record's text until `_registry` compiles it."""
 
     key: str
     tag: str
@@ -88,8 +92,8 @@ class VerificationReport:
 
 
 def _python(side: str) -> str:
-    """One side of a displayed formula as a Python expression over the
-    accessor `t` (the index variable t is renamed t_)."""
+    """Formula-grammar text as a Python expression over the accessor `t`
+    (the index variable t is renamed t_)."""
     side = re.sub(r"sum_\{(\w)=0\}\^\{(\w)\} (.*)", r"sum(\3 for \1 in range(\2+1))", side)
     side = re.sub(r"([\d)])([a-z(])", r"\1*\2", side)    # 2n, 2(n+r), 4q, (r-s)k
     side = re.sub(r"\bq\^(?:\(((?:[^()]|\([^()]*\))*)\)|([a-z]))", r"qp(\1\2)", side)
@@ -98,25 +102,34 @@ def _python(side: str) -> str:
     return re.sub(r"\b(u|v|w|qp|p|q|a|b)\b", r"t.\1", side)
 
 
-def compile_sides(variables, formula) -> tuple:
-    """(lhs, rhs): the two sides of a displayed formula as functions of the
-    accessor and the variables, in order. Only the constant formulas of this
-    package reach `eval`."""
+def compile_expression(variables, text) -> Callable:
+    """An expression in the formula grammar as a function of the accessor and
+    the variables, in order. Only the constant formulas of this package
+    reach `eval`."""
     args = ", ".join("t_" if v == "t" else v for v in variables)
-    equation = formula.partition(" # ")[0]
-    return tuple(eval(f"lambda t, {args}: {_python(side)}", {"binomial": binomial})
-                 for side in equation.split(" = "))
+    return eval(f"lambda t, {args}: {_python(text)}", {"binomial": binomial})
+
+
+def compile_tuple(variables, texts) -> Callable:
+    """`compile_expression` for the tuple of several texts' values."""
+    return compile_expression(variables, "(" + "".join(f"{text}, " for text in texts) + ")")
+
+
+def compile_sides(variables, formula) -> tuple:
+    """(lhs, rhs): the two sides of a displayed formula, each compiled by
+    `compile_expression`."""
+    return tuple(compile_expression(variables, side)
+                 for side in formula.partition(" # ")[0].split(" = "))
 
 
 def _I(key, variables, formula, derived=None):
     """An entry whose two sides are compiled from its displayed formula, so
-    what `horadam verify` prints is what is evaluated."""
+    what `horadam verify` prints is what is evaluated; `derived` is its
+    derivation text."""
     lhs, rhs = compile_sides(variables, formula)
     return Identity(key, key.rpartition(".")[2], tuple(variables), lhs, rhs,
                     formula, derived)
 
-
-_U, _V = SequenceKind.U, SequenceKind.V
 
 # -- master identity and its index permutations --
 _MASTERS = [
@@ -130,8 +143,7 @@ _ENTRIES = [
     *_MASTERS,
     # -- linear form, doubling, multiplication laws, reflections --
     _I("lin.9", "n", "w(n) = b*u(n) - a*q*u(n-1)"),
-    _I("dbl.10", "n", "u(2n) = u(n)*v(n)",
-       Derivation("mul.15", lambda A: {"n": A["n"], "m": A["n"]})),
+    _I("dbl.10", "n", "u(2n) = u(n)*v(n)", "mul.15 at m=n"),
     _I("mul.15", "nm", "u(m)*v(n) = u(n+m) - q^m*u(n-m)"),
     _I("mul.16", "nm", "(p^2-4q)*u(m)*u(n) = v(n+m) - q^m*v(n-m)"),
     _I("mul.17", "nm", "v(m)*u(n) = u(n+m) + q^m*u(n-m)"),
@@ -141,120 +153,106 @@ _ENTRIES = [
     _I("neg.20", "n", "q^n*w(-n) = a*v(n) - w(n)"),
     # -- u/v specializations of the masters (spec.21-28) --
     *(_I(f"spec.{21 + 4 * i + j}", master.variables,
-         master.formula.replace("w(", f"{kind.value}("), Derivation(master.key, dict, kind))
-      for i, kind in enumerate((_U, _V)) for j, master in enumerate(_MASTERS)),
+         master.formula.replace("w(", f"{kind}("), f"{master.key} as {kind}")
+      for i, kind in enumerate("uv") for j, master in enumerate(_MASTERS)),
     # -- first corollary family --
-    _I("cor1.29", "nm", "v(m)*w(n) = w(n+m) + q^m*w(n-m)",
-       Derivation("H", lambda A: {"n": A["n"], "m": A["m"], "r": 0, "s": -A["m"]})),
-    _I("cor1.30", "n", "v(n)*w(n) = w(2n) + q^n*a",
-       Derivation("cor1.29", lambda A: {"n": A["n"], "m": A["n"]})),
-    _I("cor1.31", "nm", "u(m)*w(n) = u(n)*w(m) - q^m*a*u(n-m)",
-       Derivation("F", lambda A: {"n": A["n"] - A["m"], "m": A["m"], "r": 0, "s": -A["m"]})),
-    _I("cor1.32", "nm", "w(n+m) = u(m)*w(n+1) - q*u(m-1)*w(n)",
-       Derivation("H", lambda A: {"n": A["n"], "m": A["m"], "r": 1, "s": 0})),
-    _I("cor1.33", "nm", "q^m*w(n-m) = u(m+1)*w(n) - u(m)*w(n+1)",
-       Derivation("cor1.32", lambda A: {"n": A["n"], "m": -A["m"]})),
+    _I("cor1.29", "nm", "v(m)*w(n) = w(n+m) + q^m*w(n-m)", "H at r=0, s=-m"),
+    _I("cor1.30", "n", "v(n)*w(n) = w(2n) + q^n*a", "cor1.29 at m=n"),
+    _I("cor1.31", "nm", "u(m)*w(n) = u(n)*w(m) - q^m*a*u(n-m)", "F at n=n-m, r=0, s=-m"),
+    _I("cor1.32", "nm", "w(n+m) = u(m)*w(n+1) - q*u(m-1)*w(n)", "H at r=1, s=0"),
+    _I("cor1.33", "nm", "q^m*w(n-m) = u(m+1)*w(n) - u(m)*w(n+1)", "cor1.32 at m=-m"),
     _I("cor1.34", "nm", "w(n+m) - q^m*w(n-m) = u(m)*(w(n+1) - q*w(n-1))"),
-    _I("cor1.35", "nm", "w(n+m) = u(n)*w(m+1) - q*u(n-1)*w(m)",
-       Derivation("cor1.32", lambda A: {"n": A["m"], "m": A["n"]})),
+    _I("cor1.35", "nm", "w(n+m) = u(n)*w(m+1) - q*u(n-1)*w(m)", "cor1.32 at n=m, m=n"),
     _I("cor1.36", "nmj", "w(n+m) = u(m-j)*w(n+j+1) - q*u(m-j-1)*w(n+j)",
-       Derivation("H", lambda A: {"n": A["n"] + A["j"], "m": A["m"] - A["j"], "r": 1, "s": 0})),
+       "H at n=n+j, m=m-j, r=1, s=0"),
     _I("cor1.37", "nmj", "w(n+m) = u(n-j)*w(m+j+1) - q*u(n-j-1)*w(m+j)",
-       Derivation("H", lambda A: {"n": A["m"] + A["j"], "m": A["n"] - A["j"], "r": 1, "s": 0})),
-    _I("cor1.38", "n", "w(2n) = u(n)*w(n+1) - q*u(n-1)*w(n)",
-       Derivation("cor1.32", lambda A: {"n": A["n"], "m": A["n"]})),
-    _I("cor1.39", "n", "w(2n) = u(n+1)*w(n) - q*u(n)*w(n-1)",
-       Derivation("cor1.35", lambda A: {"n": A["n"] + 1, "m": A["n"] - 1})),
-    _I("cor1.40", "n", "w(2n-1) = u(n+1)*w(n-1) - q*u(n)*w(n-2)",
-       Derivation("cor1.35", lambda A: {"n": A["n"] + 1, "m": A["n"] - 2})),
-    _I("cor1.41", "n", "w(2n-1) = u(n)*w(n) - q*u(n-1)*w(n-1)",
-       Derivation("cor1.32", lambda A: {"n": A["n"] - 1, "m": A["n"]})),
-    _I("cor1.42", "nm", "u(n-m)*w(n+m) = u(n)*w(n) - q^(n-m)*u(m)*w(m)",
-       Derivation("H", lambda A: {"n": A["n"], "m": A["m"], "r": 0, "s": A["m"] - A["n"]})),
+       "H at n=m+j, m=n-j, r=1, s=0"),
+    _I("cor1.38", "n", "w(2n) = u(n)*w(n+1) - q*u(n-1)*w(n)", "cor1.32 at m=n"),
+    _I("cor1.39", "n", "w(2n) = u(n+1)*w(n) - q*u(n)*w(n-1)", "cor1.35 at n=n+1, m=n-1"),
+    _I("cor1.40", "n", "w(2n-1) = u(n+1)*w(n-1) - q*u(n)*w(n-2)", "cor1.35 at n=n+1, m=n-2"),
+    _I("cor1.41", "n", "w(2n-1) = u(n)*w(n) - q*u(n-1)*w(n-1)", "cor1.32 at n=n-1, m=n"),
+    _I("cor1.42", "nm", "u(n-m)*w(n+m) = u(n)*w(n) - q^(n-m)*u(m)*w(m)", "H at r=0, s=m-n"),
     _I("cor1.43", "nm", "u(n-m)*w(n+m) = u(2n-m)*w(m) - q^(n-m)*u(n)*w(2m-n)",
-       Derivation("F", lambda A: {"n": A["n"], "m": A["m"], "r": 0, "s": A["m"] - A["n"]})),
-    _I("cor1.44", "n", "q^n*w(-n) = a*v(n) - w(n)",
-       Derivation("cor1.43", lambda A: {"n": A["n"], "m": 0})),
+       "F at r=0, s=m-n"),
+    _I("cor1.44", "n", "q^n*w(-n) = a*v(n) - w(n)", "cor1.43 at m=0"),
     _I("cor1.45", "nm", "v(n)*w(m) - a*q^m*v(n-m) = w(n+m) - q^m*w(n-m)"),
     _I("cor1.46", "nm", "w(n+m)^2 - q^(2m)*w(n-m)^2 = v(m)*w(n)*(v(n)*w(m) - a*q^m*v(n-m))"),
-    _I("cor1.47", "nmr", "u(2r)*w(n+m) = u(m+r)*w(n+r) - q^(2r)*u(m-r)*w(n-r)",
-       Derivation("H", lambda A: {"n": A["n"], "m": A["m"], "r": A["r"], "s": -A["r"]})),
+    _I("cor1.47", "nmr", "u(2r)*w(n+m) = u(m+r)*w(n+r) - q^(2r)*u(m-r)*w(n-r)", "H at s=-r"),
     _I("cor1.48", "nmr", "q^(m-r)*u(2r)*w(n-m) = u(m+r)*w(n-r) - u(m-r)*w(n+r)",
-       Derivation("cor1.47", lambda A: {"n": A["n"], "m": -A["m"], "r": A["r"]})),
+       "cor1.47 at m=-m"),
     _I("cor1.49", "nmr", "u(2r)*w(n+m) = u(n+r)*w(m+r) - q^(2r)*u(n-r)*w(m-r)",
-       Derivation("H", lambda A: {"n": A["m"], "m": A["n"], "r": A["r"], "s": -A["r"]})),
-    _I("cor1.50", "nr", "u(2r)*w(2n) = u(n+r)*w(n+r) - q^(2r)*u(n-r)*w(n-r)",
-       Derivation("cor1.49", lambda A: {"n": A["n"], "m": A["n"], "r": A["r"]})),
+       "H at n=m, m=n, s=-r"),
+    _I("cor1.50", "nr", "u(2r)*w(2n) = u(n+r)*w(n+r) - q^(2r)*u(n-r)*w(n-r)", "cor1.49 at m=n"),
     _I("cor1.51", "nr", "u(2r)*w(2n-1) = u(n+r)*w(n+r-1) - q^(2r)*u(n-r)*w(n-r-1)",
-       Derivation("cor1.49", lambda A: {"n": A["n"], "m": A["n"] - 1, "r": A["r"]})),
-    _I("cor1.52", "nm", "p*w(n+m) = u(m+1)*w(n+1) - q^2*u(m-1)*w(n-1)",
-       Derivation("cor1.47", lambda A: {"n": A["n"], "m": A["m"], "r": 1})),
-    _I("cor1.53", "nm", "p*w(n+m) = u(n+1)*w(m+1) - q^2*u(n-1)*w(m-1)",
-       Derivation("cor1.49", lambda A: {"n": A["n"], "m": A["m"], "r": 1})),
-    _I("cor1.54", "n", "p*w(2n) = u(n+1)*w(n+1) - q^2*u(n-1)*w(n-1)",
-       Derivation("cor1.50", lambda A: {"n": A["n"], "r": 1})),
-    _I("cor1.55", "n", "p*w(2n-1) = u(n+1)*w(n) - q^2*u(n-1)*w(n-2)",
-       Derivation("cor1.51", lambda A: {"n": A["n"], "r": 1})),
+       "cor1.49 at m=n-1"),
+    _I("cor1.52", "nm", "p*w(n+m) = u(m+1)*w(n+1) - q^2*u(m-1)*w(n-1)", "cor1.47 at r=1"),
+    _I("cor1.53", "nm", "p*w(n+m) = u(n+1)*w(m+1) - q^2*u(n-1)*w(m-1)", "cor1.49 at r=1"),
+    _I("cor1.54", "n", "p*w(2n) = u(n+1)*w(n+1) - q^2*u(n-1)*w(n-1)", "cor1.50 at r=1"),
+    _I("cor1.55", "n", "p*w(2n-1) = u(n+1)*w(n) - q^2*u(n-1)*w(n-2)", "cor1.51 at r=1"),
     _I("cor1.56", "nst", "u(t)*w(n) = u(s)*w(n+t-s) - q^t*u(s-t)*w(n-s)",
-       Derivation("H", lambda A: {"n": A["n"], "m": 0, "r": A["t"] - A["s"], "s": -A["s"]})),
-    _I("cor1.57", "nst", "u(t)*w(n) = u(n-s)*w(t+s) - q^t*u(n-t-s)*w(s)",
-       Derivation("F", lambda A: {"n": A["n"], "m": 0, "r": A["t"] + A["s"], "s": A["s"]})),
+       "H at m=0, r=t-s, s=-s"),
+    _I("cor1.57", "nst", "u(t)*w(n) = u(n-s)*w(t+s) - q^t*u(n-t-s)*w(s)", "F at m=0, r=t+s"),
     _I("cor1.58", "nst", "u(t)*w(n) = u(n+t-s)*w(s) - q^t*u(n-s)*w(s-t)",
-       Derivation("G", lambda A: {"n": A["n"], "m": 0, "r": A["t"] - A["s"], "s": -A["s"]})),
-    _I("cor1.59", "nst", "u(t)*w(n) = u(t+s)*w(n-s) - q^t*u(s)*w(n-s-t)",
-       Derivation("J", lambda A: {"n": A["n"], "m": 0, "r": A["t"] + A["s"], "s": A["s"]})),
+       "G at m=0, r=t-s, s=-s"),
+    _I("cor1.59", "nst", "u(t)*w(n) = u(t+s)*w(n-s) - q^t*u(s)*w(n-s-t)", "J at m=0, r=t+s"),
     # -- second corollary family (u/v consequences) --
-    _I("cor2.55", "n", "v(n)^2 = v(2n) + 2*q^n",
-       Derivation("cor1.30", dict, _V)),
-    _I("cor2.56", "nm", "u(n)*v(m) - u(m)*v(n) = 2*q^m*u(n-m)",
-       Derivation("cor1.31", dict, _V)),
-    _I("cor2.57", "n", "v(n) = p*u(n) - 2*q*u(n-1)",
-       Derivation("cor1.35", lambda A: {"n": A["n"], "m": 0}, _V)),
-    _I("cor2.58", "nm", "u(n+m) = u(m)*u(n+1) - q*u(m-1)*u(n)",
-       Derivation("cor1.32", dict, _U)),
-    _I("cor2.59", "nm", "v(n+m) = u(m)*v(n+1) - q*u(m-1)*v(n)",
-       Derivation("cor1.32", dict, _V)),
-    _I("cor2.60", "m", "u(2m-1) = u(m)^2 - q*u(m-1)^2",
-       Derivation("cor1.41", lambda A: {"n": A["m"]}, _U)),
-    _I("cor2.61", "m", "v(2m-1) = u(2m) - q*u(2m-2)",
-       Derivation("cor1.41", lambda A: {"n": A["m"]}, _V)),
-    _I("cor2.62", "nm", "u(n-m)*u(n+m) = u(n)^2 - q^(n-m)*u(m)^2",
-       Derivation("cor1.42", dict, _U)),
-    _I("cor2.63", "nm", "u(n-m)*v(n+m) = u(2n) - q^(n-m)*u(2m)",
-       Derivation("cor1.42", dict, _V)),
-    _I("cor2.64", "nm", "v(n)*v(m) - (p^2-4q)*u(m)*u(n) = 2*q^m*v(n-m)",
-       Derivation("cor1.45", dict, _V)),
-    _I("cor2.65", "nmr", "u(2r)*u(n+m) = u(n+r)*u(m+r) - q^(2r)*u(m-r)*u(n-r)",
-       Derivation("cor1.49", dict, _U)),
-    _I("cor2.66", "nmr", "u(2r)*v(n+m) = u(n+r)*v(m+r) - q^(2r)*u(n-r)*v(m-r)",
-       Derivation("cor1.49", dict, _V)),
-    _I("cor2.67", "nr", "u(2r)*u(2n) = u(n+r)^2 - q^(2r)*u(n-r)^2",
-       Derivation("cor1.50", dict, _U)),
-    _I("cor2.68", "nr", "u(2r)*v(2n) = u(2(n+r)) - q^(2r)*u(2(n-r))",
-       Derivation("cor1.50", dict, _V)),
-    _I("cor2.69", "n", "p*u(2n) = u(n+1)^2 - q^2*u(n-1)^2",
-       Derivation("cor1.54", dict, _U)),
-    _I("cor2.70", "n", "p*v(2n) = u(2(n+1)) - q^2*u(2(n-1))",
-       Derivation("cor1.54", dict, _V)),
-    _I("cor2.71", "nst", "u(t)*u(n) = u(s)*u(n+t-s) - q^t*u(s-t)*u(n-s)",
-       Derivation("cor1.56", dict, _U)),
-    _I("cor2.72", "nst", "u(t)*v(n) = u(s)*v(n+t-s) - q^t*u(s-t)*v(n-s)",
-       Derivation("cor1.56", dict, _V)),
-    _I("cor2.73", "nt", "u(n)*v(t) + u(t)*v(n) = 2*u(n+t)",
-       Derivation("cor1.58", lambda A: {"n": A["n"], "s": 0, "t": A["t"]}, _V)),
+    _I("cor2.55", "n", "v(n)^2 = v(2n) + 2*q^n", "cor1.30 as v"),
+    _I("cor2.56", "nm", "u(n)*v(m) - u(m)*v(n) = 2*q^m*u(n-m)", "cor1.31 as v"),
+    _I("cor2.57", "n", "v(n) = p*u(n) - 2*q*u(n-1)", "cor1.35 at m=0 as v"),
+    _I("cor2.58", "nm", "u(n+m) = u(m)*u(n+1) - q*u(m-1)*u(n)", "cor1.32 as u"),
+    _I("cor2.59", "nm", "v(n+m) = u(m)*v(n+1) - q*u(m-1)*v(n)", "cor1.32 as v"),
+    _I("cor2.60", "m", "u(2m-1) = u(m)^2 - q*u(m-1)^2", "cor1.41 at n=m as u"),
+    _I("cor2.61", "m", "v(2m-1) = u(2m) - q*u(2m-2)", "cor1.41 at n=m as v"),
+    _I("cor2.62", "nm", "u(n-m)*u(n+m) = u(n)^2 - q^(n-m)*u(m)^2", "cor1.42 as u"),
+    _I("cor2.63", "nm", "u(n-m)*v(n+m) = u(2n) - q^(n-m)*u(2m)", "cor1.42 as v"),
+    _I("cor2.64", "nm", "v(n)*v(m) - (p^2-4q)*u(m)*u(n) = 2*q^m*v(n-m)", "cor1.45 as v"),
+    _I("cor2.65", "nmr", "u(2r)*u(n+m) = u(n+r)*u(m+r) - q^(2r)*u(m-r)*u(n-r)", "cor1.49 as u"),
+    _I("cor2.66", "nmr", "u(2r)*v(n+m) = u(n+r)*v(m+r) - q^(2r)*u(n-r)*v(m-r)", "cor1.49 as v"),
+    _I("cor2.67", "nr", "u(2r)*u(2n) = u(n+r)^2 - q^(2r)*u(n-r)^2", "cor1.50 as u"),
+    _I("cor2.68", "nr", "u(2r)*v(2n) = u(2(n+r)) - q^(2r)*u(2(n-r))", "cor1.50 as v"),
+    _I("cor2.69", "n", "p*u(2n) = u(n+1)^2 - q^2*u(n-1)^2", "cor1.54 as u"),
+    _I("cor2.70", "n", "p*v(2n) = u(2(n+1)) - q^2*u(2(n-1))", "cor1.54 as v"),
+    _I("cor2.71", "nst", "u(t)*u(n) = u(s)*u(n+t-s) - q^t*u(s-t)*u(n-s)", "cor1.56 as u"),
+    _I("cor2.72", "nst", "u(t)*v(n) = u(s)*v(n+t-s) - q^t*u(s-t)*v(n-s)", "cor1.56 as v"),
+    _I("cor2.73", "nt", "u(n)*v(t) + u(t)*v(n) = 2*u(n+t)", "cor1.58 at s=0 as v"),
     _I("cor2.74", "nt", "u(n)^2*v(t)^2 - u(t)^2*v(n)^2 = 4*q^t*u(n+t)*u(n-t)"),
-    _I("cor2.75", "n", "p^2*u(n)^2 - v(n)^2 = 4*q*u(n+1)*u(n-1)",
-       Derivation("cor2.74", lambda A: {"n": A["n"], "t": 1})),
+    _I("cor2.75", "n", "p^2*u(n)^2 - v(n)^2 = 4*q*u(n+1)*u(n-1)", "cor2.74 at t=1"),
 ]
 
 
+_DERIVATION = re.compile(r"(\S+)(?: at (\w+=[^ ,=]+(?:, \w+=[^ ,=]+)*))?(?: as ([uv]))?")
+
+
+def _derivation(ident: Identity, registry: dict) -> Derivation:
+    """`ident.derived` compiled; ValueError naming the entry for an unreadable
+    text, an unknown base, a variable the base lacks or a name the entry lacks."""
+    match = _DERIVATION.fullmatch(ident.derived)
+    if match is None or match[1] not in registry:
+        raise ValueError(f"{ident.key}: {ident.derived!r} is not "
+                         "'<base key>[ at <var>=<expr>, ...][ as u|v]'")
+    base, maps, kind = match.groups()
+    mapped = dict(item.split("=") for item in maps.split(", ")) if maps else {}
+    index_map = compile_tuple(ident.variables,
+                              [mapped.pop(v, v) for v in registry[base].variables])
+    if mapped:
+        raise ValueError(f"{ident.key}: {base} has no variable {sorted(mapped)}")
+    if index_map.__code__.co_names:
+        raise ValueError(f"{ident.key}: {ident.derived!r} names "
+                         f"{sorted(index_map.__code__.co_names)}, not one of its variables")
+    return Derivation(ident.derived, base, kind and SequenceKind(kind), index_map)
+
+
 def _registry(entries) -> dict:
-    """key -> Identity; ValueError naming the first key that repeats."""
+    """key -> Identity, each derivation compiled once all entries are in (the
+    base of dbl.10 comes after it); ValueError naming a repeated key."""
     registry = {}
     for ident in entries:
         if ident.key in registry:
             raise ValueError(f"duplicate identity key {ident.key!r}")
         registry[ident.key] = ident
+    for ident in entries:
+        if ident.derived is not None:
+            registry[ident.key] = replace(ident, derived=_derivation(ident, registry))
     return registry
 
 
@@ -307,10 +305,11 @@ def evaluate(key: str, params: HoradamParams, assignment: dict,
 def base_assignment(ident: Identity, assignment: dict) -> Optional[tuple]:
     """(base key, params-specializer kind, mapped assignment) for derived
     entries; None when the entry has no derivation record."""
-    if ident.derived is None:
-        return None
     der = ident.derived
-    return der.base, der.specialize, der.index_map(dict(assignment))
+    if der is None:
+        return None
+    values = der.index_map(None, *(assignment[v] for v in ident.variables))
+    return der.base, der.specialize, dict(zip(REGISTRY[der.base].variables, values))
 
 
 @dataclass(frozen=True)

@@ -191,11 +191,12 @@ def binomial(k: int, j: int) -> int:
     return math.comb(k, j)
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Miller-Rabin to the bases 2..41: deterministic for all n < 3.3e24.
+    Above that bound True means a strong probable prime to those bases."""
     if n < 2:
         return False
     for p in _MR_BASES:

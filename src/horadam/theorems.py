@@ -21,14 +21,12 @@ GuardViolation; reciprocal sums whose denominator window contains a
 vanishing term raise SingularSummand. Wrong numbers are never returned
 silently.
 
-Theorems 2 and 4 share the configuration h=u(r-s), f1=u(m-s),
-f2=-q^(r-s)*u(m-r), c=m-r, d=m-s over w; theorems 3 and 5 use h=w(m+r),
-f1=q^(r-s)*w(m+s), f2=u(r-s), c=r-s, d=0 connecting u with shifted w;
-theorem 6 reuses the theorem-2 configuration in the reciprocal lemmas. The
-variants past the base forms (4-6, or 2 for theorems 3 and 5) evaluate a
-base form after the swap (r, s) -> (-s, -r). The lemma leg is code, not
-display text: each base form's `factor` scales the lemma report into the
-displayed left side.
+Each theorem follows from one of two three-term relations (`_RELATIONS`),
+and each base form carries its lemma factor and, if reciprocal, its
+denominator window: all text in the same grammar. The lemma sums stay code
+(`lemmas`), whose probe checks the relation first. The variants past the
+base forms (4-6, or 2 for theorems 3 and 5) evaluate a base form after the
+swap (r, s) -> (-s, -r).
 
 Two displayed equations in the source are misprints (they are otherwise
 false); theorem 2's second base form is written as its own derivation
@@ -36,10 +34,11 @@ produces it, and its formula's note says what was corrected.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
-from .catalog import compile_sides
+from .catalog import compile_expression, compile_sides, compile_tuple
 from .errors import GuardViolation
 from .field import format_scalar, reduced
 from .lemmas import (
@@ -52,14 +51,11 @@ from .lemmas import (
 )
 from .sequences import HoradamParams, SequenceKind, TermContext, Terms
 
-
-def _one(t, n, m, r, s, k):
-    return 1
-
-
-def _alternating(t, n, m, r, s, k):
-    return (-1) ** k
-
+# h*X(i) = f1*X(i-c) + f2*Y(i-d) over n, m, r, s: each coefficient is one
+# term, which its guard names, times a scale that cannot vanish (q != 0)
+_OVER_W = "h=u(r-s), f1=u(m-s), f2=-q^(r-s)*u(m-r), c=m-r, d=m-s, X=w(i), Y=w(i)"
+_U_TO_W = "h=w(m+r), f1=q^(r-s)*w(m+s), f2=u(r-s), c=r-s, d=0, X=u(i), Y=w(i+m+s)"
+_RELATIONS = {2: _OVER_W, 3: _U_TO_W, 4: _OVER_W, 5: _U_TO_W, 6: _OVER_W}
 
 # theorem 4's first two closed forms, which theorem 6 shares
 _T4_CLOSED = (
@@ -67,48 +63,74 @@ _T4_CLOSED = (
     "u(r-s)^(k+1)*w(n) - (-1)^(k+1)*q^((r-s)(k+1))*u(m-r)^(k+1)*w(n-(m-s)(k+1))",
 )
 
-# theorem -> [(displayed base form over n, m, r, s, k, factor)]; factor(t,
-# n, m, r, s, k) scales the lemma report (see _lemma) into the left side
+# theorem -> [(displayed base form, factor, window)] over n, m, r, s, k: the
+# factor scales the lemma report (see _lemma) into the left side; a
+# reciprocal form's window is the stride of its denominator window over X
 _BASES = {
     2: [("sum_{j=0}^{k} (-1)^j*q^((r-s)(k-j))*C(k,j)*u(m-s)^j*u(m-r)^(k-j)"
-         "*w(n-(m-s)k+(r-s)j) = (-1)^k*u(r-s)^k*w(n)", _alternating),
+         "*w(n-(m-s)k+(r-s)j) = (-1)^k*u(r-s)^k*w(n)", "(-1)^k", None),
         ("sum_{j=0}^{k} q^((r-s)(k-j))*C(k,j)*u(r-s)^j*u(m-r)^(k-j)"
          "*w(n-(r-s)k+(m-s)j) = u(m-s)^k*w(n)"
          " # misprint corrected: q^((r-s)(k-j)) inside the sum, no q-power on the right",
-         _alternating),
+         "(-1)^k", None),
         ("sum_{j=0}^{k} (-1)^j*C(k,j)*u(r-s)^j*u(m-s)^(k-j)*w(n+(r-s)k+(m-r)j)"
-         " = q^((r-s)k)*u(m-r)^k*w(n)", _one)],
+         " = q^((r-s)k)*u(m-r)^k*w(n)", "1", None)],
     3: [("u(r-s)*sum_{j=0}^{k} q^((s-r)j)*w(m+s)^(k-j)*w(m+r)^j*w(n-(r-s)k+m+s+(r-s)j)"
          " = q^((s-r)k)*u(n)*w(m+r)^(k+1) - q^(r-s)*u(n-(r-s)(k+1))*w(m+s)^(k+1)",
-         lambda t, n, m, r, s, k: t.qp((s - r) * k))],
+         "q^((s-r)k)", None)],
     4: [("-q^(r-s)*u(m-r)*sum_{j=0}^{k} u(m-s)^(k-j)*u(r-s)^j*w(n-(m-r)k-(m-s)+(m-r)j)"
-         f" = {_T4_CLOSED[0]}", _one),
+         f" = {_T4_CLOSED[0]}", "1", None),
         ("(-1)^k*u(m-s)*sum_{j=0}^{k} (-1)^j*q^((r-s)(k-j))*u(m-r)^(k-j)*u(r-s)^j"
-         f"*w(n-(m-s)k-(m-r)+(m-s)j) = {_T4_CLOSED[1]}", _one),
+         f"*w(n-(m-s)k-(m-r)+(m-s)j) = {_T4_CLOSED[1]}", "1", None),
         ("u(r-s)*sum_{j=0}^{k} q^((s-r)j)*u(m-r)^(k-j)*u(m-s)^j*w(n-(r-s)k+(m-r)+(r-s)j)"
          " = q^((s-r)k)*u(m-s)^(k+1)*w(n) - q^(r-s)*u(m-r)^(k+1)*w(n-(r-s)(k+1))",
-         lambda t, n, m, r, s, k: (-1) ** k * t.qp((s - r) * k))],
+         "(-1)^k*q^((s-r)k)", None)],
     5: [("u(n)*u(n-(r-s)(k+1))*u(r-s)*sum_{j=0}^{k} q^((r-s)j)*w(m+r)^(k-j)*w(m+s)^j"
          "*w(n+m+s-(r-s)k+(r-s)j)/(u(n-(r-s)k+(r-s)j)*u(n-(r-s)-(r-s)k+(r-s)j))"
-         " = u(n)*w(m+r)^(k+1) - q^((r-s)(k+1))*u(n-(r-s)(k+1))*w(m+s)^(k+1)", _one)],
+         " = u(n)*w(m+r)^(k+1) - q^((r-s)(k+1))*u(n-(r-s)(k+1))*w(m+s)^(k+1)", "1", "r-s")],
     6: [("-q^(r-s)*u(m-r)*w(n)*w(n-(m-r)(k+1))*sum_{j=0}^{k} u(r-s)^(k-j)*u(m-s)^j"
          "*w(n-m+s-(m-r)k+(m-r)j)/(w(n-(m-r)k+(m-r)j)*w(n-(m-r)-(m-r)k+(m-r)j))"
-         f" = {_T4_CLOSED[0]}", _one),
+         f" = {_T4_CLOSED[0]}", "1", "m-r"),
         ("u(m-s)*w(n)*w(n-(m-s)(k+1))*sum_{j=0}^{k} (-1)^j*q^((r-s)j)*u(r-s)^(k-j)*u(m-r)^j"
          "*w(n-(m-r)-(m-s)k+(m-s)j)/(w(n-(m-s)k+(m-s)j)*w(n-(m-s)-(m-s)k+(m-s)j))"
-         f" = {_T4_CLOSED[1]}", _one),
+         f" = {_T4_CLOSED[1]}", "1", "m-s"),
         ("u(r-s)*w(n)*w(n-(r-s)(k+1))*sum_{j=0}^{k} q^((r-s)j)*u(m-s)^(k-j)*u(m-r)^j"
          "*w(n+m-r-(r-s)k+(r-s)j)/(w(n-(r-s)k+(r-s)j)*w(n-(r-s)-(r-s)k+(r-s)j))"
-         " = u(m-s)^(k+1)*w(n) - q^((r-s)(k+1))*u(m-r)^(k+1)*w(n-(r-s)(k+1))", _one)],
+         " = u(m-s)^(k+1)*w(n) - q^((r-s)(k+1))*u(m-r)^(k+1)*w(n-(r-s)(k+1))", "1", "r-s")],
 }
 
 # each base form once as given, once after the swap
 VARIANT_COUNT = {theorem: 2 * len(bases) for theorem, bases in _BASES.items()}
 
-# (theorem, base) -> (direct sum, closed form, factor)
-_FORMS = {(theorem, base): (*compile_sides("nmrsk", formula), factor)
+
+class _Relation(NamedTuple):
+    """A relation text compiled; the functions take the accessor and n, m, r, s."""
+
+    coefficients: Callable      # (h, f1, f2, c, d)
+    accessors: Callable         # (X, Y)
+    guards: tuple               # (sequence, index function) of the terms in h, f1, f2
+
+
+def _relation_of(text: str) -> _Relation:
+    fields = dict(field.split("=") for field in text.split(", "))
+    guards = [re.fullmatch(r"-?(?:.*\*)?([uvw])\((.*)\)", fields[name]).groups()
+              for name in ("h", "f1", "f2")]
+    # a term at i reads the cache itself; a shifted term is read through a closure
+    accessors = [x[0] if x[1:] == "(i)" else f"lambda i: {x}"
+                 for x in (fields["X"], fields["Y"])]
+    return _Relation(compile_tuple("nmrs", [fields[x] for x in ("h", "f1", "f2", "c", "d")]),
+                     compile_tuple("nmrs", accessors),
+                     tuple((x, compile_expression("nmrs", index)) for x, index in guards))
+
+
+_COMPILED = {text: _relation_of(text) for text in (_OVER_W, _U_TO_W)}
+# (theorem, base) -> (lhs, rhs, factor, window, relation), compiled
+_FORMS = {(theorem, base): (*compile_sides("nmrsk", formula),
+                            compile_expression("nmrsk", factor),
+                            window and compile_expression("nmrsk", window),
+                            _COMPILED[_RELATIONS[theorem]])
           for theorem, bases in _BASES.items()
-          for base, (formula, factor) in enumerate(bases, 1)}
+          for base, (formula, factor, window) in enumerate(bases, 1)}
 
 
 @dataclass(frozen=True)
@@ -167,40 +189,22 @@ class SumReport:
         }
 
 
-def _denominator_stride(sel: TheoremSelector, n, m, r, s):
-    """Stride of the denominator window (reciprocal theorems only)."""
-    if sel.theorem == 5:
-        return r - s
-    return {1: m - r, 2: m - s, 3: r - s}[sel.base]
-
-
 def _effective(sel, n, m, r, s):
     return (n, m, -s, -r) if sel.swapped else (n, m, r, s)
 
 
-def _relation(t, sel, n, m, r, s):
-    """(cfg, X, Y): the three-term relation the selected theorem follows from.
+def _form(sel) -> tuple:
+    return _FORMS[sel.theorem, sel.base]
 
-    Raises GuardViolation for the first of its coefficient terms that is zero.
-    """
-    if sel.theorem in (3, 5):
-        # u linked with the shifted w-sequence: h=w(m+r), f1=q^(r-s)*w(m+s),
-        # f2=u(r-s), offsets c=r-s, d=0
-        terms = [(f"w({m + r})", t.w(m + r)), (f"w({m + s})", t.w(m + s)),
-                 (f"u({r - s})", t.u(r - s))]
-    else:
-        # satisfied by every w-shift: h=u(r-s), f1=u(m-s), f2=-q^(r-s)*u(m-r),
-        # offsets c=m-r, d=m-s
-        terms = [(f"u({r - s})", t.u(r - s)), (f"u({m - s})", t.u(m - s)),
-                 (f"u({m - r})", t.u(m - r))]
-    for name, value in terms:
-        if value == 0:
-            raise GuardViolation(name, f"theorem {sel.theorem} variant {sel.variant}")
-    (_, h), (_, f1), (_, f2) = terms
-    if sel.theorem in (3, 5):
-        return (RecurrenceConfig(h, t.qp(r - s) * f1, f2, r - s, 0),
-                t.u, lambda i: t.w(i + m + s))
-    return RecurrenceConfig(h, f1, -t.qp(r - s) * f2, m - r, m - s), t.w, t.w
+
+def _relation(t, rel: _Relation, where: str, n, m, r, s):
+    """(cfg, X, Y) on the accessor `t`; GuardViolation, naming the term, for
+    the first of h, f1 and f2 that is zero."""
+    h, f1, f2, c, d = rel.coefficients(t, n, m, r, s)
+    if 0 in (h, f1, f2):
+        sequence, index = rel.guards[(h, f1, f2).index(0)]
+        raise GuardViolation(f"{sequence}({index(t, n, m, r, s)})", where)
+    return (RecurrenceConfig(h, f1, f2, c, d), *rel.accessors(t, n, m, r, s))
 
 
 def _lemma(sel, cfg, X, Y, n, k):
@@ -225,38 +229,33 @@ def singularity_scan(sel: TheoremSelector, params: HoradamParams,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if sel.theorem not in (5, 6):
+    *_, window, relation = _form(sel)
+    if window is None:
         return []
     t = Terms(TermContext(params), sel.kind)
     eff = _effective(sel, n, m, r, s)
-    return list(_denominator_window(t.u if sel.theorem == 5 else t.w, eff[0],
-                                    _denominator_stride(sel, *eff), k))
+    X, _ = relation.accessors(t, *eff)
+    return list(_denominator_window(X, eff[0], window(t, *eff, k), k))
 
 
 def _evaluate(sel: TheoremSelector, params: HoradamParams,
               n: int, m: int, r: int, s: int, k: int) -> SumReport:
     if k < 0:
         raise ValueError("summation bound k must be >= 0")
-    lhs, rhs, factor = _FORMS[sel.theorem, sel.base]
+    lhs, rhs, factor, _, relation = _form(sel)
     t = Terms(TermContext(params), sel.kind)
     eff = _effective(sel, n, m, r, s)
-    cfg, X, Y = _relation(t, sel, *eff)
-
-    notes = []
+    cfg, X, Y = _relation(t, relation, f"theorem {sel.theorem} variant {sel.variant}", *eff)
+    notes = ()
     if sel.theorem == 2 and k == 0:
-        notes.append("k=0 is outside the stated hypothesis (positive k); "
-                     "the sum still evaluates")
+        notes = ("k=0 is outside the stated hypothesis (positive k); the sum still evaluates",)
 
     # first, so that the lemma's denominator scan raises SingularSummand
     # before the direct sum divides by a vanishing term
     rep = _lemma(sel, cfg, X, Y, eff[0], k)
     lemma_lhs = factor(t, *eff, k) * rep.lhs
-    direct = lhs(t, *eff, k)
-    closed = rhs(t, *eff, k)
-
-    assignment = dict(n=n, m=m, r=r, s=s, k=k)
-    return SumReport(sel, assignment, reduced(direct), reduced(closed), reduced(lemma_lhs),
-                     tuple(notes))
+    return SumReport(sel, dict(n=n, m=m, r=r, s=s, k=k), reduced(lhs(t, *eff, k)),
+                     reduced(rhs(t, *eff, k)), reduced(lemma_lhs), notes)
 
 
 def theorem_sum(sel: TheoremSelector, params: HoradamParams,

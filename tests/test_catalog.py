@@ -60,14 +60,16 @@ class TestRegistry:
         import re
 
         readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-        rows = re.findall(r"^\| `([^`]+)` \| ([^|]*) \| `([^`]+)` \|",
+        rows = re.findall(r"^\| `([^`]+)` \| ([^|]*) \| `([^`]+)` \| ([^|]*) \|$",
                           readme.read_text(encoding="utf-8"), re.MULTILINE)
-        documented = {key: (vars_.strip(), formula) for key, vars_, formula in rows}
+        documented = {key: (vars_.strip(), formula, derived.strip())
+                      for key, vars_, formula, derived in rows}
         assert len(documented) == len(REGISTRY)
         for ident in REGISTRY.values():
-            vars_doc, formula_doc = documented[ident.key]
+            vars_doc, formula_doc, derived_doc = documented[ident.key]
             assert vars_doc == ", ".join(ident.variables)
             assert formula_doc == ident.formula
+            assert derived_doc == (ident.derived.text if ident.derived else "")
 
 
 class TestEvaluate:
@@ -157,6 +159,28 @@ class TestDerivations:
                     *params.seeds(specialize), params.p, params.q))
                 rep = evaluate(base_key, base_params, mapped)
                 assert rep.equal, (ident.key, base_key, asg, mapped)
+
+    @pytest.mark.parametrize("text,message", [
+        ("K at m=n", "is not '<base key>"),
+        ("H at r=0, s=-m as x", "is not '<base key>"),
+        ("H at r=0, z=1", r"H has no variable \['z'\]"),
+        ("H at r=0, s=-x", r"names \['x'\]"),
+        ("H at r=0", r"names \['s'\]"),
+    ])
+    def test_malformed_text_fails_naming_the_entry(self, text, message):
+        # unknown base, a variable the base lacks, a name the entry lacks
+        entry = catalog._I("x.1", "nm", REGISTRY["cor1.29"].formula, text)
+        with pytest.raises(ValueError, match=f"^x.1: .*{message}"):
+            catalog._registry([REGISTRY["H"], entry])
+
+    def test_text_compiles_to_the_base_assignment(self):
+        ident = REGISTRY["cor1.56"]
+        assert ident.derived.text == "H at m=0, r=t-s, s=-s"
+        assert base_assignment(ident, dict(n=4, s=1, t=3)) == (
+            "H", None, dict(n=4, m=0, r=2, s=-1))
+        assert base_assignment(REGISTRY["cor2.57"], dict(n=5)) == (
+            "cor1.35", SequenceKind.V, dict(n=5, m=0))
+        assert base_assignment(REGISTRY["lin.9"], dict(n=5)) is None
 
     def test_specializations_point_at_masters(self):
         for i in range(21, 25):

@@ -21,6 +21,7 @@ from horadam.field import (
     parse_rational,
     reduced,
 )
+from horadam.sequences import HoradamParams
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
 
@@ -247,3 +248,12 @@ class TestIsPrime:
         assert not is_prime(1000000007 * 3)
         # strong pseudoprime to several bases
         assert not is_prime(3215031751)
+
+    def test_least_strong_pseudoprime_to_the_bases_below_41(self):
+        # 399165290221 * 798330580441 passes bases 2..37; base 41 rejects it
+        psi12 = 318665857834031151167461
+        assert not is_prime(psi12)
+        with pytest.raises(CompositeModulus):
+            PrimeField(psi12)
+        with pytest.raises(CompositeModulus):
+            HoradamParams(*(ModInt(x, psi12) for x in (0, 1, 3, 2)))

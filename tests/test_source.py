@@ -14,6 +14,13 @@ def test_library_has_no_assert_statements():
     assert SRC.is_dir() and not found, found
 
 
+def test_catalog_has_no_lambda():
+    # every derivation record is formula-grammar text, compiled at import
+    tree = ast.parse((SRC / "catalog.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Lambda)]
+    assert not found, found
+
+
 def test_readme_quick_start_runs():
     # the README's library example names only API that exists and gives
     # the values it states

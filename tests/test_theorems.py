@@ -8,7 +8,7 @@ import pytest
 
 from horadam import theorems
 from horadam.catalog import SamplerConfig, _python, compile_sides
-from horadam.errors import GuardViolation, SingularSummand
+from horadam.errors import ConfigViolation, GuardViolation, SingularSummand
 from horadam.field import ModInt, PrimeField
 from horadam.sequences import PRESETS, HoradamParams, SequenceKind, TermContext
 from horadam.theorems import (
@@ -318,28 +318,31 @@ class TestSingularityScan:
         entries = singularity_scan(TheoremSelector(6, 3), FIBW, 6, 2, 1, 0, 2)
         assert entries and not any(z for _, _, z in entries)
 
-    def test_reciprocal_sum_raises_exactly_when_scan_flags(self):
+    @pytest.mark.parametrize("theorem,variant",
+                             [(5, 1), (5, 2)] + [(6, v) for v in range(1, 7)])
+    def test_reciprocal_sum_raises_exactly_when_scan_flags(self, theorem, variant):
+        # the scan and the lemma leg read one denominator window: the sum
+        # raises exactly when the scan flags, at the first index it flags
         rng = random.Random(139)
         sampler = SamplerConfig(max_index=5, bound=9)
-        checked = 0
+        sel = TheoremSelector(theorem, variant, U)
+        checked = flagged = 0
         while checked < 60:
             params = sampler.draw_params(rng)
             n, m, r, s = (rng.randint(-5, 5) for _ in range(4))
             k = rng.randint(0, 3)
-            sel = TheoremSelector(5, 1)
-            try:
-                scan = singularity_scan(sel, params, n, m, r, s, k)
-            except ValueError:
-                continue
+            zeros = [idx for _, idx, z in singularity_scan(sel, params, n, m, r, s, k) if z]
             try:
                 reciprocal_sum(sel, params, n, m, r, s, k)
-                raised = False
-            except SingularSummand:
-                raised = True
+                raised = None
+            except SingularSummand as exc:
+                raised = exc.index
             except GuardViolation:
                 continue
             checked += 1
-            assert raised == any(z for _, _, z in scan)
+            flagged += bool(zeros)
+            assert raised == (zeros[0] if zeros else None), (n, m, r, s, k)
+        assert flagged
 
 
 class TestFormulaGrammar:
@@ -376,14 +379,40 @@ class TestFormulaStrings:
     def test_corrupted_string_breaks_agreement(self, monkeypatch, theorem, base):
         # the direct sum is whatever the string says: one index moved makes
         # the legs disagree, and the string itself restores agreement
-        formula, factor = theorems._BASES[theorem][base - 1]
+        formula = theorems._BASES[theorem][base - 1][0]
         corrupted = formula.replace("w(n", "w(n+1", 1)
         assert corrupted != formula
         sel = TheoremSelector(theorem, base)
+        compiled = theorems._FORMS[theorem, base][2:]
         for text, equal in ((formula, True), (corrupted, False)):
             monkeypatch.setitem(theorems._FORMS, (theorem, base),
-                                (*compile_sides("nmrsk", text), factor))
+                                (*compile_sides("nmrsk", text), *compiled))
             assert run(sel, CONTROL_PARAMS, *CONTROL_ARGS).equal is equal
+
+    @pytest.mark.parametrize("relation,field,corrupted", [
+        (theorems._OVER_W, "f2=-q", "f2=q"),
+        (theorems._OVER_W, "c=m-r", "c=r-s"),
+        (theorems._OVER_W, "d=m-s", "d=r-s"),
+        (theorems._U_TO_W, "f2=u", "f2=-u"),
+        (theorems._U_TO_W, "c=r-s", "c=m-s"),
+        (theorems._U_TO_W, "Y=w(i+m+s)", "Y=w(i+m+r)"),
+    ])
+    def test_corrupted_relation_fails_its_probe(self, monkeypatch, relation, field, corrupted):
+        # the lemma leg follows from the relation text: with one field
+        # changed, the probe rejects the relation before the lemma sums
+        text = relation.replace(field, corrupted)
+        assert text != relation
+        theorems_using = [t for t, named in theorems._RELATIONS.items() if named == relation]
+        assert theorems_using
+        for (theorem, base), form in list(theorems._FORMS.items()):
+            if theorem not in theorems_using:
+                continue
+            sel = TheoremSelector(theorem, base)
+            assert run(sel, CONTROL_PARAMS, *CONTROL_ARGS).equal
+            monkeypatch.setitem(theorems._FORMS, (theorem, base),
+                                (*form[:-1], theorems._relation_of(text)))
+            with pytest.raises(ConfigViolation, match="recurrence fails"):
+                run(sel, CONTROL_PARAMS, *CONTROL_ARGS)
 
     def test_selector_shows_its_base_form(self):
         assert VARIANT_COUNT == {t: 2 * len(b) for t, b in theorems._BASES.items()}
@@ -407,5 +436,5 @@ class TestFormulaStrings:
                           readme.read_text(encoding="utf-8"), re.MULTILINE)
         expected = [(str(theorem), str(base), str(base + len(bases)), formula)
                     for theorem, bases in theorems._BASES.items()
-                    for base, (formula, _) in enumerate(bases, 1)]
+                    for base, (formula, *_) in enumerate(bases, 1)]
         assert rows == expected
