@@ -271,6 +271,19 @@ def list_identities():
     return [(i.key, i.variables, i.tag) for i in REGISTRY.values()]
 
 
+def _check_assignment(ident: Identity, assignment: dict) -> None:
+    """ValueError unless `assignment` gives exactly the entry's variables."""
+    got, want = set(assignment), set(ident.variables)
+    if got != want:
+        missing, extra = want - got, got - want
+        parts = []
+        if missing:
+            parts.append(f"missing {sorted(missing)}")
+        if extra:
+            parts.append(f"unexpected {sorted(extra)}")
+        raise ValueError(f"assignment for {ident.key}: " + ", ".join(parts))
+
+
 def evaluate(key: str, params: HoradamParams, assignment: dict,
              ctx=None) -> VerificationReport:
     """Evaluate both sides of an identity at an integer assignment.
@@ -280,15 +293,7 @@ def evaluate(key: str, params: HoradamParams, assignment: dict,
     A shared `ctx` must be built for `params` (ValueError otherwise).
     """
     ident = _lookup(key)
-    got, want = set(assignment), set(ident.variables)
-    if got != want:
-        missing, extra = want - got, got - want
-        parts = []
-        if missing:
-            parts.append(f"missing {sorted(missing)}")
-        if extra:
-            parts.append(f"unexpected {sorted(extra)}")
-        raise ValueError(f"assignment for {key}: " + ", ".join(parts))
+    _check_assignment(ident, assignment)
     if ctx is None:
         ctx = TermContext(params)
     elif ctx.params is not params and ctx.params != params:
@@ -304,7 +309,9 @@ def evaluate(key: str, params: HoradamParams, assignment: dict,
 
 def base_assignment(ident: Identity, assignment: dict) -> Optional[tuple]:
     """(base key, params-specializer kind, mapped assignment) for derived
-    entries; None when the entry has no derivation record."""
+    entries; None when the entry has no derivation record. The assignment
+    must give exactly the entry's variables (ValueError otherwise)."""
+    _check_assignment(ident, assignment)
     der = ident.derived
     if der is None:
         return None

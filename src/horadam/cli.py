@@ -7,6 +7,12 @@ kernel for n < 0, with one reduction per term. JSON output is byte-stable
 for a fixed argv and seed (sorted keys, fixed separators, canonical
 rational strings).
 
+`main` parses an argv once: when its first argument is a command word, that
+command's sub-parser (from `build_parser`, built once per process) parses
+the rest directly, so the top-level parser does not scan every argument
+first only to find the command. Every other argv goes through the
+top-level parser, and help, usage errors and exit codes are argparse's.
+
 Exit codes: 0 success / verified; 2 argument or usage errors (unknown
 identity, composite modulus, malformed rationals); 3 degenerate root;
 4 a verification found unequal sides; 5 singular summand; 6 guard
@@ -317,10 +323,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parsers() -> dict:
+    """Each command word's parser: the choices of `build_parser`'s subparsers."""
+    return next(a.choices for a in build_parser()._actions if a.dest == "command")
+
+
 def main(argv=None) -> int:
+    """Run one command line (default `sys.argv[1:]`) and return its exit code.
+
+    When the first argument names a command, that command's own parser
+    parses the rest, once; leftover arguments get the top-level parser's
+    "unrecognized arguments" error, as `parse_args` would give. Any other
+    argv (empty, `-h`, an unknown command) goes through the top-level
+    parser, so help and usage errors read as argparse prints them.
+    """
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _command_parsers().get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

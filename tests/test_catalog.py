@@ -182,6 +182,19 @@ class TestDerivations:
             "cor1.35", SequenceKind.V, dict(n=5, m=0))
         assert base_assignment(REGISTRY["lin.9"], dict(n=5)) is None
 
+    @pytest.mark.parametrize("key,assignment,message", [
+        ("cor1.29", dict(n=1), r"missing \['m'\]"),
+        ("cor1.29", dict(n=1, m=2, r=0), r"unexpected \['r'\]"),
+        ("spec.21", dict(n=1), r"missing \['m', 'r', 's'\]"),
+        ("lin.9", dict(n=1, m=2), r"unexpected \['m'\]"),
+    ])
+    def test_base_assignment_checks_the_variables(self, key, assignment, message):
+        # the same check, and the same message, as evaluate
+        for call in (lambda: base_assignment(REGISTRY[key], assignment),
+                     lambda: evaluate(key, PRESETS["fibonacci"], assignment)):
+            with pytest.raises(ValueError, match=f"^assignment for {key}: {message}$"):
+                call()
+
     def test_specializations_point_at_masters(self):
         for i in range(21, 25):
             assert REGISTRY[f"spec.{i}"].derived.base in "HFGJ"

@@ -1,11 +1,13 @@
+import argparse
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from horadam import bench, catalog, cli, theorems
 from horadam.catalog import Identity
-from horadam.errors import NonInvertible
+from horadam.errors import HoradamError, NonInvertible
 from horadam.sequences import PRESETS, fast_uv
 from horadam.cli import main
 
@@ -46,8 +48,8 @@ BROKEN = Identity(key="broken", tag="x", variables=("n",),
                   formula="u(n) = u(n) + 1")
 
 
-def run(capsys, argv):
-    code = main(argv)
+def run(capsys, argv, entry=main):
+    code = entry(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -363,3 +365,69 @@ class TestBench:
         from horadam.sequences import PRESETS, SequenceKind, term
         exact = term(PRESETS["fibonacci"], SequenceKind.U, 200)
         assert int(doc["u"]) == exact.numerator % 97
+
+
+def two_pass_main(argv=None):
+    """`main` with the top-level parser in front of every argv: `parse_args`
+    classifies all arguments, then hands them to the command's parser."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if exc.code is not None else cli.EXIT_USAGE
+    try:
+        return args.func(args)
+    except (HoradamError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli._EXIT_CODES.get(type(exc), cli.EXIT_USAGE)
+
+
+FIB = ["--preset", "fibonacci"]
+
+
+class TestArgvParsing:
+    @pytest.mark.parametrize("argv", [
+        ["eval", *FIB, "--kind", "w", "--n", "-7", "--method", "doubling", "--json"],
+        ["verify", "--id", "H", *FIB, "--assign", "n=1,m=3,r=2,s=0", "--json"],
+        ["fuzz", "--ids", "H", "--trials", "1", "--json"],
+        ["sum", "--theorem", "5", "--variant", "1", *FIB,
+         "--assign", "n=9,m=2,r=1,s=0,k=1", "--json"],
+        ["bench", "--n", "64", "--mod", "97", "--json"],
+    ], ids=["eval", "verify", "fuzz", "sum", "bench"])
+    def test_one_parse_per_call(self, capsys, monkeypatch, argv):
+        # the command's parser alone reads the arguments, once
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        code, _, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert calls == [f"horadam {argv[0]}"]
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["-h", "eval"], ["nosuch"], ["--bogus"],
+        ["eval", "-h"], ["bench", "-h"],
+        ["eval", *FIB, "--kind", "u", "--n", "5", "extra"],
+        ["eval", *FIB, "--kind", "u", "--n", "5", "--bogus", "x"],
+        ["eval", *FIB, "--kind", "x", "--n", "5"],
+        ["eval", *FIB, "--kind", "u"],
+        ["eval", "--pre", "fibonacci", "--kind", "u", "--n", "5"],
+        ["eval", "--", "--preset", "fibonacci"],
+        ["fuzz", "--ids", "H", "--trials", "1", "--max-i", "3"],
+    ], ids=["empty", "-h", "--help", "-h-eval", "unknown-command", "top-level-option",
+            "eval-h", "bench-h", "trailing-positional", "unknown-option", "bad-choice",
+            "missing-n", "ambiguous-prefix", "double-dash", "abbreviated-option"])
+    def test_usage_paths_match_the_two_pass_parse(self, capsys, argv):
+        assert run(capsys, argv) == run(capsys, argv, entry=two_pass_main)
+
+    @pytest.mark.parametrize("tail,code", [
+        (["eval", *FIB, "--kind", "v", "--n", "4", "--json"], 0), (["eval"], 2), ([], 2),
+    ], ids=["valid", "missing-flags", "empty"])
+    def test_default_argv_is_sys_argv(self, capsys, monkeypatch, tail, code):
+        monkeypatch.setattr(sys, "argv", ["horadam", *tail])
+        got = run(capsys, None)
+        assert got[0] == code
+        assert got == run(capsys, None, entry=two_pass_main)
