@@ -319,10 +319,32 @@ def base_assignment(ident: Identity, assignment: dict) -> Optional[tuple]:
     return der.base, der.specialize, dict(zip(REGISTRY[der.base].variables, values))
 
 
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list:
+    """`count` draws of `rng.randint(lo, hi)`, by its rule (see `SamplerConfig`)."""
+    width = hi - lo + 1
+    k = width.bit_length()  # not (width-1).bit_length(): width 1 still draws one bit
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        out.append(lo + r)
+    return out
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Bounds for randomized assignments: indices in [-max_index, max_index],
-    rational parameters with |numerator| and denominator at most bound."""
+    rational parameters with |numerator| and denominator at most bound.
+
+    Values are drawn by CPython's `randint` rule (3.2 on), open-coded in
+    `_randints` to save randint's three Python frames per value, about a sixth
+    of a `fuzz` trial: for `width = hi - lo + 1`, `getrandbits(width.bit_length())`
+    is redrawn until below `width`, then `lo` is added. On a `random.Random` that
+    gives randint's values and generator state, and a seeded draw no longer
+    depends on how a future Python implements `randint`.
+    """
 
     max_index: int = 10
     bound: int = 9
@@ -336,8 +358,8 @@ class SamplerConfig:
     def draw_params(self, rng: random.Random) -> HoradamParams:
         def rational(nonzero):
             while True:
-                x = Fraction(rng.randint(-self.bound, self.bound),
-                             rng.randint(1, self.bound))
+                x = Fraction(_randints(rng, -self.bound, self.bound, 1)[0],
+                             _randints(rng, 1, self.bound, 1)[0])
                 if not (nonzero and x == 0):
                     return x
         p = rational(True)
@@ -347,7 +369,8 @@ class SamplerConfig:
         return HoradamParams(a, b, p, q)
 
     def draw_assignment(self, rng: random.Random, variables) -> dict:
-        return {v: rng.randint(-self.max_index, self.max_index) for v in variables}
+        values = _randints(rng, -self.max_index, self.max_index, len(variables))
+        return dict(zip(variables, values))
 
 
 @dataclass(frozen=True)
@@ -394,6 +417,9 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
 
     One parameter set, term cache and accessor per trial, indices per identity;
     unreduced sides are compared, and an entry's first failure goes to `evaluate`.
+    A trial draws all its indices (one range) in one `_randints` call after
+    `draw_params`, and each identity's slice goes to both sides: the values and
+    generator state of one `draw_assignment` per identity, as a replay draws.
     ValueError for trials < 1 and for an empty or repeating id list.
     """
     if trials < 1:
@@ -403,21 +429,28 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
     if not keys or len(set(keys)) < len(keys):
         raise ValueError(f"fuzz needs one or more distinct identity ids, got {keys}")
     rng = random.Random(seed)
+    lo, hi = -sampler.max_index, sampler.max_index
+    spans, count = [], 0
+    for ident in idents:
+        spans.append((ident, count, count + len(ident.variables)))
+        count += len(ident.variables)
     passes = dict.fromkeys(keys, 0)
     counterexamples = dict.fromkeys(keys)
     for _ in range(trials):
         params = sampler.draw_params(rng)
         ctx = TermContext(params)
         t = Terms(ctx, SequenceKind.W)
-        for ident in idents:
-            asg = sampler.draw_assignment(rng, ident.variables)
+        drawn = _randints(rng, lo, hi, count)
+        for ident, start, stop in spans:
+            values = drawn[start:stop]
             try:
-                equal = ident.lhs(t, *asg.values()) == ident.rhs(t, *asg.values())
+                equal = ident.lhs(t, *values) == ident.rhs(t, *values)
             except HoradamError:
                 equal = False
             if equal:
                 passes[ident.key] += 1
             elif counterexamples[ident.key] is None:
+                asg = dict(zip(ident.variables, values))
                 counterexamples[ident.key] = evaluate(ident.key, params, asg, ctx=ctx)
     stats = tuple(IdentityStats(i.key, trials, passes[i.key], counterexamples[i.key])
                   for i in idents)

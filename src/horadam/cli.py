@@ -96,24 +96,30 @@ def _resolve_preset(name: str) -> HoradamParams:
 
 def _params_from_args(args) -> HoradamParams:
     """Exactly one base source (preset name, preset file, or --p/--q);
-    --a/--b override the base values."""
+    --a/--b override the base values. A --p/--q call builds one parameter
+    set, from the four values parsed first."""
     sources = [args.preset is not None, args.preset_file is not None,
                args.p is not None or args.q is not None]
     if sum(sources) != 1:
         raise ValueError("give exactly one parameter source: "
                          "--preset, --preset-file, or --p/--q")
-    if args.preset is not None:
-        base = _resolve_preset(args.preset)
-    elif args.preset_file is not None:
-        base = _load_preset_file(args.preset_file)
+    if args.preset is not None or args.preset_file is not None:
+        base = (_resolve_preset(args.preset) if args.preset is not None
+                else _load_preset_file(args.preset_file))
+        if args.a is None and args.b is None:
+            return base
+        a, b, p, q = base.a, base.b, base.p, base.q
     else:
         if args.p is None or args.q is None:
             raise ValueError("--p and --q must be given together")
-        base = HoradamParams(Fraction(0), Fraction(1),
-                             parse_rational(args.p), parse_rational(args.q))
-    a = parse_rational(args.a) if args.a is not None else base.a
-    b = parse_rational(args.b) if args.b is not None else base.b
-    return HoradamParams(a, b, base.p, base.q)
+        a, b, p, q = Fraction(0), Fraction(1), parse_rational(args.p), parse_rational(args.q)
+        if p == 0 or q == 0:  # reported before a bad --a/--b, by HoradamParams
+            return HoradamParams(a, b, p, q)
+    if args.a is not None:
+        a = parse_rational(args.a)
+    if args.b is not None:
+        b = parse_rational(args.b)
+    return HoradamParams(a, b, p, q)
 
 
 def _params_payload(params: HoradamParams) -> dict:

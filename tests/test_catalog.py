@@ -389,6 +389,40 @@ class TestFuzz:
         with pytest.raises(ValueError, match=message):
             SamplerConfig(**kwargs)
 
+    @pytest.mark.parametrize("lo,hi", [
+        (0, 0), (1, 8), (1, 16), (-9, 9), (-10, 10), (-30, 30), (-2**40, 2**40),
+    ], ids=["width-1", "width-8", "width-16", "width-19", "width-21", "width-61",
+            "width-2^41+1"])
+    def test_draws_are_randints(self, lo, hi):
+        # the same values and the same generator state as random.Random.randint
+        for seed in range(5):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert catalog._randints(ours, lo, hi, 60) == [theirs.randint(lo, hi)
+                                                           for _ in range(60)]
+            assert ours.getstate() == theirs.getstate()
+
+    @staticmethod
+    def _randint_params(sampler, rng):
+        def rational(nonzero):
+            while True:
+                x = Fraction(rng.randint(-sampler.bound, sampler.bound),
+                             rng.randint(1, sampler.bound))
+                if not (nonzero and x == 0):
+                    return x
+        p, q = rational(True), rational(True)
+        return HoradamParams(rational(False), rational(False), p, q)
+
+    @pytest.mark.parametrize("max_index,bound", [(0, 8), (9, 16), (10, 9), (30, 3),
+                                                 (2**40, 1)])
+    def test_sampler_draws_are_randints(self, max_index, bound):
+        sampler = SamplerConfig(max_index, bound)
+        ours, theirs = random.Random(max_index), random.Random(max_index)
+        for variables in ("n", "nm", "nmrs", "nmrsk") * 10:
+            assert sampler.draw_params(ours) == self._randint_params(sampler, theirs)
+            assert sampler.draw_assignment(ours, variables) == {
+                v: theirs.randint(-max_index, max_index) for v in variables}
+            assert ours.getstate() == theirs.getstate()
+
     def test_sampler_never_draws_zero_pq(self):
         rng = random.Random(73)
         sampler = SamplerConfig(max_index=5, bound=3)

@@ -8,7 +8,7 @@ import pytest
 from horadam import bench, catalog, cli, theorems
 from horadam.catalog import Identity
 from horadam.errors import HoradamError, NonInvertible
-from horadam.sequences import PRESETS, fast_uv
+from horadam.sequences import PRESETS, HoradamParams, fast_uv
 from horadam.cli import main
 
 GOLDEN_EVAL = (
@@ -334,6 +334,34 @@ class TestPresets:
         bad.write_text(text)
         code, out, err = run(capsys, ["eval", "--preset-file", str(bad),
                                       "--kind", "w", "--n", "4"])
+        assert (code, out) == (2, "") and message in err
+
+    @pytest.mark.parametrize("flags,built", [
+        (["--p=3/4", "--q=-5/6", "--a=1/2", "--b=2"], 1),
+        (["--p=3/4", "--q=-5/6"], 1),
+        (["--preset", "fibonacci"], 0),
+        (["--preset", "fibonacci", "--a", "3"], 1),
+    ], ids=["p-q-a-b", "p-q", "preset", "preset-a"])
+    def test_one_parameter_set_per_call(self, capsys, monkeypatch, flags, built):
+        calls = []
+        post_init = HoradamParams.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(HoradamParams, "__post_init__", counting)
+        code, _, err = run(capsys, ["eval", *flags, "--kind", "w", "--n", "37",
+                                    "--method", "doubling", "--json"])
+        assert (code, err, len(calls)) == (0, "", built)
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--p=0", "--q=1", "--a=x"], "p must be nonzero"),
+        (["--p=1", "--q=0", "--b=1/0"], "q must be nonzero"),
+        (["--p=1", "--q=2", "--a=x"], "not a rational literal: 'x'"),
+    ])
+    def test_p_and_q_are_checked_before_the_overrides(self, capsys, flags, message):
+        code, out, err = run(capsys, ["eval", *flags, "--kind", "u", "--n", "1"])
         assert (code, out) == (2, "") and message in err
 
     def test_builtin_presets(self, capsys):
