@@ -35,7 +35,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import HoradamError, UnknownIdentity
 from .field import binomial, format_scalar, reduced
@@ -373,8 +373,11 @@ class SamplerConfig:
         return dict(zip(variables, values))
 
 
-@dataclass(frozen=True)
-class IdentityStats:
+class IdentityStats(NamedTuple):
+    """One identity's fuzz tally. Immutable like the frozen records, but a
+    tuple, which builds without a per-field `object.__setattr__`: `fuzz`
+    builds one per identity on every call."""
+
     key: str
     trials: int
     passes: int

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     CompositeModulus,
@@ -62,75 +63,33 @@ def format_scalar(x) -> str:
     return str(x)
 
 
-def _mul(na, da, nb, db):
-    # cross-cancel first, as Fraction does
-    g1 = math.gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = math.gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return Ratio(na * nb, da * db)
+def _operand(x):
+    """An int or a Fraction as a Ratio operator's (n, d); (None, None) for any
+    other type, for which the operator returns NotImplemented."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return None, None
 
 
-def _div(na, da, nb, db):
-    if not nb:
-        raise ZeroDivisionError("Ratio division by zero")
-    return _mul(na, da, db, nb)
-
-
-def _add(na, da, nb, db):
-    # the gcd of the denominators, then of the result: Fraction's two steps,
-    # without which telescoping sums grow without bound
-    g = math.gcd(da, db)
-    if g == 1:
-        return Ratio(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = math.gcd(t, g)
-    if g2 == 1:
-        return Ratio(t, s * db)
-    return Ratio(t // g2, s * (db // g2))
-
-
-def _sub(na, da, nb, db):
-    return _add(na, da, -nb, db)
-
-
-def _operators(op):
-    """(forward, reverse) methods applying op(na, da, nb, db) to a Ratio and a
-    Ratio, an int or a Fraction."""
-
-    def forward(a, b):
-        if type(b) is Ratio:
-            return op(a.n, a.d, b.n, b.d)
-        if isinstance(b, int):
-            return op(a.n, a.d, b, 1)
-        if isinstance(b, Fraction):
-            return op(a.n, a.d, b.numerator, b.denominator)
-        return NotImplemented
-
-    def reverse(b, a):
-        if isinstance(a, int):
-            return op(a, 1, b.n, b.d)
-        if isinstance(a, Fraction):
-            return op(a.numerator, a.denominator, b.n, b.d)
-        return NotImplemented
-
-    return forward, reverse
+_new = object.__new__
 
 
 class Ratio:
     """The exact rational n/d (d != 0), not necessarily reduced.
 
     Internal to the checkers, which evaluate on the term cache's integer
-    pairs without `Fraction`'s numeric-tower dispatch. `*` and `/`
-    cross-cancel before multiplying, and `+`/`-` divide out the gcd of the
-    denominators and then of the result, as `Fraction` does; `**` reduces
-    its base once before raising it. `==` cross-multiplies, with a Ratio,
-    an int or a Fraction on either side.
+    pairs without `Fraction`'s numeric-tower dispatch. Each operator takes a
+    Ratio, an int or a Fraction on either side; `*`, `/`, `+`, `-`, unary
+    `-` and `**` are each one method that builds its result without
+    `__init__`. `*` and `/` cross-cancel before multiplying, and `+`/`-`
+    divide out the gcd of the denominators and then of the result, as
+    `Fraction` does (Henrici; Knuth, TAOCP Vol. 2, 4.5.1). Both rules are
+    symmetric in their operands, so `__rmul__` and `__radd__` are `__mul__`
+    and `__add__`, and the reflected `-` and `/`, which the checkers do not
+    use, reuse the forward rules. `**` reduces its base once before raising it.
+    `==` cross-multiplies, with a Ratio, an int or a Fraction on either side.
     Division by zero raises ZeroDivisionError and 0 ** -e ZeroToNegativePower.
     Unhashable, since equal values need not share a pair; `reduced` gives
     the value as a `Fraction`.
@@ -142,13 +101,91 @@ class Ratio:
         self.n = n
         self.d = d
 
-    __mul__, __rmul__ = _operators(_mul)
-    __truediv__, __rtruediv__ = _operators(_div)
-    __add__, __radd__ = _operators(_add)
-    __sub__, __rsub__ = _operators(_sub)
+    def __mul__(self, other):
+        if type(other) is Ratio:
+            nb, db = other.n, other.d
+        else:
+            nb, db = _operand(other)
+            if nb is None:
+                return NotImplemented
+        # cross-cancel first, as Fraction does
+        na, da = self.n, self.d
+        g1, g2 = gcd(na, db), gcd(nb, da)
+        result = _new(Ratio)
+        result.n, result.d = na // g1 * (nb // g2), da // g2 * (db // g1)
+        return result
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        # the product with the reciprocal db/nb of other
+        if type(other) is Ratio:
+            db, nb = other.n, other.d
+        else:
+            db, nb = _operand(other)
+            if db is None:
+                return NotImplemented
+        if not db:
+            raise ZeroDivisionError("Ratio division by zero")
+        na, da = self.n, self.d
+        g1, g2 = gcd(na, db), gcd(nb, da)
+        result = _new(Ratio)
+        result.n, result.d = na // g1 * (nb // g2), da // g2 * (db // g1)
+        return result
+
+    def __rtruediv__(self, other):
+        # other times self's reciprocal: the product rule is symmetric, so
+        # this is the pair other / self gets by it
+        if _operand(other)[0] is None:
+            return NotImplemented
+        if not self.n:
+            raise ZeroDivisionError("Ratio division by zero")
+        return Ratio(self.d, self.n).__mul__(other)
+
+    def __add__(self, other):
+        if type(other) is Ratio:
+            nb, db = other.n, other.d
+        else:
+            nb, db = _operand(other)
+            if nb is None:
+                return NotImplemented
+        # the gcd of the denominators, then of the result: Fraction's two steps,
+        # without which telescoping sums grow without bound
+        da = self.d
+        g = gcd(da, db)
+        s = da // g
+        t = self.n * (db // g) + nb * s
+        g = gcd(t, g)
+        result = _new(Ratio)
+        result.n, result.d = t // g, s * (db // g)
+        return result
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is Ratio:
+            nb, db = other.n, other.d
+        else:
+            nb, db = _operand(other)
+            if nb is None:
+                return NotImplemented
+        da = self.d
+        g = gcd(da, db)
+        s = da // g
+        t = self.n * (db // g) - nb * s
+        g = gcd(t, g)
+        result = _new(Ratio)
+        result.n, result.d = t // g, s * (db // g)
+        return result
+
+    def __rsub__(self, other):
+        # (-self) + other: the sum rule is symmetric, so the same pair
+        return (-self).__add__(other)
 
     def __neg__(self):
-        return Ratio(-self.n, self.d)
+        result = _new(Ratio)
+        result.n, result.d = -self.n, self.d
+        return result
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -159,8 +196,10 @@ class Ratio:
                 raise ZeroToNegativePower(f"0 ** {e}")
             n, d, e = d, n, -e
         # reduce the base first: a common factor would come out e-fold
-        g = math.gcd(n, d)
-        return Ratio((n // g) ** e, (d // g) ** e)
+        g = gcd(n, d)
+        result = _new(Ratio)
+        result.n, result.d = (n // g) ** e, (d // g) ** e
+        return result
 
     def __eq__(self, other):
         if type(other) is Ratio:

@@ -2,15 +2,23 @@
 
 Given nonzero coefficients h, f1, f2 and integer offsets c, d such that
 h*X_n = f1*X_{n-c} + f2*Y_{n-d} holds on the probed window, five families
-of telescoping identities follow. Each operation evaluates both sides of
-one family exactly and reports whether they coincide (they must, whenever
-the configuration probe passes).
+of telescoping identities follow. Each public operation evaluates both
+sides of one family exactly and reports whether they coincide (they must,
+whenever the configuration probe passes).
 
 Only lemma 1, the lemma-3 binomial expansion and the L4 reciprocal sum are
 written out. The other variants apply them, with Y = X, to the relation
 swapped, h*X_n = f2*X_{n-d} + f1*X_{n-c}, or solved for its f1 term,
 f1*X_m = h*X_{m+c} - f2*X_{m+c-d} at m = n - c. Reports keep the caller's
 configuration, and a probe failure names the index in the caller's relation.
+
+Each lemma has one private function (`_lemma1`, `_lemma2`, `_lemma3`,
+`_lemma45`) on the relation as the plain tuple (h, f1, f2, c, d): it picks
+the variant, probes, and returns the left side, the relation it was summed
+on and whether the variant negated it ((-1)^k at odd k). The theorem
+checkers, which report only a left side, call these directly. The public
+functions wrap them and add the right side: `_telescoped` on that relation,
+or lemma 3's single scaled term.
 
 Accessors are plain callables int -> scalar; `TermContext` methods, the
 members of its checker accessor `Terms` (over unreduced `Ratio` pairs, as
@@ -56,11 +64,16 @@ class LemmaReport:
         return self.lhs == self.rhs
 
 
-def _probe(cfg, X, Y, points, where, shift=0):
-    # points are caller indices: cfg's relation at n - shift is the caller's at n
+def _plain(cfg):
+    return cfg.h, cfg.f1, cfg.f2, cfg.c, cfg.d
+
+
+def _probe(rel, X, Y, points, where, shift=0):
+    # points are caller indices: rel at n - shift is the caller's relation at n
+    h, f1, f2, c, d = rel
     for n in points:
         i = n - shift
-        if cfg.h * X(i) != cfg.f1 * X(i - cfg.c) + cfg.f2 * Y(i - cfg.d):
+        if h * X(i) != f1 * X(i - c) + f2 * Y(i - d):
             raise ConfigViolation(
                 f"recurrence fails at index {n} while evaluating {where}")
 
@@ -68,7 +81,7 @@ def _probe(cfg, X, Y, points, where, shift=0):
 def check_config(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, window) -> bool:
     """True iff h*X_n = f1*X_{n-c} + f2*Y_{n-d} at every n in `window`."""
     try:
-        _probe(cfg, X, Y, window, "check_config")
+        _probe(_plain(cfg), X, Y, window, "check_config")
     except ConfigViolation:
         return False
     return True
@@ -79,33 +92,57 @@ def _require_k(k: int):
         raise ValueError(f"summation bound k must be >= 0, got {k}")
 
 
-def _swapped(cfg):
-    return RecurrenceConfig(cfg.h, cfg.f2, cfg.f1, cfg.d, cfg.c)
+def _swapped(rel):
+    h, f1, f2, c, d = rel
+    return h, f2, f1, d, c
 
 
-def _solved(cfg):
+def _solved(rel):
     # its index m is the caller's index m + c
-    return RecurrenceConfig(cfg.f1, cfg.h, -cfg.f2, -cfg.c, cfg.d - cfg.c)
+    h, f1, f2, c, d = rel
+    return f1, h, -f2, -c, d - c
 
 
-def _alternate(k, sides):
-    # (-1)^k * (lhs, rhs)
-    lhs, rhs = sides
-    return (-lhs, -rhs) if k % 2 else (lhs, rhs)
-
-
-def _lemma1(cfg, X, Y, n, k, where, shift=0):
-    h, f1, f2, c, d = cfg.h, cfg.f1, cfg.f2, cfg.c, cfg.d
-    _probe(cfg, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift)
-    lhs = f2 * sum(f1 ** (k - j) * h ** j * Y(n - k * c - d + c * j) for j in range(k + 1))
+def _telescoped(rel, X, n, k, negated):
+    """Lemma 1's right side h^(k+1) X_n - f1^(k+1) X_{n-(k+1)c} on `rel`,
+    which the reciprocal sums share; negated for a variant that negates."""
+    h, f1, _, c, _ = rel
     rhs = h ** (k + 1) * X(n) - f1 ** (k + 1) * X(n - (k + 1) * c)
-    return lhs, rhs
+    return -rhs if negated else rhs
+
+
+def _power_sum(rel, X, Y, n, k, where, shift=0):
+    # lemma 1's left side
+    h, f1, f2, c, d = rel
+    _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift)
+    return f2 * sum(f1 ** (k - j) * h ** j * Y(n - k * c - d + c * j) for j in range(k + 1))
+
+
+def _lemma1(rel, X, Y, n, k):
+    return _power_sum(rel, X, Y, n, k, "lemma 1"), rel, False
 
 
 def lemma1_sum(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, n: int, k: int) -> LemmaReport:
     """f2 * sum_{j=0}^k f1^(k-j) h^j Y_{n-kc-d+cj}  =  h^(k+1) X_n - f1^(k+1) X_{n-(k+1)c}."""
     _require_k(k)
-    return LemmaReport("1", "", cfg, n, k, *_lemma1(cfg, X, Y, n, k, "lemma 1"))
+    lhs, rel, negated = _lemma1(_plain(cfg), X, Y, n, k)
+    return LemmaReport("1", "", cfg, n, k, lhs, _telescoped(rel, X, n, k, negated))
+
+
+def _lemma2(rel, X, n, k, variant):
+    if variant == 1:
+        return _power_sum(rel, X, X, n, k, "lemma 1"), rel, False
+    if variant == 2:
+        rel = _swapped(rel)
+        return _power_sum(rel, X, X, n, k, "lemma 2 variant 2"), rel, False
+    if variant != 3:
+        raise ValueError(f"lemma 2 variant must be 1, 2 or 3, got {variant}")
+    if rel[3] == rel[4]:
+        raise DegenerateStride("lemma 2 variant 3 needs d != c")
+    shift, rel = rel[3], _swapped(_solved(rel))
+    lhs = _power_sum(rel, X, X, n, k, "lemma 2 variant 3", shift)
+    negated = k % 2 == 1
+    return (-lhs if negated else lhs), rel, negated
 
 
 def lemma2_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int, variant: int) -> LemmaReport:
@@ -113,28 +150,27 @@ def lemma2_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int, variant: int
     swapped relation (2), and (-1)^k times it on the swapped solved relation
     (3, needs d != c)."""
     _require_k(k)
+    lhs, rel, negated = _lemma2(_plain(cfg), X, n, k, variant)
+    return LemmaReport("2", str(variant), cfg, n, k, lhs, _telescoped(rel, X, n, k, negated))
+
+
+def _lemma3(rel, X, n, k, variant):
     if variant == 1:
-        sides = _lemma1(cfg, X, X, n, k, "lemma 1")
+        shift = 0
     elif variant == 2:
-        sides = _lemma1(_swapped(cfg), X, X, n, k, "lemma 2 variant 2")
+        shift, rel = rel[3], _solved(rel)
     elif variant == 3:
-        if cfg.d == cfg.c:
-            raise DegenerateStride("lemma 2 variant 3 needs d != c")
-        sides = _alternate(k, _lemma1(_swapped(_solved(cfg)), X, X, n, k,
-                                      "lemma 2 variant 3", cfg.c))
+        shift, rel = rel[4], _solved(_swapped(rel))
     else:
-        raise ValueError(f"lemma 2 variant must be 1, 2 or 3, got {variant}")
-    return LemmaReport("2", str(variant), cfg, n, k, *sides)
-
-
-def _binomial(cfg, X, n, k, where, shift=0):
-    h, f1, f2, c, d = cfg.h, cfg.f1, cfg.f2, cfg.c, cfg.d
+        raise ValueError(f"lemma 3 variant must be 1, 2 or 3, got {variant}")
+    h, f1, f2, c, d = rel
     # recurrence instances consumed by the k-fold coefficient-power expansion
     points = {n + shift - a * c - (tot - a) * d for tot in range(k) for a in range(tot + 1)}
-    _probe(cfg, X, X, points, where, shift)
+    _probe(rel, X, X, points, f"lemma 3 variant {variant}", shift)
     lhs = sum(binomial(k, j) * f2 ** (k - j) * f1 ** j * X(n - d * k + (d - c) * j)
               for j in range(k + 1))
-    return lhs, h ** k * X(n)
+    negated = variant != 1 and k % 2 == 1
+    return (-lhs if negated else lhs), rel, negated
 
 
 def lemma3_binomial_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int,
@@ -143,16 +179,9 @@ def lemma3_binomial_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int,
     sum C(k,j) f2^(k-j) f1^j X_{n-dk+(d-c)j} = h^k X_n (variant 1), and (-1)^k
     times it on the relation solved for its f1 term (2) or its f2 term (3)."""
     _require_k(k)
-    where = f"lemma 3 variant {variant}"
-    if variant == 1:
-        sides = _binomial(cfg, X, n, k, where)
-    elif variant == 2:
-        sides = _alternate(k, _binomial(_solved(cfg), X, n, k, where, cfg.c))
-    elif variant == 3:
-        sides = _alternate(k, _binomial(_solved(_swapped(cfg)), X, n, k, where, cfg.d))
-    else:
-        raise ValueError(f"lemma 3 variant must be 1, 2 or 3, got {variant}")
-    return LemmaReport("3", str(variant), cfg, n, k, *sides)
+    lhs, rel, negated = _lemma3(_plain(cfg), X, n, k, variant)
+    rhs = rel[0] ** k * X(n)
+    return LemmaReport("3", str(variant), cfg, n, k, lhs, -rhs if negated else rhs)
 
 
 def _denominator_window(X, n, stride, k):
@@ -163,18 +192,28 @@ def _denominator_window(X, n, stride, k):
         yield max(0, i - 1), idx, X(idx) == 0
 
 
-def _reciprocal(cfg, X, Y, n, k, where, shift=0):
-    h, f1, f2, c, d = cfg.h, cfg.f1, cfg.f2, cfg.c, cfg.d
+def _lemma45(rel, X, Y, n, k, variant):
+    shift = 0
+    if variant == "L5a":
+        Y = X
+    elif variant == "L5b":
+        rel, Y = _swapped(rel), X
+    elif variant == "L5c":
+        if rel[3] == rel[4]:
+            raise DegenerateStride("lemma 5 variant c needs d != c")
+        shift, rel, Y = rel[3], _swapped(_solved(rel)), X
+    elif variant != "L4":
+        raise ValueError(f"reciprocal variant must be L4, L5a, L5b or L5c, got {variant!r}")
+    h, f1, f2, c, d = rel
     for j, idx, zero in _denominator_window(X, n, c, k):
         if zero:
             raise SingularSummand(j, idx)
-    _probe(cfg, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift)
+    _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], variant, shift)
     lhs = X(n) * X(n - c * (k + 1)) * f2 * sum(
         h ** (k - j) * f1 ** j * Y(n - d - c * k + c * j)
         / (X(n - c * k + c * j) * X(n - c - c * k + c * j))
         for j in range(k + 1))
-    rhs = h ** (k + 1) * X(n) - f1 ** (k + 1) * X(n - c * (k + 1))
-    return lhs, rhs
+    return lhs, rel, False
 
 
 def lemma45_reciprocal(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, n: int, k: int,
@@ -187,18 +226,6 @@ def lemma45_reciprocal(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, n: int, 
     SingularSummand rather than dividing by zero.
     """
     _require_k(k)
-    shift = 0
-    if variant == "L4":
-        derived = cfg
-    elif variant == "L5a":
-        derived, Y = cfg, X
-    elif variant == "L5b":
-        derived, Y = _swapped(cfg), X
-    elif variant == "L5c":
-        if cfg.d == cfg.c:
-            raise DegenerateStride("lemma 5 variant c needs d != c")
-        derived, Y, shift = _swapped(_solved(cfg)), X, cfg.c
-    else:
-        raise ValueError(f"reciprocal variant must be L4, L5a, L5b or L5c, got {variant!r}")
-    return LemmaReport("4" if variant == "L4" else "5", variant, cfg, n, k,
-                       *_reciprocal(derived, X, Y, n, k, variant, shift))
+    lhs, rel, negated = _lemma45(_plain(cfg), X, Y, n, k, variant)
+    return LemmaReport("4" if variant == "L4" else "5", variant, cfg, n, k, lhs,
+                       _telescoped(rel, X, n, k, negated))

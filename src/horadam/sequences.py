@@ -281,6 +281,11 @@ def _ratio(x):
     return Ratio(x.numerator, x.denominator) if isinstance(x, Fraction) else x
 
 
+# u's seeds and v's x_0 over Q as Ratio pairs, shared by every context: a
+# Ratio is immutable
+_RATIO_SEEDS = Ratio(0, 1), Ratio(1, 1), Ratio(2, 1)
+
+
 class Terms:
     """The checkers' accessor over one TermContext with w read as `kind`:
     u, v, w, qp, p, q, and a, b = that kind's x_0, x_1, on the cached scalars
@@ -319,11 +324,14 @@ class TermContext:
 
     def __init__(self, params: HoradamParams):
         self.params = params
-        self._scalars = _ratio(params.p), _ratio(params.q)
-        self._vals = {}     # kind -> {index: scalar} over one contiguous index run
-        for kind in (U, V, W):     # a tuple iterates faster than the Enum
-            x0, x1 = params.seeds(kind)
-            self._vals[kind] = {0: _ratio(x0), 1: _ratio(x1)}
+        p = _ratio(params.p)
+        self._scalars = p, _ratio(params.q)
+        M = params.modulus
+        zero, one, two = (ModInt(0, M), ModInt(1, M), ModInt(2, M)) if M else _RATIO_SEEDS
+        # kind -> {index: scalar} over one contiguous index run; u and v
+        # seed as `seeds` gives, v's x_1 being p itself
+        self._vals = {U: {0: zero, 1: one}, V: {0: two, 1: p},
+                      W: {0: _ratio(params.a), 1: _ratio(params.b)}}
         # (kind, step) -> [P, Q, L, M, X_{k-1}, X_k, L^k*D, k], step 1 forward
         # and -1 backward, k the walk's signed end index
         self._walks = {}

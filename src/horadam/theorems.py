@@ -10,7 +10,9 @@ compute:
   1. the direct sum of the displayed left side,
   2. the displayed right side, the closed form,
   3. the same quantity through the generic lemma engine, instantiated with
-     the configuration from which the theorem follows,
+     the configuration from which the theorem follows: the lemma's left side
+     alone, from its private form on the plain coefficient tuple (the
+     lemma's own right side is not computed, nor a `LemmaReport` built),
 
 and require all three to agree exactly. The legs, the guards and the
 denominator scan run on the checker accessor of one `TermContext` for the
@@ -41,9 +43,10 @@ from typing import Any, Callable, NamedTuple
 from .catalog import compile_expression, compile_sides, compile_tuple
 from .errors import GuardViolation
 from .field import format_scalar, reduced
-from .lemmas import (
-    RecurrenceConfig,
-    _denominator_window,
+from .lemmas import _denominator_window, _lemma1, _lemma2, _lemma3, _lemma45
+# The lemma leg calls the private forms above. The public lemma functions stay
+# importable from here: perfbench/layers.py rebinds them on this module by name.
+from .lemmas import (  # noqa: F401
     lemma1_sum,
     lemma2_sums,
     lemma3_binomial_sums,
@@ -64,7 +67,7 @@ _T4_CLOSED = (
 )
 
 # theorem -> [(displayed base form, factor, window)] over n, m, r, s, k: the
-# factor scales the lemma report (see _lemma) into the left side; a
+# factor scales the lemma's left side (see _lemma_lhs) into the displayed one; a
 # reciprocal form's window is the stride of its denominator window over X
 _BASES = {
     2: [("sum_{j=0}^{k} (-1)^j*q^((r-s)(k-j))*C(k,j)*u(m-s)^j*u(m-r)^(k-j)"
@@ -198,26 +201,27 @@ def _form(sel) -> tuple:
 
 
 def _relation(t, rel: _Relation, where: str, n, m, r, s):
-    """(cfg, X, Y) on the accessor `t`; GuardViolation, naming the term, for
-    the first of h, f1 and f2 that is zero."""
-    h, f1, f2, c, d = rel.coefficients(t, n, m, r, s)
+    """((h, f1, f2, c, d), X, Y) on the accessor `t`; GuardViolation, naming
+    the term, for the first of h, f1 and f2 that is zero."""
+    coefficients = rel.coefficients(t, n, m, r, s)
+    h, f1, f2, _, _ = coefficients
     if 0 in (h, f1, f2):
         sequence, index = rel.guards[(h, f1, f2).index(0)]
         raise GuardViolation(f"{sequence}({index(t, n, m, r, s)})", where)
-    return (RecurrenceConfig(h, f1, f2, c, d), *rel.accessors(t, n, m, r, s))
+    return (coefficients, *rel.accessors(t, n, m, r, s))
 
 
-def _lemma(sel, cfg, X, Y, n, k):
-    """The lemma-engine report the selected theorem follows from."""
+def _lemma_lhs(sel, rel, X, Y, n, k):
+    """The left side of the lemma the selected theorem follows from."""
     if sel.theorem == 2:
-        return lemma3_binomial_sums(cfg, X, n, k, sel.base)
+        return _lemma3(rel, X, n, k, sel.base)[0]
     if sel.theorem == 3:
-        return lemma1_sum(cfg, X, Y, n, k)
+        return _lemma1(rel, X, Y, n, k)[0]
     if sel.theorem == 4:
-        return lemma2_sums(cfg, X, n, k, sel.base)
+        return _lemma2(rel, X, n, k, sel.base)[0]
     if sel.theorem == 5:
-        return lemma45_reciprocal(cfg, X, Y, n, k, "L4")
-    return lemma45_reciprocal(cfg, X, X, n, k, ("L5a", "L5b", "L5c")[sel.base - 1])
+        return _lemma45(rel, X, Y, n, k, "L4")[0]
+    return _lemma45(rel, X, X, n, k, ("L5a", "L5b", "L5c")[sel.base - 1])[0]
 
 
 def singularity_scan(sel: TheoremSelector, params: HoradamParams,
@@ -245,17 +249,16 @@ def _evaluate(sel: TheoremSelector, params: HoradamParams,
     lhs, rhs, factor, _, relation = _form(sel)
     t = Terms(TermContext(params), sel.kind)
     eff = _effective(sel, n, m, r, s)
-    cfg, X, Y = _relation(t, relation, f"theorem {sel.theorem} variant {sel.variant}", *eff)
+    rel, X, Y = _relation(t, relation, f"theorem {sel.theorem} variant {sel.variant}", *eff)
     notes = ()
     if sel.theorem == 2 and k == 0:
         notes = ("k=0 is outside the stated hypothesis (positive k); the sum still evaluates",)
 
     # first, so that the lemma's denominator scan raises SingularSummand
     # before the direct sum divides by a vanishing term
-    rep = _lemma(sel, cfg, X, Y, eff[0], k)
-    lemma_lhs = factor(t, *eff, k) * rep.lhs
+    lemma_lhs = _lemma_lhs(sel, rel, X, Y, eff[0], k)
     return SumReport(sel, dict(n=n, m=m, r=r, s=s, k=k), reduced(lhs(t, *eff, k)),
-                     reduced(rhs(t, *eff, k)), reduced(lemma_lhs), notes)
+                     reduced(rhs(t, *eff, k)), reduced(factor(t, *eff, k) * lemma_lhs), notes)
 
 
 def theorem_sum(sel: TheoremSelector, params: HoradamParams,

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -178,7 +179,73 @@ def _apply(op, x, y):
     return x / y
 
 
+def _pair(x):
+    if isinstance(x, Ratio):
+        return x.n, x.d
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return x, 1
+
+
+def _product_rule(na, da, nb, db):
+    # Henrici's product: cancel na against db and nb against da, then multiply
+    g1 = math.gcd(na, db)
+    g2 = math.gcd(nb, da)
+    return (na // g1) * (nb // g2), (da // g2) * (db // g1)
+
+
+def _sum_rule(na, da, nb, db):
+    # the two-gcd sum: g of the denominators, then of the numerator with g
+    g = math.gcd(da, db)
+    t = na * (db // g) + nb * (da // g)
+    g2 = math.gcd(t, g)
+    return t // g2, (da // g) * (db // g2)
+
+
+# operands no Ratio operator accepts, on either side
+foreign = st.sampled_from([ModInt(3, 7), ModInt(0, 7), 1.5, 0.0])
+
+
 class TestRatio:
+    @given(pairs, st.one_of(operands, foreign), st.sampled_from("+-*/"), st.booleans())
+    def test_operator_pairs_follow_the_gcd_rules(self, start, operand, op, left):
+        # the exact unreduced pair, not only the value, with the Ratio on
+        # either side of an int, a Fraction or a Ratio
+        x = Ratio(*start)
+        a, b = (operand, x) if left else (x, operand)
+        if isinstance(operand, (ModInt, float)):
+            with pytest.raises(TypeError):
+                _apply(op, a, b)
+            return
+        (na, da), (nb, db) = _pair(a), _pair(b)
+        if op == "/" and not nb:
+            with pytest.raises(ZeroDivisionError):
+                _apply(op, a, b)
+            return
+        expected = {"+": lambda: _sum_rule(na, da, nb, db),
+                    "-": lambda: _sum_rule(na, da, -nb, db),
+                    "*": lambda: _product_rule(na, da, nb, db),
+                    "/": lambda: _product_rule(na, da, db, nb)}[op]()
+        result = _apply(op, a, b)
+        assert type(result) is Ratio
+        assert (result.n, result.d) == expected
+
+    @given(pairs, st.integers(-4, 4))
+    def test_negation_and_power_pairs(self, start, e):
+        x = Ratio(*start)
+        negated = -x
+        assert type(negated) is Ratio and (negated.n, negated.d) == (-x.n, x.d)
+        if not x.n and e < 0:
+            with pytest.raises(ZeroToNegativePower):
+                x ** e
+            return
+        # the base reduced once, then raised
+        n, d = (x.d, x.n) if e < 0 else (x.n, x.d)
+        g = math.gcd(n, d)
+        power = x ** e
+        assert type(power) is Ratio
+        assert (power.n, power.d) == ((n // g) ** abs(e), (d // g) ** abs(e))
+
     @given(pairs, steps)
     def test_matches_fraction_oracle(self, start, ops):
         value, oracle = Ratio(*start), Fraction(*start)

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "horadam"
@@ -47,3 +48,15 @@ def test_only_the_input_check_probes_for_modint():
               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
               and len(node.args) == 2 and _names_modint(node.args[1])]
     assert [probe[:2] for probe in probes] == [("sequences.py", "_coerce")], probes
+
+
+def test_benchmark_layer_bindings_resolve():
+    # perfbench/layers.py rebinds library names (among them the public lemma
+    # functions on horadam.theorems) by attribute; one removed or renamed
+    # fails here rather than only in the benchmark's traced run
+    path = SRC.parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    with layers.traced(layers.Tracer()):
+        pass

@@ -10,7 +10,15 @@ from horadam import theorems
 from horadam.catalog import SamplerConfig, _python, compile_sides
 from horadam.errors import ConfigViolation, GuardViolation, SingularSummand
 from horadam.field import ModInt, PrimeField
-from horadam.sequences import PRESETS, HoradamParams, SequenceKind, TermContext
+from horadam.lemmas import (
+    LemmaReport,
+    RecurrenceConfig,
+    lemma1_sum,
+    lemma2_sums,
+    lemma3_binomial_sums,
+    lemma45_reciprocal,
+)
+from horadam.sequences import PRESETS, HoradamParams, SequenceKind, TermContext, Terms
 from horadam.theorems import (
     VARIANT_COUNT,
     SumReport,
@@ -438,3 +446,61 @@ class TestFormulaStrings:
                     for theorem, bases in theorems._BASES.items()
                     for base, (formula, *_) in enumerate(bases, 1)]
         assert rows == expected
+
+
+class TestLemmaLeg:
+    """The lemma leg computes only the lemma's left side, on the plain
+    coefficients; the public lemma reports must agree with it."""
+
+    @staticmethod
+    def public_lemma(sel, params, n, m, r, s, k):
+        """(factor, report): the public lemma report the selected theorem
+        follows from, built from a RecurrenceConfig on the theorem's
+        relation, and the factor scaling its left side into the theorem's."""
+        _, _, factor, _, relation = theorems._FORMS[sel.theorem, sel.base]
+        t = Terms(TermContext(params), sel.kind)
+        eff = theorems._effective(sel, n, m, r, s)
+        cfg = RecurrenceConfig(*relation.coefficients(t, *eff))
+        X, Y = relation.accessors(t, *eff)
+        n = eff[0]
+        if sel.theorem == 2:
+            rep = lemma3_binomial_sums(cfg, X, n, k, sel.base)
+        elif sel.theorem == 3:
+            rep = lemma1_sum(cfg, X, Y, n, k)
+        elif sel.theorem == 4:
+            rep = lemma2_sums(cfg, X, n, k, sel.base)
+        elif sel.theorem == 5:
+            rep = lemma45_reciprocal(cfg, X, Y, n, k, "L4")
+        else:
+            rep = lemma45_reciprocal(cfg, X, X, n, k, ("L5a", "L5b", "L5c")[sel.base - 1])
+        return factor(t, *eff, k), rep
+
+    def test_lemma_lhs_is_the_public_reports_lhs(self):
+        rng = random.Random(149)
+        sampler = SamplerConfig(max_index=6, bound=9)
+        checked = 0
+        for theorem, nvar in VARIANT_COUNT.items():
+            for variant in range(1, nvar + 1):
+                for kind in SequenceKind:
+                    sel = TheoremSelector(theorem, variant, kind)
+                    for params, args, rep in guard_passing_draws(rng, sampler, sel, 3, kmax=4):
+                        factor, lemma = self.public_lemma(sel, params, *args)
+                        assert lemma.equal, (sel, args)
+                        assert rep.lemma_lhs == factor * lemma.lhs, (sel, args)
+                        checked += 1
+        assert checked == 66 * 3
+
+    def test_theorem_call_builds_no_lemma_records(self, monkeypatch):
+        built = []
+        for cls in (RecurrenceConfig, LemmaReport):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        for theorem, base in theorems._FORMS:
+            assert run(TheoremSelector(theorem, base), CONTROL_PARAMS, *CONTROL_ARGS).equal
+        assert built == []
+        # the public path builds both, and the count sees them
+        ctx = TermContext(FIB)
+        assert lemma1_sum(RecurrenceConfig(1, FIB.p, -FIB.q, 1, 2), ctx.u, ctx.u, 6, 3).equal
+        assert built == ["RecurrenceConfig", "LemmaReport"]
