@@ -6,19 +6,20 @@ of telescoping identities follow. Each public operation evaluates both
 sides of one family exactly and reports whether they coincide (they must,
 whenever the configuration probe passes).
 
-Only lemma 1, the lemma-3 binomial expansion and the L4 reciprocal sum are
-written out. The other variants apply them, with Y = X, to the relation
-swapped, h*X_n = f2*X_{n-d} + f1*X_{n-c}, or solved for its f1 term,
-f1*X_m = h*X_{m+c} - f2*X_{m+c-d} at m = n - c. Reports keep the caller's
-configuration, and a probe failure names the index in the caller's relation.
+Three left sides are written out: lemma 1's power sum, lemma 3's binomial
+expansion and the L4 reciprocal sum. One table (`_VARIANTS`) gives every
+variant, by its label ("lemma 2 variant 3", "L5c"), as one of them on the
+relation as given, swapped (h*X_n = f2*X_{n-d} + f1*X_{n-c}), solved for its
+f1 term (f1*X_m = h*X_{m+c} - f2*X_{m+c-d} at m = n - c) or both in turn,
+and negated at odd k or not. Lemmas 2 and 5 are lemma 1 and L4 read with
+Y = X. Reports keep the caller's configuration; a probe failure names the
+variant and the index in the caller's relation.
 
-Each lemma has one private function (`_lemma1`, `_lemma2`, `_lemma3`,
-`_lemma45`) on the relation as the plain tuple (h, f1, f2, c, d): it picks
-the variant, probes, and returns the left side, the relation it was summed
-on and whether the variant negated it ((-1)^k at odd k). The theorem
-checkers, which report only a left side, call these directly. The public
-functions wrap them and add the right side: `_telescoped` on that relation,
-or lemma 3's single scaled term.
+`_lemma(label, ...)` returns a variant's left side on the plain tuple
+(h, f1, f2, c, d), the relation it was summed on and whether it was
+negated. The theorem checkers, which report only a left side, call it with
+the label their base form names. The public functions validate, pass X as
+Y where the variant reads Y = X, and add the right side on that relation.
 
 Accessors are plain callables int -> scalar; `TermContext` methods, the
 members of its checker accessor `Terms` (over unreduced `Ratio` pairs, as
@@ -92,96 +93,37 @@ def _require_k(k: int):
         raise ValueError(f"summation bound k must be >= 0, got {k}")
 
 
-def _swapped(rel):
-    h, f1, f2, c, d = rel
-    return h, f2, f1, d, c
+def _rearranged(rel, how, where):
+    """(relation, shift): `rel` with the steps of `how`, "swapped" or "solved",
+    applied in order; the caller's index n is the result's n - shift."""
+    if how == "solved swapped" and rel[3] == rel[4]:
+        # its stride would be d - c
+        raise DegenerateStride(f"{where} needs d != c")
+    shift = 0
+    for step in how.split():
+        h, f1, f2, c, d = rel
+        if step == "swapped":
+            rel = h, f2, f1, d, c
+        else:
+            rel, shift = (f1, h, -f2, -c, d - c), shift + c
+    return rel, shift
 
 
-def _solved(rel):
-    # its index m is the caller's index m + c
-    h, f1, f2, c, d = rel
-    return f1, h, -f2, -c, d - c
-
-
-def _telescoped(rel, X, n, k, negated):
-    """Lemma 1's right side h^(k+1) X_n - f1^(k+1) X_{n-(k+1)c} on `rel`,
-    which the reciprocal sums share; negated for a variant that negates."""
-    h, f1, _, c, _ = rel
-    rhs = h ** (k + 1) * X(n) - f1 ** (k + 1) * X(n - (k + 1) * c)
-    return -rhs if negated else rhs
-
-
-def _power_sum(rel, X, Y, n, k, where, shift=0):
+def _power_sum(rel, X, Y, n, k, where, shift):
     # lemma 1's left side
     h, f1, f2, c, d = rel
     _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift)
     return f2 * sum(f1 ** (k - j) * h ** j * Y(n - k * c - d + c * j) for j in range(k + 1))
 
 
-def _lemma1(rel, X, Y, n, k):
-    return _power_sum(rel, X, Y, n, k, "lemma 1"), rel, False
-
-
-def lemma1_sum(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, n: int, k: int) -> LemmaReport:
-    """f2 * sum_{j=0}^k f1^(k-j) h^j Y_{n-kc-d+cj}  =  h^(k+1) X_n - f1^(k+1) X_{n-(k+1)c}."""
-    _require_k(k)
-    lhs, rel, negated = _lemma1(_plain(cfg), X, Y, n, k)
-    return LemmaReport("1", "", cfg, n, k, lhs, _telescoped(rel, X, n, k, negated))
-
-
-def _lemma2(rel, X, n, k, variant):
-    if variant == 1:
-        return _power_sum(rel, X, X, n, k, "lemma 1"), rel, False
-    if variant == 2:
-        rel = _swapped(rel)
-        return _power_sum(rel, X, X, n, k, "lemma 2 variant 2"), rel, False
-    if variant != 3:
-        raise ValueError(f"lemma 2 variant must be 1, 2 or 3, got {variant}")
-    if rel[3] == rel[4]:
-        raise DegenerateStride("lemma 2 variant 3 needs d != c")
-    shift, rel = rel[3], _swapped(_solved(rel))
-    lhs = _power_sum(rel, X, X, n, k, "lemma 2 variant 3", shift)
-    negated = k % 2 == 1
-    return (-lhs if negated else lhs), rel, negated
-
-
-def lemma2_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int, variant: int) -> LemmaReport:
-    """Single-sequence telescoping sums: lemma 1 with Y = X (variant 1), on the
-    swapped relation (2), and (-1)^k times it on the swapped solved relation
-    (3, needs d != c)."""
-    _require_k(k)
-    lhs, rel, negated = _lemma2(_plain(cfg), X, n, k, variant)
-    return LemmaReport("2", str(variant), cfg, n, k, lhs, _telescoped(rel, X, n, k, negated))
-
-
-def _lemma3(rel, X, n, k, variant):
-    if variant == 1:
-        shift = 0
-    elif variant == 2:
-        shift, rel = rel[3], _solved(rel)
-    elif variant == 3:
-        shift, rel = rel[4], _solved(_swapped(rel))
-    else:
-        raise ValueError(f"lemma 3 variant must be 1, 2 or 3, got {variant}")
+def _binomial_sum(rel, X, Y, n, k, where, shift):
+    # lemma 3's left side, the expansion of h^k X_n; it reads Y = X
     h, f1, f2, c, d = rel
     # recurrence instances consumed by the k-fold coefficient-power expansion
     points = {n + shift - a * c - (tot - a) * d for tot in range(k) for a in range(tot + 1)}
-    _probe(rel, X, X, points, f"lemma 3 variant {variant}", shift)
-    lhs = sum(binomial(k, j) * f2 ** (k - j) * f1 ** j * X(n - d * k + (d - c) * j)
-              for j in range(k + 1))
-    negated = variant != 1 and k % 2 == 1
-    return (-lhs if negated else lhs), rel, negated
-
-
-def lemma3_binomial_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int,
-                         variant: int) -> LemmaReport:
-    """Binomial-weighted sums collapsing to a single scaled term: the expansion
-    sum C(k,j) f2^(k-j) f1^j X_{n-dk+(d-c)j} = h^k X_n (variant 1), and (-1)^k
-    times it on the relation solved for its f1 term (2) or its f2 term (3)."""
-    _require_k(k)
-    lhs, rel, negated = _lemma3(_plain(cfg), X, n, k, variant)
-    rhs = rel[0] ** k * X(n)
-    return LemmaReport("3", str(variant), cfg, n, k, lhs, -rhs if negated else rhs)
+    _probe(rel, X, Y, points, where, shift)
+    return sum(binomial(k, j) * f2 ** (k - j) * f1 ** j * X(n - d * k + (d - c) * j)
+               for j in range(k + 1))
 
 
 def _denominator_window(X, n, stride, k):
@@ -192,28 +134,82 @@ def _denominator_window(X, n, stride, k):
         yield max(0, i - 1), idx, X(idx) == 0
 
 
-def _lemma45(rel, X, Y, n, k, variant):
-    shift = 0
-    if variant == "L5a":
-        Y = X
-    elif variant == "L5b":
-        rel, Y = _swapped(rel), X
-    elif variant == "L5c":
-        if rel[3] == rel[4]:
-            raise DegenerateStride("lemma 5 variant c needs d != c")
-        shift, rel, Y = rel[3], _swapped(_solved(rel)), X
-    elif variant != "L4":
-        raise ValueError(f"reciprocal variant must be L4, L5a, L5b or L5c, got {variant!r}")
+def _reciprocal_sum(rel, X, Y, n, k, where, shift):
+    # L4's left side, after its denominator scan
     h, f1, f2, c, d = rel
     for j, idx, zero in _denominator_window(X, n, c, k):
         if zero:
             raise SingularSummand(j, idx)
-    _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], variant, shift)
-    lhs = X(n) * X(n - c * (k + 1)) * f2 * sum(
+    _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift)
+    return X(n) * X(n - c * (k + 1)) * f2 * sum(
         h ** (k - j) * f1 ** j * Y(n - d - c * k + c * j)
         / (X(n - c * k + c * j) * X(n - c - c * k + c * j))
         for j in range(k + 1))
-    return lhs, rel, False
+
+
+# label -> (left side, rearrangement of the relation, negated at odd k)
+_VARIANTS = {
+    "lemma 1": (_power_sum, "", False),
+    "lemma 2 variant 1": (_power_sum, "", False),
+    "lemma 2 variant 2": (_power_sum, "swapped", False),
+    "lemma 2 variant 3": (_power_sum, "solved swapped", True),
+    "lemma 3 variant 1": (_binomial_sum, "", False),
+    "lemma 3 variant 2": (_binomial_sum, "solved", True),
+    "lemma 3 variant 3": (_binomial_sum, "swapped solved", True),
+    "L4": (_reciprocal_sum, "", False),
+    "L5a": (_reciprocal_sum, "", False),
+    "L5b": (_reciprocal_sum, "swapped", False),
+    "L5c": (_reciprocal_sum, "solved swapped", False),
+}
+
+
+def _lemma(label, rel, X, Y, n, k):
+    """(lhs, relation, negated): the left side of the variant `label` on the
+    plain relation (h, f1, f2, c, d), the rearranged relation it was summed
+    on, and whether the variant negated it."""
+    left_side, how, odd_negates = _VARIANTS[label]
+    rel, shift = _rearranged(rel, how, label)
+    lhs = left_side(rel, X, Y, n, k, label, shift)
+    negated = odd_negates and k % 2 == 1
+    return (-lhs if negated else lhs), rel, negated
+
+
+def _report(lemma, variant, label, cfg, X, Y, n, k):
+    # the left side, and the right side on the relation it was summed on
+    lhs, rel, negated = _lemma(label, _plain(cfg), X, Y, n, k)
+    h, f1, _, c, _ = rel
+    if lemma == "3":    # the expansion collapses to one scaled term
+        rhs = h ** k * X(n)
+    else:               # lemma 1's telescoped difference, which L4 and L5 share
+        rhs = h ** (k + 1) * X(n) - f1 ** (k + 1) * X(n - (k + 1) * c)
+    return LemmaReport(lemma, variant, cfg, n, k, lhs, -rhs if negated else rhs)
+
+
+def lemma1_sum(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, n: int, k: int) -> LemmaReport:
+    """f2 * sum_{j=0}^k f1^(k-j) h^j Y_{n-kc-d+cj}  =  h^(k+1) X_n - f1^(k+1) X_{n-(k+1)c}."""
+    _require_k(k)
+    return _report("1", "", "lemma 1", cfg, X, Y, n, k)
+
+
+def lemma2_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int, variant: int) -> LemmaReport:
+    """Single-sequence telescoping sums: lemma 1 with Y = X (variant 1), on the
+    swapped relation (2), and (-1)^k times it on the swapped solved relation
+    (3, needs d != c)."""
+    _require_k(k)
+    if variant not in (1, 2, 3):
+        raise ValueError(f"lemma 2 variant must be 1, 2 or 3, got {variant}")
+    return _report("2", str(variant), f"lemma 2 variant {int(variant)}", cfg, X, X, n, k)
+
+
+def lemma3_binomial_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int,
+                         variant: int) -> LemmaReport:
+    """Binomial-weighted sums collapsing to a single scaled term: the expansion
+    sum C(k,j) f2^(k-j) f1^j X_{n-dk+(d-c)j} = h^k X_n (variant 1), and (-1)^k
+    times it on the relation solved for its f1 term (2) or its f2 term (3)."""
+    _require_k(k)
+    if variant not in (1, 2, 3):
+        raise ValueError(f"lemma 3 variant must be 1, 2 or 3, got {variant}")
+    return _report("3", str(variant), f"lemma 3 variant {int(variant)}", cfg, X, X, n, k)
 
 
 def lemma45_reciprocal(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, n: int, k: int,
@@ -226,6 +222,7 @@ def lemma45_reciprocal(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, n: int, 
     SingularSummand rather than dividing by zero.
     """
     _require_k(k)
-    lhs, rel, negated = _lemma45(_plain(cfg), X, Y, n, k, variant)
-    return LemmaReport("4" if variant == "L4" else "5", variant, cfg, n, k, lhs,
-                       _telescoped(rel, X, n, k, negated))
+    if variant not in ("L4", "L5a", "L5b", "L5c"):
+        raise ValueError(f"reciprocal variant must be L4, L5a, L5b or L5c, got {variant!r}")
+    return _report("4" if variant == "L4" else "5", variant, variant, cfg, X,
+                   Y if variant == "L4" else X, n, k)

@@ -10,9 +10,10 @@ compute:
   1. the direct sum of the displayed left side,
   2. the displayed right side, the closed form,
   3. the same quantity through the generic lemma engine, instantiated with
-     the configuration from which the theorem follows: the lemma's left side
-     alone, from its private form on the plain coefficient tuple (the
-     lemma's own right side is not computed, nor a `LemmaReport` built),
+     the configuration from which the theorem follows: the left side alone
+     of the lemma variant the base form names, from `lemmas._lemma` on the
+     plain coefficient tuple (the lemma's own right side is not computed,
+     nor a `LemmaReport` built),
 
 and require all three to agree exactly. The legs, the guards and the
 denominator scan run on the checker accessor of one `TermContext` for the
@@ -23,12 +24,14 @@ GuardViolation; reciprocal sums whose denominator window contains a
 vanishing term raise SingularSummand. Wrong numbers are never returned
 silently.
 
-Each theorem follows from one of two three-term relations (`_RELATIONS`),
-and each base form carries its lemma factor and, if reciprocal, its
-denominator window: all text in the same grammar. The lemma sums stay code
-(`lemmas`), whose probe checks the relation first. The variants past the
-base forms (4-6, or 2 for theorems 3 and 5) evaluate a base form after the
-swap (r, s) -> (-s, -r).
+Each theorem follows from one of two three-term relations (`_RELATIONS`).
+Each base form names the lemma variant it follows from by its label in the
+lemma table ("lemma 2 variant 1", "L5c"), and carries its lemma factor and,
+if reciprocal, its denominator window: the relations, factors and windows
+are text in the same grammar. The lemma sums stay code (`lemmas`), whose
+probe checks the relation first. The variants past the base forms (4-6, or
+2 for theorems 3 and 5) evaluate a base form after the swap
+(r, s) -> (-s, -r).
 
 Two displayed equations in the source are misprints (they are otherwise
 false); theorem 2's second base form is written as its own derivation
@@ -43,8 +46,8 @@ from typing import Any, Callable, NamedTuple
 from .catalog import compile_expression, compile_sides, compile_tuple
 from .errors import GuardViolation
 from .field import format_scalar, reduced
-from .lemmas import _denominator_window, _lemma1, _lemma2, _lemma3, _lemma45
-# The lemma leg calls the private forms above. The public lemma functions stay
+from .lemmas import _denominator_window, _lemma
+# The lemma leg calls the private form above. The public lemma functions stay
 # importable from here: perfbench/layers.py rebinds them on this module by name.
 from .lemmas import (  # noqa: F401
     lemma1_sum,
@@ -66,40 +69,44 @@ _T4_CLOSED = (
     "u(r-s)^(k+1)*w(n) - (-1)^(k+1)*q^((r-s)(k+1))*u(m-r)^(k+1)*w(n-(m-s)(k+1))",
 )
 
-# theorem -> [(displayed base form, factor, window)] over n, m, r, s, k: the
-# factor scales the lemma's left side (see _lemma_lhs) into the displayed one; a
-# reciprocal form's window is the stride of its denominator window over X
+# theorem -> [(displayed base form, lemma variant, factor, window)] over n, m,
+# r, s, k: the form follows from the named variant (a key of lemmas._VARIANTS)
+# on the theorem's relation, the factor scales that variant's left side into
+# the displayed one, and a reciprocal form's window is the stride of its
+# denominator window over X
 _BASES = {
     2: [("sum_{j=0}^{k} (-1)^j*q^((r-s)(k-j))*C(k,j)*u(m-s)^j*u(m-r)^(k-j)"
-         "*w(n-(m-s)k+(r-s)j) = (-1)^k*u(r-s)^k*w(n)", "(-1)^k", None),
+         "*w(n-(m-s)k+(r-s)j) = (-1)^k*u(r-s)^k*w(n)", "lemma 3 variant 1", "(-1)^k", None),
         ("sum_{j=0}^{k} q^((r-s)(k-j))*C(k,j)*u(r-s)^j*u(m-r)^(k-j)"
          "*w(n-(r-s)k+(m-s)j) = u(m-s)^k*w(n)"
          " # misprint corrected: q^((r-s)(k-j)) inside the sum, no q-power on the right",
-         "(-1)^k", None),
+         "lemma 3 variant 2", "(-1)^k", None),
         ("sum_{j=0}^{k} (-1)^j*C(k,j)*u(r-s)^j*u(m-s)^(k-j)*w(n+(r-s)k+(m-r)j)"
-         " = q^((r-s)k)*u(m-r)^k*w(n)", "1", None)],
+         " = q^((r-s)k)*u(m-r)^k*w(n)", "lemma 3 variant 3", "1", None)],
     3: [("u(r-s)*sum_{j=0}^{k} q^((s-r)j)*w(m+s)^(k-j)*w(m+r)^j*w(n-(r-s)k+m+s+(r-s)j)"
          " = q^((s-r)k)*u(n)*w(m+r)^(k+1) - q^(r-s)*u(n-(r-s)(k+1))*w(m+s)^(k+1)",
-         "q^((s-r)k)", None)],
+         "lemma 1", "q^((s-r)k)", None)],
     4: [("-q^(r-s)*u(m-r)*sum_{j=0}^{k} u(m-s)^(k-j)*u(r-s)^j*w(n-(m-r)k-(m-s)+(m-r)j)"
-         f" = {_T4_CLOSED[0]}", "1", None),
+         f" = {_T4_CLOSED[0]}", "lemma 2 variant 1", "1", None),
         ("(-1)^k*u(m-s)*sum_{j=0}^{k} (-1)^j*q^((r-s)(k-j))*u(m-r)^(k-j)*u(r-s)^j"
-         f"*w(n-(m-s)k-(m-r)+(m-s)j) = {_T4_CLOSED[1]}", "1", None),
+         f"*w(n-(m-s)k-(m-r)+(m-s)j) = {_T4_CLOSED[1]}", "lemma 2 variant 2", "1", None),
         ("u(r-s)*sum_{j=0}^{k} q^((s-r)j)*u(m-r)^(k-j)*u(m-s)^j*w(n-(r-s)k+(m-r)+(r-s)j)"
          " = q^((s-r)k)*u(m-s)^(k+1)*w(n) - q^(r-s)*u(m-r)^(k+1)*w(n-(r-s)(k+1))",
-         "(-1)^k*q^((s-r)k)", None)],
+         "lemma 2 variant 3", "(-1)^k*q^((s-r)k)", None)],
     5: [("u(n)*u(n-(r-s)(k+1))*u(r-s)*sum_{j=0}^{k} q^((r-s)j)*w(m+r)^(k-j)*w(m+s)^j"
          "*w(n+m+s-(r-s)k+(r-s)j)/(u(n-(r-s)k+(r-s)j)*u(n-(r-s)-(r-s)k+(r-s)j))"
-         " = u(n)*w(m+r)^(k+1) - q^((r-s)(k+1))*u(n-(r-s)(k+1))*w(m+s)^(k+1)", "1", "r-s")],
+         " = u(n)*w(m+r)^(k+1) - q^((r-s)(k+1))*u(n-(r-s)(k+1))*w(m+s)^(k+1)",
+         "L4", "1", "r-s")],
     6: [("-q^(r-s)*u(m-r)*w(n)*w(n-(m-r)(k+1))*sum_{j=0}^{k} u(r-s)^(k-j)*u(m-s)^j"
          "*w(n-m+s-(m-r)k+(m-r)j)/(w(n-(m-r)k+(m-r)j)*w(n-(m-r)-(m-r)k+(m-r)j))"
-         f" = {_T4_CLOSED[0]}", "1", "m-r"),
+         f" = {_T4_CLOSED[0]}", "L5a", "1", "m-r"),
         ("u(m-s)*w(n)*w(n-(m-s)(k+1))*sum_{j=0}^{k} (-1)^j*q^((r-s)j)*u(r-s)^(k-j)*u(m-r)^j"
          "*w(n-(m-r)-(m-s)k+(m-s)j)/(w(n-(m-s)k+(m-s)j)*w(n-(m-s)-(m-s)k+(m-s)j))"
-         f" = {_T4_CLOSED[1]}", "1", "m-s"),
+         f" = {_T4_CLOSED[1]}", "L5b", "1", "m-s"),
         ("u(r-s)*w(n)*w(n-(r-s)(k+1))*sum_{j=0}^{k} q^((r-s)j)*u(m-s)^(k-j)*u(m-r)^j"
          "*w(n+m-r-(r-s)k+(r-s)j)/(w(n-(r-s)k+(r-s)j)*w(n-(r-s)-(r-s)k+(r-s)j))"
-         " = u(m-s)^(k+1)*w(n) - q^((r-s)(k+1))*u(m-r)^(k+1)*w(n-(r-s)(k+1))", "1", "r-s")],
+         " = u(m-s)^(k+1)*w(n) - q^((r-s)(k+1))*u(m-r)^(k+1)*w(n-(r-s)(k+1))",
+         "L5c", "1", "r-s")],
 }
 
 # each base form once as given, once after the swap
@@ -127,13 +134,13 @@ def _relation_of(text: str) -> _Relation:
 
 
 _COMPILED = {text: _relation_of(text) for text in (_OVER_W, _U_TO_W)}
-# (theorem, base) -> (lhs, rhs, factor, window, relation), compiled
-_FORMS = {(theorem, base): (*compile_sides("nmrsk", formula),
+# (theorem, base) -> (lhs, rhs, variant, factor, window, relation), compiled
+_FORMS = {(theorem, base): (*compile_sides("nmrsk", formula), variant,
                             compile_expression("nmrsk", factor),
                             window and compile_expression("nmrsk", window),
                             _COMPILED[_RELATIONS[theorem]])
           for theorem, bases in _BASES.items()
-          for base, (formula, factor, window) in enumerate(bases, 1)}
+          for base, (formula, variant, factor, window) in enumerate(bases, 1)}
 
 
 @dataclass(frozen=True)
@@ -211,19 +218,6 @@ def _relation(t, rel: _Relation, where: str, n, m, r, s):
     return (coefficients, *rel.accessors(t, n, m, r, s))
 
 
-def _lemma_lhs(sel, rel, X, Y, n, k):
-    """The left side of the lemma the selected theorem follows from."""
-    if sel.theorem == 2:
-        return _lemma3(rel, X, n, k, sel.base)[0]
-    if sel.theorem == 3:
-        return _lemma1(rel, X, Y, n, k)[0]
-    if sel.theorem == 4:
-        return _lemma2(rel, X, n, k, sel.base)[0]
-    if sel.theorem == 5:
-        return _lemma45(rel, X, Y, n, k, "L4")[0]
-    return _lemma45(rel, X, X, n, k, ("L5a", "L5b", "L5c")[sel.base - 1])[0]
-
-
 def singularity_scan(sel: TheoremSelector, params: HoradamParams,
                      n: int, m: int, r: int, s: int, k: int) -> list:
     """Every distinct denominator index the selected sum touches, with a
@@ -246,7 +240,7 @@ def _evaluate(sel: TheoremSelector, params: HoradamParams,
               n: int, m: int, r: int, s: int, k: int) -> SumReport:
     if k < 0:
         raise ValueError("summation bound k must be >= 0")
-    lhs, rhs, factor, _, relation = _form(sel)
+    lhs, rhs, variant, factor, _, relation = _form(sel)
     t = Terms(TermContext(params), sel.kind)
     eff = _effective(sel, n, m, r, s)
     rel, X, Y = _relation(t, relation, f"theorem {sel.theorem} variant {sel.variant}", *eff)
@@ -256,7 +250,7 @@ def _evaluate(sel: TheoremSelector, params: HoradamParams,
 
     # first, so that the lemma's denominator scan raises SingularSummand
     # before the direct sum divides by a vanishing term
-    lemma_lhs = _lemma_lhs(sel, rel, X, Y, eff[0], k)
+    lemma_lhs = _lemma(variant, rel, X, Y, eff[0], k)[0]
     return SumReport(sel, dict(n=n, m=m, r=r, s=s, k=k), reduced(lhs(t, *eff, k)),
                      reduced(rhs(t, *eff, k)), reduced(factor(t, *eff, k) * lemma_lhs), notes)
 

@@ -269,6 +269,8 @@ class TestDerivedVariantsPinned:
         assert rep.cfg is cfg
 
     @pytest.mark.parametrize("call,message", [
+        (lambda cfg, w: lemma2_sums(cfg, w, 6, 3, 1),
+         "index 6 while evaluating lemma 2 variant 1"),
         (lambda cfg, w: lemma2_sums(cfg, w, 6, 3, 2),
          "index 6 while evaluating lemma 2 variant 2"),
         (lambda cfg, w: lemma2_sums(cfg, w, 6, 3, 3),
@@ -288,3 +290,21 @@ class TestDerivedVariantsPinned:
         with pytest.raises(ConfigViolation) as exc:
             call(bad, ctx.w)
         assert str(exc.value) == "recurrence fails at " + message
+
+
+def _unread(i):
+    raise AssertionError(f"term {i} read before the variant was checked")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda cfg: lemma2_sums(cfg, _unread, 6, 2, 0), "lemma 2 variant must be 1, 2 or 3, got 0"),
+    (lambda cfg: lemma2_sums(cfg, _unread, 6, 2, 4), "lemma 2 variant must be 1, 2 or 3, got 4"),
+    (lambda cfg: lemma3_binomial_sums(cfg, _unread, 6, 2, 4),
+     "lemma 3 variant must be 1, 2 or 3, got 4"),
+    (lambda cfg: lemma45_reciprocal(cfg, _unread, _unread, 6, 2, "L6"),
+     "reciprocal variant must be L4, L5a, L5b or L5c, got 'L6'"),
+])
+def test_bad_variant_rejected_before_any_term_is_read(call, message):
+    with pytest.raises(ValueError) as exc:
+        call(defining_cfg(FIB))
+    assert str(exc.value) == message

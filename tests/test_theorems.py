@@ -6,8 +6,8 @@ from math import comb
 
 import pytest
 
-from horadam import theorems
-from horadam.catalog import SamplerConfig, _python, compile_sides
+from horadam import lemmas, theorems
+from horadam.catalog import SamplerConfig, _python, compile_expression, compile_sides
 from horadam.errors import ConfigViolation, GuardViolation, SingularSummand
 from horadam.field import ModInt, PrimeField
 from horadam.lemmas import (
@@ -457,7 +457,7 @@ class TestLemmaLeg:
         """(factor, report): the public lemma report the selected theorem
         follows from, built from a RecurrenceConfig on the theorem's
         relation, and the factor scaling its left side into the theorem's."""
-        _, _, factor, _, relation = theorems._FORMS[sel.theorem, sel.base]
+        _, _, _, factor, _, relation = theorems._FORMS[sel.theorem, sel.base]
         t = Terms(TermContext(params), sel.kind)
         eff = theorems._effective(sel, n, m, r, s)
         cfg = RecurrenceConfig(*relation.coefficients(t, *eff))
@@ -504,3 +504,51 @@ class TestLemmaLeg:
         ctx = TermContext(FIB)
         assert lemma1_sum(RecurrenceConfig(1, FIB.p, -FIB.q, 1, 2), ctx.u, ctx.u, 6, 3).equal
         assert built == ["RecurrenceConfig", "LemmaReport"]
+
+
+class TestVariantVocabulary:
+    """Each base form names the lemma variant it follows from as text; the
+    names and the lemma table are one closed vocabulary."""
+
+    NAMED = {variant for bases in theorems._BASES.values() for _, variant, *_ in bases}
+
+    def test_every_name_is_a_variant_and_every_variant_is_used(self, monkeypatch):
+        assert self.NAMED <= set(lemmas._VARIANTS)
+        called = []
+
+        def recording(label, *args, _lemma=lemmas._lemma):
+            called.append(label)
+            return _lemma(label, *args)
+        monkeypatch.setattr(lemmas, "_lemma", recording)
+        ctx = TermContext(FIB)
+        cfg = RecurrenceConfig(1, FIB.p, -FIB.q, 1, 2)
+        assert lemma1_sum(cfg, ctx.u, ctx.u, 9, 2).equal
+        for variant in (1, 2, 3):
+            assert lemma2_sums(cfg, ctx.u, 9, 2, variant).equal
+            assert lemma3_binomial_sums(cfg, ctx.u, 9, 2, variant).equal
+        for variant in ("L4", "L5a", "L5b", "L5c"):
+            assert lemma45_reciprocal(cfg, ctx.u, ctx.u, 9, 2, variant).equal
+        assert self.NAMED | set(called) == set(lemmas._VARIANTS)
+
+    @pytest.mark.parametrize("theorem,base", [(5, 1), (6, 1), (6, 2), (6, 3)])
+    def test_window_is_the_stride_of_the_variants_relation(self, theorem, base):
+        # singularity_scan's window is the lemma's own denominator scan
+        _, variant, _, window = theorems._BASES[theorem][base - 1]
+        assert lemmas._VARIANTS[variant][0] is lemmas._reciprocal_sum
+        stride = compile_expression("nmrsk", window)
+        relation = theorems._COMPILED[theorems._RELATIONS[theorem]]
+        t = Terms(TermContext(CONTROL_PARAMS), SequenceKind.W)
+        *nmrs, k = CONTROL_ARGS
+        for swapped in (False, True):
+            sel = TheoremSelector(theorem, base + swapped * len(theorems._BASES[theorem]))
+            assert sel.swapped is swapped
+            eff = theorems._effective(sel, *nmrs)
+            rel, _ = lemmas._rearranged(relation.coefficients(t, *eff), lemmas._VARIANTS[variant][1],
+                                        variant)
+            assert stride(t, *eff, k) == rel[3]
+
+    def test_only_reciprocal_variants_have_windows(self):
+        for bases in theorems._BASES.values():
+            for _, variant, _, window in bases:
+                assert (window is None) == (lemmas._VARIANTS[variant][0]
+                                            is not lemmas._reciprocal_sum)
