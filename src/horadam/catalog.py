@@ -2,15 +2,17 @@
 
 Each entry is written once, as the formula `horadam verify` displays. Its
 left and right evaluators are compiled from that formula's two sides at
-import (`_I`), so what is displayed is what is evaluated. `evaluate` runs
-them on a `TermContext`'s checker accessor (`sequences.Terms`), over the
-cache's unreduced `Ratio` pairs, and reduces each side to a `Fraction` once,
-for the report; `fuzz` compares unreduced sides and reports only an entry's
-first failing draw, through `evaluate`. The sides stay independent: no
-algebraic simplification is shared between them, so an exact match is
-evidence, not tautology. A derived entry's `Derivation` is text in the
-same grammar, its base at mapped indices (`"H at r=0, s=-m"`), read as u
-or v where it says so (`"cor1.35 at m=0 as v"`).
+import (`_I`), so what is displayed is what is evaluated. `evaluate` builds
+a `TermContext` for its parameters and runs them on its checker accessor
+(`sequences.Terms`), over the cache's unreduced `Ratio` pairs; `fuzz`
+compares unreduced sides on one such accessor per trial. One helper,
+`_report`, builds either's report, each side reduced to a `Fraction` once;
+`fuzz` reports only an entry's first failing draw, on that trial's accessor.
+The sides stay independent: no algebraic simplification is shared between
+them, so an exact match is evidence, not tautology. A derived entry's
+`Derivation` is text in the same grammar, its base at mapped indices
+(`"H at r=0, s=-m"`), read as u or v where it says so
+(`"cor1.35 at m=0 as v"`).
 
 Formula grammar: u(e), v(e), w(e) are terms at an integer index expression
 e; p, q, a, b are the parameters; `^` is a power and `q^e` or `q^(e)` reads
@@ -284,27 +286,27 @@ def _check_assignment(ident: Identity, assignment: dict) -> None:
         raise ValueError(f"assignment for {ident.key}: " + ", ".join(parts))
 
 
-def evaluate(key: str, params: HoradamParams, assignment: dict,
-             ctx=None) -> VerificationReport:
-    """Evaluate both sides of an identity at an integer assignment.
-
-    The two sides are computed only through sequence-term evaluations, on
-    `Terms(ctx, W)`; the report holds each side reduced (a `Fraction` over Q).
-    A shared `ctx` must be built for `params` (ValueError otherwise).
-    """
-    ident = _lookup(key)
-    _check_assignment(ident, assignment)
-    if ctx is None:
-        ctx = TermContext(params)
-    elif ctx.params is not params and ctx.params != params:
-        raise ValueError(f"{key}: the term cache was built for {ctx.params}, not {params}")
-    t = Terms(ctx, SequenceKind.W)
+def _report(ident: Identity, t: Terms, assignment: dict) -> VerificationReport:
+    """Both sides on the accessor `t`, each reduced once; a HoradamError from
+    a side becomes the report's `error`."""
     args = [assignment[v] for v in ident.variables]
     try:
         lhs, rhs = ident.lhs(t, *args), ident.rhs(t, *args)
     except HoradamError as exc:
-        return VerificationReport(key, dict(assignment), None, None, error=str(exc))
-    return VerificationReport(key, dict(assignment), reduced(lhs), reduced(rhs))
+        return VerificationReport(ident.key, dict(assignment), None, None, error=str(exc))
+    return VerificationReport(ident.key, dict(assignment), reduced(lhs), reduced(rhs))
+
+
+def evaluate(key: str, params: HoradamParams, assignment: dict) -> VerificationReport:
+    """Evaluate both sides of an identity at an integer assignment.
+
+    The two sides are computed only through sequence-term evaluations, on
+    `Terms(TermContext(params), W)`; the report holds each side reduced (a
+    `Fraction` over Q).
+    """
+    ident = _lookup(key)
+    _check_assignment(ident, assignment)
+    return _report(ident, Terms(TermContext(params), SequenceKind.W), assignment)
 
 
 def base_assignment(ident: Identity, assignment: dict) -> Optional[tuple]:
@@ -419,7 +421,8 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
     """Randomized exact verification; deterministic for a fixed seed.
 
     One parameter set, term cache and accessor per trial, indices per identity;
-    unreduced sides are compared, and an entry's first failure goes to `evaluate`.
+    unreduced sides are compared, and an entry's first failure is reported on
+    the trial's accessor, as `evaluate` would report it.
     A trial draws all its indices (one range) in one `_randints` call after
     `draw_params`, and each identity's slice goes to both sides: the values and
     generator state of one `draw_assignment` per identity, as a replay draws.
@@ -441,8 +444,7 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
     counterexamples = dict.fromkeys(keys)
     for _ in range(trials):
         params = sampler.draw_params(rng)
-        ctx = TermContext(params)
-        t = Terms(ctx, SequenceKind.W)
+        t = Terms(TermContext(params), SequenceKind.W)
         drawn = _randints(rng, lo, hi, count)
         for ident, start, stop in spans:
             values = drawn[start:stop]
@@ -454,7 +456,7 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
                 passes[ident.key] += 1
             elif counterexamples[ident.key] is None:
                 asg = dict(zip(ident.variables, values))
-                counterexamples[ident.key] = evaluate(ident.key, params, asg, ctx=ctx)
+                counterexamples[ident.key] = _report(ident, t, asg)
     stats = tuple(IdentityStats(i.key, trials, passes[i.key], counterexamples[i.key])
                   for i in idents)
     return FuzzReport(seed, trials, sampler, stats)

@@ -236,10 +236,7 @@ def cmd_sum(args) -> int:
                 print(f"j={j} index={idx} zero={zero}")
             print(f"safe: {not any(z for _, _, z in entries)}")
         return EXIT_OK
-    if sel.theorem in (5, 6):
-        report = theorems.reciprocal_sum(sel, params, *av)
-    else:
-        report = theorems.theorem_sum(sel, params, *av)
+    report = theorems.theorem_sum(sel, params, *av)
     if args.json:
         _emit_json("sum", {"params": _params_payload(params),
                            "report": report.to_dict()})

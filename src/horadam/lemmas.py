@@ -196,9 +196,9 @@ def lemma2_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int, variant: int
     swapped relation (2), and (-1)^k times it on the swapped solved relation
     (3, needs d != c)."""
     _require_k(k)
-    if variant not in (1, 2, 3):
+    if type(variant) is not int or variant not in (1, 2, 3):
         raise ValueError(f"lemma 2 variant must be 1, 2 or 3, got {variant}")
-    return _report("2", str(variant), f"lemma 2 variant {int(variant)}", cfg, X, X, n, k)
+    return _report("2", str(variant), f"lemma 2 variant {variant}", cfg, X, X, n, k)
 
 
 def lemma3_binomial_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int,
@@ -207,9 +207,9 @@ def lemma3_binomial_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int,
     sum C(k,j) f2^(k-j) f1^j X_{n-dk+(d-c)j} = h^k X_n (variant 1), and (-1)^k
     times it on the relation solved for its f1 term (2) or its f2 term (3)."""
     _require_k(k)
-    if variant not in (1, 2, 3):
+    if type(variant) is not int or variant not in (1, 2, 3):
         raise ValueError(f"lemma 3 variant must be 1, 2 or 3, got {variant}")
-    return _report("3", str(variant), f"lemma 3 variant {int(variant)}", cfg, X, X, n, k)
+    return _report("3", str(variant), f"lemma 3 variant {variant}", cfg, X, X, n, k)
 
 
 def lemma45_reciprocal(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, n: int, k: int,

@@ -4,8 +4,8 @@ Each theorem has one to three base forms, each written once as the formula
 `horadam sum` displays (`_BASES`). Its two sides are compiled from that text
 at import by the catalog's helper and grammar (`catalog.compile_sides`;
 `sum_{j=0}^{k}`, `C(k,j)` and nested `q^((r-s)(k-j))` are part of it), so
-what is displayed is what is evaluated. `theorem_sum` / `reciprocal_sum`
-compute:
+what is displayed is what is evaluated. `theorem_sum` takes every theorem,
+2-6, and computes:
 
   1. the direct sum of the displayed left side,
   2. the displayed right side, the closed form,
@@ -203,8 +203,11 @@ def _effective(sel, n, m, r, s):
     return (n, m, -s, -r) if sel.swapped else (n, m, r, s)
 
 
-def _form(sel) -> tuple:
-    return _FORMS[sel.theorem, sel.base]
+def _setup(sel, n, m, r, s, k) -> tuple:
+    """The selected form's compiled entry and its effective (n, m, r, s)."""
+    if k < 0:
+        raise ValueError("summation bound k must be >= 0")
+    return _FORMS[sel.theorem, sel.base], _effective(sel, n, m, r, s)
 
 
 def _relation(t, rel: _Relation, where: str, n, m, r, s):
@@ -225,24 +228,19 @@ def singularity_scan(sel: TheoremSelector, params: HoradamParams,
 
     Non-reciprocal selections have no denominators and scan empty.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    *_, window, relation = _form(sel)
+    (*_, window, relation), eff = _setup(sel, n, m, r, s, k)
     if window is None:
         return []
     t = Terms(TermContext(params), sel.kind)
-    eff = _effective(sel, n, m, r, s)
     X, _ = relation.accessors(t, *eff)
     return list(_denominator_window(X, eff[0], window(t, *eff, k), k))
 
 
-def _evaluate(sel: TheoremSelector, params: HoradamParams,
-              n: int, m: int, r: int, s: int, k: int) -> SumReport:
-    if k < 0:
-        raise ValueError("summation bound k must be >= 0")
-    lhs, rhs, variant, factor, _, relation = _form(sel)
+def theorem_sum(sel: TheoremSelector, params: HoradamParams,
+                n: int, m: int, r: int, s: int, k: int) -> SumReport:
+    """Evaluate a theorem 2-6 variant three ways; all must agree exactly."""
+    (lhs, rhs, variant, factor, _, relation), eff = _setup(sel, n, m, r, s, k)
     t = Terms(TermContext(params), sel.kind)
-    eff = _effective(sel, n, m, r, s)
     rel, X, Y = _relation(t, relation, f"theorem {sel.theorem} variant {sel.variant}", *eff)
     notes = ()
     if sel.theorem == 2 and k == 0:
@@ -255,18 +253,6 @@ def _evaluate(sel: TheoremSelector, params: HoradamParams,
                      reduced(rhs(t, *eff, k)), reduced(factor(t, *eff, k) * lemma_lhs), notes)
 
 
-def theorem_sum(sel: TheoremSelector, params: HoradamParams,
-                n: int, m: int, r: int, s: int, k: int) -> SumReport:
-    """Evaluate a theorem 2/3/4 variant three ways; all must agree exactly."""
-    if sel.theorem not in (2, 3, 4):
-        raise ValueError("theorem_sum handles theorems 2-4; "
-                         "use reciprocal_sum for 5 and 6")
-    return _evaluate(sel, params, n, m, r, s, k)
-
-
-def reciprocal_sum(sel: TheoremSelector, params: HoradamParams,
-                   n: int, m: int, r: int, s: int, k: int) -> SumReport:
-    """Evaluate a reciprocal theorem (5 or 6) variant three ways."""
-    if sel.theorem not in (5, 6):
-        raise ValueError("reciprocal_sum handles theorems 5 and 6")
-    return _evaluate(sel, params, n, m, r, s, k)
+# the former entry point for theorems 5 and 6, kept as an alias because the
+# package exports it and perfbench binds it by name
+reciprocal_sum = theorem_sum

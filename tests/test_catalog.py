@@ -17,7 +17,7 @@ from horadam.catalog import (
 )
 from horadam.errors import UnknownIdentity
 from horadam.field import ModInt, PrimeField
-from horadam.sequences import PRESETS, HoradamParams, SequenceKind, TermContext
+from horadam.sequences import PRESETS, HoradamParams, SequenceKind
 
 FIB = PRESETS["fibonacci"]
 FIBW = HoradamParams(3, 2, 1, -1)
@@ -95,17 +95,6 @@ class TestEvaluate:
             evaluate("H", FIB, dict(n=1, m=3, r=2))
         with pytest.raises(ValueError, match="unexpected"):
             evaluate("mul.15", FIB, dict(n=1, m=3, r=2))
-
-    def test_context_must_match_the_parameters(self):
-        pell_ctx = TermContext(PRESETS["pell"])
-        with pytest.raises(ValueError, match="term cache was built for"):
-            evaluate("lin.9", FIB, dict(n=5), ctx=pell_ctx)
-        # an equal parameter set, not only the same object, may share the cache
-        assert evaluate("lin.9", HoradamParams(0, 1, 2, -1), dict(n=5), ctx=pell_ctx).lhs == 29
-        # Pell's values over GF(7) are residues of its rationals, not the same set
-        gf7_ctx = TermContext(HoradamParams(*map(PrimeField(7), (0, 1, 2, -1))))
-        with pytest.raises(ValueError, match="term cache was built for"):
-            evaluate("lin.9", PRESETS["pell"], dict(n=5), ctx=gf7_ctx)
 
     def test_pure(self):
         asg = dict(n=3, m=2, r=1, s=0)
@@ -335,10 +324,9 @@ class TestFuzz:
         first = dict.fromkeys(ids)
         for _ in range(trials):
             params = sampler.draw_params(rng)
-            ctx = TermContext(params)
             for key in ids:
                 asg = sampler.draw_assignment(rng, catalog.REGISTRY[key].variables)
-                report = evaluate(key, params, asg, ctx=ctx)
+                report = evaluate(key, params, asg)
                 if report.equal:
                     passes[key] += 1
                 elif first[key] is None:

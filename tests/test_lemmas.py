@@ -301,6 +301,13 @@ def _unread(i):
     (lambda cfg: lemma2_sums(cfg, _unread, 6, 2, 4), "lemma 2 variant must be 1, 2 or 3, got 4"),
     (lambda cfg: lemma3_binomial_sums(cfg, _unread, 6, 2, 4),
      "lemma 3 variant must be 1, 2 or 3, got 4"),
+    # equal to a variant number is not enough: the type must be int
+    (lambda cfg: lemma2_sums(cfg, _unread, 6, 2, True),
+     "lemma 2 variant must be 1, 2 or 3, got True"),
+    (lambda cfg: lemma2_sums(cfg, _unread, 6, 2, 2.0),
+     "lemma 2 variant must be 1, 2 or 3, got 2.0"),
+    (lambda cfg: lemma3_binomial_sums(cfg, _unread, 6, 2, Fraction(3)),
+     "lemma 3 variant must be 1, 2 or 3, got 3"),
     (lambda cfg: lemma45_reciprocal(cfg, _unread, _unread, 6, 2, "L6"),
      "reciprocal variant must be L4, L5a, L5b or L5c, got 'L6'"),
 ])

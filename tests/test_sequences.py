@@ -1,6 +1,7 @@
+import gc
 import math
 import random
-import sys
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from horadam.sequences import (
     HoradamParams,
     SequenceKind,
     TermContext,
-    Terms,
     _kernel,
     binet_term,
     doubling_term,
@@ -466,13 +466,33 @@ class TestTermContext:
                 assert ctx.v(n) == term(params, V, n)
                 assert ctx.w(n) == term(params, W, n)
 
-    def test_checkers_keep_no_reference_to_the_context(self):
+    def test_checkers_keep_no_reference_to_the_context(self, monkeypatch):
         # an accessor cached on the context would close a reference cycle, and
-        # a dead cache would then wait for a full garbage collection
-        ctx = TermContext(FIBW)
-        catalog.evaluate("H", FIBW, dict(n=5, m=-3, r=2, s=-4), ctx=ctx)
-        assert Terms(ctx, W).u(7) == 13
-        assert sys.getrefcount(ctx) == 2    # the name ctx and the call's argument
+        # a dead cache would then wait for a full garbage collection; with the
+        # collector off, every context a call builds is freed when it returns
+        built = []
+
+        class RecordingTermContext(TermContext):
+            # no __slots__, so that instances take weak references
+            def __init__(self, params):
+                TermContext.__init__(self, params)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(catalog, "TermContext", RecordingTermContext)
+        # a failing identity, so that fuzz also builds a counterexample report
+        monkeypatch.setattr(catalog, "REGISTRY", dict(
+            catalog.REGISTRY, broken=catalog._I("broken", "n", "u(n) = u(n) + 1")))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            report = catalog.evaluate("H", FIBW, dict(n=5, m=-3, r=2, s=-4))
+            assert report.equal and len(built) == 1 and built[0]() is None
+            report = catalog.fuzz(["H", "broken"], 3, catalog.SamplerConfig(), seed=1)
+            assert report.stats[1].first_counterexample is not None
+            assert len(built) == 4 and all(ref() is None for ref in built)
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_qp(self):
         ctx = TermContext(HoradamParams(0, 1, 1, Fraction(2, 3)))

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from horadam import lemmas, theorems
+from horadam import cli, lemmas, theorems
 from horadam.catalog import SamplerConfig, _python, compile_expression, compile_sides
 from horadam.errors import ConfigViolation, GuardViolation, SingularSummand
 from horadam.field import ModInt, PrimeField
@@ -104,11 +104,22 @@ class TestContractExamples:
         with pytest.raises(ValueError):
             TheoremSelector(3, 3)
         with pytest.raises(ValueError):
-            theorem_sum(TheoremSelector(5, 1), FIB, 1, 2, 3, 0, 1)
-        with pytest.raises(ValueError):
-            reciprocal_sum(TheoremSelector(2, 1), FIB, 1, 2, 3, 0, 1)
-        with pytest.raises(ValueError):
             theorem_sum(TheoremSelector(2, 1), FIB, 1, 2, 3, 0, -1)
+
+    def test_one_entry_point_for_every_theorem(self):
+        assert theorems.reciprocal_sum is theorems.theorem_sum
+        assert theorem_sum(TheoremSelector(5, 1), FIB, 9, 2, 1, 0, 1).equal
+        assert theorem_sum(TheoremSelector(6, 3), FIBW, 7, 3, 1, 0, 2).equal
+
+    def test_negative_k_reads_the_same_with_and_without_scan(self, capsys):
+        argv = ["sum", "--theorem", "5", "--variant", "1", "--preset", "fibonacci",
+                "--assign", "n=9,m=2,r=1,s=0,k=-1"]
+        results = []
+        for extra in ([], ["--scan"]):
+            code = cli.main(argv + extra)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        assert results[0] == results[1] == (2, "", "error: summation bound k must be >= 0\n")
 
 
 class TestDisplayedFormOracles:
