@@ -4,10 +4,13 @@ Each entry is written once, as the formula `horadam verify` displays. Its
 left and right evaluators are compiled from that formula's two sides at
 import (`_I`), so what is displayed is what is evaluated. `evaluate` builds
 a `TermContext` for its parameters and runs them on its checker accessor
-(`sequences.Terms`), over the cache's unreduced `Ratio` pairs; `fuzz`
-compares unreduced sides on one such accessor per trial. One helper,
-`_report`, builds either's report, each side reduced to a `Fraction` once;
-`fuzz` reports only an entry's first failing draw, on that trial's accessor.
+(`sequences.Terms`), over the cache's unreduced `Ratio` pairs. `fuzz` runs
+one such accessor per trial and decides each draw with `Identity.check`, a
+third function compiled from the same formula on first use
+(`compile_check`): the same term reads, and integer arithmetic on their
+pairs in place of `Ratio` operators. One helper, `_report`, builds the
+report of `evaluate` and of an entry's first failing fuzz draw from `lhs`
+and `rhs`, each side reduced to a `Fraction` once.
 The sides stay independent: no algebraic simplification is shared between
 them, so an exact match is evidence, not tautology. A derived entry's
 `Derivation` is text in the same grammar, its base at mapped indices
@@ -33,10 +36,12 @@ cor2.55-75 are the two corollary families in source order.
 """
 from __future__ import annotations
 
+import ast
 import random
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import HoradamError, UnknownIdentity
@@ -68,6 +73,19 @@ class Identity:
     rhs: Callable
     formula: str
     derived: Optional[Derivation] = None
+
+    @cached_property
+    def check(self) -> Callable:
+        """`compile_check` of the formula, compiled on first use; for a
+        formula it rejects (none in the registry), `lhs == rhs`."""
+        try:
+            return compile_check(self.key, self.variables, self.formula)
+        except ValueError:
+            return partial(_sides_equal, self.lhs, self.rhs)
+
+
+def _sides_equal(lhs, rhs, t, *values) -> bool:
+    return lhs(t, *values) == rhs(t, *values)
 
 
 @dataclass(frozen=True)
@@ -104,12 +122,16 @@ def _python(side: str) -> str:
     return re.sub(r"\b(u|v|w|qp|p|q|a|b)\b", r"t.\1", side)
 
 
+def _parameters(variables) -> str:
+    """A compiled function's parameters: the accessor, then the variables."""
+    return ", ".join(["t", *("t_" if v == "t" else v for v in variables)])
+
+
 def compile_expression(variables, text) -> Callable:
     """An expression in the formula grammar as a function of the accessor and
     the variables, in order. Only the constant formulas of this package
     reach `eval`."""
-    args = ", ".join("t_" if v == "t" else v for v in variables)
-    return eval(f"lambda t, {args}: {_python(text)}", {"binomial": binomial})
+    return eval(f"lambda {_parameters(variables)}: {_python(text)}", {"binomial": binomial})
 
 
 def compile_tuple(variables, texts) -> Callable:
@@ -122,6 +144,78 @@ def compile_sides(variables, formula) -> tuple:
     `compile_expression`."""
     return tuple(compile_expression(variables, side)
                  for side in formula.partition(" # ")[0].split(" = "))
+
+
+def _times(x, y):
+    """The source of x*y, where None stands for 1."""
+    return y if x is None else x if y is None else f"({x} * {y})"
+
+
+def compile_check(key, variables, formula) -> Callable:
+    """`lhs == rhs` of a displayed formula as one function of the accessor and
+    the variables, in order, on an accessor whose values are all `Ratio`s.
+
+    Built from each side's `_python` text through `ast`. Every term read
+    (t.u(e), t.v(e), t.w(e), t.qp(e), t.p, t.q, t.a, t.b) stays an accessor
+    call, in the order `lhs` then `rhs` make them; +, -, unary - and ** to an
+    integer literal become integer arithmetic on the pairs' n and d, with no
+    gcd: a*b is (na*nb, da*db) and a-b is (na*db - nb*da, da*db). Each side
+    keeps its own pair, built from its terms' own denominators, and the check
+    is ln*rd == rn*ld. ValueError naming the entry for any other node: `/`
+    (a zero denominator would read as equal), a sum, `C(k,j)`, or another
+    exponent. As with `compile_expression`, only this package's constant
+    formulas reach `exec`.
+    """
+    lines = []
+
+    def name(expr):
+        """`expr`, bound to a new local unless it is a name already."""
+        if expr.isidentifier() or re.fullmatch(r"\w+\.[nd]|\d+", expr):
+            return expr
+        lines.append(f"_{len(lines)} = {expr}")
+        return f"_{len(lines) - 1}"
+
+    def pair(node, text):
+        """(numerator, denominator) source of `node` of the Python `text`;
+        None for denominator 1."""
+        source = text[node.col_offset:node.end_col_offset]
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return repr(node.value), None
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            n, d = pair(node.operand, text)
+            return f"(-{n})", d
+        op = isinstance(node, ast.BinOp) and type(node.op)
+        e = node.right if op is ast.Pow else None
+        if isinstance(e, ast.Constant) and type(e.value) is int and e.value >= 0:
+            n, d = pair(node.left, text)
+            return f"({n}) ** {e.value}", d and f"({d}) ** {e.value}"
+        if op is ast.Mult:
+            (na, da), (nb, db) = pair(node.left, text), pair(node.right, text)
+            return _times(na, nb), _times(da, db)
+        if op in (ast.Add, ast.Sub):
+            (na, da), (nb, db) = pair(node.left, text), pair(node.right, text)
+            da, db = da and name(da), db and name(db)
+            sign = "+" if op is ast.Add else "-"
+            return f"({_times(na, db)} {sign} {_times(nb, da)})", _times(da, db)
+        if (isinstance(node, ast.Attribute) and node.attr in ("p", "q", "a", "b")
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("u", "v", "w", "qp")
+                and len(node.args) == 1 and not node.keywords):
+            read = node if isinstance(node, ast.Attribute) else node.func
+            if isinstance(read.value, ast.Name) and read.value.id == "t":
+                lines.append(f"_{len(lines)} = {source}")
+                return f"_{len(lines) - 1}.n", f"_{len(lines) - 1}.d"
+        raise ValueError(f"{key}: the fuzz check cannot compile {source!r}; it takes term "
+                         "reads, p, q, a, b, integer literals, +, -, * and ** to a "
+                         "non-negative integer literal")
+
+    (ln, ld), (rn, rd) = (pair(ast.parse(text, mode="eval").body, text) for text in
+                          map(_python, formula.partition(" # ")[0].split(" = ")))
+    lines.append(f"return {_times(ln, rd)} == {_times(rn, ld)}")
+    namespace = {}
+    exec("".join([f"def check({_parameters(variables)}):", *(f"\n    {line}" for line in lines)]),
+         namespace)
+    return namespace["check"]
 
 
 def _I(key, variables, formula, derived=None):
@@ -421,10 +515,11 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
     """Randomized exact verification; deterministic for a fixed seed.
 
     One parameter set, term cache and accessor per trial, indices per identity;
-    unreduced sides are compared, and an entry's first failure is reported on
-    the trial's accessor, as `evaluate` would report it.
+    `Identity.check` decides each draw on the unreduced term pairs, and an
+    entry's first failure is reported on the trial's accessor, as `evaluate`
+    would report it.
     A trial draws all its indices (one range) in one `_randints` call after
-    `draw_params`, and each identity's slice goes to both sides: the values and
+    `draw_params`, and each identity's slice goes to its check: the values and
     generator state of one `draw_assignment` per identity, as a replay draws.
     ValueError for trials < 1 and for an empty or repeating id list.
     """
@@ -438,7 +533,7 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
     lo, hi = -sampler.max_index, sampler.max_index
     spans, count = [], 0
     for ident in idents:
-        spans.append((ident, count, count + len(ident.variables)))
+        spans.append((ident, ident.check, count, count + len(ident.variables)))
         count += len(ident.variables)
     passes = dict.fromkeys(keys, 0)
     counterexamples = dict.fromkeys(keys)
@@ -446,10 +541,10 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
         params = sampler.draw_params(rng)
         t = Terms(TermContext(params), SequenceKind.W)
         drawn = _randints(rng, lo, hi, count)
-        for ident, start, stop in spans:
+        for ident, check, start, stop in spans:
             values = drawn[start:stop]
             try:
-                equal = ident.lhs(t, *values) == ident.rhs(t, *values)
+                equal = check(t, *values)
             except HoradamError:
                 equal = False
             if equal:

@@ -281,6 +281,8 @@ def _ratio(x):
     return Ratio(x.numerator, x.denominator) if isinstance(x, Fraction) else x
 
 
+_new = object.__new__
+
 # u's seeds and v's x_0 over Q as Ratio pairs, shared by every context: a
 # Ratio is immutable
 _RATIO_SEEDS = Ratio(0, 1), Ratio(1, 1), Ratio(2, 1)
@@ -361,7 +363,9 @@ class TermContext:
             for i in indices:
                 X0, X1 = X1, P * X1 - Q * X0
                 scale *= L
-                vals[i] = Ratio(X1, scale)
+                # built without Ratio.__init__: one Python frame fewer per term
+                vals[i] = pair = _new(Ratio)
+                pair.n, pair.d = X1, scale
         walk[4:] = X0, X1, scale, n
         return vals[n]
 

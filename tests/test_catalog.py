@@ -16,8 +16,8 @@ from horadam.catalog import (
     list_identities,
 )
 from horadam.errors import UnknownIdentity
-from horadam.field import ModInt, PrimeField
-from horadam.sequences import PRESETS, HoradamParams, SequenceKind
+from horadam.field import ModInt, PrimeField, Ratio
+from horadam.sequences import PRESETS, HoradamParams, SequenceKind, TermContext, Terms
 
 FIB = PRESETS["fibonacci"]
 FIBW = HoradamParams(3, 2, 1, -1)
@@ -212,6 +212,13 @@ class TestDerivations:
                 assert (spec_rep.lhs, spec_rep.rhs) == (master_rep.lhs, master_rep.rhs)
 
 
+CORRUPTED = [
+    ("H", "nmrs", "u(r-s)*w(n+m) = u(m-s)*w(n+r) - q^(r-s)*u(m-r)*w(n+s) + q^(r-s)"),
+    ("cor2.75", "n", "p^2*u(n)^2 - v(n)^2 = 4*q*u(n+1)*u(n)"),
+    ("neg.20", "n", "q^n*w(-n) = a*v(n) - w(n) + w(n)"),
+]
+
+
 def _laurent_difference(ident):
     """lhs - rhs of `ident` over the Binet form, as one rational function.
 
@@ -271,12 +278,7 @@ class TestSymbolicProof:
         unproved = [key for key, ident in REGISTRY.items() if _laurent_difference(ident) != 0]
         assert unproved == []
 
-    @pytest.mark.parametrize("key, variables, formula", [
-        ("H", "nmrs",
-         "u(r-s)*w(n+m) = u(m-s)*w(n+r) - q^(r-s)*u(m-r)*w(n+s) + q^(r-s)"),
-        ("cor2.75", "n", "p^2*u(n)^2 - v(n)^2 = 4*q*u(n+1)*u(n)"),
-        ("neg.20", "n", "q^n*w(-n) = a*v(n) - w(n) + w(n)"),
-    ])
+    @pytest.mark.parametrize("key, variables, formula", CORRUPTED)
     def test_corrupted_formula_fails(self, key, variables, formula):
         assert _laurent_difference(catalog._I(key, variables, formula)) != 0
 
@@ -419,3 +421,92 @@ class TestFuzz:
             assert params.p != 0 and params.q != 0
             for val in (params.a, params.b, params.p, params.q):
                 assert abs(val.numerator) <= 3 and val.denominator <= 3
+
+
+class TestFuzzCheck:
+    """`Identity.check`, the compiled `lhs == rhs` that `fuzz` decides a draw
+    with, against the two compiled sides it replaces."""
+
+    # the corrupted formulas above, and one that no parameters satisfy
+    BROKEN = [catalog._I(key, variables, formula) for key, variables, formula in CORRUPTED
+              ] + [catalog._I("broken", "n", "u(n) = u(n) + 1")]
+
+    @staticmethod
+    def _draws(seed):
+        """(accessor, entry, values) for every registry and `BROKEN` entry on
+        seeded draws: indices in [-10, 10] and all zero, and parameters with
+        p^2 = 4q among the drawn ones."""
+        rng = random.Random(seed)
+        double_root = HoradamParams(Fraction(1, 3), -2, Fraction(3, 2), Fraction(9, 16))
+        for sampler in (SamplerConfig(10, 9), SamplerConfig(0, 5)):
+            for params in [sampler.draw_params(rng) for _ in range(4)] + [double_root]:
+                t = Terms(TermContext(params), SequenceKind.W)
+                for ident in list(REGISTRY.values()) + TestFuzzCheck.BROKEN:
+                    values = list(sampler.draw_assignment(rng, ident.variables).values())
+                    yield t, ident, values
+
+    def test_verdict_equals_the_compared_sides(self):
+        failed = set()
+        for seed in range(3):
+            for t, ident, values in self._draws(seed):
+                verdict = ident.check(t, *values)
+                assert verdict is (ident.lhs(t, *values) == ident.rhs(t, *values)), (
+                    ident.key, values)
+                if not verdict:
+                    failed.add(ident.formula)
+        # every corrupted formula fails on some draw, and no registry entry does
+        assert failed == {ident.formula for ident in self.BROKEN}
+
+    def test_reads_the_terms_of_lhs_then_rhs_in_order(self):
+        class Recording:
+            """An accessor that logs each read of `t`'s members, by name and index."""
+
+            def __init__(self, t):
+                self.t, self.log = t, []
+
+            def __getattr__(self, name):
+                member = getattr(self.t, name)
+                if name in ("p", "q", "a", "b"):
+                    self.log.append(name)
+                    return member
+
+                def read(e):
+                    self.log.append((name, e))
+                    return member(e)
+                return read
+
+        for t, ident, values in self._draws(3):
+            by_check, by_sides = Recording(t), Recording(t)
+            ident.check(by_check, *values)
+            ident.lhs(by_sides, *values), ident.rhs(by_sides, *values)
+            assert by_check.log == by_sides.log, ident.key
+
+    @pytest.mark.parametrize("formula", [
+        "u(2n) = v(n)*u(2n)/v(n)",
+        "u(n+1) - q^n = sum_{j=0}^{n} u(j)*v(j)",
+        "u(n) = C(n,0)*u(n)",
+        "u(n)^p = u(n)^p",
+        "u(n)^n = u(n)^n",
+        "u(n)^(-1)*u(n) = 1",
+    ], ids=["divide", "sum", "binomial", "rational-exponent", "index-exponent",
+            "negative-exponent"])
+    def test_rejects_what_it_cannot_compute(self, formula):
+        with pytest.raises(ValueError, match=r"^odd\.1: the fuzz check cannot compile"):
+            catalog.compile_check("odd.1", "n", formula)
+
+    @pytest.mark.parametrize("formula", ["u(2n) = v(n)*u(2n)/v(n)", "u(n) = C(n,1)*u(n)",
+                                         "u(n) = C(n,0)*u(n)"])
+    def test_an_entry_it_rejects_is_decided_on_its_sides(self, formula):
+        ident = catalog._I("odd.1", "n", formula)
+        t = Terms(TermContext(PRESETS["fibonacci"]), SequenceKind.W)
+        for n in (3, 4):
+            assert ident.check(t, n) is (ident.lhs(t, n) == ident.rhs(t, n))
+
+    def test_passing_trial_calls_no_ratio_operator(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a Ratio operator was called")
+
+        for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                   "__neg__", "__truediv__", "__eq__"):
+            monkeypatch.setattr(Ratio, op, forbidden)
+        assert fuzz(list(REGISTRY), 3, SamplerConfig(), seed=5).all_passed
