@@ -8,7 +8,9 @@ a `TermContext` for its parameters and runs them on its checker accessor
 one such accessor per trial and decides each draw with `Identity.check`, a
 third function compiled from the same formula on first use
 (`compile_check`): the same term reads, and integer arithmetic on their
-pairs in place of `Ratio` operators. One helper, `_report`, builds the
+pairs in place of `Ratio` operators; the summation theorems compile their
+displayed sides to such pairs with the same generator
+(`compile_pair_sides`). One helper, `_report`, builds the
 report of `evaluate` and of an entry's first failing fuzz draw from `lhs`
 and `rhs`, each side reduced to a `Fraction` once.
 The sides stay independent: no algebraic simplification is shared between
@@ -26,7 +28,11 @@ coefficient; `sum_{j=0}^{k} S` is the sum of S over j = 0..k, and its
 summand S runs to the end of its side, so a factor before `sum` multiplies
 the whole sum. Text after ` # ` is a note, displayed but not evaluated. The
 summation theorems (`theorems`) compile their displayed forms with the same
-helper, `compile_sides`.
+helper, `compile_sides`. The pair compiler takes the whole grammar: a sum
+is a loop into one pair, `C(k,j)` an int factor, `/` a swapped pair, and
+an index exponent (`(-1)^j`, `u(m-s)^(k-j)`) a power taken at run time;
+it rejects a negative literal exponent, one that is not an index, and a
+sum whose index is one of the formula's variables.
 
 Key scheme: H/F/G/J are the master identity and its index permutations;
 lin.9/dbl.10/mul.15-18/neg.* cover the basic linear, doubling,
@@ -42,6 +48,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
+from math import gcd
 from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import HoradamError, UnknownIdentity
@@ -151,33 +158,38 @@ def _times(x, y):
     return y if x is None else x if y is None else f"({x} * {y})"
 
 
-def compile_check(key, variables, formula) -> Callable:
-    """`lhs == rhs` of a displayed formula as one function of the accessor and
-    the variables, in order, on an accessor whose values are all `Ratio`s.
+def _index(node) -> bool:
+    """True for a non-literal integer expression over the variables: names
+    other than the accessor, int literals, +, -, * and unary -."""
+    nodes = list(ast.walk(node))
+    return any(isinstance(x, ast.Name) for x in nodes) and all(
+        isinstance(x, (ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.USub, ast.Load))
+        or isinstance(x, ast.Name) and x.id != "t"
+        or isinstance(x, ast.Constant) and type(x.value) is int for x in nodes)
 
-    Built from each side's `_python` text through `ast`. Every term read
-    (t.u(e), t.v(e), t.w(e), t.qp(e), t.p, t.q, t.a, t.b) stays an accessor
-    call, in the order `lhs` then `rhs` make them; +, -, unary - and ** to an
-    integer literal become integer arithmetic on the pairs' n and d, with no
-    gcd: a*b is (na*nb, da*db) and a-b is (na*db - nb*da, da*db). Each side
-    keeps its own pair, built from its terms' own denominators, and the check
-    is ln*rd == rn*ld. ValueError naming the entry for any other node: `/`
-    (a zero denominator would read as equal), a sum, `C(k,j)`, or another
-    exponent. As with `compile_expression`, only this package's constant
-    formulas reach `exec`.
-    """
+
+def _pair_lines(key, variables, formula) -> tuple:
+    """(lines, (ln, ld), (rn, rd)): the statements that evaluate both sides of
+    a displayed formula on integer pairs, and each side's numerator and
+    denominator source (None for denominator 1). See `compile_check`."""
     lines = []
+    indent = ""
+
+    def local(expr):
+        """A new local bound to `expr`."""
+        lines.append(f"{indent}_{len(lines)} = {expr}")
+        return f"_{len(lines) - 1}"
 
     def name(expr):
         """`expr`, bound to a new local unless it is a name already."""
         if expr.isidentifier() or re.fullmatch(r"\w+\.[nd]|\d+", expr):
             return expr
-        lines.append(f"_{len(lines)} = {expr}")
-        return f"_{len(lines) - 1}"
+        return local(expr)
 
     def pair(node, text):
         """(numerator, denominator) source of `node` of the Python `text`;
         None for denominator 1."""
+        nonlocal indent
         source = text[node.col_offset:node.end_col_offset]
         if isinstance(node, ast.Constant) and type(node.value) is int:
             return repr(node.value), None
@@ -189,33 +201,109 @@ def compile_check(key, variables, formula) -> Callable:
         if isinstance(e, ast.Constant) and type(e.value) is int and e.value >= 0:
             n, d = pair(node.left, text)
             return f"({n}) ** {e.value}", d and f"({d}) ** {e.value}"
+        if e is not None and _index(e):
+            n, d = pair(node.left, text)
+            e = name(text[e.col_offset:e.end_col_offset])
+            message = f"{key}: a negative exponent in {source}: "
+            lines.append(f"{indent}if {e} < 0: raise ValueError({message!r} + str({e}))")
+            return f"({n}) ** {e}", d and f"({d}) ** {e}"
         if op is ast.Mult:
             (na, da), (nb, db) = pair(node.left, text), pair(node.right, text)
             return _times(na, nb), _times(da, db)
+        if op is ast.Div:
+            # the product with the divisor's pair swapped, as Ratio.__truediv__
+            (na, da), (nb, db) = pair(node.left, text), pair(node.right, text)
+            nb = name(nb)
+            lines.append(f"{indent}if not {nb}: raise ZeroDivisionError('Ratio division by zero')")
+            return _times(na, db), _times(da, nb)
         if op in (ast.Add, ast.Sub):
             (na, da), (nb, db) = pair(node.left, text), pair(node.right, text)
             da, db = da and name(da), db and name(db)
             sign = "+" if op is ast.Add else "-"
             return f"({_times(na, db)} {sign} {_times(nb, da)})", _times(da, db)
+        call = isinstance(node, ast.Call) and not node.keywords and node.func
+        if isinstance(call, ast.Name) and call.id == "binomial":
+            return source, None
+        loop = (isinstance(call, ast.Name) and call.id == "sum"
+                and isinstance(node.args[0], ast.GeneratorExp) and node.args[0].generators[0])
+        # the loop rebinds its index in the function's scope, where a variable
+        # of that name would be read after it
+        if loop and loop.target.id not in variables:
+            # a loop adding each summand into one pair by Ratio.__add__'s two gcds
+            n, d = local(0), local(1)
+            lines.append(f"{indent}for {text[loop.target.col_offset:loop.iter.end_col_offset]}:")
+            indent += "    "
+            sn, sd = pair(node.args[0].elt, text)
+            sd = name(sd or "1")
+            g = local(f"gcd({d}, {sd})")
+            s = local(f"{d} // {g}")
+            total = local(f"{n} * ({sd} // {g}) + {sn} * {s}")
+            lines.append(f"{indent}{g} = gcd({total}, {g})")
+            lines.append(f"{indent}{n}, {d} = {total} // {g}, {s} * ({sd} // {g})")
+            indent = indent[:-4]
+            return n, d
         if (isinstance(node, ast.Attribute) and node.attr in ("p", "q", "a", "b")
-                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("u", "v", "w", "qp")
-                and len(node.args) == 1 and not node.keywords):
-            read = node if isinstance(node, ast.Attribute) else node.func
+                or isinstance(call, ast.Attribute) and call.attr in ("u", "v", "w", "qp")
+                and len(node.args) == 1):
+            read = node if isinstance(node, ast.Attribute) else call
             if isinstance(read.value, ast.Name) and read.value.id == "t":
-                lines.append(f"_{len(lines)} = {source}")
-                return f"_{len(lines) - 1}.n", f"_{len(lines) - 1}.d"
-        raise ValueError(f"{key}: the fuzz check cannot compile {source!r}; it takes term "
-                         "reads, p, q, a, b, integer literals, +, -, * and ** to a "
-                         "non-negative integer literal")
+                read = local(source)
+                return f"{read}.n", f"{read}.d"
+        raise ValueError(f"{key}: the pair compiler cannot compile {source!r}; it takes "
+                         "term reads, p, q, a, b, integer literals, C(k,j), sums, +, -, *, /, "
+                         "and ** to a non-negative integer literal or to an index expression")
 
-    (ln, ld), (rn, rd) = (pair(ast.parse(text, mode="eval").body, text) for text in
-                          map(_python, formula.partition(" # ")[0].split(" = ")))
-    lines.append(f"return {_times(ln, rd)} == {_times(rn, ld)}")
-    namespace = {}
-    exec("".join([f"def check({_parameters(variables)}):", *(f"\n    {line}" for line in lines)]),
+    sides = [pair(ast.parse(text, mode="eval").body, text) for text in
+             map(_python, formula.partition(" # ")[0].split(" = "))]
+    return lines, *sides
+
+
+def _define(name, variables, lines) -> Callable:
+    """The function `name` of the accessor and the variables with body `lines`.
+    As with `compile_expression`, only this package's constant formulas reach
+    `exec`."""
+    namespace = {"binomial": binomial, "gcd": gcd}
+    exec("".join([f"def {name}({_parameters(variables)}):", *(f"\n    {line}" for line in lines)]),
          namespace)
-    return namespace["check"]
+    return namespace[name]
+
+
+def compile_check(key, variables, formula) -> Callable:
+    """`lhs == rhs` of a displayed formula as one function of the accessor and
+    the variables, in order, on an accessor whose values are all `Ratio`s.
+
+    Built from each side's `_python` text through `ast` (`_pair_lines`). Every
+    term read (t.u(e), t.v(e), t.w(e), t.qp(e), t.p, t.q, t.a, t.b) stays an
+    accessor call, in the order `lhs` then `rhs` make them; the arithmetic
+    is integer arithmetic on the pairs' n and d:
+      - +, -, unary - and * take no gcd: a*b is (na*nb, da*db) and a-b is
+        (na*db - nb*da, da*db);
+      - ** to a non-negative integer literal raises n and d; ** to an index
+        expression (`(-1)^j`, `u(m-s)^(k-j)`) does the same at run time,
+        and raises ValueError for a negative exponent, which the operator
+        sides would take as a reciprocal;
+      - a/b is a times b's pair swapped, and raises ZeroDivisionError when
+        b's numerator is 0, as `Ratio.__truediv__` does;
+      - C(k,j) is an int factor;
+      - `sum_{j=0}^{k} S` is a loop over j that adds each summand into one
+        pair by `Ratio.__add__`'s rule, the gcd of the denominators and
+        then of the result, without which telescoping sums grow without
+        bound.
+    Each side keeps its own pair, built from its terms' own denominators, and
+    the check is ln*rd == rn*ld. ValueError naming the entry for any other
+    node: another exponent, another call, or a sum whose index is one of the
+    variables.
+    """
+    lines, (ln, ld), (rn, rd) = _pair_lines(key, variables, formula)
+    return _define("check", variables, [*lines, f"return {_times(ln, rd)} == {_times(rn, ld)}"])
+
+
+def compile_pair_sides(key, variables, formula) -> Callable:
+    """The two sides of a displayed formula as integer pairs, by the rules of
+    `compile_check`: one function of the accessor and the variables that
+    returns (ln, ld, rn, rd), the sides being ln/ld and rn/rd."""
+    lines, (ln, ld), (rn, rd) = _pair_lines(key, variables, formula)
+    return _define("sides", variables, [*lines, f"return {ln}, {ld or 1}, {rn}, {rd or 1}"])
 
 
 def _I(key, variables, formula, derived=None):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import ConfigViolation, DegenerateStride, SingularSummand
-from .field import binomial
+from .field import Ratio, binomial
 
 Accessor = Callable[[int], Any]
 
@@ -72,9 +72,20 @@ def _plain(cfg):
 def _probe(rel, X, Y, points, where, shift=0):
     # points are caller indices: rel at n - shift is the caller's relation at n
     h, f1, f2, c, d = rel
+    pairs = type(h) is type(f1) is type(f2) is Ratio
+    if pairs:
+        # Ratio coefficients come from the checkers' accessor, whose terms are
+        # Ratios too: h*X = f1*Xc + f2*Y is one cross-multiplied comparison
+        left, right = h.n * f1.d * f2.d, h.d
+        a, b = f1.n * f2.d, f2.n * f1.d
     for n in points:
         i = n - shift
-        if h * X(i) != f1 * X(i - c) + f2 * Y(i - d):
+        if pairs:
+            x, xc, y = X(i), X(i - c), Y(i - d)
+            fails = left * x.n * xc.d * y.d != (a * xc.n * y.d + b * y.n * xc.d) * right * x.d
+        else:
+            fails = h * X(i) != f1 * X(i - c) + f2 * Y(i - d)
+        if fails:
             raise ConfigViolation(
                 f"recurrence fails at index {n} while evaluating {where}")
 

@@ -17,7 +17,8 @@ All three run on one fraction-free integer kernel, `_kernel`. Over Q, with
 L = lcm(den p, den q), P = p*L, Q = q*L^2 and D the seeds' common
 denominator, X_n = L^n*D*x_n obeys X_n = P*X_{n-1} - Q*X_{n-2} over int,
 so the walk does no gcd. `term` builds one `Fraction` per returned term;
-`TermContext` caches each term as the pair itself (a `Ratio`) and reduces
+`TermContext` takes (P, Q, L) once (`_scaling`) for all kinds and
+directions, caches each term as the pair itself (a `Ratio`) and reduces
 it only when a public accessor returns it. Over GF(M) the same recurrence
 runs on the residues, reduced each step; `term` walks it with -Q in place
 of Q, so every residue it forms is non-negative. A negative index walks the
@@ -119,12 +120,23 @@ PRESETS = {
 }
 
 
-def _kernel(params: HoradamParams, kind: SequenceKind, backward: bool):
+def _scaling(params: HoradamParams) -> tuple:
+    """(P, Q, L): over Q, L = lcm(den p, den q), P = p*L and Q = q*L^2; over
+    GF(M), the residues of p and q, and L = 1. It depends on p and q alone,
+    so a `TermContext` takes it once for every kind and direction."""
+    p, q = params.p, params.q
+    if params.modulus:
+        return p.value, q.value, 1
+    L = math.lcm(p.denominator, q.denominator)
+    return p.numerator * (L // p.denominator), q.numerator * (L * L // q.denominator), L
+
+
+def _kernel(params: HoradamParams, kind: SequenceKind, backward: bool, scaling=None):
     """(P, Q, X0, X1, L, D, M): (p, q) and the kind's seeds as integers, for
     the walk from index 0, forward or along the reversed recurrence
-    y_k = x_{-k}. Over Q, L = lcm(den p, den q), P = p*L, Q = q*L^2,
-    D = lcm(den x_0, den x_1) and X_k = L^k*D*x_k; over GF(M), the residues,
-    L = D = 1 and M = params.modulus.
+    y_k = x_{-k}. Over Q, (P, Q, L) is `_scaling(params)` (or `scaling`, when
+    given), D = lcm(den x_0, den x_1) and X_k = L^k*D*x_k; over GF(M), the
+    residues, L = D = 1 and M = params.modulus.
 
     The reversed recurrence has coefficients p/q = P*L/Q and 1/q = L^2/Q and
     seed x_{-1} = (p*x_0 - x_1)/q: over Q derived with gcds, in the reduced
@@ -132,15 +144,14 @@ def _kernel(params: HoradamParams, kind: SequenceKind, backward: bool):
     since M is prime and q nonzero.
     """
     x0, x1 = params.seeds(kind)
-    p, q, M = params.p, params.q, params.modulus
+    P, Q, L = scaling or _scaling(params)
+    M = params.modulus
     if M:
-        P, Q, X0, X1 = p.value, q.value, x0.value, x1.value
+        X0, X1 = x0.value, x1.value
         if backward:
-            inv = (q ** -1).value
+            inv = (params.q ** -1).value
             P, Q, X1 = P * inv % M, inv, (P * X0 - X1) * inv % M
         return P, Q, X0, X1, 1, 1, M
-    L = math.lcm(p.denominator, q.denominator)
-    P, Q = p.numerator * (L // p.denominator), q.numerator * (L * L // q.denominator)
     n0, d0 = x0.numerator, x0.denominator
     D = math.lcm(d0, x1.denominator)
     X0, X1 = n0 * (D // d0), x1.numerator * (L * D // x1.denominator)
@@ -315,17 +326,20 @@ class TermContext:
     keeps the integer state of `term`'s kernel for the walk in each
     direction, and caches every term it passes as one scalar: over Q the
     unreduced `Ratio(X_k, L^k*D)` read straight off the walk, over GF(M) a
-    `ModInt`. The public accessors u, v, w and qp return what term() does,
-    a reduced `Fraction` (one gcd per call) or a `ModInt`. `Terms(ctx, kind)`
+    `ModInt`. Every walk starts from the context's one `_scaling`, and each
+    q-power is built as the pair `Ratio.__pow__` gives. The public accessors
+    u, v, w and qp return what term() does, a reduced `Fraction` (one gcd
+    per call) or a `ModInt`. `Terms(ctx, kind)`
     is the checkers' accessor over the cached scalars themselves; the catalog
     and theorem engines evaluate on it and reduce each reported value once.
     Not synchronized; confine an instance to a single thread of work.
     """
 
-    __slots__ = ("params", "_scalars", "_vals", "_walks", "_qpows")
+    __slots__ = ("params", "_scaling", "_scalars", "_vals", "_walks", "_qpows")
 
     def __init__(self, params: HoradamParams):
         self.params = params
+        self._scaling = _scaling(params)
         p = _ratio(params.p)
         self._scalars = p, _ratio(params.q)
         M = params.modulus
@@ -340,7 +354,7 @@ class TermContext:
         self._qpows = {}
 
     def _walk(self, kind: SequenceKind, step: int) -> list:
-        P, Q, X0, X1, L, D, M = _kernel(self.params, kind, step < 0)
+        P, Q, X0, X1, L, D, M = _kernel(self.params, kind, step < 0, self._scaling)
         if step < 0:     # the reversed walk starts at y_1 = x_{-1}
             self._vals[kind][-1] = ModInt(X1, M) if M else Ratio(X1, L * D)
         # a new walk ends at index step: x_1, or x_{-1} on the reversed walk
@@ -372,7 +386,16 @@ class TermContext:
     def _qpow(self, e: int):
         val = self._qpows.get(e)
         if val is None:
-            val = self._qpows[e] = self._scalars[1] ** e
+            q = self._scalars[1]
+            if type(q) is Ratio:
+                # q's pair is reduced, so this is the pair Ratio.__pow__ gives,
+                # without its frame and its gcd
+                n, d = (q.n, q.d) if e >= 0 else (q.d, q.n)
+                val = _new(Ratio)
+                val.n, val.d = n ** abs(e), d ** abs(e)
+            else:
+                val = q ** e
+            self._qpows[e] = val
         return val
 
     def u(self, n: int):

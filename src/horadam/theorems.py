@@ -19,10 +19,17 @@ and require all three to agree exactly. The legs, the guards and the
 denominator scan run on the checker accessor of one `TermContext` for the
 caller's parameters, with w read as the selected kind (`sequences.Terms`,
 over unreduced `Ratio` pairs); each leg is reduced to a `Fraction` once,
-for the `SumReport`. Assignments that zero a lemma coefficient raise
-GuardViolation; reciprocal sums whose denominator window contains a
-vanishing term raise SingularSummand. Wrong numbers are never returned
-silently.
+for the `SumReport`. Over Q, legs 1 and 2 run on integer pairs: a form's
+`sides`, compiled from the same displayed text on first use
+(`catalog.compile_pair_sides`, the fuzz check's code generator), reads the
+same terms as `lhs` then `rhs`, and the lemma's probe checks each point
+with one integer comparison. The relation's coefficients, the lemma sums
+and the factor stay on `Ratio` operators, so one leg runs on code that the
+pair compiler does not generate. Over GF(M) the displayed sides run on
+`lhs` and `rhs`, as `catalog.evaluate` does. Assignments that zero a lemma
+coefficient raise GuardViolation; reciprocal sums whose denominator window
+contains a vanishing term raise SingularSummand. Wrong numbers are never
+returned silently.
 
 Each theorem follows from one of two three-term relations (`_RELATIONS`).
 Each base form names the lemma variant it follows from by its label in the
@@ -41,9 +48,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from fractions import Fraction
+from functools import cached_property
+from typing import Any, Callable, NamedTuple, Optional
 
-from .catalog import compile_expression, compile_sides, compile_tuple
+from .catalog import compile_expression, compile_pair_sides, compile_sides, compile_tuple
 from .errors import GuardViolation
 from .field import format_scalar, reduced
 from .lemmas import _denominator_window, _lemma
@@ -134,13 +143,41 @@ def _relation_of(text: str) -> _Relation:
 
 
 _COMPILED = {text: _relation_of(text) for text in (_OVER_W, _U_TO_W)}
-# (theorem, base) -> (lhs, rhs, variant, factor, window, relation), compiled
-_FORMS = {(theorem, base): (*compile_sides("nmrsk", formula), variant,
-                            compile_expression("nmrsk", factor),
-                            window and compile_expression("nmrsk", window),
-                            _COMPILED[_RELATIONS[theorem]])
-          for theorem, bases in _BASES.items()
-          for base, (formula, variant, factor, window) in enumerate(bases, 1)}
+
+
+@dataclass(frozen=True)
+class _Form:
+    """A base form compiled from its `_BASES` entry: the displayed sides, the
+    factor and window texts, over the accessor and n, m, r, s, k, and the
+    theorem's relation. `sides`, the displayed sides on integer pairs, is
+    compiled from the same formula on first use."""
+
+    key: str
+    formula: str
+    lhs: Callable
+    rhs: Callable
+    variant: str
+    factor: Callable
+    window: Optional[Callable]
+    relation: _Relation
+
+    @cached_property
+    def sides(self) -> Callable:
+        """`compile_pair_sides` of the formula: (ln, ld, rn, rd)."""
+        return compile_pair_sides(self.key, "nmrsk", self.formula)
+
+
+def _form(theorem, formula, variant, factor, window) -> _Form:
+    """The `_BASES` entry (formula, variant, factor, window) of `theorem`, compiled."""
+    return _Form(f"theorem {theorem}", formula, *compile_sides("nmrsk", formula),
+                 variant, compile_expression("nmrsk", factor),
+                 window and compile_expression("nmrsk", window),
+                 _COMPILED[_RELATIONS[theorem]])
+
+
+# (theorem, base) -> _Form
+_FORMS = {(theorem, base): _form(theorem, *entry)
+          for theorem, bases in _BASES.items() for base, entry in enumerate(bases, 1)}
 
 
 @dataclass(frozen=True)
@@ -204,7 +241,7 @@ def _effective(sel, n, m, r, s):
 
 
 def _setup(sel, n, m, r, s, k) -> tuple:
-    """The selected form's compiled entry and its effective (n, m, r, s)."""
+    """The selected form's `_Form` and its effective (n, m, r, s)."""
     if k < 0:
         raise ValueError("summation bound k must be >= 0")
     return _FORMS[sel.theorem, sel.base], _effective(sel, n, m, r, s)
@@ -228,29 +265,34 @@ def singularity_scan(sel: TheoremSelector, params: HoradamParams,
 
     Non-reciprocal selections have no denominators and scan empty.
     """
-    (*_, window, relation), eff = _setup(sel, n, m, r, s, k)
-    if window is None:
+    form, eff = _setup(sel, n, m, r, s, k)
+    if form.window is None:
         return []
     t = Terms(TermContext(params), sel.kind)
-    X, _ = relation.accessors(t, *eff)
-    return list(_denominator_window(X, eff[0], window(t, *eff, k), k))
+    X, _ = form.relation.accessors(t, *eff)
+    return list(_denominator_window(X, eff[0], form.window(t, *eff, k), k))
 
 
 def theorem_sum(sel: TheoremSelector, params: HoradamParams,
                 n: int, m: int, r: int, s: int, k: int) -> SumReport:
     """Evaluate a theorem 2-6 variant three ways; all must agree exactly."""
-    (lhs, rhs, variant, factor, _, relation), eff = _setup(sel, n, m, r, s, k)
+    form, eff = _setup(sel, n, m, r, s, k)
     t = Terms(TermContext(params), sel.kind)
-    rel, X, Y = _relation(t, relation, f"theorem {sel.theorem} variant {sel.variant}", *eff)
+    rel, X, Y = _relation(t, form.relation, f"theorem {sel.theorem} variant {sel.variant}", *eff)
     notes = ()
     if sel.theorem == 2 and k == 0:
         notes = ("k=0 is outside the stated hypothesis (positive k); the sum still evaluates",)
 
     # first, so that the lemma's denominator scan raises SingularSummand
     # before the direct sum divides by a vanishing term
-    lemma_lhs = _lemma(variant, rel, X, Y, eff[0], k)[0]
-    return SumReport(sel, dict(n=n, m=m, r=r, s=s, k=k), reduced(lhs(t, *eff, k)),
-                     reduced(rhs(t, *eff, k)), reduced(factor(t, *eff, k) * lemma_lhs), notes)
+    lemma_lhs = _lemma(form.variant, rel, X, Y, eff[0], k)[0]
+    if params.modulus:
+        lhs, rhs = form.lhs(t, *eff, k), form.rhs(t, *eff, k)
+    else:
+        ln, ld, rn, rd = form.sides(t, *eff, k)
+        lhs, rhs = Fraction(ln, ld), Fraction(rn, rd)
+    return SumReport(sel, dict(n=n, m=m, r=r, s=s, k=k), lhs, rhs,
+                     reduced(form.factor(t, *eff, k) * lemma_lhs), notes)
 
 
 # the former entry point for theorems 5 and 6, kept as an alias because the

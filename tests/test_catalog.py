@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -482,25 +483,81 @@ class TestFuzzCheck:
             assert by_check.log == by_sides.log, ident.key
 
     @pytest.mark.parametrize("formula", [
+        "u(n)^p = u(n)^p",
+        "u(n)^(-1)*u(n) = 1",
+        "u(n)^(n/2) = u(n)^(n/2)",
+        "sum_{n=0}^{2} u(n) = u(n) + 1",
+    ], ids=["rational-exponent", "negative-exponent", "fractional-exponent",
+            "index-is-a-variable"])
+    def test_rejects_what_it_cannot_compute(self, formula):
+        with pytest.raises(ValueError, match=r"^odd\.1: the pair compiler cannot compile"):
+            catalog.compile_check("odd.1", "n", formula)
+
+    @pytest.mark.parametrize("formula", [
         "u(2n) = v(n)*u(2n)/v(n)",
         "u(n+1) - q^n = sum_{j=0}^{n} u(j)*v(j)",
         "u(n) = C(n,0)*u(n)",
-        "u(n)^p = u(n)^p",
         "u(n)^n = u(n)^n",
-        "u(n)^(-1)*u(n) = 1",
-    ], ids=["divide", "sum", "binomial", "rational-exponent", "index-exponent",
-            "negative-exponent"])
-    def test_rejects_what_it_cannot_compute(self, formula):
-        with pytest.raises(ValueError, match=r"^odd\.1: the fuzz check cannot compile"):
-            catalog.compile_check("odd.1", "n", formula)
+    ], ids=["divide", "sum", "binomial", "index-exponent"])
+    def test_compiles_the_theorem_grammar(self, formula):
+        # the constructs the summation theorems add decide a draw as the
+        # operator sides do
+        ident = catalog._I("odd.1", "n", formula)
+        check = catalog.compile_check("odd.1", "n", formula)
+        verdicts = set()
+        for params in (FIB, FIBW, HoradamParams(Fraction(1, 2), -2, Fraction(3, 4),
+                                                Fraction(-5, 6))):
+            t = Terms(TermContext(params), SequenceKind.W)
+            for n in range(7):
+                verdict = check(t, n)
+                assert verdict is (ident.lhs(t, n) == ident.rhs(t, n)), n
+                verdicts.add(verdict)
+        assert verdicts == ({False, True} if "sum" in formula else {True})
 
-    @pytest.mark.parametrize("formula", ["u(2n) = v(n)*u(2n)/v(n)", "u(n) = C(n,1)*u(n)",
-                                         "u(n) = C(n,0)*u(n)"])
+    @pytest.mark.parametrize("formula", ["u(n)^(-1)*u(n) = 1", "u(n)^(-1) = u(n)",
+                                         "u(n)^(-2)*v(n) = u(n)",
+                                         "sum_{n=0}^{2} u(n) = u(n) + 1"])
     def test_an_entry_it_rejects_is_decided_on_its_sides(self, formula):
         ident = catalog._I("odd.1", "n", formula)
         t = Terms(TermContext(PRESETS["fibonacci"]), SequenceKind.W)
         for n in (3, 4):
             assert ident.check(t, n) is (ident.lhs(t, n) == ident.rhs(t, n))
+
+    def test_division_by_a_zero_numerator_raises(self):
+        # as Ratio.__truediv__ does, never reading a zero denominator as equal
+        ident = catalog._I("odd.1", "n", "w(n)/u(n) = w(n)/u(n)")
+        t = Terms(TermContext(FIBW), SequenceKind.W)
+        assert ident.check(t, 3) is True
+        sides = catalog.compile_pair_sides("odd.1", "n", ident.formula)
+        for side in (ident.check, ident.lhs, sides):
+            with pytest.raises(ZeroDivisionError, match="^Ratio division by zero$"):
+                side(t, 0)
+
+    def test_a_negative_index_exponent_raises(self):
+        # the operator sides would take a reciprocal; the pair code never
+        # yields a float
+        sides = catalog.compile_pair_sides("odd.1", "n", "(-1)^n*u(4)^n = v(n)")
+        t = Terms(TermContext(FIBW), SequenceKind.W)
+        assert all(type(x) is int for x in sides(t, 3))
+        for n in (-1, -3):
+            with pytest.raises(ValueError, match=r"^odd\.1: a negative exponent in \(-1\)\*\*n: "
+                                                 f"{n}$"):
+                sides(t, n)
+
+    def test_generated_check_source_is_pinned(self, monkeypatch):
+        # the catalog's checks are the code the pair compiler has generated
+        # since it was written: sha256 of the 73 sources, joined by newlines
+        sources = []
+
+        def recording(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+        monkeypatch.setattr(catalog, "exec", recording, raising=False)
+        for ident in REGISTRY.values():
+            catalog.compile_check(ident.key, ident.variables, ident.formula)
+        assert len(sources) == 73
+        assert hashlib.sha256("\n".join(sources).encode()).hexdigest() == (
+            "690bf8703f011a1d1f2a867a21838aa203008275d34416db23c1c85dfa9d8853")
 
     def test_passing_trial_calls_no_ratio_operator(self, monkeypatch):
         def forbidden(*args):

@@ -64,8 +64,7 @@ def test_fuzz_trial(counts):
 
 @pytest.mark.parametrize("theorem,lookups_with_rhs", [(2, 40), (3, 38), (4, 38), (5, 63), (6, 63)])
 def test_theorem_sum(counts, theorem, lookups_with_rhs):
-    fn = theorems.reciprocal_sum if theorem in (5, 6) else theorems.theorem_sum
-    assert fn(theorems.TheoremSelector(theorem, 1), PARAMS, *ASSIGNMENT).equal
+    assert theorems.theorem_sum(theorems.TheoremSelector(theorem, 1), PARAMS, *ASSIGNMENT).equal
     assert counts == {"created": 1, "lookups": lookups_with_rhs - RHS_READS[theorem]}
 
 
@@ -75,8 +74,8 @@ def test_uv_selectors_read_the_callers_context(counts, walked, theorem, lookups_
     # a u or v selector reads its kind off the one context built for the
     # caller's parameters: the same lookups as the w selector, no w walk.
     # n=5 keeps theorem 6's u denominators off u(0) = 0.
-    fn = theorems.reciprocal_sum if theorem in (5, 6) else theorems.theorem_sum
-    assert fn(theorems.TheoremSelector(theorem, 1, kind), PARAMS, 5, *ASSIGNMENT[1:]).equal
+    sel = theorems.TheoremSelector(theorem, 1, kind)
+    assert theorems.theorem_sum(sel, PARAMS, 5, *ASSIGNMENT[1:]).equal
     assert counts == {"created": 1, "lookups": lookups_with_rhs - RHS_READS[theorem]}
     assert walked and SequenceKind.W not in {walk_kind for walk_kind, _ in walked}
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horadam import catalog, theorems
+from horadam import catalog, sequences, theorems
 from horadam.errors import CompositeModulus, DegenerateRoot, EmptyRange
 from horadam.field import ModInt, PrimeField, Ratio
 from horadam.sequences import (
@@ -493,6 +493,38 @@ class TestTermContext:
         finally:
             if was_enabled:
                 gc.enable()
+
+    def test_qpow_pairs_are_the_operators_pairs(self):
+        # the cached pair of q^e is the pair Ratio.__pow__ gives, with the
+        # sign where it puts it, at either sign of q and of e
+        for q in (Fraction(2, 3), Fraction(-2, 3), Fraction(-5), Fraction(7, 4), Fraction(1)):
+            ctx = TermContext(HoradamParams(0, 1, 1, q))
+            for e in range(-6, 7):
+                pair = ctx._qpow(e)
+                expected = Ratio(q.numerator, q.denominator) ** e
+                assert (type(pair), pair.n, pair.d) == (Ratio, expected.n, expected.d), (q, e)
+                assert ctx._qpow(e) is pair
+        f = PrimeField(101)
+        ctx = TermContext(HoradamParams(f(0), f(1), f(1), f(5)))
+        assert ctx._qpow(-3) == f(5) ** -3 and isinstance(ctx._qpow(-3), ModInt)
+
+    def test_one_scaling_per_context(self, monkeypatch):
+        # every kind and direction derives its seeds from the context's one
+        # (P, Q, L); the term functions take it for themselves
+        calls = []
+        scaling = sequences._scaling
+        monkeypatch.setattr(sequences, "_scaling", lambda params: calls.append(params)
+                            or scaling(params))
+        params = HoradamParams(Fraction(1, 2), -2, Fraction(3, 4), Fraction(-5, 6))
+        ctx = TermContext(params)
+        for kind in SequenceKind:
+            assert [ctx._get(kind, n) for n in (-4, 5)] == [term(params, kind, n)
+                                                         for n in (-4, 5)]
+        assert len(calls) == 1 + 6      # the context once, then one per term call
+        for kind in SequenceKind:
+            for backward in (False, True):
+                assert _kernel(params, kind, backward, scaling(params)) == \
+                    _kernel(params, kind, backward)
 
     def test_qp(self):
         ctx = TermContext(HoradamParams(0, 1, 1, Fraction(2, 3)))

@@ -1,6 +1,8 @@
+import json
 import pathlib
 import random
 import re
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import comb
 
@@ -9,7 +11,7 @@ import pytest
 from horadam import cli, lemmas, theorems
 from horadam.catalog import SamplerConfig, _python, compile_expression, compile_sides
 from horadam.errors import ConfigViolation, GuardViolation, SingularSummand
-from horadam.field import ModInt, PrimeField
+from horadam.field import ModInt, PrimeField, Ratio
 from horadam.lemmas import (
     LemmaReport,
     RecurrenceConfig,
@@ -35,11 +37,6 @@ PELL = PRESETS["pell"]
 U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
 
 
-def run(sel, params, n, m, r, s, k):
-    fn = reciprocal_sum if sel.theorem in (5, 6) else theorem_sum
-    return fn(sel, params, n, m, r, s, k)
-
-
 def guard_passing_draws(rng, sampler, sel, count, kmax=5, span=6):
     got = 0
     attempts = 0
@@ -50,7 +47,7 @@ def guard_passing_draws(rng, sampler, sel, count, kmax=5, span=6):
         n, m, r, s = (rng.randint(-span, span) for _ in range(4))
         k = rng.randint(0, kmax)
         try:
-            yield params, (n, m, r, s, k), run(sel, params, n, m, r, s, k)
+            yield params, (n, m, r, s, k), theorem_sum(sel, params, n, m, r, s, k)
         except (GuardViolation, SingularSummand):
             continue
         got += 1
@@ -232,7 +229,7 @@ class TestSpecializationConsistency:
                 for params, asg, rep in guard_passing_draws(
                         rng, sampler, sel, 5, kmax=3, span=5):
                     spec_params = HoradamParams(*params.seeds(kind), params.p, params.q)
-                    w_rep = run(TheoremSelector(theorem, variant, W),
+                    w_rep = theorem_sum(TheoremSelector(theorem, variant, W),
                                 spec_params, *asg)
                     assert (rep.lhs, rep.rhs, rep.lemma_lhs) == (
                         w_rep.lhs, w_rep.rhs, w_rep.lemma_lhs)
@@ -256,12 +253,12 @@ class TestOverPrimeField:
                             *map(field, (params.a, params.b, params.p, params.q)))
                         args = [rng.randint(-6, 6) for _ in range(4)] + [rng.randint(0, 5)]
                         try:
-                            rep = run(sel, params, *args)
+                            rep = theorem_sum(sel, params, *args)
                         except (GuardViolation, SingularSummand) as exc:
                             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                                run(sel, gf_params, *args)
+                                theorem_sum(sel, gf_params, *args)
                             continue
-                        gf_rep = run(sel, gf_params, *args)
+                        gf_rep = theorem_sum(sel, gf_params, *args)
                         assert gf_rep.equal and isinstance(gf_rep.lhs, ModInt)
                         assert (gf_rep.lhs, gf_rep.rhs, gf_rep.lemma_lhs, gf_rep.notes) == (
                             rep.lhs, rep.rhs, rep.lemma_lhs, rep.notes), (sel, args)
@@ -402,11 +399,11 @@ class TestFormulaStrings:
         corrupted = formula.replace("w(n", "w(n+1", 1)
         assert corrupted != formula
         sel = TheoremSelector(theorem, base)
-        compiled = theorems._FORMS[theorem, base][2:]
+        rest = theorems._BASES[theorem][base - 1][1:]
         for text, equal in ((formula, True), (corrupted, False)):
             monkeypatch.setitem(theorems._FORMS, (theorem, base),
-                                (*compile_sides("nmrsk", text), *compiled))
-            assert run(sel, CONTROL_PARAMS, *CONTROL_ARGS).equal is equal
+                                theorems._form(theorem, text, *rest))
+            assert theorem_sum(sel, CONTROL_PARAMS, *CONTROL_ARGS).equal is equal
 
     @pytest.mark.parametrize("relation,field,corrupted", [
         (theorems._OVER_W, "f2=-q", "f2=q"),
@@ -427,11 +424,11 @@ class TestFormulaStrings:
             if theorem not in theorems_using:
                 continue
             sel = TheoremSelector(theorem, base)
-            assert run(sel, CONTROL_PARAMS, *CONTROL_ARGS).equal
+            assert theorem_sum(sel, CONTROL_PARAMS, *CONTROL_ARGS).equal
             monkeypatch.setitem(theorems._FORMS, (theorem, base),
-                                (*form[:-1], theorems._relation_of(text)))
+                                replace(form, relation=theorems._relation_of(text)))
             with pytest.raises(ConfigViolation, match="recurrence fails"):
-                run(sel, CONTROL_PARAMS, *CONTROL_ARGS)
+                theorem_sum(sel, CONTROL_PARAMS, *CONTROL_ARGS)
 
     def test_selector_shows_its_base_form(self):
         assert VARIANT_COUNT == {t: 2 * len(b) for t, b in theorems._BASES.items()}
@@ -459,6 +456,113 @@ class TestFormulaStrings:
         assert rows == expected
 
 
+class TestPairSides:
+    """Over Q the displayed sides run on integer pairs (`_Form.sides`) and the
+    probe on one integer comparison per point; the relation, the lemma sums
+    and the factor stay on Ratio operators, and over GF(M) so do the sides."""
+
+    class OperatorSides(theorems._Form):
+        """A form whose pair sides are the pairs of its operator sides."""
+
+        @property
+        def sides(self):
+            def sides(t, *args):
+                lhs, rhs = self.lhs(t, *args), self.rhs(t, *args)
+                return lhs.n, lhs.d, rhs.n, rhs.d
+            return sides
+
+    @staticmethod
+    def outcome(sel, params, args):
+        try:
+            return json.dumps(theorem_sum(sel, params, *args).to_dict())
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def test_pair_sides_agree_with_operator_sides(self, monkeypatch):
+        # every selector (both orientations, kinds u/v/w) at k = 0..5: the
+        # same report bytes, or the same error, as on the operator sides
+        rng = random.Random(151)
+        sampler = SamplerConfig(max_index=6, bound=9)
+        calls = [(TheoremSelector(theorem, variant, kind), sampler.draw_params(rng),
+                  [rng.randint(-6, 6) for _ in range(4)] + [k])
+                 for theorem, nvar in VARIANT_COUNT.items() for variant in range(1, nvar + 1)
+                 for kind in SequenceKind for k in range(6) for _ in range(2)]
+        by_pairs = [self.outcome(*call) for call in calls]
+        for key, form in theorems._FORMS.items():
+            monkeypatch.setitem(theorems._FORMS, key, self.OperatorSides(
+                *(getattr(form, field.name) for field in fields(form))))
+        assert [self.outcome(*call) for call in calls] == by_pairs
+        assert sum('"equal": true' in outcome for outcome in by_pairs) > len(calls) // 2
+
+    def test_passing_sum_runs_its_sides_and_probe_on_no_ratio_operator(self, monkeypatch):
+        inside = []
+
+        def guarded(fn):
+            def run_inside(*args):
+                inside.append(fn)
+                try:
+                    return fn(*args)
+                finally:
+                    inside.pop()
+            return run_inside
+
+        for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                   "__neg__", "__truediv__", "__rtruediv__", "__pow__", "__eq__"):
+            def forbidden(*args, _op=getattr(Ratio, op), _name=op):
+                if inside:
+                    raise AssertionError(f"Ratio.{_name} was called")
+                return _op(*args)
+            monkeypatch.setattr(Ratio, op, forbidden)
+        monkeypatch.setattr(lemmas, "_probe", guarded(lemmas._probe))
+        sides = theorems._Form.sides
+        monkeypatch.setattr(theorems._Form, "sides",
+                            property(lambda form: guarded(sides.func(form))))
+        for theorem, nvar in VARIANT_COUNT.items():
+            for variant in range(1, nvar + 1):
+                rep = theorem_sum(TheoremSelector(theorem, variant), CONTROL_PARAMS, *CONTROL_ARGS)
+                assert rep.equal and type(rep.lhs) is Fraction
+
+    def test_a_vanishing_divisor_raises_in_the_sides(self):
+        # the lemma leg's scan raises SingularSummand first; called alone,
+        # both sides raise as Ratio.__truediv__ does
+        form = theorems._FORMS[5, 1]
+        with pytest.raises(SingularSummand):
+            theorem_sum(TheoremSelector(5, 1), FIB, 2, 2, 1, 0, 2)
+        t = Terms(TermContext(FIB), W)
+        for side in (form.sides, form.lhs):
+            with pytest.raises(ZeroDivisionError, match="^Ratio division by zero$"):
+                side(t, 2, 2, 1, 0, 2)
+
+    def test_a_negative_bound_raises_in_the_sides(self):
+        # theorem_sum refuses k < 0 first; called alone, every form's pair
+        # sides raise on an exponent in k rather than yield a float
+        t = Terms(TermContext(CONTROL_PARAMS), W)
+        for key, form in theorems._FORMS.items():
+            with pytest.raises(ValueError, match="negative exponent"):
+                form.sides(t, *CONTROL_ARGS[:4], -2)
+
+    @pytest.mark.parametrize("printed", [
+        ("q^((r-s)(k-j))*C(k,j)", "C(k,j)"),
+        (" = u(m-s)^k", " = q^((r-s)k)*u(m-s)^k"),
+        (("q^((r-s)(k-j))*C(k,j)", "C(k,j)"), (" = u(m-s)^k", " = q^((r-s)k)*u(m-s)^k")),
+    ], ids=["inner-q-power-dropped", "q-power-on-the-right", "both"])
+    def test_theorem2_misprints_as_printed_fail(self, monkeypatch, printed):
+        # the second form (variants 2 and 5) with the corrections its note
+        # names undone: no q^((r-s)(k-j)) in the sum, a q-power on the right
+        formula, *rest = theorems._BASES[2][1]
+        text = formula.partition(" # ")[0]
+        for old, new in printed if isinstance(printed[0], tuple) else [printed]:
+            assert old in text
+            text = text.replace(old, new)
+        correct = [theorem_sum(TheoremSelector(2, variant), CONTROL_PARAMS, *CONTROL_ARGS)
+                   for variant in (2, 5)]
+        assert all(rep.equal for rep in correct)
+        monkeypatch.setitem(theorems._FORMS, (2, 2), theorems._form(2, text, *rest))
+        for variant, rep in zip((2, 5), correct):
+            printed = theorem_sum(TheoremSelector(2, variant), CONTROL_PARAMS, *CONTROL_ARGS)
+            assert printed.lemma_lhs == rep.lemma_lhs and not printed.equal
+
+
 class TestLemmaLeg:
     """The lemma leg computes only the lemma's left side, on the plain
     coefficients; the public lemma reports must agree with it."""
@@ -468,7 +572,8 @@ class TestLemmaLeg:
         """(factor, report): the public lemma report the selected theorem
         follows from, built from a RecurrenceConfig on the theorem's
         relation, and the factor scaling its left side into the theorem's."""
-        _, _, _, factor, _, relation = theorems._FORMS[sel.theorem, sel.base]
+        form = theorems._FORMS[sel.theorem, sel.base]
+        factor, relation = form.factor, form.relation
         t = Terms(TermContext(params), sel.kind)
         eff = theorems._effective(sel, n, m, r, s)
         cfg = RecurrenceConfig(*relation.coefficients(t, *eff))
@@ -509,7 +614,7 @@ class TestLemmaLeg:
                 _init(self, *args, **kwargs)
             monkeypatch.setattr(cls, "__init__", counting)
         for theorem, base in theorems._FORMS:
-            assert run(TheoremSelector(theorem, base), CONTROL_PARAMS, *CONTROL_ARGS).equal
+            assert theorem_sum(TheoremSelector(theorem, base), CONTROL_PARAMS, *CONTROL_ARGS).equal
         assert built == []
         # the public path builds both, and the count sees them
         ctx = TermContext(FIB)
