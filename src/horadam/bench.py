@@ -5,6 +5,9 @@ Times the library's own evaluators: `term` for u and for v against
 Both run on the sequences module's integer kernel, so the ratio compares
 O(n) integer recurrence steps with O(log n) integer doubling steps (over
 GF(M), each step reduced mod M); neither times `Fraction` arithmetic.
+`term` groups its steps 64 indices per Python step (`sequences._BLOCK`),
+so its time is still O(n) steps, over a smaller constant;
+`iterative_steps` counts recurrence indices, n, not loop iterations.
 Correctness is asserted by comparing both strategies' results. The layered
 benchmark of the whole library lives in `perfbench/`.
 """

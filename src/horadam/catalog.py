@@ -48,6 +48,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import repeat
 from math import gcd
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -560,7 +561,8 @@ class SamplerConfig:
 class IdentityStats(NamedTuple):
     """One identity's fuzz tally. Immutable like the frozen records, but a
     tuple, which builds without a per-field `object.__setattr__`: `fuzz`
-    builds one per identity on every call."""
+    builds one per identity on every call, with `tuple.__new__`, so not even
+    the generated `__new__` runs."""
 
     key: str
     trials: int
@@ -640,6 +642,6 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
             elif counterexamples[ident.key] is None:
                 asg = dict(zip(ident.variables, values))
                 counterexamples[ident.key] = _report(ident, t, asg)
-    stats = tuple(IdentityStats(i.key, trials, passes[i.key], counterexamples[i.key])
-                  for i in idents)
+    stats = tuple(map(tuple.__new__, repeat(IdentityStats),
+                      zip(keys, repeat(trials), passes.values(), counterexamples.values())))
     return FuzzReport(seed, trials, sampler, stats)

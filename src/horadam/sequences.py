@@ -20,8 +20,12 @@ so the walk does no gcd. `term` builds one `Fraction` per returned term;
 `TermContext` takes (P, Q, L) once (`_scaling`) for all kinds and
 directions, caches each term as the pair itself (a `Ratio`) and reduces
 it only when a public accessor returns it. Over GF(M) the same recurrence
-runs on the residues, reduced each step; `term` walks it with -Q in place
-of Q, so every residue it forms is non-negative. A negative index walks the
+runs on the residues, reduced each step; `term` walks it with M - Q in
+place of -Q, so every residue it forms is non-negative. From |n| >= 3*S
+(S = `_BLOCK`, 64) `term` advances S indices per step, by the S-step
+transition that S single steps from the two unit seeds give: the same
+iteration, grouped, each block reduced mod M over GF(M) and kept on the
+fraction-free integers over Q. A negative index walks the
 reversed recurrence y_k = x_{-k}, with coefficients (p/q, 1/q) and seeds
 (x_0, x_{-1}), so no step divides. `doubling_term` doubles on u of the
 same kernel, forward or reversed, and turns (u_{m-1}, u_m) into the term by
@@ -167,19 +171,70 @@ def _kernel(params: HoradamParams, kind: SequenceKind, backward: bool, scaling=N
             Lr, Dr, None)
 
 
+# S, the indices one step of `term`'s blocked walk advances; even, so that
+# `_transition`'s two-step loop ends on (X_S, X_{S+1}). Of S in {16, 32, 64,
+# 128}, a timeit sweep on both fields (BENCH_22.json) put 64 fastest over
+# GF(M) terms to |n| = 10^5 and Q terms to |n| = 1000 together.
+_BLOCK = 64
+# the least |n| `term` walks in blocks: below it, building the transition
+# costs more than it saves
+_BLOCKED_FROM = 3 * _BLOCK
+
+
+def _transition(P: int, R: int, M: Optional[int]):
+    """(a0, a1, b0, b1): S = `_BLOCK` single steps of X_{k+2} = P*X_{k+1} + R*X_k
+    from each unit seed, (X_0, X_1) = (1, 0) ending at (a0, b0) and (0, 1) at
+    (a1, b1), over int or reduced mod M each step. The recurrence is linear,
+    so S steps take (X_k, X_{k+1}) to (a0*X_k + a1*X_{k+1}, b0*X_k + b1*X_{k+1})."""
+    a0, b0, a1, b1 = 1, 0, 0, 1
+    if M:
+        for _ in range(_BLOCK >> 1):
+            a0 = (P * b0 + R * a0) % M
+            b0 = (P * a0 + R * b0) % M
+            a1 = (P * b1 + R * a1) % M
+            b1 = (P * a1 + R * b1) % M
+    else:
+        for _ in range(_BLOCK >> 1):
+            a0 = P * b0 + R * a0
+            b0 = P * a0 + R * b0
+            a1 = P * b1 + R * a1
+            b1 = P * a1 + R * b1
+    return a0, a1, b0, b1
+
+
 def term(params: HoradamParams, kind: SequenceKind, n: int):
-    """Exact n-th term by iteration; negative n walks the reversed recurrence."""
+    """Exact n-th term by iteration; negative n walks the reversed recurrence.
+
+    The walk takes two single steps per pass of its loop. From
+    |n| >= `_BLOCKED_FROM` = 3*S (S = `_BLOCK`) it first applies the S-step
+    transition (`_transition`) |n| // S times. This groups the same steps S
+    at a time, with no doubling formula and no lin.9, so `term` stays
+    independent of `doubling_term`.
+    """
     P, Q, X0, X1, L, D, M = _kernel(params, kind, n < 0)
     steps = abs(n)
+    # x_{k+2} = P*x_{k+1} + R*x_k
     if M:
-        Q = M - Q   # x_{k+2} = P*x_{k+1} + (M - Q)*x_k: every residue non-negative
+        R = M - Q   # every residue the walk forms is non-negative
+        if steps >= _BLOCKED_FROM:
+            a0, a1, b0, b1 = _transition(P, R, M)
+            for _ in range(steps // _BLOCK):
+                X0, X1 = (a0 * X0 + a1 * X1) % M, (b0 * X0 + b1 * X1) % M
+            steps %= _BLOCK
         for _ in range(steps >> 1):
-            X0 = (P * X1 + Q * X0) % M
-            X1 = (P * X0 + Q * X1) % M
+            X0 = (P * X1 + R * X0) % M
+            X1 = (P * X0 + R * X1) % M
         return ModInt(X1 if steps & 1 else X0, M)
-    for _ in range(steps):
-        X0, X1 = X1, P * X1 - Q * X0
-    return Fraction(X0, L ** steps * D)
+    R = -Q
+    if steps >= _BLOCKED_FROM:
+        a0, a1, b0, b1 = _transition(P, R, None)
+        for _ in range(steps // _BLOCK):
+            X0, X1 = a0 * X0 + a1 * X1, b0 * X0 + b1 * X1
+        steps %= _BLOCK
+    for _ in range(steps >> 1):
+        X0 = P * X1 + R * X0
+        X1 = P * X0 + R * X1
+    return Fraction(X1 if steps & 1 else X0, L ** abs(n) * D)
 
 
 def term_range(params: HoradamParams, kind: SequenceKind, lo: int, hi: int) -> list:
@@ -287,11 +342,6 @@ def binet_term(params: HoradamParams, kind: SequenceKind, n: int):
     return Fraction((c0 * e1 + c1 * e0) * top, D * bottom)
 
 
-def _ratio(x):
-    """A Fraction as the checkers' Ratio; a ModInt as is."""
-    return Ratio(x.numerator, x.denominator) if isinstance(x, Fraction) else x
-
-
 _new = object.__new__
 
 # u's seeds and v's x_0 over Q as Ratio pairs, shared by every context: a
@@ -340,14 +390,20 @@ class TermContext:
     def __init__(self, params: HoradamParams):
         self.params = params
         self._scaling = _scaling(params)
-        p = _ratio(params.p)
-        self._scalars = p, _ratio(params.q)
         M = params.modulus
-        zero, one, two = (ModInt(0, M), ModInt(1, M), ModInt(2, M)) if M else _RATIO_SEEDS
+        if M:
+            p, q, a, b = params.p, params.q, params.a, params.b
+            zero, one, two = ModInt(0, M), ModInt(1, M), ModInt(2, M)
+        else:
+            # each Fraction's reduced pair, built without Ratio.__init__
+            p, q, a, b = pairs = _new(Ratio), _new(Ratio), _new(Ratio), _new(Ratio)
+            for pair, x in zip(pairs, (params.p, params.q, params.a, params.b)):
+                pair.n, pair.d = x.as_integer_ratio()
+            zero, one, two = _RATIO_SEEDS
+        self._scalars = p, q
         # kind -> {index: scalar} over one contiguous index run; u and v
         # seed as `seeds` gives, v's x_1 being p itself
-        self._vals = {U: {0: zero, 1: one}, V: {0: two, 1: p},
-                      W: {0: _ratio(params.a), 1: _ratio(params.b)}}
+        self._vals = {U: {0: zero, 1: one}, V: {0: two, 1: p}, W: {0: a, 1: b}}
         # (kind, step) -> [P, Q, L, M, X_{k-1}, X_k, L^k*D, k], step 1 forward
         # and -1 backward, k the walk's signed end index
         self._walks = {}

@@ -454,6 +454,81 @@ class TestKernel:
             HoradamParams(ModInt(0, 10), ModInt(1, 10), ModInt(3, 10), ModInt(4, 10))
 
 
+def single_step_term(params, kind, n):
+    """Independent oracle: the kernel walked one index per step."""
+    P, Q, X0, X1, L, D, M = _kernel(params, kind, n < 0)
+    for _ in range(abs(n)):
+        X0, X1 = X1, P * X1 - Q * X0
+    if M:
+        return ModInt(X0, M)
+    return Fraction(X0, L ** abs(n) * D)
+
+
+S, START = sequences._BLOCK, sequences._BLOCKED_FROM
+# both sides of the first block boundaries and of the |n| from which the
+# walk is blocked
+BLOCK_N = sorted({0, 1, *(m + d for m in (S, 2 * S, START) for d in (-1, 0, 1))})
+
+
+def prime_field_params(rng, M):
+    f = PrimeField(M)
+    return HoradamParams(f(rng.randrange(M)), f(rng.randrange(M)),
+                         f(rng.randrange(1, M)), f(rng.randrange(1, M)))
+
+
+class TestBlockedWalk:
+    """term's S-indices-per-step walk against doubling_term and the single-step
+    walk, on both fields, every kind and both signs."""
+
+    @staticmethod
+    def _agree(params, n):
+        for kind in SequenceKind:
+            for m in (n, -n):
+                expected = single_step_term(params, kind, m)
+                value = term(params, kind, m)
+                assert type(value) is type(expected) and value == expected, (params, kind, m)
+                assert doubling_term(params, kind, m) == expected, (params, kind, m)
+
+    def test_block_boundaries_over_q(self):
+        rng = random.Random(22)
+        for params in KERNEL_PARAMS + [random_params(rng) for _ in range(10)]:
+            for n in BLOCK_N:
+                self._agree(params, n)
+
+    def test_random_indices_over_q(self):
+        rng = random.Random(2201)
+        for _ in range(20):
+            self._agree(random_params(rng), rng.randint(START, 3000))
+
+    @pytest.mark.parametrize("M", [2, 3, 5, 7, 1_000_000_007])
+    def test_prime_fields(self, M):
+        rng = random.Random(M)
+        for _ in range(4):
+            params = prime_field_params(rng, M)
+            for n in BLOCK_N + [rng.randint(START, 5000)]:
+                self._agree(params, n)
+
+    @pytest.mark.parametrize("kind", SequenceKind)
+    def test_a_million_indices_over_gf_both_directions(self, kind):
+        params = prime_field_params(random.Random(22), 1_000_000_007)
+        for n in (10 ** 6, -10 ** 6):
+            assert term(params, kind, n) == doubling_term(params, kind, n), n
+
+    def test_walk_is_blocked_from_three_blocks(self, monkeypatch):
+        # one transition from |n| = START, on either field and at either
+        # sign; none below
+        built = []
+        transition = sequences._transition
+        monkeypatch.setattr(sequences, "_transition", lambda *args: built.append(args)
+                            or transition(*args))
+        gparams = prime_field_params(random.Random(3), 101)
+        for params in (FIB, gparams):
+            for n in (START - 1, 1 - START, START, -START - 5):
+                built.clear()
+                term(params, U, n)
+                assert len(built) == (abs(n) >= START), (params, n)
+
+
 class TestTermContext:
     def test_matches_uncached_path(self):
         rng = random.Random(37)
@@ -493,6 +568,16 @@ class TestTermContext:
         finally:
             if was_enabled:
                 gc.enable()
+
+    def test_scalar_pairs_are_the_fractions_pairs(self):
+        # p, q, a and b are cached as each Fraction's own reduced pair, the
+        # sign on the numerator
+        params = HoradamParams(Fraction(-4, 6), Fraction(3), Fraction(5, -7), Fraction(-9, 12))
+        ctx = TermContext(params)
+        pairs = (*ctx._scalars, *(ctx._vals[W][i] for i in (0, 1)), ctx._vals[V][1])
+        expected = (params.p, params.q, params.a, params.b, params.p)
+        for pair, x in zip(pairs, expected):
+            assert (type(pair), pair.n, pair.d) == (Ratio, x.numerator, x.denominator)
 
     def test_qpow_pairs_are_the_operators_pairs(self):
         # the cached pair of q^e is the pair Ratio.__pow__ gives, with the
