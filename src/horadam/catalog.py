@@ -4,13 +4,15 @@ Each entry is written once, as the formula `horadam verify` displays. Its
 left and right evaluators are compiled from that formula's two sides at
 import (`_I`), so what is displayed is what is evaluated. `evaluate` builds
 a `TermContext` for its parameters and runs them on its checker accessor
-(`sequences.Terms`), over the cache's unreduced `Ratio` pairs. `fuzz` runs
-one such accessor per trial and decides each draw with `Identity.check`, a
-third function compiled from the same formula on first use
-(`compile_check`): the same term reads, and integer arithmetic on their
-pairs in place of `Ratio` operators; the summation theorems compile their
-displayed sides to such pairs with the same generator
-(`compile_pair_sides`). One helper, `_report`, builds the
+(`sequences.Terms`), over the cache's unreduced `Ratio` pairs.
+`Identity.check` is a third function compiled from the same formula on
+first use (`compile_check`): the same term reads, and integer arithmetic on
+their pairs in place of `Ratio` operators. `fuzz` runs one such accessor
+per trial and decides the draws of about eight consecutive entries in one
+call (`compile_trial_chunk`), which runs each entry's `compile_check`
+statements in turn, so a trial over all 73 entries is ten calls; the
+summation theorems compile their displayed sides to such pairs with the
+same generator (`compile_pair_sides`). One helper, `_report`, builds the
 report of `evaluate` and of an entry's first failing fuzz draw from `lhs`
 and `rhs`, each side reduced to a `Fraction` once.
 The sides stay independent: no algebraic simplification is shared between
@@ -48,8 +50,9 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd
+from operator import add
 from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import HoradamError, UnknownIdentity
@@ -130,9 +133,15 @@ def _python(side: str) -> str:
     return re.sub(r"\b(u|v|w|qp|p|q|a|b)\b", r"t.\1", side)
 
 
+def _names(variables) -> list:
+    """The variables' names in compiled code: t names the accessor, so the
+    index variable t is t_."""
+    return ["t_" if v == "t" else v for v in variables]
+
+
 def _parameters(variables) -> str:
     """A compiled function's parameters: the accessor, then the variables."""
-    return ", ".join(["t", *("t_" if v == "t" else v for v in variables)])
+    return ", ".join(["t", *_names(variables)])
 
 
 def compile_expression(variables, text) -> Callable:
@@ -169,10 +178,12 @@ def _index(node) -> bool:
         or isinstance(x, ast.Constant) and type(x.value) is int for x in nodes)
 
 
-def _pair_lines(key, variables, formula) -> tuple:
+def _pair_lines(key, variables, formula, reads="t.") -> tuple:
     """(lines, (ln, ld), (rn, rd)): the statements that evaluate both sides of
     a displayed formula on integer pairs, and each side's numerator and
-    denominator source (None for denominator 1). See `compile_check`."""
+    denominator source (None for denominator 1). See `compile_check`. A term
+    read calls the accessor's member through `reads`: `t.u(n)`, or `_u(n)`
+    for reads="_", where `_u` holds `t.u`."""
     lines = []
     indent = ""
 
@@ -248,7 +259,7 @@ def _pair_lines(key, variables, formula) -> tuple:
                 and len(node.args) == 1):
             read = node if isinstance(node, ast.Attribute) else call
             if isinstance(read.value, ast.Name) and read.value.id == "t":
-                read = local(source)
+                read = local(reads + source[2:])
                 return f"{read}.n", f"{read}.d"
         raise ValueError(f"{key}: the pair compiler cannot compile {source!r}; it takes "
                          "term reads, p, q, a, b, integer literals, C(k,j), sums, +, -, *, /, "
@@ -259,11 +270,11 @@ def _pair_lines(key, variables, formula) -> tuple:
     return lines, *sides
 
 
-def _define(name, variables, lines) -> Callable:
-    """The function `name` of the accessor and the variables with body `lines`.
-    As with `compile_expression`, only this package's constant formulas reach
-    `exec`."""
-    namespace = {"binomial": binomial, "gcd": gcd}
+def _define(name, variables, lines, **names) -> Callable:
+    """The function `name` of the accessor and the variables with body `lines`,
+    which may read the global `names`. As with `compile_expression`, only this
+    package's constant formulas reach `exec`."""
+    namespace = {"binomial": binomial, "gcd": gcd, **names}
     exec("".join([f"def {name}({_parameters(variables)}):", *(f"\n    {line}" for line in lines)]),
          namespace)
     return namespace[name]
@@ -305,6 +316,41 @@ def compile_pair_sides(key, variables, formula) -> Callable:
     returns (ln, ld, rn, rd), the sides being ln/ld and rn/rd."""
     lines, (ln, ld), (rn, rd) = _pair_lines(key, variables, formula)
     return _define("sides", variables, [*lines, f"return {ln}, {ld or 1}, {rn}, {rd or 1}"])
+
+
+def compile_trial_chunk(idents) -> Callable:
+    """The verdicts of several entries as one function of the accessor and
+    `drawn`, the entries' values one after another, each entry's in
+    `variables` order; it returns a tuple of bools, in entry order.
+
+    Entry after entry, the function binds the entry's variables from `drawn`,
+    runs the statements of its `compile_check` (`_pair_lines`) and stores
+    `ln*rd == rn*ld`, each inside its own `try`, so a `HoradamError` fails
+    that entry alone and the later ones are still decided. The accessor's
+    members are fetched into locals once per call, and each term read calls
+    one, so the reads are those of each entry's `check`, in the same order.
+    An entry that `compile_check` rejects is decided by its `Identity.check`.
+    """
+    body, verdicts, checks, start = [], [], {}, 0
+    for i, ident in enumerate(idents):
+        names = _names(ident.variables)
+        body += [f"{name} = drawn[{start + j}]" for j, name in enumerate(names)]
+        start += len(names)
+        verdict = f"_ok{i}"
+        try:
+            lines, (ln, ld), (rn, rd) = _pair_lines(ident.key, ident.variables,
+                                                    ident.formula, reads="_")
+            lines.append(f"{verdict} = {_times(ln, rd)} == {_times(rn, ld)}")
+        except ValueError:
+            checks[f"_check{i}"] = ident.check
+            lines = [f"{verdict} = _check{i}({_parameters(ident.variables)})"]
+        body += ["try:", *(f"    {line}" for line in lines),
+                 "except HoradamError:", f"    {verdict} = False"]
+        verdicts.append(verdict)
+    members = sorted(set(re.findall(r"\b_(u|v|w|qp|p|q|a|b)\b", "\n".join(body))))
+    return _define("chunk", ["drawn"], [*(f"_{m} = t.{m}" for m in members), *body,
+                                        f"return {', '.join(verdicts)},"],
+                   HoradamError=HoradamError, **checks)
 
 
 def _I(key, variables, formula, derived=None):
@@ -601,47 +647,88 @@ class FuzzReport:
         }
 
 
+class _Plan(NamedTuple):
+    """A compiled fuzz trial over one id list."""
+
+    idents: tuple   # the entries, in id-list order
+    keys: list      # their keys
+    count: int      # indices drawn per trial
+    spans: tuple    # each entry's (start, stop) in the drawn indices
+    chunks: tuple   # (compile_trial_chunk of consecutive entries, start, stop)
+
+
+# Entries per trial chunk. Over all 73 entries on a 2-vCPU Xeon VM, one-trial
+# fuzz calls took a median 411, 398, 397 and 392 us with chunks of 4, 8, 16
+# and all 73, and the first call raised peak RSS by 0, about 100, 220 and
+# 3280 KB (the sweep is in BENCH_23.json).
+_CHUNK = 8
+# (id tuple, _Plan) of the last id list fuzzed; rebound whole, so threads
+# need no lock
+_LAST: tuple = (None, None)
+
+
+def _plan(ids: tuple) -> _Plan:
+    """The plan of an id list: built on first use and kept in `_LAST` for as
+    long as the same ids are fuzzed and the registry gives the same entries
+    for them, so a replaced entry compiles anew. UnknownIdentity for an
+    unknown id; ValueError for an empty or repeating id list."""
+    global _LAST
+    try:
+        idents = tuple(map(REGISTRY.__getitem__, ids))
+    except KeyError:
+        idents = tuple(map(_lookup, ids))   # raises UnknownIdentity for the first unknown id
+    last_ids, plan = _LAST
+    if last_ids == ids and plan.idents == idents:
+        return plan
+    keys = [i.key for i in idents]
+    if not keys or len(set(keys)) < len(keys):
+        raise ValueError(f"fuzz needs one or more distinct identity ids, got {keys}")
+    ends = list(accumulate(len(i.variables) for i in idents))
+    bounds = [0, *ends]
+    parts = -(-len(idents) // _CHUNK)     # chunks of _CHUNK or fewer, as even as can be
+    cuts = [len(idents) * c // parts for c in range(parts + 1)]
+    chunks = tuple((compile_trial_chunk(idents[lo:hi]), bounds[lo], bounds[hi])
+                   for lo, hi in zip(cuts, cuts[1:]))
+    plan = _Plan(idents, keys, bounds[-1], tuple(zip(bounds, ends)), chunks)
+    _LAST = (ids, plan)
+    return plan
+
+
 def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
     """Randomized exact verification; deterministic for a fixed seed.
 
-    One parameter set, term cache and accessor per trial, indices per identity;
-    `Identity.check` decides each draw on the unreduced term pairs, and an
-    entry's first failure is reported on the trial's accessor, as `evaluate`
-    would report it.
-    A trial draws all its indices (one range) in one `_randints` call after
-    `draw_params`, and each identity's slice goes to its check: the values and
-    generator state of one `draw_assignment` per identity, as a replay draws.
+    One parameter set, term cache and accessor per trial, indices per
+    identity. A trial draws all its indices (one range) in one `_randints`
+    call after `draw_params`: the values and generator state of one
+    `draw_assignment` per identity, as a replay draws. The id list's plan
+    (`_plan`) splits its entries into runs of about `_CHUNK`, each decided
+    by one `compile_trial_chunk` on the unreduced term pairs, with the same
+    verdicts and term reads as each entry's `Identity.check`. An entry's
+    first failure is reported on the trial's accessor, as `evaluate` would
+    report it.
     ValueError for trials < 1 and for an empty or repeating id list.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    idents = [_lookup(key) for key in ids]
-    keys = [i.key for i in idents]
-    if not keys or len(set(keys)) < len(keys):
-        raise ValueError(f"fuzz needs one or more distinct identity ids, got {keys}")
+    idents, keys, count, spans, chunks = _plan(tuple(ids))
     rng = random.Random(seed)
     lo, hi = -sampler.max_index, sampler.max_index
-    spans, count = [], 0
-    for ident in idents:
-        spans.append((ident, ident.check, count, count + len(ident.variables)))
-        count += len(ident.variables)
-    passes = dict.fromkeys(keys, 0)
-    counterexamples = dict.fromkeys(keys)
+    passes = [0] * len(idents)
+    counterexamples = [None] * len(idents)
     for _ in range(trials):
         params = sampler.draw_params(rng)
         t = Terms(TermContext(params), SequenceKind.W)
         drawn = _randints(rng, lo, hi, count)
-        for ident, check, start, stop in spans:
-            values = drawn[start:stop]
-            try:
-                equal = check(t, *values)
-            except HoradamError:
-                equal = False
-            if equal:
-                passes[ident.key] += 1
-            elif counterexamples[ident.key] is None:
-                asg = dict(zip(ident.variables, values))
-                counterexamples[ident.key] = _report(ident, t, asg)
+        verdicts = []
+        for chunk, start, stop in chunks:
+            verdicts += chunk(t, drawn[start:stop])
+        passes = list(map(add, passes, verdicts))
+        if not all(verdicts):
+            for i, equal in enumerate(verdicts):
+                if not equal and counterexamples[i] is None:
+                    ident, (start, stop) = idents[i], spans[i]
+                    asg = dict(zip(ident.variables, drawn[start:stop]))
+                    counterexamples[i] = _report(ident, t, asg)
     stats = tuple(map(tuple.__new__, repeat(IdentityStats),
-                      zip(keys, repeat(trials), passes.values(), counterexamples.values())))
+                      zip(keys, repeat(trials), passes, counterexamples)))
     return FuzzReport(seed, trials, sampler, stats)

@@ -333,13 +333,18 @@ def binet_term(params: HoradamParams, kind: SequenceKind, n: int):
     P, Q, X0, X1, L, D, _ = _kernel(params, kind, False)
     m = abs(n)
     e0, e1 = _quad_pow(P, P * P - 4 * Q, m)     # E = (P + sqrt(d'))^m
-    if n < 0:   # alpha^-m = beta^m/q^m = conj(E)*L^m/(2Q)^m
-        e1, top, bottom = -e1, L ** m, (2 * Q) ** m
-    else:       # alpha^m = E/(2L)^m
-        top, bottom = 1, (2 * L) ** m
+    # alpha^m = E/(2L)^m; alpha^-m = beta^m/q^m = conj(E)*L^m/(2Q)^m = conj(E)/(2Q/L)^m,
+    # L dividing Q = q*L^2
+    if n < 0:
+        e1, base = -e1, Q // L
+    else:
+        base = L
     # C*E - conj(C*E) = 2*(c0*e1 + c1*e0)*sqrt(d'), and alpha - beta = sqrt(d')/L
     c0, c1 = 2 * X1 - P * X0, X0
-    return Fraction((c0 * e1 + c1 * e0) * top, D * bottom)
+    top = c0 * e1 + c1 * e0
+    # shift the twos that top shares with the denominator's 2^m out before the one gcd
+    twos = min(m, (top & -top).bit_length() - 1) if top else 0
+    return Fraction(top >> twos, (D * base ** m) << (m - twos))
 
 
 _new = object.__new__

@@ -1,6 +1,10 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +20,7 @@ from horadam.catalog import (
     fuzz,
     list_identities,
 )
-from horadam.errors import UnknownIdentity
+from horadam.errors import HoradamError, UnknownIdentity
 from horadam.field import ModInt, PrimeField, Ratio
 from horadam.sequences import PRESETS, HoradamParams, SequenceKind, TermContext, Terms
 
@@ -567,3 +571,119 @@ class TestFuzzCheck:
                    "__neg__", "__truediv__", "__eq__"):
             monkeypatch.setattr(Ratio, op, forbidden)
         assert fuzz(list(REGISTRY), 3, SamplerConfig(), seed=5).all_passed
+
+
+
+class TestTrialChunk:
+    """`compile_trial_chunk`, which decides a run of entries in one call, and
+    the plans `fuzz` builds from it, against each entry's `Identity.check`."""
+
+    @staticmethod
+    def _checked(ident, t, values):
+        try:
+            return ident.check(t, *values)
+        except HoradamError:
+            return False
+
+    @staticmethod
+    def _chunked(idents, size):
+        """(chunk, start, stop) over runs of `size` entries and their values."""
+        runs, start = [], 0
+        for i in range(0, len(idents), size):
+            run = idents[i:i + size]
+            stop = start + sum(len(ident.variables) for ident in run)
+            runs.append((catalog.compile_trial_chunk(run), start, stop))
+            start = stop
+        return runs
+
+    @pytest.mark.parametrize("size", [catalog._CHUNK, 1000], ids=["chunk", "one-chunk"])
+    def test_verdicts_equal_the_checks(self, size):
+        idents = list(REGISTRY.values()) + TestFuzzCheck.BROKEN
+        runs = self._chunked(idents, size)
+        failed = set()
+        for seed in range(3):
+            draws = list(TestFuzzCheck._draws(seed))
+            for g in range(0, len(draws), len(idents)):
+                group = draws[g:g + len(idents)]
+                t = group[0][0]
+                assert [ident for _, ident, _ in group] == idents
+                drawn = [x for _, _, values in group for x in values]
+                verdicts = [v for chunk, start, stop in runs for v in chunk(t, drawn[start:stop])]
+                expected = [self._checked(ident, t, values) for _, ident, values in group]
+                assert verdicts == expected
+                failed |= {i.formula for i, ok in zip(idents, verdicts) if not ok}
+        assert failed == {ident.formula for ident in TestFuzzCheck.BROKEN}
+
+    def test_an_entry_it_rejects_is_decided_by_its_check(self):
+        rejected = [catalog._I(f"odd.{i}", "n", formula) for i, formula in enumerate([
+            "u(n)^(-1)*u(n) = 1", "u(n)^(-2)*v(n) = u(n)", "sum_{n=0}^{2} u(n) = u(n) + 1"])]
+        idents = [REGISTRY["H"], *rejected, REGISTRY["cor2.75"]]
+        chunk = catalog.compile_trial_chunk(idents)
+        t = Terms(TermContext(FIBW), SequenceKind.W)
+        for n in (3, 4, -2):
+            drawn = [n, 2, 1, -1, n, n, n, n]
+            expected = [idents[0].check(t, *drawn[:4])] + [
+                self._checked(ident, t, [n]) for ident in idents[1:]]
+            assert list(chunk(t, drawn)) == expected
+        assert expected == [True, True, False, False, True]
+
+    def test_a_raising_entry_fails_alone(self, monkeypatch):
+        # `raising` raises NegativeK at n < 0, in the middle of its chunk
+        monkeypatch.setattr(catalog, "REGISTRY", dict(
+            REGISTRY, raising=catalog._I("raising", "n", "u(n) = C(n,0)*u(n)")))
+        keys = list(REGISTRY)
+        ids = keys[:3] + ["raising"] + keys[3:catalog._CHUNK + 2]
+        sampler = SamplerConfig(max_index=6, bound=7)
+        seen = 0
+        for seed in range(4):
+            rep = fuzz(ids, 6, sampler, seed)
+            stats = {s.key: s for s in rep.stats}
+            assert all(stats[key].passes == 6 for key in ids if key != "raising")
+            raising = stats["raising"]
+            if raising.first_counterexample is None:
+                assert raising.passes == 6
+                continue
+            seen += 1
+            ce = raising.first_counterexample
+            assert ce.assignment["n"] < 0 and ce.error.startswith("binomial needs k >= 0")
+            # the report `evaluate` gives at the first trial that drew n < 0
+            rng = random.Random(seed)
+            while True:
+                params = sampler.draw_params(rng)
+                drawn = {key: sampler.draw_assignment(rng, catalog.REGISTRY[key].variables)
+                         for key in ids}
+                if drawn["raising"]["n"] < 0:
+                    break
+            assert ce == evaluate("raising", params, drawn["raising"])
+        assert seen > 0
+
+    def test_a_replaced_entry_compiles_anew(self, monkeypatch):
+        sampler = SamplerConfig()
+        assert fuzz(["H", "mul.16"], 2, sampler, 1).all_passed
+        monkeypatch.setattr(catalog, "REGISTRY", dict(
+            REGISTRY, **{"mul.16": catalog._I("mul.16", "nm", "u(m)*u(n) = u(n+m)")}))
+        rep = fuzz(["H", "mul.16"], 2, sampler, 1)
+        assert [s.passes for s in rep.stats] == [2, 0]
+        monkeypatch.undo()
+        assert fuzz(["H", "mul.16"], 2, sampler, 1).all_passed
+
+    def test_a_first_call_refuses_an_empty_list(self):
+        # in a fresh process no plan is kept yet
+        src = str(Path(catalog.__file__).parents[1])
+        code = ("from horadam.catalog import SamplerConfig, fuzz\n"
+                "try:\n    fuzz([], 1, SamplerConfig(), 1)\n"
+                "except ValueError as exc:\n    print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert out.stdout == "fuzz needs one or more distinct identity ids, got []\n"
+
+    def test_a_kept_plan_still_validates(self):
+        keys = list(REGISTRY)[:2]
+        fuzz(keys, 1, SamplerConfig(), 1)
+        assert catalog._LAST[0] == tuple(keys)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            fuzz(keys, 0, SamplerConfig(), 1)
+        with pytest.raises(UnknownIdentity, match="no identity with key 'nope'"):
+            fuzz([*keys, "nope"], 1, SamplerConfig(), 1)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -41,6 +42,24 @@ GOLDEN_SUM = (
     '"theorem":5,"variant":1},"schema_version":1}\n'
 )
 
+# sha256 of `horadam fuzz --json` stdout by seed, as the fuzzer printed it
+# before its trials were compiled into chunks: every registry entry, and a
+# short list out of registry order with a failing and a raising entry
+FUZZ_ALL_SHA256 = {
+    0: "cee61b6d76899451828cf5f39ad42ec86bda200cbe8095222b2b00f57dada6e2",
+    1: "c0822b48e7bbf46dab6711af9efcb2ee13f4ed404b981d298643747d1a6b6769",
+    2: "b70a12dd4f509822e2b5a622a20ad3d006a5d9c7eccd675e7bacccfd5f5ae9f0",
+    3: "9e3e1bc838eb01f919904cd90c871b0f7f1bc4b956fe78349d47e74895d1991d",
+    7: "f8b6c8ce1dd697fa84c33ab0c464afb598352e1ecfa0311cf92e10a714442c74",
+}
+FUZZ_SHORT_IDS = "cor2.75,raising,H,neg.20,broken,lin.9,spec.26,mul.16"
+FUZZ_SHORT_SHA256 = {
+    0: "1839398069b3a5bb6b4371cc1d71714fb147ade4d757d2c9e12efdab0766fa72",
+    1: "9e7d9746621bbc5a5563669819698ee1ad9bc70f68a9b8060a829edbd77ef486",
+    2: "301ae7f930150154a70ba79da220d6999c96c8fa93d26b821fe87993eff096e6",
+    3: "45137d726ac3a647ffc3ce57ce7fa1acf279fa5ee0482be4aa16260499e3347c",
+    7: "8a5595a2ca1847ec09065cf43c1aac80d5b28ce3c387b89520692e33b274da4d",
+}
 
 BROKEN = Identity(key="broken", tag="x", variables=("n",),
                   lhs=lambda t, n: t.u(n),
@@ -81,6 +100,24 @@ class TestGolden:
         code, out, err = run(capsys, argv)
         assert (code, err) == (4, "")
         assert out == GOLDEN_FUZZ_FAILING
+
+    @pytest.mark.parametrize("seed", sorted(FUZZ_ALL_SHA256))
+    def test_fuzz_all_bytes_are_pinned(self, capsys, seed):
+        argv = ["fuzz", "--ids", "all", "--trials", "3", "--seed", str(seed), "--json"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_ALL_SHA256[seed]
+
+    @pytest.mark.parametrize("seed", sorted(FUZZ_SHORT_SHA256))
+    def test_fuzz_short_list_bytes_are_pinned(self, capsys, monkeypatch, seed):
+        # the raising entry's side raises NegativeK at n < 0
+        monkeypatch.setattr(catalog, "REGISTRY", dict(
+            catalog.REGISTRY, broken=catalog._I("broken", "n", "u(n) = u(n) + 1"),
+            raising=catalog._I("raising", "n", "u(n) = C(n,0)*u(n)")))
+        argv = ["fuzz", "--ids", FUZZ_SHORT_IDS, "--trials", "5", "--seed", str(seed), "--json"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (4, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_SHORT_SHA256[seed]
 
     def test_sum_bytes(self, capsys):
         argv = ["sum", "--theorem", "5", "--variant", "1", "--preset", "fibonacci",

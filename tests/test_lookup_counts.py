@@ -5,12 +5,13 @@
 tests bind such a subclass the same way and pin both counts for fixed
 calls, so a change that routes a checker around `_get` shows here.
 """
+import random
 from fractions import Fraction
 
 import pytest
 
 from horadam import catalog, theorems
-from horadam.sequences import HoradamParams, SequenceKind, TermContext
+from horadam.sequences import HoradamParams, SequenceKind, TermContext, Terms
 
 PARAMS = HoradamParams(Fraction(1, 2), -2, Fraction(3, 4), Fraction(-5, 6))
 ASSIGNMENT = (3, 2, 1, -1, 3)   # n, m, r, s, k
@@ -60,6 +61,41 @@ def test_fuzz_trial(counts):
     keys = [key for key, _, _ in catalog.list_identities()]
     assert catalog.fuzz(keys, 1, catalog.SamplerConfig(), 1).all_passed
     assert counts == {"created": 1, "lookups": 356}
+
+
+@pytest.mark.parametrize("order", ["registry", "reversed-thirds"])
+def test_fuzz_trial_reads_what_the_checks_read(monkeypatch, order):
+    # a trial's compiled chunks make the `_get` calls of each entry's
+    # Identity.check on the same draws, in the same (kind, n) order
+    reads = []
+
+    class RecordingTermContext(TermContext):
+        __slots__ = ()
+
+        def _get(self, kind, n):
+            reads.append((kind, n))
+            return TermContext._get(self, kind, n)
+
+    monkeypatch.setattr(catalog, "TermContext", RecordingTermContext)
+    keys = [key for key, _, _ in catalog.list_identities()]
+    ids = keys if order == "registry" else keys[::-3]
+    idents = [catalog.REGISTRY[key] for key in ids]
+    sampler = catalog.SamplerConfig()
+    for seed in range(3):
+        reads.clear()
+        assert catalog.fuzz(ids, 1, sampler, seed).all_passed
+        by_fuzz = reads[:]
+        reads.clear()
+        rng = random.Random(seed)
+        t = Terms(RecordingTermContext(sampler.draw_params(rng)), SequenceKind.W)
+        drawn = catalog._randints(rng, -sampler.max_index, sampler.max_index,
+                                  sum(len(ident.variables) for ident in idents))
+        start = 0
+        for ident in idents:
+            stop = start + len(ident.variables)
+            assert ident.check(t, *drawn[start:stop])
+            start = stop
+        assert reads and by_fuzz == reads
 
 
 @pytest.mark.parametrize("theorem,lookups_with_rhs", [(2, 40), (3, 38), (4, 38), (5, 63), (6, 63)])

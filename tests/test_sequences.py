@@ -293,6 +293,24 @@ class TestBinet:
                 for n in range(-10, 11):
                     assert binet_term(params, kind, n) == term(params, kind, n)
 
+    def test_agrees_with_doubling_and_iteration_to_300(self):
+        # a negative index divides by (2Q/L)^|n|, and either sign shifts the
+        # twos shared with the denominator out before the reduction
+        rng = random.Random(2301)
+        done = 0
+        while done < 25:
+            params = random_params(rng)
+            if params.discriminant == 0:
+                continue
+            done += 1
+            for kind in SequenceKind:
+                for n in [1, 2, 3, 300] + [rng.randint(4, 299) for _ in range(3)]:
+                    for m in (n, -n):
+                        value = binet_term(params, kind, m)
+                        assert type(value) is Fraction, (params, kind, m)
+                        assert value == doubling_term(params, kind, m) == term(params, kind, m), (
+                            params, kind, m)
+
 
 class TestReflect:
     """The backward walk against neg.20's closed form q^n*w_{-n} = a*v_n - w_n,
