@@ -5,14 +5,13 @@ left and right evaluators are compiled from that formula's two sides at
 import (`_I`), so what is displayed is what is evaluated. `evaluate` builds
 a `TermContext` for its parameters and runs them on its checker accessor
 (`sequences.Terms`), over the cache's unreduced `Ratio` pairs.
-`Identity.check` is a third function compiled from the same formula on
-first use (`compile_check`): the same term reads, and integer arithmetic on
-their pairs in place of `Ratio` operators. `fuzz` runs one such accessor
-per trial and decides the draws of about eight consecutive entries in one
-call (`compile_trial_chunk`), which runs each entry's `compile_check`
-statements in turn, so a trial over all 73 entries is ten calls; the
-summation theorems compile their displayed sides to such pairs with the
-same generator (`compile_pair_sides`). One helper, `_report`, builds the
+`fuzz` decides a draw on such an accessor without `Ratio` operators: the
+pair compiler (`_pair_lines`) turns the same formula into integer arithmetic
+on the unreduced term pairs, with the same term reads, and one generated
+call decides about eight consecutive entries (`compile_trial_chunk`), so a
+trial over all 73 entries is ten calls. The summation theorems compile
+their displayed sides to such pairs with the same generator
+(`compile_pair_sides`). One helper, `_report`, builds the
 report of `evaluate` and of an entry's first failing fuzz draw from `lhs`
 and `rhs`, each side reduced to a `Fraction` once.
 The sides stay independent: no algebraic simplification is shared between
@@ -49,7 +48,6 @@ import random
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, partial
 from itertools import accumulate, repeat
 from math import gcd
 from operator import add
@@ -84,19 +82,6 @@ class Identity:
     rhs: Callable
     formula: str
     derived: Optional[Derivation] = None
-
-    @cached_property
-    def check(self) -> Callable:
-        """`compile_check` of the formula, compiled on first use; for a
-        formula it rejects (none in the registry), `lhs == rhs`."""
-        try:
-            return compile_check(self.key, self.variables, self.formula)
-        except ValueError:
-            return partial(_sides_equal, self.lhs, self.rhs)
-
-
-def _sides_equal(lhs, rhs, t, *values) -> bool:
-    return lhs(t, *values) == rhs(t, *values)
 
 
 @dataclass(frozen=True)
@@ -178,12 +163,34 @@ def _index(node) -> bool:
         or isinstance(x, ast.Constant) and type(x.value) is int for x in nodes)
 
 
-def _pair_lines(key, variables, formula, reads="t.") -> tuple:
+def _pair_lines(key, variables, formula) -> tuple:
     """(lines, (ln, ld), (rn, rd)): the statements that evaluate both sides of
-    a displayed formula on integer pairs, and each side's numerator and
-    denominator source (None for denominator 1). See `compile_check`. A term
-    read calls the accessor's member through `reads`: `t.u(n)`, or `_u(n)`
-    for reads="_", where `_u` holds `t.u`."""
+    a displayed formula on integer pairs, on an accessor whose values are all
+    `Ratio`s, and each side's numerator and denominator source (None for
+    denominator 1); the sides are equal when ln*rd == rn*ld.
+
+    Built from each side's `_python` text through `ast`. Every term read
+    (t.u(e), t.v(e), t.w(e), t.qp(e), t.p, t.q, t.a, t.b) stays an accessor
+    read, of the member that `_define` fetches into a local (`_u(e)`, `_q`),
+    in the order `lhs` then `rhs` make them; the arithmetic is integer
+    arithmetic on the pairs' n and d:
+      - +, -, unary - and * take no gcd: a*b is (na*nb, da*db) and a-b is
+        (na*db - nb*da, da*db);
+      - ** to a non-negative integer literal raises n and d; ** to an index
+        expression (`(-1)^j`, `u(m-s)^(k-j)`) does the same at run time,
+        and raises ValueError for a negative exponent, which the operator
+        sides would take as a reciprocal;
+      - a/b is a times b's pair swapped, and raises ZeroDivisionError when
+        b's numerator is 0, as `Ratio.__truediv__` does;
+      - C(k,j) is an int factor;
+      - `sum_{j=0}^{k} S` is a loop over j that adds each summand into one
+        pair by `Ratio.__add__`'s rule, the gcd of the denominators and
+        then of the result, without which telescoping sums grow without
+        bound.
+    Each side keeps its own pair, built from its terms' own denominators.
+    ValueError naming the entry for any other node: another exponent,
+    another call, or a sum whose index is one of the variables.
+    """
     lines = []
     indent = ""
 
@@ -259,7 +266,7 @@ def _pair_lines(key, variables, formula, reads="t.") -> tuple:
                 and len(node.args) == 1):
             read = node if isinstance(node, ast.Attribute) else call
             if isinstance(read.value, ast.Name) and read.value.id == "t":
-                read = local(reads + source[2:])
+                read = local("_" + source[2:])
                 return f"{read}.n", f"{read}.d"
         raise ValueError(f"{key}: the pair compiler cannot compile {source!r}; it takes "
                          "term reads, p, q, a, b, integer literals, C(k,j), sums, +, -, *, /, "
@@ -272,48 +279,22 @@ def _pair_lines(key, variables, formula, reads="t.") -> tuple:
 
 def _define(name, variables, lines, **names) -> Callable:
     """The function `name` of the accessor and the variables with body `lines`,
-    which may read the global `names`. As with `compile_expression`, only this
-    package's constant formulas reach `exec`."""
+    which may read the global `names`. A body's `_u`, `_v`, `_w`, `_qp`, `_p`,
+    `_q`, `_a` and `_b` are the accessor's members, fetched into locals first.
+    As with `compile_expression`, only this package's constant formulas reach
+    `exec`."""
+    members = sorted(set(re.findall(r"\b_(u|v|w|qp|p|q|a|b)\b", "\n".join(lines))))
+    lines = [*(f"_{m} = t.{m}" for m in members), *lines]
     namespace = {"binomial": binomial, "gcd": gcd, **names}
     exec("".join([f"def {name}({_parameters(variables)}):", *(f"\n    {line}" for line in lines)]),
          namespace)
     return namespace[name]
 
 
-def compile_check(key, variables, formula) -> Callable:
-    """`lhs == rhs` of a displayed formula as one function of the accessor and
-    the variables, in order, on an accessor whose values are all `Ratio`s.
-
-    Built from each side's `_python` text through `ast` (`_pair_lines`). Every
-    term read (t.u(e), t.v(e), t.w(e), t.qp(e), t.p, t.q, t.a, t.b) stays an
-    accessor call, in the order `lhs` then `rhs` make them; the arithmetic
-    is integer arithmetic on the pairs' n and d:
-      - +, -, unary - and * take no gcd: a*b is (na*nb, da*db) and a-b is
-        (na*db - nb*da, da*db);
-      - ** to a non-negative integer literal raises n and d; ** to an index
-        expression (`(-1)^j`, `u(m-s)^(k-j)`) does the same at run time,
-        and raises ValueError for a negative exponent, which the operator
-        sides would take as a reciprocal;
-      - a/b is a times b's pair swapped, and raises ZeroDivisionError when
-        b's numerator is 0, as `Ratio.__truediv__` does;
-      - C(k,j) is an int factor;
-      - `sum_{j=0}^{k} S` is a loop over j that adds each summand into one
-        pair by `Ratio.__add__`'s rule, the gcd of the denominators and
-        then of the result, without which telescoping sums grow without
-        bound.
-    Each side keeps its own pair, built from its terms' own denominators, and
-    the check is ln*rd == rn*ld. ValueError naming the entry for any other
-    node: another exponent, another call, or a sum whose index is one of the
-    variables.
-    """
-    lines, (ln, ld), (rn, rd) = _pair_lines(key, variables, formula)
-    return _define("check", variables, [*lines, f"return {_times(ln, rd)} == {_times(rn, ld)}"])
-
-
 def compile_pair_sides(key, variables, formula) -> Callable:
-    """The two sides of a displayed formula as integer pairs, by the rules of
-    `compile_check`: one function of the accessor and the variables that
-    returns (ln, ld, rn, rd), the sides being ln/ld and rn/rd."""
+    """The two sides of a displayed formula as integer pairs (`_pair_lines`):
+    one function of the accessor and the variables that returns
+    (ln, ld, rn, rd), the sides being ln/ld and rn/rd."""
     lines, (ln, ld), (rn, rd) = _pair_lines(key, variables, formula)
     return _define("sides", variables, [*lines, f"return {ln}, {ld or 1}, {rn}, {rd or 1}"])
 
@@ -324,33 +305,31 @@ def compile_trial_chunk(idents) -> Callable:
     `variables` order; it returns a tuple of bools, in entry order.
 
     Entry after entry, the function binds the entry's variables from `drawn`,
-    runs the statements of its `compile_check` (`_pair_lines`) and stores
-    `ln*rd == rn*ld`, each inside its own `try`, so a `HoradamError` fails
-    that entry alone and the later ones are still decided. The accessor's
-    members are fetched into locals once per call, and each term read calls
-    one, so the reads are those of each entry's `check`, in the same order.
-    An entry that `compile_check` rejects is decided by its `Identity.check`.
+    runs its `_pair_lines` statements and stores `ln*rd == rn*ld`, each inside
+    its own `try`, so a `HoradamError` fails that entry alone and the later
+    ones are still decided. The term reads are those of the entry's `lhs`
+    then `rhs`, in the same order. An entry whose formula `_pair_lines`
+    rejects (none in the registry) is decided in place as `lhs == rhs`, on
+    its compiled operator sides.
     """
-    body, verdicts, checks, start = [], [], {}, 0
+    body, verdicts, sides, start = [], [], {}, 0
     for i, ident in enumerate(idents):
         names = _names(ident.variables)
         body += [f"{name} = drawn[{start + j}]" for j, name in enumerate(names)]
         start += len(names)
         verdict = f"_ok{i}"
         try:
-            lines, (ln, ld), (rn, rd) = _pair_lines(ident.key, ident.variables,
-                                                    ident.formula, reads="_")
+            lines, (ln, ld), (rn, rd) = _pair_lines(ident.key, ident.variables, ident.formula)
             lines.append(f"{verdict} = {_times(ln, rd)} == {_times(rn, ld)}")
         except ValueError:
-            checks[f"_check{i}"] = ident.check
-            lines = [f"{verdict} = _check{i}({_parameters(ident.variables)})"]
+            sides[f"_lhs{i}"], sides[f"_rhs{i}"] = ident.lhs, ident.rhs
+            args = _parameters(ident.variables)
+            lines = [f"{verdict} = _lhs{i}({args}) == _rhs{i}({args})"]
         body += ["try:", *(f"    {line}" for line in lines),
                  "except HoradamError:", f"    {verdict} = False"]
         verdicts.append(verdict)
-    members = sorted(set(re.findall(r"\b_(u|v|w|qp|p|q|a|b)\b", "\n".join(body))))
-    return _define("chunk", ["drawn"], [*(f"_{m} = t.{m}" for m in members), *body,
-                                        f"return {', '.join(verdicts)},"],
-                   HoradamError=HoradamError, **checks)
+    return _define("chunk", ["drawn"], [*body, f"return {', '.join(verdicts)},"],
+                   HoradamError=HoradamError, **sides)
 
 
 def _I(key, variables, formula, derived=None):
@@ -581,6 +560,9 @@ class SamplerConfig:
     bound: int = 9
 
     def __post_init__(self):
+        for name, value in (("max_index", self.max_index), ("bound", self.bound)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.max_index < 0:
             raise ValueError(f"max_index must be >= 0, got {self.max_index}")
         if self.bound < 1:
@@ -702,8 +684,8 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
     call after `draw_params`: the values and generator state of one
     `draw_assignment` per identity, as a replay draws. The id list's plan
     (`_plan`) splits its entries into runs of about `_CHUNK`, each decided
-    by one `compile_trial_chunk` on the unreduced term pairs, with the same
-    verdicts and term reads as each entry's `Identity.check`. An entry's
+    by one `compile_trial_chunk` on the unreduced term pairs, with the
+    verdicts and term reads of each entry's `lhs == rhs`. An entry's
     first failure is reported on the trial's accessor, as `evaluate` would
     report it.
     ValueError for trials < 1 and for an empty or repeating id list.

@@ -21,14 +21,15 @@ caller's parameters, with w read as the selected kind (`sequences.Terms`,
 over unreduced `Ratio` pairs); each leg is reduced to a `Fraction` once,
 for the `SumReport`. Over Q, legs 1 and 2 run on integer pairs: a form's
 `sides`, compiled from the same displayed text on first use
-(`catalog.compile_pair_sides`, the fuzz check's code generator), reads the
-same terms as `lhs` then `rhs`, and the lemma's probe checks each point
-with one integer comparison. The relation's coefficients, the lemma sums
-and the factor stay on `Ratio` operators, so one leg runs on code that the
-pair compiler does not generate. Over GF(M) the displayed sides run on
-`lhs` and `rhs`, as `catalog.evaluate` does. Assignments that zero a lemma
-coefficient raise GuardViolation; reciprocal sums whose denominator window
-contains a vanishing term raise SingularSummand. Wrong numbers are never
+(`catalog.compile_pair_sides`, on the pair compiler that also writes
+`fuzz`'s trial chunks), reads the same terms as `lhs` then `rhs`, and the
+lemma's probe checks each point with one integer comparison. The
+relation's coefficients, the lemma sums and the factor stay on `Ratio`
+operators, so one leg runs on code that the pair compiler does not
+generate. Over GF(M) the displayed sides run on `lhs` and `rhs`, as
+`catalog.evaluate` does. Assignments that zero a lemma coefficient raise
+GuardViolation; reciprocal sums whose denominator window contains a
+vanishing term raise SingularSummand. Wrong numbers are never
 returned silently.
 
 Each theorem follows from one of two three-term relations (`_RELATIONS`).
@@ -187,11 +188,11 @@ class TheoremSelector:
     kind: SequenceKind = SequenceKind.W
 
     def __post_init__(self):
-        if self.theorem not in VARIANT_COUNT:
+        if type(self.theorem) is not int or self.theorem not in VARIANT_COUNT:
             raise ValueError(f"theorem must be one of {sorted(VARIANT_COUNT)}")
-        if not 1 <= self.variant <= VARIANT_COUNT[self.theorem]:
-            raise ValueError(
-                f"theorem {self.theorem} has variants 1..{VARIANT_COUNT[self.theorem]}")
+        count = VARIANT_COUNT[self.theorem]
+        if type(self.variant) is not int or not 1 <= self.variant <= count:
+            raise ValueError(f"theorem {self.theorem} has variants 1..{count}")
 
     @property
     def base(self) -> int:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 import random
@@ -379,6 +380,12 @@ class TestFuzz:
     @pytest.mark.parametrize("kwargs,message", [
         (dict(max_index=-1), "max_index must be >= 0, got -1"),
         (dict(bound=0), "bound must be >= 1, got 0"),
+        # a float bound once failed only later, inside fuzz, on `bit_length`
+        (dict(max_index=2.5), "max_index must be an int, got 2.5"),
+        (dict(max_index="3"), "max_index must be an int, got '3'"),
+        (dict(max_index=True), "max_index must be an int, got True"),
+        (dict(bound=2.5), "bound must be an int, got 2.5"),
+        (dict(bound=True), "bound must be an int, got True"),
     ])
     def test_sampler_bounds_validation(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -428,9 +435,20 @@ class TestFuzz:
                 assert abs(val.numerator) <= 3 and val.denominator <= 3
 
 
+@functools.cache
+def _one_entry_chunk(ident):
+    """The trial chunk `fuzz` would compile for `ident` alone."""
+    return catalog.compile_trial_chunk([ident])
+
+
+def _fuzz_verdict(ident, t, values):
+    """The verdict `fuzz` gives `ident` on one draw, from its one-entry chunk."""
+    return _one_entry_chunk(ident)(t, values)[0]
+
+
 class TestFuzzCheck:
-    """`Identity.check`, the compiled `lhs == rhs` that `fuzz` decides a draw
-    with, against the two compiled sides it replaces."""
+    """The pair code `fuzz` decides a draw with, run as a one-entry trial
+    chunk, against the two compiled sides it replaces."""
 
     # the corrupted formulas above, and one that no parameters satisfy
     BROKEN = [catalog._I(key, variables, formula) for key, variables, formula in CORRUPTED
@@ -454,7 +472,7 @@ class TestFuzzCheck:
         failed = set()
         for seed in range(3):
             for t, ident, values in self._draws(seed):
-                verdict = ident.check(t, *values)
+                verdict = _fuzz_verdict(ident, t, values)
                 assert verdict is (ident.lhs(t, *values) == ident.rhs(t, *values)), (
                     ident.key, values)
                 if not verdict:
@@ -482,9 +500,13 @@ class TestFuzzCheck:
 
         for t, ident, values in self._draws(3):
             by_check, by_sides = Recording(t), Recording(t)
-            ident.check(by_check, *values)
+            _fuzz_verdict(ident, by_check, values)
             ident.lhs(by_sides, *values), ident.rhs(by_sides, *values)
-            assert by_check.log == by_sides.log, ident.key
+            # the chunk fetches each scalar member it reads once, in name order,
+            # before the term reads, which come in the order of lhs then rhs
+            scalars = sorted({read for read in by_sides.log if type(read) is str})
+            terms = [read for read in by_sides.log if type(read) is tuple]
+            assert by_check.log == scalars + terms, ident.key
 
     @pytest.mark.parametrize("formula", [
         "u(n)^p = u(n)^p",
@@ -495,7 +517,7 @@ class TestFuzzCheck:
             "index-is-a-variable"])
     def test_rejects_what_it_cannot_compute(self, formula):
         with pytest.raises(ValueError, match=r"^odd\.1: the pair compiler cannot compile"):
-            catalog.compile_check("odd.1", "n", formula)
+            catalog.compile_pair_sides("odd.1", "n", formula)
 
     @pytest.mark.parametrize("formula", [
         "u(2n) = v(n)*u(2n)/v(n)",
@@ -507,14 +529,16 @@ class TestFuzzCheck:
         # the constructs the summation theorems add decide a draw as the
         # operator sides do
         ident = catalog._I("odd.1", "n", formula)
-        check = catalog.compile_check("odd.1", "n", formula)
+        sides = catalog.compile_pair_sides("odd.1", "n", formula)
         verdicts = set()
         for params in (FIB, FIBW, HoradamParams(Fraction(1, 2), -2, Fraction(3, 4),
                                                 Fraction(-5, 6))):
             t = Terms(TermContext(params), SequenceKind.W)
             for n in range(7):
-                verdict = check(t, n)
+                ln, ld, rn, rd = sides(t, n)
+                verdict = ln * rd == rn * ld
                 assert verdict is (ident.lhs(t, n) == ident.rhs(t, n)), n
+                assert _fuzz_verdict(ident, t, [n]) is verdict, n
                 verdicts.add(verdict)
         assert verdicts == ({False, True} if "sum" in formula else {True})
 
@@ -525,17 +549,18 @@ class TestFuzzCheck:
         ident = catalog._I("odd.1", "n", formula)
         t = Terms(TermContext(PRESETS["fibonacci"]), SequenceKind.W)
         for n in (3, 4):
-            assert ident.check(t, n) is (ident.lhs(t, n) == ident.rhs(t, n))
+            assert _fuzz_verdict(ident, t, [n]) is (ident.lhs(t, n) == ident.rhs(t, n))
 
     def test_division_by_a_zero_numerator_raises(self):
         # as Ratio.__truediv__ does, never reading a zero denominator as equal
         ident = catalog._I("odd.1", "n", "w(n)/u(n) = w(n)/u(n)")
         t = Terms(TermContext(FIBW), SequenceKind.W)
-        assert ident.check(t, 3) is True
+        assert _fuzz_verdict(ident, t, [3]) is True
         sides = catalog.compile_pair_sides("odd.1", "n", ident.formula)
-        for side in (ident.check, ident.lhs, sides):
+        chunk = _one_entry_chunk(ident)
+        for side, args in ((chunk, [0]), (ident.lhs, 0), (sides, 0)):
             with pytest.raises(ZeroDivisionError, match="^Ratio division by zero$"):
-                side(t, 0)
+                side(t, args)
 
     def test_a_negative_index_exponent_raises(self):
         # the operator sides would take a reciprocal; the pair code never
@@ -549,19 +574,20 @@ class TestFuzzCheck:
                 sides(t, n)
 
     def test_generated_check_source_is_pinned(self, monkeypatch):
-        # the catalog's checks are the code the pair compiler has generated
-        # since it was written: sha256 of the 73 sources, joined by newlines
+        # a fuzz trial over all 73 entries runs the code the pair compiler has
+        # generated since the trial chunks were written: sha256 of the 10 chunk
+        # sources a fresh plan compiles, joined by newlines
         sources = []
 
         def recording(source, namespace):
             sources.append(source)
             exec(source, namespace)
         monkeypatch.setattr(catalog, "exec", recording, raising=False)
-        for ident in REGISTRY.values():
-            catalog.compile_check(ident.key, ident.variables, ident.formula)
-        assert len(sources) == 73
+        monkeypatch.setattr(catalog, "_LAST", (None, None))
+        assert fuzz(list(REGISTRY), 1, SamplerConfig(), seed=1).all_passed
+        assert len(sources) == 10
         assert hashlib.sha256("\n".join(sources).encode()).hexdigest() == (
-            "690bf8703f011a1d1f2a867a21838aa203008275d34416db23c1c85dfa9d8853")
+            "c7901eeefaa940a380ac33c571be4ba2b1a5eb9d2a549c54a2d87320ac04a7cd")
 
     def test_passing_trial_calls_no_ratio_operator(self, monkeypatch):
         def forbidden(*args):
@@ -576,12 +602,12 @@ class TestFuzzCheck:
 
 class TestTrialChunk:
     """`compile_trial_chunk`, which decides a run of entries in one call, and
-    the plans `fuzz` builds from it, against each entry's `Identity.check`."""
+    the plans `fuzz` builds from it, against each entry's `lhs == rhs`."""
 
     @staticmethod
     def _checked(ident, t, values):
         try:
-            return ident.check(t, *values)
+            return ident.lhs(t, *values) == ident.rhs(t, *values)
         except HoradamError:
             return False
 
@@ -622,7 +648,7 @@ class TestTrialChunk:
         t = Terms(TermContext(FIBW), SequenceKind.W)
         for n in (3, 4, -2):
             drawn = [n, 2, 1, -1, n, n, n, n]
-            expected = [idents[0].check(t, *drawn[:4])] + [
+            expected = [self._checked(idents[0], t, drawn[:4])] + [
                 self._checked(ident, t, [n]) for ident in idents[1:]]
             assert list(chunk(t, drawn)) == expected
         assert expected == [True, True, False, False, True]

@@ -65,8 +65,8 @@ def test_fuzz_trial(counts):
 
 @pytest.mark.parametrize("order", ["registry", "reversed-thirds"])
 def test_fuzz_trial_reads_what_the_checks_read(monkeypatch, order):
-    # a trial's compiled chunks make the `_get` calls of each entry's
-    # Identity.check on the same draws, in the same (kind, n) order
+    # a trial's compiled chunks make the `_get` calls of each entry's lhs
+    # then rhs on the same draws, in the same (kind, n) order
     reads = []
 
     class RecordingTermContext(TermContext):
@@ -93,7 +93,8 @@ def test_fuzz_trial_reads_what_the_checks_read(monkeypatch, order):
         start = 0
         for ident in idents:
             stop = start + len(ident.variables)
-            assert ident.check(t, *drawn[start:stop])
+            values = drawn[start:stop]
+            assert ident.lhs(t, *values) == ident.rhs(t, *values)
             start = stop
         assert reads and by_fuzz == reads
 

@@ -1,6 +1,8 @@
 import ast
+import importlib
 import importlib.util
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "horadam"
 
@@ -20,6 +22,23 @@ def test_catalog_has_no_lambda():
     tree = ast.parse((SRC / "catalog.py").read_text(encoding="utf-8"))
     found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Lambda)]
     assert not found, found
+
+
+def test_readme_module_references_resolve():
+    # every backticked `module.name` in the README names an attribute that
+    # exists, so a removed helper cannot stay documented
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    refs = set(re.findall(r"`(catalog|sequences|theorems|lemmas|field|cli|bench)\.([\w.]+)",
+                          readme))
+    missing = []
+    for module, path in sorted(ref for ref in refs if ref[1] != "py"):   # skip file names
+        obj = importlib.import_module(f"horadam.{module}")
+        for name in path.split("."):
+            if not hasattr(obj, name):
+                missing.append(f"{module}.{path}")
+                break
+            obj = getattr(obj, name)
+    assert refs and not missing, missing
 
 
 def test_readme_quick_start_runs():

@@ -103,6 +103,13 @@ class TestContractExamples:
         with pytest.raises(ValueError):
             theorem_sum(TheoremSelector(2, 1), FIB, 1, 2, 3, 0, -1)
 
+    @pytest.mark.parametrize("theorem,variant", [
+        (2, 1.0), (2.0, 1), (2, True), (3, "1"), ("2", 1)])
+    def test_selector_fields_must_be_ints(self, theorem, variant):
+        # a float variant once built a selector whose formula raised TypeError
+        with pytest.raises(ValueError, match=r"^theorem (must be one of|2 has|3 has)"):
+            TheoremSelector(theorem, variant)
+
     def test_one_entry_point_for_every_theorem(self):
         assert theorems.reciprocal_sum is theorems.theorem_sum
         assert theorem_sum(TheoremSelector(5, 1), FIB, 9, 2, 1, 0, 1).equal
