@@ -33,7 +33,8 @@ helper, `compile_sides`. The pair compiler takes the whole grammar: a sum
 is a loop into one pair, `C(k,j)` an int factor, `/` a swapped pair, and
 an index exponent (`(-1)^j`, `u(m-s)^(k-j)`) a power taken at run time;
 it rejects a negative literal exponent, one that is not an index, and a
-sum whose index is one of the formula's variables.
+sum whose index is one of the formula's variables; `fuzz` refuses an
+entry it rejects.
 
 Key scheme: H/F/G/J are the master identity and its index permutations;
 lin.9/dbl.10/mul.15-18/neg.* cover the basic linear, doubling,
@@ -124,16 +125,16 @@ def _names(variables) -> list:
     return ["t_" if v == "t" else v for v in variables]
 
 
-def _parameters(variables) -> str:
-    """A compiled function's parameters: the accessor, then the variables."""
-    return ", ".join(["t", *_names(variables)])
+def _sides(formula) -> list:
+    """The two side texts of a displayed formula `lhs = rhs # note`."""
+    return formula.partition(" # ")[0].split(" = ")
 
 
 def compile_expression(variables, text) -> Callable:
     """An expression in the formula grammar as a function of the accessor and
-    the variables, in order. Only the constant formulas of this package
-    reach `eval`."""
-    return eval(f"lambda {_parameters(variables)}: {_python(text)}", {"binomial": binomial})
+    the variables, in order: `_define` of `return <_python text>`, whose
+    term reads stay `t.u(e)` calls on the accessor."""
+    return _define("expression", variables, [f"return {_python(text)}"])
 
 
 def compile_tuple(variables, texts) -> Callable:
@@ -144,8 +145,7 @@ def compile_tuple(variables, texts) -> Callable:
 def compile_sides(variables, formula) -> tuple:
     """(lhs, rhs): the two sides of a displayed formula, each compiled by
     `compile_expression`."""
-    return tuple(compile_expression(variables, side)
-                 for side in formula.partition(" # ")[0].split(" = "))
+    return tuple(compile_expression(variables, side) for side in _sides(formula))
 
 
 def _times(x, y):
@@ -272,22 +272,22 @@ def _pair_lines(key, variables, formula) -> tuple:
                          "term reads, p, q, a, b, integer literals, C(k,j), sums, +, -, *, /, "
                          "and ** to a non-negative integer literal or to an index expression")
 
-    sides = [pair(ast.parse(text, mode="eval").body, text) for text in
-             map(_python, formula.partition(" # ")[0].split(" = "))]
+    sides = [pair(ast.parse(text, mode="eval").body, text)
+             for text in map(_python, _sides(formula))]
     return lines, *sides
 
 
-def _define(name, variables, lines, **names) -> Callable:
-    """The function `name` of the accessor and the variables with body `lines`,
-    which may read the global `names`. A body's `_u`, `_v`, `_w`, `_qp`, `_p`,
-    `_q`, `_a` and `_b` are the accessor's members, fetched into locals first.
-    As with `compile_expression`, only this package's constant formulas reach
-    `exec`."""
+def _define(name, variables, lines) -> Callable:
+    """The function `name` of the accessor `t` and the variables with body
+    `lines`, which may read `binomial`, `gcd` and `HoradamError`; a body's
+    `_u`, `_v`, `_w`, `_qp`, `_p`, `_q`, `_a` and `_b` are the accessor's
+    members, fetched into locals first. The package's one `exec`, reached
+    only by its constant formulas."""
     members = sorted(set(re.findall(r"\b_(u|v|w|qp|p|q|a|b)\b", "\n".join(lines))))
     lines = [*(f"_{m} = t.{m}" for m in members), *lines]
-    namespace = {"binomial": binomial, "gcd": gcd, **names}
-    exec("".join([f"def {name}({_parameters(variables)}):", *(f"\n    {line}" for line in lines)]),
-         namespace)
+    namespace = {"binomial": binomial, "gcd": gcd, "HoradamError": HoradamError}
+    exec("".join([f"def {name}({', '.join(['t', *_names(variables)])}):",
+                  *(f"\n    {line}" for line in lines)]), namespace)
     return namespace[name]
 
 
@@ -308,28 +308,21 @@ def compile_trial_chunk(idents) -> Callable:
     runs its `_pair_lines` statements and stores `ln*rd == rn*ld`, each inside
     its own `try`, so a `HoradamError` fails that entry alone and the later
     ones are still decided. The term reads are those of the entry's `lhs`
-    then `rhs`, in the same order. An entry whose formula `_pair_lines`
-    rejects (none in the registry) is decided in place as `lhs == rhs`, on
-    its compiled operator sides.
+    then `rhs`, in the same order. A formula `_pair_lines` rejects (none in
+    the registry) raises its ValueError, which names the entry.
     """
-    body, verdicts, sides, start = [], [], {}, 0
+    body, verdicts, start = [], [], 0
     for i, ident in enumerate(idents):
         names = _names(ident.variables)
         body += [f"{name} = drawn[{start + j}]" for j, name in enumerate(names)]
         start += len(names)
         verdict = f"_ok{i}"
-        try:
-            lines, (ln, ld), (rn, rd) = _pair_lines(ident.key, ident.variables, ident.formula)
-            lines.append(f"{verdict} = {_times(ln, rd)} == {_times(rn, ld)}")
-        except ValueError:
-            sides[f"_lhs{i}"], sides[f"_rhs{i}"] = ident.lhs, ident.rhs
-            args = _parameters(ident.variables)
-            lines = [f"{verdict} = _lhs{i}({args}) == _rhs{i}({args})"]
+        lines, (ln, ld), (rn, rd) = _pair_lines(ident.key, ident.variables, ident.formula)
         body += ["try:", *(f"    {line}" for line in lines),
+                 f"    {verdict} = {_times(ln, rd)} == {_times(rn, ld)}",
                  "except HoradamError:", f"    {verdict} = False"]
         verdicts.append(verdict)
-    return _define("chunk", ["drawn"], [*body, f"return {', '.join(verdicts)},"],
-                   HoradamError=HoradamError, **sides)
+    return _define("chunk", ["drawn"], [*body, f"return {', '.join(verdicts)},"])
 
 
 def _I(key, variables, formula, derived=None):
@@ -688,8 +681,12 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
     verdicts and term reads of each entry's `lhs == rhs`. An entry's
     first failure is reported on the trial's accessor, as `evaluate` would
     report it.
-    ValueError for trials < 1 and for an empty or repeating id list.
+    ValueError for a non-int or bool `trials` or `seed`, for trials < 1, for
+    an empty or repeating id list, and for an entry `_pair_lines` rejects.
     """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     idents, keys, count, spans, chunks = _plan(tuple(ids))

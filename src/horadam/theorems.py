@@ -193,6 +193,8 @@ class TheoremSelector:
         count = VARIANT_COUNT[self.theorem]
         if type(self.variant) is not int or not 1 <= self.variant <= count:
             raise ValueError(f"theorem {self.theorem} has variants 1..{count}")
+        if not isinstance(self.kind, SequenceKind):
+            raise ValueError(f"kind must be a SequenceKind, got {self.kind!r}")
 
     @property
     def base(self) -> int:

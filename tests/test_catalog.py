@@ -2,6 +2,7 @@ import functools
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -391,6 +392,20 @@ class TestFuzz:
         with pytest.raises(ValueError, match=message):
             SamplerConfig(**kwargs)
 
+    @pytest.mark.parametrize("trials,seed,message", [
+        # a bool was once reported as `"trials": true`, a float raised
+        # TypeError, and any seed was taken and echoed back
+        (True, 0, "trials must be an int, got True"),
+        (2.0, 0, "trials must be an int, got 2.0"),
+        (1, 1.5, "seed must be an int, got 1.5"),
+        (1, "x", "seed must be an int, got 'x'"),
+        (1, None, "seed must be an int, got None"),
+        (1, True, "seed must be an int, got True"),
+    ])
+    def test_trials_and_seed_must_be_ints(self, trials, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fuzz(["H"], trials, SamplerConfig(), seed)
+
     @pytest.mark.parametrize("lo,hi", [
         (0, 0), (1, 8), (1, 16), (-9, 9), (-10, 10), (-30, 30), (-2**40, 2**40),
     ], ids=["width-1", "width-8", "width-16", "width-19", "width-21", "width-61",
@@ -542,14 +557,29 @@ class TestFuzzCheck:
                 verdicts.add(verdict)
         assert verdicts == ({False, True} if "sum" in formula else {True})
 
-    @pytest.mark.parametrize("formula", ["u(n)^(-1)*u(n) = 1", "u(n)^(-1) = u(n)",
-                                         "u(n)^(-2)*v(n) = u(n)",
-                                         "sum_{n=0}^{2} u(n) = u(n) + 1"])
-    def test_an_entry_it_rejects_is_decided_on_its_sides(self, formula):
+    # formulas the pair compiler rejects; no registry entry is one
+    REJECTED = {"negative-exponent": "u(n)^(-1)*u(n) = 1",
+                "negative-exponent-alone": "u(n)^(-1) = u(n)",
+                "negative-square": "u(n)^(-2)*v(n) = u(n)",
+                "index-is-a-variable": "sum_{n=0}^{2} u(n) = u(n) + 1"}
+
+    @pytest.mark.parametrize("formula", list(REJECTED.values()), ids=list(REJECTED))
+    def test_an_entry_it_rejects_is_refused(self, monkeypatch, formula):
+        # by its chunk and by fuzz, before any draw, keeping the last plan
         ident = catalog._I("odd.1", "n", formula)
-        t = Terms(TermContext(PRESETS["fibonacci"]), SequenceKind.W)
-        for n in (3, 4):
-            assert _fuzz_verdict(ident, t, [n]) is (ident.lhs(t, n) == ident.rhs(t, n))
+        message = r"^odd\.1: the pair compiler cannot compile"
+        with pytest.raises(ValueError, match=message):
+            catalog.compile_trial_chunk([ident])
+        monkeypatch.setattr(catalog, "REGISTRY", dict(REGISTRY, **{"odd.1": ident}))
+        assert fuzz(["H"], 1, SamplerConfig(), seed=1).all_passed
+        kept = catalog._LAST
+
+        def drawn(*args):
+            raise AssertionError("a refused fuzz call drew parameters")
+        monkeypatch.setattr(SamplerConfig, "draw_params", drawn)
+        with pytest.raises(ValueError, match=message):
+            fuzz(["H", "odd.1"], 1, SamplerConfig(), seed=1)
+        assert catalog._LAST is kept
 
     def test_division_by_a_zero_numerator_raises(self):
         # as Ratio.__truediv__ does, never reading a zero denominator as equal
@@ -640,18 +670,12 @@ class TestTrialChunk:
                 failed |= {i.formula for i, ok in zip(idents, verdicts) if not ok}
         assert failed == {ident.formula for ident in TestFuzzCheck.BROKEN}
 
-    def test_an_entry_it_rejects_is_decided_by_its_check(self):
-        rejected = [catalog._I(f"odd.{i}", "n", formula) for i, formula in enumerate([
-            "u(n)^(-1)*u(n) = 1", "u(n)^(-2)*v(n) = u(n)", "sum_{n=0}^{2} u(n) = u(n) + 1"])]
-        idents = [REGISTRY["H"], *rejected, REGISTRY["cor2.75"]]
-        chunk = catalog.compile_trial_chunk(idents)
-        t = Terms(TermContext(FIBW), SequenceKind.W)
-        for n in (3, 4, -2):
-            drawn = [n, 2, 1, -1, n, n, n, n]
-            expected = [self._checked(idents[0], t, drawn[:4])] + [
-                self._checked(ident, t, [n]) for ident in idents[1:]]
-            assert list(chunk(t, drawn)) == expected
-        assert expected == [True, True, False, False, True]
+    def test_a_chunk_refuses_an_entry_it_rejects(self):
+        # whatever entries around it compile
+        for i, formula in enumerate(TestFuzzCheck.REJECTED.values()):
+            ident = catalog._I(f"odd.{i}", "n", formula)
+            with pytest.raises(ValueError, match=rf"^odd\.{i}: the pair compiler cannot compile"):
+                catalog.compile_trial_chunk([REGISTRY["H"], ident, REGISTRY["cor2.75"]])
 
     def test_a_raising_entry_fails_alone(self, monkeypatch):
         # `raising` raises NegativeK at n < 0, in the middle of its chunk

@@ -24,6 +24,17 @@ def test_catalog_has_no_lambda():
     assert not found, found
 
 
+def test_one_code_emitter():
+    # generated source becomes a function in one place: nothing calls eval,
+    # and exec is called once, inside catalog._define
+    calls = [(path.name, getattr(top, "name", None), node.func.id)
+             for path in sorted(SRC.glob("*.py"))
+             for top in ast.parse(path.read_text(encoding="utf-8")).body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("eval", "exec")]
+    assert calls == [("catalog.py", "_define", "exec")], calls
+
+
 def test_readme_module_references_resolve():
     # every backticked `module.name` in the README names an attribute that
     # exists, so a removed helper cannot stay documented

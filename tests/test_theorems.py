@@ -110,6 +110,12 @@ class TestContractExamples:
         with pytest.raises(ValueError, match=r"^theorem (must be one of|2 has|3 has)"):
             TheoremSelector(theorem, variant)
 
+    @pytest.mark.parametrize("kind", ["u", None, 1], ids=["str", "none", "int"])
+    def test_selector_kind_must_be_a_sequence_kind(self, kind):
+        # a str kind once built a selector whose formula raised AttributeError
+        with pytest.raises(ValueError, match=f"^kind must be a SequenceKind, got {kind!r}$"):
+            TheoremSelector(2, 1, kind)
+
     def test_one_entry_point_for_every_theorem(self):
         assert theorems.reciprocal_sum is theorems.theorem_sum
         assert theorem_sum(TheoremSelector(5, 1), FIB, 9, 2, 1, 0, 1).equal
