@@ -62,3 +62,9 @@ class UnknownIdentity(HoradamError):
 class CompositeModulus(HoradamError):
     """A modulus that is not prime, for a `PrimeField` or a GF(M) parameter
     set: every nonzero residue must be invertible."""
+
+
+def require_int(name, value) -> None:
+    """ValueError naming the argument unless `value` is an int; a bool is not."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")

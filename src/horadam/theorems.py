@@ -1,9 +1,8 @@
 """Summation theorems over Horadam terms, evaluated three independent ways.
 
 Each theorem has one to three base forms, each written once as the formula
-`horadam sum` displays (`_BASES`). Its two sides are compiled from that text
-at import by the catalog's helper and grammar (`catalog.compile_sides`;
-`sum_{j=0}^{k}`, `C(k,j)` and nested `q^((r-s)(k-j))` are part of it), so
+`horadam sum` displays (`_BASES`), in the grammar of `formula`. Its two
+sides are compiled from that text at import (`formula.compile_sides`), so
 what is displayed is what is evaluated. `theorem_sum` takes every theorem,
 2-6, and computes:
 
@@ -21,7 +20,7 @@ caller's parameters, with w read as the selected kind (`sequences.Terms`,
 over unreduced `Ratio` pairs); each leg is reduced to a `Fraction` once,
 for the `SumReport`. Over Q, legs 1 and 2 run on integer pairs: a form's
 `sides`, compiled from the same displayed text on first use
-(`catalog.compile_pair_sides`, on the pair compiler that also writes
+(`formula.compile_pair_sides`, on the pair compiler that also writes
 `fuzz`'s trial chunks), reads the same terms as `lhs` then `rhs`, and the
 lemma's probe checks each point with one integer comparison. The
 relation's coefficients, the lemma sums and the factor stay on `Ratio`
@@ -36,7 +35,8 @@ Each theorem follows from one of two three-term relations (`_RELATIONS`).
 Each base form names the lemma variant it follows from by its label in the
 lemma table ("lemma 2 variant 1", "L5c"), and carries its lemma factor and,
 if reciprocal, its denominator window: the relations, factors and windows
-are text in the same grammar. The lemma sums stay code (`lemmas`), whose
+are text in the same grammar, and a guard names the term that `formula.reads`
+finds in its coefficient. The lemma sums stay code (`lemmas`), whose
 probe checks the relation first. The variants past the base forms (4-6, or
 2 for theorems 3 and 5) evaluate a base form after the swap
 (r, s) -> (-s, -r).
@@ -47,15 +47,15 @@ produces it, and its formula's note says what was corrected.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional
 
-from .catalog import compile_expression, compile_pair_sides, compile_sides, compile_tuple
-from .errors import GuardViolation
+from .errors import GuardViolation, require_int
 from .field import format_scalar, reduced
+from .formula import (as_kind, assignments, compile_expression, compile_pair_sides,
+                      compile_sides, compile_tuple, reads)
 from .lemmas import _denominator_window, _lemma
 # The lemma leg calls the private form above. The public lemma functions stay
 # importable from here: perfbench/layers.py rebinds them on this module by name.
@@ -132,12 +132,13 @@ class _Relation(NamedTuple):
 
 
 def _relation_of(text: str) -> _Relation:
-    fields = dict(field.split("=") for field in text.split(", "))
-    guards = [re.fullmatch(r"-?(?:.*\*)?([uvw])\((.*)\)", fields[name]).groups()
-              for name in ("h", "f1", "f2")]
+    fields = assignments(text)
+    # h, f1 and f2 each read one u, v or w term, which its guard names
+    guards = [read for name in ("h", "f1", "f2")
+              for [read] in [[x for x in reads(fields[name]) if x[0] in ("u", "v", "w")]]]
     # a term at i reads the cache itself; a shifted term is read through a closure
-    accessors = [x[0] if x[1:] == "(i)" else f"lambda i: {x}"
-                 for x in (fields["X"], fields["Y"])]
+    accessors = [member if index == "i" else f"lambda i: {fields[x]}"
+                 for x in ("X", "Y") for [(member, index)] in [reads(fields[x])]]
     return _Relation(compile_tuple("nmrs", [fields[x] for x in ("h", "f1", "f2", "c", "d")]),
                      compile_tuple("nmrs", accessors),
                      tuple((x, compile_expression("nmrs", index)) for x, index in guards))
@@ -209,7 +210,7 @@ class TheoremSelector:
     @property
     def formula(self) -> str:
         """The evaluated base form as displayed, with w read as the selected kind."""
-        return _BASES[self.theorem][self.base - 1][0].replace("w(", f"{self.kind.value}(")
+        return as_kind(_BASES[self.theorem][self.base - 1][0], self.kind.value)
 
 
 @dataclass(frozen=True)
@@ -245,6 +246,8 @@ def _effective(sel, n, m, r, s):
 
 def _setup(sel, n, m, r, s, k) -> tuple:
     """The selected form's `_Form` and its effective (n, m, r, s)."""
+    for name, value in zip("nmrsk", (n, m, r, s, k)):
+        require_int(name, value)
     if k < 0:
         raise ValueError("summation bound k must be >= 0")
     return _FORMS[sel.theorem, sel.base], _effective(sel, n, m, r, s)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from horadam import catalog
+from horadam import formula as grammar
 from horadam.catalog import (
     REGISTRY,
     FuzzReport,
@@ -102,6 +103,15 @@ class TestEvaluate:
             evaluate("H", FIB, dict(n=1, m=3, r=2))
         with pytest.raises(ValueError, match="unexpected"):
             evaluate("mul.15", FIB, dict(n=1, m=3, r=2))
+
+    @pytest.mark.parametrize("value", [True, 1.5, "3"], ids=["bool", "float", "str"])
+    def test_indices_must_be_ints(self, value):
+        # a bool was once reported as `"n": true`, a float or a str raised TypeError
+        message = f"^m must be an int, got {re.escape(repr(value))}$"
+        for call in (lambda: evaluate("cor1.29", FIB, dict(n=1, m=value)),
+                     lambda: base_assignment(REGISTRY["cor1.29"], dict(n=1, m=value))):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_pure(self):
         asg = dict(n=3, m=2, r=1, s=0)
@@ -453,7 +463,7 @@ class TestFuzz:
 @functools.cache
 def _one_entry_chunk(ident):
     """The trial chunk `fuzz` would compile for `ident` alone."""
-    return catalog.compile_trial_chunk([ident])
+    return grammar.compile_trial_chunk([ident])
 
 
 def _fuzz_verdict(ident, t, values):
@@ -532,7 +542,7 @@ class TestFuzzCheck:
             "index-is-a-variable"])
     def test_rejects_what_it_cannot_compute(self, formula):
         with pytest.raises(ValueError, match=r"^odd\.1: the pair compiler cannot compile"):
-            catalog.compile_pair_sides("odd.1", "n", formula)
+            grammar.compile_pair_sides("odd.1", "n", formula)
 
     @pytest.mark.parametrize("formula", [
         "u(2n) = v(n)*u(2n)/v(n)",
@@ -544,7 +554,7 @@ class TestFuzzCheck:
         # the constructs the summation theorems add decide a draw as the
         # operator sides do
         ident = catalog._I("odd.1", "n", formula)
-        sides = catalog.compile_pair_sides("odd.1", "n", formula)
+        sides = grammar.compile_pair_sides("odd.1", "n", formula)
         verdicts = set()
         for params in (FIB, FIBW, HoradamParams(Fraction(1, 2), -2, Fraction(3, 4),
                                                 Fraction(-5, 6))):
@@ -569,7 +579,7 @@ class TestFuzzCheck:
         ident = catalog._I("odd.1", "n", formula)
         message = r"^odd\.1: the pair compiler cannot compile"
         with pytest.raises(ValueError, match=message):
-            catalog.compile_trial_chunk([ident])
+            grammar.compile_trial_chunk([ident])
         monkeypatch.setattr(catalog, "REGISTRY", dict(REGISTRY, **{"odd.1": ident}))
         assert fuzz(["H"], 1, SamplerConfig(), seed=1).all_passed
         kept = catalog._LAST
@@ -586,7 +596,7 @@ class TestFuzzCheck:
         ident = catalog._I("odd.1", "n", "w(n)/u(n) = w(n)/u(n)")
         t = Terms(TermContext(FIBW), SequenceKind.W)
         assert _fuzz_verdict(ident, t, [3]) is True
-        sides = catalog.compile_pair_sides("odd.1", "n", ident.formula)
+        sides = grammar.compile_pair_sides("odd.1", "n", ident.formula)
         chunk = _one_entry_chunk(ident)
         for side, args in ((chunk, [0]), (ident.lhs, 0), (sides, 0)):
             with pytest.raises(ZeroDivisionError, match="^Ratio division by zero$"):
@@ -595,7 +605,7 @@ class TestFuzzCheck:
     def test_a_negative_index_exponent_raises(self):
         # the operator sides would take a reciprocal; the pair code never
         # yields a float
-        sides = catalog.compile_pair_sides("odd.1", "n", "(-1)^n*u(4)^n = v(n)")
+        sides = grammar.compile_pair_sides("odd.1", "n", "(-1)^n*u(4)^n = v(n)")
         t = Terms(TermContext(FIBW), SequenceKind.W)
         assert all(type(x) is int for x in sides(t, 3))
         for n in (-1, -3):
@@ -612,7 +622,7 @@ class TestFuzzCheck:
         def recording(source, namespace):
             sources.append(source)
             exec(source, namespace)
-        monkeypatch.setattr(catalog, "exec", recording, raising=False)
+        monkeypatch.setattr(grammar, "exec", recording, raising=False)
         monkeypatch.setattr(catalog, "_LAST", (None, None))
         assert fuzz(list(REGISTRY), 1, SamplerConfig(), seed=1).all_passed
         assert len(sources) == 10
@@ -648,7 +658,7 @@ class TestTrialChunk:
         for i in range(0, len(idents), size):
             run = idents[i:i + size]
             stop = start + sum(len(ident.variables) for ident in run)
-            runs.append((catalog.compile_trial_chunk(run), start, stop))
+            runs.append((grammar.compile_trial_chunk(run), start, stop))
             start = stop
         return runs
 
@@ -675,7 +685,7 @@ class TestTrialChunk:
         for i, formula in enumerate(TestFuzzCheck.REJECTED.values()):
             ident = catalog._I(f"odd.{i}", "n", formula)
             with pytest.raises(ValueError, match=rf"^odd\.{i}: the pair compiler cannot compile"):
-                catalog.compile_trial_chunk([REGISTRY["H"], ident, REGISTRY["cor2.75"]])
+                grammar.compile_trial_chunk([REGISTRY["H"], ident, REGISTRY["cor2.75"]])
 
     def test_a_raising_entry_fails_alone(self, monkeypatch):
         # `raising` raises NegativeK at n < 0, in the middle of its chunk

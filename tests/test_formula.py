@@ -1,0 +1,41 @@
+import pytest
+
+from horadam.catalog import REGISTRY
+from horadam.formula import reads
+from horadam.sequences import HoradamParams, SequenceKind, TermContext, Terms
+
+
+class TestReads:
+    """`reads`: the term reads of a grammar text, from its parsed tree."""
+
+    @pytest.mark.parametrize("text,found", [
+        ("w(n+1)", [("w", "n+1")]),
+        ("-q^(r-s)*u(m-r)", [("qp", "r-s"), ("u", "m-r")]),
+        ("q^m*v(2n) - 4q*p", [("qp", "m"), ("v", "2*n"), ("q", None), ("p", None)]),
+        ("sum_{j=0}^{k} q^((r-s)(k-j))*u(m-s)^j*w(n+j)",
+         [("qp", "(r-s)*(k-j)"), ("u", "m-s"), ("w", "n+j")]),
+        ("C(k,j)*a*w(t)", [("a", None), ("w", "t_")]),
+        ("w(n)/(u(n)*b)", [("w", "n"), ("u", "n"), ("b", None)]),
+        ("u(n) = v(m) # a note, even with w(n) in it", [("u", "n"), ("v", "m")]),
+    ], ids=["term", "q-power", "scalars", "sum", "binomial", "divide", "note"])
+    def test_construct(self, text, found):
+        assert reads(text) == found
+
+    def test_members_are_those_the_operator_sides_read(self):
+        class Recording:
+            """An accessor that logs the name of each member it is asked for."""
+
+            def __init__(self, t):
+                self.t, self.members = t, set()
+
+            def __getattr__(self, name):
+                self.members.add(name)
+                return getattr(self.t, name)
+
+        t = Terms(TermContext(HoradamParams(3, 2, 1, -1)), SequenceKind.W)
+        for ident in REGISTRY.values():
+            recording = Recording(t)
+            values = [i + 2 for i in range(len(ident.variables))]
+            ident.lhs(recording, *values), ident.rhs(recording, *values)
+            assert {member for member, _ in reads(ident.formula)} == recording.members, ident.key
+

@@ -26,20 +26,40 @@ def test_catalog_has_no_lambda():
 
 def test_one_code_emitter():
     # generated source becomes a function in one place: nothing calls eval,
-    # and exec is called once, inside catalog._define
+    # and exec is called once, inside formula._define
     calls = [(path.name, getattr(top, "name", None), node.func.id)
              for path in sorted(SRC.glob("*.py"))
              for top in ast.parse(path.read_text(encoding="utf-8")).body
              for node in ast.walk(top)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("eval", "exec")]
-    assert calls == [("catalog.py", "_define", "exec")], calls
+    assert calls == [("formula.py", "_define", "exec")], calls
+
+
+def _imports(path):
+    """The modules a source file imports, `from .x import` as x."""
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    return ({alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+            | {node.module for node in nodes if isinstance(node, ast.ImportFrom)})
+
+
+def test_one_grammar_reader():
+    # the formula grammar is read in formula.py alone: only it parses with
+    # ast, only it and field.py (rational literals) use re, and theorems
+    # reaches the grammar through formula, not through catalog
+    imports = {path.name: _imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, found in imports.items() if "ast" in found] == ["formula.py"]
+    assert [name for name, found in imports.items() if "re" in found] == [
+        "field.py", "formula.py"]
+    assert "catalog" not in imports["theorems.py"]
+    for name in ("catalog.py", "theorems.py"):
+        assert '.replace("w("' not in (SRC / name).read_text(encoding="utf-8"), name
 
 
 def test_readme_module_references_resolve():
     # every backticked `module.name` in the README names an attribute that
     # exists, so a removed helper cannot stay documented
     readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
-    refs = set(re.findall(r"`(catalog|sequences|theorems|lemmas|field|cli|bench)\.([\w.]+)",
+    refs = set(re.findall(r"`(catalog|formula|sequences|theorems|lemmas|field|cli|bench)\.([\w.]+)",
                           readme))
     missing = []
     for module, path in sorted(ref for ref in refs if ref[1] != "py"):   # skip file names

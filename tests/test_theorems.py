@@ -9,9 +9,10 @@ from math import comb
 import pytest
 
 from horadam import cli, lemmas, theorems
-from horadam.catalog import SamplerConfig, _python, compile_expression, compile_sides
+from horadam.catalog import SamplerConfig
 from horadam.errors import ConfigViolation, GuardViolation, SingularSummand
 from horadam.field import ModInt, PrimeField, Ratio
+from horadam.formula import _python, compile_expression, compile_sides
 from horadam.lemmas import (
     LemmaReport,
     RecurrenceConfig,
@@ -116,6 +117,17 @@ class TestContractExamples:
         with pytest.raises(ValueError, match=f"^kind must be a SequenceKind, got {kind!r}$"):
             TheoremSelector(2, 1, kind)
 
+    @pytest.mark.parametrize("value", [True, 1.0, "3"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize("position", range(5), ids=list("nmrsk"))
+    def test_indices_must_be_ints(self, position, value):
+        # k=1.0 once raised TypeError, and n=True returned a report
+        args = [9, 2, 1, 0, 1]
+        args[position] = value
+        message = f"^{'nmrsk'[position]} must be an int, got {re.escape(repr(value))}$"
+        for call in (theorem_sum, singularity_scan):
+            with pytest.raises(ValueError, match=message):
+                call(TheoremSelector(5, 1), FIB, *args)
+
     def test_one_entry_point_for_every_theorem(self):
         assert theorems.reciprocal_sum is theorems.theorem_sum
         assert theorem_sum(TheoremSelector(5, 1), FIB, 9, 2, 1, 0, 1).equal
@@ -130,6 +142,44 @@ class TestContractExamples:
             captured = capsys.readouterr()
             results.append((code, captured.out, captured.err))
         assert results[0] == results[1] == (2, "", "error: summation bound k must be >= 0\n")
+
+
+# p^2 = 2q: u(i) = 0 at every multiple of 4, v(i) = 0 at i = 2 mod 4, and w = 3u
+QUARTER = HoradamParams(0, 3, 2, 2)
+
+
+class TestGuardNames:
+    """The exact `GuardViolation.name` for each coefficient of each relation
+    under each kind: the coefficient's one u, v or w read at its index, named
+    `u(…)` or `w(…)` under every kind, which perfbench's theorem_sums confirm
+    parses."""
+
+    # (theorem, coefficient, kind, (n, m, r, s), name): theorem 2's relation
+    # reads u in h, f1 and f2; theorem 3's reads w in h and f1 and u in f2
+    CASES = [
+        *((2, "h", kind, (5, 1, 3, -1), "u(4)") for kind in "uvw"),
+        *((2, "f1", kind, (5, 3, 0, -1), "u(4)") for kind in "uvw"),
+        *((2, "f2", kind, (5, 3, -1, -2), "u(4)") for kind in "uvw"),
+        (3, "h", "u", (5, 3, 1, 0), "w(4)"),
+        (3, "h", "v", (5, 1, 1, 0), "w(2)"),
+        (3, "h", "w", (5, 3, 1, 0), "w(4)"),
+        (3, "f1", "u", (5, 3, 0, 1), "w(4)"),
+        (3, "f1", "v", (5, 1, 0, 1), "w(2)"),
+        (3, "f1", "w", (5, 3, 0, 1), "w(4)"),
+        *((3, "f2", kind, (5, 0, 3, -1), "u(4)") for kind in "uvw"),
+    ]
+
+    @pytest.mark.parametrize("theorem,coefficient,kind,args,name", CASES,
+                             ids=[f"T{c[0]}-{c[1]}-{c[2]}" for c in CASES])
+    def test_name(self, theorem, coefficient, kind, args, name):
+        kind = SequenceKind(kind)
+        relation = theorems._FORMS[theorem, 1].relation
+        h, f1, f2, _, _ = relation.coefficients(Terms(TermContext(QUARTER), kind), *args)
+        # the case zeroes the named coefficient and no earlier one
+        assert (h, f1, f2).index(0) == ("h", "f1", "f2").index(coefficient)
+        with pytest.raises(GuardViolation) as raised:
+            theorem_sum(TheoremSelector(theorem, 1, kind), QUARTER, *args, 2)
+        assert raised.value.name == name
 
 
 class TestDisplayedFormOracles:
