@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .errors import require_int
 from .field import PrimeField, format_scalar
 from .sequences import HoradamParams, SequenceKind, fast_uv, term
 
@@ -62,6 +63,7 @@ def run_bench(p: Fraction, q: Fraction, n: int, modulus: Optional[int] = None) -
     parameter reduction need invertibility), and p, q must not vanish
     modulo it.
     """
+    require_int("n", n)
     if n < 1:
         raise ValueError("bench needs n >= 1")
     if modulus is not None:

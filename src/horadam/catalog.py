@@ -323,16 +323,24 @@ class SamplerConfig:
             raise ValueError(f"bound must be >= 1, got {self.bound}")
 
     def draw_params(self, rng: random.Random) -> HoradamParams:
-        def rational(nonzero):
-            while True:
-                x = Fraction(_randints(rng, -self.bound, self.bound, 1)[0],
-                             _randints(rng, 1, self.bound, 1)[0])
-                if not (nonzero and x == 0):
-                    return x
-        p = rational(True)
-        q = rational(True)
-        a = rational(False)
-        b = rational(False)
+        """p, q, a, b in that order, each a numerator in [-bound, bound] then a
+        denominator in [1, bound], both drawn again while p or q would be 0:
+        `_randints`'s rule, open-coded in one frame for the eight or more draws."""
+        bound = self.bound
+        width = 2 * bound + 1
+        k, dk = width.bit_length(), bound.bit_length()
+        getrandbits = rng.getrandbits
+        values = []
+        while len(values) < 4:
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            d = getrandbits(dk)
+            while d >= bound:
+                d = getrandbits(dk)
+            if r != bound or len(values) > 1:   # r = bound draws the numerator 0
+                values.append(Fraction(r - bound, d + 1))
+        p, q, a, b = values
         return HoradamParams(a, b, p, q)
 
     def draw_assignment(self, rng: random.Random, variables) -> dict:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .errors import ConfigViolation, DegenerateStride, SingularSummand
+from .errors import ConfigViolation, DegenerateStride, SingularSummand, require_int
 from .field import Ratio, binomial
 
 Accessor = Callable[[int], Any]
@@ -99,7 +99,9 @@ def check_config(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, window) -> boo
     return True
 
 
-def _require_k(k: int):
+def _require_indices(n: int, k: int):
+    require_int("n", n)
+    require_int("k", k)
     if k < 0:
         raise ValueError(f"summation bound k must be >= 0, got {k}")
 
@@ -198,7 +200,7 @@ def _report(lemma, variant, label, cfg, X, Y, n, k):
 
 def lemma1_sum(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, n: int, k: int) -> LemmaReport:
     """f2 * sum_{j=0}^k f1^(k-j) h^j Y_{n-kc-d+cj}  =  h^(k+1) X_n - f1^(k+1) X_{n-(k+1)c}."""
-    _require_k(k)
+    _require_indices(n, k)
     return _report("1", "", "lemma 1", cfg, X, Y, n, k)
 
 
@@ -206,7 +208,7 @@ def lemma2_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int, variant: int
     """Single-sequence telescoping sums: lemma 1 with Y = X (variant 1), on the
     swapped relation (2), and (-1)^k times it on the swapped solved relation
     (3, needs d != c)."""
-    _require_k(k)
+    _require_indices(n, k)
     if type(variant) is not int or variant not in (1, 2, 3):
         raise ValueError(f"lemma 2 variant must be 1, 2 or 3, got {variant}")
     return _report("2", str(variant), f"lemma 2 variant {variant}", cfg, X, X, n, k)
@@ -217,7 +219,7 @@ def lemma3_binomial_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int,
     """Binomial-weighted sums collapsing to a single scaled term: the expansion
     sum C(k,j) f2^(k-j) f1^j X_{n-dk+(d-c)j} = h^k X_n (variant 1), and (-1)^k
     times it on the relation solved for its f1 term (2) or its f2 term (3)."""
-    _require_k(k)
+    _require_indices(n, k)
     if type(variant) is not int or variant not in (1, 2, 3):
         raise ValueError(f"lemma 3 variant must be 1, 2 or 3, got {variant}")
     return _report("3", str(variant), f"lemma 3 variant {variant}", cfg, X, X, n, k)
@@ -232,7 +234,7 @@ def lemma45_reciprocal(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, n: int, 
     Denominator windows are pre-scanned; a vanishing factor raises
     SingularSummand rather than dividing by zero.
     """
-    _require_k(k)
+    _require_indices(n, k)
     if variant not in ("L4", "L5a", "L5b", "L5c"):
         raise ValueError(f"reciprocal variant must be L4, L5a, L5b or L5c, got {variant!r}")
     return _report("4" if variant == "L4" else "5", variant, variant, cfg, X,

@@ -19,7 +19,9 @@ denominator, X_n = L^n*D*x_n obeys X_n = P*X_{n-1} - Q*X_{n-2} over int,
 so the walk does no gcd. `term` builds one `Fraction` per returned term;
 `TermContext` takes (P, Q, L) once (`_scaling`) for all kinds and
 directions, caches each term as the pair itself (a `Ratio`) and reduces
-it only when a public accessor returns it. Over GF(M) the same recurrence
+it only when a public accessor returns it. Each kind's cache is a dict,
+`_Run`, whose `__missing__` walks toward a missing index, so a cached read
+is one subscript with no Python frame. Over GF(M) the same recurrence
 runs on the residues, reduced each step; `term` walks it with M - Q in
 place of -Q, so every residue it forms is non-negative. From |n| >= 3*S
 (S = `_BLOCK`, 64) `term` advances S indices per step, by the S-step
@@ -38,10 +40,9 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Any, Optional
 
-from .errors import CompositeModulus, DegenerateRoot, EmptyRange
+from .errors import CompositeModulus, DegenerateRoot, EmptyRange, require_int
 from .field import ModInt, Ratio, is_prime, reduced
 
 
@@ -211,6 +212,7 @@ def term(params: HoradamParams, kind: SequenceKind, n: int):
     at a time, with no doubling formula and no lin.9, so `term` stays
     independent of `doubling_term`.
     """
+    require_int("n", n)
     P, Q, X0, X1, L, D, M = _kernel(params, kind, n < 0)
     steps = abs(n)
     # x_{k+2} = P*x_{k+1} + R*x_k
@@ -239,6 +241,8 @@ def term(params: HoradamParams, kind: SequenceKind, n: int):
 
 def term_range(params: HoradamParams, kind: SequenceKind, lo: int, hi: int) -> list:
     """Terms lo..hi inclusive, read off one fresh TermContext."""
+    require_int("lo", lo)
+    require_int("hi", hi)
     if lo > hi:
         raise EmptyRange(f"lo={lo} > hi={hi}")
     ctx = TermContext(params)
@@ -276,6 +280,7 @@ def doubling_term(params: HoradamParams, kind: SequenceKind, n: int):
     for m = |n| from `_ladder`. Over the kernel's integers
     X_1*U'_m - Q*X_0*U'_{m-1} = L^m*D*x_m, so the term is one reduction.
     """
+    require_int("n", n)
     if n == 0:
         return params.seeds(kind)[0]
     P, Q, X0, X1, L, D, M = _kernel(params, kind, n < 0)
@@ -294,6 +299,7 @@ def fast_uv(params: HoradamParams, n: int):
     of `_kernel`, and V'_n = 2*U'_{n+1} - P*U'_n; then u_n = U'_n/L^(n-1)
     and v_n = V'_n/L^n, or over GF(M) the residues.
     """
+    require_int("n", n)
     if n < 0:
         raise ValueError("fast_uv requires n >= 0")
     P, Q, _, _, L, _, M = _kernel(params, U, False)
@@ -326,6 +332,7 @@ def binet_term(params: HoradamParams, kind: SequenceKind, n: int):
     sqrt(d')-component of C*E over one integer scale; the rational
     components cancel, so neither is computed.
     """
+    require_int("n", n)
     if params.modulus:
         raise TypeError("binet_term needs rational parameters")
     if params.discriminant == 0:
@@ -354,47 +361,128 @@ _new = object.__new__
 _RATIO_SEEDS = Ratio(0, 1), Ratio(1, 1), Ratio(2, 1)
 
 
+class _Run(dict):
+    """One kind's term cache: index -> scalar over one contiguous run of
+    indices, seeded with x_0 and x_1. A read is a subscript, so a hit is one
+    C-level dict lookup; a missing index extends the run by the walk toward
+    it (`__missing__`). The walk state of each direction lives on the run:
+    `forward` and `backward` are [P, Q, L, M, X_{k-1}, X_k, L^k*D, k], k the
+    walk's signed end index, or None before that direction's first miss.
+    The run keeps no reference to its context."""
+
+    __slots__ = ("params", "scaling", "kind", "forward", "backward")
+
+    def __init__(self, params: HoradamParams, scaling: tuple, kind: SequenceKind, x0, x1):
+        self[0], self[1] = x0, x1
+        self.params, self.scaling, self.kind = params, scaling, kind
+        self.forward = self.backward = None
+
+    def _start(self, step: int) -> list:
+        """The state of a new walk in direction `step`, which ends at index
+        step: x_1, or x_{-1} on the reversed walk, which this caches."""
+        P, Q, X0, X1, L, D, M = _kernel(self.params, self.kind, step < 0, self.scaling)
+        walk = [P, Q, L, M, X0, X1, L * D, step]
+        if step > 0:
+            self.forward = walk
+        else:
+            self.backward = walk
+            self[-1] = ModInt(X1, M) if M else Ratio(X1, L * D)
+        return walk
+
+    def __missing__(self, n: int):
+        if n > 1:
+            step, walk = 1, self.forward or self._start(1)
+        else:
+            step, walk = -1, self.backward
+            if walk is None:
+                walk = self._start(-1)
+                if n == -1:
+                    return dict.__getitem__(self, n)
+        P, Q, L, M, X0, X1, scale, end = walk
+        indices = range(end + step, n + step, step)
+        if M:
+            for i in indices:
+                X0, X1 = X1, (P * X1 - Q * X0) % M
+                self[i] = val = ModInt(X1, M)
+        else:
+            for i in indices:
+                X0, X1 = X1, P * X1 - Q * X0
+                scale *= L
+                # built without Ratio.__init__: one Python frame fewer per term
+                self[i] = val = _new(Ratio)
+                val.n, val.d = X1, scale
+        walk[4:] = X0, X1, scale, n
+        return val
+
+
+class _QPowers(dict):
+    """q^e by e, each built on its first read (`__missing__`): over Q the
+    pair `Ratio.__pow__` gives, without its frame and its gcd, since q's pair
+    is reduced; over GF(M) `q ** e`."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, q):
+        self.q = q
+
+    def __missing__(self, e: int):
+        q = self.q
+        if type(q) is Ratio:
+            n, d = (q.n, q.d) if e >= 0 else (q.d, q.n)
+            val = _new(Ratio)
+            val.n, val.d = n ** abs(e), d ** abs(e)
+        else:
+            val = q ** e
+        self[e] = val
+        return val
+
+
 class Terms:
     """The checkers' accessor over one TermContext with w read as `kind`:
     u, v, w, qp, p, q, and a, b = that kind's x_0, x_1, on the cached scalars
-    themselves (`Ratio` over Q, not reduced). u, v and w are
-    `partial(ctx._get, kind)`, so every term read goes through
-    `TermContext._get`. The context keeps no reference to it: a cached
-    accessor would close a reference cycle, and the cache would then outlive
-    its last user until a full garbage collection."""
+    themselves (`Ratio` over Q, not reduced). u, v, w and qp are the bound
+    `__getitem__` of the context's cache dicts (`_Run`, `_QPowers`), so a
+    cached read is one C-level dict lookup and starts no Python frame; a
+    miss walks in the dict's `__missing__`. The context keeps no reference
+    to the accessor, and the dicts none to the context: a reference cycle
+    would keep the cache alive after its last user until a full garbage
+    collection."""
 
     __slots__ = ("u", "v", "w", "qp", "p", "q", "a", "b")
 
     def __init__(self, ctx: "TermContext", kind: SequenceKind):
-        get = ctx._get
-        self.u, self.v, self.w = partial(get, U), partial(get, V), partial(get, kind)
-        self.qp = ctx._qpow
+        vals = ctx._vals
+        self.u, self.v = vals[U].__getitem__, vals[V].__getitem__
+        run = vals[kind]
+        self.w = run.__getitem__
+        self.qp = ctx._qpows.__getitem__
         self.p, self.q = ctx._scalars
-        seeds = ctx._vals[kind]
-        self.a, self.b = seeds[0], seeds[1]
+        # the seeds by get, which takes no subscript: they are not term reads
+        self.a, self.b = run.get(0), run.get(1)
 
 
 class TermContext:
     """Cached u/v/w accessors for one parameter set.
 
-    Purely an optimization: results are identical to term(). Each kind
-    keeps the integer state of `term`'s kernel for the walk in each
-    direction, and caches every term it passes as one scalar: over Q the
-    unreduced `Ratio(X_k, L^k*D)` read straight off the walk, over GF(M) a
-    `ModInt`. Every walk starts from the context's one `_scaling`, and each
-    q-power is built as the pair `Ratio.__pow__` gives. The public accessors
-    u, v, w and qp return what term() does, a reduced `Fraction` (one gcd
-    per call) or a `ModInt`. `Terms(ctx, kind)`
+    Purely an optimization: results are identical to term(). Each kind's
+    cache is a `_Run`, a dict that keeps the integer state of `term`'s
+    kernel for the walk in each direction and caches every term it passes
+    as one scalar: over Q the unreduced `Ratio(X_k, L^k*D)` read straight
+    off the walk, over GF(M) a `ModInt`. Every walk starts from the
+    context's one `_scaling`, and each q-power is built as the pair
+    `Ratio.__pow__` gives (`_QPowers`). `_get` and `_qpow` read one cached
+    scalar. The public accessors u, v, w and qp return what term() does, a
+    reduced `Fraction` (one gcd per call) or a `ModInt`. `Terms(ctx, kind)`
     is the checkers' accessor over the cached scalars themselves; the catalog
     and theorem engines evaluate on it and reduce each reported value once.
     Not synchronized; confine an instance to a single thread of work.
     """
 
-    __slots__ = ("params", "_scaling", "_scalars", "_vals", "_walks", "_qpows")
+    __slots__ = ("params", "_scalars", "_vals", "_qpows")
 
     def __init__(self, params: HoradamParams):
         self.params = params
-        self._scaling = _scaling(params)
+        scaling = _scaling(params)
         M = params.modulus
         if M:
             p, q, a, b = params.p, params.q, params.a, params.b
@@ -406,68 +494,31 @@ class TermContext:
                 pair.n, pair.d = x.as_integer_ratio()
             zero, one, two = _RATIO_SEEDS
         self._scalars = p, q
-        # kind -> {index: scalar} over one contiguous index run; u and v
-        # seed as `seeds` gives, v's x_1 being p itself
-        self._vals = {U: {0: zero, 1: one}, V: {0: two, 1: p}, W: {0: a, 1: b}}
-        # (kind, step) -> [P, Q, L, M, X_{k-1}, X_k, L^k*D, k], step 1 forward
-        # and -1 backward, k the walk's signed end index
-        self._walks = {}
-        self._qpows = {}
-
-    def _walk(self, kind: SequenceKind, step: int) -> list:
-        P, Q, X0, X1, L, D, M = _kernel(self.params, kind, step < 0, self._scaling)
-        if step < 0:     # the reversed walk starts at y_1 = x_{-1}
-            self._vals[kind][-1] = ModInt(X1, M) if M else Ratio(X1, L * D)
-        # a new walk ends at index step: x_1, or x_{-1} on the reversed walk
-        self._walks[kind, step] = walk = [P, Q, L, M, X0, X1, L * D, step]
-        return walk
+        # u and v seed as `seeds` gives, v's x_1 being p itself
+        self._vals = {U: _Run(params, scaling, U, zero, one),
+                      V: _Run(params, scaling, V, two, p),
+                      W: _Run(params, scaling, W, a, b)}
+        self._qpows = _QPowers(q)
 
     def _get(self, kind: SequenceKind, n: int):
-        vals = self._vals[kind]
-        if n in vals:
-            return vals[n]
-        step = 1 if n > 1 else -1
-        walk = self._walks.get((kind, step)) or self._walk(kind, step)
-        P, Q, L, M, X0, X1, scale, end = walk
-        indices = range(end + step, n + step, step)
-        if M:
-            for i in indices:
-                X0, X1 = X1, (P * X1 - Q * X0) % M
-                vals[i] = ModInt(X1, M)
-        else:
-            for i in indices:
-                X0, X1 = X1, P * X1 - Q * X0
-                scale *= L
-                # built without Ratio.__init__: one Python frame fewer per term
-                vals[i] = pair = _new(Ratio)
-                pair.n, pair.d = X1, scale
-        walk[4:] = X0, X1, scale, n
-        return vals[n]
+        return self._vals[kind][n]
 
     def _qpow(self, e: int):
-        val = self._qpows.get(e)
-        if val is None:
-            q = self._scalars[1]
-            if type(q) is Ratio:
-                # q's pair is reduced, so this is the pair Ratio.__pow__ gives,
-                # without its frame and its gcd
-                n, d = (q.n, q.d) if e >= 0 else (q.d, q.n)
-                val = _new(Ratio)
-                val.n, val.d = n ** abs(e), d ** abs(e)
-            else:
-                val = q ** e
-            self._qpows[e] = val
-        return val
+        return self._qpows[e]
 
     def u(self, n: int):
+        require_int("n", n)
         return reduced(self._get(SequenceKind.U, n))
 
     def v(self, n: int):
+        require_int("n", n)
         return reduced(self._get(SequenceKind.V, n))
 
     def w(self, n: int):
+        require_int("n", n)
         return reduced(self._get(SequenceKind.W, n))
 
     def qp(self, e: int):
         """q**e, memoized."""
+        require_int("e", e)
         return reduced(self._qpow(e))

@@ -1,17 +1,20 @@
-"""The checkers read every term through `TermContext._get`.
+"""The checkers read every term through a subscript of the term cache.
 
-`perfbench/layers.py` counts contexts and lookups by binding a subclass of
-`TermContext` that overrides `_get` on `catalog` and `theorems`. These
-tests bind such a subclass the same way and pin both counts for fixed
-calls, so a change that routes a checker around `_get` shows here.
+Each kind's cache in a `TermContext` is a `sequences._Run`, a dict, and the
+checker accessor's u, v and w are its bound `__getitem__`. These tests
+count lookups by binding a subclass of `_Run` that overrides `__getitem__`
+(on `sequences`, where `TermContext` builds its runs) and contexts by
+binding a subclass of `TermContext` on `catalog` and `theorems`. They pin
+both counts for fixed calls, so a change that routes a checker around the
+cache's subscript shows here.
 """
 import random
 from fractions import Fraction
 
 import pytest
 
-from horadam import catalog, theorems
-from horadam.sequences import HoradamParams, SequenceKind, TermContext, Terms
+from horadam import catalog, sequences, theorems
+from horadam.sequences import HoradamParams, SequenceKind, TermContext, Terms, _Run
 
 PARAMS = HoradamParams(Fraction(1, 2), -2, Fraction(3, 4), Fraction(-5, 6))
 ASSIGNMENT = (3, 2, 1, -1, 3)   # n, m, r, s, k
@@ -34,26 +37,30 @@ def counts(monkeypatch):
             counts["created"] += 1
             TermContext.__init__(self, params)
 
-        def _get(self, kind, n):
+    class CountingRun(_Run):
+        __slots__ = ()
+
+        def __getitem__(self, n):
             counts["lookups"] += 1
-            return TermContext._get(self, kind, n)
+            return dict.__getitem__(self, n)
 
     monkeypatch.setattr(catalog, "TermContext", CountingTermContext)
     monkeypatch.setattr(theorems, "TermContext", CountingTermContext)
+    monkeypatch.setattr(sequences, "_Run", CountingRun)
     return counts
 
 
 @pytest.fixture
 def walked(monkeypatch):
-    """The (kind, step) of every walk a context sets up."""
+    """The (kind, step) of every walk a run starts."""
     walked = []
-    walk = TermContext._walk
+    start = _Run._start
 
-    def recording_walk(self, kind, step):
-        walked.append((kind, step))
-        return walk(self, kind, step)
+    def recording_start(self, step):
+        walked.append((self.kind, step))
+        return start(self, step)
 
-    monkeypatch.setattr(TermContext, "_walk", recording_walk)
+    monkeypatch.setattr(_Run, "_start", recording_start)
     return walked
 
 
@@ -65,18 +72,18 @@ def test_fuzz_trial(counts):
 
 @pytest.mark.parametrize("order", ["registry", "reversed-thirds"])
 def test_fuzz_trial_reads_what_the_checks_read(monkeypatch, order):
-    # a trial's compiled chunks make the `_get` calls of each entry's lhs
+    # a trial's compiled chunks make the term reads of each entry's lhs
     # then rhs on the same draws, in the same (kind, n) order
     reads = []
 
-    class RecordingTermContext(TermContext):
+    class RecordingRun(_Run):
         __slots__ = ()
 
-        def _get(self, kind, n):
-            reads.append((kind, n))
-            return TermContext._get(self, kind, n)
+        def __getitem__(self, n):
+            reads.append((self.kind, n))
+            return dict.__getitem__(self, n)
 
-    monkeypatch.setattr(catalog, "TermContext", RecordingTermContext)
+    monkeypatch.setattr(sequences, "_Run", RecordingRun)
     keys = [key for key, _, _ in catalog.list_identities()]
     ids = keys if order == "registry" else keys[::-3]
     idents = [catalog.REGISTRY[key] for key in ids]
@@ -87,7 +94,7 @@ def test_fuzz_trial_reads_what_the_checks_read(monkeypatch, order):
         by_fuzz = reads[:]
         reads.clear()
         rng = random.Random(seed)
-        t = Terms(RecordingTermContext(sampler.draw_params(rng)), SequenceKind.W)
+        t = Terms(TermContext(sampler.draw_params(rng)), SequenceKind.W)
         drawn = catalog._randints(rng, -sampler.max_index, sampler.max_index,
                                   sum(len(ident.variables) for ident in idents))
         start = 0

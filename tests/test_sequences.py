@@ -1,6 +1,8 @@
 import gc
+import inspect
 import math
 import random
+import sys
 import weakref
 from decimal import Decimal
 from fractions import Fraction
@@ -9,14 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horadam import catalog, sequences, theorems
+import horadam
+from horadam import catalog, lemmas, sequences, theorems
 from horadam.errors import CompositeModulus, DegenerateRoot, EmptyRange
-from horadam.field import ModInt, PrimeField, Ratio
+from horadam.field import ModInt, PrimeField, Ratio, reduced
 from horadam.sequences import (
     PRESETS,
     HoradamParams,
     SequenceKind,
     TermContext,
+    Terms,
     _kernel,
     binet_term,
     doubling_term,
@@ -638,3 +642,97 @@ class TestTermContext:
         ctx = TermContext(FIBW)
         assert ctx.w(-7) == ctx.w(-7)
         assert ctx.u(13) == ctx.u(13)
+
+    def test_checker_reads_are_the_cache_dicts_subscripts(self):
+        # u, v, w and qp are the C-level __getitem__ of the context's dicts:
+        # w of the kind's own run, qp of the q-power cache
+        ctx = TermContext(FIBW)
+        for kind in SequenceKind:
+            t = Terms(ctx, kind)
+            for member, cache in (("u", ctx._vals[U]), ("v", ctx._vals[V]),
+                                  ("w", ctx._vals[kind]), ("qp", ctx._qpows)):
+                read = getattr(t, member)
+                assert inspect.isbuiltin(read), (kind, member)
+                assert read.__self__ is cache and read.__name__ == "__getitem__"
+
+    def test_a_cached_read_starts_no_python_frame(self):
+        t = Terms(TermContext(FIBW), W)
+        reads = (t.u, t.v, t.w, t.qp)
+        for read in reads:
+            read(-6)
+            read(7)     # the walks and the q-powers are built before the hits
+        events = []
+        sys.setprofile(lambda frame, event, arg: events.append(event))
+        try:
+            for read in reads:
+                read(-6)
+                read(7)
+        finally:
+            sys.setprofile(None)
+        # eight C calls and returns, then the profiler's own removal
+        assert events == ["c_call", "c_return"] * 8 + ["c_call"]
+
+    @pytest.mark.parametrize("field", ["Q", "GF(10^9+7)"])
+    def test_subscripts_equal_term(self, field):
+        rng = random.Random(2701)
+        params = random_params(rng)
+        if field != "Q":
+            f = PrimeField(1_000_000_007)
+            params = HoradamParams(*(f(getattr(params, x)) for x in "abpq"))
+        ctx = TermContext(params)
+        order = [rng.randint(-30, 30) for _ in range(40)] + list(range(-30, 31))
+        for kind in SequenceKind:
+            run = ctx._vals[kind]
+            for n in order:
+                assert reduced(run[n]) == term(params, kind, n), (field, kind, n)
+        for e in range(-5, 6):
+            assert reduced(ctx._qpows[e]) == params.q ** e
+
+
+# every public function of `horadam` with an index argument, with a valid
+# call; `binomial`'s k and j are binomial arguments, not term indices. The
+# test also passes bad indices to `TermContext`'s public accessors.
+INDEX_NAMES = {"n", "m", "r", "s", "k", "lo", "hi"}
+_LEMMA_CFG = lemmas.RecurrenceConfig(Fraction(1), FIB.p, -FIB.q, 1, 2)
+_X = TermContext(FIB).u
+VALID_CALLS = {
+    "term": (FIB, U, 5),
+    "doubling_term": (FIB, U, 5),
+    "binet_term": (FIB, U, 5),
+    "fast_uv": (FIB, 5),
+    "term_range": (FIB, U, 0, 3),
+    "run_bench": (Fraction(1), Fraction(-1), 5),
+    "lemma1_sum": (_LEMMA_CFG, _X, _X, 5, 2),
+    "lemma2_sums": (_LEMMA_CFG, _X, 5, 2, 1),
+    "lemma3_binomial_sums": (_LEMMA_CFG, _X, 5, 2, 1),
+    "lemma45_reciprocal": (_LEMMA_CFG, _X, _X, 5, 2, "L4"),
+    "theorem_sum": (theorems.TheoremSelector(5, 1), FIB, 9, 2, 1, 0, 1),
+    "reciprocal_sum": (theorems.TheoremSelector(5, 1), FIB, 9, 2, 1, 0, 1),
+    "singularity_scan": (theorems.TheoremSelector(5, 1), FIB, 9, 2, 1, 0, 1),
+}
+
+
+def test_every_public_index_argument_takes_only_an_int():
+    public = {name: getattr(horadam, name) for name in dir(horadam)
+              if not name.startswith("_") and inspect.isfunction(getattr(horadam, name))}
+    with_indices = {name for name, fn in public.items()
+                    if INDEX_NAMES & set(inspect.signature(fn).parameters)}
+    assert with_indices - {"binomial"} == set(VALID_CALLS)
+    for name, args in VALID_CALLS.items():
+        fn = public[name]
+        fn(*args)
+        params = list(inspect.signature(fn).parameters)
+        for i, arg in enumerate(params):
+            if arg not in INDEX_NAMES:
+                continue
+            for bad in (True, 2.0, "3"):
+                call = list(args)
+                call[i] = bad
+                with pytest.raises(ValueError, match=f"^{arg} must be an int, got "):
+                    fn(*call)
+    ctx = TermContext(FIB)
+    for read, arg in ((ctx.u, "n"), (ctx.v, "n"), (ctx.w, "n"), (ctx.qp, "e")):
+        read(5)
+        for bad in (True, 2.0, "3"):
+            with pytest.raises(ValueError, match=f"^{arg} must be an int, got "):
+                read(bad)
