@@ -2,10 +2,11 @@
 
 Each entry is written once, as the formula `horadam verify` displays, in the
 grammar of `formula`. Its left and right evaluators are compiled from that
-formula's two sides at import (`_I`), so what is displayed is what is
-evaluated. `evaluate` builds a `TermContext` for its parameters and runs
-them on its checker accessor (`sequences.Terms`), over the cache's
-unreduced `Ratio` pairs. `fuzz` decides a draw on such an accessor without
+formula's two sides on first use (`Identity.lhs`, `Identity.rhs`), so what
+is displayed is what is evaluated, and an import compiles no side.
+`evaluate` builds a `TermContext` for its parameters and runs them on its
+checker accessor (`sequences.Terms`), over the cache's unreduced `Ratio`
+pairs. `fuzz` decides a draw on such an accessor without
 `Ratio` operators: the pair compiler (`formula._pair_lines`) turns the same
 formula into integer arithmetic on the unreduced term pairs, with the same
 term reads, and one generated call decides about eight consecutive entries
@@ -30,13 +31,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, repeat
 from operator import add
 from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import HoradamError, UnknownIdentity, require_int
 from .field import format_scalar, reduced
-from .formula import as_kind, compile_sides, compile_trial_chunk, compile_tuple, derivation
+from .formula import as_kind, compile_side, compile_trial_chunk, compile_tuple, derivation
 from .sequences import HoradamParams, SequenceKind, TermContext, Terms
 
 
@@ -54,16 +56,27 @@ class Derivation:
 
 @dataclass(frozen=True)
 class Identity:
-    """lhs and rhs take the accessor, then the `variables` values in order.
-    `derived` holds the record's text until `_registry` compiles it."""
+    """A catalog entry. Its sides come only from `formula`: `lhs` and `rhs`
+    are each compiled from its own side of the formula on first read, and a
+    later read is an instance-dict hit. Each takes the accessor, then the
+    `variables` values in order. `derived` holds the record's text until
+    `_registry` compiles it."""
 
     key: str
     tag: str
     variables: tuple
-    lhs: Callable
-    rhs: Callable
     formula: str
     derived: Optional[Derivation] = None
+
+    @cached_property
+    def lhs(self) -> Callable:
+        """`compile_side` of the formula's left side."""
+        return compile_side(self.variables, self.formula, 0)
+
+    @cached_property
+    def rhs(self) -> Callable:
+        """`compile_side` of the formula's right side."""
+        return compile_side(self.variables, self.formula, 1)
 
 
 @dataclass(frozen=True)
@@ -90,12 +103,10 @@ class VerificationReport:
 
 
 def _I(key, variables, formula, derived=None):
-    """An entry whose two sides are compiled from its displayed formula, so
-    what `horadam verify` prints is what is evaluated; `derived` is its
-    derivation text."""
-    lhs, rhs = compile_sides(variables, formula)
-    return Identity(key, key.rpartition(".")[2], tuple(variables), lhs, rhs,
-                    formula, derived)
+    """An entry whose two sides are compiled from its displayed formula on
+    first use, so what `horadam verify` prints is what is evaluated;
+    `derived` is its derivation text."""
+    return Identity(key, key.rpartition(".")[2], tuple(variables), formula, derived)
 
 
 # -- master identity and its index permutations --

@@ -9,14 +9,15 @@ a digit or a `)` before a letter or a parenthesis multiplies (`2n`,
 coefficient; `sum_{j=0}^{k} S` is the sum of S over j = 0..k, and its
 summand S runs to the end of its side, so a factor before `sum` multiplies
 the whole sum. Text after ` # ` is a note, displayed but not evaluated. The
-catalog (`catalog`) and the summation theorems (`theorems`) compile their
-displayed forms with the same helper, `compile_sides`. The pair compiler
-takes the whole grammar: a sum is a loop into one pair, `C(k,j)` an int
-factor, `/` a swapped pair, and an index exponent (`(-1)^j`,
-`u(m-s)^(k-j)`) a power taken at run time; it rejects a negative literal
-exponent, one that is not an index, and a sum whose index is one of the
-formula's variables; `fuzz` refuses an entry it rejects. Derivation
-records and relations hold `name=expr, ...` lists (`assignments`).
+catalog (`catalog`) and the summation theorems (`theorems`) compile each
+side of their displayed forms on first use, with the same helper,
+`compile_side`. The pair compiler takes the whole grammar: a sum is a loop
+into one pair, `C(k,j)` an int factor, `/` a swapped pair, and an index
+exponent (`(-1)^j`, `u(m-s)^(k-j)`) a power taken at run time; it rejects a
+negative literal exponent, one that is not an index, and a sum whose index
+is one of the formula's variables; `fuzz` refuses an entry it rejects.
+Derivation records and relations hold `name=expr, ...` lists
+(`assignments`).
 """
 from __future__ import annotations
 
@@ -99,10 +100,15 @@ def compile_tuple(variables, texts) -> Callable:
     return compile_expression(variables, "(" + "".join(f"{text}, " for text in texts) + ")")
 
 
+def compile_side(variables, formula, side) -> Callable:
+    """Side `side` of a displayed formula, 0 the left and 1 the right,
+    compiled by `compile_expression`."""
+    return compile_expression(variables, _sides(formula)[side])
+
+
 def compile_sides(variables, formula) -> tuple:
-    """(lhs, rhs): the two sides of a displayed formula, each compiled by
-    `compile_expression`."""
-    return tuple(compile_expression(variables, side) for side in _sides(formula))
+    """(lhs, rhs): `compile_side` of each side of a displayed formula."""
+    return compile_side(variables, formula, 0), compile_side(variables, formula, 1)
 
 
 def _times(x, y):

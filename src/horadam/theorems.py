@@ -2,9 +2,10 @@
 
 Each theorem has one to three base forms, each written once as the formula
 `horadam sum` displays (`_BASES`), in the grammar of `formula`. Its two
-sides are compiled from that text at import (`formula.compile_sides`), so
-what is displayed is what is evaluated. `theorem_sum` takes every theorem,
-2-6, and computes:
+sides, factor and window are compiled from that text on first use
+(`formula.compile_side`, `_Form`), so what is displayed is what is
+evaluated, and an import compiles none of them. `theorem_sum` takes every
+theorem, 2-6, and computes:
 
   1. the direct sum of the displayed left side,
   2. the displayed right side, the closed form,
@@ -19,7 +20,7 @@ denominator scan run on the checker accessor of one `TermContext` for the
 caller's parameters, with w read as the selected kind (`sequences.Terms`,
 over unreduced `Ratio` pairs); each leg is reduced to a `Fraction` once,
 for the `SumReport`. Over Q, legs 1 and 2 run on integer pairs: a form's
-`sides`, compiled from the same displayed text on first use
+`sides`, compiled from the same displayed text
 (`formula.compile_pair_sides`, on the pair compiler that also writes
 `fuzz`'s trial chunks), reads the same terms as `lhs` then `rhs`, and the
 lemma's probe checks each point with one integer comparison. The
@@ -55,7 +56,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from .errors import GuardViolation, require_int
 from .field import format_scalar, reduced
 from .formula import (as_kind, assignments, compile_expression, compile_pair_sides,
-                      compile_sides, compile_tuple, reads)
+                      compile_side, compile_tuple, reads)
 from .lemmas import _denominator_window, _lemma
 # The lemma leg calls the private form above. The public lemma functions stay
 # importable from here: perfbench/layers.py rebinds them on this module by name.
@@ -149,19 +150,35 @@ _COMPILED = {text: _relation_of(text) for text in (_OVER_W, _U_TO_W)}
 
 @dataclass(frozen=True)
 class _Form:
-    """A base form compiled from its `_BASES` entry: the displayed sides, the
-    factor and window texts, over the accessor and n, m, r, s, k, and the
-    theorem's relation. `sides`, the displayed sides on integer pairs, is
-    compiled from the same formula on first use."""
+    """A base form from its `_BASES` entry: the displayed formula, the lemma
+    variant's label, the factor and window texts, and the theorem's compiled
+    relation. The displayed sides (`lhs`, `rhs`), the `factor` and the
+    `window`, over the accessor and n, m, r, s, k, and `sides`, the displayed
+    sides on integer pairs, are each compiled from their text on first use."""
 
     key: str
     formula: str
-    lhs: Callable
-    rhs: Callable
     variant: str
-    factor: Callable
-    window: Optional[Callable]
+    factor_text: str
+    window_text: Optional[str]
     relation: _Relation
+
+    @cached_property
+    def lhs(self) -> Callable:
+        return compile_side("nmrsk", self.formula, 0)
+
+    @cached_property
+    def rhs(self) -> Callable:
+        return compile_side("nmrsk", self.formula, 1)
+
+    @cached_property
+    def factor(self) -> Callable:
+        return compile_expression("nmrsk", self.factor_text)
+
+    @cached_property
+    def window(self) -> Optional[Callable]:
+        """The window's stride, or None for a form without denominators."""
+        return self.window_text and compile_expression("nmrsk", self.window_text)
 
     @cached_property
     def sides(self) -> Callable:
@@ -170,10 +187,9 @@ class _Form:
 
 
 def _form(theorem, formula, variant, factor, window) -> _Form:
-    """The `_BASES` entry (formula, variant, factor, window) of `theorem`, compiled."""
-    return _Form(f"theorem {theorem}", formula, *compile_sides("nmrsk", formula),
-                 variant, compile_expression("nmrsk", factor),
-                 window and compile_expression("nmrsk", window),
+    """The `_BASES` entry (formula, variant, factor, window) of `theorem`,
+    with the theorem's relation."""
+    return _Form(f"theorem {theorem}", formula, variant, factor, window,
                  _COMPILED[_RELATIONS[theorem]])
 
 

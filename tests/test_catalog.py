@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import json
 import os
 import random
 import re
@@ -10,12 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from horadam import catalog
+from horadam import catalog, theorems
 from horadam import formula as grammar
 from horadam.catalog import (
     REGISTRY,
     FuzzReport,
-    Identity,
     IdentityStats,
     SamplerConfig,
     base_assignment,
@@ -318,11 +318,7 @@ class TestFuzz:
         assert rep.all_passed
 
     def test_corrupted_identity_reports_counterexample(self, monkeypatch):
-        broken = Identity(
-            key="broken", tag="x", variables=("n",),
-            lhs=lambda t, n: t.u(n),
-            rhs=lambda t, n: t.u(n) + 1,
-            formula="u(n) = u(n) + 1")
+        broken = catalog._I("broken", "n", "u(n) = u(n) + 1")
         registry = dict(REGISTRY)
         registry["broken"] = broken
         monkeypatch.setattr(catalog, "REGISTRY", registry)
@@ -747,3 +743,42 @@ class TestTrialChunk:
             fuzz(keys, 0, SamplerConfig(), 1)
         with pytest.raises(UnknownIdentity, match="no identity with key 'nope'"):
             fuzz([*keys, "nope"], 1, SamplerConfig(), 1)
+
+
+class TestCompileOnFirstUse:
+    def test_an_import_compiles_no_side(self):
+        # in a fresh process, importing the package and evaluating a term
+        # compiles no identity side and no theorem member; every entry and
+        # form is there, and `evaluate` compiles the two sides it reads, once
+        src = str(Path(catalog.__file__).parents[1])
+        code = (
+            "import contextlib, io, json\n"
+            "import horadam\n"
+            "from horadam import catalog, cli, theorems\n"
+            "from horadam.sequences import PRESETS\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = cli.main(['eval', '--preset', 'fibonacci', '--kind', 'u', '--n', '10'])\n"
+            "def compiled():\n"
+            "    return ([k for k, i in catalog.REGISTRY.items() if {'lhs', 'rhs'} & vars(i).keys()],\n"
+            "            [list(k) for k, f in theorems._FORMS.items()\n"
+            "             if {'lhs', 'rhs', 'factor', 'window', 'sides'} & vars(f).keys()])\n"
+            "before = compiled()\n"
+            "report = catalog.evaluate('H', PRESETS['fibonacci'], dict(n=3, m=2, r=1, s=0))\n"
+            "H = catalog.REGISTRY['H']\n"
+            "print(json.dumps(dict(\n"
+            "    eval=[code, out.getvalue()], before=before, after=compiled(),\n"
+            "    held=sorted({'lhs', 'rhs'} & vars(H).keys()),\n"
+            "    equal=report.equal, same=[H.lhs is H.lhs, H.rhs is H.rhs],\n"
+            "    keys=list(catalog.REGISTRY), forms=sorted(map(list, theorems._FORMS)))))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        got = json.loads(out.stdout)
+        assert got["eval"] == [0, "55\n"]
+        assert got["before"] == [[], []]
+        assert got["after"] == [["H"], []] and got["held"] == ["lhs", "rhs"]
+        assert got["equal"] and got["same"] == [True, True]
+        assert got["keys"] == list(REGISTRY) and len(got["keys"]) == 73
+        assert got["forms"] == [[theorem, base] for theorem, bases in theorems._BASES.items()
+                                for base in range(1, len(bases) + 1)]

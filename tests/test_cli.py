@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from horadam import bench, catalog, cli, theorems
-from horadam.catalog import Identity
 from horadam.errors import HoradamError, NonInvertible
 from horadam.sequences import PRESETS, HoradamParams, fast_uv
 from horadam.cli import main
@@ -61,10 +60,7 @@ FUZZ_SHORT_SHA256 = {
     7: "8a5595a2ca1847ec09065cf43c1aac80d5b28ce3c387b89520692e33b274da4d",
 }
 
-BROKEN = Identity(key="broken", tag="x", variables=("n",),
-                  lhs=lambda t, n: t.u(n),
-                  rhs=lambda t, n: t.u(n) + 1,
-                  formula="u(n) = u(n) + 1")
+BROKEN = catalog._I("broken", "n", "u(n) = u(n) + 1")
 
 
 def run(capsys, argv, entry=main):
