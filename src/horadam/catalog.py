@@ -16,9 +16,9 @@ calls; `fuzz` refuses an entry the pair compiler rejects. One helper,
 fuzz draw from `lhs` and `rhs`, each side reduced to a `Fraction` once.
 The sides stay independent: no algebraic simplification is shared between
 them, so an exact match is evidence, not tautology. A derived entry's
-`Derivation` is text in the same grammar, its base at mapped indices
+record is text in the same grammar, its base at mapped indices
 (`"H at r=0, s=-m"`), read as u or v where it says so
-(`"cor1.35 at m=0 as v"`).
+(`"cor1.35 at m=0 as v"`), checked and compiled on first use (`derivation`).
 
 Key scheme: H/F/G/J are the master identity and its index permutations;
 lin.9/dbl.10/mul.15-18/neg.* cover the basic linear, doubling,
@@ -29,7 +29,7 @@ cor1.29-59 and cor2.55-75 are the two corollary families in source order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -43,30 +43,18 @@ from .sequences import HoradamParams, SequenceKind, TermContext, Terms
 
 
 @dataclass(frozen=True)
-class Derivation:
-    """How an entry follows from a base entry, as formula-grammar text
-    `<base>[ at <var>=<expr>, ...][ as u|v]`; a base variable it does not map
-    keeps its value. `index_map(None, *values)` is the compiled map."""
-
-    text: str
-    base: str
-    specialize: Optional[SequenceKind]
-    index_map: Callable
-
-
-@dataclass(frozen=True)
 class Identity:
     """A catalog entry. Its sides come only from `formula`: `lhs` and `rhs`
     are each compiled from its own side of the formula on first read, and a
     later read is an instance-dict hit. Each takes the accessor, then the
-    `variables` values in order. `derived` holds the record's text until
-    `_registry` compiles it."""
+    `variables` values in order. `derived` is the text of the derivation
+    record or None, which `derivation` compiles on first read."""
 
     key: str
     tag: str
     variables: tuple
     formula: str
-    derived: Optional[Derivation] = None
+    derived: Optional[str] = None
 
     @cached_property
     def lhs(self) -> Callable:
@@ -77,6 +65,11 @@ class Identity:
     def rhs(self) -> Callable:
         """`compile_side` of the formula's right side."""
         return compile_side(self.variables, self.formula, 1)
+
+    @cached_property
+    def derivation(self) -> Optional[tuple]:
+        """`_derivation` of the entry in `REGISTRY`; None without a record."""
+        return None if self.derived is None else _derivation(self, REGISTRY)
 
 
 @dataclass(frozen=True)
@@ -198,10 +191,16 @@ _ENTRIES = [
 ]
 
 
-def _derivation(ident: Identity, registry: dict) -> Derivation:
-    """`ident.derived` compiled; ValueError naming the entry for an unreadable
-    text, an unknown base, a variable the base lacks or a name the entry lacks."""
-    record = derivation(ident.derived)
+def _derivation(ident: Identity, registry: dict) -> tuple:
+    """(base key, SequenceKind or None, index map) of `ident.derived` over
+    `registry`, where `index_map(None, *values)` gives the base's values (an
+    unmapped base variable keeps its value); ValueError naming the entry for
+    an unreadable text, an unknown base, a variable mapped twice, a variable
+    the base lacks or a name the entry lacks."""
+    try:
+        record = derivation(ident.derived)
+    except ValueError as exc:
+        raise ValueError(f"{ident.key}: {exc}") from None
     if record is None or record[0] not in registry:
         raise ValueError(f"{ident.key}: {ident.derived!r} is not "
                          "'<base key>[ at <var>=<expr>, ...][ as u|v]'")
@@ -213,20 +212,16 @@ def _derivation(ident: Identity, registry: dict) -> Derivation:
     if index_map.__code__.co_names:
         raise ValueError(f"{ident.key}: {ident.derived!r} names "
                          f"{sorted(index_map.__code__.co_names)}, not one of its variables")
-    return Derivation(ident.derived, base, kind and SequenceKind(kind), index_map)
+    return base, kind and SequenceKind(kind), index_map
 
 
 def _registry(entries) -> dict:
-    """key -> Identity, each derivation compiled once all entries are in (the
-    base of dbl.10 comes after it); ValueError naming a repeated key."""
+    """key -> Identity; ValueError naming a repeated key."""
     registry = {}
     for ident in entries:
         if ident.key in registry:
             raise ValueError(f"duplicate identity key {ident.key!r}")
         registry[ident.key] = ident
-    for ident in entries:
-        if ident.derived is not None:
-            registry[ident.key] = replace(ident, derived=_derivation(ident, registry))
     return registry
 
 
@@ -288,11 +283,11 @@ def base_assignment(ident: Identity, assignment: dict) -> Optional[tuple]:
     entries; None when the entry has no derivation record. The assignment
     must give exactly the entry's variables (ValueError otherwise)."""
     _check_assignment(ident, assignment)
-    der = ident.derived
-    if der is None:
+    if ident.derivation is None:
         return None
-    values = der.index_map(None, *(assignment[v] for v in ident.variables))
-    return der.base, der.specialize, dict(zip(REGISTRY[der.base].variables, values))
+    base, kind, index_map = ident.derivation
+    values = index_map(None, *(assignment[v] for v in ident.variables))
+    return base, kind, dict(zip(REGISTRY[base].variables, values))
 
 
 def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list:

@@ -17,7 +17,7 @@ exponent (`(-1)^j`, `u(m-s)^(k-j)`) a power taken at run time; it rejects a
 negative literal exponent, one that is not an index, and a sum whose index
 is one of the formula's variables; `fuzz` refuses an entry it rejects.
 Derivation records and relations hold `name=expr, ...` lists
-(`assignments`).
+(`assignments`), and are compiled on first use too.
 """
 from __future__ import annotations
 
@@ -72,8 +72,14 @@ def reads(text) -> list:
 
 
 def assignments(text) -> dict:
-    """name -> expression text of a `name=expr, ...` list."""
-    return dict(item.split("=") for item in text.split(", ") if item)
+    """name -> expression text of a `name=expr, ...` list; ValueError naming
+    a name the list assigns twice."""
+    found = {}
+    for name, expr in (item.split("=") for item in text.split(", ") if item):
+        if name in found:
+            raise ValueError(f"{text!r} assigns {name} twice")
+        found[name] = expr
+    return found
 
 
 def derivation(text) -> Optional[tuple]:
@@ -104,11 +110,6 @@ def compile_side(variables, formula, side) -> Callable:
     """Side `side` of a displayed formula, 0 the left and 1 the right,
     compiled by `compile_expression`."""
     return compile_expression(variables, _sides(formula)[side])
-
-
-def compile_sides(variables, formula) -> tuple:
-    """(lhs, rhs): `compile_side` of each side of a displayed formula."""
-    return compile_side(variables, formula, 0), compile_side(variables, formula, 1)
 
 
 def _times(x, y):

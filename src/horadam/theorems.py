@@ -2,8 +2,8 @@
 
 Each theorem has one to three base forms, each written once as the formula
 `horadam sum` displays (`_BASES`), in the grammar of `formula`. Its two
-sides, factor and window are compiled from that text on first use
-(`formula.compile_side`, `_Form`), so what is displayed is what is
+sides, factor, window and relation are compiled from their text on first
+use (`formula.compile_side`, `_Form`), so what is displayed is what is
 evaluated, and an import compiles none of them. `theorem_sum` takes every
 theorem, 2-6, and computes:
 
@@ -32,15 +32,15 @@ GuardViolation; reciprocal sums whose denominator window contains a
 vanishing term raise SingularSummand. Wrong numbers are never
 returned silently.
 
-Each theorem follows from one of two three-term relations (`_RELATIONS`).
-Each base form names the lemma variant it follows from by its label in the
-lemma table ("lemma 2 variant 1", "L5c"), and carries its lemma factor and,
-if reciprocal, its denominator window: the relations, factors and windows
-are text in the same grammar, and a guard names the term that `formula.reads`
-finds in its coefficient. The lemma sums stay code (`lemmas`), whose
-probe checks the relation first. The variants past the base forms (4-6, or
-2 for theorems 3 and 5) evaluate a base form after the swap
-(r, s) -> (-s, -r).
+Each theorem follows from one of two three-term relations (`_RELATIONS`, each
+compiled once by `_relation_of`). Each base form names the lemma variant it
+follows from by its label in the lemma table ("lemma 2 variant 1", "L5c"),
+and carries its lemma factor and, if reciprocal, its denominator window: the
+relations, factors and windows are text in the same grammar, and a guard
+names the term that `formula.reads` finds in its coefficient. The lemma sums
+stay code (`lemmas`), whose probe checks the relation first. The variants
+past the base forms (4-6, or 2 for theorems 3 and 5) evaluate a base form
+after the swap (r, s) -> (-s, -r).
 
 Two displayed equations in the source are misprints (they are otherwise
 false); theorem 2's second base form is written as its own derivation
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import GuardViolation, require_int
@@ -132,6 +132,7 @@ class _Relation(NamedTuple):
     guards: tuple               # (sequence, index function) of the terms in h, f1, f2
 
 
+@cache
 def _relation_of(text: str) -> _Relation:
     fields = assignments(text)
     # h, f1 and f2 each read one u, v or w term, which its guard names
@@ -145,23 +146,25 @@ def _relation_of(text: str) -> _Relation:
                      tuple((x, compile_expression("nmrs", index)) for x, index in guards))
 
 
-_COMPILED = {text: _relation_of(text) for text in (_OVER_W, _U_TO_W)}
-
-
 @dataclass(frozen=True)
 class _Form:
     """A base form from its `_BASES` entry: the displayed formula, the lemma
-    variant's label, the factor and window texts, and the theorem's compiled
-    relation. The displayed sides (`lhs`, `rhs`), the `factor` and the
-    `window`, over the accessor and n, m, r, s, k, and `sides`, the displayed
-    sides on integer pairs, are each compiled from their text on first use."""
+    variant's label, the factor and window texts, and the theorem's relation
+    text. The displayed sides (`lhs`, `rhs`), the `factor` and the `window`,
+    over the accessor and n, m, r, s, k, `sides`, the displayed sides on
+    integer pairs, and the `relation` are each compiled from their text on
+    first use."""
 
     key: str
     formula: str
     variant: str
     factor_text: str
     window_text: Optional[str]
-    relation: _Relation
+    relation_text: str
+
+    @cached_property
+    def relation(self) -> _Relation:
+        return _relation_of(self.relation_text)
 
     @cached_property
     def lhs(self) -> Callable:
@@ -188,9 +191,8 @@ class _Form:
 
 def _form(theorem, formula, variant, factor, window) -> _Form:
     """The `_BASES` entry (formula, variant, factor, window) of `theorem`,
-    with the theorem's relation."""
-    return _Form(f"theorem {theorem}", formula, variant, factor, window,
-                 _COMPILED[_RELATIONS[theorem]])
+    with the theorem's relation text."""
+    return _Form(f"theorem {theorem}", formula, variant, factor, window, _RELATIONS[theorem])
 
 
 # (theorem, base) -> _Form

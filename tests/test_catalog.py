@@ -77,7 +77,7 @@ class TestRegistry:
             vars_doc, formula_doc, derived_doc = documented[ident.key]
             assert vars_doc == ", ".join(ident.variables)
             assert formula_doc == ident.formula
-            assert derived_doc == (ident.derived.text if ident.derived else "")
+            assert derived_doc == (ident.derived or "")
 
 
 class TestEvaluate:
@@ -172,21 +172,36 @@ class TestDerivations:
         ("H at r=0, z=1", r"H has no variable \['z'\]"),
         ("H at r=0, s=-x", r"names \['x'\]"),
         ("H at r=0", r"names \['s'\]"),
+        ("H at r=0, s=-m, s=1", "assigns s twice"),
     ])
     def test_malformed_text_fails_naming_the_entry(self, text, message):
-        # unknown base, a variable the base lacks, a name the entry lacks
+        # unknown base, a variable the base lacks, a name the entry lacks, a
+        # variable mapped twice
         entry = catalog._I("x.1", "nm", REGISTRY["cor1.29"].formula, text)
         with pytest.raises(ValueError, match=f"^x.1: .*{message}"):
-            catalog._registry([REGISTRY["H"], entry])
+            catalog._derivation(entry, {"H": REGISTRY["H"]})
+
+    def test_every_record_compiles(self):
+        # a record is checked on its first read, not at import, so every one
+        # is read here: its base is an entry and its kind None, u or v
+        derived = [i for i in REGISTRY.values() if i.derived is not None]
+        assert len(derived) == 57
+        for ident in derived:
+            assert isinstance(ident.derived, str)
+            base, kind, index_map = ident.derivation
+            assert base in REGISTRY and kind in (None, SequenceKind.U, SequenceKind.V)
+            values = index_map(None, *range(len(ident.variables)))
+            assert len(values) == len(REGISTRY[base].variables), ident.key
 
     def test_text_compiles_to_the_base_assignment(self):
         ident = REGISTRY["cor1.56"]
-        assert ident.derived.text == "H at m=0, r=t-s, s=-s"
+        assert ident.derived == "H at m=0, r=t-s, s=-s"
         assert base_assignment(ident, dict(n=4, s=1, t=3)) == (
             "H", None, dict(n=4, m=0, r=2, s=-1))
         assert base_assignment(REGISTRY["cor2.57"], dict(n=5)) == (
             "cor1.35", SequenceKind.V, dict(n=5, m=0))
         assert base_assignment(REGISTRY["lin.9"], dict(n=5)) is None
+        assert REGISTRY["lin.9"].derivation is None
 
     @pytest.mark.parametrize("key,assignment,message", [
         ("cor1.29", dict(n=1), r"missing \['m'\]"),
@@ -203,9 +218,9 @@ class TestDerivations:
 
     def test_specializations_point_at_masters(self):
         for i in range(21, 25):
-            assert REGISTRY[f"spec.{i}"].derived.base in "HFGJ"
+            assert REGISTRY[f"spec.{i}"].derivation[0] in "HFGJ"
         for i in range(25, 29):
-            assert REGISTRY[f"spec.{i}"].derived.base in "HFGJ"
+            assert REGISTRY[f"spec.{i}"].derivation[0] in "HFGJ"
 
     def test_specializations_equal_master_at_uv_seeds(self):
         # the u/v specializations coincide with the master identities
@@ -782,3 +797,43 @@ class TestCompileOnFirstUse:
         assert got["keys"] == list(REGISTRY) and len(got["keys"]) == 73
         assert got["forms"] == [[theorem, base] for theorem, bases in theorems._BASES.items()
                                 for base in range(1, len(bases) + 1)]
+
+    def test_an_import_compiles_no_formula(self):
+        # in a fresh process, with exec counted from before the import: the
+        # import and a CLI term evaluation compile no formula, no relation or
+        # derivation record is compiled before its first read, and
+        # base_assignment compiles its own entry's record alone
+        src = str(Path(catalog.__file__).parents[1])
+        code = (
+            "import builtins, contextlib, io, json\n"
+            "sources = []\n"
+            "run = builtins.exec\n"
+            "def counted(source, *args, **kwargs):\n"
+            "    if isinstance(source, str) and source.startswith(\n"
+            "            ('def expression(', 'def sides(', 'def chunk(')):\n"
+            "        sources.append(source)\n"
+            "    return run(source, *args, **kwargs)\n"
+            "builtins.exec = counted\n"
+            "import horadam\n"
+            "from horadam import catalog, cli, theorems\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = cli.main(['eval', '--preset', 'fibonacci', '--kind', 'u', '--n', '10'])\n"
+            "def held(name, records):\n"
+            "    return [str(k) for k, x in records.items() if name in vars(x)]\n"
+            "got = dict(eval=[code, out.getvalue()], compiled=len(sources),\n"
+            "           relations=held('relation', theorems._FORMS),\n"
+            "           derivations=held('derivation', catalog.REGISTRY))\n"
+            "mapped = catalog.base_assignment(catalog.REGISTRY['cor1.56'], dict(n=4, s=1, t=3))\n"
+            "got.update(mapped=[mapped[0], mapped[2]], after=len(sources),\n"
+            "           held=held('derivation', catalog.REGISTRY))\n"
+            "print(json.dumps(got))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        got = json.loads(out.stdout)
+        assert got["eval"] == [0, "55\n"]
+        assert got["compiled"] == 0
+        assert got["relations"] == [] and got["derivations"] == []
+        assert got["mapped"] == ["H", dict(n=4, m=0, r=2, s=-1)]
+        assert got["after"] == 1 and got["held"] == ["cor1.56"]

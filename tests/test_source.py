@@ -18,7 +18,7 @@ def test_library_has_no_assert_statements():
 
 
 def test_catalog_has_no_lambda():
-    # every derivation record is formula-grammar text, compiled at import
+    # every derivation record is formula-grammar text, compiled on first use
     tree = ast.parse((SRC / "catalog.py").read_text(encoding="utf-8"))
     found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Lambda)]
     assert not found, found

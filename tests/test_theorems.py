@@ -12,7 +12,7 @@ from horadam import cli, lemmas, theorems
 from horadam.catalog import SamplerConfig
 from horadam.errors import ConfigViolation, GuardViolation, SingularSummand
 from horadam.field import ModInt, PrimeField, Ratio
-from horadam.formula import _python, compile_expression, compile_sides
+from horadam.formula import _python, compile_expression, compile_side
 from horadam.lemmas import (
     LemmaReport,
     RecurrenceConfig,
@@ -440,7 +440,8 @@ class TestFormulaGrammar:
         assert _python(side) == python
 
     def test_note_is_displayed_not_evaluated(self):
-        lhs, rhs = compile_sides("n", "w(n) = u(n) # a note, even with w(n) = 0 in it")
+        formula = "w(n) = u(n) # a note, even with w(n) = 0 in it"
+        lhs, rhs = compile_side("n", formula, 0), compile_side("n", formula, 1)
         t = TermContext(FIBW)
         assert (lhs(t, 4), rhs(t, 4)) == (t.w(4), t.u(4))
 
@@ -489,7 +490,7 @@ class TestFormulaStrings:
             sel = TheoremSelector(theorem, base)
             assert theorem_sum(sel, CONTROL_PARAMS, *CONTROL_ARGS).equal
             monkeypatch.setitem(theorems._FORMS, (theorem, base),
-                                replace(form, relation=theorems._relation_of(text)))
+                                replace(form, relation_text=text))
             with pytest.raises(ConfigViolation, match="recurrence fails"):
                 theorem_sum(sel, CONTROL_PARAMS, *CONTROL_ARGS)
 
@@ -715,7 +716,7 @@ class TestVariantVocabulary:
         _, variant, _, window = theorems._BASES[theorem][base - 1]
         assert lemmas._VARIANTS[variant][0] is lemmas._reciprocal_sum
         stride = compile_expression("nmrsk", window)
-        relation = theorems._COMPILED[theorems._RELATIONS[theorem]]
+        relation = theorems._relation_of(theorems._RELATIONS[theorem])
         t = Terms(TermContext(CONTROL_PARAMS), SequenceKind.W)
         *nmrs, k = CONTROL_ARGS
         for swapped in (False, True):
