@@ -216,6 +216,22 @@ class Ratio:
         return f"Ratio({self.n}, {self.d})"
 
 
+def ratio_sum(pairs) -> Ratio:
+    """The sum of the integer pairs (n, d), d != 0, as one Ratio, folded in
+    one frame by `Ratio.__add__`'s rule: the gcd of the denominators, then of
+    the result."""
+    n, d = 0, 1
+    for nb, db in pairs:
+        g = gcd(d, db)
+        s = d // g
+        t = n * (db // g) + nb * s
+        g = gcd(t, g)
+        n, d = t // g, s * (db // g)
+    result = _new(Ratio)
+    result.n, result.d = n, d
+    return result
+
+
 def reduced(x):
     """A Ratio as the reduced Fraction of its value; any other scalar as is."""
     return Fraction(x.n, x.d) if type(x) is Ratio else x

@@ -23,7 +23,10 @@ Y where the variant reads Y = X, and add the right side on that relation.
 
 Accessors are plain callables int -> scalar; `TermContext` methods, the
 members of its checker accessor `Terms` (over unreduced `Ratio` pairs, as
-the theorem checkers pass them) and shifted lambdas all qualify.
+the theorem checkers pass them) and shifted lambdas all qualify. On `Ratio`
+coefficients, whose terms are `Ratio`s too, the probe compares integers and
+each sum folds its summands as integer pairs (`field.ratio_sum`) into one
+`Ratio`; on `Fraction` or `ModInt` coefficients both use the operators.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import ConfigViolation, DegenerateStride, SingularSummand, require_int
-from .field import Ratio, binomial
+from .field import Ratio, binomial, ratio_sum
 
 Accessor = Callable[[int], Any]
 
@@ -45,6 +48,8 @@ class RecurrenceConfig:
     d: int
 
     def __post_init__(self):
+        require_int("c", self.c)
+        require_int("d", self.d)
         for name in ("h", "f1", "f2"):
             if getattr(self, name) == 0:
                 raise ConfigViolation(f"coefficient {name} must be nonzero")
@@ -69,13 +74,18 @@ def _plain(cfg):
     return cfg.h, cfg.f1, cfg.f2, cfg.c, cfg.d
 
 
-def _probe(rel, X, Y, points, where, shift=0):
+def _on_pairs(rel) -> bool:
+    # Ratio coefficients come from the checkers' accessor, whose terms are
+    # Ratios too: the probe and the sums then run on their integer pairs
+    h, f1, f2 = rel[:3]
+    return type(h) is type(f1) is type(f2) is Ratio
+
+
+def _probe(rel, X, Y, points, where, shift, pairs):
     # points are caller indices: rel at n - shift is the caller's relation at n
     h, f1, f2, c, d = rel
-    pairs = type(h) is type(f1) is type(f2) is Ratio
     if pairs:
-        # Ratio coefficients come from the checkers' accessor, whose terms are
-        # Ratios too: h*X = f1*Xc + f2*Y is one cross-multiplied comparison
+        # h*X = f1*Xc + f2*Y is one cross-multiplied comparison
         left, right = h.n * f1.d * f2.d, h.d
         a, b = f1.n * f2.d, f2.n * f1.d
     for n in points:
@@ -93,7 +103,8 @@ def _probe(rel, X, Y, points, where, shift=0):
 def check_config(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, window) -> bool:
     """True iff h*X_n = f1*X_{n-c} + f2*Y_{n-d} at every n in `window`."""
     try:
-        _probe(_plain(cfg), X, Y, window, "check_config")
+        rel = _plain(cfg)
+        _probe(rel, X, Y, window, "check_config", 0, _on_pairs(rel))
     except ConfigViolation:
         return False
     return True
@@ -122,19 +133,26 @@ def _rearranged(rel, how, where):
     return rel, shift
 
 
-def _power_sum(rel, X, Y, n, k, where, shift):
+def _power_sum(rel, X, Y, n, k, where, shift, pairs):
     # lemma 1's left side
     h, f1, f2, c, d = rel
-    _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift)
+    _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift, pairs)
+    if pairs:
+        return f2 * ratio_sum((f1.n ** (k - j) * h.n ** j * y.n, f1.d ** (k - j) * h.d ** j * y.d)
+                              for j in range(k + 1) for y in [Y(n - k * c - d + c * j)])
     return f2 * sum(f1 ** (k - j) * h ** j * Y(n - k * c - d + c * j) for j in range(k + 1))
 
 
-def _binomial_sum(rel, X, Y, n, k, where, shift):
+def _binomial_sum(rel, X, Y, n, k, where, shift, pairs):
     # lemma 3's left side, the expansion of h^k X_n; it reads Y = X
     h, f1, f2, c, d = rel
     # recurrence instances consumed by the k-fold coefficient-power expansion
     points = {n + shift - a * c - (tot - a) * d for tot in range(k) for a in range(tot + 1)}
-    _probe(rel, X, Y, points, where, shift)
+    _probe(rel, X, Y, points, where, shift, pairs)
+    if pairs:
+        return ratio_sum((binomial(k, j) * f2.n ** (k - j) * f1.n ** j * x.n,
+                          f2.d ** (k - j) * f1.d ** j * x.d)
+                         for j in range(k + 1) for x in [X(n - d * k + (d - c) * j)])
     return sum(binomial(k, j) * f2 ** (k - j) * f1 ** j * X(n - d * k + (d - c) * j)
                for j in range(k + 1))
 
@@ -147,14 +165,23 @@ def _denominator_window(X, n, stride, k):
         yield max(0, i - 1), idx, X(idx) == 0
 
 
-def _reciprocal_sum(rel, X, Y, n, k, where, shift):
+def _reciprocal_sum(rel, X, Y, n, k, where, shift, pairs):
     # L4's left side, after its denominator scan
     h, f1, f2, c, d = rel
     for j, idx, zero in _denominator_window(X, n, c, k):
         if zero:
             raise SingularSummand(j, idx)
-    _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift)
-    return X(n) * X(n - c * (k + 1)) * f2 * sum(
+    _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift, pairs)
+    scale = X(n) * X(n - c * (k + 1)) * f2
+    if pairs:
+        # Y over the two X terms: each X term enters with its pair swapped
+        return scale * ratio_sum((h.n ** (k - j) * f1.n ** j * y.n * xa.d * xb.d,
+                                  h.d ** (k - j) * f1.d ** j * y.d * xa.n * xb.n)
+                                 for j in range(k + 1)
+                                 for y, xa, xb in [(Y(n - d - c * k + c * j),
+                                                    X(n - c * k + c * j),
+                                                    X(n - c - c * k + c * j))])
+    return scale * sum(
         h ** (k - j) * f1 ** j * Y(n - d - c * k + c * j)
         / (X(n - c * k + c * j) * X(n - c - c * k + c * j))
         for j in range(k + 1))
@@ -182,7 +209,7 @@ def _lemma(label, rel, X, Y, n, k):
     on, and whether the variant negated it."""
     left_side, how, odd_negates = _VARIANTS[label]
     rel, shift = _rearranged(rel, how, label)
-    lhs = left_side(rel, X, Y, n, k, label, shift)
+    lhs = left_side(rel, X, Y, n, k, label, shift, _on_pairs(rel))
     negated = odd_negates and k % 2 == 1
     return (-lhs if negated else lhs), rel, negated
 

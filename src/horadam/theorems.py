@@ -23,14 +23,14 @@ for the `SumReport`. Over Q, legs 1 and 2 run on integer pairs: a form's
 `sides`, compiled from the same displayed text
 (`formula.compile_pair_sides`, on the pair compiler that also writes
 `fuzz`'s trial chunks), reads the same terms as `lhs` then `rhs`, and the
-lemma's probe checks each point with one integer comparison. The
-relation's coefficients, the lemma sums and the factor stay on `Ratio`
-operators, so one leg runs on code that the pair compiler does not
-generate. Over GF(M) the displayed sides run on `lhs` and `rhs`, as
-`catalog.evaluate` does. Assignments that zero a lemma coefficient raise
-GuardViolation; reciprocal sums whose denominator window contains a
-vanishing term raise SingularSummand. Wrong numbers are never
-returned silently.
+lemma's probe checks each point with one integer comparison. The lemma
+sums run on integer pairs too, in loops written in `lemmas`, so one leg
+runs on code that the pair compiler does not generate; the relation's
+coefficients and the factor stay on `Ratio` operators. Over GF(M) the
+displayed sides run on `lhs` and `rhs`, as `catalog.evaluate` does.
+Assignments that zero a lemma coefficient raise GuardViolation; reciprocal
+sums whose denominator window contains a vanishing term raise
+SingularSummand. Wrong numbers are never returned silently.
 
 Each theorem follows from one of two three-term relations (`_RELATIONS`, each
 compiled once by `_relation_of`). Each base form names the lemma variant it
@@ -38,7 +38,7 @@ follows from by its label in the lemma table ("lemma 2 variant 1", "L5c"),
 and carries its lemma factor and, if reciprocal, its denominator window: the
 relations, factors and windows are text in the same grammar, and a guard
 names the term that `formula.reads` finds in its coefficient. The lemma sums
-stay code (`lemmas`), whose probe checks the relation first. The variants
+are written in `lemmas`, whose probe checks the relation first. The variants
 past the base forms (4-6, or 2 for theorems 3 and 5) evaluate a base form
 after the swap (r, s) -> (-s, -r).
 

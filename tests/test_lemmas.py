@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,15 @@ class TestRecurrenceConfig:
         for h, f1, f2 in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
             with pytest.raises(ConfigViolation):
                 RecurrenceConfig(Fraction(h), Fraction(f1), Fraction(f2), 1, 2)
+
+    @pytest.mark.parametrize("stride", ["c", "d"])
+    @pytest.mark.parametrize("value", [True, 2.0, "3"], ids=["bool", "float", "str"])
+    def test_strides_must_be_ints(self, stride, value):
+        # a bool read as 1, or a float failing later naming n, is refused here
+        strides = {"c": 1, "d": 2, stride: value}
+        message = f"{stride} must be an int, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RecurrenceConfig(Fraction(1), FIB.p, -FIB.q, **strides)
 
 
 class TestCheckConfig:

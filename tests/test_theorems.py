@@ -11,7 +11,7 @@ import pytest
 from horadam import cli, lemmas, theorems
 from horadam.catalog import SamplerConfig
 from horadam.errors import ConfigViolation, GuardViolation, SingularSummand
-from horadam.field import ModInt, PrimeField, Ratio
+from horadam.field import ModInt, PrimeField, Ratio, reduced
 from horadam.formula import _python, compile_expression, compile_side
 from horadam.lemmas import (
     LemmaReport,
@@ -521,9 +521,10 @@ class TestFormulaStrings:
 
 
 class TestPairSides:
-    """Over Q the displayed sides run on integer pairs (`_Form.sides`) and the
-    probe on one integer comparison per point; the relation, the lemma sums
-    and the factor stay on Ratio operators, and over GF(M) so do the sides."""
+    """Over Q the displayed sides run on integer pairs (`_Form.sides`), the
+    probe on one integer comparison per point and the lemma sums on integer
+    pairs written in `lemmas.py`; the relation and the factor stay on Ratio
+    operators, and over GF(M) so do the sides and the sums."""
 
     class OperatorSides(theorems._Form):
         """A form whose pair sides are the pairs of its operator sides."""
@@ -585,6 +586,74 @@ class TestPairSides:
             for variant in range(1, nvar + 1):
                 rep = theorem_sum(TheoremSelector(theorem, variant), CONTROL_PARAMS, *CONTROL_ARGS)
                 assert rep.equal and type(rep.lhs) is Fraction
+
+    def test_pair_sums_agree_with_operator_sums(self):
+        # every selector at k = 0..5: the lemma's left side on the checker
+        # accessor's pairs is the left side on the same coefficients and
+        # terms as Fractions, or raises the same error
+        rng = random.Random(157)
+        sampler = SamplerConfig(max_index=6, bound=9)
+
+        def outcome(label, rel, X, Y, n, k):
+            try:
+                lhs, _, negated = lemmas._lemma(label, rel, X, Y, n, k)
+            except Exception as exc:
+                return f"{type(exc).__name__}: {exc}"
+            return type(lhs), reduced(lhs), negated
+
+        values = checked = 0
+        for theorem, nvar in VARIANT_COUNT.items():
+            for variant in range(1, nvar + 1):
+                for kind in SequenceKind:
+                    sel = TheoremSelector(theorem, variant, kind)
+                    form = theorems._FORMS[theorem, sel.base]
+                    for k in range(6):
+                        for _ in range(2):
+                            params = sampler.draw_params(rng)
+                            eff = theorems._effective(sel, *(rng.randint(-6, 6) for _ in range(4)))
+                            t = Terms(TermContext(params), kind)
+                            try:
+                                rel, X, Y = theorems._relation(t, form.relation, "", *eff)
+                            except GuardViolation:
+                                continue
+                            by_pairs = outcome(form.variant, rel, X, Y, eff[0], k)
+                            by_operators = outcome(
+                                form.variant, (*map(reduced, rel[:3]), *rel[3:]),
+                                lambda i: reduced(X(i)), lambda i: reduced(Y(i)),
+                                eff[0], k)
+                            if isinstance(by_pairs, tuple):
+                                assert by_pairs[0] is Ratio and by_operators[0] is Fraction
+                                by_pairs, by_operators = by_pairs[1:], by_operators[1:]
+                                values += 1
+                            assert by_pairs == by_operators, (sel, eff, k)
+                            checked += 1
+        assert checked > 66 * 6 * 2 // 2 and values > checked // 2
+
+    def test_theorem_sum_over_q_runs_no_ratio_sum_operator(self, monkeypatch):
+        # the lemma sums fold integer pairs and the sides and the probe run
+        # on them: no Ratio add, subtract, power or division in any leg
+        called = []
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__pow__",
+                   "__truediv__", "__rtruediv__"):
+            def counted(*args, _op=getattr(Ratio, op), _name=op):
+                called.append(_name)
+                return _op(*args)
+            monkeypatch.setattr(Ratio, op, counted)
+        for theorem, nvar in VARIANT_COUNT.items():
+            for variant in range(1, nvar + 1):
+                rep = theorem_sum(TheoremSelector(theorem, variant), CONTROL_PARAMS, *CONTROL_ARGS)
+                assert rep.equal
+        rng = random.Random(163)
+        sampler = SamplerConfig(max_index=6, bound=9)
+        for theorem, nvar in VARIANT_COUNT.items():
+            for variant in range(1, nvar + 1):
+                for kind in SequenceKind:
+                    sel = TheoremSelector(theorem, variant, kind)
+                    for _, _, rep in guard_passing_draws(rng, sampler, sel, 1):
+                        assert rep.equal
+        assert called == []
+        # the count sees an operator call
+        assert Ratio(1, 2) + 1 == Fraction(3, 2) and called == ["__add__"]
 
     def test_a_vanishing_divisor_raises_in_the_sides(self):
         # the lemma leg's scan raises SingularSummand first; called alone,
