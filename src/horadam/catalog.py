@@ -4,16 +4,17 @@ Each entry is written once, as the formula `horadam verify` displays, in the
 grammar of `formula`. Its left and right evaluators are compiled from that
 formula's two sides on first use (`Identity.lhs`, `Identity.rhs`), so what
 is displayed is what is evaluated, and an import compiles no side.
-`evaluate` builds a `TermContext` for its parameters and runs them on its
+`evaluate` builds a `TermContext` for its parameters and runs them on the
+context itself, whose reads are reduced `Fraction`s over Q (one gcd per
+read) and `ModInt`s over GF(M). `fuzz` decides a draw on the context's
 checker accessor (`sequences.Terms`), over the cache's unreduced `Ratio`
-pairs. `fuzz` decides a draw on such an accessor without
-`Ratio` operators: the pair compiler (`formula._pair_lines`) turns the same
-formula into integer arithmetic on the unreduced term pairs, with the same
-term reads, and one generated call decides about eight consecutive entries
+pairs: the pair compiler (`formula._pair_lines`) turns the same formula
+into integer arithmetic on those pairs, with the same term reads, and one
+generated call decides about eight consecutive entries
 (`formula.compile_trial_chunk`), so a trial over all 73 entries is ten
 calls; `fuzz` refuses an entry the pair compiler rejects. One helper,
 `_report`, builds the report of `evaluate` and of an entry's first failing
-fuzz draw from `lhs` and `rhs`, each side reduced to a `Fraction` once.
+fuzz draw from `lhs` and `rhs` on the context's reads.
 The sides stay independent: no algebraic simplification is shared between
 them, so an exact match is evidence, not tautology. A derived entry's
 record is text in the same grammar, its base at mapped indices
@@ -37,7 +38,7 @@ from operator import add
 from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import HoradamError, UnknownIdentity, require_int
-from .field import format_scalar, reduced
+from .field import format_scalar
 from .formula import as_kind, compile_side, compile_trial_chunk, compile_tuple, derivation
 from .sequences import HoradamParams, SequenceKind, TermContext, Terms
 
@@ -255,27 +256,27 @@ def _check_assignment(ident: Identity, assignment: dict) -> None:
         require_int(v, assignment[v])
 
 
-def _report(ident: Identity, t: Terms, assignment: dict) -> VerificationReport:
-    """Both sides on the accessor `t`, each reduced once; a HoradamError from
-    a side becomes the report's `error`."""
+def _report(ident: Identity, ctx: TermContext, assignment: dict) -> VerificationReport:
+    """Both sides on the context's reads; a HoradamError from a side becomes
+    the report's `error`."""
     args = [assignment[v] for v in ident.variables]
     try:
-        lhs, rhs = ident.lhs(t, *args), ident.rhs(t, *args)
+        lhs, rhs = ident.lhs(ctx, *args), ident.rhs(ctx, *args)
     except HoradamError as exc:
         return VerificationReport(ident.key, dict(assignment), None, None, error=str(exc))
-    return VerificationReport(ident.key, dict(assignment), reduced(lhs), reduced(rhs))
+    return VerificationReport(ident.key, dict(assignment), lhs, rhs)
 
 
 def evaluate(key: str, params: HoradamParams, assignment: dict) -> VerificationReport:
     """Evaluate both sides of an identity at an integer assignment.
 
     The two sides are computed only through sequence-term evaluations, on
-    `Terms(TermContext(params), W)`; the report holds each side reduced (a
-    `Fraction` over Q).
+    the reads of `TermContext(params)`; the report holds each side as a
+    `Fraction` over Q or a `ModInt` over GF(M).
     """
     ident = _lookup(key)
     _check_assignment(ident, assignment)
-    return _report(ident, Terms(TermContext(params), SequenceKind.W), assignment)
+    return _report(ident, TermContext(params), assignment)
 
 
 def base_assignment(ident: Identity, assignment: dict) -> Optional[tuple]:
@@ -454,7 +455,7 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
     (`_plan`) splits its entries into runs of about `_CHUNK`, each decided
     by one `compile_trial_chunk` on the unreduced term pairs, with the
     verdicts and term reads of each entry's `lhs == rhs`. An entry's
-    first failure is reported on the trial's accessor, as `evaluate` would
+    first failure is reported on the trial's context, as `evaluate` would
     report it.
     ValueError for a non-int or bool `trials` or `seed`, for trials < 1, for
     an empty or repeating id list, and for an entry the pair compiler rejects.
@@ -469,8 +470,8 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
     passes = [0] * len(idents)
     counterexamples = [None] * len(idents)
     for _ in range(trials):
-        params = sampler.draw_params(rng)
-        t = Terms(TermContext(params), SequenceKind.W)
+        ctx = TermContext(sampler.draw_params(rng))
+        t = Terms(ctx, SequenceKind.W)
         drawn = _randints(rng, lo, hi, count)
         verdicts = []
         for chunk, start, stop in chunks:
@@ -481,7 +482,7 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
                 if not equal and counterexamples[i] is None:
                     ident, (start, stop) = idents[i], spans[i]
                     asg = dict(zip(ident.variables, drawn[start:stop]))
-                    counterexamples[i] = _report(ident, t, asg)
+                    counterexamples[i] = _report(ident, ctx, asg)
     stats = tuple(map(tuple.__new__, repeat(IdentityStats),
                       zip(keys, repeat(trials), passes, counterexamples)))
     return FuzzReport(seed, trials, sampler, stats)

@@ -1,11 +1,13 @@
 """Exact scalar arithmetic.
 
-Three scalar realizations share one informal protocol (+, -, *, /, **, ==,
-interop with small ints): arbitrary-precision rationals (`fractions.Fraction`),
-residues modulo a prime (`ModInt`), and `Ratio`, an unreduced integer pair
-internal to the checkers: the term cache fills it straight from the integer
-kernel, and `reduced` turns it into a `Fraction` wherever a value is
-reported. All values are immutable; every operation is pure.
+Two scalar realizations share one informal protocol (+, -, *, /, **, ==,
+interop with small ints): arbitrary-precision rationals (`fractions.Fraction`)
+and residues modulo a prime (`ModInt`). `Ratio` is an unreduced integer pair
+internal to the checkers, with no arithmetic: the term cache fills it
+straight from the integer kernel, the pair code computes on its integers,
+with `ratio_sum` as its one sum rule, and `reduced` turns it into a
+`Fraction` wherever a value is reported. All values are immutable; every
+operation is pure.
 """
 from __future__ import annotations
 
@@ -63,36 +65,21 @@ def format_scalar(x) -> str:
     return str(x)
 
 
-def _operand(x):
-    """An int or a Fraction as a Ratio operator's (n, d); (None, None) for any
-    other type, for which the operator returns NotImplemented."""
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    return None, None
-
-
 _new = object.__new__
 
 
 class Ratio:
-    """The exact rational n/d (d != 0), not necessarily reduced.
+    """The exact rational n/d (d != 0), not necessarily reduced: a pair
+    carrier, internal to the checkers, with no arithmetic.
 
-    Internal to the checkers, which evaluate on the term cache's integer
-    pairs without `Fraction`'s numeric-tower dispatch. Each operator takes a
-    Ratio, an int or a Fraction on either side; `*`, `/`, `+`, `-`, unary
-    `-` and `**` are each one method that builds its result without
-    `__init__`. `*` and `/` cross-cancel before multiplying, and `+`/`-`
-    divide out the gcd of the denominators and then of the result, as
-    `Fraction` does (Henrici; Knuth, TAOCP Vol. 2, 4.5.1). Both rules are
-    symmetric in their operands, so `__rmul__` and `__radd__` are `__mul__`
-    and `__add__`, and the reflected `-` and `/`, which the checkers do not
-    use, reuse the forward rules. `**` reduces its base once before raising it.
-    `==` cross-multiplies, with a Ratio, an int or a Fraction on either side.
-    Division by zero raises ZeroDivisionError and 0 ** -e ZeroToNegativePower.
-    Unhashable, since equal values need not share a pair; `reduced` gives
-    the value as a `Fraction`.
+    The term cache fills it straight from the integer kernel, and the pair
+    code (`formula._pair_lines`, the loops in `lemmas` with `ratio_sum`)
+    computes on its `n` and `d`. `==` cross-multiplies, with a Ratio, an int
+    or a Fraction on either side, as the lemma's denominator scan needs on
+    either field; unary `-` negates n, so a value that may be a Ratio, a
+    `Fraction` or a `ModInt` negates without a type test. Unhashable, since
+    equal values need not share a pair; `reduced` gives the value as a
+    `Fraction`.
     """
 
     __slots__ = ("n", "d")
@@ -101,104 +88,9 @@ class Ratio:
         self.n = n
         self.d = d
 
-    def __mul__(self, other):
-        if type(other) is Ratio:
-            nb, db = other.n, other.d
-        else:
-            nb, db = _operand(other)
-            if nb is None:
-                return NotImplemented
-        # cross-cancel first, as Fraction does
-        na, da = self.n, self.d
-        g1, g2 = gcd(na, db), gcd(nb, da)
-        result = _new(Ratio)
-        result.n, result.d = na // g1 * (nb // g2), da // g2 * (db // g1)
-        return result
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        # the product with the reciprocal db/nb of other
-        if type(other) is Ratio:
-            db, nb = other.n, other.d
-        else:
-            db, nb = _operand(other)
-            if db is None:
-                return NotImplemented
-        if not db:
-            raise ZeroDivisionError("Ratio division by zero")
-        na, da = self.n, self.d
-        g1, g2 = gcd(na, db), gcd(nb, da)
-        result = _new(Ratio)
-        result.n, result.d = na // g1 * (nb // g2), da // g2 * (db // g1)
-        return result
-
-    def __rtruediv__(self, other):
-        # other times self's reciprocal: the product rule is symmetric, so
-        # this is the pair other / self gets by it
-        if _operand(other)[0] is None:
-            return NotImplemented
-        if not self.n:
-            raise ZeroDivisionError("Ratio division by zero")
-        return Ratio(self.d, self.n).__mul__(other)
-
-    def __add__(self, other):
-        if type(other) is Ratio:
-            nb, db = other.n, other.d
-        else:
-            nb, db = _operand(other)
-            if nb is None:
-                return NotImplemented
-        # the gcd of the denominators, then of the result: Fraction's two steps,
-        # without which telescoping sums grow without bound
-        da = self.d
-        g = gcd(da, db)
-        s = da // g
-        t = self.n * (db // g) + nb * s
-        g = gcd(t, g)
-        result = _new(Ratio)
-        result.n, result.d = t // g, s * (db // g)
-        return result
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is Ratio:
-            nb, db = other.n, other.d
-        else:
-            nb, db = _operand(other)
-            if nb is None:
-                return NotImplemented
-        da = self.d
-        g = gcd(da, db)
-        s = da // g
-        t = self.n * (db // g) - nb * s
-        g = gcd(t, g)
-        result = _new(Ratio)
-        result.n, result.d = t // g, s * (db // g)
-        return result
-
-    def __rsub__(self, other):
-        # (-self) + other: the sum rule is symmetric, so the same pair
-        return (-self).__add__(other)
-
     def __neg__(self):
         result = _new(Ratio)
         result.n, result.d = -self.n, self.d
-        return result
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        n, d = self.n, self.d
-        if e < 0:
-            if not n:
-                raise ZeroToNegativePower(f"0 ** {e}")
-            n, d, e = d, n, -e
-        # reduce the base first: a common factor would come out e-fold
-        g = gcd(n, d)
-        result = _new(Ratio)
-        result.n, result.d = (n // g) ** e, (d // g) ** e
         return result
 
     def __eq__(self, other):
@@ -218,8 +110,10 @@ class Ratio:
 
 def ratio_sum(pairs) -> Ratio:
     """The sum of the integer pairs (n, d), d != 0, as one Ratio, folded in
-    one frame by `Ratio.__add__`'s rule: the gcd of the denominators, then of
-    the result."""
+    one frame by Henrici's rule (Knuth, TAOCP Vol. 2, 4.5.1), as `Fraction`
+    adds: the gcd of the denominators, then of the result, without which
+    telescoping sums grow without bound. The library's one sum rule on
+    pairs; the pair compiler's sum loop generates the same steps."""
     n, d = 0, 1
     for nb, db in pairs:
         g = gcd(d, db)

@@ -11,11 +11,13 @@ summand S runs to the end of its side, so a factor before `sum` multiplies
 the whole sum. Text after ` # ` is a note, displayed but not evaluated. The
 catalog (`catalog`) and the summation theorems (`theorems`) compile each
 side of their displayed forms on first use, with the same helper,
-`compile_side`. The pair compiler takes the whole grammar: a sum is a loop
-into one pair, `C(k,j)` an int factor, `/` a swapped pair, and an index
-exponent (`(-1)^j`, `u(m-s)^(k-j)`) a power taken at run time; it rejects a
-negative literal exponent, one that is not an index, and a sum whose index
-is one of the formula's variables; `fuzz` refuses an entry it rejects.
+`compile_side`. The pair compiler (`compile_pairs`), which computes on the
+checkers' unreduced `Ratio` pairs for `fuzz` and the theorem legs over Q,
+takes the whole grammar: a sum is a loop into one pair, `C(k,j)` an int
+factor, `/` a swapped pair, and an index exponent (`(-1)^j`,
+`u(m-s)^(k-j)`) a power taken at run time; it rejects a negative literal
+exponent, one that is not an index, and a sum whose index is one of the
+formula's variables; `fuzz` refuses an entry it rejects.
 Derivation records and relations hold `name=expr, ...` lists
 (`assignments`), and are compiled on first use too.
 """
@@ -127,17 +129,18 @@ def _index(node) -> bool:
         or isinstance(x, ast.Constant) and type(x.value) is int for x in nodes)
 
 
-def _pair_lines(key, variables, formula) -> tuple:
-    """(lines, (ln, ld), (rn, rd)): the statements that evaluate both sides of
-    a displayed formula on integer pairs, on an accessor whose values are all
-    `Ratio`s, and each side's numerator and denominator source (None for
-    denominator 1); the sides are equal when ln*rd == rn*ld.
+def _pair_lines(key, variables, texts) -> tuple:
+    """(lines, (n1, d1), (n2, d2), ...): the statements that evaluate the
+    grammar texts `texts` on integer pairs, on an accessor whose values are
+    all `Ratio`s, and each text's numerator and denominator source (None for
+    denominator 1). A displayed formula's two sides (`_sides`) are equal
+    when n1*d2 == n2*d1.
 
-    Built from each side's `_python` text through `ast`. Every term read
+    Built from each text's `_python` text through `ast`. Every term read
     (t.u(e), t.v(e), t.w(e), t.qp(e), t.p, t.q, t.a, t.b) stays an accessor
     read, of the member that `_define` fetches into a local (`_u(e)`, `_q`),
-    in the order `lhs` then `rhs` make them; the arithmetic is integer
-    arithmetic on the pairs' n and d:
+    in the order the operator compile of the texts, one after another,
+    makes them; the arithmetic is integer arithmetic on the pairs' n and d:
       - +, -, unary - and * take no gcd: a*b is (na*nb, da*db) and a-b is
         (na*db - nb*da, da*db);
       - ** to a non-negative integer literal raises n and d; ** to an index
@@ -145,13 +148,13 @@ def _pair_lines(key, variables, formula) -> tuple:
         and raises ValueError for a negative exponent, which the operator
         sides would take as a reciprocal;
       - a/b is a times b's pair swapped, and raises ZeroDivisionError when
-        b's numerator is 0, as `Ratio.__truediv__` does;
+        b's numerator is 0;
       - C(k,j) is an int factor;
       - `sum_{j=0}^{k} S` is a loop over j that adds each summand into one
-        pair by `Ratio.__add__`'s rule, the gcd of the denominators and
+        pair by `field.ratio_sum`'s rule, the gcd of the denominators and
         then of the result, without which telescoping sums grow without
         bound.
-    Each side keeps its own pair, built from its terms' own denominators.
+    Each text keeps its own pair, built from its terms' own denominators.
     ValueError naming the entry for any other node: another exponent,
     another call, or a sum whose index is one of the variables.
     """
@@ -194,7 +197,7 @@ def _pair_lines(key, variables, formula) -> tuple:
             (na, da), (nb, db) = pair(node.left, text), pair(node.right, text)
             return _times(na, nb), _times(da, db)
         if op is ast.Div:
-            # the product with the divisor's pair swapped, as Ratio.__truediv__
+            # the product with the divisor's pair swapped
             (na, da), (nb, db) = pair(node.left, text), pair(node.right, text)
             nb = name(nb)
             lines.append(f"{indent}if not {nb}: raise ZeroDivisionError('Ratio division by zero')")
@@ -212,7 +215,7 @@ def _pair_lines(key, variables, formula) -> tuple:
         # the loop rebinds its index in the function's scope, where a variable
         # of that name would be read after it
         if loop and loop.target.id not in variables:
-            # a loop adding each summand into one pair by Ratio.__add__'s two gcds
+            # a loop adding each summand into one pair by ratio_sum's two gcds
             n, d = local(0), local(1)
             lines.append(f"{indent}for {text[loop.target.col_offset:loop.iter.end_col_offset]}:")
             indent += "    "
@@ -236,9 +239,8 @@ def _pair_lines(key, variables, formula) -> tuple:
                          "term reads, p, q, a, b, integer literals, C(k,j), sums, +, -, *, /, "
                          "and ** to a non-negative integer literal or to an index expression")
 
-    sides = [pair(ast.parse(text, mode="eval").body, text)
-             for text in map(_python, _sides(formula))]
-    return lines, *sides
+    pairs = [pair(ast.parse(text, mode="eval").body, text) for text in map(_python, texts)]
+    return lines, *pairs
 
 
 def _define(name, variables, lines) -> Callable:
@@ -255,12 +257,19 @@ def _define(name, variables, lines) -> Callable:
     return namespace[name]
 
 
+def compile_pairs(key, variables, texts) -> Callable:
+    """Grammar texts as integer pairs (`_pair_lines`): one function, `sides`,
+    of the accessor and the variables that returns (n1, d1, n2, d2, ...),
+    text i's value being ni/di."""
+    lines, *pairs = _pair_lines(key, variables, texts)
+    values = ", ".join(f"{n}, {d or 1}" for n, d in pairs)
+    return _define("sides", variables, [*lines, f"return {values}"])
+
+
 def compile_pair_sides(key, variables, formula) -> Callable:
-    """The two sides of a displayed formula as integer pairs (`_pair_lines`):
-    one function of the accessor and the variables that returns
-    (ln, ld, rn, rd), the sides being ln/ld and rn/rd."""
-    lines, (ln, ld), (rn, rd) = _pair_lines(key, variables, formula)
-    return _define("sides", variables, [*lines, f"return {ln}, {ld or 1}, {rn}, {rd or 1}"])
+    """`compile_pairs` of the two sides of a displayed formula: (ln, ld, rn, rd),
+    the sides being ln/ld and rn/rd."""
+    return compile_pairs(key, variables, _sides(formula))
 
 
 def compile_trial_chunk(idents) -> Callable:
@@ -281,7 +290,8 @@ def compile_trial_chunk(idents) -> Callable:
         body += [f"{name} = drawn[{start + j}]" for j, name in enumerate(names)]
         start += len(names)
         verdict = f"_ok{i}"
-        lines, (ln, ld), (rn, rd) = _pair_lines(ident.key, ident.variables, ident.formula)
+        lines, (ln, ld), (rn, rd) = _pair_lines(ident.key, ident.variables,
+                                                _sides(ident.formula))
         body += ["try:", *(f"    {line}" for line in lines),
                  f"    {verdict} = {_times(ln, rd)} == {_times(rn, ld)}",
                  "except HoradamError:", f"    {verdict} = False"]

@@ -21,20 +21,24 @@ negated. The theorem checkers, which report only a left side, call it with
 the label their base form names. The public functions validate, pass X as
 Y where the variant reads Y = X, and add the right side on that relation.
 
-Accessors are plain callables int -> scalar; `TermContext` methods, the
-members of its checker accessor `Terms` (over unreduced `Ratio` pairs, as
-the theorem checkers pass them) and shifted lambdas all qualify. On `Ratio`
-coefficients, whose terms are `Ratio`s too, the probe compares integers and
-each sum folds its summands as integer pairs (`field.ratio_sum`) into one
-`Ratio`; on `Fraction` or `ModInt` coefficients both use the operators.
+Accessors are plain callables int -> scalar. The public functions take
+int, `Fraction` or `ModInt` coefficients (`RecurrenceConfig`) and accessors
+of the same field, such as `TermContext` methods and shifted lambdas, and
+run the probe and the sums on the operators. The theorem checkers pass
+`_lemma` `Ratio` coefficients over Q, from the pair code, with the members
+of the checker accessor `Terms`, whose terms are unreduced `Ratio` pairs
+too: the probe then compares integers, and each sum folds its summands as
+integer pairs (`field.ratio_sum`) into one `Ratio`, with its scale folded
+into the result's integers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable
 
 from .errors import ConfigViolation, DegenerateStride, SingularSummand, require_int
-from .field import Ratio, binomial, ratio_sum
+from .field import ModInt, Ratio, binomial, ratio_sum
 
 Accessor = Callable[[int], Any]
 
@@ -51,7 +55,11 @@ class RecurrenceConfig:
         require_int("c", self.c)
         require_int("d", self.d)
         for name in ("h", "f1", "f2"):
-            if getattr(self, name) == 0:
+            x = getattr(self, name)
+            if type(x) is bool or not isinstance(x, (int, Fraction, ModInt)):
+                raise ValueError(f"coefficient {name} must be an int, a Fraction or a ModInt, "
+                                 f"got {type(x).__name__} {x!r}")
+            if x == 0:
                 raise ConfigViolation(f"coefficient {name} must be nonzero")
 
 
@@ -72,13 +80,6 @@ class LemmaReport:
 
 def _plain(cfg):
     return cfg.h, cfg.f1, cfg.f2, cfg.c, cfg.d
-
-
-def _on_pairs(rel) -> bool:
-    # Ratio coefficients come from the checkers' accessor, whose terms are
-    # Ratios too: the probe and the sums then run on their integer pairs
-    h, f1, f2 = rel[:3]
-    return type(h) is type(f1) is type(f2) is Ratio
 
 
 def _probe(rel, X, Y, points, where, shift, pairs):
@@ -103,8 +104,7 @@ def _probe(rel, X, Y, points, where, shift, pairs):
 def check_config(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, window) -> bool:
     """True iff h*X_n = f1*X_{n-c} + f2*Y_{n-d} at every n in `window`."""
     try:
-        rel = _plain(cfg)
-        _probe(rel, X, Y, window, "check_config", 0, _on_pairs(rel))
+        _probe(_plain(cfg), X, Y, window, "check_config", 0, False)
     except ConfigViolation:
         return False
     return True
@@ -138,8 +138,10 @@ def _power_sum(rel, X, Y, n, k, where, shift, pairs):
     h, f1, f2, c, d = rel
     _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift, pairs)
     if pairs:
-        return f2 * ratio_sum((f1.n ** (k - j) * h.n ** j * y.n, f1.d ** (k - j) * h.d ** j * y.d)
-                              for j in range(k + 1) for y in [Y(n - k * c - d + c * j)])
+        # f2 folded into the sum's integers, with no gcd
+        s = ratio_sum((f1.n ** (k - j) * h.n ** j * y.n, f1.d ** (k - j) * h.d ** j * y.d)
+                      for j in range(k + 1) for y in [Y(n - k * c - d + c * j)])
+        return Ratio(f2.n * s.n, f2.d * s.d)
     return f2 * sum(f1 ** (k - j) * h ** j * Y(n - k * c - d + c * j) for j in range(k + 1))
 
 
@@ -172,16 +174,19 @@ def _reciprocal_sum(rel, X, Y, n, k, where, shift, pairs):
         if zero:
             raise SingularSummand(j, idx)
     _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift, pairs)
-    scale = X(n) * X(n - c * (k + 1)) * f2
+    # the scale X(n)*X(n-(k+1)c)*f2 times the sum
+    first, last = X(n), X(n - c * (k + 1))
     if pairs:
-        # Y over the two X terms: each X term enters with its pair swapped
-        return scale * ratio_sum((h.n ** (k - j) * f1.n ** j * y.n * xa.d * xb.d,
-                                  h.d ** (k - j) * f1.d ** j * y.d * xa.n * xb.n)
-                                 for j in range(k + 1)
-                                 for y, xa, xb in [(Y(n - d - c * k + c * j),
-                                                    X(n - c * k + c * j),
-                                                    X(n - c - c * k + c * j))])
-    return scale * sum(
+        # Y over the two X terms: each X term enters with its pair swapped;
+        # the scale is folded into the sum's integers, with no gcd
+        s = ratio_sum((h.n ** (k - j) * f1.n ** j * y.n * xa.d * xb.d,
+                       h.d ** (k - j) * f1.d ** j * y.d * xa.n * xb.n)
+                      for j in range(k + 1)
+                      for y, xa, xb in [(Y(n - d - c * k + c * j),
+                                         X(n - c * k + c * j),
+                                         X(n - c - c * k + c * j))])
+        return Ratio(first.n * last.n * f2.n * s.n, first.d * last.d * f2.d * s.d)
+    return first * last * f2 * sum(
         h ** (k - j) * f1 ** j * Y(n - d - c * k + c * j)
         / (X(n - c * k + c * j) * X(n - c - c * k + c * j))
         for j in range(k + 1))
@@ -209,7 +214,9 @@ def _lemma(label, rel, X, Y, n, k):
     on, and whether the variant negated it."""
     left_side, how, odd_negates = _VARIANTS[label]
     rel, shift = _rearranged(rel, how, label)
-    lhs = left_side(rel, X, Y, n, k, label, shift, _on_pairs(rel))
+    # Ratio coefficients come only from the theorem checkers' pair code over
+    # Q, whose terms are Ratios too: the probe and the sums then run on pairs
+    lhs = left_side(rel, X, Y, n, k, label, shift, type(rel[0]) is Ratio)
     negated = odd_negates and k % 2 == 1
     return (-lhs if negated else lhs), rel, negated
 

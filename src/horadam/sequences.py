@@ -40,6 +40,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Any, Optional
 
 from .errors import CompositeModulus, DegenerateRoot, EmptyRange, require_int
@@ -165,7 +166,7 @@ def _kernel(params: HoradamParams, kind: SequenceKind, backward: bool, scaling=N
     # Lr: the lowest common denominator of P*L/Q and L^2/Q
     Lr = abs(Q) // math.gcd(P * L, L * L, Q)
     n1, d1 = (P * X0 - X1) * L, D * Q
-    h = math.gcd(n1, d1) if Q > 0 else -math.gcd(n1, d1)    # leaves d1 > 0
+    h = math.gcd(n1, d1)
     n1, d1 = n1 // h, d1 // h
     Dr = math.lcm(d0, d1)
     return (P * L * Lr // Q, L * L * Lr * Lr // Q, n0 * (Dr // d0), n1 * (Lr * Dr // d1),
@@ -417,8 +418,8 @@ class _Run(dict):
 
 class _QPowers(dict):
     """q^e by e, each built on its first read (`__missing__`): over Q the
-    pair `Ratio.__pow__` gives, without its frame and its gcd, since q's pair
-    is reduced; over GF(M) `q ** e`."""
+    `Ratio` of q's reduced pair raised to |e|, swapped for e < 0, which is
+    reduced too and needs no gcd; over GF(M) `q ** e`."""
 
     __slots__ = ("q",)
 
@@ -469,16 +470,20 @@ class TermContext:
     kernel for the walk in each direction and caches every term it passes
     as one scalar: over Q the unreduced `Ratio(X_k, L^k*D)` read straight
     off the walk, over GF(M) a `ModInt`. Every walk starts from the
-    context's one `_scaling`, and each q-power is built as the pair
-    `Ratio.__pow__` gives (`_QPowers`). `_get` and `_qpow` read one cached
-    scalar. The public accessors u, v, w and qp return what term() does, a
-    reduced `Fraction` (one gcd per call) or a `ModInt`. `Terms(ctx, kind)`
-    is the checkers' accessor over the cached scalars themselves; the catalog
-    and theorem engines evaluate on it and reduce each reported value once.
+    context's one `_scaling`, and each q-power is cached as a reduced pair
+    (`_QPowers`). `_get` and `_qpow` read one cached scalar. The public
+    accessors u, v, w and qp return what term() does, a reduced `Fraction`
+    (one gcd per call) or a `ModInt`, and p, q, a and b are the parameters,
+    so the context is itself an accessor over reduced values, with w read
+    as W: `catalog.evaluate` runs the operator sides on it. `Terms(ctx, kind)`
+    is the checkers' accessor over the cached scalars themselves; `fuzz` and
+    the theorem engine evaluate on it and reduce each reported value once.
     Not synchronized; confine an instance to a single thread of work.
     """
 
     __slots__ = ("params", "_scalars", "_vals", "_qpows")
+
+    p, q, a, b = (property(attrgetter(f"params.{x}")) for x in "pqab")
 
     def __init__(self, params: HoradamParams):
         self.params = params

@@ -18,16 +18,18 @@ theorem, 2-6, and computes:
 and require all three to agree exactly. The legs, the guards and the
 denominator scan run on the checker accessor of one `TermContext` for the
 caller's parameters, with w read as the selected kind (`sequences.Terms`,
-over unreduced `Ratio` pairs); each leg is reduced to a `Fraction` once,
-for the `SumReport`. Over Q, legs 1 and 2 run on integer pairs: a form's
+over unreduced `Ratio` pairs over Q); each leg over Q is reduced to a
+`Fraction` once, for the `SumReport`. Over Q every leg runs on integer pairs: a form's
 `sides`, compiled from the same displayed text
 (`formula.compile_pair_sides`, on the pair compiler that also writes
-`fuzz`'s trial chunks), reads the same terms as `lhs` then `rhs`, and the
-lemma's probe checks each point with one integer comparison. The lemma
-sums run on integer pairs too, in loops written in `lemmas`, so one leg
-runs on code that the pair compiler does not generate; the relation's
-coefficients and the factor stay on `Ratio` operators. Over GF(M) the
-displayed sides run on `lhs` and `rhs`, as `catalog.evaluate` does.
+`fuzz`'s trial chunks), reads the same terms as `lhs` then `rhs`; the
+relation's coefficients (`_Relation.pairs`) and the factor
+(`_Form.factor_pair`) come from the same compiler, and the guard tests
+their numerators. The lemma's probe checks each point with one integer
+comparison, and its sums run in loops written in `lemmas`, so the sums of
+leg 3 run on code that the pair compiler does not generate. Over GF(M) the
+displayed sides, the coefficients and the factor run on the `ModInt`
+operators, as `catalog.evaluate` does.
 Assignments that zero a lemma coefficient raise GuardViolation; reciprocal
 sums whose denominator window contains a vanishing term raise
 SingularSummand. Wrong numbers are never returned silently.
@@ -54,9 +56,9 @@ from functools import cache, cached_property
 from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import GuardViolation, require_int
-from .field import format_scalar, reduced
+from .field import Ratio, format_scalar
 from .formula import (as_kind, assignments, compile_expression, compile_pair_sides,
-                      compile_side, compile_tuple, reads)
+                      compile_pairs, compile_side, compile_tuple, reads)
 from .lemmas import _denominator_window, _lemma
 # The lemma leg calls the private form above. The public lemma functions stay
 # importable from here: perfbench/layers.py rebinds them on this module by name.
@@ -127,22 +129,25 @@ VARIANT_COUNT = {theorem: 2 * len(bases) for theorem, bases in _BASES.items()}
 class _Relation(NamedTuple):
     """A relation text compiled; the functions take the accessor and n, m, r, s."""
 
-    coefficients: Callable      # (h, f1, f2, c, d)
-    accessors: Callable         # (X, Y)
+    coefficients: Callable      # (h, f1, f2) on the operators, over GF(M)
+    pairs: Callable             # (hn, hd, f1n, f1d, f2n, f2d) on integer pairs, over Q
+    shape: Callable             # (c, d, X, Y), on either field
     guards: tuple               # (sequence, index function) of the terms in h, f1, f2
 
 
 @cache
 def _relation_of(text: str) -> _Relation:
     fields = assignments(text)
+    coefficients = [fields[x] for x in ("h", "f1", "f2")]
     # h, f1 and f2 each read one u, v or w term, which its guard names
-    guards = [read for name in ("h", "f1", "f2")
-              for [read] in [[x for x in reads(fields[name]) if x[0] in ("u", "v", "w")]]]
+    guards = [read for coefficient in coefficients
+              for [read] in [[x for x in reads(coefficient) if x[0] in ("u", "v", "w")]]]
     # a term at i reads the cache itself; a shifted term is read through a closure
     accessors = [member if index == "i" else f"lambda i: {fields[x]}"
                  for x in ("X", "Y") for [(member, index)] in [reads(fields[x])]]
-    return _Relation(compile_tuple("nmrs", [fields[x] for x in ("h", "f1", "f2", "c", "d")]),
-                     compile_tuple("nmrs", accessors),
+    return _Relation(compile_tuple("nmrs", coefficients),
+                     compile_pairs(text, "nmrs", coefficients),
+                     compile_tuple("nmrs", [fields["c"], fields["d"], *accessors]),
                      tuple((x, compile_expression("nmrs", index)) for x, index in guards))
 
 
@@ -151,9 +156,9 @@ class _Form:
     """A base form from its `_BASES` entry: the displayed formula, the lemma
     variant's label, the factor and window texts, and the theorem's relation
     text. The displayed sides (`lhs`, `rhs`), the `factor` and the `window`,
-    over the accessor and n, m, r, s, k, `sides`, the displayed sides on
-    integer pairs, and the `relation` are each compiled from their text on
-    first use."""
+    over the accessor and n, m, r, s, k, `sides` and `factor_pair`, the
+    displayed sides and the factor on integer pairs, and the `relation` are
+    each compiled from their text on first use."""
 
     key: str
     formula: str
@@ -187,6 +192,11 @@ class _Form:
     def sides(self) -> Callable:
         """`compile_pair_sides` of the formula: (ln, ld, rn, rd)."""
         return compile_pair_sides(self.key, "nmrsk", self.formula)
+
+    @cached_property
+    def factor_pair(self) -> Callable:
+        """`compile_pairs` of the factor: (fn, fd)."""
+        return compile_pairs(self.key, "nmrsk", [self.factor_text])
 
 
 def _form(theorem, formula, variant, factor, window) -> _Form:
@@ -271,15 +281,21 @@ def _setup(sel, n, m, r, s, k) -> tuple:
     return _FORMS[sel.theorem, sel.base], _effective(sel, n, m, r, s)
 
 
-def _relation(t, rel: _Relation, where: str, n, m, r, s):
-    """((h, f1, f2, c, d), X, Y) on the accessor `t`; GuardViolation, naming
-    the term, for the first of h, f1 and f2 that is zero."""
-    coefficients = rel.coefficients(t, n, m, r, s)
-    h, f1, f2, _, _ = coefficients
-    if 0 in (h, f1, f2):
-        sequence, index = rel.guards[(h, f1, f2).index(0)]
+def _relation(t, rel: _Relation, where: str, n, m, r, s, pairs: bool):
+    """((h, f1, f2, c, d), X, Y) on the accessor `t`, h, f1 and f2 as
+    `Ratio`s from the pair code when `pairs` (over Q); GuardViolation,
+    naming the term, for the first of h, f1 and f2 that is zero."""
+    if pairs:
+        hn, hd, f1n, f1d, f2n, f2d = rel.pairs(t, n, m, r, s)
+        zeros = hn, f1n, f2n
+        coefficients = Ratio(hn, hd), Ratio(f1n, f1d), Ratio(f2n, f2d)
+    else:
+        zeros = coefficients = rel.coefficients(t, n, m, r, s)
+    if 0 in zeros:
+        sequence, index = rel.guards[zeros.index(0)]
         raise GuardViolation(f"{sequence}({index(t, n, m, r, s)})", where)
-    return (coefficients, *rel.accessors(t, n, m, r, s))
+    c, d, X, Y = rel.shape(t, n, m, r, s)
+    return (*coefficients, c, d), X, Y
 
 
 def singularity_scan(sel: TheoremSelector, params: HoradamParams,
@@ -293,7 +309,7 @@ def singularity_scan(sel: TheoremSelector, params: HoradamParams,
     if form.window is None:
         return []
     t = Terms(TermContext(params), sel.kind)
-    X, _ = form.relation.accessors(t, *eff)
+    _, _, X, _ = form.relation.shape(t, *eff)
     return list(_denominator_window(X, eff[0], form.window(t, *eff, k), k))
 
 
@@ -302,7 +318,9 @@ def theorem_sum(sel: TheoremSelector, params: HoradamParams,
     """Evaluate a theorem 2-6 variant three ways; all must agree exactly."""
     form, eff = _setup(sel, n, m, r, s, k)
     t = Terms(TermContext(params), sel.kind)
-    rel, X, Y = _relation(t, form.relation, f"theorem {sel.theorem} variant {sel.variant}", *eff)
+    over_q = not params.modulus
+    rel, X, Y = _relation(t, form.relation, f"theorem {sel.theorem} variant {sel.variant}",
+                          *eff, over_q)
     notes = ()
     if sel.theorem == 2 and k == 0:
         notes = ("k=0 is outside the stated hypothesis (positive k); the sum still evaluates",)
@@ -310,13 +328,14 @@ def theorem_sum(sel: TheoremSelector, params: HoradamParams,
     # first, so that the lemma's denominator scan raises SingularSummand
     # before the direct sum divides by a vanishing term
     lemma_lhs = _lemma(form.variant, rel, X, Y, eff[0], k)[0]
-    if params.modulus:
-        lhs, rhs = form.lhs(t, *eff, k), form.rhs(t, *eff, k)
-    else:
+    if over_q:
         ln, ld, rn, rd = form.sides(t, *eff, k)
-        lhs, rhs = Fraction(ln, ld), Fraction(rn, rd)
-    return SumReport(sel, dict(n=n, m=m, r=r, s=s, k=k), lhs, rhs,
-                     reduced(form.factor(t, *eff, k) * lemma_lhs), notes)
+        fn, fd = form.factor_pair(t, *eff, k)
+        legs = Fraction(ln, ld), Fraction(rn, rd), Fraction(fn * lemma_lhs.n, fd * lemma_lhs.d)
+    else:
+        legs = (form.lhs(t, *eff, k), form.rhs(t, *eff, k),
+                form.factor(t, *eff, k) * lemma_lhs)
+    return SumReport(sel, dict(n=n, m=m, r=r, s=s, k=k), *legs, notes)
 
 
 # the former entry point for theorems 5 and 6, kept as an alias because the

@@ -1,8 +1,13 @@
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from horadam.catalog import REGISTRY
-from horadam.formula import reads
-from horadam.sequences import HoradamParams, SequenceKind, TermContext, Terms
+from horadam.field import Ratio, ratio_sum
+from horadam.formula import compile_pairs, reads
+from horadam.sequences import HoradamParams, TermContext
 
 
 class TestReads:
@@ -32,10 +37,24 @@ class TestReads:
                 self.members.add(name)
                 return getattr(self.t, name)
 
-        t = Terms(TermContext(HoradamParams(3, 2, 1, -1)), SequenceKind.W)
+        t = TermContext(HoradamParams(3, 2, 1, -1))
         for ident in REGISTRY.values():
             recording = Recording(t)
             values = [i + 2 for i in range(len(ident.variables))]
             ident.lhs(recording, *values), ident.rhs(recording, *values)
             assert {member for member, _ in reads(ident.formula)} == recording.members, ident.key
 
+
+
+class TestPairSum:
+    """The pair compiler's sum loop folds by `field.ratio_sum`'s rule."""
+
+    LOOP = staticmethod(compile_pairs("sum", "k", ["sum_{j=0}^{k} u(j)"]))
+
+    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-12, 12).filter(bool)),
+                    min_size=1, max_size=8))
+    def test_loop_returns_ratio_sums_pair(self, terms):
+        # the exact unreduced pair, on summands of either sign
+        t = SimpleNamespace(u=lambda j: Ratio(*terms[j]))
+        total = ratio_sum(terms)
+        assert self.LOOP(t, len(terms) - 1) == (total.n, total.d)

@@ -1,10 +1,12 @@
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from horadam.errors import ConfigViolation, DegenerateStride, SingularSummand
+from horadam.field import PrimeField, Ratio
 from horadam.lemmas import (
     RecurrenceConfig,
     check_config,
@@ -44,6 +46,24 @@ class TestRecurrenceConfig:
         message = f"{stride} must be an int, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RecurrenceConfig(Fraction(1), FIB.p, -FIB.q, **strides)
+
+    @pytest.mark.parametrize("coefficient", ["h", "f1", "f2"])
+    @pytest.mark.parametrize("value", [1.0, Decimal("1"), "1", True, Ratio(1, 1)],
+                             ids=["float", "Decimal", "str", "bool", "Ratio"])
+    def test_coefficients_must_be_exact_scalars(self, coefficient, value):
+        # a float's rounding would refute a true relation, and a Decimal, a
+        # str or the internal Ratio would fail later in the operators
+        coefficients = {"h": 1, "f1": FIB.p, "f2": -FIB.q, coefficient: value}
+        message = (f"coefficient {coefficient} must be an int, a Fraction or a ModInt, "
+                   f"got {type(value).__name__} {value!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RecurrenceConfig(**coefficients, c=1, d=2)
+
+    def test_takes_ints_fractions_and_modints(self):
+        f = PrimeField(101)
+        for h, f1, f2 in [(1, 1, 1), (Fraction(1), FIB.p, -FIB.q), (f(1), f(1), f(1))]:
+            cfg = RecurrenceConfig(h, f1, f2, 1, 2)
+            assert (cfg.h, cfg.f1, cfg.f2) == (h, f1, f2)
 
 
 class TestCheckConfig:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from horadam import catalog, sequences, theorems
-from horadam.sequences import HoradamParams, SequenceKind, TermContext, Terms, _Run
+from horadam.sequences import HoradamParams, SequenceKind, TermContext, _Run
 
 PARAMS = HoradamParams(Fraction(1, 2), -2, Fraction(3, 4), Fraction(-5, 6))
 ASSIGNMENT = (3, 2, 1, -1, 3)   # n, m, r, s, k
@@ -94,7 +94,7 @@ def test_fuzz_trial_reads_what_the_checks_read(monkeypatch, order):
         by_fuzz = reads[:]
         reads.clear()
         rng = random.Random(seed)
-        t = Terms(TermContext(sampler.draw_params(rng)), SequenceKind.W)
+        t = TermContext(sampler.draw_params(rng))
         drawn = catalog._randints(rng, -sampler.max_index, sampler.max_index,
                                   sum(len(ident.variables) for ident in idents))
         start = 0

@@ -90,14 +90,16 @@ def _names_modint(node):
 
 def test_only_the_input_check_probes_for_modint():
     # the field is named once, by HoradamParams.modulus; outside field.py the
-    # scalar type is asked only where sequences._coerce checks its input
+    # scalar type is asked only where an input is checked: the parameters in
+    # sequences._coerce and the lemma coefficients in RecurrenceConfig
     probes = [(path.name, getattr(top, "name", None), node.lineno)
               for path in sorted(SRC.glob("*.py")) if path.name != "field.py"
               for top in ast.parse(path.read_text(encoding="utf-8")).body
               for node in ast.walk(top)
               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
               and len(node.args) == 2 and _names_modint(node.args[1])]
-    assert [probe[:2] for probe in probes] == [("sequences.py", "_coerce")], probes
+    assert [probe[:2] for probe in probes] == [("lemmas.py", "RecurrenceConfig"),
+                                               ("sequences.py", "_coerce")], probes
 
 
 def test_benchmark_layer_bindings_resolve():

@@ -2,9 +2,11 @@ import json
 import pathlib
 import random
 import re
+import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,6 +38,15 @@ FIBW = HoradamParams(3, 2, 1, -1)
 PELL = PRESETS["pell"]
 
 U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
+
+
+def fraction_reads(t):
+    """The checker accessor `t` with every value reduced to a `Fraction`, as
+    its `TermContext`'s own reads give it, w still read as t's kind: the
+    operator sides' reference over Q."""
+    return SimpleNamespace(**{m: (lambda e, read=getattr(t, m): reduced(read(e)))
+                              for m in ("u", "v", "w", "qp")},
+                           **{m: reduced(getattr(t, m)) for m in ("p", "q", "a", "b")})
 
 
 def guard_passing_draws(rng, sampler, sel, count, kmax=5, span=6):
@@ -174,8 +185,8 @@ class TestGuardNames:
     def test_name(self, theorem, coefficient, kind, args, name):
         kind = SequenceKind(kind)
         relation = theorems._FORMS[theorem, 1].relation
-        h, f1, f2, _, _ = relation.coefficients(Terms(TermContext(QUARTER), kind), *args)
-        # the case zeroes the named coefficient and no earlier one
+        h, _, f1, _, f2, _ = relation.pairs(Terms(TermContext(QUARTER), kind), *args)
+        # the case zeroes the named coefficient's numerator and no earlier one
         assert (h, f1, f2).index(0) == ("h", "f1", "f2").index(coefficient)
         with pytest.raises(GuardViolation) as raised:
             theorem_sum(TheoremSelector(theorem, 1, kind), QUARTER, *args, 2)
@@ -521,19 +532,23 @@ class TestFormulaStrings:
 
 
 class TestPairSides:
-    """Over Q the displayed sides run on integer pairs (`_Form.sides`), the
-    probe on one integer comparison per point and the lemma sums on integer
-    pairs written in `lemmas.py`; the relation and the factor stay on Ratio
-    operators, and over GF(M) so do the sides and the sums."""
+    """Over Q the displayed sides (`_Form.sides`), the relation's
+    coefficients (`_Relation.pairs`) and the factor (`_Form.factor_pair`)
+    run on integer pairs from the pair compiler, the probe on one integer
+    comparison per point and the lemma sums on integer pairs written in
+    `lemmas.py`; over GF(M) all of them run on the `ModInt` operators. The
+    references run the operator sides on reduced `Fraction` reads."""
 
     class OperatorSides(theorems._Form):
-        """A form whose pair sides are the pairs of its operator sides."""
+        """A form whose pair sides are the pairs of its operator sides on the
+        accessor's reads reduced to `Fraction`s."""
 
         @property
         def sides(self):
             def sides(t, *args):
-                lhs, rhs = self.lhs(t, *args), self.rhs(t, *args)
-                return lhs.n, lhs.d, rhs.n, rhs.d
+                reads = fraction_reads(t)
+                lhs, rhs = self.lhs(reads, *args), self.rhs(reads, *args)
+                return lhs.numerator, lhs.denominator, rhs.numerator, rhs.denominator
             return sides
 
     @staticmethod
@@ -571,17 +586,17 @@ class TestPairSides:
                     inside.pop()
             return run_inside
 
-        for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
-                   "__neg__", "__truediv__", "__rtruediv__", "__pow__", "__eq__"):
+        for op in ("__neg__", "__eq__"):
             def forbidden(*args, _op=getattr(Ratio, op), _name=op):
                 if inside:
                     raise AssertionError(f"Ratio.{_name} was called")
                 return _op(*args)
             monkeypatch.setattr(Ratio, op, forbidden)
         monkeypatch.setattr(lemmas, "_probe", guarded(lemmas._probe))
-        sides = theorems._Form.sides
-        monkeypatch.setattr(theorems._Form, "sides",
-                            property(lambda form: guarded(sides.func(form))))
+        for member in ("sides", "factor_pair"):
+            compiled = getattr(theorems._Form, member)
+            monkeypatch.setattr(theorems._Form, member,
+                                property(lambda form, _c=compiled: guarded(_c.func(form))))
         for theorem, nvar in VARIANT_COUNT.items():
             for variant in range(1, nvar + 1):
                 rep = theorem_sum(TheoremSelector(theorem, variant), CONTROL_PARAMS, *CONTROL_ARGS)
@@ -613,7 +628,7 @@ class TestPairSides:
                             eff = theorems._effective(sel, *(rng.randint(-6, 6) for _ in range(4)))
                             t = Terms(TermContext(params), kind)
                             try:
-                                rel, X, Y = theorems._relation(t, form.relation, "", *eff)
+                                rel, X, Y = theorems._relation(t, form.relation, "", *eff, True)
                             except GuardViolation:
                                 continue
                             by_pairs = outcome(form.variant, rel, X, Y, eff[0], k)
@@ -630,15 +645,16 @@ class TestPairSides:
         assert checked > 66 * 6 * 2 // 2 and values > checked // 2
 
     def test_theorem_sum_over_q_runs_no_ratio_sum_operator(self, monkeypatch):
-        # the lemma sums fold integer pairs and the sides and the probe run
-        # on them: no Ratio add, subtract, power or division in any leg
-        called = []
-        for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__pow__",
-                   "__truediv__", "__rtruediv__"):
-            def counted(*args, _op=getattr(Ratio, op), _name=op):
-                called.append(_name)
+        # Ratio has no arithmetic but unary - (test_field pins its members);
+        # over Q a theorem_sum calls its two methods in the lemma leg alone:
+        # == in the denominator scan, - where the relation is solved for its
+        # f1 term and where an odd k negates the variant
+        called = set()
+        for op in ("__eq__", "__neg__"):
+            def recorded(*args, _op=getattr(Ratio, op), _name=op):
+                called.add((_name, sys._getframe(1).f_code.co_name))
                 return _op(*args)
-            monkeypatch.setattr(Ratio, op, counted)
+            monkeypatch.setattr(Ratio, op, recorded)
         for theorem, nvar in VARIANT_COUNT.items():
             for variant in range(1, nvar + 1):
                 rep = theorem_sum(TheoremSelector(theorem, variant), CONTROL_PARAMS, *CONTROL_ARGS)
@@ -651,20 +667,23 @@ class TestPairSides:
                     sel = TheoremSelector(theorem, variant, kind)
                     for _, _, rep in guard_passing_draws(rng, sampler, sel, 1):
                         assert rep.equal
-        assert called == []
-        # the count sees an operator call
-        assert Ratio(1, 2) + 1 == Fraction(3, 2) and called == ["__add__"]
+        assert called == {("__eq__", "_denominator_window"), ("__neg__", "_rearranged"),
+                          ("__neg__", "_lemma")}
+        # the record sees a call from here
+        assert (-Ratio(1, 2)).n == -1
+        assert ("__neg__", "test_theorem_sum_over_q_runs_no_ratio_sum_operator") in called
 
     def test_a_vanishing_divisor_raises_in_the_sides(self):
         # the lemma leg's scan raises SingularSummand first; called alone,
-        # both sides raise as Ratio.__truediv__ does
+        # the pair sides raise as the operator side does on Fraction reads
         form = theorems._FORMS[5, 1]
         with pytest.raises(SingularSummand):
             theorem_sum(TheoremSelector(5, 1), FIB, 2, 2, 1, 0, 2)
-        t = Terms(TermContext(FIB), W)
-        for side in (form.sides, form.lhs):
-            with pytest.raises(ZeroDivisionError, match="^Ratio division by zero$"):
-                side(t, 2, 2, 1, 0, 2)
+        ctx = TermContext(FIB)
+        with pytest.raises(ZeroDivisionError, match="^Ratio division by zero$"):
+            form.sides(Terms(ctx, W), 2, 2, 1, 0, 2)
+        with pytest.raises(ZeroDivisionError):
+            form.lhs(ctx, 2, 2, 1, 0, 2)
 
     def test_a_negative_bound_raises_in_the_sides(self):
         # theorem_sum refuses k < 0 first; called alone, every form's pair
@@ -707,10 +726,10 @@ class TestLemmaLeg:
         relation, and the factor scaling its left side into the theorem's."""
         form = theorems._FORMS[sel.theorem, sel.base]
         factor, relation = form.factor, form.relation
-        t = Terms(TermContext(params), sel.kind)
+        t = fraction_reads(Terms(TermContext(params), sel.kind))
         eff = theorems._effective(sel, n, m, r, s)
-        cfg = RecurrenceConfig(*relation.coefficients(t, *eff))
-        X, Y = relation.accessors(t, *eff)
+        c, d, X, Y = relation.shape(t, *eff)
+        cfg = RecurrenceConfig(*relation.coefficients(t, *eff), c, d)
         n = eff[0]
         if sel.theorem == 2:
             rep = lemma3_binomial_sums(cfg, X, n, k, sel.base)
@@ -786,14 +805,15 @@ class TestVariantVocabulary:
         assert lemmas._VARIANTS[variant][0] is lemmas._reciprocal_sum
         stride = compile_expression("nmrsk", window)
         relation = theorems._relation_of(theorems._RELATIONS[theorem])
-        t = Terms(TermContext(CONTROL_PARAMS), SequenceKind.W)
+        t = TermContext(CONTROL_PARAMS)
         *nmrs, k = CONTROL_ARGS
         for swapped in (False, True):
             sel = TheoremSelector(theorem, base + swapped * len(theorems._BASES[theorem]))
             assert sel.swapped is swapped
             eff = theorems._effective(sel, *nmrs)
-            rel, _ = lemmas._rearranged(relation.coefficients(t, *eff), lemmas._VARIANTS[variant][1],
-                                        variant)
+            c, d, _, _ = relation.shape(t, *eff)
+            rel, _ = lemmas._rearranged((*relation.coefficients(t, *eff), c, d),
+                                        lemmas._VARIANTS[variant][1], variant)
             assert stride(t, *eff, k) == rel[3]
 
     def test_only_reciprocal_variants_have_windows(self):
