@@ -22,14 +22,15 @@ the label their base form names. The public functions validate, pass X as
 Y where the variant reads Y = X, and add the right side on that relation.
 
 Accessors are plain callables int -> scalar. The public functions take
-int, `Fraction` or `ModInt` coefficients (`RecurrenceConfig`) and accessors
-of the same field, such as `TermContext` methods and shifted lambdas, and
-run the probe and the sums on the operators. The theorem checkers pass
-`_lemma` `Ratio` coefficients over Q, from the pair code, with the members
-of the checker accessor `Terms`, whose terms are unreduced `Ratio` pairs
-too: the probe then compares integers, and each sum folds its summands as
-integer pairs (`field.ratio_sum`) into one `Ratio`, with its scale folded
-into the result's integers.
+int, `Fraction` or `ModInt` coefficients of one field (`RecurrenceConfig`)
+and accessors of the same field, such as `TermContext` methods and shifted
+lambdas, and run the probe and the sums on the operators; a `ValueError`
+names coefficients or terms X(n), Y(n) that do not share one field. The
+theorem checkers pass `_lemma` `Ratio` coefficients over Q, from the pair
+code, with the members of the checker accessor `Terms`, whose terms are
+unreduced `Ratio` pairs too: the probe then compares integers, and each
+sum folds its summands as integer pairs (`field.ratio_sum`) into one
+`Ratio`, with its scale folded into the result's integers.
 """
 from __future__ import annotations
 
@@ -41,6 +42,12 @@ from .errors import ConfigViolation, DegenerateStride, SingularSummand, require_
 from .field import ModInt, Ratio, binomial, ratio_sum
 
 Accessor = Callable[[int], Any]
+
+
+def _fields(values) -> set:
+    """The fields of the values that are not ints, which any field takes:
+    None for a rational, M for a `ModInt` modulo M."""
+    return {getattr(x, "modulus", None) for x in values if type(x) is not int}
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,11 @@ class RecurrenceConfig:
                                  f"got {type(x).__name__} {x!r}")
             if x == 0:
                 raise ConfigViolation(f"coefficient {name} must be nonzero")
+        coefficients = self.h, self.f1, self.f2
+        if len(_fields(coefficients)) > 1:
+            raise ValueError("coefficients h, f1 and f2 must share one field (ints with "
+                             "Fractions, or ints with ModInts of one modulus), "
+                             f"got {coefficients!r}")
 
 
 @dataclass(frozen=True)
@@ -223,6 +235,11 @@ def _lemma(label, rel, X, Y, n, k):
 
 def _report(lemma, variant, label, cfg, X, Y, n, k):
     # the left side, and the right side on the relation it was summed on
+    coefficients, x, y = (cfg.h, cfg.f1, cfg.f2), X(n), Y(n)
+    if len(_fields((*coefficients, x, y))) > 1:
+        raise ValueError(f"{label}: the coefficients and the accessors' terms must share one "
+                         f"field, got coefficients {coefficients!r} and terms "
+                         f"X({n}) = {x!r}, Y({n}) = {y!r}")
     lhs, rel, negated = _lemma(label, _plain(cfg), X, Y, n, k)
     h, f1, _, c, _ = rel
     if lemma == "3":    # the expansion collapses to one scaled term

@@ -16,12 +16,15 @@ powers in Q(sqrt(p^2-4q)) are raised as integer pairs (`binet_term`).
 All three run on one fraction-free integer kernel, `_kernel`. Over Q, with
 L = lcm(den p, den q), P = p*L, Q = q*L^2 and D the seeds' common
 denominator, X_n = L^n*D*x_n obeys X_n = P*X_{n-1} - Q*X_{n-2} over int,
-so the walk does no gcd. `term` builds one `Fraction` per returned term;
-`TermContext` takes (P, Q, L) once (`_scaling`) for all kinds and
-directions, caches each term as the pair itself (a `Ratio`) and reduces
-it only when a public accessor returns it. Each kind's cache is a dict,
-`_Run`, whose `__missing__` walks toward a missing index, so a cached read
-is one subscript with no Python frame. Over GF(M) the same recurrence
+so the walk does no gcd. The kernel has two parts: the parameter set's
+coefficients for both directions (`_coefficients`), and one kind's seeds
+on them (`_seeded`). `term` builds one `Fraction` per returned term;
+`TermContext` derives the coefficients once, from the integer pairs of p
+and q, and each kind's seeds on the first walk in each direction; it
+caches each term as the pair itself (a `Ratio`) and reduces it only when a
+public accessor returns it. Each kind's cache is a dict, `_Run`, whose
+`__missing__` walks toward a missing index, so a cached read is one
+subscript with no Python frame. Over GF(M) the same recurrence
 runs on the residues, reduced each step; `term` walks it with M - Q in
 place of -Q, so every residue it forms is non-negative. From |n| >= 3*S
 (S = `_BLOCK`, 64) `term` advances S indices per step, by the S-step
@@ -126,51 +129,67 @@ PRESETS = {
 }
 
 
-def _scaling(params: HoradamParams) -> tuple:
-    """(P, Q, L): over Q, L = lcm(den p, den q), P = p*L and Q = q*L^2; over
-    GF(M), the residues of p and q, and L = 1. It depends on p and q alone,
-    so a `TermContext` takes it once for every kind and direction."""
-    p, q = params.p, params.q
-    if params.modulus:
-        return p.value, q.value, 1
-    L = math.lcm(p.denominator, q.denominator)
-    return p.numerator * (L // p.denominator), q.numerator * (L * L // q.denominator), L
+def _coefficients(pn: int, pd: int, qn: int, qd: int, M: Optional[int]) -> tuple:
+    """(P, Q, L, P_r, Q_r, L_r, M): one parameter set's integer coefficients
+    for the walk from index 0 in either direction, from p = pn/pd and
+    q = qn/qd in lowest terms (pd, qd > 0). Forward, L = lcm(pd, qd),
+    P = p*L and Q = q*L^2. The reversed recurrence y_k = x_{-k} has
+    coefficients p/q = P*L/Q and 1/q = L^2/Q; L_r is their lowest common
+    denominator, P_r = L_r*p/q and Q_r = L_r^2/q. Over GF(M), pn and qn are
+    the residues (pd = qd = 1), P_r is p/q, Q_r is q's inverse, which
+    exists since M is prime and q nonzero, and L = L_r = 1.
 
-
-def _kernel(params: HoradamParams, kind: SequenceKind, backward: bool, scaling=None):
-    """(P, Q, X0, X1, L, D, M): (p, q) and the kind's seeds as integers, for
-    the walk from index 0, forward or along the reversed recurrence
-    y_k = x_{-k}. Over Q, (P, Q, L) is `_scaling(params)` (or `scaling`, when
-    given), D = lcm(den x_0, den x_1) and X_k = L^k*D*x_k; over GF(M), the
-    residues, L = D = 1 and M = params.modulus.
-
-    The reversed recurrence has coefficients p/q = P*L/Q and 1/q = L^2/Q and
-    seed x_{-1} = (p*x_0 - x_1)/q: over Q derived with gcds, in the reduced
-    form `Fraction` would give; over GF(M) with q's inverse, which exists
-    since M is prime and q nonzero.
-    """
-    x0, x1 = params.seeds(kind)
-    P, Q, L = scaling or _scaling(params)
-    M = params.modulus
+    It depends on p and q alone, so a `TermContext` derives it once for
+    every kind and direction; `_kernel` derives it per call."""
     if M:
-        X0, X1 = x0.value, x1.value
+        inv = pow(qn, -1, M)
+        return pn, qn, 1, pn * inv % M, inv, 1, M
+    L = math.lcm(pd, qd)
+    P, Q = pn * (L // pd), qn * (L * L // qd)
+    Lr = abs(Q) // math.gcd(P * L, L * L, Q)
+    return P, Q, L, P * L * Lr // Q, L * L * Lr * Lr // Q, Lr, None
+
+
+def _seeded(coefficients: tuple, n0: int, d0: int, n1: int, d1: int, backward: bool) -> tuple:
+    """(P, Q, X0, X1, L, D, M): the walk from index 0, forward or reversed,
+    on `_coefficients`' tuple and one kind's seeds x_0 = n0/d0 and
+    x_1 = n1/d1 in lowest terms (over GF(M), the residues over 1).
+
+    Over Q, D = lcm(d0, d1) and X_k = L^k*D*x_k. The reversed walk starts
+    from x_0 and x_{-1} = (p*x_0 - x_1)/q, which is derived with gcds in the
+    reduced form `Fraction` would give, with D_r = lcm(d0, den x_{-1}) and
+    X_k = L_r^k*D_r*y_k. Over GF(M), x_{-1} is (p*x_0 - x_1) times q's
+    inverse, and D = 1.
+    """
+    P, Q, L, Pr, Qr, Lr, M = coefficients
+    if M:
         if backward:
-            inv = (params.q ** -1).value
-            P, Q, X1 = P * inv % M, inv, (P * X0 - X1) * inv % M
-        return P, Q, X0, X1, 1, 1, M
-    n0, d0 = x0.numerator, x0.denominator
-    D = math.lcm(d0, x1.denominator)
-    X0, X1 = n0 * (D // d0), x1.numerator * (L * D // x1.denominator)
+            return Pr, Qr, n0, (P * n0 - n1) * Qr % M, 1, 1, M
+        return P, Q, n0, n1, 1, 1, M
+    D = math.lcm(d0, d1)
+    X0, X1 = n0 * (D // d0), n1 * (L * D // d1)
     if not backward:
         return P, Q, X0, X1, L, D, None
-    # Lr: the lowest common denominator of P*L/Q and L^2/Q
-    Lr = abs(Q) // math.gcd(P * L, L * L, Q)
     n1, d1 = (P * X0 - X1) * L, D * Q
     h = math.gcd(n1, d1)
     n1, d1 = n1 // h, d1 // h
     Dr = math.lcm(d0, d1)
-    return (P * L * Lr // Q, L * L * Lr * Lr // Q, n0 * (Dr // d0), n1 * (Lr * Dr // d1),
-            Lr, Dr, None)
+    return Pr, Qr, n0 * (Dr // d0), n1 * (Lr * Dr // d1), Lr, Dr, None
+
+
+def _kernel(params: HoradamParams, kind: SequenceKind, backward: bool) -> tuple:
+    """(P, Q, X0, X1, L, D, M): `_seeded` on the parameters' `_coefficients`
+    and the kind's seeds, for the walk from index 0, forward or along the
+    reversed recurrence y_k = x_{-k}. The one derivation of the integer
+    kernel: `term`, `doubling_term`, `fast_uv` and `binet_term` call it, and
+    a `TermContext` runs its two parts apart, the coefficients once per
+    context and the seeds once per kind and direction."""
+    (x0, x1), M = params.seeds(kind), params.modulus
+    if M:
+        return _seeded(_coefficients(params.p.value, 1, params.q.value, 1, M),
+                       x0.value, 1, x1.value, 1, backward)
+    return _seeded(_coefficients(*params.p.as_integer_ratio(), *params.q.as_integer_ratio(), None),
+                   *x0.as_integer_ratio(), *x1.as_integer_ratio(), backward)
 
 
 # S, the indices one step of `term`'s blocked walk advances; even, so that
@@ -369,25 +388,38 @@ class _Run(dict):
     it (`__missing__`). The walk state of each direction lives on the run:
     `forward` and `backward` are [P, Q, L, M, X_{k-1}, X_k, L^k*D, k], k the
     walk's signed end index, or None before that direction's first miss.
-    The run keeps no reference to its context."""
+    A direction's first miss derives only the kind's seeds (`_seeded`), from
+    the two it caches and the context's `coefficients`. The run keeps no
+    reference to its context."""
 
-    __slots__ = ("params", "scaling", "kind", "forward", "backward")
+    __slots__ = ("coefficients", "kind", "forward", "backward")
 
-    def __init__(self, params: HoradamParams, scaling: tuple, kind: SequenceKind, x0, x1):
+    def __init__(self, coefficients: tuple, kind: SequenceKind, x0, x1):
         self[0], self[1] = x0, x1
-        self.params, self.scaling, self.kind = params, scaling, kind
+        self.coefficients, self.kind = coefficients, kind
         self.forward = self.backward = None
 
     def _start(self, step: int) -> list:
         """The state of a new walk in direction `step`, which ends at index
         step: x_1, or x_{-1} on the reversed walk, which this caches."""
-        P, Q, X0, X1, L, D, M = _kernel(self.params, self.kind, step < 0, self.scaling)
+        # the seeds by get, which takes no subscript: they are not term reads
+        x0, x1 = self.get(0), self.get(1)
+        if self.coefficients[-1]:   # M: the seeds are residues
+            seeds = x0.value, 1, x1.value, 1
+        else:
+            seeds = x0.n, x0.d, x1.n, x1.d
+        P, Q, X0, X1, L, D, M = _seeded(self.coefficients, *seeds, step < 0)
         walk = [P, Q, L, M, X0, X1, L * D, step]
         if step > 0:
             self.forward = walk
+            return walk
+        self.backward = walk
+        if M:
+            self[-1] = ModInt(X1, M)
         else:
-            self.backward = walk
-            self[-1] = ModInt(X1, M) if M else Ratio(X1, L * D)
+            # built as the walk builds its terms, without Ratio.__init__
+            self[-1] = x = _new(Ratio)
+            x.n, x.d = X1, L * D
         return walk
 
     def __missing__(self, n: int):
@@ -469,8 +501,10 @@ class TermContext:
     cache is a `_Run`, a dict that keeps the integer state of `term`'s
     kernel for the walk in each direction and caches every term it passes
     as one scalar: over Q the unreduced `Ratio(X_k, L^k*D)` read straight
-    off the walk, over GF(M) a `ModInt`. Every walk starts from the
-    context's one `_scaling`, and each q-power is cached as a reduced pair
+    off the walk, over GF(M) a `ModInt`. The context derives the parameter
+    set's `_coefficients` once, from the integer pairs (over GF(M), the
+    residues) it keeps for p and q; every walk starts from them and derives
+    only its kind's seeds. Each q-power is cached as a reduced pair
     (`_QPowers`). `_get` and `_qpow` read one cached scalar. The public
     accessors u, v, w and qp return what term() does, a reduced `Fraction`
     (one gcd per call) or a `ModInt`, and p, q, a and b are the parameters,
@@ -487,22 +521,23 @@ class TermContext:
 
     def __init__(self, params: HoradamParams):
         self.params = params
-        scaling = _scaling(params)
         M = params.modulus
         if M:
             p, q, a, b = params.p, params.q, params.a, params.b
             zero, one, two = ModInt(0, M), ModInt(1, M), ModInt(2, M)
+            coefficients = _coefficients(p.value, 1, q.value, 1, M)
         else:
             # each Fraction's reduced pair, built without Ratio.__init__
             p, q, a, b = pairs = _new(Ratio), _new(Ratio), _new(Ratio), _new(Ratio)
             for pair, x in zip(pairs, (params.p, params.q, params.a, params.b)):
                 pair.n, pair.d = x.as_integer_ratio()
             zero, one, two = _RATIO_SEEDS
+            coefficients = _coefficients(p.n, p.d, q.n, q.d, None)
         self._scalars = p, q
         # u and v seed as `seeds` gives, v's x_1 being p itself
-        self._vals = {U: _Run(params, scaling, U, zero, one),
-                      V: _Run(params, scaling, V, two, p),
-                      W: _Run(params, scaling, W, a, b)}
+        self._vals = {U: _Run(coefficients, U, zero, one),
+                      V: _Run(coefficients, V, two, p),
+                      W: _Run(coefficients, W, a, b)}
         self._qpows = _QPowers(q)
 
     def _get(self, kind: SequenceKind, n: int):

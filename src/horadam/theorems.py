@@ -18,17 +18,19 @@ theorem, 2-6, and computes:
 and require all three to agree exactly. The legs, the guards and the
 denominator scan run on the checker accessor of one `TermContext` for the
 caller's parameters, with w read as the selected kind (`sequences.Terms`,
-over unreduced `Ratio` pairs over Q); each leg over Q is reduced to a
-`Fraction` once, for the `SumReport`. Over Q every leg runs on integer pairs: a form's
-`sides`, compiled from the same displayed text
-(`formula.compile_pair_sides`, on the pair compiler that also writes
-`fuzz`'s trial chunks), reads the same terms as `lhs` then `rhs`; the
-relation's coefficients (`_Relation.pairs`) and the factor
+over unreduced `Ratio` pairs over Q). Over Q the direct sum is reduced to
+a `Fraction` once, for the `SumReport`; the closed form and the lemma leg
+are compared to it by cross-multiplying and report that `Fraction` when
+equal, and a leg that differs is reduced to its own value. Over Q every
+leg runs on integer pairs: a form's `sides`, compiled from the same
+displayed text (`formula.compile_pair_sides`, on the pair compiler that
+also writes `fuzz`'s trial chunks), reads the same terms as `lhs` then
+`rhs`; the relation's coefficients (`_Relation.pairs`) and the factor
 (`_Form.factor_pair`) come from the same compiler, and the guard tests
 their numerators. The lemma's probe checks each point with one integer
 comparison, and its sums run in loops written in `lemmas`, so the sums of
-leg 3 run on code that the pair compiler does not generate. Over GF(M) the
-displayed sides, the coefficients and the factor run on the `ModInt`
+leg 3 run on code that the pair compiler does not generate. Over GF(M)
+the displayed sides, the coefficients and the factor run on the `ModInt`
 operators, as `catalog.evaluate` does.
 Assignments that zero a lemma coefficient raise GuardViolation; reciprocal
 sums whose denominator window contains a vanishing term raise
@@ -69,6 +71,8 @@ from .lemmas import (  # noqa: F401
     lemma45_reciprocal,
 )
 from .sequences import HoradamParams, SequenceKind, TermContext, Terms
+
+_new = object.__new__
 
 # h*X(i) = f1*X(i-c) + f2*Y(i-d) over n, m, r, s: each coefficient is one
 # term, which its guard names, times a scale that cannot vanish (q != 0)
@@ -286,9 +290,10 @@ def _relation(t, rel: _Relation, where: str, n, m, r, s, pairs: bool):
     `Ratio`s from the pair code when `pairs` (over Q); GuardViolation,
     naming the term, for the first of h, f1 and f2 that is zero."""
     if pairs:
-        hn, hd, f1n, f1d, f2n, f2d = rel.pairs(t, n, m, r, s)
-        zeros = hn, f1n, f2n
-        coefficients = Ratio(hn, hd), Ratio(f1n, f1d), Ratio(f2n, f2d)
+        # built as the walk builds its terms, without Ratio.__init__
+        coefficients = h, f1, f2 = _new(Ratio), _new(Ratio), _new(Ratio)
+        h.n, h.d, f1.n, f1.d, f2.n, f2.d = rel.pairs(t, n, m, r, s)
+        zeros = h.n, f1.n, f2.n
     else:
         zeros = coefficients = rel.coefficients(t, n, m, r, s)
     if 0 in zeros:
@@ -331,7 +336,13 @@ def theorem_sum(sel: TheoremSelector, params: HoradamParams,
     if over_q:
         ln, ld, rn, rd = form.sides(t, *eff, k)
         fn, fd = form.factor_pair(t, *eff, k)
-        legs = Fraction(ln, ld), Fraction(rn, rd), Fraction(fn * lemma_lhs.n, fd * lemma_lhs.d)
+        en, ed = fn * lemma_lhs.n, fd * lemma_lhs.d
+        # the direct sum reduced once; a leg equal to it by cross-multiplying
+        # (the pair code's denominators are nonzero) reports that Fraction,
+        # and only a leg that differs is reduced to its own value
+        lhs = Fraction(ln, ld)
+        legs = (lhs, lhs if rn * ld == ln * rd else Fraction(rn, rd),
+                lhs if en * ld == ln * ed else Fraction(en, ed))
     else:
         legs = (form.lhs(t, *eff, k), form.rhs(t, *eff, k),
                 form.factor(t, *eff, k) * lemma_lhs)

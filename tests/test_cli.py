@@ -60,6 +60,27 @@ FUZZ_SHORT_SHA256 = {
     7: "8a5595a2ca1847ec09065cf43c1aac80d5b28ce3c387b89520692e33b274da4d",
 }
 
+# `horadam sum --json` over every (theorem, variant, kind) selector, each on
+# a cycled parameter set and assignment (rational and negative values), then
+# one guard exit (6) and one singular exit (5)
+SUM_PARAMS = [("3/2", "-5/7", "1/3", "-2"), ("-2", "3", "-1/2", "5/4"),
+              ("1", "-1", "2", "1"), ("-4/3", "-2/9", "7", "-3/5")]
+SUM_ASSIGNMENTS = ["n=4,m=-2,r=3,s=-1,k=2", "n=-4,m=5,r=-2,s=1,k=3",
+                   "n=2,m=3,r=1,s=-2,k=1", "n=-5,m=-1,r=2,s=4,k=0"]
+SUM_ARGVS = [
+    ["sum", "--theorem", str(theorem), "--variant", str(variant), "--kind", kind,
+     *(f"--{x}={value}" for x, value in zip("pqab", SUM_PARAMS[i % 4])),
+     "--assign", SUM_ASSIGNMENTS[i // 3 % 4], "--json"]
+    for i, (theorem, variant, kind) in enumerate(
+        (theorem, variant, kind) for theorem, count in sorted(theorems.VARIANT_COUNT.items())
+        for variant in range(1, count + 1) for kind in "uvw")
+] + [["sum", "--theorem", "4", "--variant", "1", "--preset", "pell",
+      "--assign", "n=3,m=2,r=1,s=1,k=2", "--json"],
+     ["sum", "--theorem", "5", "--variant", "1", "--preset", "fibonacci",
+      "--assign", "n=2,m=2,r=1,s=0,k=2", "--json"]]
+# sha256 of each SUM_ARGVS run as "<exit code>\n<stdout>", concatenated
+SUM_SHA256 = "b87fc1fb6fb6d0cd3b99f58ece9bf346b0bf3f8b80115a4a352f4d9c937e8732"
+
 BROKEN = catalog._I("broken", "n", "u(n) = u(n) + 1")
 
 
@@ -121,6 +142,16 @@ class TestGolden:
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
         assert out == GOLDEN_SUM
+
+    def test_sum_bytes_are_pinned(self, capsys):
+        digest = hashlib.sha256()
+        codes = []
+        for argv in SUM_ARGVS:
+            code, out, _ = run(capsys, argv)
+            codes.append(code)
+            digest.update(f"{code}\n{out}".encode())
+        assert codes == [0] * 66 + [6, 5]
+        assert digest.hexdigest() == SUM_SHA256
 
     def test_repeat_runs_byte_identical(self, capsys):
         argv = ["fuzz", "--ids", "all", "--trials", "2", "--seed", "123", "--json"]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from horadam.errors import ConfigViolation, DegenerateStride, SingularSummand
-from horadam.field import PrimeField, Ratio
+from horadam.field import ModInt, PrimeField, Ratio
 from horadam.lemmas import (
     RecurrenceConfig,
     check_config,
@@ -61,9 +61,46 @@ class TestRecurrenceConfig:
 
     def test_takes_ints_fractions_and_modints(self):
         f = PrimeField(101)
-        for h, f1, f2 in [(1, 1, 1), (Fraction(1), FIB.p, -FIB.q), (f(1), f(1), f(1))]:
+        for h, f1, f2 in [(1, 1, 1), (Fraction(1), FIB.p, -FIB.q), (f(1), f(1), f(1)),
+                          (1, Fraction(1, 2), 1), (f(3), 1, -1)]:
             cfg = RecurrenceConfig(h, f1, f2, 1, 2)
             assert (cfg.h, cfg.f1, cfg.f2) == (h, f1, f2)
+
+    @pytest.mark.parametrize("h,f1,f2", [
+        (ModInt(1, 7), ModInt(1, 11), ModInt(1, 7)),
+        (ModInt(1, 7), Fraction(1, 2), 1),
+        (1, Fraction(3), ModInt(2, 5)),
+    ], ids=["two-moduli", "modint-and-fraction", "fraction-and-modint"])
+    def test_coefficients_must_share_one_field(self, h, f1, f2):
+        # an int goes with either field; a second field fails here, as it
+        # does for HoradamParams, not later in the operators
+        message = ("coefficients h, f1 and f2 must share one field (ints with Fractions, "
+                   f"or ints with ModInts of one modulus), got {(h, f1, f2)!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RecurrenceConfig(h, f1, f2, 1, 2)
+
+
+GF7 = HoradamParams(*map(PrimeField(7), (0, 1, 1, -1)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg, x: lemma1_sum(cfg, x, x, 9, 2),
+    lambda cfg, x: lemma2_sums(cfg, x, 9, 2, 3),
+    lambda cfg, x: lemma3_binomial_sums(cfg, x, 9, 0, 1),
+    lambda cfg, x: lemma45_reciprocal(cfg, x, x, 9, 2, "L4"),
+], ids=["lemma1", "lemma2", "lemma3-k0", "L4"])
+@pytest.mark.parametrize("coefficients,params", [
+    ((1, ModInt(1, 7), 1), FIB),
+    ((Fraction(1), Fraction(1, 2), Fraction(1, 2)), GF7),
+    ((ModInt(1, 11), 1, 1), GF7),
+], ids=["GF(7)-over-Q", "Q-over-GF(7)", "GF(11)-over-GF(7)"])
+def test_accessors_must_share_the_coefficients_field(call, coefficients, params):
+    # named before any sum runs, where the operators raised a bare TypeError
+    # (or "mixed moduli") on the first product
+    x = TermContext(params).u
+    with pytest.raises(ValueError, match="the coefficients and the accessors' terms must share "
+                                         "one field, got coefficients"):
+        call(RecurrenceConfig(*coefficients, 1, 2), x)
 
 
 class TestCheckConfig:

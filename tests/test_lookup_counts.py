@@ -6,7 +6,9 @@ count lookups by binding a subclass of `_Run` that overrides `__getitem__`
 (on `sequences`, where `TermContext` builds its runs) and contexts by
 binding a subclass of `TermContext` on `catalog` and `theorems`. They pin
 both counts for fixed calls, so a change that routes a checker around the
-cache's subscript shows here.
+cache's subscript shows here. They also pin what a context derives: its
+parameter set's coefficients once (`sequences._coefficients`), and one
+kind's seeds per walk a run starts (`_Run._start`).
 """
 import random
 from fractions import Fraction
@@ -14,7 +16,8 @@ from fractions import Fraction
 import pytest
 
 from horadam import catalog, sequences, theorems
-from horadam.sequences import HoradamParams, SequenceKind, TermContext, _Run
+from horadam.field import PrimeField, reduced
+from horadam.sequences import HoradamParams, SequenceKind, TermContext, _Run, term
 
 PARAMS = HoradamParams(Fraction(1, 2), -2, Fraction(3, 4), Fraction(-5, 6))
 ASSIGNMENT = (3, 2, 1, -1, 3)   # n, m, r, s, k
@@ -129,3 +132,42 @@ def test_singularity_scan(counts, theorem):
     scan = theorems.singularity_scan(theorems.TheoremSelector(theorem, 1), PARAMS, *ASSIGNMENT)
     assert len(scan) == 5
     assert counts == {"created": 1, "lookups": 5}
+
+
+@pytest.fixture
+def derived(monkeypatch):
+    """The arguments of every derivation of a parameter set's coefficients."""
+    derived = []
+    coefficients = sequences._coefficients
+
+    def recording(*args):
+        derived.append(args)
+        return coefficients(*args)
+
+    monkeypatch.setattr(sequences, "_coefficients", recording)
+    return derived
+
+
+# q = 2/3's numerator shares the factor 2 with L = lcm(2, 3) = 6, so the
+# reversed walk runs on L_r = 4, not on L
+RESCALED = HoradamParams(Fraction(-1, 3), Fraction(5, 7), Fraction(1, 2), Fraction(2, 3))
+CONTEXT_PARAMS = [PARAMS, RESCALED] + [
+    HoradamParams(*map(PrimeField(M), (3, -2, 5, 7))) for M in (2, 3, 101, 10 ** 9 + 7)]
+INDICES = [n for m in range(1, 41) for n in (m, -m)]
+
+
+@pytest.mark.parametrize("params", CONTEXT_PARAMS,
+                         ids=["Q", "Q-rescaled", "GF(2)", "GF(3)", "GF(101)", "GF(1e9+7)"])
+def test_one_coefficient_derivation_per_context(derived, walked, params):
+    # every kind walks both directions off the context's one derivation,
+    # each walk deriving only its kind's seeds, and reads what term gives
+    ctx = TermContext(params)
+    reads = {kind: [reduced(ctx._get(kind, n)) for n in INDICES] for kind in SequenceKind}
+    assert len(derived) == 1
+    assert sorted(walked, key=repr) == sorted(
+        ((kind, step) for kind in SequenceKind for step in (1, -1)), key=repr)
+    for kind in SequenceKind:
+        assert reads[kind] == [term(params, kind, n) for n in INDICES], kind
+    if params is RESCALED:
+        run = ctx._vals[SequenceKind.U]
+        assert (run.forward[2], run.backward[2]) == (6, 4)

@@ -316,6 +316,30 @@ class TestBinet:
                             params, kind, m)
 
 
+class TestBinetDenominator:
+    """The bit length of the denominator `binet_term` hands to `Fraction`:
+    the twos that the top shares with the denominator's 2^|n| are shifted
+    out before the one reduction, so the denominator is not 2^|n| larger."""
+
+    RATIONAL = HoradamParams(Fraction(1, 2), -2, Fraction(3, 4), Fraction(-5, 6))
+    # (params, kind) -> bit lengths at n = 40 and n = -40
+    BITS = [(FIB, U, (1, 1)), (FIB, V, (1, 1)), (FIB, W, (1, 1)),
+            (RATIONAL, U, (144, 133)), (RATIONAL, V, (146, 135)), (RATIONAL, W, (145, 134))]
+
+    @pytest.mark.parametrize("params,kind,bits", BITS)
+    def test_bits(self, monkeypatch, params, kind, bits):
+        handed = []
+
+        def recording(n, d):
+            handed.append(d)
+            return Fraction(n, d)
+
+        monkeypatch.setattr(sequences, "Fraction", recording)
+        for n in (40, -40):
+            binet_term(params, kind, n)
+        assert tuple(d.bit_length() for d in handed) == bits
+
+
 class TestReflect:
     """The backward walk against neg.20's closed form q^n*w_{-n} = a*v_n - w_n,
     which needs no w_n != 0 guard."""
@@ -537,18 +561,19 @@ class TestBlockedWalk:
             assert term(params, kind, n) == doubling_term(params, kind, n), n
 
     def test_walk_is_blocked_from_three_blocks(self, monkeypatch):
-        # one transition from |n| = START, on either field and at either
-        # sign; none below
+        # one transition from |n| = START = 192, on either field and at
+        # either sign; none below. The threshold is also a literal, so that
+        # moving it fails here
         built = []
         transition = sequences._transition
         monkeypatch.setattr(sequences, "_transition", lambda *args: built.append(args)
                             or transition(*args))
         gparams = prime_field_params(random.Random(3), 101)
         for params in (FIB, gparams):
-            for n in (START - 1, 1 - START, START, -START - 5):
+            for n in (START - 1, 1 - START, START, -START - 5, 191, -191, 192, -192):
                 built.clear()
                 term(params, U, n)
-                assert len(built) == (abs(n) >= START), (params, n)
+                assert len(built) == (abs(n) >= 192), (params, n)
 
 
 class TestTermContext:
@@ -617,24 +642,6 @@ class TestTermContext:
         f = PrimeField(101)
         ctx = TermContext(HoradamParams(f(0), f(1), f(1), f(5)))
         assert ctx._qpow(-3) == f(5) ** -3 and isinstance(ctx._qpow(-3), ModInt)
-
-    def test_one_scaling_per_context(self, monkeypatch):
-        # every kind and direction derives its seeds from the context's one
-        # (P, Q, L); the term functions take it for themselves
-        calls = []
-        scaling = sequences._scaling
-        monkeypatch.setattr(sequences, "_scaling", lambda params: calls.append(params)
-                            or scaling(params))
-        params = HoradamParams(Fraction(1, 2), -2, Fraction(3, 4), Fraction(-5, 6))
-        ctx = TermContext(params)
-        for kind in SequenceKind:
-            assert [ctx._get(kind, n) for n in (-4, 5)] == [term(params, kind, n)
-                                                         for n in (-4, 5)]
-        assert len(calls) == 1 + 6      # the context once, then one per term call
-        for kind in SequenceKind:
-            for backward in (False, True):
-                assert _kernel(params, kind, backward, scaling(params)) == \
-                    _kernel(params, kind, backward)
 
     def test_qp(self):
         ctx = TermContext(HoradamParams(0, 1, 1, Fraction(2, 3)))

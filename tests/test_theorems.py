@@ -673,6 +673,27 @@ class TestPairSides:
         assert (-Ratio(1, 2)).n == -1
         assert ("__neg__", "test_theorem_sum_over_q_runs_no_ratio_sum_operator") in called
 
+    @pytest.mark.parametrize("theorem,base", TestFormulaStrings.BASES)
+    def test_legs_are_reduced_once_unless_they_differ(self, monkeypatch, theorem, base):
+        # a passing sum reports the direct sum's one Fraction for all three
+        # legs; with the left or the right side moved off, each leg is
+        # reported as its own value: the operator side's on Fraction reads,
+        # and the lemma leg as it was
+        formula, *rest = theorems._BASES[theorem][base - 1]
+        sel = TheoremSelector(theorem, base)
+        passing = theorem_sum(sel, CONTROL_PARAMS, *CONTROL_ARGS)
+        assert passing.equal and passing.rhs is passing.lhs and passing.lemma_lhs is passing.lhs
+        left, right = formula.split(" = ")
+        for text in (left.replace("w(n", "w(n+1", 1) + " = " + right, left + " = 1 + " + right):
+            form = theorems._form(theorem, text, *rest)
+            monkeypatch.setitem(theorems._FORMS, (theorem, base), form)
+            rep = theorem_sum(sel, CONTROL_PARAMS, *CONTROL_ARGS)
+            reads = fraction_reads(Terms(TermContext(CONTROL_PARAMS), W))
+            expected = (form.lhs(reads, *CONTROL_ARGS), form.rhs(reads, *CONTROL_ARGS),
+                        passing.lemma_lhs)
+            assert not rep.equal and (rep.lhs, rep.rhs, rep.lemma_lhs) == expected
+            assert all(type(leg) is Fraction for leg in (rep.lhs, rep.rhs, rep.lemma_lhs))
+
     def test_a_vanishing_divisor_raises_in_the_sides(self):
         # the lemma leg's scan raises SingularSummand first; called alone,
         # the pair sides raise as the operator side does on Fraction reads
