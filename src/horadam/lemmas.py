@@ -25,7 +25,8 @@ Accessors are plain callables int -> scalar. The public functions take
 int, `Fraction` or `ModInt` coefficients of one field (`RecurrenceConfig`)
 and accessors of the same field, such as `TermContext` methods and shifted
 lambdas, and run the probe and the sums on the operators; a `ValueError`
-names coefficients or terms X(n), Y(n) that do not share one field. The
+names coefficients or terms X(n), Y(n) that do not share one field, and
+`check_config` raises it too, from the terms at its window's first index. The
 theorem checkers pass `_lemma` `Ratio` coefficients over Q, from the pair
 code, with the members of the checker accessor `Terms`, whose terms are
 unreduced `Ratio` pairs too: the probe then compares integers, and each
@@ -34,6 +35,7 @@ sum folds its summands as integer pairs (`field.ratio_sum`) into one
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
@@ -113,10 +115,26 @@ def _probe(rel, X, Y, points, where, shift, pairs):
                 f"recurrence fails at index {n} while evaluating {where}")
 
 
+def _require_one_field(label, cfg, X, Y, n):
+    """Raise `ValueError`, naming both, unless the coefficients and the terms
+    X(n), Y(n) share one field."""
+    coefficients, x, y = (cfg.h, cfg.f1, cfg.f2), X(n), Y(n)
+    if len(_fields((*coefficients, x, y))) > 1:
+        raise ValueError(f"{label}: the coefficients and the accessors' terms must share one "
+                         f"field, got coefficients {coefficients!r} and terms "
+                         f"X({n}) = {x!r}, Y({n}) = {y!r}")
+
+
 def check_config(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, window) -> bool:
-    """True iff h*X_n = f1*X_{n-c} + f2*Y_{n-d} at every n in `window`."""
+    """True iff h*X_n = f1*X_{n-c} + f2*Y_{n-d} at every n in `window`, any
+    iterable of indices; the fields are checked at its first index."""
+    points = iter(window)
+    first = next(points, None)
+    if first is None:
+        return True
+    _require_one_field("check_config", cfg, X, Y, first)
     try:
-        _probe(_plain(cfg), X, Y, window, "check_config", 0, False)
+        _probe(_plain(cfg), X, Y, itertools.chain((first,), points), "check_config", 0, False)
     except ConfigViolation:
         return False
     return True
@@ -235,11 +253,7 @@ def _lemma(label, rel, X, Y, n, k):
 
 def _report(lemma, variant, label, cfg, X, Y, n, k):
     # the left side, and the right side on the relation it was summed on
-    coefficients, x, y = (cfg.h, cfg.f1, cfg.f2), X(n), Y(n)
-    if len(_fields((*coefficients, x, y))) > 1:
-        raise ValueError(f"{label}: the coefficients and the accessors' terms must share one "
-                         f"field, got coefficients {coefficients!r} and terms "
-                         f"X({n}) = {x!r}, Y({n}) = {y!r}")
+    _require_one_field(label, cfg, X, Y, n)
     lhs, rel, negated = _lemma(label, _plain(cfg), X, Y, n, k)
     h, f1, _, c, _ = rel
     if lemma == "3":    # the expansion collapses to one scaled term

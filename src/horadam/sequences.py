@@ -129,7 +129,8 @@ PRESETS = {
 }
 
 
-def _coefficients(pn: int, pd: int, qn: int, qd: int, M: Optional[int]) -> tuple:
+def _coefficients(pn: int, pd: int, qn: int, qd: int, M: Optional[int],
+                  backward: bool = True) -> tuple:
     """(P, Q, L, P_r, Q_r, L_r, M): one parameter set's integer coefficients
     for the walk from index 0 in either direction, from p = pn/pd and
     q = qn/qd in lowest terms (pd, qd > 0). Forward, L = lcm(pd, qd),
@@ -137,15 +138,21 @@ def _coefficients(pn: int, pd: int, qn: int, qd: int, M: Optional[int]) -> tuple
     coefficients p/q = P*L/Q and 1/q = L^2/Q; L_r is their lowest common
     denominator, P_r = L_r*p/q and Q_r = L_r^2/q. Over GF(M), pn and qn are
     the residues (pd = qd = 1), P_r is p/q, Q_r is q's inverse, which
-    exists since M is prime and q nonzero, and L = L_r = 1.
+    exists since M is prime and q nonzero, and L = L_r = 1. With `backward`
+    false, P_r, Q_r and L_r are None: the forward walk does not read them.
 
     It depends on p and q alone, so a `TermContext` derives it once for
-    every kind and direction; `_kernel` derives it per call."""
+    every kind and direction; `_kernel` derives it per call, for its one
+    direction."""
     if M:
+        if not backward:
+            return pn, qn, 1, None, None, None, M
         inv = pow(qn, -1, M)
         return pn, qn, 1, pn * inv % M, inv, 1, M
     L = math.lcm(pd, qd)
     P, Q = pn * (L // pd), qn * (L * L // qd)
+    if not backward:
+        return P, Q, L, None, None, None, None
     Lr = abs(Q) // math.gcd(P * L, L * L, Q)
     return P, Q, L, P * L * Lr // Q, L * L * Lr * Lr // Q, Lr, None
 
@@ -186,9 +193,10 @@ def _kernel(params: HoradamParams, kind: SequenceKind, backward: bool) -> tuple:
     context and the seeds once per kind and direction."""
     (x0, x1), M = params.seeds(kind), params.modulus
     if M:
-        return _seeded(_coefficients(params.p.value, 1, params.q.value, 1, M),
+        return _seeded(_coefficients(params.p.value, 1, params.q.value, 1, M, backward),
                        x0.value, 1, x1.value, 1, backward)
-    return _seeded(_coefficients(*params.p.as_integer_ratio(), *params.q.as_integer_ratio(), None),
+    return _seeded(_coefficients(*params.p.as_integer_ratio(), *params.q.as_integer_ratio(),
+                                 None, backward),
                    *x0.as_integer_ratio(), *x1.as_integer_ratio(), backward)
 
 

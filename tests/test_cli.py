@@ -1,7 +1,10 @@
 import argparse
 import hashlib
+import itertools
 import json
+import random
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -81,6 +84,34 @@ SUM_ARGVS = [
 # sha256 of each SUM_ARGVS run as "<exit code>\n<stdout>", concatenated
 SUM_SHA256 = "b87fc1fb6fb6d0cd3b99f58ece9bf346b0bf3f8b80115a4a352f4d9c937e8732"
 
+# `horadam eval` over the three methods and kinds at both signs of n, the
+# `--opt=value` and `--opt value` forms, presets and --p/--q/--a/--b, and
+# repeated options; then usage errors, argparse's and the library's
+EVAL_PARAMS = [["--preset", "fibonacci"], ["--preset=pell", "--a=-3/2", "--b", "5/7"],
+               ["--p", "3/4", "--q=-5/6", "--a", "9/4", "--b=-7/6"],
+               ["--p=1/2", "--q=-3/7", "--a=2", "--b=-5/3"]]
+EVAL_ARGVS = [
+    ["eval", *EVAL_PARAMS[i % 4], "--kind", kind,
+     *([f"--n={n}"] if i % 2 else ["--n", str(n)]), f"--method={method}",
+     *(["--json"] if i % 3 else [])]
+    for i, (method, kind, n) in enumerate(itertools.product(
+        ("iterative", "doubling", "binet"), "uvw", (37, -37)))
+] + [
+    ["eval", "--p=5", "--p", "1/2", "--q=-3/7", "--kind", "u", "--kind=w", "--n", "9", "--json"],
+    ["eval", "--preset", "lucas", "--meth", "binet", "--kind", "v", "--n", "12"],
+    ["eval", "--preset", "fibonacci", "--kind", "x", "--n", "5"],
+    ["eval", "--preset", "fibonacci", "--kind", "u", "--method=fast", "--n", "5"],
+    ["eval", "--preset", "fibonacci", "--kind", "u"],
+    ["eval", "--preset", "fibonacci", "--kind", "u", "--n", "5", "--json=1"],
+    ["eval", "--p", "-3/4", "--q", "1", "--kind", "u", "--n", "5"],
+    ["eval", "--pre", "fibonacci", "--kind", "u", "--n", "5"],
+    ["eval", "--preset", "fibonacci", "--kind", "u", "--n=x"],
+    ["eval", "--p=", "--q=1", "--kind", "u", "--n", "5"],
+    ["eval", "--p", "2", "--q", "1", "--kind", "u", "--n", "5", "--method", "binet"],
+]
+# sha256 of each EVAL_ARGVS run as "<exit code>\n<stdout>\n<stderr>", concatenated
+EVAL_SHA256 = "de0d95ba9b4207a65645aec4a4c01b82b1864bcd4a0451eb2d30f5e6d93d5d24"
+
 BROKEN = catalog._I("broken", "n", "u(n) = u(n) + 1")
 
 
@@ -152,6 +183,16 @@ class TestGolden:
             digest.update(f"{code}\n{out}".encode())
         assert codes == [0] * 66 + [6, 5]
         assert digest.hexdigest() == SUM_SHA256
+
+    def test_eval_bytes_are_pinned(self, capsys):
+        digest = hashlib.sha256()
+        codes = []
+        for argv in EVAL_ARGVS:
+            code, out, err = run(capsys, argv)
+            codes.append(code)
+            digest.update(f"{code}\n{out}\n{err}".encode())
+        assert codes == [0] * 20 + [2] * 8 + [3]
+        assert digest.hexdigest() == EVAL_SHA256
 
     def test_repeat_runs_byte_identical(self, capsys):
         argv = ["fuzz", "--ids", "all", "--trials", "2", "--seed", "123", "--json"]
@@ -476,17 +517,78 @@ def two_pass_main(argv=None):
 FIB = ["--preset", "fibonacci"]
 
 
+# one well-formed argv per command: exact long options, no separate value
+# starting with "-"
+WELL_FORMED = {
+    "eval": ["eval", *FIB, "--kind", "w", "--n=-7", "--method", "doubling", "--json"],
+    "verify": ["verify", "--id", "H", *FIB, "--assign", "n=1,m=3,r=2,s=0", "--json"],
+    "fuzz": ["fuzz", "--ids", "H", "--trials", "1", "--json"],
+    "sum": ["sum", "--theorem", "5", "--variant", "1", *FIB,
+            "--assign", "n=9,m=2,r=1,s=0,k=1", "--json"],
+    "bench": ["bench", "--n", "64", "--mod", "97", "--json"],
+}
+# the eval argv with `--n -7` as a separate token: argparse alone knows
+# that `-7` is a value there, not an option
+SEPARATE_NEGATIVE = ["eval", *FIB, "--kind", "w", "--n", "-7", "--method", "doubling", "--json"]
+
+
+def _value(action):
+    """A value the action accepts."""
+    return str(action.choices[0]) if action.choices else "3" if action.type is int else "x"
+
+
+def _required(command):
+    """The command's required options, each with a value it accepts."""
+    return [arg for action in command._actions if action.required
+            for arg in (action.option_strings[0], _value(action))]
+
+
+def _corpus(rng, command, size):
+    """Random argvs over the command parser's own option strings, prefixes
+    and junk tokens, with values that convert, fail to convert or look like
+    options."""
+    options = sorted(command._option_string_actions)
+    junk = ["--pre", "--", "--bogus", "extra"]
+    pool = ["0", "1", "3", "-7", "2/3", "-3/4", "", "--", "-", "x", "=", "n=1", "H",
+            "fibonacci", "u", "w", "doubling", "5"]
+    required = _required(command)
+    for _ in range(size):
+        argv = list(required) if rng.random() < 0.6 else []
+        for _ in range(rng.randint(0, 5)):
+            option = rng.choice(junk if rng.random() < 0.05 else options)
+            action = command._option_string_actions.get(option)
+            value = _value(action) if action and rng.random() < 0.5 else rng.choice(pool)
+            shape = rng.random()
+            if shape < 0.4:
+                argv.append(f"{option}={value}")
+            elif shape < 0.8:
+                argv += [option, value]
+            else:
+                argv.append(option)
+        yield argv
+
+
+@pytest.fixture
+def fixed_clock(monkeypatch):
+    """`bench` times each path as one tick, so its report is deterministic."""
+    monkeypatch.setattr(bench, "time", types.SimpleNamespace(
+        perf_counter=itertools.count().__next__))
+
+
 class TestArgvParsing:
-    @pytest.mark.parametrize("argv", [
-        ["eval", *FIB, "--kind", "w", "--n", "-7", "--method", "doubling", "--json"],
-        ["verify", "--id", "H", *FIB, "--assign", "n=1,m=3,r=2,s=0", "--json"],
-        ["fuzz", "--ids", "H", "--trials", "1", "--json"],
-        ["sum", "--theorem", "5", "--variant", "1", *FIB,
-         "--assign", "n=9,m=2,r=1,s=0,k=1", "--json"],
-        ["bench", "--n", "64", "--mod", "97", "--json"],
-    ], ids=["eval", "verify", "fuzz", "sum", "bench"])
-    def test_one_parse_per_call(self, capsys, monkeypatch, argv):
-        # the command's parser alone reads the arguments, once
+    @pytest.mark.parametrize("argv,parses", [
+        *((argv, 0) for argv in WELL_FORMED.values()), (SEPARATE_NEGATIVE, 1),
+    ], ids=[*WELL_FORMED, "eval-separate-negative-n"])
+    def test_one_parse_per_call(self, capsys, monkeypatch, argv, parses):
+        # a well-formed argv is read once, off the command parser's actions,
+        # into the Namespace its parse_known_args builds; the separate
+        # negative value is read once, by that parse_known_args
+        command = cli._command_parsers()[argv[0]]
+        direct = cli._direct_parse(command, argv[1:])
+        if parses:
+            assert direct is None
+        else:
+            assert command.parse_known_args(argv[1:]) == (direct, [])
         calls = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -497,7 +599,42 @@ class TestArgvParsing:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
         code, _, err = run(capsys, argv)
         assert (code, err) == (0, "")
-        assert calls == [f"horadam {argv[0]}"]
+        assert calls == [f"horadam {argv[0]}"] * parses
+
+    def test_every_action_is_read_directly_or_left_to_argparse(self):
+        # each option of the five commands is a plain store action or a
+        # store_true flag, which the direct parse reads as parse_known_args
+        # does; the help flag alone goes to argparse
+        for name, command in cli._command_parsers().items():
+            required = _required(command)
+            for action in command._actions:
+                option = action.option_strings[-1]
+                if type(action) is argparse._HelpAction:
+                    assert cli._direct_parse(command, [*required, option]) is None
+                    continue
+                assert type(action) in (argparse._StoreAction, argparse._StoreTrueAction)
+                assert action.nargs in (None, 0), (name, option)
+                assert all(o[:2] == "--" for o in action.option_strings), (name, option)
+                given = [option] if action.nargs == 0 else [option, _value(action)]
+                argv = [*required, *given]
+                assert (cli._direct_parse(command, argv), []) == command.parse_known_args(argv)
+
+    @pytest.mark.parametrize("name", sorted(WELL_FORMED))
+    def test_direct_parse_matches_parse_known_args(self, capsys, fixed_clock, name):
+        # on random argvs over each command's options, every Namespace the
+        # direct parse returns is parse_known_args's, and main's bytes are
+        # the two-pass parse's
+        command = cli._command_parsers()[name]
+        rng = random.Random(f"argv:{name}")
+        direct = 0
+        for argv in _corpus(rng, command, 200):
+            namespace = cli._direct_parse(command, argv)
+            if namespace is not None:
+                direct += 1
+                assert command.parse_known_args(argv) == (namespace, []), argv
+            full = [name, *argv]
+            assert run(capsys, full) == run(capsys, full, entry=two_pass_main), full
+        assert direct >= 25
 
     @pytest.mark.parametrize("argv", [
         [], ["-h"], ["--help"], ["-h", "eval"], ["nosuch"], ["--bogus"],
@@ -509,10 +646,19 @@ class TestArgvParsing:
         ["eval", "--pre", "fibonacci", "--kind", "u", "--n", "5"],
         ["eval", "--", "--preset", "fibonacci"],
         ["fuzz", "--ids", "H", "--trials", "1", "--max-i", "3"],
+        SEPARATE_NEGATIVE,
+        ["eval", "--p=", "--q=1", "--kind", "u", "--n", "5"],
+        ["eval", *FIB, "--kind", "u", "--n", "5", "--json=1"],
+        ["eval", *FIB, "--kind=x", "--n", "5"],
+        ["eval", "--preset", "--json", "--kind", "u", "--n", "5"],
+        ["eval", "--p=1", "--q=-1", "--a", "3", "--a=-1/2", "--kind", "w", "--n", "6"],
+        *WELL_FORMED.values(),
     ], ids=["empty", "-h", "--help", "-h-eval", "unknown-command", "top-level-option",
             "eval-h", "bench-h", "trailing-positional", "unknown-option", "bad-choice",
-            "missing-n", "ambiguous-prefix", "double-dash", "abbreviated-option"])
-    def test_usage_paths_match_the_two_pass_parse(self, capsys, argv):
+            "missing-n", "ambiguous-prefix", "double-dash", "abbreviated-option",
+            "separate-negative-n", "empty-p", "flag-with-value", "bad-choice-explicit",
+            "preset-then-flag", "repeated-a", *(f"well-formed-{name}" for name in WELL_FORMED)])
+    def test_usage_paths_match_the_two_pass_parse(self, capsys, fixed_clock, argv):
         assert run(capsys, argv) == run(capsys, argv, entry=two_pass_main)
 
     @pytest.mark.parametrize("tail,code", [

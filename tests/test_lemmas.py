@@ -88,7 +88,8 @@ GF7 = HoradamParams(*map(PrimeField(7), (0, 1, 1, -1)))
     lambda cfg, x: lemma2_sums(cfg, x, 9, 2, 3),
     lambda cfg, x: lemma3_binomial_sums(cfg, x, 9, 0, 1),
     lambda cfg, x: lemma45_reciprocal(cfg, x, x, 9, 2, "L4"),
-], ids=["lemma1", "lemma2", "lemma3-k0", "L4"])
+    lambda cfg, x: check_config(cfg, x, x, (n for n in (5, 6))),
+], ids=["lemma1", "lemma2", "lemma3-k0", "L4", "check_config"])
 @pytest.mark.parametrize("coefficients,params", [
     ((1, ModInt(1, 7), 1), FIB),
     ((Fraction(1), Fraction(1, 2), Fraction(1, 2)), GF7),
@@ -118,6 +119,19 @@ class TestCheckConfig:
         ctx = TermContext(FIB)
         cfg = RecurrenceConfig(Fraction(1), FIB.p + 1, -FIB.q, 1, 2)
         assert not check_config(cfg, ctx.u, ctx.u, range(-5, 6))
+
+    def test_window_is_any_iterable(self):
+        # the fields are read at the first index, which is still probed; an
+        # empty window holds for any configuration
+        ctx = TermContext(FIB)
+        cfg = defining_cfg(FIB)
+        assert check_config(RecurrenceConfig(1, ModInt(1, 7), 1, 1, 2), ctx.u, ctx.u, [])
+        assert check_config(cfg, ctx.u, ctx.u, (n for n in range(-5, 6)))
+
+        def off_at_zero(n):
+            return ctx.u(n) + (n == 0)
+
+        assert not check_config(cfg, off_at_zero, off_at_zero, iter([0]))
 
     def test_bad_config_raises_during_sum(self):
         ctx = TermContext(FIB)

@@ -17,7 +17,8 @@ import pytest
 
 from horadam import catalog, sequences, theorems
 from horadam.field import PrimeField, reduced
-from horadam.sequences import HoradamParams, SequenceKind, TermContext, _Run, term
+from horadam.sequences import (HoradamParams, SequenceKind, TermContext, _Run, binet_term,
+                               doubling_term, fast_uv, term)
 
 PARAMS = HoradamParams(Fraction(1, 2), -2, Fraction(3, 4), Fraction(-5, 6))
 ASSIGNMENT = (3, 2, 1, -1, 3)   # n, m, r, s, k
@@ -171,3 +172,21 @@ def test_one_coefficient_derivation_per_context(derived, walked, params):
     if params is RESCALED:
         run = ctx._vals[SequenceKind.U]
         assert (run.forward[2], run.backward[2]) == (6, 4)
+
+
+@pytest.mark.parametrize("params", [PARAMS, CONTEXT_PARAMS[-1]], ids=["Q", "GF(1e9+7)"])
+def test_only_a_backward_walk_derives_the_reversed_coefficients(derived, params):
+    # each one-term call derives the coefficients once, with the reversed
+    # ones (over GF(M), q's inverse) only for a walk toward n < 0
+    W = SequenceKind.W
+    calls = [(lambda: fast_uv(params, 40), False),
+             (lambda: term(params, W, 40), False), (lambda: term(params, W, -40), True),
+             (lambda: doubling_term(params, W, 40), False),
+             (lambda: doubling_term(params, W, -40), True)]
+    if params.modulus is None:
+        calls += [(lambda: binet_term(params, W, 40), False),
+                  (lambda: binet_term(params, W, -40), False)]
+    for call, backward in calls:
+        derived.clear()
+        call()
+        assert [args[5:] for args in derived] == [(backward,)]

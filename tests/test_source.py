@@ -84,6 +84,20 @@ def test_readme_quick_start_runs():
     assert namespace["term"](fib, U, 10) == 55
 
 
+def test_one_option_table():
+    # every option string in cli.py is an argument of an add_argument call,
+    # so the parser that build_parser declares is the only list of options
+    # (the direct parse reads its actions) and no second one can appear
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    declared = {id(arg) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+                for arg in node.args}
+    options = [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+               and isinstance(node.value, str) and re.fullmatch(r"--\w[\w-]*", node.value)]
+    stray = [(node.lineno, node.value) for node in options if id(node) not in declared]
+    assert len(options) > 20 and not stray, stray
+
+
 def _names_modint(node):
     return any(getattr(n, "id", getattr(n, "attr", None)) == "ModInt" for n in ast.walk(node))
 
