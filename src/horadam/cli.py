@@ -7,18 +7,18 @@ kernel for n < 0, with one reduction per term. JSON output is byte-stable
 for a fixed argv and seed (sorted keys, fixed separators, canonical
 rational strings).
 
-`main` reads an argv once. When its first argument is a command word, the
-rest goes to that command's sub-parser (from `build_parser`, built once per
-process, the one option table). An argv made only of exact long options,
-`--opt=value` or `--opt value` on a plain store action and a bare `--flag`
-on a store_true action, is read off that parser's own actions
-(`_direct_parse`) into the `Namespace` its `parse_known_args` would build:
-about 20 us for an `eval` argv of the `large_index` benchmark, against
-about 96 us. Anything else
-(a prefix, `-h`, `--`, a positional, a separate value starting with `-`,
-a bad value, a missing required option, `--flag=x`) goes to
-`parse_known_args`, and an argv with no command word to the top-level
-parser, so help, usage errors and exit codes are argparse's own.
+`main` reads an argv one of two ways. When its first argument is a command
+word and the rest is made only of exact long options, `--opt=value` or
+`--opt value` on a plain store action and a bare `--flag` on a store_true
+action, it is read off that command's parser's own actions (`_direct_parse`)
+into the `Namespace` argparse would build: about 17 us for an `eval` argv of
+the `large_index` benchmark, against about 160 us for `parse_args`. Every
+other argv (no command word, a prefix, `-h`, `--`, a positional, a separate
+value starting with `-`, a bad value, a missing required option,
+`--flag=x`) goes to `parse_args` of the top-level parser (`build_parser`,
+built once per process, the one option table), so help, usage errors and
+exit codes are argparse's own; a value argparse stores as a list, as it
+does for `--opt=--`, gets its "expected one argument" error.
 
 Exit codes: 0 success / verified; 2 argument or usage errors (unknown
 identity, composite modulus, malformed rationals); 3 degenerate root;
@@ -350,7 +350,7 @@ def _direct_parse(command: argparse.ArgumentParser, argv: list):
     action. A separate value starting with "-" and an explicit "--" are
     left to argparse, which reads the first by its option table and strips
     the second. Defaults are filled by argparse's rules: the actions', then
-    `set_defaults`', and an unseen action's string default through its type.
+    `set_defaults`'. No string default here has a type, so none is converted.
     """
     table = command._option_string_actions
     namespace, seen, values = argparse.Namespace(), set(), iter(argv)
@@ -380,41 +380,37 @@ def _direct_parse(command: argparse.ArgumentParser, argv: list):
                 return None
             setattr(namespace, action.dest, value)
             seen.add(action)
-        for action in command._actions:
-            if action in seen:
-                continue
-            if action.required:
-                return None
-            if (isinstance(action.default, str)
-                    and getattr(namespace, action.dest, None) is action.default):
-                setattr(namespace, action.dest, command._get_value(action, action.default))
+        if any(action.required and action not in seen for action in command._actions):
+            return None
     except argparse.ArgumentError:
         return None
     return namespace
 
 
+def _require_one_value(args) -> None:
+    """Exit 2 with argparse's "expected one argument" usage error where an
+    option's value is a list: CPython 3.11 strips an explicit `--` out of
+    `--opt=--` and stores `[]`, where it rejects `--opt --` itself."""
+    command = _command_parsers()[args.command]
+    for action in command._actions:
+        if isinstance(getattr(args, action.dest, None), list):
+            command.error(str(argparse.ArgumentError(action, "expected one argument")))
+
+
 def main(argv=None) -> int:
     """Run one command line (default `sys.argv[1:]`) and return its exit code.
 
-    When the first argument names a command, the rest is read once: by
-    `_direct_parse` when it is a well-formed list of exact long options, or
-    else by that command's own parser, whose leftover arguments get the
-    top-level parser's "unrecognized arguments" error, as `parse_args` would
-    give. Any other argv (empty, `-h`, an unknown command) goes through the
-    top-level parser, so help and usage errors read as argparse prints them.
+    An argv that names a command and that `_direct_parse` reads is read off
+    that command's parser's actions; every other argv goes to the top-level
+    `parse_args`, so help and usage errors read as argparse prints them.
     """
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = _command_parsers().get(argv[0]) if argv else None
+    args = _direct_parse(command, argv[1:]) if command is not None else None
     try:
-        if command is None:
-            args = parser.parse_args(argv)
-        else:
-            args = _direct_parse(command, argv[1:])
-            if args is None:
-                args, extra = command.parse_known_args(argv[1:])
-                if extra:
-                    parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        if args is None:
+            args = build_parser().parse_args(argv)
+            _require_one_value(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

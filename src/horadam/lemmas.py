@@ -147,12 +147,9 @@ def _require_indices(n: int, k: int):
         raise ValueError(f"summation bound k must be >= 0, got {k}")
 
 
-def _rearranged(rel, how, where):
+def _rearranged(rel, how):
     """(relation, shift): `rel` with the steps of `how`, "swapped" or "solved",
     applied in order; the caller's index n is the result's n - shift."""
-    if how == "solved swapped" and rel[3] == rel[4]:
-        # its stride would be d - c
-        raise DegenerateStride(f"{where} needs d != c")
     shift = 0
     for step in how.split():
         h, f1, f2, c, d = rel
@@ -189,20 +186,23 @@ def _binomial_sum(rel, X, Y, n, k, where, shift, pairs):
                for j in range(k + 1))
 
 
-def _denominator_window(X, n, stride, k):
-    # (j, index, is_zero), lazily: both denominator families merge into one
-    # arithmetic progression; j is the first summand using the index
-    for i in range(k + 2):
-        idx = n - stride * (k + 1 - i)
-        yield max(0, i - 1), idx, X(idx) == 0
+def _denominator_window(label, c, d, X, n, k):
+    """The denominator window of the variant `label` on a relation with
+    offsets c and d: (j, index, is_zero) for each index, lazily, j the first
+    summand using it; empty unless the variant is a reciprocal sum. Both
+    denominator families merge into one arithmetic progression, whose stride
+    is the c of the relation the variant is summed on."""
+    left_side, how, _ = _VARIANTS[label]
+    if left_side is _reciprocal_sum:
+        (_, _, _, stride, _), _ = _rearranged((0, 0, 0, c, d), how)
+        for i in range(k + 2):
+            idx = n - stride * (k + 1 - i)
+            yield max(0, i - 1), idx, X(idx) == 0
 
 
 def _reciprocal_sum(rel, X, Y, n, k, where, shift, pairs):
-    # L4's left side, after its denominator scan
+    # L4's left side; `_lemma` has scanned its denominators
     h, f1, f2, c, d = rel
-    for j, idx, zero in _denominator_window(X, n, c, k):
-        if zero:
-            raise SingularSummand(j, idx)
     _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift, pairs)
     # the scale X(n)*X(n-(k+1)c)*f2 times the sum
     first, last = X(n), X(n - c * (k + 1))
@@ -243,7 +243,13 @@ def _lemma(label, rel, X, Y, n, k):
     plain relation (h, f1, f2, c, d), the rearranged relation it was summed
     on, and whether the variant negated it."""
     left_side, how, odd_negates = _VARIANTS[label]
-    rel, shift = _rearranged(rel, how, label)
+    if how == "solved swapped" and rel[3] == rel[4]:
+        # its stride would be d - c
+        raise DegenerateStride(f"{label} needs d != c")
+    for j, idx, zero in _denominator_window(label, rel[3], rel[4], X, n, k):
+        if zero:
+            raise SingularSummand(j, idx)
+    rel, shift = _rearranged(rel, how)
     # Ratio coefficients come only from the theorem checkers' pair code over
     # Q, whose terms are Ratios too: the probe and the sums then run on pairs
     lhs = left_side(rel, X, Y, n, k, label, shift, type(rel[0]) is Ratio)

@@ -2,7 +2,7 @@
 
 Each theorem has one to three base forms, each written once as the formula
 `horadam sum` displays (`_BASES`), in the grammar of `formula`. Its two
-sides, factor, window and relation are compiled from their text on first
+sides, factor and relation are compiled from their text on first
 use (`formula.compile_side`, `_Form`), so what is displayed is what is
 evaluated, and an import compiles none of them. `theorem_sum` takes every
 theorem, 2-6, and computes:
@@ -39,12 +39,13 @@ SingularSummand. Wrong numbers are never returned silently.
 Each theorem follows from one of two three-term relations (`_RELATIONS`, each
 compiled once by `_relation_of`). Each base form names the lemma variant it
 follows from by its label in the lemma table ("lemma 2 variant 1", "L5c"),
-and carries its lemma factor and, if reciprocal, its denominator window: the
-relations, factors and windows are text in the same grammar, and a guard
-names the term that `formula.reads` finds in its coefficient. The lemma sums
-are written in `lemmas`, whose probe checks the relation first. The variants
-past the base forms (4-6, or 2 for theorems 3 and 5) evaluate a base form
-after the swap (r, s) -> (-s, -r).
+and carries its lemma factor: the relations and factors are text in the
+same grammar, and a guard names the term that `formula.reads` finds in its
+coefficient. The lemma sums are written in `lemmas`, whose probe checks the
+relation first, and which derives a reciprocal variant's denominator window
+(the singularity scan's too) from its label and the relation's offsets. The
+variants past the base forms (4-6, or 2 for theorems 3 and 5) evaluate a
+base form after the swap (r, s) -> (-s, -r).
 
 Two displayed equations in the source are misprints (they are otherwise
 false); theorem 2's second base form is written as its own derivation
@@ -55,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple
 
 from .errors import GuardViolation, require_int
 from .field import Ratio, format_scalar
@@ -86,44 +87,43 @@ _T4_CLOSED = (
     "u(r-s)^(k+1)*w(n) - (-1)^(k+1)*q^((r-s)(k+1))*u(m-r)^(k+1)*w(n-(m-s)(k+1))",
 )
 
-# theorem -> [(displayed base form, lemma variant, factor, window)] over n, m,
-# r, s, k: the form follows from the named variant (a key of lemmas._VARIANTS)
-# on the theorem's relation, the factor scales that variant's left side into
-# the displayed one, and a reciprocal form's window is the stride of its
-# denominator window over X
+# theorem -> [(displayed base form, lemma variant, factor)] over n, m, r, s,
+# k: the form follows from the named variant (a key of lemmas._VARIANTS) on
+# the theorem's relation, and the factor scales that variant's left side into
+# the displayed one
 _BASES = {
     2: [("sum_{j=0}^{k} (-1)^j*q^((r-s)(k-j))*C(k,j)*u(m-s)^j*u(m-r)^(k-j)"
-         "*w(n-(m-s)k+(r-s)j) = (-1)^k*u(r-s)^k*w(n)", "lemma 3 variant 1", "(-1)^k", None),
+         "*w(n-(m-s)k+(r-s)j) = (-1)^k*u(r-s)^k*w(n)", "lemma 3 variant 1", "(-1)^k"),
         ("sum_{j=0}^{k} q^((r-s)(k-j))*C(k,j)*u(r-s)^j*u(m-r)^(k-j)"
          "*w(n-(r-s)k+(m-s)j) = u(m-s)^k*w(n)"
          " # misprint corrected: q^((r-s)(k-j)) inside the sum, no q-power on the right",
-         "lemma 3 variant 2", "(-1)^k", None),
+         "lemma 3 variant 2", "(-1)^k"),
         ("sum_{j=0}^{k} (-1)^j*C(k,j)*u(r-s)^j*u(m-s)^(k-j)*w(n+(r-s)k+(m-r)j)"
-         " = q^((r-s)k)*u(m-r)^k*w(n)", "lemma 3 variant 3", "1", None)],
+         " = q^((r-s)k)*u(m-r)^k*w(n)", "lemma 3 variant 3", "1")],
     3: [("u(r-s)*sum_{j=0}^{k} q^((s-r)j)*w(m+s)^(k-j)*w(m+r)^j*w(n-(r-s)k+m+s+(r-s)j)"
          " = q^((s-r)k)*u(n)*w(m+r)^(k+1) - q^(r-s)*u(n-(r-s)(k+1))*w(m+s)^(k+1)",
-         "lemma 1", "q^((s-r)k)", None)],
+         "lemma 1", "q^((s-r)k)")],
     4: [("-q^(r-s)*u(m-r)*sum_{j=0}^{k} u(m-s)^(k-j)*u(r-s)^j*w(n-(m-r)k-(m-s)+(m-r)j)"
-         f" = {_T4_CLOSED[0]}", "lemma 2 variant 1", "1", None),
+         f" = {_T4_CLOSED[0]}", "lemma 2 variant 1", "1"),
         ("(-1)^k*u(m-s)*sum_{j=0}^{k} (-1)^j*q^((r-s)(k-j))*u(m-r)^(k-j)*u(r-s)^j"
-         f"*w(n-(m-s)k-(m-r)+(m-s)j) = {_T4_CLOSED[1]}", "lemma 2 variant 2", "1", None),
+         f"*w(n-(m-s)k-(m-r)+(m-s)j) = {_T4_CLOSED[1]}", "lemma 2 variant 2", "1"),
         ("u(r-s)*sum_{j=0}^{k} q^((s-r)j)*u(m-r)^(k-j)*u(m-s)^j*w(n-(r-s)k+(m-r)+(r-s)j)"
          " = q^((s-r)k)*u(m-s)^(k+1)*w(n) - q^(r-s)*u(m-r)^(k+1)*w(n-(r-s)(k+1))",
-         "lemma 2 variant 3", "(-1)^k*q^((s-r)k)", None)],
+         "lemma 2 variant 3", "(-1)^k*q^((s-r)k)")],
     5: [("u(n)*u(n-(r-s)(k+1))*u(r-s)*sum_{j=0}^{k} q^((r-s)j)*w(m+r)^(k-j)*w(m+s)^j"
          "*w(n+m+s-(r-s)k+(r-s)j)/(u(n-(r-s)k+(r-s)j)*u(n-(r-s)-(r-s)k+(r-s)j))"
          " = u(n)*w(m+r)^(k+1) - q^((r-s)(k+1))*u(n-(r-s)(k+1))*w(m+s)^(k+1)",
-         "L4", "1", "r-s")],
+         "L4", "1")],
     6: [("-q^(r-s)*u(m-r)*w(n)*w(n-(m-r)(k+1))*sum_{j=0}^{k} u(r-s)^(k-j)*u(m-s)^j"
          "*w(n-m+s-(m-r)k+(m-r)j)/(w(n-(m-r)k+(m-r)j)*w(n-(m-r)-(m-r)k+(m-r)j))"
-         f" = {_T4_CLOSED[0]}", "L5a", "1", "m-r"),
+         f" = {_T4_CLOSED[0]}", "L5a", "1"),
         ("u(m-s)*w(n)*w(n-(m-s)(k+1))*sum_{j=0}^{k} (-1)^j*q^((r-s)j)*u(r-s)^(k-j)*u(m-r)^j"
          "*w(n-(m-r)-(m-s)k+(m-s)j)/(w(n-(m-s)k+(m-s)j)*w(n-(m-s)-(m-s)k+(m-s)j))"
-         f" = {_T4_CLOSED[1]}", "L5b", "1", "m-s"),
+         f" = {_T4_CLOSED[1]}", "L5b", "1"),
         ("u(r-s)*w(n)*w(n-(r-s)(k+1))*sum_{j=0}^{k} q^((r-s)j)*u(m-s)^(k-j)*u(m-r)^j"
          "*w(n+m-r-(r-s)k+(r-s)j)/(w(n-(r-s)k+(r-s)j)*w(n-(r-s)-(r-s)k+(r-s)j))"
          " = u(m-s)^(k+1)*w(n) - q^((r-s)(k+1))*u(m-r)^(k+1)*w(n-(r-s)(k+1))",
-         "L5c", "1", "r-s")],
+         "L5c", "1")],
 }
 
 # each base form once as given, once after the swap
@@ -158,17 +158,16 @@ def _relation_of(text: str) -> _Relation:
 @dataclass(frozen=True)
 class _Form:
     """A base form from its `_BASES` entry: the displayed formula, the lemma
-    variant's label, the factor and window texts, and the theorem's relation
-    text. The displayed sides (`lhs`, `rhs`), the `factor` and the `window`,
-    over the accessor and n, m, r, s, k, `sides` and `factor_pair`, the
-    displayed sides and the factor on integer pairs, and the `relation` are
-    each compiled from their text on first use."""
+    variant's label, the factor text, and the theorem's relation text. The
+    displayed sides (`lhs`, `rhs`) and the `factor`, over the accessor and n,
+    m, r, s, k, `sides` and `factor_pair`, the displayed sides and the factor
+    on integer pairs, and the `relation` are each compiled from their text on
+    first use."""
 
     key: str
     formula: str
     variant: str
     factor_text: str
-    window_text: Optional[str]
     relation_text: str
 
     @cached_property
@@ -188,11 +187,6 @@ class _Form:
         return compile_expression("nmrsk", self.factor_text)
 
     @cached_property
-    def window(self) -> Optional[Callable]:
-        """The window's stride, or None for a form without denominators."""
-        return self.window_text and compile_expression("nmrsk", self.window_text)
-
-    @cached_property
     def sides(self) -> Callable:
         """`compile_pair_sides` of the formula: (ln, ld, rn, rd)."""
         return compile_pair_sides(self.key, "nmrsk", self.formula)
@@ -203,10 +197,10 @@ class _Form:
         return compile_pairs(self.key, "nmrsk", [self.factor_text])
 
 
-def _form(theorem, formula, variant, factor, window) -> _Form:
-    """The `_BASES` entry (formula, variant, factor, window) of `theorem`,
-    with the theorem's relation text."""
-    return _Form(f"theorem {theorem}", formula, variant, factor, window, _RELATIONS[theorem])
+def _form(theorem, formula, variant, factor) -> _Form:
+    """The `_BASES` entry (formula, variant, factor) of `theorem`, with the
+    theorem's relation text."""
+    return _Form(f"theorem {theorem}", formula, variant, factor, _RELATIONS[theorem])
 
 
 # (theorem, base) -> _Form
@@ -308,14 +302,13 @@ def singularity_scan(sel: TheoremSelector, params: HoradamParams,
     """Every distinct denominator index the selected sum touches, with a
     zero flag: entries (j, index, is_zero), j = first summand using it.
 
-    Non-reciprocal selections have no denominators and scan empty.
+    The window is the lemma leg's own (`lemmas._denominator_window`), so
+    non-reciprocal selections have no denominators and scan empty.
     """
     form, eff = _setup(sel, n, m, r, s, k)
-    if form.window is None:
-        return []
     t = Terms(TermContext(params), sel.kind)
-    _, _, X, _ = form.relation.shape(t, *eff)
-    return list(_denominator_window(X, eff[0], form.window(t, *eff, k), k))
+    c, d, X, _ = form.relation.shape(t, *eff)
+    return list(_denominator_window(form.variant, c, d, X, eff[0], k))
 
 
 def theorem_sum(sel: TheoremSelector, params: HoradamParams,

@@ -5,6 +5,7 @@
 library change that breaks a call shows here, on the first items of seed 1,
 rather than only in a benchmark run. Nothing under `perfbench/` is changed.
 """
+import itertools
 import pathlib
 import sys
 
@@ -48,3 +49,14 @@ def test_first_items_of_each_workload_confirm(workloads, name):
         if not verdict.ok:
             failed.append(verdict.reason)
     assert not failed, failed
+
+
+def test_every_large_index_argv_is_read_directly(workloads):
+    # the benchmark's CLI requests take main's direct parse: a change that
+    # sends them back to argparse fails here, not only in a benchmark run
+    from horadam import cli
+    items = itertools.islice(workloads.WORKLOADS["large_index"]().items(1), 280)
+    argvs = [item[1] for item in items if not item[0].startswith("gf_")]
+    refused = [argv for argv in argvs
+               if cli._direct_parse(cli._command_parsers()[argv[0]], argv[1:]) is None]
+    assert len(argvs) == 196 and not refused, refused

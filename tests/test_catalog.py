@@ -782,7 +782,7 @@ class TestCompileOnFirstUse:
             "def compiled():\n"
             "    return ([k for k, i in catalog.REGISTRY.items() if {'lhs', 'rhs'} & vars(i).keys()],\n"
             "            [list(k) for k, f in theorems._FORMS.items()\n"
-            "             if {'lhs', 'rhs', 'factor', 'window', 'sides'} & vars(f).keys()])\n"
+            "             if {'lhs', 'rhs', 'factor', 'sides'} & vars(f).keys()])\n"
             "before = compiled()\n"
             "report = catalog.evaluate('H', PRESETS['fibonacci'], dict(n=3, m=2, r=1, s=0))\n"
             "H = catalog.REGISTRY['H']\n"

@@ -84,6 +84,25 @@ SUM_ARGVS = [
 # sha256 of each SUM_ARGVS run as "<exit code>\n<stdout>", concatenated
 SUM_SHA256 = "b87fc1fb6fb6d0cd3b99f58ece9bf346b0bf3f8b80115a4a352f4d9c937e8732"
 
+# `horadam sum --scan --json` over every selector at three assignments: one
+# on rational parameters, one with r == s (theorem 6's third form then scans
+# a window of stride 0, which its sum rejects) and one whose windows cross
+# u(0) = 0
+SCAN_ASSIGNMENTS = [
+    ["--p=3/2", "--q=-5/7", "--a=1/3", "--b=-2", "--assign", "n=4,m=-2,r=3,s=-1,k=2"],
+    ["--preset", "fibonacci", "--assign", "n=5,m=2,r=1,s=1,k=2"],
+    ["--preset", "fibonacci", "--assign", "n=2,m=2,r=1,s=0,k=2"],
+]
+SCAN_ARGVS = [
+    ["sum", "--theorem", str(theorem), "--variant", str(variant), "--kind", kind,
+     *assignment, "--scan", "--json"]
+    for theorem, count in sorted(theorems.VARIANT_COUNT.items())
+    for variant in range(1, count + 1) for kind in "uvw" for assignment in SCAN_ASSIGNMENTS
+]
+# sha256 of each SCAN_ARGVS run as "<exit code>\n<stdout>", concatenated, as
+# computed when each base form still carried its window as text
+SCAN_SHA256 = "af245926898020f8667f151bd6ccae6efc27b900e2cccc61ccf080e7cf0f70c1"
+
 # `horadam eval` over the three methods and kinds at both signs of n, the
 # `--opt=value` and `--opt value` forms, presets and --p/--q/--a/--b, and
 # repeated options; then usage errors, argparse's and the library's
@@ -183,6 +202,19 @@ class TestGolden:
             digest.update(f"{code}\n{out}".encode())
         assert codes == [0] * 66 + [6, 5]
         assert digest.hexdigest() == SUM_SHA256
+
+    def test_sum_scan_bytes_are_pinned(self, capsys):
+        digest = hashlib.sha256()
+        flagged = scanned = 0
+        for argv in SCAN_ARGVS:
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, ""), argv
+            scan = json.loads(out)["scan"]
+            scanned += bool(scan)
+            flagged += any(entry["zero"] for entry in scan)
+            digest.update(f"{code}\n{out}".encode())
+        assert (len(SCAN_ARGVS), scanned, flagged) == (198, 72, 24)
+        assert digest.hexdigest() == SCAN_SHA256
 
     def test_eval_bytes_are_pinned(self, capsys):
         digest = hashlib.sha256()
@@ -370,6 +402,17 @@ class TestSumCommand:
         assert doc["safe"] is False
         assert any(e["zero"] and e["index"] == 0 for e in doc["scan"])
 
+    def test_scan_reads_a_zero_stride_that_the_sum_rejects(self, capsys):
+        # at r == s theorem 6's third form sums on a relation with d == c:
+        # the scan reports its window of stride 0, the sum stops on the guard
+        argv = ["sum", "--theorem", "6", "--variant", "3", "--preset", "fibonacci",
+                "--assign", "n=5,m=2,r=1,s=1,k=2", "--json"]
+        code, out, _ = run(capsys, [*argv, "--scan"])
+        assert code == 0
+        assert [entry["index"] for entry in json.loads(out)["scan"]] == [5] * 4
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (6, "") and "guard violated: u(0) = 0" in err
+
     def test_text_output_shows_the_evaluated_formula(self, capsys):
         argv = ["sum", "--theorem", "4", "--variant", "1", "--preset", "fibonacci",
                 "--a", "3", "--b", "2", "--assign", "n=5,m=3,r=2,s=0,k=2"]
@@ -502,9 +545,11 @@ class TestBench:
 
 def two_pass_main(argv=None):
     """`main` with the top-level parser in front of every argv: `parse_args`
-    classifies all arguments, then hands them to the command's parser."""
+    classifies all arguments, then hands them to the command's parser; a
+    value it stores as a list (`--opt=--`) is rejected as `main` rejects it."""
     try:
         args = cli.build_parser().parse_args(argv)
+        cli._require_one_value(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else cli.EXIT_USAGE
     try:
@@ -577,12 +622,14 @@ def fixed_clock(monkeypatch):
 
 class TestArgvParsing:
     @pytest.mark.parametrize("argv,parses", [
-        *((argv, 0) for argv in WELL_FORMED.values()), (SEPARATE_NEGATIVE, 1),
+        *((argv, []) for argv in WELL_FORMED.values()),
+        (SEPARATE_NEGATIVE, ["horadam", "horadam eval"]),
     ], ids=[*WELL_FORMED, "eval-separate-negative-n"])
     def test_one_parse_per_call(self, capsys, monkeypatch, argv, parses):
         # a well-formed argv is read once, off the command parser's actions,
         # into the Namespace its parse_known_args builds; the separate
-        # negative value is read once, by that parse_known_args
+        # negative value goes to parse_args, which runs the top-level parser
+        # and then the command's
         command = cli._command_parsers()[argv[0]]
         direct = cli._direct_parse(command, argv[1:])
         if parses:
@@ -599,7 +646,7 @@ class TestArgvParsing:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
         code, _, err = run(capsys, argv)
         assert (code, err) == (0, "")
-        assert calls == [f"horadam {argv[0]}"] * parses
+        assert calls == parses
 
     def test_every_action_is_read_directly_or_left_to_argparse(self):
         # each option of the five commands is a plain store action or a
@@ -613,6 +660,10 @@ class TestArgvParsing:
                     assert cli._direct_parse(command, [*required, option]) is None
                     continue
                 assert type(action) in (argparse._StoreAction, argparse._StoreTrueAction)
+                # argparse would pass a string default through the action's
+                # type; with no such default, the direct parse converts none
+                assert not (isinstance(action.default, str) and action.type is not None), (
+                    name, option)
                 assert action.nargs in (None, 0), (name, option)
                 assert all(o[:2] == "--" for o in action.option_strings), (name, option)
                 given = [option] if action.nargs == 0 else [option, _value(action)]
@@ -635,6 +686,28 @@ class TestArgvParsing:
             full = [name, *argv]
             assert run(capsys, full) == run(capsys, full, entry=two_pass_main), full
         assert direct >= 25
+
+    @pytest.mark.parametrize("argv,option", [
+        (["eval", "--p=--", "--q=1", "--kind", "u", "--n", "5"], "--p"),
+        (["eval", *FIB, "--kind", "u", "--n=--"], "--n"),
+        (["eval", *FIB, "--kind=--", "--n", "5"], "--kind"),
+        (["verify", "--id=--", *FIB, "--assign", "n=1"], "--id"),
+        (["fuzz", "--trials", "1", "--ids=--"], "--ids"),
+        (["sum", "--theorem", "5", "--variant", "1", *FIB, "--assign=--"], "--assign"),
+        (["bench", "--n", "5", "--p=--"], "--p"),
+    ], ids=["eval-p", "eval-n", "eval-kind", "verify-id", "fuzz-ids", "sum-assign",
+            "bench-p"])
+    def test_explicit_double_dash_value_is_a_usage_error(self, capsys, argv, option):
+        # argparse stores `--opt=--` as []; main reports it as argparse
+        # reports `--opt --`, with the command's usage and exit 2
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: horadam {argv[0]} ")
+        assert err.endswith(f"horadam {argv[0]}: error: argument {option}: "
+                            "expected one argument\n")
+        separate = [token for arg in argv
+                    for token in ([option, "--"] if arg == f"{option}=--" else [arg])]
+        assert run(capsys, separate) == (code, out, err)
 
     @pytest.mark.parametrize("argv", [
         [], ["-h"], ["--help"], ["-h", "eval"], ["nosuch"], ["--bogus"],

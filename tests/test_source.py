@@ -98,6 +98,18 @@ def test_one_option_table():
     assert len(options) > 20 and not stray, stray
 
 
+def test_two_parse_routes():
+    # main reads an argv by the direct parse or by parse_args: parse_args is
+    # called once, inside main, and parse_known_args nowhere in cli.py, so
+    # no third route can come back unnoticed
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    calls = [(getattr(top, "name", None), node.func.attr)
+             for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) in ("parse_args", "parse_known_args")]
+    assert calls == [("main", "parse_args")], calls
+
+
 def _names_modint(node):
     return any(getattr(n, "id", getattr(n, "attr", None)) == "ModInt" for n in ast.walk(node))
 

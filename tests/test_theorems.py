@@ -14,7 +14,7 @@ from horadam import cli, lemmas, theorems
 from horadam.catalog import SamplerConfig
 from horadam.errors import ConfigViolation, GuardViolation, SingularSummand
 from horadam.field import ModInt, PrimeField, Ratio, reduced
-from horadam.formula import _python, compile_expression, compile_side
+from horadam.formula import _python, compile_side
 from horadam.lemmas import (
     LemmaReport,
     RecurrenceConfig,
@@ -819,26 +819,15 @@ class TestVariantVocabulary:
             assert lemma45_reciprocal(cfg, ctx.u, ctx.u, 9, 2, variant).equal
         assert self.NAMED | set(called) == set(lemmas._VARIANTS)
 
-    @pytest.mark.parametrize("theorem,base", [(5, 1), (6, 1), (6, 2), (6, 3)])
-    def test_window_is_the_stride_of_the_variants_relation(self, theorem, base):
-        # singularity_scan's window is the lemma's own denominator scan
-        _, variant, _, window = theorems._BASES[theorem][base - 1]
-        assert lemmas._VARIANTS[variant][0] is lemmas._reciprocal_sum
-        stride = compile_expression("nmrsk", window)
-        relation = theorems._relation_of(theorems._RELATIONS[theorem])
-        t = TermContext(CONTROL_PARAMS)
-        *nmrs, k = CONTROL_ARGS
-        for swapped in (False, True):
-            sel = TheoremSelector(theorem, base + swapped * len(theorems._BASES[theorem]))
-            assert sel.swapped is swapped
-            eff = theorems._effective(sel, *nmrs)
-            c, d, _, _ = relation.shape(t, *eff)
-            rel, _ = lemmas._rearranged((*relation.coefficients(t, *eff), c, d),
-                                        lemmas._VARIANTS[variant][1], variant)
-            assert stride(t, *eff, k) == rel[3]
-
     def test_only_reciprocal_variants_have_windows(self):
-        for bases in theorems._BASES.values():
-            for _, variant, _, window in bases:
-                assert (window is None) == (lemmas._VARIANTS[variant][0]
-                                            is not lemmas._reciprocal_sum)
+        # a variant's denominator window comes from its label: k + 2 indices
+        # at the stride of the relation it is summed on for a reciprocal sum
+        # (c = 1, d = 3 here), none for any other left side
+        ctx = TermContext(FIB)
+        strides = {"L4": 1, "L5a": 1, "L5b": 3, "L5c": 2}
+        for label, (left_side, _, _) in lemmas._VARIANTS.items():
+            window = list(lemmas._denominator_window(label, 1, 3, ctx.u, 9, 3))
+            assert (left_side is lemmas._reciprocal_sum) == (label in strides), label
+            stride = strides.get(label)
+            assert [idx for _, idx, _ in window] == (
+                [9 - stride * (4 - i) for i in range(5)] if stride else []), label
