@@ -39,7 +39,8 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import HoradamError, UnknownIdentity, require_int
 from .field import format_scalar
-from .formula import as_kind, compile_side, compile_trial_chunk, compile_tuple, derivation
+from .formula import (as_kind, compile_expression, compile_trial_chunk, compile_tuple, derivation,
+                      sides)
 from .sequences import HoradamParams, SequenceKind, TermContext, Terms
 
 
@@ -59,13 +60,13 @@ class Identity:
 
     @cached_property
     def lhs(self) -> Callable:
-        """`compile_side` of the formula's left side."""
-        return compile_side(self.variables, self.formula, 0)
+        """`compile_expression` of the formula's left side."""
+        return compile_expression(self.variables, sides(self.formula)[0])
 
     @cached_property
     def rhs(self) -> Callable:
-        """`compile_side` of the formula's right side."""
-        return compile_side(self.variables, self.formula, 1)
+        """`compile_expression` of the formula's right side."""
+        return compile_expression(self.variables, sides(self.formula)[1])
 
     @cached_property
     def derivation(self) -> Optional[tuple]:

@@ -9,9 +9,10 @@ a digit or a `)` before a letter or a parenthesis multiplies (`2n`,
 coefficient; `sum_{j=0}^{k} S` is the sum of S over j = 0..k, and its
 summand S runs to the end of its side, so a factor before `sum` multiplies
 the whole sum. Text after ` # ` is a note, displayed but not evaluated. The
-catalog (`catalog`) and the summation theorems (`theorems`) compile each
-side of their displayed forms on first use, with the same helper,
-`compile_side`. The pair compiler (`compile_pairs`), which computes on the
+catalog (`catalog`) and the summation theorems (`theorems`) compile the
+sides (`sides`) of their displayed forms on first use, on the operators
+with `compile_expression` or `compile_tuple`, which translates each text
+on its own. The pair compiler (`compile_pairs`), which computes on the
 checkers' unreduced `Ratio` pairs for `fuzz` and the theorem legs over Q,
 takes the whole grammar: a sum is a loop into one pair, `C(k,j)` an int
 factor, `/` a swapped pair, and an index exponent (`(-1)^j`,
@@ -51,7 +52,7 @@ def _names(variables) -> list:
     return ["t_" if v == "t" else v for v in variables]
 
 
-def _sides(formula) -> list:
+def sides(formula) -> list:
     """The two side texts of a displayed formula `lhs = rhs # note`."""
     return formula.partition(" # ")[0].split(" = ")
 
@@ -61,7 +62,7 @@ def reads(text) -> list:
     source order: e's `_python` text for u(e), v(e), w(e) and q^e (member
     qp), None for p, q, a and b."""
     found = []
-    for side in map(_python, _sides(text)):
+    for side in map(_python, sides(text)):
         at = []     # (column, member, index)
         for node in ast.walk(ast.parse(side, mode="eval")):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -104,14 +105,10 @@ def compile_expression(variables, text) -> Callable:
 
 
 def compile_tuple(variables, texts) -> Callable:
-    """`compile_expression` for the tuple of several texts' values."""
-    return compile_expression(variables, "(" + "".join(f"{text}, " for text in texts) + ")")
-
-
-def compile_side(variables, formula, side) -> Callable:
-    """Side `side` of a displayed formula, 0 the left and 1 the right,
-    compiled by `compile_expression`."""
-    return compile_expression(variables, _sides(formula)[side])
+    """`compile_expression` for the tuple of several texts' values, each text
+    translated on its own, so that a sum's summand ends with its own text."""
+    values = "".join(f"{_python(text)}, " for text in texts)
+    return _define("expression", variables, [f"return ({values})"])
 
 
 def _times(x, y):
@@ -133,7 +130,7 @@ def _pair_lines(key, variables, texts) -> tuple:
     """(lines, (n1, d1), (n2, d2), ...): the statements that evaluate the
     grammar texts `texts` on integer pairs, on an accessor whose values are
     all `Ratio`s, and each text's numerator and denominator source (None for
-    denominator 1). A displayed formula's two sides (`_sides`) are equal
+    denominator 1). A displayed formula's two sides (`sides`) are equal
     when n1*d2 == n2*d1.
 
     Built from each text's `_python` text through `ast`. Every term read
@@ -266,12 +263,6 @@ def compile_pairs(key, variables, texts) -> Callable:
     return _define("sides", variables, [*lines, f"return {values}"])
 
 
-def compile_pair_sides(key, variables, formula) -> Callable:
-    """`compile_pairs` of the two sides of a displayed formula: (ln, ld, rn, rd),
-    the sides being ln/ld and rn/rd."""
-    return compile_pairs(key, variables, _sides(formula))
-
-
 def compile_trial_chunk(idents) -> Callable:
     """The verdicts of several entries as one function of the accessor and
     `drawn`, the entries' values one after another, each entry's in
@@ -290,8 +281,7 @@ def compile_trial_chunk(idents) -> Callable:
         body += [f"{name} = drawn[{start + j}]" for j, name in enumerate(names)]
         start += len(names)
         verdict = f"_ok{i}"
-        lines, (ln, ld), (rn, rd) = _pair_lines(ident.key, ident.variables,
-                                                _sides(ident.formula))
+        lines, (ln, ld), (rn, rd) = _pair_lines(ident.key, ident.variables, sides(ident.formula))
         body += ["try:", *(f"    {line}" for line in lines),
                  f"    {verdict} = {_times(ln, rd)} == {_times(rn, ld)}",
                  "except HoradamError:", f"    {verdict} = False"]

@@ -2,10 +2,10 @@
 
 Each theorem has one to three base forms, each written once as the formula
 `horadam sum` displays (`_BASES`), in the grammar of `formula`. Its two
-sides, factor and relation are compiled from their text on first
-use (`formula.compile_side`, `_Form`), so what is displayed is what is
-evaluated, and an import compiles none of them. `theorem_sum` takes every
-theorem, 2-6, and computes:
+sides and factor are compiled together, once per field (`_Form.pairs`,
+`_Form.values`), and its relation once, each from its text on first use,
+so what is displayed is what is evaluated, and an import compiles none of
+them. `theorem_sum` takes every theorem, 2-6, and computes:
 
   1. the direct sum of the displayed left side,
   2. the displayed right side, the closed form,
@@ -21,17 +21,19 @@ caller's parameters, with w read as the selected kind (`sequences.Terms`,
 over unreduced `Ratio` pairs over Q). Over Q the direct sum is reduced to
 a `Fraction` once, for the `SumReport`; the closed form and the lemma leg
 are compared to it by cross-multiplying and report that `Fraction` when
-equal, and a leg that differs is reduced to its own value. Over Q every
-leg runs on integer pairs: a form's `sides`, compiled from the same
-displayed text (`formula.compile_pair_sides`, on the pair compiler that
-also writes `fuzz`'s trial chunks), reads the same terms as `lhs` then
-`rhs`; the relation's coefficients (`_Relation.pairs`) and the factor
-(`_Form.factor_pair`) come from the same compiler, and the guard tests
+equal, and a leg that differs is reduced to its own value. Every
+compiled record follows one rule: `values` runs on the operators, `pairs`
+on integer pairs. Over Q every leg runs on integer pairs: a form's
+`pairs`, one function compiled from the displayed sides and the factor
+(`formula.compile_pairs`, the pair compiler that also writes `fuzz`'s
+trial chunks), reads the same terms as its `values`, the left side, the
+right side, then the factor; the relation's coefficients
+(`_Relation.pairs`) come from the same compiler, and the guard tests
 their numerators. The lemma's probe checks each point with one integer
 comparison, and its sums run in loops written in `lemmas`, so the sums of
 leg 3 run on code that the pair compiler does not generate. Over GF(M)
-the displayed sides, the coefficients and the factor run on the `ModInt`
-operators, as `catalog.evaluate` does.
+the form's and the relation's `values` run on the `ModInt` operators, as
+`catalog.evaluate` does.
 Assignments that zero a lemma coefficient raise GuardViolation; reciprocal
 sums whose denominator window contains a vanishing term raise
 SingularSummand. Wrong numbers are never returned silently.
@@ -60,8 +62,8 @@ from typing import Any, Callable, NamedTuple
 
 from .errors import GuardViolation, require_int
 from .field import Ratio, format_scalar
-from .formula import (as_kind, assignments, compile_expression, compile_pair_sides,
-                      compile_pairs, compile_side, compile_tuple, reads)
+from .formula import (as_kind, assignments, compile_expression, compile_pairs, compile_tuple,
+                      reads, sides)
 from .lemmas import _denominator_window, _lemma
 # The lemma leg calls the private form above. The public lemma functions stay
 # importable from here: perfbench/layers.py rebinds them on this module by name.
@@ -133,7 +135,7 @@ VARIANT_COUNT = {theorem: 2 * len(bases) for theorem, bases in _BASES.items()}
 class _Relation(NamedTuple):
     """A relation text compiled; the functions take the accessor and n, m, r, s."""
 
-    coefficients: Callable      # (h, f1, f2) on the operators, over GF(M)
+    values: Callable            # (h, f1, f2) on the operators, over GF(M)
     pairs: Callable             # (hn, hd, f1n, f1d, f2n, f2d) on integer pairs, over Q
     shape: Callable             # (c, d, X, Y), on either field
     guards: tuple               # (sequence, index function) of the terms in h, f1, f2
@@ -158,11 +160,11 @@ def _relation_of(text: str) -> _Relation:
 @dataclass(frozen=True)
 class _Form:
     """A base form from its `_BASES` entry: the displayed formula, the lemma
-    variant's label, the factor text, and the theorem's relation text. The
-    displayed sides (`lhs`, `rhs`) and the `factor`, over the accessor and n,
-    m, r, s, k, `sides` and `factor_pair`, the displayed sides and the factor
-    on integer pairs, and the `relation` are each compiled from their text on
-    first use."""
+    variant's label, the factor text, and the theorem's relation text. Each
+    member is compiled from its text on first use: the `relation`, and the
+    displayed sides and the factor together, over the accessor and n, m, r,
+    s, k, once per field: `values` on the operators (lhs, rhs, factor) and
+    `pairs` on integer pairs (ln, ld, rn, rd, fn, fd)."""
 
     key: str
     formula: str
@@ -175,26 +177,12 @@ class _Form:
         return _relation_of(self.relation_text)
 
     @cached_property
-    def lhs(self) -> Callable:
-        return compile_side("nmrsk", self.formula, 0)
+    def values(self) -> Callable:
+        return compile_tuple("nmrsk", [*sides(self.formula), self.factor_text])
 
     @cached_property
-    def rhs(self) -> Callable:
-        return compile_side("nmrsk", self.formula, 1)
-
-    @cached_property
-    def factor(self) -> Callable:
-        return compile_expression("nmrsk", self.factor_text)
-
-    @cached_property
-    def sides(self) -> Callable:
-        """`compile_pair_sides` of the formula: (ln, ld, rn, rd)."""
-        return compile_pair_sides(self.key, "nmrsk", self.formula)
-
-    @cached_property
-    def factor_pair(self) -> Callable:
-        """`compile_pairs` of the factor: (fn, fd)."""
-        return compile_pairs(self.key, "nmrsk", [self.factor_text])
+    def pairs(self) -> Callable:
+        return compile_pairs(self.key, "nmrsk", [*sides(self.formula), self.factor_text])
 
 
 def _form(theorem, formula, variant, factor) -> _Form:
@@ -289,7 +277,7 @@ def _relation(t, rel: _Relation, where: str, n, m, r, s, pairs: bool):
         h.n, h.d, f1.n, f1.d, f2.n, f2.d = rel.pairs(t, n, m, r, s)
         zeros = h.n, f1.n, f2.n
     else:
-        zeros = coefficients = rel.coefficients(t, n, m, r, s)
+        zeros = coefficients = rel.values(t, n, m, r, s)
     if 0 in zeros:
         sequence, index = rel.guards[zeros.index(0)]
         raise GuardViolation(f"{sequence}({index(t, n, m, r, s)})", where)
@@ -327,8 +315,7 @@ def theorem_sum(sel: TheoremSelector, params: HoradamParams,
     # before the direct sum divides by a vanishing term
     lemma_lhs = _lemma(form.variant, rel, X, Y, eff[0], k)[0]
     if over_q:
-        ln, ld, rn, rd = form.sides(t, *eff, k)
-        fn, fd = form.factor_pair(t, *eff, k)
+        ln, ld, rn, rd, fn, fd = form.pairs(t, *eff, k)
         en, ed = fn * lemma_lhs.n, fd * lemma_lhs.d
         # the direct sum reduced once; a leg equal to it by cross-multiplying
         # (the pair code's denominators are nonzero) reports that Fraction,
@@ -337,8 +324,8 @@ def theorem_sum(sel: TheoremSelector, params: HoradamParams,
         legs = (lhs, lhs if rn * ld == ln * rd else Fraction(rn, rd),
                 lhs if en * ld == ln * ed else Fraction(en, ed))
     else:
-        legs = (form.lhs(t, *eff, k), form.rhs(t, *eff, k),
-                form.factor(t, *eff, k) * lemma_lhs)
+        lhs, rhs, factor = form.values(t, *eff, k)
+        legs = lhs, rhs, factor * lemma_lhs
     return SumReport(sel, dict(n=n, m=m, r=r, s=s, k=k), *legs, notes)
 
 

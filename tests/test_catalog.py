@@ -555,7 +555,7 @@ class TestFuzzCheck:
             "index-is-a-variable"])
     def test_rejects_what_it_cannot_compute(self, formula):
         with pytest.raises(ValueError, match=r"^odd\.1: the pair compiler cannot compile"):
-            grammar.compile_pair_sides("odd.1", "n", formula)
+            grammar.compile_pairs("odd.1", "n", grammar.sides(formula))
 
     @pytest.mark.parametrize("formula", [
         "u(2n) = v(n)*u(2n)/v(n)",
@@ -567,7 +567,7 @@ class TestFuzzCheck:
         # the constructs the summation theorems add decide a draw as the
         # operator sides do
         ident = catalog._I("odd.1", "n", formula)
-        sides = grammar.compile_pair_sides("odd.1", "n", formula)
+        sides = grammar.compile_pairs("odd.1", "n", grammar.sides(formula))
         verdicts = set()
         for params in (FIB, FIBW, HoradamParams(Fraction(1, 2), -2, Fraction(3, 4),
                                                 Fraction(-5, 6))):
@@ -612,7 +612,7 @@ class TestFuzzCheck:
         ctx = TermContext(FIBW)
         t = Terms(ctx, SequenceKind.W)
         assert _fuzz_verdict(ident, t, [3]) is True
-        sides = grammar.compile_pair_sides("odd.1", "n", ident.formula)
+        sides = grammar.compile_pairs("odd.1", "n", grammar.sides(ident.formula))
         chunk = _one_entry_chunk(ident)
         for side, args in ((chunk, [0]), (sides, 0)):
             with pytest.raises(ZeroDivisionError, match="^Ratio division by zero$"):
@@ -623,7 +623,7 @@ class TestFuzzCheck:
     def test_a_negative_index_exponent_raises(self):
         # the operator sides would take a reciprocal; the pair code never
         # yields a float
-        sides = grammar.compile_pair_sides("odd.1", "n", "(-1)^n*u(4)^n = v(n)")
+        sides = grammar.compile_pairs("odd.1", "n", grammar.sides("(-1)^n*u(4)^n = v(n)"))
         t = Terms(TermContext(FIBW), SequenceKind.W)
         assert all(type(x) is int for x in sides(t, 3))
         for n in (-1, -3):
@@ -782,7 +782,7 @@ class TestCompileOnFirstUse:
             "def compiled():\n"
             "    return ([k for k, i in catalog.REGISTRY.items() if {'lhs', 'rhs'} & vars(i).keys()],\n"
             "            [list(k) for k, f in theorems._FORMS.items()\n"
-            "             if {'lhs', 'rhs', 'factor', 'sides'} & vars(f).keys()])\n"
+            "             if {'values', 'pairs'} & vars(f).keys()])\n"
             "before = compiled()\n"
             "report = catalog.evaluate('H', PRESETS['fibonacci'], dict(n=3, m=2, r=1, s=0))\n"
             "H = catalog.REGISTRY['H']\n"
@@ -843,3 +843,43 @@ class TestCompileOnFirstUse:
         assert got["relations"] == [] and got["derivations"] == []
         assert got["mapped"] == ["H", dict(n=4, m=0, r=2, s=-1)]
         assert got["after"] == 1 and got["held"] == ["cor1.56"]
+
+    def test_one_compile_per_form_and_field(self):
+        # in a fresh process, one theorem_sum per selector compiles each form
+        # once over Q (its pairs) and once over GF(M) (its values); each
+        # relation compiles its pairs, values, shape and three guards once,
+        # on its first read; a second round compiles nothing
+        src = str(Path(catalog.__file__).parents[1])
+        code = (
+            "import collections, json\n"
+            "from fractions import Fraction\n"
+            "from horadam import formula, theorems\n"
+            "from horadam.field import PrimeField\n"
+            "from horadam.sequences import HoradamParams\n"
+            "names = collections.Counter()\n"
+            "define = formula._define\n"
+            "def counted(name, *args):\n"
+            "    names[name] += 1\n"
+            "    return define(name, *args)\n"
+            "formula._define = counted\n"
+            "field = PrimeField(1_000_000_007)\n"
+            "over_q = HoradamParams(Fraction(2, 3), -1, Fraction(3, 2), Fraction(-5, 7))\n"
+            "over_gf = HoradamParams(*map(field, (over_q.a, over_q.b, over_q.p, over_q.q)))\n"
+            "got = []\n"
+            "for params in (over_q, over_gf, over_q, over_gf):\n"
+            "    for theorem, count in theorems.VARIANT_COUNT.items():\n"
+            "        for variant in range(1, count + 1):\n"
+            "            sel = theorems.TheoremSelector(theorem, variant)\n"
+            "            assert theorems.theorem_sum(sel, params, 5, 3, 2, -1, 3).equal\n"
+            "    got.append(dict(names))\n"
+            "    names.clear()\n"
+            "print(json.dumps(got))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        # 23 compiles over Q: 11 form pairs, 2 relation pairs, 2 * (values,
+        # shape, 3 guards); then 11 over GF(M), the form values
+        q_first, gf_first, *again = json.loads(out.stdout)
+        assert q_first == {"sides": 11 + 2, "expression": 2 * 5}, out.stderr
+        assert gf_first == {"expression": 11} and again == [{}, {}]

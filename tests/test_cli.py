@@ -339,6 +339,21 @@ class TestExitCodes:
         assert err == ("error: bad assignment entry 'n=x': the value of 'n' is not "
                        "an integer; expected var=int\n")
 
+    def test_empty_assignment_piece_is_skipped(self, capsys):
+        argv = ["verify", "--id", "H", "--preset", "fibonacci", "--assign"]
+        spaced = run(capsys, [*argv, "n=1,,m=2,r=1,s=0"])
+        assert spaced[0] == 0 and spaced == run(capsys, [*argv, "n=1,m=2,r=1,s=0"])
+
+    def test_assignment_entry_without_value_is_2(self, capsys):
+        assert run(capsys, ["verify", "--id", "H", "--preset", "fibonacci",
+                            "--assign", "n=1,m,r=1,s=0"]) == (
+            2, "", "error: bad assignment entry 'm'; expected var=int\n")
+
+    def test_sum_without_k_is_2(self, capsys):
+        assert run(capsys, ["sum", "--theorem", "2", "--variant", "1", "--preset", "fibonacci",
+                            "--assign", "n=3,m=2,r=1,s=0"]) == (
+            2, "", "error: sum needs assignment of exactly ['k', 'm', 'n', 'r', 's']\n")
+
     def test_usage_error_leaves_the_next_parse_untouched(self, capsys):
         # the parser is built once per process and reused by every call
         valid = ["eval", "--p=3/4", "--q=-5/6", "--a=1/2", "--b=2", "--kind", "w",
@@ -360,6 +375,16 @@ class TestExitCodes:
                                     "--seed", "1", "--json"])
         assert code == 4
         assert json.loads(out)["all_passed"] is False
+
+    def test_fuzz_text_names_the_counterexample(self, capsys, monkeypatch):
+        monkeypatch.setattr(catalog, "REGISTRY", dict(catalog.REGISTRY, broken=BROKEN))
+        assert run(capsys, ["fuzz", "--ids", "H,broken", "--trials", "3", "--seed", "2",
+                            "--max-index", "5"]) == (4, (
+            "ok   H: 3/3\n"
+            "FAIL broken: 0/3\n"
+            "     counterexample: {'identity': 'broken', 'assignment': {'n': -3}, "
+            "'lhs': '3708/343', 'rhs': '4051/343', 'equal': False, 'error': None}\n"
+            "all passed: False\n"), "")
 
     @pytest.mark.parametrize("flags,message", [
         (["--ids", "H,H", "--seed", "1", "--json"],
@@ -401,6 +426,24 @@ class TestSumCommand:
         doc = json.loads(out)
         assert doc["safe"] is False
         assert any(e["zero"] and e["index"] == 0 for e in doc["scan"])
+
+    def test_guarded_k0_note_in_text_mode(self, capsys):
+        code, out, _ = run(capsys, ["sum", "--theorem", "2", "--variant", "1",
+                                    "--preset", "fibonacci", "--a", "3", "--b", "2",
+                                    "--assign", "n=4,m=2,r=1,s=0,k=0"])
+        assert code == 0
+        assert out.splitlines()[-2:] == [
+            "  note: k=0 is outside the stated hypothesis (positive k); the sum still evaluates",
+            "  equal: True"]
+
+    def test_scan_mode_in_text(self, capsys):
+        assert run(capsys, ["sum", "--theorem", "5", "--variant", "1", "--preset", "fibonacci",
+                            "--assign", "n=3,m=2,r=1,s=0,k=2", "--scan"]) == (0, (
+            "j=0 index=0 zero=True\n"
+            "j=0 index=1 zero=False\n"
+            "j=1 index=2 zero=False\n"
+            "j=2 index=3 zero=False\n"
+            "safe: False\n"), "")
 
     def test_scan_reads_a_zero_stride_that_the_sum_rejects(self, capsys):
         # at r == s theorem 6's third form sums on a relation with d == c:

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,28 @@ class TestModInt:
                        lambda: f(3) / 7):
             with pytest.raises(NonInvertible, match="no inverse mod 7"):
                 divide()
+
+    def test_mixed_moduli_raise(self):
+        for combine in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(ValueError, match="^mixed moduli$"):
+                combine(ModInt(3, 7), ModInt(3, 11))
+
+    @pytest.mark.parametrize("other", [1.5, Fraction(1, 2)], ids=["float", "fraction"])
+    def test_other_operands_are_refused_on_both_sides(self, other):
+        # each operator returns NotImplemented, so Python raises TypeError
+        x = ModInt(3, 7)
+        for combine, name, reflected in (
+                (operator.add, "__add__", "__radd__"), (operator.sub, "__sub__", "__rsub__"),
+                (operator.mul, "__mul__", "__rmul__"),
+                (operator.truediv, "__truediv__", "__rtruediv__")):
+            assert getattr(x, name)(other) is NotImplemented
+            assert getattr(x, reflected)(other) is NotImplemented
+            for args in ((x, other), (other, x)):
+                with pytest.raises(TypeError):
+                    combine(*args)
+
+    def test_format_scalar_renders_other_scalars_with_str(self):
+        assert [format_scalar(x) for x in (7, -3, ModInt(-1, 7))] == ["7", "-3", "6"]
 
 
 # (numerator, denominator) pairs, unreduced and with either sign

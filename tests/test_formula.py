@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from horadam import catalog, theorems
 from horadam.catalog import REGISTRY
 from horadam.field import Ratio, ratio_sum
-from horadam.formula import compile_pairs, reads
+from horadam.formula import compile_expression, compile_pairs, compile_tuple, reads
 from horadam.sequences import HoradamParams, TermContext
 
 
@@ -44,6 +45,35 @@ class TestReads:
             ident.lhs(recording, *values), ident.rhs(recording, *values)
             assert {member for member, _ in reads(ident.formula)} == recording.members, ident.key
 
+
+class TestCompileTuple:
+    """`compile_tuple`: one function returning each text's value."""
+
+    def test_a_sum_ends_with_its_text(self):
+        # the summand runs to the end of its own text, not of the tuple
+        t = TermContext(HoradamParams(3, 2, 1, -1))
+        values = compile_tuple("k", ["sum_{j=0}^{k} u(j)", "w(k)"])(t, 3)
+        assert values == (t.u(0) + t.u(1) + t.u(2) + t.u(3), t.w(3))
+
+    def test_maps_and_shapes_compile_as_the_joined_text(self, monkeypatch):
+        # every derivation map and relation tuple, which hold no sum, compiles
+        # to the code of its texts joined into one tuple expression
+        calls = []
+
+        def recording(variables, texts):
+            calls.append((variables, texts))
+            return compile_tuple(variables, texts)
+        monkeypatch.setattr(catalog, "compile_tuple", recording)
+        monkeypatch.setattr(theorems, "compile_tuple", recording)
+        for ident in REGISTRY.values():
+            if ident.derived is not None:
+                catalog._derivation(ident, REGISTRY)
+        for text in set(theorems._RELATIONS.values()):
+            theorems._relation_of.__wrapped__(text)
+        assert len(calls) == 57 + 2 * 2
+        for variables, texts in calls:
+            joined = compile_expression(variables, "(" + "".join(f"{x}, " for x in texts) + ")")
+            assert compile_tuple(variables, texts).__code__ == joined.__code__, texts
 
 
 class TestPairSum:

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import importlib.util
 import pathlib
@@ -108,6 +109,19 @@ def test_two_parse_routes():
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", None) in ("parse_args", "parse_known_args")]
     assert calls == [("main", "parse_args")], calls
+
+
+def test_one_compile_per_record_and_field():
+    # a theorem form compiles its relation, its operator code (`values`) and
+    # its pair code (`pairs`); a relation compiles the same two, its shape
+    # and its guards; the formula module keeps no per-side compile helper.
+    # So a third per-field compile cannot come back unnoticed
+    from horadam import formula, theorems
+    members = {name for name, member in vars(theorems._Form).items()
+               if isinstance(member, functools.cached_property)}
+    assert members == {"relation", "values", "pairs"}
+    assert theorems._Relation._fields == ("values", "pairs", "shape", "guards")
+    assert not [name for name in ("compile_side", "compile_pair_sides") if hasattr(formula, name)]
 
 
 def _names_modint(node):

@@ -14,7 +14,7 @@ from horadam import cli, lemmas, theorems
 from horadam.catalog import SamplerConfig
 from horadam.errors import ConfigViolation, GuardViolation, SingularSummand
 from horadam.field import ModInt, PrimeField, Ratio, reduced
-from horadam.formula import _python, compile_side
+from horadam.formula import _python, compile_expression, sides
 from horadam.lemmas import (
     LemmaReport,
     RecurrenceConfig,
@@ -452,7 +452,7 @@ class TestFormulaGrammar:
 
     def test_note_is_displayed_not_evaluated(self):
         formula = "w(n) = u(n) # a note, even with w(n) = 0 in it"
-        lhs, rhs = compile_side("n", formula, 0), compile_side("n", formula, 1)
+        lhs, rhs = (compile_expression("n", side) for side in sides(formula))
         t = TermContext(FIBW)
         assert (lhs(t, 4), rhs(t, 4)) == (t.w(4), t.u(4))
 
@@ -532,24 +532,28 @@ class TestFormulaStrings:
 
 
 class TestPairSides:
-    """Over Q the displayed sides (`_Form.sides`), the relation's
-    coefficients (`_Relation.pairs`) and the factor (`_Form.factor_pair`)
-    run on integer pairs from the pair compiler, the probe on one integer
-    comparison per point and the lemma sums on integer pairs written in
-    `lemmas.py`; over GF(M) all of them run on the `ModInt` operators. The
-    references run the operator sides on reduced `Fraction` reads."""
+    """Over Q the displayed sides and the factor (`_Form.pairs`) and the
+    relation's coefficients (`_Relation.pairs`) run on integer pairs from
+    the pair compiler, the probe on one integer comparison per point and
+    the lemma sums on integer pairs written in `lemmas.py`; over GF(M) all
+    of them run on the `ModInt` operators (`_Form.values`,
+    `_Relation.values`). The references run the operator code on reduced
+    `Fraction` reads."""
 
     class OperatorSides(theorems._Form):
-        """A form whose pair sides are the pairs of its operator sides on the
-        accessor's reads reduced to `Fraction`s."""
+        """A form whose pairs are the pairs of its operator values (lhs, rhs,
+        factor) on the accessor's reads reduced to `Fraction`s; each call
+        appends the form's key to `calls`."""
+
+        calls = []
 
         @property
-        def sides(self):
-            def sides(t, *args):
-                reads = fraction_reads(t)
-                lhs, rhs = self.lhs(reads, *args), self.rhs(reads, *args)
-                return lhs.numerator, lhs.denominator, rhs.numerator, rhs.denominator
-            return sides
+        def pairs(self):
+            def pairs(t, *args):
+                self.calls.append(self.key)
+                values = self.values(fraction_reads(t), *args)
+                return tuple(part for x in values for part in (x.numerator, x.denominator))
+            return pairs
 
     @staticmethod
     def outcome(sel, params, args):
@@ -571,7 +575,10 @@ class TestPairSides:
         for key, form in theorems._FORMS.items():
             monkeypatch.setitem(theorems._FORMS, key, self.OperatorSides(
                 *(getattr(form, field.name) for field in fields(form))))
+        monkeypatch.setattr(self.OperatorSides, "calls", [])
         assert [self.outcome(*call) for call in calls] == by_pairs
+        # every report came from the override, once per call
+        assert len(self.OperatorSides.calls) == sum(x.startswith("{") for x in by_pairs)
         assert sum('"equal": true' in outcome for outcome in by_pairs) > len(calls) // 2
 
     def test_passing_sum_runs_its_sides_and_probe_on_no_ratio_operator(self, monkeypatch):
@@ -593,10 +600,9 @@ class TestPairSides:
                 return _op(*args)
             monkeypatch.setattr(Ratio, op, forbidden)
         monkeypatch.setattr(lemmas, "_probe", guarded(lemmas._probe))
-        for member in ("sides", "factor_pair"):
-            compiled = getattr(theorems._Form, member)
-            monkeypatch.setattr(theorems._Form, member,
-                                property(lambda form, _c=compiled: guarded(_c.func(form))))
+        compiled = theorems._Form.pairs
+        monkeypatch.setattr(theorems._Form, "pairs",
+                            property(lambda form: guarded(compiled.func(form))))
         for theorem, nvar in VARIANT_COUNT.items():
             for variant in range(1, nvar + 1):
                 rep = theorem_sum(TheoremSelector(theorem, variant), CONTROL_PARAMS, *CONTROL_ARGS)
@@ -689,8 +695,7 @@ class TestPairSides:
             monkeypatch.setitem(theorems._FORMS, (theorem, base), form)
             rep = theorem_sum(sel, CONTROL_PARAMS, *CONTROL_ARGS)
             reads = fraction_reads(Terms(TermContext(CONTROL_PARAMS), W))
-            expected = (form.lhs(reads, *CONTROL_ARGS), form.rhs(reads, *CONTROL_ARGS),
-                        passing.lemma_lhs)
+            expected = (*form.values(reads, *CONTROL_ARGS)[:2], passing.lemma_lhs)
             assert not rep.equal and (rep.lhs, rep.rhs, rep.lemma_lhs) == expected
             assert all(type(leg) is Fraction for leg in (rep.lhs, rep.rhs, rep.lemma_lhs))
 
@@ -702,9 +707,9 @@ class TestPairSides:
             theorem_sum(TheoremSelector(5, 1), FIB, 2, 2, 1, 0, 2)
         ctx = TermContext(FIB)
         with pytest.raises(ZeroDivisionError, match="^Ratio division by zero$"):
-            form.sides(Terms(ctx, W), 2, 2, 1, 0, 2)
+            form.pairs(Terms(ctx, W), 2, 2, 1, 0, 2)
         with pytest.raises(ZeroDivisionError):
-            form.lhs(ctx, 2, 2, 1, 0, 2)
+            form.values(ctx, 2, 2, 1, 0, 2)
 
     def test_a_negative_bound_raises_in_the_sides(self):
         # theorem_sum refuses k < 0 first; called alone, every form's pair
@@ -712,7 +717,7 @@ class TestPairSides:
         t = Terms(TermContext(CONTROL_PARAMS), W)
         for key, form in theorems._FORMS.items():
             with pytest.raises(ValueError, match="negative exponent"):
-                form.sides(t, *CONTROL_ARGS[:4], -2)
+                form.pairs(t, *CONTROL_ARGS[:4], -2)
 
     @pytest.mark.parametrize("printed", [
         ("q^((r-s)(k-j))*C(k,j)", "C(k,j)"),
@@ -746,11 +751,11 @@ class TestLemmaLeg:
         follows from, built from a RecurrenceConfig on the theorem's
         relation, and the factor scaling its left side into the theorem's."""
         form = theorems._FORMS[sel.theorem, sel.base]
-        factor, relation = form.factor, form.relation
+        relation = form.relation
         t = fraction_reads(Terms(TermContext(params), sel.kind))
         eff = theorems._effective(sel, n, m, r, s)
         c, d, X, Y = relation.shape(t, *eff)
-        cfg = RecurrenceConfig(*relation.coefficients(t, *eff), c, d)
+        cfg = RecurrenceConfig(*relation.values(t, *eff), c, d)
         n = eff[0]
         if sel.theorem == 2:
             rep = lemma3_binomial_sums(cfg, X, n, k, sel.base)
@@ -762,7 +767,7 @@ class TestLemmaLeg:
             rep = lemma45_reciprocal(cfg, X, Y, n, k, "L4")
         else:
             rep = lemma45_reciprocal(cfg, X, X, n, k, ("L5a", "L5b", "L5c")[sel.base - 1])
-        return factor(t, *eff, k), rep
+        return form.values(t, *eff, k)[2], rep
 
     def test_lemma_lhs_is_the_public_reports_lhs(self):
         rng = random.Random(149)
