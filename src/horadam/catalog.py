@@ -7,8 +7,8 @@ is displayed is what is evaluated, and an import compiles no side.
 `evaluate` builds a `TermContext` for its parameters and runs them on the
 context itself, whose reads are reduced `Fraction`s over Q (one gcd per
 read) and `ModInt`s over GF(M). `fuzz` decides a draw on the context's
-checker accessor (`sequences.Terms`), over the cache's unreduced `Ratio`
-pairs: the pair compiler (`formula._pair_lines`) turns the same formula
+checker accessor (`sequences.Terms`), over the cache's unreduced `(n, d)`
+tuples: the pair compiler (`formula._pair_lines`) turns the same formula
 into integer arithmetic on those pairs, with the same term reads, and one
 generated call decides about eight consecutive entries
 (`formula.compile_trial_chunk`), so a trial over all 73 entries is ten

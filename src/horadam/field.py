@@ -2,12 +2,12 @@
 
 Two scalar realizations share one informal protocol (+, -, *, /, **, ==,
 interop with small ints): arbitrary-precision rationals (`fractions.Fraction`)
-and residues modulo a prime (`ModInt`). `Ratio` is an unreduced integer pair
-internal to the checkers, with no arithmetic: the term cache fills it
-straight from the integer kernel, the pair code computes on its integers,
-with `ratio_sum` as its one sum rule, and `reduced` turns it into a
-`Fraction` wherever a value is reported. All values are immutable; every
-operation is pure.
+and residues modulo a prime (`ModInt`). Inside the checkers a value over Q
+is an unreduced integer pair, a plain `(n, d)` tuple with d != 0: the term
+cache fills it straight from the integer kernel, the pair code computes on
+its integers, with `ratio_sum` as its one sum rule, and `reduced` turns it
+into a `Fraction` wherever a value is reported. All values are immutable;
+every operation is pure.
 """
 from __future__ import annotations
 
@@ -65,55 +65,13 @@ def format_scalar(x) -> str:
     return str(x)
 
 
-_new = object.__new__
-
-
-class Ratio:
-    """The exact rational n/d (d != 0), not necessarily reduced: a pair
-    carrier, internal to the checkers, with no arithmetic.
-
-    The term cache fills it straight from the integer kernel, and the pair
-    code (`formula._pair_lines`, the loops in `lemmas` with `ratio_sum`)
-    computes on its `n` and `d`. `==` cross-multiplies, with a Ratio, an int
-    or a Fraction on either side, as the lemma's denominator scan needs on
-    either field; unary `-` negates n, so a value that may be a Ratio, a
-    `Fraction` or a `ModInt` negates without a type test. Unhashable, since
-    equal values need not share a pair; `reduced` gives the value as a
-    `Fraction`.
-    """
-
-    __slots__ = ("n", "d")
-
-    def __init__(self, n: int, d: int):
-        self.n = n
-        self.d = d
-
-    def __neg__(self):
-        result = _new(Ratio)
-        result.n, result.d = -self.n, self.d
-        return result
-
-    def __eq__(self, other):
-        if type(other) is Ratio:
-            return self.n * other.d == other.n * self.d
-        if isinstance(other, int):
-            return self.n == other * self.d
-        if isinstance(other, Fraction):
-            return self.n * other.denominator == other.numerator * self.d
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Ratio({self.n}, {self.d})"
-
-
-def ratio_sum(pairs) -> Ratio:
-    """The sum of the integer pairs (n, d), d != 0, as one Ratio, folded in
-    one frame by Henrici's rule (Knuth, TAOCP Vol. 2, 4.5.1), as `Fraction`
-    adds: the gcd of the denominators, then of the result, without which
-    telescoping sums grow without bound. The library's one sum rule on
-    pairs; the pair compiler's sum loop generates the same steps."""
+def ratio_sum(pairs) -> tuple:
+    """The sum of the integer pairs (n, d), d != 0, as one pair (n, d),
+    folded in one frame by Henrici's rule (Knuth, TAOCP Vol. 2, 4.5.1), as
+    `Fraction` adds: the gcd of the denominators, then of the result,
+    without which telescoping sums grow without bound. The library's one
+    sum rule on pairs; the pair compiler's sum loop generates the same
+    steps."""
     n, d = 0, 1
     for nb, db in pairs:
         g = gcd(d, db)
@@ -121,14 +79,12 @@ def ratio_sum(pairs) -> Ratio:
         t = n * (db // g) + nb * s
         g = gcd(t, g)
         n, d = t // g, s * (db // g)
-    result = _new(Ratio)
-    result.n, result.d = n, d
-    return result
+    return n, d
 
 
 def reduced(x):
-    """A Ratio as the reduced Fraction of its value; any other scalar as is."""
-    return Fraction(x.n, x.d) if type(x) is Ratio else x
+    """A pair (n, d) as the reduced Fraction n/d; any other scalar as is."""
+    return Fraction(*x) if type(x) is tuple else x
 
 
 def binomial(k: int, j: int) -> int:

@@ -13,7 +13,7 @@ catalog (`catalog`) and the summation theorems (`theorems`) compile the
 sides (`sides`) of their displayed forms on first use, on the operators
 with `compile_expression` or `compile_tuple`, which translates each text
 on its own. The pair compiler (`compile_pairs`), which computes on the
-checkers' unreduced `Ratio` pairs for `fuzz` and the theorem legs over Q,
+checkers' unreduced `(n, d)` tuples for `fuzz` and the theorem legs over Q,
 takes the whole grammar: a sum is a loop into one pair, `C(k,j)` an int
 factor, `/` a swapped pair, and an index exponent (`(-1)^j`,
 `u(m-s)^(k-j)`) a power taken at run time; it rejects a negative literal
@@ -129,15 +129,16 @@ def _index(node) -> bool:
 def _pair_lines(key, variables, texts) -> tuple:
     """(lines, (n1, d1), (n2, d2), ...): the statements that evaluate the
     grammar texts `texts` on integer pairs, on an accessor whose values are
-    all `Ratio`s, and each text's numerator and denominator source (None for
-    denominator 1). A displayed formula's two sides (`sides`) are equal
-    when n1*d2 == n2*d1.
+    all `(n, d)` tuples, and each text's numerator and denominator source
+    (None for denominator 1). A displayed formula's two sides (`sides`) are
+    equal when n1*d2 == n2*d1.
 
     Built from each text's `_python` text through `ast`. Every term read
     (t.u(e), t.v(e), t.w(e), t.qp(e), t.p, t.q, t.a, t.b) stays an accessor
     read, of the member that `_define` fetches into a local (`_u(e)`, `_q`),
-    in the order the operator compile of the texts, one after another,
-    makes them; the arithmetic is integer arithmetic on the pairs' n and d:
+    unpacked into two locals (`_3n, _3d = _u(e)`), in the order the operator
+    compile of the texts, one after another, makes them; the arithmetic is
+    integer arithmetic on the pairs' n and d:
       - +, -, unary - and * take no gcd: a*b is (na*nb, da*db) and a-b is
         (na*db - nb*da, da*db);
       - ** to a non-negative integer literal raises n and d; ** to an index
@@ -165,7 +166,7 @@ def _pair_lines(key, variables, texts) -> tuple:
 
     def name(expr):
         """`expr`, bound to a new local unless it is a name already."""
-        if expr.isidentifier() or re.fullmatch(r"\w+\.[nd]|\d+", expr):
+        if expr.isidentifier() or expr.isdigit():
             return expr
         return local(expr)
 
@@ -230,8 +231,9 @@ def _pair_lines(key, variables, texts) -> tuple:
                 and len(node.args) == 1):
             read = node if isinstance(node, ast.Attribute) else call
             if isinstance(read.value, ast.Name) and read.value.id == "t":
-                read = local("_" + source[2:])
-                return f"{read}.n", f"{read}.d"
+                n, d = f"_{len(lines)}n", f"_{len(lines)}d"
+                lines.append(f"{indent}{n}, {d} = _{source[2:]}")
+                return n, d
         raise ValueError(f"{key}: the pair compiler cannot compile {source!r}; it takes "
                          "term reads, p, q, a, b, integer literals, C(k,j), sums, +, -, *, /, "
                          "and ** to a non-negative integer literal or to an index expression")

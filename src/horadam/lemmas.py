@@ -27,11 +27,12 @@ and accessors of the same field, such as `TermContext` methods and shifted
 lambdas, and run the probe and the sums on the operators; a `ValueError`
 names coefficients or terms X(n), Y(n) that do not share one field, and
 `check_config` raises it too, from the terms at its window's first index. The
-theorem checkers pass `_lemma` `Ratio` coefficients over Q, from the pair
-code, with the members of the checker accessor `Terms`, whose terms are
-unreduced `Ratio` pairs too: the probe then compares integers, and each
-sum folds its summands as integer pairs (`field.ratio_sum`) into one
-`Ratio`, with its scale folded into the result's integers.
+theorem checkers pass `_lemma` coefficients over Q as `(n, d)` tuples, from
+the pair code, with the members of the checker accessor `Terms`, whose
+terms are unreduced `(n, d)` tuples too: the probe then compares integers,
+each sum folds its summands as integer pairs (`field.ratio_sum`) into one
+pair, with its scale folded into the result's integers, and a negation
+(`_negated`) and the denominator scan's zero test read the numerator.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .errors import ConfigViolation, DegenerateStride, SingularSummand, require_int
-from .field import ModInt, Ratio, binomial, ratio_sum
+from .field import ModInt, binomial, ratio_sum
 
 Accessor = Callable[[int], Any]
 
@@ -101,13 +102,13 @@ def _probe(rel, X, Y, points, where, shift, pairs):
     h, f1, f2, c, d = rel
     if pairs:
         # h*X = f1*Xc + f2*Y is one cross-multiplied comparison
-        left, right = h.n * f1.d * f2.d, h.d
-        a, b = f1.n * f2.d, f2.n * f1.d
+        (hn, hd), (f1n, f1d), (f2n, f2d) = h, f1, f2
+        left, a, b = hn * f1d * f2d, f1n * f2d, f2n * f1d
     for n in points:
         i = n - shift
         if pairs:
-            x, xc, y = X(i), X(i - c), Y(i - d)
-            fails = left * x.n * xc.d * y.d != (a * xc.n * y.d + b * y.n * xc.d) * right * x.d
+            (xn, xd), (xcn, xcd), (yn, yd) = X(i), X(i - c), Y(i - d)
+            fails = left * xn * xcd * yd != (a * xcn * yd + b * yn * xcd) * hd * xd
         else:
             fails = h * X(i) != f1 * X(i - c) + f2 * Y(i - d)
         if fails:
@@ -147,6 +148,11 @@ def _require_indices(n: int, k: int):
         raise ValueError(f"summation bound k must be >= 0, got {k}")
 
 
+def _negated(x):
+    """-x, for a pair (n, d) the pair (-n, d)."""
+    return (-x[0], x[1]) if type(x) is tuple else -x
+
+
 def _rearranged(rel, how):
     """(relation, shift): `rel` with the steps of `how`, "swapped" or "solved",
     applied in order; the caller's index n is the result's n - shift."""
@@ -156,7 +162,7 @@ def _rearranged(rel, how):
         if step == "swapped":
             rel = h, f2, f1, d, c
         else:
-            rel, shift = (f1, h, -f2, -c, d - c), shift + c
+            rel, shift = (f1, h, _negated(f2), -c, d - c), shift + c
     return rel, shift
 
 
@@ -166,9 +172,10 @@ def _power_sum(rel, X, Y, n, k, where, shift, pairs):
     _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift, pairs)
     if pairs:
         # f2 folded into the sum's integers, with no gcd
-        s = ratio_sum((f1.n ** (k - j) * h.n ** j * y.n, f1.d ** (k - j) * h.d ** j * y.d)
-                      for j in range(k + 1) for y in [Y(n - k * c - d + c * j)])
-        return Ratio(f2.n * s.n, f2.d * s.d)
+        (hn, hd), (f1n, f1d), (f2n, f2d) = h, f1, f2
+        sn, sd = ratio_sum((f1n ** (k - j) * hn ** j * yn, f1d ** (k - j) * hd ** j * yd)
+                           for j in range(k + 1) for yn, yd in [Y(n - k * c - d + c * j)])
+        return f2n * sn, f2d * sd
     return f2 * sum(f1 ** (k - j) * h ** j * Y(n - k * c - d + c * j) for j in range(k + 1))
 
 
@@ -179,9 +186,10 @@ def _binomial_sum(rel, X, Y, n, k, where, shift, pairs):
     points = {n + shift - a * c - (tot - a) * d for tot in range(k) for a in range(tot + 1)}
     _probe(rel, X, Y, points, where, shift, pairs)
     if pairs:
-        return ratio_sum((binomial(k, j) * f2.n ** (k - j) * f1.n ** j * x.n,
-                          f2.d ** (k - j) * f1.d ** j * x.d)
-                         for j in range(k + 1) for x in [X(n - d * k + (d - c) * j)])
+        (f1n, f1d), (f2n, f2d) = f1, f2
+        return ratio_sum((binomial(k, j) * f2n ** (k - j) * f1n ** j * xn,
+                          f2d ** (k - j) * f1d ** j * xd)
+                         for j in range(k + 1) for xn, xd in [X(n - d * k + (d - c) * j)])
     return sum(binomial(k, j) * f2 ** (k - j) * f1 ** j * X(n - d * k + (d - c) * j)
                for j in range(k + 1))
 
@@ -191,13 +199,15 @@ def _denominator_window(label, c, d, X, n, k):
     offsets c and d: (j, index, is_zero) for each index, lazily, j the first
     summand using it; empty unless the variant is a reciprocal sum. Both
     denominator families merge into one arithmetic progression, whose stride
-    is the c of the relation the variant is summed on."""
+    is the c of the relation the variant is summed on. A term that is a
+    pair (n, d) is zero when n is: a tuple never equals 0."""
     left_side, how, _ = _VARIANTS[label]
     if left_side is _reciprocal_sum:
         (_, _, _, stride, _), _ = _rearranged((0, 0, 0, c, d), how)
         for i in range(k + 2):
             idx = n - stride * (k + 1 - i)
-            yield max(0, i - 1), idx, X(idx) == 0
+            x = X(idx)
+            yield max(0, i - 1), idx, (x[0] if type(x) is tuple else x) == 0
 
 
 def _reciprocal_sum(rel, X, Y, n, k, where, shift, pairs):
@@ -209,13 +219,14 @@ def _reciprocal_sum(rel, X, Y, n, k, where, shift, pairs):
     if pairs:
         # Y over the two X terms: each X term enters with its pair swapped;
         # the scale is folded into the sum's integers, with no gcd
-        s = ratio_sum((h.n ** (k - j) * f1.n ** j * y.n * xa.d * xb.d,
-                       h.d ** (k - j) * f1.d ** j * y.d * xa.n * xb.n)
-                      for j in range(k + 1)
-                      for y, xa, xb in [(Y(n - d - c * k + c * j),
-                                         X(n - c * k + c * j),
-                                         X(n - c - c * k + c * j))])
-        return Ratio(first.n * last.n * f2.n * s.n, first.d * last.d * f2.d * s.d)
+        (hn, hd), (f1n, f1d), (f2n, f2d) = h, f1, f2
+        sn, sd = ratio_sum((hn ** (k - j) * f1n ** j * yn * xad * xbd,
+                            hd ** (k - j) * f1d ** j * yd * xan * xbn)
+                           for j in range(k + 1)
+                           for (yn, yd), (xan, xad), (xbn, xbd) in [
+                               (Y(n - d - c * k + c * j), X(n - c * k + c * j),
+                                X(n - c - c * k + c * j))])
+        return first[0] * last[0] * f2n * sn, first[1] * last[1] * f2d * sd
     return first * last * f2 * sum(
         h ** (k - j) * f1 ** j * Y(n - d - c * k + c * j)
         / (X(n - c * k + c * j) * X(n - c - c * k + c * j))
@@ -250,11 +261,11 @@ def _lemma(label, rel, X, Y, n, k):
         if zero:
             raise SingularSummand(j, idx)
     rel, shift = _rearranged(rel, how)
-    # Ratio coefficients come only from the theorem checkers' pair code over
-    # Q, whose terms are Ratios too: the probe and the sums then run on pairs
-    lhs = left_side(rel, X, Y, n, k, label, shift, type(rel[0]) is Ratio)
+    # pair coefficients come only from the theorem checkers' pair code over
+    # Q, whose terms are pairs too: the probe and the sums then run on pairs
+    lhs = left_side(rel, X, Y, n, k, label, shift, type(rel[0]) is tuple)
     negated = odd_negates and k % 2 == 1
-    return (-lhs if negated else lhs), rel, negated
+    return (_negated(lhs) if negated else lhs), rel, negated
 
 
 def _report(lemma, variant, label, cfg, X, Y, n, k):
@@ -280,7 +291,8 @@ def lemma2_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int, variant: int
     swapped relation (2), and (-1)^k times it on the swapped solved relation
     (3, needs d != c)."""
     _require_indices(n, k)
-    if type(variant) is not int or variant not in (1, 2, 3):
+    require_int("variant", variant)
+    if variant not in (1, 2, 3):
         raise ValueError(f"lemma 2 variant must be 1, 2 or 3, got {variant}")
     return _report("2", str(variant), f"lemma 2 variant {variant}", cfg, X, X, n, k)
 
@@ -291,7 +303,8 @@ def lemma3_binomial_sums(cfg: RecurrenceConfig, X: Accessor, n: int, k: int,
     sum C(k,j) f2^(k-j) f1^j X_{n-dk+(d-c)j} = h^k X_n (variant 1), and (-1)^k
     times it on the relation solved for its f1 term (2) or its f2 term (3)."""
     _require_indices(n, k)
-    if type(variant) is not int or variant not in (1, 2, 3):
+    require_int("variant", variant)
+    if variant not in (1, 2, 3):
         raise ValueError(f"lemma 3 variant must be 1, 2 or 3, got {variant}")
     return _report("3", str(variant), f"lemma 3 variant {variant}", cfg, X, X, n, k)
 

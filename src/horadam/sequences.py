@@ -21,10 +21,10 @@ coefficients for both directions (`_coefficients`), and one kind's seeds
 on them (`_seeded`). `term` builds one `Fraction` per returned term;
 `TermContext` derives the coefficients once, from the integer pairs of p
 and q, and each kind's seeds on the first walk in each direction; it
-caches each term as the pair itself (a `Ratio`) and reduces it only when a
-public accessor returns it. Each kind's cache is a dict, `_Run`, whose
-`__missing__` walks toward a missing index, so a cached read is one
-subscript with no Python frame. Over GF(M) the same recurrence
+caches each term as the pair itself, an `(n, d)` tuple, and reduces it
+only when a public accessor returns it. Each kind's cache is a dict,
+`_Run`, whose `__missing__` walks toward a missing index, so a cached read
+is one subscript with no Python frame. Over GF(M) the same recurrence
 runs on the residues, reduced each step; `term` walks it with M - Q in
 place of -Q, so every residue it forms is non-negative. From |n| >= 3*S
 (S = `_BLOCK`, 64) `term` advances S indices per step, by the S-step
@@ -47,7 +47,7 @@ from operator import attrgetter
 from typing import Any, Optional
 
 from .errors import CompositeModulus, DegenerateRoot, EmptyRange, require_int
-from .field import ModInt, Ratio, is_prime, reduced
+from .field import ModInt, is_prime, reduced
 
 
 class SequenceKind(enum.Enum):
@@ -382,13 +382,6 @@ def binet_term(params: HoradamParams, kind: SequenceKind, n: int):
     return Fraction(top >> twos, (D * base ** m) << (m - twos))
 
 
-_new = object.__new__
-
-# u's seeds and v's x_0 over Q as Ratio pairs, shared by every context: a
-# Ratio is immutable
-_RATIO_SEEDS = Ratio(0, 1), Ratio(1, 1), Ratio(2, 1)
-
-
 class _Run(dict):
     """One kind's term cache: index -> scalar over one contiguous run of
     indices, seeded with x_0 and x_1. A read is a subscript, so a hit is one
@@ -415,19 +408,14 @@ class _Run(dict):
         if self.coefficients[-1]:   # M: the seeds are residues
             seeds = x0.value, 1, x1.value, 1
         else:
-            seeds = x0.n, x0.d, x1.n, x1.d
+            seeds = *x0, *x1
         P, Q, X0, X1, L, D, M = _seeded(self.coefficients, *seeds, step < 0)
         walk = [P, Q, L, M, X0, X1, L * D, step]
         if step > 0:
             self.forward = walk
             return walk
         self.backward = walk
-        if M:
-            self[-1] = ModInt(X1, M)
-        else:
-            # built as the walk builds its terms, without Ratio.__init__
-            self[-1] = x = _new(Ratio)
-            x.n, x.d = X1, L * D
+        self[-1] = ModInt(X1, M) if M else (X1, L * D)
         return walk
 
     def __missing__(self, n: int):
@@ -449,17 +437,15 @@ class _Run(dict):
             for i in indices:
                 X0, X1 = X1, P * X1 - Q * X0
                 scale *= L
-                # built without Ratio.__init__: one Python frame fewer per term
-                self[i] = val = _new(Ratio)
-                val.n, val.d = X1, scale
+                self[i] = val = X1, scale
         walk[4:] = X0, X1, scale, n
         return val
 
 
 class _QPowers(dict):
-    """q^e by e, each built on its first read (`__missing__`): over Q the
-    `Ratio` of q's reduced pair raised to |e|, swapped for e < 0, which is
-    reduced too and needs no gcd; over GF(M) `q ** e`."""
+    """q^e by e, each built on its first read (`__missing__`): over Q q's
+    reduced pair (n, d) raised to |e|, swapped for e < 0, which is reduced
+    too and needs no gcd; over GF(M) `q ** e`."""
 
     __slots__ = ("q",)
 
@@ -468,10 +454,9 @@ class _QPowers(dict):
 
     def __missing__(self, e: int):
         q = self.q
-        if type(q) is Ratio:
-            n, d = (q.n, q.d) if e >= 0 else (q.d, q.n)
-            val = _new(Ratio)
-            val.n, val.d = n ** abs(e), d ** abs(e)
+        if type(q) is tuple:
+            n, d = q if e >= 0 else q[::-1]
+            val = n ** abs(e), d ** abs(e)
         else:
             val = q ** e
         self[e] = val
@@ -481,9 +466,9 @@ class _QPowers(dict):
 class Terms:
     """The checkers' accessor over one TermContext with w read as `kind`:
     u, v, w, qp, p, q, and a, b = that kind's x_0, x_1, on the cached scalars
-    themselves (`Ratio` over Q, not reduced). u, v, w and qp are the bound
-    `__getitem__` of the context's cache dicts (`_Run`, `_QPowers`), so a
-    cached read is one C-level dict lookup and starts no Python frame; a
+    themselves (`(n, d)` tuples over Q, not reduced). u, v, w and qp are the
+    bound `__getitem__` of the context's cache dicts (`_Run`, `_QPowers`),
+    so a cached read is one C-level dict lookup and starts no Python frame; a
     miss walks in the dict's `__missing__`. The context keeps no reference
     to the accessor, and the dicts none to the context: a reference cycle
     would keep the cache alive after its last user until a full garbage
@@ -508,7 +493,7 @@ class TermContext:
     Purely an optimization: results are identical to term(). Each kind's
     cache is a `_Run`, a dict that keeps the integer state of `term`'s
     kernel for the walk in each direction and caches every term it passes
-    as one scalar: over Q the unreduced `Ratio(X_k, L^k*D)` read straight
+    as one scalar: over Q the unreduced pair `(X_k, L^k*D)` read straight
     off the walk, over GF(M) a `ModInt`. The context derives the parameter
     set's `_coefficients` once, from the integer pairs (over GF(M), the
     residues) it keeps for p and q; every walk starts from them and derives
@@ -535,12 +520,10 @@ class TermContext:
             zero, one, two = ModInt(0, M), ModInt(1, M), ModInt(2, M)
             coefficients = _coefficients(p.value, 1, q.value, 1, M)
         else:
-            # each Fraction's reduced pair, built without Ratio.__init__
-            p, q, a, b = pairs = _new(Ratio), _new(Ratio), _new(Ratio), _new(Ratio)
-            for pair, x in zip(pairs, (params.p, params.q, params.a, params.b)):
-                pair.n, pair.d = x.as_integer_ratio()
-            zero, one, two = _RATIO_SEEDS
-            coefficients = _coefficients(p.n, p.d, q.n, q.d, None)
+            # each Fraction's reduced pair
+            p, q, a, b = (x.as_integer_ratio() for x in (params.p, params.q, params.a, params.b))
+            zero, one, two = (0, 1), (1, 1), (2, 1)
+            coefficients = _coefficients(*p, *q, None)
         self._scalars = p, q
         # u and v seed as `seeds` gives, v's x_1 being p itself
         self._vals = {U: _Run(coefficients, U, zero, one),

@@ -3,7 +3,8 @@
 Each theorem has one to three base forms, each written once as the formula
 `horadam sum` displays (`_BASES`), in the grammar of `formula`. Its two
 sides and factor are compiled together, once per field (`_Form.pairs`,
-`_Form.values`), and its relation once, each from its text on first use,
+`_Form.values`), and so are its relation's coefficients
+(`_Relation.pairs`, `_Relation.values`), each from its text on first use,
 so what is displayed is what is evaluated, and an import compiles none of
 them. `theorem_sum` takes every theorem, 2-6, and computes:
 
@@ -18,7 +19,7 @@ them. `theorem_sum` takes every theorem, 2-6, and computes:
 and require all three to agree exactly. The legs, the guards and the
 denominator scan run on the checker accessor of one `TermContext` for the
 caller's parameters, with w read as the selected kind (`sequences.Terms`,
-over unreduced `Ratio` pairs over Q). Over Q the direct sum is reduced to
+over unreduced `(n, d)` tuples over Q). Over Q the direct sum is reduced to
 a `Fraction` once, for the `SumReport`; the closed form and the lemma leg
 are compared to it by cross-multiplying and report that `Fraction` when
 equal, and a leg that differs is reduced to its own value. Every
@@ -38,12 +39,13 @@ Assignments that zero a lemma coefficient raise GuardViolation; reciprocal
 sums whose denominator window contains a vanishing term raise
 SingularSummand. Wrong numbers are never returned silently.
 
-Each theorem follows from one of two three-term relations (`_RELATIONS`, each
-compiled once by `_relation_of`). Each base form names the lemma variant it
-follows from by its label in the lemma table ("lemma 2 variant 1", "L5c"),
-and carries its lemma factor: the relations and factors are text in the
-same grammar, and a guard names the term that `formula.reads` finds in its
-coefficient. The lemma sums are written in `lemmas`, whose probe checks the
+Each theorem follows from one of two three-term relations (`_RELATIONS`,
+each one `_Relation` from `_relation_of`, whose members compile on first
+use). Each base form names the lemma variant it follows from by its label
+in the lemma table ("lemma 2 variant 1", "L5c"), and carries its lemma
+factor: the relations and factors are text in the same grammar, and a
+guard names the term that `formula.reads` finds in its coefficient. The
+lemma sums are written in `lemmas`, whose probe checks the
 relation first, and which derives a reciprocal variant's denominator window
 (the singularity scan's too) from its label and the relation's offsets. The
 variants past the base forms (4-6, or 2 for theorems 3 and 5) evaluate a
@@ -58,10 +60,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from .errors import GuardViolation, require_int
-from .field import Ratio, format_scalar
+from .field import format_scalar
 from .formula import (as_kind, assignments, compile_expression, compile_pairs, compile_tuple,
                       reads, sides)
 from .lemmas import _denominator_window, _lemma
@@ -74,8 +76,6 @@ from .lemmas import (  # noqa: F401
     lemma45_reciprocal,
 )
 from .sequences import HoradamParams, SequenceKind, TermContext, Terms
-
-_new = object.__new__
 
 # h*X(i) = f1*X(i-c) + f2*Y(i-d) over n, m, r, s: each coefficient is one
 # term, which its guard names, times a scale that cannot vanish (q != 0)
@@ -132,29 +132,51 @@ _BASES = {
 VARIANT_COUNT = {theorem: 2 * len(bases) for theorem, bases in _BASES.items()}
 
 
-class _Relation(NamedTuple):
-    """A relation text compiled; the functions take the accessor and n, m, r, s."""
+@dataclass(frozen=True)
+class _Relation:
+    """A relation text (`_RELATIONS`). Each member is compiled from it on
+    first use, as a function of the accessor and n, m, r, s: `values`, h,
+    f1 and f2 on the operators, read over GF(M); `pairs`, (hn, hd, f1n,
+    f1d, f2n, f2d) on integer pairs, read over Q; `shape`, (c, d, X, Y) on
+    either field; and `guards`, the (sequence, index function) of the term
+    in each of h, f1 and f2, read when one of them is zero."""
 
-    values: Callable            # (h, f1, f2) on the operators, over GF(M)
-    pairs: Callable             # (hn, hd, f1n, f1d, f2n, f2d) on integer pairs, over Q
-    shape: Callable             # (c, d, X, Y), on either field
-    guards: tuple               # (sequence, index function) of the terms in h, f1, f2
+    text: str
+
+    @property
+    def _coefficients(self) -> list:
+        fields = assignments(self.text)
+        return [fields[x] for x in ("h", "f1", "f2")]
+
+    @cached_property
+    def values(self) -> Callable:
+        return compile_tuple("nmrs", self._coefficients)
+
+    @cached_property
+    def pairs(self) -> Callable:
+        return compile_pairs(self.text, "nmrs", self._coefficients)
+
+    @cached_property
+    def shape(self) -> Callable:
+        fields = assignments(self.text)
+        # a term at i reads the cache itself; a shifted term is read through a closure
+        accessors = [member if index == "i" else f"lambda i: {fields[x]}"
+                     for x in ("X", "Y") for [(member, index)] in [reads(fields[x])]]
+        return compile_tuple("nmrs", [fields["c"], fields["d"], *accessors])
+
+    @cached_property
+    def guards(self) -> tuple:
+        # h, f1 and f2 each read one u, v or w term, which its guard names
+        terms = [[x for x in reads(coefficient) if x[0] in ("u", "v", "w")]
+                 for coefficient in self._coefficients]
+        return tuple((x, compile_expression("nmrs", index)) for [(x, index)] in terms)
 
 
 @cache
 def _relation_of(text: str) -> _Relation:
-    fields = assignments(text)
-    coefficients = [fields[x] for x in ("h", "f1", "f2")]
-    # h, f1 and f2 each read one u, v or w term, which its guard names
-    guards = [read for coefficient in coefficients
-              for [read] in [[x for x in reads(coefficient) if x[0] in ("u", "v", "w")]]]
-    # a term at i reads the cache itself; a shifted term is read through a closure
-    accessors = [member if index == "i" else f"lambda i: {fields[x]}"
-                 for x in ("X", "Y") for [(member, index)] in [reads(fields[x])]]
-    return _Relation(compile_tuple("nmrs", coefficients),
-                     compile_pairs(text, "nmrs", coefficients),
-                     compile_tuple("nmrs", [fields["c"], fields["d"], *accessors]),
-                     tuple((x, compile_expression("nmrs", index)) for x, index in guards))
+    """The one `_Relation` of a relation text, which the forms of every
+    theorem that follows from it share."""
+    return _Relation(text)
 
 
 @dataclass(frozen=True)
@@ -203,10 +225,12 @@ class TheoremSelector:
     kind: SequenceKind = SequenceKind.W
 
     def __post_init__(self):
-        if type(self.theorem) is not int or self.theorem not in VARIANT_COUNT:
+        require_int("theorem", self.theorem)
+        if self.theorem not in VARIANT_COUNT:
             raise ValueError(f"theorem must be one of {sorted(VARIANT_COUNT)}")
         count = VARIANT_COUNT[self.theorem]
-        if type(self.variant) is not int or not 1 <= self.variant <= count:
+        require_int("variant", self.variant)
+        if not 1 <= self.variant <= count:
             raise ValueError(f"theorem {self.theorem} has variants 1..{count}")
         if not isinstance(self.kind, SequenceKind):
             raise ValueError(f"kind must be a SequenceKind, got {self.kind!r}")
@@ -269,13 +293,11 @@ def _setup(sel, n, m, r, s, k) -> tuple:
 
 def _relation(t, rel: _Relation, where: str, n, m, r, s, pairs: bool):
     """((h, f1, f2, c, d), X, Y) on the accessor `t`, h, f1 and f2 as
-    `Ratio`s from the pair code when `pairs` (over Q); GuardViolation,
+    `(n, d)` tuples from the pair code when `pairs` (over Q); GuardViolation,
     naming the term, for the first of h, f1 and f2 that is zero."""
     if pairs:
-        # built as the walk builds its terms, without Ratio.__init__
-        coefficients = h, f1, f2 = _new(Ratio), _new(Ratio), _new(Ratio)
-        h.n, h.d, f1.n, f1.d, f2.n, f2.d = rel.pairs(t, n, m, r, s)
-        zeros = h.n, f1.n, f2.n
+        hn, hd, f1n, f1d, f2n, f2d = rel.pairs(t, n, m, r, s)
+        coefficients, zeros = ((hn, hd), (f1n, f1d), (f2n, f2d)), (hn, f1n, f2n)
     else:
         zeros = coefficients = rel.values(t, n, m, r, s)
     if 0 in zeros:
@@ -316,7 +338,7 @@ def theorem_sum(sel: TheoremSelector, params: HoradamParams,
     lemma_lhs = _lemma(form.variant, rel, X, Y, eff[0], k)[0]
     if over_q:
         ln, ld, rn, rd, fn, fd = form.pairs(t, *eff, k)
-        en, ed = fn * lemma_lhs.n, fd * lemma_lhs.d
+        en, ed = fn * lemma_lhs[0], fd * lemma_lhs[1]
         # the direct sum reduced once; a leg equal to it by cross-multiplying
         # (the pair code's denominators are nonzero) reports that Fraction,
         # and only a leg that differs is reduced to its own value

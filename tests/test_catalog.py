@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +25,7 @@ from horadam.catalog import (
     list_identities,
 )
 from horadam.errors import HoradamError, UnknownIdentity
-from horadam.field import ModInt, PrimeField, Ratio
+from horadam.field import ModInt, PrimeField
 from horadam.sequences import PRESETS, HoradamParams, SequenceKind, TermContext, Terms
 
 FIB = PRESETS["fibonacci"]
@@ -633,8 +634,10 @@ class TestFuzzCheck:
 
     def test_generated_check_source_is_pinned(self, monkeypatch):
         # a fuzz trial over all 73 entries runs the code the pair compiler has
-        # generated since the trial chunks were written: sha256 of the 10 chunk
-        # sources a fresh plan compiles, joined by newlines
+        # generated since each term read became a tuple unpack (`_0n, _0d =
+        # _u(r-s)` where `_0 = _u(r-s)` was read as `_0.n` and `_0.d`; no other
+        # line changed): sha256 of the 10 chunk sources a fresh plan compiles,
+        # joined by newlines
         sources = []
 
         def recording(source, namespace):
@@ -645,14 +648,26 @@ class TestFuzzCheck:
         assert fuzz(list(REGISTRY), 1, SamplerConfig(), seed=1).all_passed
         assert len(sources) == 10
         assert hashlib.sha256("\n".join(sources).encode()).hexdigest() == (
-            "c7901eeefaa940a380ac33c571be4ba2b1a5eb9d2a549c54a2d87320ac04a7cd")
+            "0e3bee6359ef73cad00078cdbf091ce37031c462fc3fb2d5f92d34783e14e537")
 
     def test_passing_trial_calls_no_ratio_operator(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("a Ratio operator was called")
+        # the trial chunks unpack each term pair and compute on its integers:
+        # a pair that is compared or tested for truth fails the trial
+        class StrictPair(tuple):
+            def _refuse(self, *args):
+                raise AssertionError("a term pair was compared or tested for truth")
 
-        for op in ("__neg__", "__eq__"):
-            monkeypatch.setattr(Ratio, op, forbidden)
+            __eq__ = __ne__ = __bool__ = _refuse
+            __hash__ = tuple.__hash__
+
+        def strict_terms(ctx, kind):
+            t = Terms(ctx, kind)
+            return SimpleNamespace(
+                **{m: (lambda e, read=getattr(t, m): StrictPair(read(e)))
+                   for m in ("u", "v", "w", "qp")},
+                **{m: StrictPair(getattr(t, m)) for m in ("p", "q", "a", "b")})
+
+        monkeypatch.setattr(catalog, "Terms", strict_terms)
         assert fuzz(list(REGISTRY), 3, SamplerConfig(), seed=5).all_passed
 
 
@@ -847,8 +862,9 @@ class TestCompileOnFirstUse:
     def test_one_compile_per_form_and_field(self):
         # in a fresh process, one theorem_sum per selector compiles each form
         # once over Q (its pairs) and once over GF(M) (its values); each
-        # relation compiles its pairs, values, shape and three guards once,
-        # on its first read; a second round compiles nothing
+        # relation compiles its pairs over Q, its values over GF(M) and its
+        # shape once, each on its first read, and no guard on passing calls;
+        # a second round compiles nothing
         src = str(Path(catalog.__file__).parents[1])
         code = (
             "import collections, json\n"
@@ -878,8 +894,8 @@ class TestCompileOnFirstUse:
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60)
-        # 23 compiles over Q: 11 form pairs, 2 relation pairs, 2 * (values,
-        # shape, 3 guards); then 11 over GF(M), the form values
+        # 15 compiles over Q: 11 form pairs, 2 relation pairs, 2 shapes; then
+        # 13 over GF(M): 11 form values, 2 relation values
         q_first, gf_first, *again = json.loads(out.stdout)
-        assert q_first == {"sides": 11 + 2, "expression": 2 * 5}, out.stderr
-        assert gf_first == {"expression": 11} and again == [{}, {}]
+        assert q_first == {"sides": 11 + 2, "expression": 2}, out.stderr
+        assert gf_first == {"expression": 11 + 2} and again == [{}, {}]

@@ -1,5 +1,6 @@
 import math
 import operator
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import horadam
+from horadam import field
 from horadam.errors import (
     CompositeModulus,
     NegativeK,
@@ -16,7 +18,6 @@ from horadam.errors import (
 from horadam.field import (
     ModInt,
     PrimeField,
-    Ratio,
     binomial,
     format_scalar,
     is_prime,
@@ -24,6 +25,7 @@ from horadam.field import (
     ratio_sum,
     reduced,
 )
+from horadam.lemmas import _negated
 from horadam.sequences import HoradamParams
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
@@ -192,16 +194,22 @@ def _sum_rule(na, da, nb, db):
 
 
 class TestRatio:
+    """The pair over Q inside the checkers: a plain (n, d) tuple, d != 0,
+    not necessarily reduced. It replaced the `Ratio` class."""
+
     def test_keeps_no_arithmetic(self):
-        # a pair carrier: the pair, ==, unary - and repr, and nothing else
-        assert set(vars(Ratio)) - {"__module__", "__doc__", "__slots__"} == {
-            "n", "d", "__init__", "__eq__", "__neg__", "__hash__", "__repr__"}
+        # field defines no pair class: the two scalar realizations and the
+        # element factory are its only classes
+        classes = {name for name, x in vars(field).items()
+                   if isinstance(x, type) and x.__module__ == field.__name__}
+        assert classes == {"ModInt", "PrimeField"}
 
     @given(pairs)
     def test_negation_pair(self, start):
-        x = Ratio(*start)
-        negated = -x
-        assert type(negated) is Ratio and (negated.n, negated.d) == (-x.n, x.d)
+        negated = _negated(start)
+        assert type(negated) is tuple and negated == (-start[0], start[1])
+        assert _negated(Fraction(*start)) == -Fraction(*start)
+        assert _negated(ModInt(start[0], 7)) == ModInt(-start[0], 7)
 
     @given(st.lists(pairs, max_size=8))
     def test_ratio_sum_is_the_two_gcd_fold(self, terms):
@@ -211,25 +219,30 @@ class TestRatio:
         for nb, db in terms:
             n, d = _sum_rule(n, d, nb, db)
         total = ratio_sum(terms)
-        assert type(total) is Ratio and (total.n, total.d) == (n, d)
+        assert type(total) is tuple and total == (n, d)
         assert reduced(total) == sum(Fraction(*term) for term in terms)
 
     def test_equality_in_both_directions(self):
-        assert Ratio(6, 4) == Fraction(3, 2) and Fraction(3, 2) == Ratio(6, 4)
-        assert Ratio(-6, -4) == Ratio(3, 2) and Ratio(3, 2) == Ratio(-6, -4)
-        assert Ratio(4, 2) == 2 and 2 == Ratio(4, 2)
-        assert Ratio(0, -5) == 0 and 0 == Ratio(0, 7)
-        assert Ratio(1, 2) != 1 and 1 != Ratio(1, 2)
-        assert Ratio(1, 2) != Fraction(1, 3) and Fraction(1, 3) != Ratio(1, 2)
-        assert Ratio(1, 1) != ModInt(1, 7)
+        # a pair is compared by its reduced value
+        assert reduced((6, 4)) == Fraction(3, 2) and Fraction(3, 2) == reduced((6, 4))
+        assert reduced((-6, -4)) == reduced((3, 2)) and reduced((3, 2)) == reduced((-6, -4))
+        assert reduced((4, 2)) == 2 and 2 == reduced((4, 2))
+        assert reduced((0, -5)) == 0 and 0 == reduced((0, 7))
+        assert reduced((1, 2)) != 1 and 1 != reduced((1, 2))
+        assert reduced((1, 2)) != Fraction(1, 3) and Fraction(1, 3) != reduced((1, 2))
+        # the tuple itself equals no scalar, so a zero test reads its numerator
+        assert (0, 7) != 0 and 0 != (0, 7)
+        assert (1, 1) != ModInt(1, 7)
 
-    def test_unhashable_and_internal(self):
-        with pytest.raises(TypeError):
-            hash(Ratio(1, 2))
-        assert not hasattr(horadam, "Ratio")
+    def test_retired(self):
+        # no pair class is left to build, in field or anywhere in the package
+        assert not hasattr(field, "Ratio") and not hasattr(horadam, "Ratio")
+        source = "".join(path.read_text(encoding="utf-8")
+                         for path in pathlib.Path(field.__file__).parent.glob("*.py"))
+        assert "class Ratio" not in source and "object.__new__" not in source
 
     def test_reduced(self):
-        x = reduced(Ratio(-6, -4))
+        x = reduced((-6, -4))
         assert type(x) is Fraction and (x.numerator, x.denominator) == (3, 2)
         assert reduced(ModInt(3, 7)) == ModInt(3, 7)
         assert reduced(5) == 5 and type(reduced(5)) is int

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from horadam import lemmas
 from horadam.errors import ConfigViolation, DegenerateStride, SingularSummand
-from horadam.field import ModInt, PrimeField, Ratio
+from horadam.field import ModInt, PrimeField, reduced
 from horadam.lemmas import (
     RecurrenceConfig,
     check_config,
@@ -15,7 +16,7 @@ from horadam.lemmas import (
     lemma3_binomial_sums,
     lemma45_reciprocal,
 )
-from horadam.sequences import PRESETS, HoradamParams, TermContext
+from horadam.sequences import PRESETS, HoradamParams, SequenceKind, TermContext, Terms
 
 FIB = PRESETS["fibonacci"]
 FIBW = HoradamParams(3, 2, 1, -1)
@@ -48,11 +49,12 @@ class TestRecurrenceConfig:
             RecurrenceConfig(Fraction(1), FIB.p, -FIB.q, **strides)
 
     @pytest.mark.parametrize("coefficient", ["h", "f1", "f2"])
-    @pytest.mark.parametrize("value", [1.0, Decimal("1"), "1", True, Ratio(1, 1)],
-                             ids=["float", "Decimal", "str", "bool", "Ratio"])
+    @pytest.mark.parametrize("value", [1.0, Decimal("1"), "1", True, (1, 1)],
+                             ids=["float", "Decimal", "str", "bool", "pair"])
     def test_coefficients_must_be_exact_scalars(self, coefficient, value):
         # a float's rounding would refute a true relation, and a Decimal, a
-        # str or the internal Ratio would fail later in the operators
+        # str or the checkers' internal (n, d) pair would fail later in the
+        # operators
         coefficients = {"h": 1, "f1": FIB.p, "f2": -FIB.q, coefficient: value}
         message = (f"coefficient {coefficient} must be an int, a Fraction or a ModInt, "
                    f"got {type(value).__name__} {value!r}")
@@ -373,6 +375,48 @@ class TestDerivedVariantsPinned:
         assert str(exc.value) == "recurrence fails at " + message
 
 
+class TestPairPath:
+    """The lemma leg on (n, d) pairs, as the theorem checkers run it over Q:
+    a tuple has no unary - and never equals 0, so the denominator scan
+    tests a pair's numerator and the pair path negates explicitly."""
+
+    # Fibonacci's recurrence, h*X(i) = f1*X(i-1) + f2*X(i-2) with
+    # h = f1 = f2 = 1, each coefficient an unreduced pair
+    REL = ((2, 2), (3, 3), (-1, -1), 1, 2)
+
+    def test_a_zero_numerator_is_flagged(self):
+        # X(3) = 0/5 is zero, though the tuple (0, 5) is not equal to 0
+        def X(i):
+            return (0, 5) if i == 3 else (i + 10, 1)
+        window = list(lemmas._denominator_window("L4", 1, 2, X, 5, 2))
+        assert window == [(0, 2, False), (0, 3, True), (1, 4, False), (2, 5, False)]
+        with pytest.raises(SingularSummand) as exc:
+            lemmas._lemma("L4", self.REL, X, X, 5, 2)
+        assert (exc.value.j, exc.value.index) == (0, 3)
+
+    def test_the_solved_relation_negates_f2s_pair(self):
+        rel, shift = lemmas._rearranged(self.REL, "solved")
+        assert (rel, shift) == (((3, 3), (2, 2), (1, -1), -1, 1), 1)
+
+    @pytest.mark.parametrize("label", ["lemma 2 variant 3", "lemma 3 variant 2",
+                                       "lemma 3 variant 3"])
+    def test_an_odd_k_negates_the_pair(self, label):
+        X = Terms(TermContext(FIB), SequenceKind.W).w
+        left_side, how, _ = lemmas._VARIANTS[label]
+        shift = lemmas._rearranged(self.REL, how)[1]
+        # the operator path on the same values, which negates with unary -
+        by_fractions = (*map(reduced, self.REL[:3]), *self.REL[3:])
+
+        def read(i):
+            return reduced(X(i))
+        for k in range(4):
+            lhs, rel, negated = lemmas._lemma(label, self.REL, X, X, 9, k)
+            summed = left_side(rel, X, X, 9, k, label, shift, True)
+            assert negated == (k % 2 == 1) and type(lhs) is tuple
+            assert lhs == ((-summed[0], summed[1]) if negated else summed)
+            assert Fraction(*lhs) == lemmas._lemma(label, by_fractions, read, read, 9, k)[0]
+
+
 def _unread(i):
     raise AssertionError(f"term {i} read before the variant was checked")
 
@@ -383,12 +427,10 @@ def _unread(i):
     (lambda cfg: lemma3_binomial_sums(cfg, _unread, 6, 2, 4),
      "lemma 3 variant must be 1, 2 or 3, got 4"),
     # equal to a variant number is not enough: the type must be int
-    (lambda cfg: lemma2_sums(cfg, _unread, 6, 2, True),
-     "lemma 2 variant must be 1, 2 or 3, got True"),
-    (lambda cfg: lemma2_sums(cfg, _unread, 6, 2, 2.0),
-     "lemma 2 variant must be 1, 2 or 3, got 2.0"),
+    (lambda cfg: lemma2_sums(cfg, _unread, 6, 2, True), "variant must be an int, got True"),
+    (lambda cfg: lemma2_sums(cfg, _unread, 6, 2, 2.0), "variant must be an int, got 2.0"),
     (lambda cfg: lemma3_binomial_sums(cfg, _unread, 6, 2, Fraction(3)),
-     "lemma 3 variant must be 1, 2 or 3, got 3"),
+     "variant must be an int, got Fraction(3, 1)"),
     (lambda cfg: lemma45_reciprocal(cfg, _unread, _unread, 6, 2, "L6"),
      "reciprocal variant must be L4, L5a, L5b or L5c, got 'L6'"),
 ])

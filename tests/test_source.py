@@ -114,13 +114,16 @@ def test_two_parse_routes():
 def test_one_compile_per_record_and_field():
     # a theorem form compiles its relation, its operator code (`values`) and
     # its pair code (`pairs`); a relation compiles the same two, its shape
-    # and its guards; the formula module keeps no per-side compile helper.
-    # So a third per-field compile cannot come back unnoticed
+    # and its guards; each member on its own first read, so a field compiles
+    # only the code it runs. The formula module keeps no per-side compile
+    # helper. So a third per-field compile cannot come back unnoticed
     from horadam import formula, theorems
-    members = {name for name, member in vars(theorems._Form).items()
-               if isinstance(member, functools.cached_property)}
-    assert members == {"relation", "values", "pairs"}
-    assert theorems._Relation._fields == ("values", "pairs", "shape", "guards")
+
+    def first_use(cls):
+        return {name for name, member in vars(cls).items()
+                if isinstance(member, functools.cached_property)}
+    assert first_use(theorems._Form) == {"relation", "values", "pairs"}
+    assert first_use(theorems._Relation) == {"values", "pairs", "shape", "guards"}
     assert not [name for name in ("compile_side", "compile_pair_sides") if hasattr(formula, name)]
 
 

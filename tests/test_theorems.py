@@ -13,7 +13,7 @@ import pytest
 from horadam import cli, lemmas, theorems
 from horadam.catalog import SamplerConfig
 from horadam.errors import ConfigViolation, GuardViolation, SingularSummand
-from horadam.field import ModInt, PrimeField, Ratio, reduced
+from horadam.field import ModInt, PrimeField, reduced
 from horadam.formula import _python, compile_expression, sides
 from horadam.lemmas import (
     LemmaReport,
@@ -119,7 +119,7 @@ class TestContractExamples:
         (2, 1.0), (2.0, 1), (2, True), (3, "1"), ("2", 1)])
     def test_selector_fields_must_be_ints(self, theorem, variant):
         # a float variant once built a selector whose formula raised TypeError
-        with pytest.raises(ValueError, match=r"^theorem (must be one of|2 has|3 has)"):
+        with pytest.raises(ValueError, match=r"^(theorem|variant) must be an int, got "):
             TheoremSelector(theorem, variant)
 
     @pytest.mark.parametrize("kind", ["u", None, 1], ids=["str", "none", "int"])
@@ -582,6 +582,9 @@ class TestPairSides:
         assert sum('"equal": true' in outcome for outcome in by_pairs) > len(calls) // 2
 
     def test_passing_sum_runs_its_sides_and_probe_on_no_ratio_operator(self, monkeypatch):
+        # the pair sides and the probe unpack each term pair and compute on
+        # its integers: inside them, a pair that is compared or tested for
+        # truth fails the sum
         inside = []
 
         def guarded(fn):
@@ -593,12 +596,25 @@ class TestPairSides:
                     inside.pop()
             return run_inside
 
-        for op in ("__neg__", "__eq__"):
-            def forbidden(*args, _op=getattr(Ratio, op), _name=op):
+        class StrictPair(tuple):
+            __hash__ = tuple.__hash__
+
+        for op in ("__eq__", "__ne__", "__bool__"):
+            def forbidden(*args, _op=getattr(tuple, op, lambda pair: len(pair) > 0),
+                          _name=op):
                 if inside:
-                    raise AssertionError(f"Ratio.{_name} was called")
+                    raise AssertionError(f"a term pair's {_name} was called")
                 return _op(*args)
-            monkeypatch.setattr(Ratio, op, forbidden)
+            setattr(StrictPair, op, forbidden)
+
+        def strict_terms(ctx, kind):
+            t = Terms(ctx, kind)
+            return SimpleNamespace(
+                **{m: (lambda e, read=getattr(t, m): StrictPair(read(e)))
+                   for m in ("u", "v", "w", "qp")},
+                **{m: StrictPair(getattr(t, m)) for m in ("p", "q", "a", "b")})
+
+        monkeypatch.setattr(theorems, "Terms", strict_terms)
         monkeypatch.setattr(lemmas, "_probe", guarded(lemmas._probe))
         compiled = theorems._Form.pairs
         monkeypatch.setattr(theorems._Form, "pairs",
@@ -643,7 +659,7 @@ class TestPairSides:
                                 lambda i: reduced(X(i)), lambda i: reduced(Y(i)),
                                 eff[0], k)
                             if isinstance(by_pairs, tuple):
-                                assert by_pairs[0] is Ratio and by_operators[0] is Fraction
+                                assert by_pairs[0] is tuple and by_operators[0] is Fraction
                                 by_pairs, by_operators = by_pairs[1:], by_operators[1:]
                                 values += 1
                             assert by_pairs == by_operators, (sel, eff, k)
@@ -651,16 +667,24 @@ class TestPairSides:
         assert checked > 66 * 6 * 2 // 2 and values > checked // 2
 
     def test_theorem_sum_over_q_runs_no_ratio_sum_operator(self, monkeypatch):
-        # Ratio has no arithmetic but unary - (test_field pins its members);
-        # over Q a theorem_sum calls its two methods in the lemma leg alone:
-        # == in the denominator scan, - where the relation is solved for its
-        # f1 term and where an odd k negates the variant
+        # over Q a theorem_sum negates in the lemma leg alone, and only
+        # through the explicit pair negation, `lemmas._negated` on a pair:
+        # where the relation is solved for its f1 term and where an odd k
+        # negates the variant; the library negates no Fraction
         called = set()
-        for op in ("__eq__", "__neg__"):
-            def recorded(*args, _op=getattr(Ratio, op), _name=op):
-                called.add((_name, sys._getframe(1).f_code.co_name))
-                return _op(*args)
-            monkeypatch.setattr(Ratio, op, recorded)
+
+        def recorded(x, _negated=lemmas._negated):
+            called.add(("_negated", type(x), sys._getframe(1).f_code.co_name))
+            return _negated(x)
+
+        def fraction_negated(x, _neg=Fraction.__neg__):
+            frame = sys._getframe(1)
+            if frame.f_globals["__name__"].startswith("horadam"):
+                called.add(("Fraction.__neg__", type(x), frame.f_code.co_name))
+            return _neg(x)
+
+        monkeypatch.setattr(lemmas, "_negated", recorded)
+        monkeypatch.setattr(Fraction, "__neg__", fraction_negated)
         for theorem, nvar in VARIANT_COUNT.items():
             for variant in range(1, nvar + 1):
                 rep = theorem_sum(TheoremSelector(theorem, variant), CONTROL_PARAMS, *CONTROL_ARGS)
@@ -673,11 +697,13 @@ class TestPairSides:
                     sel = TheoremSelector(theorem, variant, kind)
                     for _, _, rep in guard_passing_draws(rng, sampler, sel, 1):
                         assert rep.equal
-        assert called == {("__eq__", "_denominator_window"), ("__neg__", "_rearranged"),
-                          ("__neg__", "_lemma")}
+        # the int is the 0 of the stand-in relation (0, 0, 0, c, d) that the
+        # denominator window rearranges for its stride
+        assert called == {("_negated", tuple, "_rearranged"), ("_negated", tuple, "_lemma"),
+                          ("_negated", int, "_rearranged")}
         # the record sees a call from here
-        assert (-Ratio(1, 2)).n == -1
-        assert ("__neg__", "test_theorem_sum_over_q_runs_no_ratio_sum_operator") in called
+        assert lemmas._negated((1, 2)) == (-1, 2)
+        assert ("_negated", tuple, "test_theorem_sum_over_q_runs_no_ratio_sum_operator") in called
 
     @pytest.mark.parametrize("theorem,base", TestFormulaStrings.BASES)
     def test_legs_are_reduced_once_unless_they_differ(self, monkeypatch, theorem, base):
