@@ -70,8 +70,9 @@ def ratio_sum(pairs) -> tuple:
     folded in one frame by Henrici's rule (Knuth, TAOCP Vol. 2, 4.5.1), as
     `Fraction` adds: the gcd of the denominators, then of the result,
     without which telescoping sums grow without bound. The library's one
-    sum rule on pairs; the pair compiler's sum loop generates the same
-    steps."""
+    sum rule on pairs: the pair compiler's sum loop and the lemma probe's
+    fold (`lemmas._probe`) take the same steps inline, one summand at a
+    time."""
     n, d = 0, 1
     for nb, db in pairs:
         g = gcd(d, db)

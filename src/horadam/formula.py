@@ -137,8 +137,10 @@ def _pair_lines(key, variables, texts) -> tuple:
     (t.u(e), t.v(e), t.w(e), t.qp(e), t.p, t.q, t.a, t.b) stays an accessor
     read, of the member that `_define` fetches into a local (`_u(e)`, `_q`),
     unpacked into two locals (`_3n, _3d = _u(e)`), in the order the operator
-    compile of the texts, one after another, makes them; the arithmetic is
-    integer arithmetic on the pairs' n and d:
+    compile of the texts, one after another, makes them, but for a read in
+    a sum whose index does not mention the sum's index: that one is made
+    once, before the loop (a read never raises, and the loop runs at least
+    once). The arithmetic is integer arithmetic on the pairs' n and d:
       - +, -, unary - and * take no gcd: a*b is (na*nb, da*db) and a-b is
         (na*db - nb*da, da*db);
       - ** to a non-negative integer literal raises n and d; ** to an index
@@ -158,6 +160,9 @@ def _pair_lines(key, variables, texts) -> tuple:
     """
     lines = []
     indent = ""
+    # inside a sum: its index, and the line before which a read that does
+    # not mention it is taken, once
+    inside, hoist = None, 0
 
     def local(expr):
         """A new local bound to `expr`."""
@@ -173,7 +178,7 @@ def _pair_lines(key, variables, texts) -> tuple:
     def pair(node, text):
         """(numerator, denominator) source of `node` of the Python `text`;
         None for denominator 1."""
-        nonlocal indent
+        nonlocal indent, inside, hoist
         source = text[node.col_offset:node.end_col_offset]
         if isinstance(node, ast.Constant) and type(node.value) is int:
             return repr(node.value), None
@@ -198,7 +203,7 @@ def _pair_lines(key, variables, texts) -> tuple:
             # the product with the divisor's pair swapped
             (na, da), (nb, db) = pair(node.left, text), pair(node.right, text)
             nb = name(nb)
-            lines.append(f"{indent}if not {nb}: raise ZeroDivisionError('Ratio division by zero')")
+            lines.append(f"{indent}if not {nb}: raise ZeroDivisionError('division by zero')")
             return _times(na, db), _times(da, nb)
         if op in (ast.Add, ast.Sub):
             (na, da), (nb, db) = pair(node.left, text), pair(node.right, text)
@@ -215,6 +220,7 @@ def _pair_lines(key, variables, texts) -> tuple:
         if loop and loop.target.id not in variables:
             # a loop adding each summand into one pair by ratio_sum's two gcds
             n, d = local(0), local(1)
+            inside, hoist = loop.target.id, len(lines)
             lines.append(f"{indent}for {text[loop.target.col_offset:loop.iter.end_col_offset]}:")
             indent += "    "
             sn, sd = pair(node.args[0].elt, text)
@@ -224,7 +230,7 @@ def _pair_lines(key, variables, texts) -> tuple:
             total = local(f"{n} * ({sd} // {g}) + {sn} * {s}")
             lines.append(f"{indent}{g} = gcd({total}, {g})")
             lines.append(f"{indent}{n}, {d} = {total} // {g}, {s} * ({sd} // {g})")
-            indent = indent[:-4]
+            indent, inside = indent[:-4], None
             return n, d
         if (isinstance(node, ast.Attribute) and node.attr in ("p", "q", "a", "b")
                 or isinstance(call, ast.Attribute) and call.attr in ("u", "v", "w", "qp")
@@ -232,7 +238,13 @@ def _pair_lines(key, variables, texts) -> tuple:
             read = node if isinstance(node, ast.Attribute) else call
             if isinstance(read.value, ast.Name) and read.value.id == "t":
                 n, d = f"_{len(lines)}n", f"_{len(lines)}d"
-                lines.append(f"{indent}{n}, {d} = _{source[2:]}")
+                if inside and not any(isinstance(x, ast.Name) and x.id == inside
+                                      for x in ast.walk(node)):
+                    # a read never raises, and the loop runs at least once
+                    lines.insert(hoist, f"{indent[:-4]}{n}, {d} = _{source[2:]}")
+                    hoist += 1
+                else:
+                    lines.append(f"{indent}{n}, {d} = _{source[2:]}")
                 return n, d
         raise ValueError(f"{key}: the pair compiler cannot compile {source!r}; it takes "
                          "term reads, p, q, a, b, integer literals, C(k,j), sums, +, -, *, /, "
@@ -274,8 +286,9 @@ def compile_trial_chunk(idents) -> Callable:
     runs its `_pair_lines` statements and stores `ln*rd == rn*ld`, each inside
     its own `try`, so a `HoradamError` fails that entry alone and the later
     ones are still decided. The term reads are those of the entry's `lhs`
-    then `rhs`, in the same order. A formula `_pair_lines` rejects (none in
-    the registry) raises its ValueError, which names the entry.
+    then `rhs`, in the same order (the registry holds no sum, the one place
+    where `_pair_lines` moves a read). A formula `_pair_lines` rejects (none
+    in the registry) raises its ValueError, which names the entry.
     """
     body, verdicts, start = [], [], 0
     for i, ident in enumerate(idents):

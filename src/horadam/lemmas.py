@@ -15,6 +15,11 @@ and negated at odd k or not. Lemmas 2 and 5 are lemma 1 and L4 read with
 Y = X. Reports keep the caller's configuration; a probe failure names the
 variant and the index in the caller's relation.
 
+The probe checks the relation at each point a left side consumes. Lemma 1's
+and L4's summands are its telescoping steps (Petkovsek, Wilf and Zeilberger,
+A = B, ch. 5), so `_probe` folds those two sums from the terms it has just
+checked: one pass, which reads each term once.
+
 `_lemma(label, ...)` returns a variant's left side on the plain tuple
 (h, f1, f2, c, d), the relation it was summed on and whether it was
 negated. The theorem checkers, which report only a left side, call it with
@@ -30,15 +35,17 @@ names coefficients or terms X(n), Y(n) that do not share one field, and
 theorem checkers pass `_lemma` coefficients over Q as `(n, d)` tuples, from
 the pair code, with the members of the checker accessor `Terms`, whose
 terms are unreduced `(n, d)` tuples too: the probe then compares integers,
-each sum folds its summands as integer pairs (`field.ratio_sum`) into one
-pair, with its scale folded into the result's integers, and a negation
-(`_negated`) and the denominator scan's zero test read the numerator.
+each sum folds its summands as integer pairs by `field.ratio_sum`'s rule
+into one pair, with its scale folded into the result's integers, and a
+negation (`_negated`) and the denominator scan's zero test read the
+numerator.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable
 
 from .errors import ConfigViolation, DegenerateStride, SingularSummand, require_int
@@ -97,23 +104,56 @@ def _plain(cfg):
     return cfg.h, cfg.f1, cfg.f2, cfg.c, cfg.d
 
 
-def _probe(rel, X, Y, points, where, shift, pairs):
-    # points are caller indices: rel at n - shift is the caller's relation at n
+def _probe(rel, X, Y, points, where, shift, pairs, fold=None):
+    """Check the relation at each caller index of `points`, in order; the
+    relation at n - shift is the caller's relation at n. With `fold`,
+    "power" or "reciprocal", the points are the k+1 telescoping steps
+    n + shift - c*e, e = 0..k, and the probe returns the sum, over them, of
+    the summand made of the three terms it has just checked there, X = X(i),
+    Xc = X(i-c) and Y = Y(i-d): lemma 1's f1^e * h^(k-e) * Y, or L4's
+    h^e * f1^(k-e) * Y / (X * Xc). On pairs it folds by `ratio_sum`'s two
+    gcds, on the operators by +."""
     h, f1, f2, c, d = rel
+    k = len(points) - 1 if fold else 0
+    reciprocal = fold == "reciprocal"
+    # the summand's factor raised to e, and the one raised to k - e
+    a, b = (h, f1) if reciprocal else (f1, h)
     if pairs:
         # h*X = f1*Xc + f2*Y is one cross-multiplied comparison
-        (hn, hd), (f1n, f1d), (f2n, f2d) = h, f1, f2
-        left, a, b = hn * f1d * f2d, f1n * f2d, f2n * f1d
-    for n in points:
-        i = n - shift
-        if pairs:
+        (hn, hd), (f1n, f1d), (f2n, f2d), (an, ad), (bn, bd) = h, f1, f2, a, b
+        left, f1f2, f2f1 = hn * f1d * f2d, f1n * f2d, f2n * f1d
+        sn, sd = 0, 1
+        for e, n in enumerate(points):
+            i = n - shift
             (xn, xd), (xcn, xcd), (yn, yd) = X(i), X(i - c), Y(i - d)
-            fails = left * xn * xcd * yd != (a * xcn * yd + b * yn * xcd) * hd * xd
-        else:
-            fails = h * X(i) != f1 * X(i - c) + f2 * Y(i - d)
-        if fails:
-            raise ConfigViolation(
-                f"recurrence fails at index {n} while evaluating {where}")
+            if left * xn * xcd * yd != (f1f2 * xcn * yd + f2f1 * yn * xcd) * hd * xd:
+                raise ConfigViolation(f"recurrence fails at index {n} while evaluating {where}")
+            if fold:
+                tn, td = an ** e * bn ** (k - e) * yn, ad ** e * bd ** (k - e) * yd
+                if reciprocal:
+                    # Y over the two X terms: each enters with its pair swapped
+                    tn, td = tn * xd * xcd, td * xn * xcn
+                # ratio_sum's step
+                g = gcd(sd, td)
+                s = sd // g
+                t = sn * (td // g) + tn * s
+                g = gcd(t, g)
+                sn, sd = t // g, s * (td // g)
+        return sn, sd
+    total = 0
+    for e, n in enumerate(points):
+        i = n - shift
+        x, xc, y = X(i), X(i - c), Y(i - d)
+        if h * x != f1 * xc + f2 * y:
+            raise ConfigViolation(f"recurrence fails at index {n} while evaluating {where}")
+        if fold:
+            t = a ** e * b ** (k - e) * y
+            if reciprocal:
+                # an int over an int is taken as a Fraction, not a float
+                xx = x * xc
+                t = Fraction(t, xx) if type(t) is type(xx) is int else t / xx
+            total = total + t
+    return total
 
 
 def _require_one_field(label, cfg, X, Y, n):
@@ -167,16 +207,14 @@ def _rearranged(rel, how):
 
 
 def _power_sum(rel, X, Y, n, k, where, shift, pairs):
-    # lemma 1's left side
-    h, f1, f2, c, d = rel
-    _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift, pairs)
+    # lemma 1's left side, f2 times the probe's fold
+    _, _, f2, c, _ = rel
+    total = _probe(rel, X, Y, [n + shift - c * e for e in range(k + 1)], where, shift,
+                   pairs, "power")
     if pairs:
         # f2 folded into the sum's integers, with no gcd
-        (hn, hd), (f1n, f1d), (f2n, f2d) = h, f1, f2
-        sn, sd = ratio_sum((f1n ** (k - j) * hn ** j * yn, f1d ** (k - j) * hd ** j * yd)
-                           for j in range(k + 1) for yn, yd in [Y(n - k * c - d + c * j)])
-        return f2n * sn, f2d * sd
-    return f2 * sum(f1 ** (k - j) * h ** j * Y(n - k * c - d + c * j) for j in range(k + 1))
+        return f2[0] * total[0], f2[1] * total[1]
+    return f2 * total
 
 
 def _binomial_sum(rel, X, Y, n, k, where, shift, pairs):
@@ -211,26 +249,16 @@ def _denominator_window(label, c, d, X, n, k):
 
 
 def _reciprocal_sum(rel, X, Y, n, k, where, shift, pairs):
-    # L4's left side; `_lemma` has scanned its denominators
-    h, f1, f2, c, d = rel
-    _probe(rel, X, Y, [n + shift - c * i for i in range(k + 1)], where, shift, pairs)
-    # the scale X(n)*X(n-(k+1)c)*f2 times the sum
+    # L4's left side, the scale X(n)*X(n-(k+1)c)*f2 times the probe's fold;
+    # `_lemma` has scanned its denominators
+    _, _, f2, c, _ = rel
+    total = _probe(rel, X, Y, [n + shift - c * e for e in range(k + 1)], where, shift,
+                   pairs, "reciprocal")
     first, last = X(n), X(n - c * (k + 1))
     if pairs:
-        # Y over the two X terms: each X term enters with its pair swapped;
         # the scale is folded into the sum's integers, with no gcd
-        (hn, hd), (f1n, f1d), (f2n, f2d) = h, f1, f2
-        sn, sd = ratio_sum((hn ** (k - j) * f1n ** j * yn * xad * xbd,
-                            hd ** (k - j) * f1d ** j * yd * xan * xbn)
-                           for j in range(k + 1)
-                           for (yn, yd), (xan, xad), (xbn, xbd) in [
-                               (Y(n - d - c * k + c * j), X(n - c * k + c * j),
-                                X(n - c - c * k + c * j))])
-        return first[0] * last[0] * f2n * sn, first[1] * last[1] * f2d * sd
-    return first * last * f2 * sum(
-        h ** (k - j) * f1 ** j * Y(n - d - c * k + c * j)
-        / (X(n - c * k + c * j) * X(n - c - c * k + c * j))
-        for j in range(k + 1))
+        return first[0] * last[0] * f2[0] * total[0], first[1] * last[1] * f2[1] * total[1]
+    return first * last * f2 * total
 
 
 # label -> (left side, rearrangement of the relation, negated at odd k)

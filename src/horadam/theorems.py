@@ -28,10 +28,12 @@ on integer pairs. Over Q every leg runs on integer pairs: a form's
 `pairs`, one function compiled from the displayed sides and the factor
 (`formula.compile_pairs`, the pair compiler that also writes `fuzz`'s
 trial chunks), reads the same terms as its `values`, the left side, the
-right side, then the factor; the relation's coefficients
+right side, then the factor, but reads a term in a sum whose index has no
+j once, before the sum's loop; the relation's coefficients
 (`_Relation.pairs`) come from the same compiler, and the guard tests
 their numerators. The lemma's probe checks each point with one integer
-comparison, and its sums run in loops written in `lemmas`, so the sums of
+comparison, and folds lemma 1's and L4's sums from the terms it has just
+checked there; it and lemma 3's sum are written in `lemmas`, so the sums of
 leg 3 run on code that the pair compiler does not generate. Over GF(M)
 the form's and the relation's `values` run on the `ModInt` operators, as
 `catalog.evaluate` does.

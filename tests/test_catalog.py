@@ -616,7 +616,7 @@ class TestFuzzCheck:
         sides = grammar.compile_pairs("odd.1", "n", grammar.sides(ident.formula))
         chunk = _one_entry_chunk(ident)
         for side, args in ((chunk, [0]), (sides, 0)):
-            with pytest.raises(ZeroDivisionError, match="^Ratio division by zero$"):
+            with pytest.raises(ZeroDivisionError, match="^division by zero$"):
                 side(t, args)
         with pytest.raises(ZeroDivisionError):
             ident.lhs(ctx, 0)

@@ -88,3 +88,16 @@ class TestPairSum:
         # the exact unreduced pair, on summands of either sign
         t = SimpleNamespace(u=lambda j: terms[j])
         assert self.LOOP(t, len(terms) - 1) == ratio_sum(terms)
+
+    def test_a_read_without_the_index_is_made_once_before_the_loop(self):
+        # u(2) and q are read once, first; the loop still reads u(j) per j
+        loop = compile_pairs("sum", "k", ["sum_{j=0}^{k} u(2)*q*u(j)"])
+        terms = [(3, 2), (-5, 7), (4, 9), (1, 1)]
+        made = []
+
+        def u(j):
+            made.append(j)
+            return terms[j]
+        t = SimpleNamespace(u=u, q=(2, 3))
+        assert loop(t, 3) == ratio_sum((4 * 2 * n, 9 * 3 * d) for n, d in terms)
+        assert made == [2, 0, 1, 2, 3]

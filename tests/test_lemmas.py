@@ -7,7 +7,7 @@ import pytest
 
 from horadam import lemmas
 from horadam.errors import ConfigViolation, DegenerateStride, SingularSummand
-from horadam.field import ModInt, PrimeField, reduced
+from horadam.field import ModInt, PrimeField, ratio_sum, reduced
 from horadam.lemmas import (
     RecurrenceConfig,
     check_config,
@@ -284,6 +284,22 @@ class TestReciprocal:
         rep = lemma45_reciprocal(cfg, ctx.u, lambda i: ctx.w(i + m + s), n, k, "L4")
         assert rep.equal
 
+    @pytest.mark.parametrize("variant", ["L4", "L5a", "L5b", "L5c"])
+    def test_int_terms_sum_exactly(self, variant):
+        # int coefficients with int-valued accessors are exact rationals: the
+        # summands' quotients are Fractions, where a float's rounding made
+        # some reports unequal
+        ctx = TermContext(FIB)
+
+        def fib(n):
+            return ctx.u(n).numerator
+
+        cfg = RecurrenceConfig(1, 1, 1, 1, 2)
+        for n in range(12, 32):
+            for k in range(5):
+                rep = lemma45_reciprocal(cfg, fib, fib, n, k, variant)
+                assert rep.equal and type(rep.lhs) is Fraction, (n, k)
+
     def test_l5b_l5c(self):
         ctx = TermContext(FIBW)
         cfg = master_cfg(ctx, r=2, s=0, m=3)
@@ -415,6 +431,136 @@ class TestPairPath:
             assert negated == (k % 2 == 1) and type(lhs) is tuple
             assert lhs == ((-summed[0], summed[1]) if negated else summed)
             assert Fraction(*lhs) == lemmas._lemma(label, by_fractions, read, read, 9, k)[0]
+
+
+# Each lemma 1 and L4 variant on the relation h*X(i) = f1*X(i-c) + f2*Y(i-d):
+# the index, in that relation, of the instance its summand e = 0..k telescopes
+# (as a function of n, c, d, e), and a term that instance reads and no other
+# summand's does when c = 3 and d = 5 (Y(i-d) when Y is an accessor of its own).
+TELESCOPED = {
+    "lemma 1": (lambda n, c, d, e: n - c * e, lambda i, c, d: ("Y", i - d)),
+    "lemma 2 variant 1": (lambda n, c, d, e: n - c * e, lambda i, c, d: ("X", i - d)),
+    "lemma 2 variant 2": (lambda n, c, d, e: n - d * e, lambda i, c, d: ("X", i - c)),
+    "lemma 2 variant 3": (lambda n, c, d, e: n + c - (d - c) * e, lambda i, c, d: ("X", i)),
+    "L4": (lambda n, c, d, e: n - c * e, lambda i, c, d: ("Y", i - d)),
+    "L5a": (lambda n, c, d, e: n - c * e, lambda i, c, d: ("X", i - d)),
+    "L5b": (lambda n, c, d, e: n - d * e, lambda i, c, d: ("X", i - c)),
+    "L5c": (lambda n, c, d, e: n + c - (d - c) * e, lambda i, c, d: ("X", i)),
+}
+
+
+def _public(label, cfg, X, Y, n, k):
+    """The public lemma function's report for the variant `label`."""
+    if label == "lemma 1":
+        return lemma1_sum(cfg, X, Y, n, k)
+    if label.startswith("lemma 2"):
+        return lemma2_sums(cfg, X, n, k, int(label[-1]))
+    return lemma45_reciprocal(cfg, X, Y if label == "L4" else X, n, k, label)
+
+
+class TestEverySummandIsChecked:
+    """The probe checks the relation at each summand it folds: one term off
+    at one summand's instance, read there alone, fails the relation there,
+    and the violation names that index."""
+
+    N, K = 30, 3
+
+    @staticmethod
+    def _pairs():
+        # the master relation at r=2, s=0, m=5 (c=3, d=5) as pairs, and the
+        # accessor with a term moved by 1
+        t = Terms(TermContext(FIBW), SequenceKind.W)
+        (qn, qd), (un, ud) = t.qp(2), t.u(3)
+        rel = (t.u(2), t.u(5), (-qn * un, qd * ud), 3, 5)
+        return rel, t.w, lambda x: (x[0] + x[1], x[1])
+
+    @staticmethod
+    def _operators(params):
+        ctx = TermContext(params)
+        cfg = master_cfg(ctx, r=2, s=0, m=5)
+        return cfg, ctx.w, lambda x: x + 1
+
+    @pytest.mark.parametrize("label", TELESCOPED)
+    @pytest.mark.parametrize("field", ["pairs", "Fraction", "ModInt"])
+    def test_a_term_off_at_summand_e_names_its_index(self, label, field):
+        if field == "pairs":
+            rel, w, moved = self._pairs()
+
+            def call(X, Y):
+                return lemmas._lemma(label, rel, X, Y, self.N, self.K)
+        else:
+            params = FIBW if field == "Fraction" else HoradamParams(
+                *map(PrimeField(10 ** 9 + 7), (3, 2, 1, -1)))
+            cfg, w, moved = self._operators(params)
+            assert (cfg.c, cfg.d) == (3, 5)
+
+            def call(X, Y):
+                return _public(label, cfg, X, Y, self.N, self.K)
+        point, term = TELESCOPED[label]
+        call(w, w)
+        for e in range(self.K + 1):
+            i = point(self.N, 3, 5, e)
+            accessor, at = term(i, 3, 5)
+
+            def off(j, at=at):
+                return moved(w(j)) if j == at else w(j)
+            with pytest.raises(ConfigViolation) as exc:
+                call(w, off) if accessor == "Y" else call(off, off)
+            assert str(exc.value) == f"recurrence fails at index {i} while evaluating {label}"
+
+
+class TestFoldRule:
+    """On pairs the lemma 1 and L4 sums are `ratio_sum` over the summands in
+    the probe's order, the summand with j = k first, times the scale: f2, or
+    X(n)*X(n-(k+1)c)*f2 for L4, with no gcd."""
+
+    @staticmethod
+    def _summand(reciprocal, rel, X, Y, n, k, j):
+        (hn, hd), (f1n, f1d), _, c, d = rel
+        if reciprocal:
+            (yn, yd), (xan, xad), (xbn, xbd) = (Y(n - d - c * k + c * j), X(n - c * k + c * j),
+                                                X(n - c - c * k + c * j))
+            return (hn ** (k - j) * f1n ** j * yn * xad * xbd,
+                    hd ** (k - j) * f1d ** j * yd * xan * xbn)
+        yn, yd = Y(n - k * c - d + c * j)
+        return f1n ** (k - j) * hn ** j * yn, f1d ** (k - j) * hd ** j * yd
+
+    @pytest.mark.parametrize("label", TELESCOPED)
+    def test_the_pair_is_ratio_sum_in_probe_order_times_the_scale(self, label):
+        rng = random.Random(181)
+        left_side, how, _ = lemmas._VARIANTS[label]
+        reciprocal = left_side is lemmas._reciprocal_sum
+        checked = 0
+        while checked < 30:
+            p, q, a, b = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                          for _ in range(4))
+            t = Terms(TermContext(HoradamParams(a, b, p, q)), SequenceKind.W)
+            n, m, r, s = (rng.randint(-6, 6) for _ in range(4))
+            k = rng.randint(0, 5)
+            if label in ("lemma 1", "L4"):
+                # h=w(m+r), f1=q^(r-s)*w(m+s), f2=u(r-s), c=r-s, d=0, X=u, Y=w(i+m+s)
+                (qn, qd), (wn, wd) = t.qp(r - s), t.w(m + s)
+                rel = (t.w(m + r), (qn * wn, qd * wd), t.u(r - s), r - s, 0)
+                X, Y = t.u, (lambda i, shift=m + s: t.w(i + shift))
+            else:
+                (qn, qd), (un, ud) = t.qp(r - s), t.u(m - r)
+                rel = (t.u(r - s), t.u(m - s), (-qn * un, qd * ud), m - r, m - s)
+                X = Y = t.w
+            if 0 in (x[0] for x in rel[:3]) or how == "solved swapped" and rel[3] == rel[4]:
+                continue
+            try:
+                lhs, summed_on, negated = lemmas._lemma(label, rel, X, Y, n, k)
+            except SingularSummand:
+                continue
+            assert summed_on == lemmas._rearranged(rel, how)[0]
+            sn, sd = ratio_sum(self._summand(reciprocal, summed_on, X, Y, n, k, j)
+                               for j in reversed(range(k + 1)))
+            (f2n, f2d), c = summed_on[2], summed_on[3]
+            if reciprocal:
+                (fn, fd), (ln, ld) = X(n), X(n - c * (k + 1))
+                sn, sd = fn * ln * sn, fd * ld * sd
+            assert lhs == ((-f2n * sn, f2d * sd) if negated else (f2n * sn, f2d * sd))
+            checked += 1
 
 
 def _unread(i):

@@ -14,7 +14,7 @@ from horadam import cli, lemmas, theorems
 from horadam.catalog import SamplerConfig
 from horadam.errors import ConfigViolation, GuardViolation, SingularSummand
 from horadam.field import ModInt, PrimeField, reduced
-from horadam.formula import _python, compile_expression, sides
+from horadam.formula import _pair_lines, _python, compile_expression, reads, sides
 from horadam.lemmas import (
     LemmaReport,
     RecurrenceConfig,
@@ -725,6 +725,26 @@ class TestPairSides:
             assert not rep.equal and (rep.lhs, rep.rhs, rep.lemma_lhs) == expected
             assert all(type(leg) is Fraction for leg in (rep.lhs, rep.rhs, rep.lemma_lhs))
 
+    @pytest.mark.parametrize("theorem,base", TestFormulaStrings.BASES)
+    def test_a_sum_loop_reads_only_terms_at_its_index(self, theorem, base):
+        # a term read whose index has no j is taken once, before the loop;
+        # every read of the texts is still made, each once
+        form = theorems._FORMS[theorem, base]
+        texts = [*sides(form.formula), form.factor_text]
+        lines = _pair_lines(form.key, "nmrsk", texts)[0]
+        read = re.compile(r"( *)_\d+n, _\d+d = _(\w+)(?:\((.*)\))?$")
+        found, looped = [], 0
+        for line in lines:
+            match = read.fullmatch(line)
+            if match:
+                indent, member, index = match.groups()
+                found.append((member, index))
+                if indent:
+                    looped += 1
+                    assert re.search(r"\bj\b", index), line
+        assert looped and sorted(found, key=repr) == sorted(
+            (x for text in texts for x in reads(text)), key=repr)
+
     def test_a_vanishing_divisor_raises_in_the_sides(self):
         # the lemma leg's scan raises SingularSummand first; called alone,
         # the pair sides raise as the operator side does on Fraction reads
@@ -732,7 +752,7 @@ class TestPairSides:
         with pytest.raises(SingularSummand):
             theorem_sum(TheoremSelector(5, 1), FIB, 2, 2, 1, 0, 2)
         ctx = TermContext(FIB)
-        with pytest.raises(ZeroDivisionError, match="^Ratio division by zero$"):
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
             form.pairs(Terms(ctx, W), 2, 2, 1, 0, 2)
         with pytest.raises(ZeroDivisionError):
             form.values(ctx, 2, 2, 1, 0, 2)
