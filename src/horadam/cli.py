@@ -5,20 +5,21 @@ corresponding library call returns. `eval --method doubling` is
 `doubling_term`: lin.9 on the integer kernel's doubled u, on the reversed
 kernel for n < 0, with one reduction per term. JSON output is byte-stable
 for a fixed argv and seed (sorted keys, fixed separators, canonical
-rational strings).
+rational strings), written by one encoder per process.
 
 `main` reads an argv one of two ways. When its first argument is a command
 word and the rest is made only of exact long options, `--opt=value` or
 `--opt value` on a plain store action and a bare `--flag` on a store_true
-action, it is read off that command's parser's own actions (`_direct_parse`)
-into the `Namespace` argparse would build: about 17 us for an `eval` argv of
-the `large_index` benchmark, against about 160 us for `parse_args`. Every
-other argv (no command word, a prefix, `-h`, `--`, a positional, a separate
-value starting with `-`, a bad value, a missing required option,
-`--flag=x`) goes to `parse_args` of the top-level parser (`build_parser`,
-built once per process, the one option table), so help, usage errors and
-exit codes are argparse's own; a value argparse stores as a list, as it
-does for `--opt=--`, gets its "expected one argument" error.
+action, it is read off that command's parser's own actions (`_direct_parse`,
+with the defaults derived once per sub-parser) into the `Namespace` argparse
+would build: about 7 us for an `eval` argv of the `large_index` benchmark,
+against about 80 us for `parse_args`. Every other argv (no command word, a
+prefix, `-h`, `--`, a positional, a separate value starting with `-`, a bad
+value, a missing required option, `--flag=x`) goes to `parse_args` of the
+top-level parser (`build_parser`, built once per process, the one option
+table), so help, usage errors and exit codes are argparse's own; a value
+argparse stores as a list, as it does for `--opt=--`, gets its "expected
+one argument" error.
 
 Exit codes: 0 success / verified; 2 argument or usage errors (unknown
 identity, composite modulus, malformed rationals); 3 degenerate root;
@@ -64,10 +65,18 @@ _EXIT_CODES = {
 }
 
 
+# the one encoder of every JSON report: `json.dumps` with these options
+# builds a new JSONEncoder on each call
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# w_0 and w_1 where --a/--b or a preset file leaves them out
+_A, _B = Fraction(0), Fraction(1)
+
+
 def _emit_json(command: str, payload: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "command": command}
     doc.update(payload)
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(_JSON.encode(doc) + "\n")
 
 
 def _load_preset_file(path: str) -> HoradamParams:
@@ -85,8 +94,7 @@ def _load_preset_file(path: str) -> HoradamParams:
     missing = {"p", "q"} - set(values)
     if missing:
         raise ValueError(f"preset file {path} missing keys: {sorted(missing)}")
-    return HoradamParams(values.get("a", Fraction(0)), values.get("b", Fraction(1)),
-                         values["p"], values["q"])
+    return HoradamParams(values.get("a", _A), values.get("b", _B), values["p"], values["q"])
 
 
 def _resolve_preset(name: str) -> HoradamParams:
@@ -119,7 +127,7 @@ def _params_from_args(args) -> HoradamParams:
     else:
         if args.p is None or args.q is None:
             raise ValueError("--p and --q must be given together")
-        a, b, p, q = Fraction(0), Fraction(1), parse_rational(args.p), parse_rational(args.q)
+        a, b, p, q = _A, _B, parse_rational(args.p), parse_rational(args.q)
         if p == 0 or q == 0:  # reported before a bad --a/--b, by HoradamParams
             return HoradamParams(a, b, p, q)
     if args.a is not None:
@@ -339,6 +347,20 @@ def _command_parsers() -> dict:
     return next(a.choices for a in build_parser()._actions if a.dest == "command")
 
 
+@functools.cache
+def _defaults(command: argparse.ArgumentParser) -> tuple:
+    """The command parser's defaults, filled by argparse's rules (the
+    actions', then `set_defaults`'), and its set of required actions. One
+    dict serves every call, so a caller copies it and never changes it."""
+    defaults = {}
+    for action in command._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    for dest, value in command._defaults.items():
+        defaults.setdefault(dest, value)
+    return defaults, frozenset(action for action in command._actions if action.required)
+
+
 def _direct_parse(command: argparse.ArgumentParser, argv: list):
     """The `Namespace` that `command.parse_known_args(argv)` builds with no
     leftovers, read off the parser's own actions; None where the argv needs
@@ -349,18 +371,13 @@ def _direct_parse(command: argparse.ArgumentParser, argv: list):
     `_get_value` and `_check_value`, and a bare `--flag` on a store_true
     action. A separate value starting with "-" and an explicit "--" are
     left to argparse, which reads the first by its option table and strips
-    the second. Defaults are filled by argparse's rules: the actions', then
-    `set_defaults`'. No string default here has a type, so none is converted.
+    the second. The defaults and the required actions are derived once per
+    parser (`_defaults`), since no parser changes after `build_parser`. No
+    string default here has a type, so none is converted.
     """
     table = command._option_string_actions
-    namespace, seen, values = argparse.Namespace(), set(), iter(argv)
-    for action in command._actions:
-        if (action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
-                and not hasattr(namespace, action.dest)):
-            setattr(namespace, action.dest, action.default)
-    for dest, value in command._defaults.items():
-        if not hasattr(namespace, dest):
-            setattr(namespace, dest, value)
+    defaults, required = _defaults(command)
+    namespace, seen, values = argparse.Namespace(**defaults), set(), iter(argv)
     try:
         for arg in values:
             option, explicit, value = arg.partition("=")
@@ -380,7 +397,7 @@ def _direct_parse(command: argparse.ArgumentParser, argv: list):
                 return None
             setattr(namespace, action.dest, value)
             seen.add(action)
-        if any(action.required and action not in seen for action in command._actions):
+        if not required <= seen:
             return None
     except argparse.ArgumentError:
         return None

@@ -23,24 +23,26 @@ from .errors import (
     ZeroToNegativePower,
 )
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal: optional sign, integer, optional '/denominator'.
 
-    Accepts e.g. '-3/7', '42', '+5'. Rejects denominator 0 and anything
-    outside the literal grammar (no decimals, no whitespace).
+    Accepts e.g. '-3/7', '42', '+5', and ' 7/2 ' (surrounding whitespace is
+    stripped). Rejects denominator 0 and anything outside the literal
+    grammar (no decimals, no whitespace inside the literal).
     """
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    match = _RATIONAL_RE.fullmatch(text.strip())
+    if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    num, _, den = s.partition("/")
-    if den:
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in rational literal: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    den = int(den)
+    if den == 0:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
+    return Fraction(int(num), den)
 
 
 def _decimal(n: int) -> str:

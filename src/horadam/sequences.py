@@ -64,7 +64,9 @@ U, V, W = SequenceKind.U, SequenceKind.V, SequenceKind.W
 
 
 def _coerce(x):
-    if isinstance(x, (int, str)):
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, (Fraction, ModInt)):
         return x
@@ -79,11 +81,12 @@ _ZERO, _ONE, _TWO = Fraction(0), Fraction(1), Fraction(2)
 class HoradamParams:
     """The tuple (a, b, p, q) over Q (`Fraction`; ints and strings are
     coerced) or over GF(M) (`ModInt`, one prime M); p and q must be nonzero.
-    ValueError for any other scalar type (float, Decimal, ...) and for a mix
-    of types or moduli: all four must share one field; CompositeModulus for
-    a composite M, where a nonzero q can lack an inverse. `modulus` is derived
-    from them (M, or None over Q) and compared by ==, since a ModInt equals
-    every rational of its residue class; it is not in the hash or the repr."""
+    ValueError for a bool, for any other scalar type (float, Decimal, ...)
+    and for a mix of types or moduli: all four must share one field;
+    CompositeModulus for a composite M, where a nonzero q can lack an
+    inverse. `modulus` is derived from them (M, or None over Q) and
+    compared by ==, since a ModInt equals every rational of its residue
+    class; it is not in the hash or the repr."""
 
     a: Any
     b: Any
@@ -92,13 +95,16 @@ class HoradamParams:
     modulus: Optional[int] = field(init=False, repr=False, hash=False)
 
     def __post_init__(self):
-        values = tuple(map(_coerce, (self.a, self.b, self.p, self.q)))
-        moduli = {getattr(x, "modulus", None) for x in values}
+        given = (self.a, self.b, self.p, self.q)
+        a, b, p, q = values = tuple(map(_coerce, given))
+        moduli = {getattr(a, "modulus", None), getattr(b, "modulus", None),
+                  getattr(p, "modulus", None), getattr(q, "modulus", None)}
         if len(moduli) > 1:
             raise ValueError("a, b, p and q must share one field (all rational, or all "
                              f"ModInt of one modulus), got {values!r}")
-        for name, x in zip(("a", "b", "p", "q"), values):
-            object.__setattr__(self, name, x)
+        for name, old, x in zip(("a", "b", "p", "q"), given, values):
+            if x is not old:
+                object.__setattr__(self, name, x)
         M = moduli.pop()
         if M and not is_prime(M):
             raise CompositeModulus(f"{M} is not prime")

@@ -672,7 +672,8 @@ class TestArgvParsing:
         # a well-formed argv is read once, off the command parser's actions,
         # into the Namespace its parse_known_args builds; the separate
         # negative value goes to parse_args, which runs the top-level parser
-        # and then the command's
+        # and then the command's. No call builds a JSON encoder: the report
+        # is written by the one the module holds
         command = cli._command_parsers()[argv[0]]
         direct = cli._direct_parse(command, argv[1:])
         if parses:
@@ -687,9 +688,34 @@ class TestArgvParsing:
             return parse_known_args(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        encoders = []
+        encoder_init = json.JSONEncoder.__init__
+
+        def counting_encoder(self, *args, **kwargs):
+            encoders.append(kwargs)
+            encoder_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONEncoder, "__init__", counting_encoder)
         code, _, err = run(capsys, argv)
         assert (code, err) == (0, "")
         assert calls == parses
+        assert encoders == []
+
+    def test_each_direct_parse_builds_its_own_namespace(self):
+        command = cli._command_parsers()["eval"]
+        first, second = (cli._direct_parse(command, WELL_FORMED["eval"][1:]) for _ in range(2))
+        assert first is not second and first == second
+
+    def test_a_changed_namespace_leaves_the_defaults(self):
+        # the defaults are derived once per parser; what a caller does to one
+        # Namespace reaches no later parse
+        command = cli._command_parsers()["eval"]
+        argv = [*FIB, "--kind", "u", "--n=3"]
+        changed = cli._direct_parse(command, argv)
+        changed.method, changed.json, changed.extra = "binet", True, 1
+        fresh = cli._direct_parse(command, argv)
+        assert (fresh.method, fresh.json, hasattr(fresh, "extra")) == ("iterative", False, False)
+        assert command.parse_known_args(argv) == (fresh, [])
 
     def test_every_action_is_read_directly_or_left_to_argparse(self):
         # each option of the five commands is a plain store action or a

@@ -38,11 +38,12 @@ class TestRationalLiterals:
         ("+5", Fraction(5)),
         ("0", Fraction(0)),
         ("6/4", Fraction(3, 2)),
+        (" 7/2 ", Fraction(7, 2)),
     ])
     def test_parse(self, text, expected):
         assert parse_rational(text) == expected
 
-    @pytest.mark.parametrize("text", ["3/0", "1.5", "x", "", "1/2/3", "3 / 4"])
+    @pytest.mark.parametrize("text", ["3/0", "1.5", "x", "", "1/2/3", "3 / 4", "3/ 4", "\t"])
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)

@@ -76,8 +76,8 @@ class TestParams:
         with pytest.raises(ValueError, match="share one field"):
             HoradamParams(0, 1, f(1), f(-1))
 
-    @pytest.mark.parametrize("scalar", [1.0, Decimal("1.5"), (3, 2)],
-                             ids=["float", "Decimal", "pair"])
+    @pytest.mark.parametrize("scalar", [1.0, Decimal("1.5"), (3, 2), True],
+                             ids=["float", "Decimal", "pair", "bool"])
     def test_rejects_scalars_outside_the_two_fields(self, scalar):
         for position in range(4):
             values = [Fraction(1), Fraction(1), Fraction(1), Fraction(-1)]
