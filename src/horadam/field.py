@@ -5,7 +5,7 @@ interop with small ints): arbitrary-precision rationals (`fractions.Fraction`)
 and residues modulo a prime (`ModInt`). Inside the checkers a value over Q
 is an unreduced integer pair, a plain `(n, d)` tuple with d != 0: the term
 cache fills it straight from the integer kernel, the pair code computes on
-its integers, with `ratio_sum` as its one sum rule, and `reduced` turns it
+its integers, with `ratio_sum`'s rule as its one sum rule, and `reduced` turns it
 into a `Fraction` wherever a value is reported. All values are immutable;
 every operation is pure.
 """
@@ -72,9 +72,10 @@ def ratio_sum(pairs) -> tuple:
     folded in one frame by Henrici's rule (Knuth, TAOCP Vol. 2, 4.5.1), as
     `Fraction` adds: the gcd of the denominators, then of the result,
     without which telescoping sums grow without bound. The library's one
-    sum rule on pairs: the pair compiler's sum loop and the lemma probe's
-    fold (`lemmas._probe`) take the same steps inline, one summand at a
-    time."""
+    sum rule on pairs, which the pair compiler's sum loop
+    (`formula.compile_pairs`) takes inline, one summand at a time; no
+    library code calls this function, which stays as the reference that
+    the tests compare the generated loop against."""
     n, d = 0, 1
     for nb, db in pairs:
         g = gcd(d, db)

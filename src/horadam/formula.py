@@ -2,23 +2,26 @@
 from it.
 
 Formula grammar: u(e), v(e), w(e) are terms at an integer index expression
-e; p, q, a, b are the parameters; `^` is a power and `q^e` or `q^(e)` reads
-the memoized q-power, with one level of parentheses inside (`q^((r-s)(k-j))`);
-a digit or a `)` before a letter or a parenthesis multiplies (`2n`,
-`2(n+r)`, `4q`, `(r-s)k`, `(r-s)(k+1)`); `C(k,j)` is the binomial
-coefficient; `sum_{j=0}^{k} S` is the sum of S over j = 0..k, and its
-summand S runs to the end of its side, so a factor before `sum` multiplies
-the whole sum. Text after ` # ` is a note, displayed but not evaluated. The
-catalog (`catalog`) and the summation theorems (`theorems`) compile the
-sides (`sides`) of their displayed forms on first use, on the operators
-with `compile_expression` or `compile_tuple`, which translates each text
-on its own. The pair compiler (`compile_pairs`), which computes on the
-checkers' unreduced `(n, d)` tuples for `fuzz` and the theorem legs over Q,
-takes the whole grammar: a sum is a loop into one pair, `C(k,j)` an int
-factor, `/` a swapped pair, and an index exponent (`(-1)^j`,
-`u(m-s)^(k-j)`) a power taken at run time; it rejects a negative literal
-exponent, one that is not an index, and a sum whose index is one of the
-formula's variables; `fuzz` refuses an entry it rejects.
+e; p, q, a, b are the parameters; the lemma engine's texts (`lemmas`) read
+the terms X(e), Y(e) and the coefficients h, f1, f2 of its relation instead
+(one member table, `_INDEXED` and `_SCALARS`); `^` is a power and `q^e` or
+`q^(e)` reads the memoized q-power, with one level of parentheses inside
+(`q^((r-s)(k-j))`); a digit or a `)` before a letter or a parenthesis
+multiplies (`2n`, `2(n+r)`, `4q`, `(r-s)k`, `(r-s)(k+1)`), and nothing else
+does (`c*e`, not `ce`); `C(k,j)` is the binomial coefficient;
+`sum_{j=0}^{k} S` is the sum of S over j = 0..k, and its summand S runs to
+the end of its side, so a factor before `sum` multiplies the whole sum.
+Text after ` # ` is a note, displayed but not evaluated. The catalog
+(`catalog`), the summation theorems (`theorems`) and the lemma engine
+compile their texts on first use (a displayed form side by side, `sides`),
+on the operators with `compile_expression` or `compile_tuple`, which
+translates each text on its own. The pair compiler (`compile_pairs`), which
+computes on the checkers' unreduced `(n, d)` tuples for `fuzz` and for all
+three theorem legs over Q, takes the whole grammar: a sum is a loop into one
+pair, `C(k,j)` an int factor, `/` a swapped pair, and an index exponent
+(`(-1)^j`, `u(m-s)^(k-j)`) a power taken at run time; it rejects a negative
+literal exponent, one that is not an index, and a sum whose index is one of
+the formula's variables; `fuzz` refuses an entry it rejects.
 Derivation records and relations hold `name=expr, ...` lists
 (`assignments`), and are compiled on first use too.
 """
@@ -33,6 +36,10 @@ from .errors import HoradamError
 from .field import binomial
 
 _DERIVATION = re.compile(r"(\S+)(?: at (\w+=[^ ,=]+(?:, \w+=[^ ,=]+)*))?(?: as ([uv]))?")
+# the accessor's members: the indexed reads (q^e reads qp(e)), then the scalars
+_INDEXED = ("u", "v", "w", "qp", "X", "Y")
+_SCALARS = ("p", "q", "a", "b", "h", "f1", "f2")
+_MEMBER = "|".join((*_INDEXED, *_SCALARS))
 
 
 def _python(side: str) -> str:
@@ -43,7 +50,7 @@ def _python(side: str) -> str:
     side = re.sub(r"\bq\^(?:\(((?:[^()]|\([^()]*\))*)\)|([a-z]))", r"qp(\1\2)", side)
     side = re.sub(r"\bC\(", "binomial(", side.replace("^", "**"))
     side = re.sub(r"\bt\b", "t_", side)
-    return re.sub(r"\b(u|v|w|qp|p|q|a|b)\b", r"t.\1", side)
+    return re.sub(rf"\b({_MEMBER})\b", r"t.\1", side)
 
 
 def _names(variables) -> list:
@@ -59,8 +66,8 @@ def sides(formula) -> list:
 
 def reads(text) -> list:
     """(member, index) of each term read of a grammar text, side by side in
-    source order: e's `_python` text for u(e), v(e), w(e) and q^e (member
-    qp), None for p, q, a and b."""
+    source order: e's `_python` text for an indexed read (`_INDEXED`: u(e),
+    X(e), q^e as member qp), None for a scalar (`_SCALARS`: p, h, f1)."""
     found = []
     for side in map(_python, sides(text)):
         at = []     # (column, member, index)
@@ -68,7 +75,7 @@ def reads(text) -> list:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 e = node.args[0]
                 at.append((node.col_offset, node.func.attr, side[e.col_offset:e.end_col_offset]))
-            elif isinstance(node, ast.Attribute) and node.attr in ("p", "q", "a", "b"):
+            elif isinstance(node, ast.Attribute) and node.attr in _SCALARS:
                 at.append((node.col_offset, node.attr, None))
         found += [read[1:] for read in sorted(at)]
     return found
@@ -134,13 +141,14 @@ def _pair_lines(key, variables, texts) -> tuple:
     equal when n1*d2 == n2*d1.
 
     Built from each text's `_python` text through `ast`. Every term read
-    (t.u(e), t.v(e), t.w(e), t.qp(e), t.p, t.q, t.a, t.b) stays an accessor
-    read, of the member that `_define` fetches into a local (`_u(e)`, `_q`),
-    unpacked into two locals (`_3n, _3d = _u(e)`), in the order the operator
-    compile of the texts, one after another, makes them, but for a read in
-    a sum whose index does not mention the sum's index: that one is made
-    once, before the loop (a read never raises, and the loop runs at least
-    once). The arithmetic is integer arithmetic on the pairs' n and d:
+    (t.u(e), t.qp(e), t.X(e), t.p, t.h, ...: a member of `_INDEXED` or
+    `_SCALARS`) stays an accessor read, of the member that `_define`
+    fetches into a local (`_u(e)`, `_q`), unpacked into two locals
+    (`_3n, _3d = _u(e)`), in the order the operator compile of the texts,
+    one after another, makes them, but for a read in a sum whose index does
+    not mention the sum's index: that one is made once, before the loop (a
+    read never raises, and the loop runs at least once). The arithmetic is
+    integer arithmetic on the pairs' n and d:
       - +, -, unary - and * take no gcd: a*b is (na*nb, da*db) and a-b is
         (na*db - nb*da, da*db);
       - ** to a non-negative integer literal raises n and d; ** to an index
@@ -232,8 +240,8 @@ def _pair_lines(key, variables, texts) -> tuple:
             lines.append(f"{indent}{n}, {d} = {total} // {g}, {s} * ({sd} // {g})")
             indent, inside = indent[:-4], None
             return n, d
-        if (isinstance(node, ast.Attribute) and node.attr in ("p", "q", "a", "b")
-                or isinstance(call, ast.Attribute) and call.attr in ("u", "v", "w", "qp")
+        if (isinstance(node, ast.Attribute) and node.attr in _SCALARS
+                or isinstance(call, ast.Attribute) and call.attr in _INDEXED
                 and len(node.args) == 1):
             read = node if isinstance(node, ast.Attribute) else call
             if isinstance(read.value, ast.Name) and read.value.id == "t":
@@ -247,7 +255,8 @@ def _pair_lines(key, variables, texts) -> tuple:
                     lines.append(f"{indent}{n}, {d} = _{source[2:]}")
                 return n, d
         raise ValueError(f"{key}: the pair compiler cannot compile {source!r}; it takes "
-                         "term reads, p, q, a, b, integer literals, C(k,j), sums, +, -, *, /, "
+                         "term reads, scalars (p, q, a, b, h, f1, f2), integer literals, C(k,j), "
+                         "sums, +, -, *, /, "
                          "and ** to a non-negative integer literal or to an index expression")
 
     pairs = [pair(ast.parse(text, mode="eval").body, text) for text in map(_python, texts)]
@@ -257,10 +266,10 @@ def _pair_lines(key, variables, texts) -> tuple:
 def _define(name, variables, lines) -> Callable:
     """The function `name` of the accessor `t` and the variables with body
     `lines`, which may read `binomial`, `gcd` and `HoradamError`; a body's
-    `_u`, `_v`, `_w`, `_qp`, `_p`, `_q`, `_a` and `_b` are the accessor's
-    members, fetched into locals first. The package's one `exec`, reached
-    only by its constant formulas."""
-    members = sorted(set(re.findall(r"\b_(u|v|w|qp|p|q|a|b)\b", "\n".join(lines))))
+    `_u`, `_qp`, `_p`, `_X`, `_f1`, ... (`_` and a member of `_INDEXED` or
+    `_SCALARS`) are the accessor's members, fetched into locals first. The
+    package's one `exec`, reached only by its constant formulas."""
+    members = sorted(set(re.findall(rf"\b_({_MEMBER})\b", "\n".join(lines))))
     lines = [*(f"_{m} = t.{m}" for m in members), *lines]
     namespace = {"binomial": binomial, "gcd": gcd, "HoradamError": HoradamError}
     exec("".join([f"def {name}({', '.join(['t', *_names(variables)])}):",

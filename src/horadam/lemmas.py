@@ -6,19 +6,22 @@ of telescoping identities follow. Each public operation evaluates both
 sides of one family exactly and reports whether they coincide (they must,
 whenever the configuration probe passes).
 
-Three left sides are written out: lemma 1's power sum, lemma 3's binomial
-expansion and the L4 reciprocal sum. One table (`_VARIANTS`) gives every
-variant, by its label ("lemma 2 variant 3", "L5c"), as one of them on the
-relation as given, swapped (h*X_n = f2*X_{n-d} + f1*X_{n-c}), solved for its
-f1 term (f1*X_m = h*X_{m+c} - f2*X_{m+c-d} at m = n - c) or both in turn,
-and negated at odd k or not. Lemmas 2 and 5 are lemma 1 and L4 read with
+The three left sides (lemma 1's power sum, lemma 3's binomial expansion,
+the L4 reciprocal sum) and the two right sides are texts in the grammar of
+`formula`, over the relation's members h, f1, f2, X, Y (`_Members`) and
+n, k, c, d, compiled once per text and field on first use (`_compiled`)
+by the compiler of the displayed forms. One table (`_VARIANTS`) gives
+every variant, by its label ("lemma 2 variant 3", "L5c"), as one left side
+on the relation as given, swapped (h*X_n = f2*X_{n-d} + f1*X_{n-c}),
+solved for its f1 term (f1*X_m = h*X_{m+c} - f2*X_{m+c-d} at m = n - c)
+or both in turn, and negated at odd k or not. Lemmas 2 and 5 are lemma 1 and L4 read with
 Y = X. Reports keep the caller's configuration; a probe failure names the
 variant and the index in the caller's relation.
 
-The probe checks the relation at each point a left side consumes. Lemma 1's
-and L4's summands are its telescoping steps (Petkovsek, Wilf and Zeilberger,
-A = B, ch. 5), so `_probe` folds those two sums from the terms it has just
-checked: one pass, which reads each term once.
+The probe (`_probe`) checks the relation at each point a left side
+consumes, before the left side is summed: lemma 1's and L4's telescoping
+steps (Petkovsek, Wilf and Zeilberger, A = B, ch. 5), one per summand, and
+the instances lemma 3's k-fold expansion uses.
 
 `_lemma(label, ...)` returns a variant's left side on the plain tuple
 (h, f1, f2, c, d), the relation it was summed on and whether it was
@@ -29,27 +32,29 @@ Y where the variant reads Y = X, and add the right side on that relation.
 Accessors are plain callables int -> scalar. The public functions take
 int, `Fraction` or `ModInt` coefficients of one field (`RecurrenceConfig`)
 and accessors of the same field, such as `TermContext` methods and shifted
-lambdas, and run the probe and the sums on the operators; a `ValueError`
-names coefficients or terms X(n), Y(n) that do not share one field, and
-`check_config` raises it too, from the terms at its window's first index. The
-theorem checkers pass `_lemma` coefficients over Q as `(n, d)` tuples, from
-the pair code, with the members of the checker accessor `Terms`, whose
-terms are unreduced `(n, d)` tuples too: the probe then compares integers,
-each sum folds its summands as integer pairs by `field.ratio_sum`'s rule
-into one pair, with its scale folded into the result's integers, and a
-negation (`_negated`) and the denominator scan's zero test read the
-numerator.
+lambdas, and run the probe and the texts on the operators, with the
+coefficients taken as `Fraction`s unless the field is GF(M), so an int
+configuration reports `Fraction` values; a `ValueError` names coefficients
+or terms X(n), Y(n) that do not share one field, and `check_config` raises
+it too, from the terms at its window's first index. The theorem checkers
+pass `_lemma` coefficients over Q as `(n, d)` tuples, from the pair code,
+with the members of the checker accessor `Terms`, whose terms are
+unreduced `(n, d)` tuples too: the probe then compares integers, a left
+side runs as the pair compiler's code (`formula.compile_pairs`), whose sum
+loop folds by `field.ratio_sum`'s rule, and a negation (`_negated`) and the
+denominator scan's zero test read the numerator.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cache
 from typing import Any, Callable
 
 from .errors import ConfigViolation, DegenerateStride, SingularSummand, require_int
-from .field import ModInt, binomial, ratio_sum
+from .field import ModInt
+from .formula import compile_expression, compile_pairs
 
 Accessor = Callable[[int], Any]
 
@@ -104,66 +109,35 @@ def _plain(cfg):
     return cfg.h, cfg.f1, cfg.f2, cfg.c, cfg.d
 
 
-def _probe(rel, X, Y, points, where, shift, pairs, fold=None):
+def _probe(rel, X, Y, points, where, shift, pairs):
     """Check the relation at each caller index of `points`, in order; the
-    relation at n - shift is the caller's relation at n. With `fold`,
-    "power" or "reciprocal", the points are the k+1 telescoping steps
-    n + shift - c*e, e = 0..k, and the probe returns the sum, over them, of
-    the summand made of the three terms it has just checked there, X = X(i),
-    Xc = X(i-c) and Y = Y(i-d): lemma 1's f1^e * h^(k-e) * Y, or L4's
-    h^e * f1^(k-e) * Y / (X * Xc). On pairs it folds by `ratio_sum`'s two
-    gcds, on the operators by +."""
+    relation at n - shift is the caller's relation at n."""
     h, f1, f2, c, d = rel
-    k = len(points) - 1 if fold else 0
-    reciprocal = fold == "reciprocal"
-    # the summand's factor raised to e, and the one raised to k - e
-    a, b = (h, f1) if reciprocal else (f1, h)
     if pairs:
         # h*X = f1*Xc + f2*Y is one cross-multiplied comparison
-        (hn, hd), (f1n, f1d), (f2n, f2d), (an, ad), (bn, bd) = h, f1, f2, a, b
-        left, f1f2, f2f1 = hn * f1d * f2d, f1n * f2d, f2n * f1d
-        sn, sd = 0, 1
-        for e, n in enumerate(points):
-            i = n - shift
-            (xn, xd), (xcn, xcd), (yn, yd) = X(i), X(i - c), Y(i - d)
-            if left * xn * xcd * yd != (f1f2 * xcn * yd + f2f1 * yn * xcd) * hd * xd:
-                raise ConfigViolation(f"recurrence fails at index {n} while evaluating {where}")
-            if fold:
-                tn, td = an ** e * bn ** (k - e) * yn, ad ** e * bd ** (k - e) * yd
-                if reciprocal:
-                    # Y over the two X terms: each enters with its pair swapped
-                    tn, td = tn * xd * xcd, td * xn * xcn
-                # ratio_sum's step
-                g = gcd(sd, td)
-                s = sd // g
-                t = sn * (td // g) + tn * s
-                g = gcd(t, g)
-                sn, sd = t // g, s * (td // g)
-        return sn, sd
-    total = 0
-    for e, n in enumerate(points):
+        (hn, hd), (f1n, f1d), (f2n, f2d) = h, f1, f2
+        left, a, b = hn * f1d * f2d, f1n * f2d, f2n * f1d
+    for n in points:
         i = n - shift
-        x, xc, y = X(i), X(i - c), Y(i - d)
-        if h * x != f1 * xc + f2 * y:
+        if pairs:
+            (xn, xd), (xcn, xcd), (yn, yd) = X(i), X(i - c), Y(i - d)
+            fails = left * xn * xcd * yd != (a * xcn * yd + b * yn * xcd) * hd * xd
+        else:
+            fails = h * X(i) != f1 * X(i - c) + f2 * Y(i - d)
+        if fails:
             raise ConfigViolation(f"recurrence fails at index {n} while evaluating {where}")
-        if fold:
-            t = a ** e * b ** (k - e) * y
-            if reciprocal:
-                # an int over an int is taken as a Fraction, not a float
-                xx = x * xc
-                t = Fraction(t, xx) if type(t) is type(xx) is int else t / xx
-            total = total + t
-    return total
 
 
-def _require_one_field(label, cfg, X, Y, n):
-    """Raise `ValueError`, naming both, unless the coefficients and the terms
-    X(n), Y(n) share one field."""
+def _require_one_field(label, cfg, X, Y, n) -> set:
+    """The field set (`_fields`) of the coefficients and the terms X(n),
+    Y(n); `ValueError`, naming both, unless they share one field."""
     coefficients, x, y = (cfg.h, cfg.f1, cfg.f2), X(n), Y(n)
-    if len(_fields((*coefficients, x, y))) > 1:
+    fields = _fields((*coefficients, x, y))
+    if len(fields) > 1:
         raise ValueError(f"{label}: the coefficients and the accessors' terms must share one "
                          f"field, got coefficients {coefficients!r} and terms "
                          f"X({n}) = {x!r}, Y({n}) = {y!r}")
+    return fields
 
 
 def check_config(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, window) -> bool:
@@ -206,32 +180,6 @@ def _rearranged(rel, how):
     return rel, shift
 
 
-def _power_sum(rel, X, Y, n, k, where, shift, pairs):
-    # lemma 1's left side, f2 times the probe's fold
-    _, _, f2, c, _ = rel
-    total = _probe(rel, X, Y, [n + shift - c * e for e in range(k + 1)], where, shift,
-                   pairs, "power")
-    if pairs:
-        # f2 folded into the sum's integers, with no gcd
-        return f2[0] * total[0], f2[1] * total[1]
-    return f2 * total
-
-
-def _binomial_sum(rel, X, Y, n, k, where, shift, pairs):
-    # lemma 3's left side, the expansion of h^k X_n; it reads Y = X
-    h, f1, f2, c, d = rel
-    # recurrence instances consumed by the k-fold coefficient-power expansion
-    points = {n + shift - a * c - (tot - a) * d for tot in range(k) for a in range(tot + 1)}
-    _probe(rel, X, Y, points, where, shift, pairs)
-    if pairs:
-        (f1n, f1d), (f2n, f2d) = f1, f2
-        return ratio_sum((binomial(k, j) * f2n ** (k - j) * f1n ** j * xn,
-                          f2d ** (k - j) * f1d ** j * xd)
-                         for j in range(k + 1) for xn, xd in [X(n - d * k + (d - c) * j)])
-    return sum(binomial(k, j) * f2 ** (k - j) * f1 ** j * X(n - d * k + (d - c) * j)
-               for j in range(k + 1))
-
-
 def _denominator_window(label, c, d, X, n, k):
     """The denominator window of the variant `label` on a relation with
     offsets c and d: (j, index, is_zero) for each index, lazily, j the first
@@ -240,7 +188,7 @@ def _denominator_window(label, c, d, X, n, k):
     is the c of the relation the variant is summed on. A term that is a
     pair (n, d) is zero when n is: a tuple never equals 0."""
     left_side, how, _ = _VARIANTS[label]
-    if left_side is _reciprocal_sum:
+    if left_side is _RECIPROCAL:
         (_, _, _, stride, _), _ = _rearranged((0, 0, 0, c, d), how)
         for i in range(k + 2):
             idx = n - stride * (k + 1 - i)
@@ -248,33 +196,58 @@ def _denominator_window(label, c, d, X, n, k):
             yield max(0, i - 1), idx, (x[0] if type(x) is tuple else x) == 0
 
 
-def _reciprocal_sum(rel, X, Y, n, k, where, shift, pairs):
-    # L4's left side, the scale X(n)*X(n-(k+1)c)*f2 times the probe's fold;
-    # `_lemma` has scanned its denominators
-    _, _, f2, c, _ = rel
-    total = _probe(rel, X, Y, [n + shift - c * e for e in range(k + 1)], where, shift,
-                   pairs, "reciprocal")
-    first, last = X(n), X(n - c * (k + 1))
-    if pairs:
-        # the scale is folded into the sum's integers, with no gcd
-        return first[0] * last[0] * f2[0] * total[0], first[1] * last[1] * f2[1] * total[1]
-    return first * last * f2 * total
+# the left sides, each summand in the order the probe checks its points;
+# lemma 3's expansion of h^k X_n reads Y = X
+_POWER = "f2*sum_{e=0}^{k} f1^e*h^(k-e)*Y(n-c*e-d)"
+_BINOMIAL = "sum_{j=0}^{k} C(k,j)*f2^(k-j)*f1^j*X(n-d*k+(d-c)*j)"
+_RECIPROCAL = "X(n)*X(n-c*(k+1))*f2*sum_{e=0}^{k} h^e*f1^(k-e)*Y(n-c*e-d)/(X(n-c*e)*X(n-c*e-c))"
+# the right sides: lemma 1's telescoped difference, which L4 and L5 share, and
+# lemma 3's single scaled term
+_TELESCOPED = "h^(k+1)*X(n) - f1^(k+1)*X(n-(k+1)*c)"
+_SCALED = "h^k*X(n)"
 
 
 # label -> (left side, rearrangement of the relation, negated at odd k)
 _VARIANTS = {
-    "lemma 1": (_power_sum, "", False),
-    "lemma 2 variant 1": (_power_sum, "", False),
-    "lemma 2 variant 2": (_power_sum, "swapped", False),
-    "lemma 2 variant 3": (_power_sum, "solved swapped", True),
-    "lemma 3 variant 1": (_binomial_sum, "", False),
-    "lemma 3 variant 2": (_binomial_sum, "solved", True),
-    "lemma 3 variant 3": (_binomial_sum, "swapped solved", True),
-    "L4": (_reciprocal_sum, "", False),
-    "L5a": (_reciprocal_sum, "", False),
-    "L5b": (_reciprocal_sum, "swapped", False),
-    "L5c": (_reciprocal_sum, "solved swapped", False),
+    "lemma 1": (_POWER, "", False),
+    "lemma 2 variant 1": (_POWER, "", False),
+    "lemma 2 variant 2": (_POWER, "swapped", False),
+    "lemma 2 variant 3": (_POWER, "solved swapped", True),
+    "lemma 3 variant 1": (_BINOMIAL, "", False),
+    "lemma 3 variant 2": (_BINOMIAL, "solved", True),
+    "lemma 3 variant 3": (_BINOMIAL, "swapped solved", True),
+    "L4": (_RECIPROCAL, "", False),
+    "L5a": (_RECIPROCAL, "", False),
+    "L5b": (_RECIPROCAL, "swapped", False),
+    "L5c": (_RECIPROCAL, "solved swapped", False),
 }
+
+
+class _Members:
+    """The accessor of the lemma texts: the coefficients h, f1, f2 and the
+    term accessors X, Y of one relation."""
+
+    __slots__ = ("h", "f1", "f2", "X", "Y")
+
+    def __init__(self, h, f1, f2, X, Y):
+        self.h, self.f1, self.f2, self.X, self.Y = h, f1, f2, X, Y
+
+
+@cache
+def _compiled(text, pairs) -> Callable:
+    """A lemma text as a function of the accessor (`_Members`) and n, k, c,
+    d, compiled once per field: on integer pairs (`formula.compile_pairs`)
+    when `pairs`, over Q from the theorem checkers, else on the operators."""
+    if pairs:
+        return compile_pairs(text, "nkcd", [text])
+    return compile_expression("nkcd", text)
+
+
+def _side(text, rel, X, Y, n, k):
+    """The lemma text `text` on the plain relation (h, f1, f2, c, d) and the
+    accessors X, Y at n, k; an (n, d) pair when the coefficients are pairs."""
+    h, f1, f2, c, d = rel
+    return _compiled(text, type(h) is tuple)(_Members(h, f1, f2, X, Y), n, k, c, d)
 
 
 def _lemma(label, rel, X, Y, n, k):
@@ -289,22 +262,31 @@ def _lemma(label, rel, X, Y, n, k):
         if zero:
             raise SingularSummand(j, idx)
     rel, shift = _rearranged(rel, how)
+    c, d = rel[3:]
+    if left_side is _BINOMIAL:
+        # recurrence instances consumed by the k-fold coefficient-power expansion
+        points = {n + shift - a * c - (tot - a) * d for tot in range(k) for a in range(tot + 1)}
+    else:
+        # the telescoping steps, one for each summand
+        points = [n + shift - c * e for e in range(k + 1)]
     # pair coefficients come only from the theorem checkers' pair code over
-    # Q, whose terms are pairs too: the probe and the sums then run on pairs
-    lhs = left_side(rel, X, Y, n, k, label, shift, type(rel[0]) is tuple)
+    # Q, whose terms are pairs too: the probe and the sum then run on pairs
+    _probe(rel, X, Y, points, label, shift, type(rel[0]) is tuple)
+    lhs = _side(left_side, rel, X, Y, n, k)
     negated = odd_negates and k % 2 == 1
     return (_negated(lhs) if negated else lhs), rel, negated
 
 
 def _report(lemma, variant, label, cfg, X, Y, n, k):
-    # the left side, and the right side on the relation it was summed on
-    _require_one_field(label, cfg, X, Y, n)
-    lhs, rel, negated = _lemma(label, _plain(cfg), X, Y, n, k)
-    h, f1, _, c, _ = rel
-    if lemma == "3":    # the expansion collapses to one scaled term
-        rhs = h ** k * X(n)
-    else:               # lemma 1's telescoped difference, which L4 and L5 share
-        rhs = h ** (k + 1) * X(n) - f1 ** (k + 1) * X(n - (k + 1) * c)
+    # the left side, and the right side on the relation it was summed on;
+    # over Q the coefficients are taken as Fractions, so that an int
+    # configuration's reciprocal sum divides exactly
+    fields = _require_one_field(label, cfg, X, Y, n)
+    rel = _plain(cfg)
+    if fields <= {None}:
+        rel = (*map(Fraction, rel[:3]), *rel[3:])
+    lhs, rel, negated = _lemma(label, rel, X, Y, n, k)
+    rhs = _side(_SCALED if lemma == "3" else _TELESCOPED, rel, X, Y, n, k)
     return LemmaReport(lemma, variant, cfg, n, k, lhs, -rhs if negated else rhs)
 
 

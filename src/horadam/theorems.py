@@ -32,11 +32,12 @@ right side, then the factor, but reads a term in a sum whose index has no
 j once, before the sum's loop; the relation's coefficients
 (`_Relation.pairs`) come from the same compiler, and the guard tests
 their numerators. The lemma's probe checks each point with one integer
-comparison, and folds lemma 1's and L4's sums from the terms it has just
-checked there; it and lemma 3's sum are written in `lemmas`, so the sums of
-leg 3 run on code that the pair compiler does not generate. Over GF(M)
-the form's and the relation's `values` run on the `ModInt` operators, as
-`catalog.evaluate` does.
+comparison, and the lemma's left side is text in the same grammar
+(`lemmas._VARIANTS`), compiled by the same compiler, so all three legs run
+on generated pair code; leg 3 stays independent of legs 1 and 2, a
+different formula, summed on the rearranged relation. Over GF(M)
+the form's and the relation's `values` and the lemma's text run on the
+`ModInt` operators, as `catalog.evaluate` does.
 Assignments that zero a lemma coefficient raise GuardViolation; reciprocal
 sums whose denominator window contains a vanishing term raise
 SingularSummand. Wrong numbers are never returned silently.
@@ -47,8 +48,8 @@ use). Each base form names the lemma variant it follows from by its label
 in the lemma table ("lemma 2 variant 1", "L5c"), and carries its lemma
 factor: the relations and factors are text in the same grammar, and a
 guard names the term that `formula.reads` finds in its coefficient. The
-lemma sums are written in `lemmas`, whose probe checks the
-relation first, and which derives a reciprocal variant's denominator window
+lemma sums are texts in `lemmas`, whose probe checks the relation first,
+and which derives a reciprocal variant's denominator window
 (the singularity scan's too) from its label and the relation's offsets. The
 variants past the base forms (4-6, or 2 for theorems 3 and 5) evaluate a
 base form after the swap (r, s) -> (-s, -r).

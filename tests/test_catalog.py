@@ -864,7 +864,8 @@ class TestCompileOnFirstUse:
         # once over Q (its pairs) and once over GF(M) (its values); each
         # relation compiles its pairs over Q, its values over GF(M) and its
         # shape once, each on its first read, and no guard on passing calls;
-        # a second round compiles nothing
+        # each lemma left side compiles once per field; a second round
+        # compiles nothing
         src = str(Path(catalog.__file__).parents[1])
         code = (
             "import collections, json\n"
@@ -894,8 +895,9 @@ class TestCompileOnFirstUse:
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60)
-        # 15 compiles over Q: 11 form pairs, 2 relation pairs, 2 shapes; then
-        # 13 over GF(M): 11 form values, 2 relation values
+        # 18 compiles over Q: 11 form pairs, 2 relation pairs, 3 lemma left
+        # sides, 2 shapes; then 16 over GF(M): 11 form values, 2 relation
+        # values, 3 lemma left sides
         q_first, gf_first, *again = json.loads(out.stdout)
-        assert q_first == {"sides": 11 + 2, "expression": 2}, out.stderr
-        assert gf_first == {"expression": 11 + 2} and again == [{}, {}]
+        assert q_first == {"sides": 11 + 2 + 3, "expression": 2}, out.stderr
+        assert gf_first == {"expression": 11 + 2 + 3} and again == [{}, {}]

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from horadam import catalog, theorems
+from horadam import catalog, lemmas, theorems
 from horadam.catalog import REGISTRY
 from horadam.field import ratio_sum
-from horadam.formula import compile_expression, compile_pairs, compile_tuple, reads
+from horadam.formula import (assignments, compile_expression, compile_pairs, compile_tuple,
+                             derivation, reads)
 from horadam.sequences import HoradamParams, TermContext
 
 
@@ -44,6 +45,29 @@ class TestReads:
             values = [i + 2 for i in range(len(ident.variables))]
             ident.lhs(recording, *values), ident.rhs(recording, *values)
             assert {member for member, _ in reads(ident.formula)} == recording.members, ident.key
+
+
+class TestLemmaMembers:
+    """The lemma texts' members X, Y, h, f1 and f2 share the member table
+    with the Horadam members, so no other text may read them."""
+
+    MEMBERS = {"X", "Y", "h", "f1", "f2"}
+
+    def test_no_catalog_or_theorem_text_reads_them(self):
+        texts = [ident.formula for ident in REGISTRY.values()]
+        texts += [expr for ident in REGISTRY.values() if ident.derived
+                  for expr in derivation(ident.derived)[1].values()]
+        texts += [text for bases in theorems._BASES.values()
+                  for formula, _, factor in bases for text in (formula, factor)]
+        texts += [expr for text in set(theorems._RELATIONS.values())
+                  for expr in assignments(text).values()]
+        found = [(text, member) for text in texts for member, _ in reads(text)
+                 if member in self.MEMBERS]
+        assert len(texts) > 100 and not found, found
+
+    def test_the_reciprocal_text_reads_in_source_order(self):
+        assert [read for read in reads(lemmas._RECIPROCAL) if read[0] in ("X", "Y")] == [
+            ("X", "n"), ("X", "n-c*(k+1)"), ("Y", "n-c*e-d"), ("X", "n-c*e"), ("X", "n-c*e-c")]
 
 
 class TestCompileTuple:

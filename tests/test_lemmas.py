@@ -418,8 +418,7 @@ class TestPairPath:
                                        "lemma 3 variant 3"])
     def test_an_odd_k_negates_the_pair(self, label):
         X = Terms(TermContext(FIB), SequenceKind.W).w
-        left_side, how, _ = lemmas._VARIANTS[label]
-        shift = lemmas._rearranged(self.REL, how)[1]
+        left_side = lemmas._VARIANTS[label][0]
         # the operator path on the same values, which negates with unary -
         by_fractions = (*map(reduced, self.REL[:3]), *self.REL[3:])
 
@@ -427,7 +426,7 @@ class TestPairPath:
             return reduced(X(i))
         for k in range(4):
             lhs, rel, negated = lemmas._lemma(label, self.REL, X, X, 9, k)
-            summed = left_side(rel, X, X, 9, k, label, shift, True)
+            summed = lemmas._side(left_side, rel, X, X, 9, k)
             assert negated == (k % 2 == 1) and type(lhs) is tuple
             assert lhs == ((-summed[0], summed[1]) if negated else summed)
             assert Fraction(*lhs) == lemmas._lemma(label, by_fractions, read, read, 9, k)[0]
@@ -529,7 +528,7 @@ class TestFoldRule:
     def test_the_pair_is_ratio_sum_in_probe_order_times_the_scale(self, label):
         rng = random.Random(181)
         left_side, how, _ = lemmas._VARIANTS[label]
-        reciprocal = left_side is lemmas._reciprocal_sum
+        reciprocal = left_side is lemmas._RECIPROCAL
         checked = 0
         while checked < 30:
             p, q, a, b = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
@@ -561,6 +560,77 @@ class TestFoldRule:
                 sn, sd = fn * ln * sn, fd * ld * sd
             assert lhs == ((-f2n * sn, f2d * sd) if negated else (f2n * sn, f2d * sd))
             checked += 1
+
+
+# Each variant at n = 9, k = 3 on the Lucas numbers with h = f1 = f2 = 1,
+# c = 1, d = 2: the value of both sides, which an int configuration with
+# int terms reports as a Fraction.
+INT_REPORTS = {"lemma 1": 65, "lemma 2 variant 1": 65, "lemma 2 variant 2": 75,
+               "lemma 2 variant 3": -65, "lemma 3 variant 1": 76, "lemma 3 variant 2": -76,
+               "lemma 3 variant 3": -76, "L4": 65, "L5a": 65, "L5b": 75, "L5c": 65}
+
+
+@pytest.mark.parametrize("label", INT_REPORTS)
+def test_an_int_configuration_reports_fractions(label):
+    ctx = TermContext(FIB)
+
+    def lucas(n):
+        return ctx.v(n).numerator
+    cfg = RecurrenceConfig(1, 1, 1, 1, 2)
+    if label.startswith("lemma 3"):
+        rep = lemma3_binomial_sums(cfg, lucas, 9, 3, int(label[-1]))
+    else:
+        rep = _public(label, cfg, lucas, lucas, 9, 3)
+    assert rep.cfg is cfg and rep.equal
+    assert (type(rep.lhs), type(rep.rhs), rep.lhs) == (Fraction, Fraction, INT_REPORTS[label])
+
+
+class TestTextProof:
+    """The compiled operator texts, run on sympy atoms, are identities at
+    each fixed k: lemma 1's and L4's left sides equal the telescoped right
+    side once the relation gives Y, and lemma 3's expansion is h^k X(n)
+    rewritten k times by the relation with Y = X."""
+
+    @pytest.fixture(scope="class")
+    def sp(self):
+        return pytest.importorskip("sympy")
+
+    @staticmethod
+    def _side(sp, text, k):
+        h, f1, f2, n, c, d = sp.symbols("h f1 f2 n c d")
+        X, Y = sp.Function("X"), sp.Function("Y")
+        return lemmas._compiled(text, False)(lemmas._Members(h, f1, f2, X, Y), n, k, c, d)
+
+    def _telescopes(self, sp, text, k):
+        """True when `text` equals the telescoped right side at k, with
+        Y(e) = (h*X(e+d) - f1*X(e+d-c))/f2."""
+        h, f1, f2, c, d = sp.symbols("h f1 f2 c d")
+        X, Y = sp.Function("X"), sp.Function("Y")
+        lhs = self._side(sp, text, k).replace(Y, lambda e: (h * X(e + d) - f1 * X(e + d - c)) / f2)
+        return sp.cancel(sp.together(lhs - self._side(sp, lemmas._TELESCOPED, k))) == 0
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_lemma_1_and_l4_telescope(self, sp, k):
+        assert self._telescopes(sp, lemmas._POWER, k)
+        assert self._telescopes(sp, lemmas._RECIPROCAL, k)
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_lemma_3_is_the_expansion(self, sp, k):
+        h, f1, f2, c, d = sp.symbols("h f1 f2 c d")
+        X = sp.Function("X")
+        expanded = self._side(sp, lemmas._SCALED, k)
+        for _ in range(k):
+            # each term's h*X(e) = f1*X(e-c) + f2*X(e-d), once
+            step = expanded.replace(X, lambda e: (f1 * X(e - c) + f2 * X(e - d)) / h)
+            expanded = sp.expand(step)
+        assert sp.expand(expanded - self._side(sp, lemmas._BINOMIAL, k)) == 0
+
+    def test_corrupted_texts_fail(self, sp):
+        shifted = lemmas._RECIPROCAL.replace("Y(n-c*e-d)", "Y(n-c*e-d+1)")
+        assert shifted != lemmas._RECIPROCAL
+        for k in range(1, 3):
+            assert not self._telescopes(sp, "f1*" + lemmas._POWER, k)
+            assert not self._telescopes(sp, shifted, k)
 
 
 def _unread(i):

@@ -28,13 +28,12 @@ ASSIGNMENT = (3, 2, 1, -1, 3)   # n, m, r, s, k
 # else in the call makes: lemma 3's single scaled term for theorem 2, and
 # the telescoped X(n) and X(n-(k+1)c) for theorems 3-6.
 RHS_READS = {2: 1, 3: 2, 4: 2, 5: 2, 6: 2}
-# The parameters below also count reads that a call no longer repeats: the
-# lemma leg folds lemma 1's and L4's sums in its probe, and a sum loop reads a
-# term whose index has no j once, before the loop. At k = 3 those are the
-# sum's second read of each of its 4 summands' Y (lemma 1, theorems 3 and 4)
-# or Y and two X terms (L4 and L5, theorems 5 and 6), and 3 repeats of each
-# of the two such terms in every theorem's summand.
-REREADS = {2: 6, 3: 4 + 6, 4: 4 + 6, 5: 12 + 6, 6: 12 + 6}
+# The parameters below also count reads that a call no longer repeats: a sum
+# loop reads a term whose index has no j once, before the loop. At k = 3
+# those are 3 repeats of each of the two such terms in every theorem's
+# summand. The lemma leg's sum is not among them: it reads its summands'
+# terms again after its probe has checked them.
+REREADS = {2: 6, 3: 6, 4: 6, 5: 6, 6: 6}
 
 
 @pytest.fixture

@@ -127,6 +127,20 @@ def test_one_compile_per_record_and_field():
     assert not [name for name in ("compile_side", "compile_pair_sides") if hasattr(formula, name)]
 
 
+def test_no_hand_written_lemma_sum():
+    # the lemma engine's sides are grammar texts, compiled by `formula`: its
+    # module calls neither sum nor gcd, imports neither ratio_sum nor
+    # binomial, and each variant's left side is a text
+    from horadam import lemmas
+    tree = ast.parse((SRC / "lemmas.py").read_text(encoding="utf-8"))
+    calls = [node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("sum", "gcd")]
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name in ("ratio_sum", "binomial", "gcd")]
+    assert not calls and not imported, (calls, imported)
+    assert all(type(left_side) is str for left_side, _, _ in lemmas._VARIANTS.values())
+
+
 def _names_modint(node):
     return any(getattr(n, "id", getattr(n, "attr", None)) == "ModInt" for n in ast.walk(node))
 

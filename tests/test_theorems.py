@@ -878,7 +878,7 @@ class TestVariantVocabulary:
         strides = {"L4": 1, "L5a": 1, "L5b": 3, "L5c": 2}
         for label, (left_side, _, _) in lemmas._VARIANTS.items():
             window = list(lemmas._denominator_window(label, 1, 3, ctx.u, 9, 3))
-            assert (left_side is lemmas._reciprocal_sum) == (label in strides), label
+            assert (left_side is lemmas._RECIPROCAL) == (label in strides), label
             stride = strides.get(label)
             assert [idx for _, idx, _ in window] == (
                 [9 - stride * (4 - i) for i in range(5)] if stride else []), label
