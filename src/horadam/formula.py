@@ -17,11 +17,13 @@ compile their texts on first use (a displayed form side by side, `sides`),
 on the operators with `compile_expression` or `compile_tuple`, which
 translates each text on its own. The pair compiler (`compile_pairs`), which
 computes on the checkers' unreduced `(n, d)` tuples for `fuzz` and for all
-three theorem legs over Q, takes the whole grammar: a sum is a loop into one
-pair, `C(k,j)` an int factor, `/` a swapped pair, and an index exponent
-(`(-1)^j`, `u(m-s)^(k-j)`) a power taken at run time; it rejects a negative
-literal exponent, one that is not an index, and a sum whose index is one of
-the formula's variables; `fuzz` refuses an entry it rejects.
+three theorem legs over Q, takes the grammar but for a few constructs: a
+sum is a loop into one pair, `C(k,j)` an int factor, `/` a swapped pair,
+and an index exponent (`(-1)^j`, `u(m-s)^(k-j)`) a power taken at run
+time; it rejects a negative literal exponent, one that is not an index, a
+variable used as a value (`n*u(n)`, which `compile_expression` evaluates),
+and a sum whose index is one of the formula's variables; `fuzz` refuses an
+entry it rejects.
 Derivation records and relations hold `name=expr, ...` lists
 (`assignments`), and are compiled on first use too.
 """
@@ -164,7 +166,8 @@ def _pair_lines(key, variables, texts) -> tuple:
         bound.
     Each text keeps its own pair, built from its terms' own denominators.
     ValueError naming the entry for any other node: another exponent,
-    another call, or a sum whose index is one of the variables.
+    another call, a variable used as a value (`n*u(n)`; the operator code
+    evaluates it), or a sum whose index is one of the variables.
     """
     lines = []
     indent = ""

@@ -38,8 +38,9 @@ configuration reports `Fraction` values; a `ValueError` names coefficients
 or terms X(n), Y(n) that do not share one field, and `check_config` raises
 it too, from the terms at its window's first index. The theorem checkers
 pass `_lemma` coefficients over Q as `(n, d)` tuples, from the pair code,
-with the members of the checker accessor `Terms`, whose terms are
-unreduced `(n, d)` tuples too: the probe then compares integers, a left
+with X and Y the members of the checker accessor `Terms` themselves, whose
+terms are unreduced `(n, d)` tuples too. The probe and the texts take pair
+arithmetic when h is a tuple: the probe then compares integers, a left
 side runs as the pair compiler's code (`formula.compile_pairs`), whose sum
 loop folds by `field.ratio_sum`'s rule, and a negation (`_negated`) and the
 denominator scan's zero test read the numerator.
@@ -109,10 +110,14 @@ def _plain(cfg):
     return cfg.h, cfg.f1, cfg.f2, cfg.c, cfg.d
 
 
-def _probe(rel, X, Y, points, where, shift, pairs):
+def _probe(rel, X, Y, points, where, shift):
     """Check the relation at each caller index of `points`, in order; the
-    relation at n - shift is the caller's relation at n."""
+    relation at n - shift is the caller's relation at n. Pair coefficients
+    (`(n, d)` tuples) come only from the theorem checkers' pair code over
+    Q, whose terms are pairs too: each point is then one integer
+    comparison."""
     h, f1, f2, c, d = rel
+    pairs = type(h) is tuple
     if pairs:
         # h*X = f1*Xc + f2*Y is one cross-multiplied comparison
         (hn, hd), (f1n, f1d), (f2n, f2d) = h, f1, f2
@@ -149,7 +154,7 @@ def check_config(cfg: RecurrenceConfig, X: Accessor, Y: Accessor, window) -> boo
         return True
     _require_one_field("check_config", cfg, X, Y, first)
     try:
-        _probe(_plain(cfg), X, Y, itertools.chain((first,), points), "check_config", 0, False)
+        _probe(_plain(cfg), X, Y, itertools.chain((first,), points), "check_config", 0)
     except ConfigViolation:
         return False
     return True
@@ -269,9 +274,7 @@ def _lemma(label, rel, X, Y, n, k):
     else:
         # the telescoping steps, one for each summand
         points = [n + shift - c * e for e in range(k + 1)]
-    # pair coefficients come only from the theorem checkers' pair code over
-    # Q, whose terms are pairs too: the probe and the sum then run on pairs
-    _probe(rel, X, Y, points, label, shift, type(rel[0]) is tuple)
+    _probe(rel, X, Y, points, label, shift)
     lhs = _side(left_side, rel, X, Y, n, k)
     negated = odd_negates and k % 2 == 1
     return (_negated(lhs) if negated else lhs), rel, negated

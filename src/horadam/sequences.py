@@ -504,12 +504,12 @@ class TermContext:
     set's `_coefficients` once, from the integer pairs (over GF(M), the
     residues) it keeps for p and q; every walk starts from them and derives
     only its kind's seeds. Each q-power is cached as a reduced pair
-    (`_QPowers`). `_get` and `_qpow` read one cached scalar. The public
-    accessors u, v, w and qp return what term() does, a reduced `Fraction`
-    (one gcd per call) or a `ModInt`, and p, q, a and b are the parameters,
-    so the context is itself an accessor over reduced values, with w read
-    as W: `catalog.evaluate` runs the operator sides on it. `Terms(ctx, kind)`
-    is the checkers' accessor over the cached scalars themselves; `fuzz` and
+    (`_QPowers`, read by subscript). `_get` reads one cached term. The
+    public accessors u, v, w and qp return what term() does, a reduced
+    `Fraction` (one gcd per call) or a `ModInt`, and p, q, a and b are the
+    parameters, so the context is itself an accessor over reduced values,
+    with w read as W: `catalog.evaluate` runs the operator sides on it.
+    `Terms(ctx, kind)` is the checkers' accessor over the cached scalars themselves; `fuzz` and
     the theorem engine evaluate on it and reduce each reported value once.
     Not synchronized; confine an instance to a single thread of work.
     """
@@ -540,9 +540,6 @@ class TermContext:
     def _get(self, kind: SequenceKind, n: int):
         return self._vals[kind][n]
 
-    def _qpow(self, e: int):
-        return self._qpows[e]
-
     def u(self, n: int):
         require_int("n", n)
         return reduced(self._get(SequenceKind.U, n))
@@ -558,4 +555,4 @@ class TermContext:
     def qp(self, e: int):
         """q**e, memoized."""
         require_int("e", e)
-        return reduced(self._qpow(e))
+        return reduced(self._qpows[e])

@@ -43,16 +43,18 @@ sums whose denominator window contains a vanishing term raise
 SingularSummand. Wrong numbers are never returned silently.
 
 Each theorem follows from one of two three-term relations (`_RELATIONS`,
-each one `_Relation` from `_relation_of`, whose members compile on first
-use). Each base form names the lemma variant it follows from by its label
-in the lemma table ("lemma 2 variant 1", "L5c"), and carries its lemma
-factor: the relations and factors are text in the same grammar, and a
-guard names the term that `formula.reads` finds in its coefficient. The
-lemma sums are texts in `lemmas`, whose probe checks the relation first,
-and which derives a reciprocal variant's denominator window
-(the singularity scan's too) from its label and the relation's offsets. The
-variants past the base forms (4-6, or 2 for theorems 3 and 5) evaluate a
-base form after the swap (r, s) -> (-s, -r).
+each one `_Relation` record, which the theorem's forms share and whose
+members compile on first use); a relation's X and Y name a sequence, and
+its offsets c and d say where the relation reads them. Each base form
+names the lemma variant it follows from by its label in the lemma table
+("lemma 2 variant 1", "L5c"), and carries its lemma factor: the relations
+and factors are text in the same grammar, and a guard names the term that
+`formula.reads` finds in its coefficient. The lemma sums are texts in
+`lemmas`, whose probe checks the relation first, and which derives a
+reciprocal variant's denominator window (the singularity scan's too) from
+its label and the relation's offsets. The variants past the base forms
+(4-6, or 2 for theorems 3 and 5) evaluate a base form after the swap
+(r, s) -> (-s, -r).
 
 Two displayed equations in the source are misprints (they are otherwise
 false); theorem 2's second base form is written as its own derivation
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Any, Callable
 
 from .errors import GuardViolation, require_int
@@ -80,10 +82,53 @@ from .lemmas import (  # noqa: F401
 )
 from .sequences import HoradamParams, SequenceKind, TermContext, Terms
 
-# h*X(i) = f1*X(i-c) + f2*Y(i-d) over n, m, r, s: each coefficient is one
-# term, which its guard names, times a scale that cannot vanish (q != 0)
-_OVER_W = "h=u(r-s), f1=u(m-s), f2=-q^(r-s)*u(m-r), c=m-r, d=m-s, X=w(i), Y=w(i)"
-_U_TO_W = "h=w(m+r), f1=q^(r-s)*w(m+s), f2=u(r-s), c=r-s, d=0, X=u(i), Y=w(i+m+s)"
+
+@dataclass(frozen=True)
+class _Relation:
+    """A relation text, `h=..., f1=..., f2=..., c=..., d=..., X=..., Y=...`,
+    whose X and Y name a sequence (u, v or w). Each member is compiled from
+    it on first use, as a function of the accessor and n, m, r, s: `values`,
+    h, f1 and f2 on the operators, read over GF(M); `pairs`, (hn, hd, f1n,
+    f1d, f2n, f2d) on integer pairs, read over Q; `shape`, (c, d, X, Y) on
+    either field, X and Y the accessor's own members; and `guards`, the
+    (sequence, index function) of the term in each of h, f1 and f2, read
+    when one of them is zero."""
+
+    text: str
+
+    @property
+    def _coefficients(self) -> list:
+        fields = assignments(self.text)
+        return [fields[x] for x in ("h", "f1", "f2")]
+
+    @cached_property
+    def values(self) -> Callable:
+        return compile_tuple("nmrs", self._coefficients)
+
+    @cached_property
+    def pairs(self) -> Callable:
+        return compile_pairs(self.text, "nmrs", self._coefficients)
+
+    @cached_property
+    def shape(self) -> Callable:
+        fields = assignments(self.text)
+        return compile_tuple("nmrs", [fields[x] for x in ("c", "d", "X", "Y")])
+
+    @cached_property
+    def guards(self) -> tuple:
+        # h, f1 and f2 each read one u, v or w term, which its guard names
+        terms = [[x for x in reads(coefficient) if x[0] in ("u", "v", "w")]
+                 for coefficient in self._coefficients]
+        return tuple((x, compile_expression("nmrs", index)) for [(x, index)] in terms)
+
+
+# h*X(i) = f1*X(i-c) + f2*Y(i-d) over n, m, r, s, X and Y naming a sequence:
+# each coefficient is one term, which its guard names, times a scale that
+# cannot vanish (q != 0)
+_OVER_W = _Relation("h=u(r-s), f1=u(m-s), f2=-q^(r-s)*u(m-r), c=m-r, d=m-s, X=w, Y=w")
+_U_TO_W = _Relation("h=w(m+r), f1=q^(r-s)*w(m+s), f2=u(r-s), c=r-s, d=-m-s, X=u, Y=w")
+# theorem -> its relation, one record that the forms of every theorem following
+# from it share
 _RELATIONS = {2: _OVER_W, 3: _U_TO_W, 4: _OVER_W, 5: _U_TO_W, 6: _OVER_W}
 
 # theorem 4's first two closed forms, which theorem 6 shares
@@ -136,70 +181,19 @@ VARIANT_COUNT = {theorem: 2 * len(bases) for theorem, bases in _BASES.items()}
 
 
 @dataclass(frozen=True)
-class _Relation:
-    """A relation text (`_RELATIONS`). Each member is compiled from it on
-    first use, as a function of the accessor and n, m, r, s: `values`, h,
-    f1 and f2 on the operators, read over GF(M); `pairs`, (hn, hd, f1n,
-    f1d, f2n, f2d) on integer pairs, read over Q; `shape`, (c, d, X, Y) on
-    either field; and `guards`, the (sequence, index function) of the term
-    in each of h, f1 and f2, read when one of them is zero."""
-
-    text: str
-
-    @property
-    def _coefficients(self) -> list:
-        fields = assignments(self.text)
-        return [fields[x] for x in ("h", "f1", "f2")]
-
-    @cached_property
-    def values(self) -> Callable:
-        return compile_tuple("nmrs", self._coefficients)
-
-    @cached_property
-    def pairs(self) -> Callable:
-        return compile_pairs(self.text, "nmrs", self._coefficients)
-
-    @cached_property
-    def shape(self) -> Callable:
-        fields = assignments(self.text)
-        # a term at i reads the cache itself; a shifted term is read through a closure
-        accessors = [member if index == "i" else f"lambda i: {fields[x]}"
-                     for x in ("X", "Y") for [(member, index)] in [reads(fields[x])]]
-        return compile_tuple("nmrs", [fields["c"], fields["d"], *accessors])
-
-    @cached_property
-    def guards(self) -> tuple:
-        # h, f1 and f2 each read one u, v or w term, which its guard names
-        terms = [[x for x in reads(coefficient) if x[0] in ("u", "v", "w")]
-                 for coefficient in self._coefficients]
-        return tuple((x, compile_expression("nmrs", index)) for [(x, index)] in terms)
-
-
-@cache
-def _relation_of(text: str) -> _Relation:
-    """The one `_Relation` of a relation text, which the forms of every
-    theorem that follows from it share."""
-    return _Relation(text)
-
-
-@dataclass(frozen=True)
 class _Form:
     """A base form from its `_BASES` entry: the displayed formula, the lemma
-    variant's label, the factor text, and the theorem's relation text. Each
-    member is compiled from its text on first use: the `relation`, and the
-    displayed sides and the factor together, over the accessor and n, m, r,
-    s, k, once per field: `values` on the operators (lhs, rhs, factor) and
-    `pairs` on integer pairs (ln, ld, rn, rd, fn, fd)."""
+    variant's label, the factor text, and the theorem's `relation`. The
+    displayed sides and the factor are compiled together on first use, over
+    the accessor and n, m, r, s, k, once per field: `values` on the
+    operators (lhs, rhs, factor) and `pairs` on integer pairs (ln, ld, rn,
+    rd, fn, fd)."""
 
     key: str
     formula: str
     variant: str
     factor_text: str
-    relation_text: str
-
-    @cached_property
-    def relation(self) -> _Relation:
-        return _relation_of(self.relation_text)
+    relation: _Relation
 
     @cached_property
     def values(self) -> Callable:
@@ -212,7 +206,7 @@ class _Form:
 
 def _form(theorem, formula, variant, factor) -> _Form:
     """The `_BASES` entry (formula, variant, factor) of `theorem`, with the
-    theorem's relation text."""
+    theorem's relation."""
     return _Form(f"theorem {theorem}", formula, variant, factor, _RELATIONS[theorem])
 
 
@@ -290,7 +284,7 @@ def _setup(sel, n, m, r, s, k) -> tuple:
     for name, value in zip("nmrsk", (n, m, r, s, k)):
         require_int(name, value)
     if k < 0:
-        raise ValueError("summation bound k must be >= 0")
+        raise ValueError(f"summation bound k must be >= 0, got {k}")
     return _FORMS[sel.theorem, sel.base], _effective(sel, n, m, r, s)
 
 
@@ -316,7 +310,9 @@ def singularity_scan(sel: TheoremSelector, params: HoradamParams,
     zero flag: entries (j, index, is_zero), j = first summand using it.
 
     The window is the lemma leg's own (`lemmas._denominator_window`), so
-    non-reciprocal selections have no denominators and scan empty.
+    non-reciprocal selections have no denominators and scan empty. When its
+    stride is zero (L5c at r = s) it lists one index k+2 times, and
+    `theorem_sum` raises GuardViolation on the same draw: h = u(r-s) = u(0).
     """
     form, eff = _setup(sel, n, m, r, s, k)
     t = Terms(TermContext(params), sel.kind)

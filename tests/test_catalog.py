@@ -552,8 +552,9 @@ class TestFuzzCheck:
         "u(n)^(-1)*u(n) = 1",
         "u(n)^(n/2) = u(n)^(n/2)",
         "sum_{n=0}^{2} u(n) = u(n) + 1",
+        "n*u(n) = n*u(n)",
     ], ids=["rational-exponent", "negative-exponent", "fractional-exponent",
-            "index-is-a-variable"])
+            "index-is-a-variable", "variable-as-a-value"])
     def test_rejects_what_it_cannot_compute(self, formula):
         with pytest.raises(ValueError, match=r"^odd\.1: the pair compiler cannot compile"):
             grammar.compile_pairs("odd.1", "n", grammar.sides(formula))
@@ -586,7 +587,8 @@ class TestFuzzCheck:
     REJECTED = {"negative-exponent": "u(n)^(-1)*u(n) = 1",
                 "negative-exponent-alone": "u(n)^(-1) = u(n)",
                 "negative-square": "u(n)^(-2)*v(n) = u(n)",
-                "index-is-a-variable": "sum_{n=0}^{2} u(n) = u(n) + 1"}
+                "index-is-a-variable": "sum_{n=0}^{2} u(n) = u(n) + 1",
+                "variable-as-a-value": "n*u(n) = n*u(n)"}
 
     @pytest.mark.parametrize("formula", list(REJECTED.values()), ids=list(REJECTED))
     def test_an_entry_it_rejects_is_refused(self, monkeypatch, formula):
@@ -842,7 +844,9 @@ class TestCompileOnFirstUse:
             "def held(name, records):\n"
             "    return [str(k) for k, x in records.items() if name in vars(x)]\n"
             "got = dict(eval=[code, out.getvalue()], compiled=len(sources),\n"
-            "           relations=held('relation', theorems._FORMS),\n"
+            "           relations=[m for x in set(theorems._RELATIONS.values())\n"
+            "                      for m in ('values', 'pairs', 'shape', 'guards')\n"
+            "                      if m in vars(x)],\n"
             "           derivations=held('derivation', catalog.REGISTRY))\n"
             "mapped = catalog.base_assignment(catalog.REGISTRY['cor1.56'], dict(n=4, s=1, t=3))\n"
             "got.update(mapped=[mapped[0], mapped[2]], after=len(sources),\n"

@@ -59,8 +59,8 @@ class TestLemmaMembers:
                   for expr in derivation(ident.derived)[1].values()]
         texts += [text for bases in theorems._BASES.values()
                   for formula, _, factor in bases for text in (formula, factor)]
-        texts += [expr for text in set(theorems._RELATIONS.values())
-                  for expr in assignments(text).values()]
+        texts += [expr for relation in set(theorems._RELATIONS.values())
+                  for expr in assignments(relation.text).values()]
         found = [(text, member) for text in texts for member, _ in reads(text)
                  if member in self.MEMBERS]
         assert len(texts) > 100 and not found, found
@@ -92,8 +92,8 @@ class TestCompileTuple:
         for ident in REGISTRY.values():
             if ident.derived is not None:
                 catalog._derivation(ident, REGISTRY)
-        for text in set(theorems._RELATIONS.values()):
-            relation = theorems._relation_of.__wrapped__(text)
+        for relation in set(theorems._RELATIONS.values()):
+            relation = theorems._Relation(relation.text)
             relation.values, relation.shape
         assert len(calls) == 57 + 2 * 2
         for variables, texts in calls:

@@ -633,15 +633,15 @@ class TestTermContext:
         for q in (Fraction(2, 3), Fraction(-2, 3), Fraction(-5), Fraction(7, 4), Fraction(1)):
             ctx = TermContext(HoradamParams(0, 1, 1, q))
             for e in range(-6, 7):
-                pair = ctx._qpow(e)
+                pair = ctx._qpows[e]
                 x = q ** e
                 sign = -1 if q < 0 and e < 0 and e % 2 else 1
                 assert (type(pair), *pair) == (
                     tuple, sign * x.numerator, sign * x.denominator), (q, e)
-                assert ctx._qpow(e) is pair
+                assert ctx._qpows[e] is pair
         f = PrimeField(101)
         ctx = TermContext(HoradamParams(f(0), f(1), f(1), f(5)))
-        assert ctx._qpow(-3) == f(5) ** -3 and isinstance(ctx._qpow(-3), ModInt)
+        assert ctx._qpows[-3] == f(5) ** -3 and isinstance(ctx._qpows[-3], ModInt)
 
     def test_qp(self):
         ctx = TermContext(HoradamParams(0, 1, 1, Fraction(2, 3)))

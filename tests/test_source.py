@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import pathlib
 import re
+import types
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "horadam"
 
@@ -112,19 +113,34 @@ def test_two_parse_routes():
 
 
 def test_one_compile_per_record_and_field():
-    # a theorem form compiles its relation, its operator code (`values`) and
-    # its pair code (`pairs`); a relation compiles the same two, its shape
-    # and its guards; each member on its own first read, so a field compiles
-    # only the code it runs. The formula module keeps no per-side compile
-    # helper. So a third per-field compile cannot come back unnoticed
+    # a theorem form compiles its operator code (`values`) and its pair code
+    # (`pairs`); a relation, a plain record the form holds, compiles the
+    # same two, its shape and its guards; each member on its own first read,
+    # so a field compiles only the code it runs. The formula module keeps no
+    # per-side compile helper. So a third per-field compile cannot come back
+    # unnoticed
     from horadam import formula, theorems
 
     def first_use(cls):
         return {name for name, member in vars(cls).items()
                 if isinstance(member, functools.cached_property)}
-    assert first_use(theorems._Form) == {"relation", "values", "pairs"}
+    assert first_use(theorems._Form) == {"values", "pairs"}
     assert first_use(theorems._Relation) == {"values", "pairs", "shape", "guards"}
     assert not [name for name in ("compile_side", "compile_pair_sides") if hasattr(formula, name)]
+
+
+def test_relation_code_holds_no_closure():
+    # a relation's X and Y name a sequence and its d holds Y's offset, so no
+    # compiled member writes a lambda: shape returns the accessor's own
+    # members, and values, pairs and the guards' index functions nest no code
+    from horadam import theorems
+    for text in {form.relation.text for form in theorems._FORMS.values()}:
+        relation = theorems._Relation(text)
+        compiled = [relation.values, relation.pairs, relation.shape,
+                    *(index for _, index in relation.guards)]
+        nested = [f.__name__ for f in compiled
+                  if any(isinstance(x, types.CodeType) for x in f.__code__.co_consts)]
+        assert not nested, (text, nested)
 
 
 def test_no_hand_written_lemma_sum():

@@ -152,7 +152,8 @@ class TestContractExamples:
             code = cli.main(argv + extra)
             captured = capsys.readouterr()
             results.append((code, captured.out, captured.err))
-        assert results[0] == results[1] == (2, "", "error: summation bound k must be >= 0\n")
+        assert results[0] == results[1] == (
+            2, "", "error: summation bound k must be >= 0, got -1\n")
 
 
 # p^2 = 2q: u(i) = 0 at every multiple of 4, v(i) = 0 at i = 2 mod 4, and w = 3u
@@ -191,6 +192,28 @@ class TestGuardNames:
         with pytest.raises(GuardViolation) as raised:
             theorem_sum(TheoremSelector(theorem, 1, kind), QUARTER, *args, 2)
         assert raised.value.name == name
+
+
+class TestRelationAccessors:
+    """X and Y name a sequence and d holds Y's offset, so the lemma leg reads
+    the term caches themselves: for every theorem and kind, over either
+    field, `_relation` returns X and Y as the bound `__getitem__` of the
+    context's runs, u's for theorems 3 and 5's X, the kind's otherwise."""
+
+    @pytest.mark.parametrize("modulus", [None, 1_000_000_007])
+    def test_x_and_y_are_the_runs_own_reads(self, modulus):
+        params = FIBW if modulus is None else HoradamParams(
+            *map(PrimeField(modulus), (FIBW.a, FIBW.b, FIBW.p, FIBW.q)))
+        for theorem in VARIANT_COUNT:
+            for kind in SequenceKind:
+                ctx = TermContext(params)
+                runs = ctx._vals
+                form = theorems._FORMS[theorem, 1]
+                _, X, Y = theorems._relation(Terms(ctx, kind), form.relation, "", 5, 3, 2, -1,
+                                             modulus is None)
+                x_run = runs[U] if theorem in (3, 5) else runs[kind]
+                assert (X, Y) == (x_run.__getitem__, runs[kind].__getitem__), (theorem, kind)
+                assert X.__self__ is x_run and Y.__self__ is runs[kind], (theorem, kind)
 
 
 class TestDisplayedFormOracles:
@@ -486,14 +509,14 @@ class TestFormulaStrings:
         (theorems._OVER_W, "d=m-s", "d=r-s"),
         (theorems._U_TO_W, "f2=u", "f2=-u"),
         (theorems._U_TO_W, "c=r-s", "c=m-s"),
-        (theorems._U_TO_W, "Y=w(i+m+s)", "Y=w(i+m+r)"),
+        (theorems._U_TO_W, "d=-m-s", "d=-m-r"),
     ])
     def test_corrupted_relation_fails_its_probe(self, monkeypatch, relation, field, corrupted):
         # the lemma leg follows from the relation text: with one field
         # changed, the probe rejects the relation before the lemma sums
-        text = relation.replace(field, corrupted)
-        assert text != relation
-        theorems_using = [t for t, named in theorems._RELATIONS.items() if named == relation]
+        text = relation.text.replace(field, corrupted)
+        assert text != relation.text
+        theorems_using = [t for t, named in theorems._RELATIONS.items() if named is relation]
         assert theorems_using
         for (theorem, base), form in list(theorems._FORMS.items()):
             if theorem not in theorems_using:
@@ -501,7 +524,7 @@ class TestFormulaStrings:
             sel = TheoremSelector(theorem, base)
             assert theorem_sum(sel, CONTROL_PARAMS, *CONTROL_ARGS).equal
             monkeypatch.setitem(theorems._FORMS, (theorem, base),
-                                replace(form, relation_text=text))
+                                replace(form, relation=theorems._Relation(text)))
             with pytest.raises(ConfigViolation, match="recurrence fails"):
                 theorem_sum(sel, CONTROL_PARAMS, *CONTROL_ARGS)
 
