@@ -65,7 +65,7 @@ def run_bench(p: Fraction, q: Fraction, n: int, modulus: Optional[int] = None) -
     """
     require_int("n", n)
     if n < 1:
-        raise ValueError("bench needs n >= 1")
+        raise ValueError(f"bench needs n >= 1, got {n}")
     if modulus is not None:
         F = PrimeField(modulus)  # raises CompositeModulus
         params = HoradamParams(F(0), F(1), F(Fraction(p)), F(Fraction(q)))

@@ -464,7 +464,7 @@ def fuzz(ids, trials: int, sampler: SamplerConfig, seed: int) -> FuzzReport:
     require_int("trials", trials)
     require_int("seed", seed)
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError(f"trials must be >= 1, got {trials}")
     idents, keys, count, spans, chunks = _plan(tuple(ids))
     rng = random.Random(seed)
     lo, hi = -sampler.max_index, sampler.max_index

@@ -28,6 +28,8 @@ the instances lemma 3's k-fold expansion uses.
 negated. The theorem checkers, which report only a left side, call it with
 the label their base form names. The public functions validate, pass X as
 Y where the variant reads Y = X, and add the right side on that relation.
+`_lemma` checks, in order, the stride (at the head of `_denominator_window`,
+which the singularity scan reads too), the window's terms, then the probe.
 
 Accessors are plain callables int -> scalar. The public functions take
 int, `Fraction` or `ModInt` coefficients of one field (`RecurrenceConfig`)
@@ -191,8 +193,12 @@ def _denominator_window(label, c, d, X, n, k):
     summand using it; empty unless the variant is a reciprocal sum. Both
     denominator families merge into one arithmetic progression, whose stride
     is the c of the relation the variant is summed on. A term that is a
-    pair (n, d) is zero when n is: a tuple never equals 0."""
+    pair (n, d) is zero when n is: a tuple never equals 0. First, before any
+    read, a variant summed on the solved swapped relation (lemma 2 variant 3
+    too) raises DegenerateStride at d == c, where its stride d - c is 0."""
     left_side, how, _ = _VARIANTS[label]
+    if how == "solved swapped" and c == d:
+        raise DegenerateStride(f"{label} needs d != c")
     if left_side is _RECIPROCAL:
         (_, _, _, stride, _), _ = _rearranged((0, 0, 0, c, d), how)
         for i in range(k + 2):
@@ -260,9 +266,6 @@ def _lemma(label, rel, X, Y, n, k):
     plain relation (h, f1, f2, c, d), the rearranged relation it was summed
     on, and whether the variant negated it."""
     left_side, how, odd_negates = _VARIANTS[label]
-    if how == "solved swapped" and rel[3] == rel[4]:
-        # its stride would be d - c
-        raise DegenerateStride(f"{label} needs d != c")
     for j, idx, zero in _denominator_window(label, rel[3], rel[4], X, n, k):
         if zero:
             raise SingularSummand(j, idx)

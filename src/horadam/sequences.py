@@ -335,7 +335,7 @@ def fast_uv(params: HoradamParams, n: int):
     """
     require_int("n", n)
     if n < 0:
-        raise ValueError("fast_uv requires n >= 0")
+        raise ValueError(f"fast_uv requires n >= 0, got {n}")
     P, Q, _, _, L, _, M = _kernel(params, U, False)
     uk, uk1 = _ladder(P, Q, n + 1, M)
     vk = 2 * uk1 - P * uk

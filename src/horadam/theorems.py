@@ -37,10 +37,15 @@ comparison, and the lemma's left side is text in the same grammar
 on generated pair code; leg 3 stays independent of legs 1 and 2, a
 different formula, summed on the rearranged relation. Over GF(M)
 the form's and the relation's `values` and the lemma's text run on the
-`ModInt` operators, as `catalog.evaluate` does.
-Assignments that zero a lemma coefficient raise GuardViolation; reciprocal
-sums whose denominator window contains a vanishing term raise
-SingularSummand. Wrong numbers are never returned silently.
+`ModInt` operators, as `catalog.evaluate` does. A draw is admitted by
+`_admit`, which `theorem_sum` and `singularity_scan` both call first, and
+its checks fail in one order: the index checks (ValueError), the guard
+(GuardViolation for the first of h, f1 and f2 that is zero), the stride
+(DegenerateStride, at the head of `lemmas._denominator_window`), the
+window (SingularSummand), the probe (ConfigViolation), then the legs; the
+scan stops after the window. The stride check never fires after the guard:
+only `_OVER_W` has solved swapped variants, and there d == c means r == s,
+so h = u(0). Wrong numbers are never returned silently.
 
 Each theorem follows from one of two three-term relations (`_RELATIONS`,
 each one `_Relation` record, which the theorem's forms share and whose
@@ -275,33 +280,31 @@ class SumReport:
         }
 
 
-def _effective(sel, n, m, r, s):
-    return (n, m, -s, -r) if sel.swapped else (n, m, r, s)
-
-
-def _setup(sel, n, m, r, s, k) -> tuple:
-    """The selected form's `_Form` and its effective (n, m, r, s)."""
+def _admit(sel, params, n, m, r, s, k) -> tuple:
+    """(form, eff, t, (h, f1, f2, c, d), X, Y) of an admitted draw: the
+    selected `_Form`, (n, m, r, s) after the swap, the checker accessor and
+    the relation's coefficients (`(n, d)` pairs over Q), after the index
+    checks; GuardViolation, naming the term, for the first of h, f1 and f2
+    that is zero."""
     for name, value in zip("nmrsk", (n, m, r, s, k)):
         require_int(name, value)
     if k < 0:
         raise ValueError(f"summation bound k must be >= 0, got {k}")
-    return _FORMS[sel.theorem, sel.base], _effective(sel, n, m, r, s)
-
-
-def _relation(t, rel: _Relation, where: str, n, m, r, s, pairs: bool):
-    """((h, f1, f2, c, d), X, Y) on the accessor `t`, h, f1 and f2 as
-    `(n, d)` tuples from the pair code when `pairs` (over Q); GuardViolation,
-    naming the term, for the first of h, f1 and f2 that is zero."""
-    if pairs:
-        hn, hd, f1n, f1d, f2n, f2d = rel.pairs(t, n, m, r, s)
-        coefficients, zeros = ((hn, hd), (f1n, f1d), (f2n, f2d)), (hn, f1n, f2n)
+    form = _FORMS[sel.theorem, sel.base]
+    rel = form.relation
+    eff = (n, m, -s, -r) if sel.swapped else (n, m, r, s)
+    t = Terms(TermContext(params), sel.kind)
+    if params.modulus:
+        zeros = coefficients = rel.values(t, *eff)
     else:
-        zeros = coefficients = rel.values(t, n, m, r, s)
+        hn, hd, f1n, f1d, f2n, f2d = rel.pairs(t, *eff)
+        coefficients, zeros = ((hn, hd), (f1n, f1d), (f2n, f2d)), (hn, f1n, f2n)
     if 0 in zeros:
         sequence, index = rel.guards[zeros.index(0)]
-        raise GuardViolation(f"{sequence}({index(t, n, m, r, s)})", where)
-    c, d, X, Y = rel.shape(t, n, m, r, s)
-    return (*coefficients, c, d), X, Y
+        raise GuardViolation(f"{sequence}({index(t, *eff)})",
+                             f"theorem {sel.theorem} variant {sel.variant}")
+    c, d, X, Y = rel.shape(t, *eff)
+    return form, eff, t, (*coefficients, c, d), X, Y
 
 
 def singularity_scan(sel: TheoremSelector, params: HoradamParams,
@@ -309,25 +312,18 @@ def singularity_scan(sel: TheoremSelector, params: HoradamParams,
     """Every distinct denominator index the selected sum touches, with a
     zero flag: entries (j, index, is_zero), j = first summand using it.
 
-    The window is the lemma leg's own (`lemmas._denominator_window`), so
-    non-reciprocal selections have no denominators and scan empty. When its
-    stride is zero (L5c at r = s) it lists one index k+2 times, and
-    `theorem_sum` raises GuardViolation on the same draw: h = u(r-s) = u(0).
+    The scan runs `theorem_sum`'s admission (`_admit`), then the lemma
+    leg's own window (`lemmas._denominator_window`), so it raises what the
+    sum raises before its window. Non-reciprocal selections scan empty.
     """
-    form, eff = _setup(sel, n, m, r, s, k)
-    t = Terms(TermContext(params), sel.kind)
-    c, d, X, _ = form.relation.shape(t, *eff)
+    form, eff, _, (*_, c, d), X, _ = _admit(sel, params, n, m, r, s, k)
     return list(_denominator_window(form.variant, c, d, X, eff[0], k))
 
 
 def theorem_sum(sel: TheoremSelector, params: HoradamParams,
                 n: int, m: int, r: int, s: int, k: int) -> SumReport:
     """Evaluate a theorem 2-6 variant three ways; all must agree exactly."""
-    form, eff = _setup(sel, n, m, r, s, k)
-    t = Terms(TermContext(params), sel.kind)
-    over_q = not params.modulus
-    rel, X, Y = _relation(t, form.relation, f"theorem {sel.theorem} variant {sel.variant}",
-                          *eff, over_q)
+    form, eff, t, rel, X, Y = _admit(sel, params, n, m, r, s, k)
     notes = ()
     if sel.theorem == 2 and k == 0:
         notes = ("k=0 is outside the stated hypothesis (positive k); the sum still evaluates",)
@@ -335,7 +331,7 @@ def theorem_sum(sel: TheoremSelector, params: HoradamParams,
     # first, so that the lemma's denominator scan raises SingularSummand
     # before the direct sum divides by a vanishing term
     lemma_lhs = _lemma(form.variant, rel, X, Y, eff[0], k)[0]
-    if over_q:
+    if not params.modulus:
         ln, ld, rn, rd, fn, fd = form.pairs(t, *eff, k)
         en, ed = fn * lemma_lhs[0], fd * lemma_lhs[1]
         # the direct sum reduced once; a leg equal to it by cross-multiplying

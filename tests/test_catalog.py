@@ -777,7 +777,7 @@ class TestTrialChunk:
         keys = list(REGISTRY)[:2]
         fuzz(keys, 1, SamplerConfig(), 1)
         assert catalog._LAST[0] == tuple(keys)
-        with pytest.raises(ValueError, match="trials must be >= 1"):
+        with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
             fuzz(keys, 0, SamplerConfig(), 1)
         with pytest.raises(UnknownIdentity, match="no identity with key 'nope'"):
             fuzz([*keys, "nope"], 1, SamplerConfig(), 1)

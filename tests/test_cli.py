@@ -85,9 +85,9 @@ SUM_ARGVS = [
 SUM_SHA256 = "b87fc1fb6fb6d0cd3b99f58ece9bf346b0bf3f8b80115a4a352f4d9c937e8732"
 
 # `horadam sum --scan --json` over every selector at three assignments: one
-# on rational parameters, one with r == s (theorem 6's third form then scans
-# a window of stride 0, which its sum rejects) and one whose windows cross
-# u(0) = 0
+# on rational parameters, one with r == s (every selector's guard then reads
+# u(r-s) = u(0) = 0, so the scan exits 6 as the sum does) and one whose
+# windows cross u(0) = 0
 SCAN_ASSIGNMENTS = [
     ["--p=3/2", "--q=-5/7", "--a=1/3", "--b=-2", "--assign", "n=4,m=-2,r=3,s=-1,k=2"],
     ["--preset", "fibonacci", "--assign", "n=5,m=2,r=1,s=1,k=2"],
@@ -100,8 +100,8 @@ SCAN_ARGVS = [
     for variant in range(1, count + 1) for kind in "uvw" for assignment in SCAN_ASSIGNMENTS
 ]
 # sha256 of each SCAN_ARGVS run as "<exit code>\n<stdout>", concatenated, as
-# computed when each base form still carried its window as text
-SCAN_SHA256 = "af245926898020f8667f151bd6ccae6efc27b900e2cccc61ccf080e7cf0f70c1"
+# computed when the scan first ran the sum's admission
+SCAN_SHA256 = "43064a82467a91304c6438a420d754054268f66670e6836fd1dd49846d41e497"
 
 # `horadam eval` over the three methods and kinds at both signs of n, the
 # `--opt=value` and `--opt value` forms, presets and --p/--q/--a/--b, and
@@ -205,15 +205,21 @@ class TestGolden:
 
     def test_sum_scan_bytes_are_pinned(self, capsys):
         digest = hashlib.sha256()
-        flagged = scanned = 0
+        flagged = scanned = guarded = 0
         for argv in SCAN_ARGVS:
             code, out, err = run(capsys, argv)
-            assert (code, err) == (0, ""), argv
-            scan = json.loads(out)["scan"]
-            scanned += bool(scan)
-            flagged += any(entry["zero"] for entry in scan)
+            if code == 6:
+                # only the r == s assignment, whose guard reads u(0)
+                assert SCAN_ASSIGNMENTS[1][-1] in argv, argv
+                assert out == "" and err.startswith("error: guard violated: "), argv
+                guarded += 1
+            else:
+                assert (code, err) == (0, ""), argv
+                scan = json.loads(out)["scan"]
+                scanned += bool(scan)
+                flagged += any(entry["zero"] for entry in scan)
             digest.update(f"{code}\n{out}".encode())
-        assert (len(SCAN_ARGVS), scanned, flagged) == (198, 72, 24)
+        assert (len(SCAN_ARGVS), scanned, flagged, guarded) == (198, 48, 24, 66)
         assert digest.hexdigest() == SCAN_SHA256
 
     def test_eval_bytes_are_pinned(self, capsys):
@@ -312,6 +318,9 @@ class TestExitCodes:
     def test_composite_modulus_is_2(self, capsys):
         code, _, err = run(capsys, ["bench", "--n", "100", "--mod", "10"])
         assert code == 2 and "not prime" in err
+
+    def test_bench_index_below_one_is_2(self, capsys):
+        assert run(capsys, ["bench", "--n", "0"]) == (2, "", "error: bench needs n >= 1, got 0\n")
 
     def test_parameter_without_residue_is_2(self, capsys):
         code, _, err = run(capsys, ["bench", "--n", "5", "--p", "1/7", "--mod", "7"])
@@ -445,16 +454,17 @@ class TestSumCommand:
             "j=2 index=3 zero=False\n"
             "safe: False\n"), "")
 
-    def test_scan_reads_a_zero_stride_that_the_sum_rejects(self, capsys):
-        # at r == s theorem 6's third form sums on a relation with d == c:
-        # the scan reports its window of stride 0, the sum stops on the guard
+    @pytest.mark.parametrize("assign", ["n=5,m=2,r=1,s=1,k=2", "n=7,m=3,r=1,s=1,k=2"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_scan_and_sum_both_exit_6_at_a_zero_stride(self, capsys, assign, json_flag):
+        # at r == s theorem 6's third form would sum on a relation with
+        # d == c; the guard on h = u(r-s) = u(0) stops it first, and the
+        # scan runs the same guard: both exit 6 with the same error
         argv = ["sum", "--theorem", "6", "--variant", "3", "--preset", "fibonacci",
-                "--assign", "n=5,m=2,r=1,s=1,k=2", "--json"]
-        code, out, _ = run(capsys, [*argv, "--scan"])
-        assert code == 0
-        assert [entry["index"] for entry in json.loads(out)["scan"]] == [5] * 4
+                "--assign", assign, *json_flag]
         code, out, err = run(capsys, argv)
-        assert (code, out) == (6, "") and "guard violated: u(0) = 0" in err
+        assert (code, out) == (6, "") and err.startswith("error: guard violated: u(0) = 0")
+        assert run(capsys, [*argv, "--scan"]) == (code, out, err)
 
     def test_text_output_shows_the_evaluated_formula(self, capsys):
         argv = ["sum", "--theorem", "4", "--variant", "1", "--preset", "fibonacci",

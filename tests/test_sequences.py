@@ -236,7 +236,7 @@ class TestFastUV:
         assert fast_uv(params, n) == (term(params, U, n), term(params, V, n))
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^fast_uv requires n >= 0, got -1$"):
             fast_uv(FIB, -1)
 
     def test_modular_scalars(self):

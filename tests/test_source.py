@@ -185,3 +185,77 @@ def test_benchmark_layer_bindings_resolve():
     spec.loader.exec_module(layers)
     with layers.traced(layers.Tracer()):
         pass
+
+
+# names with no code use in src/horadam that stay, each with its reason
+CENSUS_ALLOWLIST = {
+    "field.ratio_sum": "the tests' reference for the pair compiler's sum loop",
+    "catalog.base_assignment": "called by the tests; the derivation map of ROADMAP item 6",
+    "cli.fast_uv": "perfbench/layers.py rebinds cli.fast_uv by name",
+    "theorems.lemma1_sum": "perfbench/layers.py rebinds it on theorems by name",
+    "theorems.lemma2_sums": "perfbench/layers.py rebinds it on theorems by name",
+    "theorems.lemma3_binomial_sums": "perfbench/layers.py rebinds it on theorems by name",
+    "theorems.lemma45_reciprocal": "perfbench/layers.py rebinds it on theorems by name",
+}
+
+
+def _unused_names():
+    """`module.name` (`module.Class.method` for a method) for each
+    module-level function, class or assignment, and each method other than a
+    dunder, in src/horadam that no code there reads and `horadam/__init__`
+    does not export (a public method of an exported class counts as
+    exported), and for each name a module imports and never reads."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    exported = {alias.asname or alias.name for node in trees.pop("__init__").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    reads = {module: {node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+             | {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+             for module, tree in trees.items()}
+    read_anywhere = set().union(*reads.values())
+    unused = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            defined = []
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((top.name, top.name in exported))
+            if isinstance(top, ast.ClassDef):
+                defined += [(f"{top.name}.{member.name}",
+                             top.name in exported and not member.name.startswith("_"))
+                            for member in top.body if isinstance(member, ast.FunctionDef)
+                            and not (member.name.startswith("__") and member.name.endswith("__"))]
+            if isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                defined += [(node.id, node.id in exported) for target in targets
+                            for node in ast.walk(target) if isinstance(node, ast.Name)]
+            unused += [f"{module}.{name}" for name, public in defined
+                       if not public and name.rsplit(".", 1)[-1] not in read_anywhere]
+            if isinstance(top, (ast.Import, ast.ImportFrom)) and getattr(top, "module", "") != "__future__":
+                unused += [f"{module}.{name}" for name in
+                           ((alias.asname or alias.name).split(".")[0] for alias in top.names)
+                           if name not in reads[module]]
+    return unused
+
+
+def test_every_name_has_a_caller():
+    # a function, class, method, assignment or import that nothing reads is
+    # dead unless it is exported or allowlisted with its reason; the
+    # allowlist holds exactly what the census finds, so an entry whose name
+    # gains a caller or goes is dropped with it
+    assert sorted(_unused_names()) == sorted(CENSUS_ALLOWLIST)
+
+
+def test_one_admission_path():
+    # a theorem draw is admitted in one place: theorem_sum and the scan each
+    # call theorems._admit once, and the stride check lives at the head of
+    # the denominator window that the lemma leg and the scan both read
+    def calls(path, name):
+        return [(getattr(top, "name", None), node.func.id)
+                for top in ast.parse((SRC / path).read_text(encoding="utf-8")).body
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
+    assert sorted(calls("theorems.py", "_admit")) == [("singularity_scan", "_admit"),
+                                                      ("theorem_sum", "_admit")]
+    assert calls("lemmas.py", "DegenerateStride") == [("_denominator_window", "DegenerateStride")]

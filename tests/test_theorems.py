@@ -12,7 +12,7 @@ import pytest
 
 from horadam import cli, lemmas, theorems
 from horadam.catalog import SamplerConfig
-from horadam.errors import ConfigViolation, GuardViolation, SingularSummand
+from horadam.errors import ConfigViolation, DegenerateStride, GuardViolation, SingularSummand
 from horadam.field import ModInt, PrimeField, reduced
 from horadam.formula import _pair_lines, _python, compile_expression, reads, sides
 from horadam.lemmas import (
@@ -197,8 +197,8 @@ class TestGuardNames:
 class TestRelationAccessors:
     """X and Y name a sequence and d holds Y's offset, so the lemma leg reads
     the term caches themselves: for every theorem and kind, over either
-    field, `_relation` returns X and Y as the bound `__getitem__` of the
-    context's runs, u's for theorems 3 and 5's X, the kind's otherwise."""
+    field, `_admit` returns X and Y as the bound `__getitem__` of the runs
+    its accessor reads, u's for theorems 3 and 5's X, the kind's otherwise."""
 
     @pytest.mark.parametrize("modulus", [None, 1_000_000_007])
     def test_x_and_y_are_the_runs_own_reads(self, modulus):
@@ -206,14 +206,13 @@ class TestRelationAccessors:
             *map(PrimeField(modulus), (FIBW.a, FIBW.b, FIBW.p, FIBW.q)))
         for theorem in VARIANT_COUNT:
             for kind in SequenceKind:
-                ctx = TermContext(params)
-                runs = ctx._vals
-                form = theorems._FORMS[theorem, 1]
-                _, X, Y = theorems._relation(Terms(ctx, kind), form.relation, "", 5, 3, 2, -1,
-                                             modulus is None)
-                x_run = runs[U] if theorem in (3, 5) else runs[kind]
-                assert (X, Y) == (x_run.__getitem__, runs[kind].__getitem__), (theorem, kind)
-                assert X.__self__ is x_run and Y.__self__ is runs[kind], (theorem, kind)
+                _, _, t, _, X, Y = theorems._admit(TheoremSelector(theorem, 1, kind), params,
+                                                   5, 3, 2, -1, 0)
+                runs = {U: t.u.__self__, V: t.v.__self__}
+                kind_run = runs.get(kind, t.w.__self__)
+                x_run = runs[U] if theorem in (3, 5) else kind_run
+                assert (X, Y) == (x_run.__getitem__, kind_run.__getitem__), (theorem, kind)
+                assert X.__self__ is x_run and Y.__self__ is kind_run, (theorem, kind)
 
 
 class TestDisplayedFormOracles:
@@ -431,31 +430,85 @@ class TestSingularityScan:
         entries = singularity_scan(TheoremSelector(6, 3), FIBW, 6, 2, 1, 0, 2)
         assert entries and not any(z for _, _, z in entries)
 
-    @pytest.mark.parametrize("theorem,variant",
-                             [(5, 1), (5, 2)] + [(6, v) for v in range(1, 7)])
+    @pytest.mark.parametrize("theorem,variant", [
+        (theorem, variant) for theorem, count in VARIANT_COUNT.items()
+        for variant in range(1, count + 1)])
     def test_reciprocal_sum_raises_exactly_when_scan_flags(self, theorem, variant):
-        # the scan and the lemma leg read one denominator window: the sum
-        # raises exactly when the scan flags, at the first index it flags
+        # the scan runs the sum's admission and reads the lemma leg's
+        # denominator window: it raises the sum's GuardViolation exactly
+        # when the sum does, a non-reciprocal scan is empty, and the sum
+        # raises SingularSummand exactly when the scan flags, at the first
+        # index it flags
         rng = random.Random(139)
         sampler = SamplerConfig(max_index=5, bound=9)
         sel = TheoremSelector(theorem, variant, U)
-        checked = flagged = 0
+        checked = flagged = guarded = 0
         while checked < 60:
             params = sampler.draw_params(rng)
-            n, m, r, s = (rng.randint(-5, 5) for _ in range(4))
-            k = rng.randint(0, 3)
-            zeros = [idx for _, idx, z in singularity_scan(sel, params, n, m, r, s, k) if z]
+            args = [rng.randint(-5, 5) for _ in range(4)] + [rng.randint(0, 3)]
             try:
-                reciprocal_sum(sel, params, n, m, r, s, k)
+                scan, scan_guard = singularity_scan(sel, params, *args), None
+            except GuardViolation as exc:
+                scan, scan_guard = None, str(exc)
+            try:
+                reciprocal_sum(sel, params, *args)
                 raised = None
             except SingularSummand as exc:
                 raised = exc.index
-            except GuardViolation:
+            except GuardViolation as exc:
+                assert scan_guard == str(exc), args
+                guarded += 1
                 continue
+            assert scan_guard is None, args
+            assert theorem in (5, 6) or scan == [], args
+            zeros = [idx for _, idx, z in scan if z]
             checked += 1
             flagged += bool(zeros)
-            assert raised == (zeros[0] if zeros else None), (n, m, r, s, k)
-        assert flagged
+            assert raised == (zeros[0] if zeros else None), args
+        assert guarded and (flagged or theorem not in (5, 6))
+
+
+class TestErrorOrder:
+    """A draw that fails two adjacent checks raises the earlier one: index
+    checks, guard, stride, window, probe, legs (the order `theorems`'
+    docstring states)."""
+
+    # theorem 6's third form (L5c, on the solved swapped relation) at r == s:
+    # c == d, so its stride d - c is zero, and h = u(r-s) = u(0) = 0
+    SEL, ARGS = TheoremSelector(6, 3), (7, 3, 1, 1, 2)
+
+    def test_index_checks_before_guard(self):
+        for call in (theorem_sum, singularity_scan):
+            with pytest.raises(ValueError, match="^summation bound k must be >= 0, got -1$"):
+                call(self.SEL, FIB, *self.ARGS[:4], -1)
+
+    def test_guard_before_stride(self):
+        assert theorems._FORMS[6, 3].variant == "L5c"
+        c, d, _, _ = theorems._OVER_W.shape(Terms(TermContext(FIB), W), *self.ARGS[:4])
+        assert c == d
+        for call in (theorem_sum, singularity_scan):
+            with pytest.raises(GuardViolation) as raised:
+                call(self.SEL, FIB, *self.ARGS)
+            assert raised.value.name == "u(0)"
+
+    def test_stride_before_window(self):
+        # d == c: the window, of stride 0 at n = 0, would read only u(0) = 0
+        ctx = TermContext(FIB)
+        cfg = RecurrenceConfig(Fraction(1), Fraction(1, 2), Fraction(1, 2), 2, 2)
+        assert ctx.u(0) == 0
+        with pytest.raises(DegenerateStride):
+            lemma45_reciprocal(cfg, ctx.u, ctx.u, 0, 1, "L5c")
+
+    def test_window_before_probe(self):
+        # u(i) = u(i-1) + 2u(i-2) is false on Fibonacci: off u(0) the probe
+        # rejects it, and with u(0) in the window the window raises first
+        ctx = TermContext(FIB)
+        cfg = RecurrenceConfig(1, 1, 2, 1, 2)
+        with pytest.raises(ConfigViolation, match="recurrence fails"):
+            lemma45_reciprocal(cfg, ctx.u, ctx.u, 9, 2, "L4")
+        with pytest.raises(SingularSummand) as raised:
+            lemma45_reciprocal(cfg, ctx.u, ctx.u, 2, 2, "L4")
+        assert raised.value.index == 0
 
 
 class TestFormulaGrammar:
@@ -666,14 +719,12 @@ class TestPairSides:
             for variant in range(1, nvar + 1):
                 for kind in SequenceKind:
                     sel = TheoremSelector(theorem, variant, kind)
-                    form = theorems._FORMS[theorem, sel.base]
                     for k in range(6):
                         for _ in range(2):
                             params = sampler.draw_params(rng)
-                            eff = theorems._effective(sel, *(rng.randint(-6, 6) for _ in range(4)))
-                            t = Terms(TermContext(params), kind)
                             try:
-                                rel, X, Y = theorems._relation(t, form.relation, "", *eff, True)
+                                form, eff, _, rel, X, Y = theorems._admit(
+                                    sel, params, *(rng.randint(-6, 6) for _ in range(4)), k)
                             except GuardViolation:
                                 continue
                             by_pairs = outcome(form.variant, rel, X, Y, eff[0], k)
@@ -821,8 +872,8 @@ class TestLemmaLeg:
         relation, and the factor scaling its left side into the theorem's."""
         form = theorems._FORMS[sel.theorem, sel.base]
         relation = form.relation
-        t = fraction_reads(Terms(TermContext(params), sel.kind))
-        eff = theorems._effective(sel, n, m, r, s)
+        _, eff, t, _, _, _ = theorems._admit(sel, params, n, m, r, s, k)
+        t = fraction_reads(t)
         c, d, X, Y = relation.shape(t, *eff)
         cfg = RecurrenceConfig(*relation.values(t, *eff), c, d)
         n = eff[0]
