@@ -5,8 +5,8 @@ Formula grammar: u(e), v(e), w(e) are terms at an integer index expression
 e; p, q, a, b are the parameters; the lemma engine's texts (`lemmas`) read
 the terms X(e), Y(e) and the coefficients h, f1, f2 of its relation instead
 (one member table, `_INDEXED` and `_SCALARS`); `^` is a power and `q^e` or
-`q^(e)` reads the memoized q-power, with one level of parentheses inside
-(`q^((r-s)(k-j))`); a digit or a `)` before a letter or a parenthesis
+`q^(e)` reads the accessor's q-power qp(e), with one level of parentheses
+inside (`q^((r-s)(k-j))`); a digit or a `)` before a letter or a parenthesis
 multiplies (`2n`, `2(n+r)`, `4q`, `(r-s)k`, `(r-s)(k+1)`), and nothing else
 does (`c*e`, not `ce`); `C(k,j)` is the binomial coefficient;
 `sum_{j=0}^{k} S` is the sum of S over j = 0..k, and its summand S runs to
@@ -154,9 +154,10 @@ def _pair_lines(key, variables, texts) -> tuple:
       - +, -, unary - and * take no gcd: a*b is (na*nb, da*db) and a-b is
         (na*db - nb*da, da*db);
       - ** to a non-negative integer literal raises n and d; ** to an index
-        expression (`(-1)^j`, `u(m-s)^(k-j)`) does the same at run time,
+        expression (`(-1)^n`, `u(m-s)^(k+1)`) does the same at run time,
         and raises ValueError for a negative exponent, which the operator
-        sides would take as a reciprocal;
+        sides would take as a reciprocal; inside a sum over j = 0..k the
+        exponents j and k-j cannot be negative, and are not checked;
       - a/b is a times b's pair swapped, and raises ZeroDivisionError when
         b's numerator is 0;
       - C(k,j) is an int factor;
@@ -171,9 +172,10 @@ def _pair_lines(key, variables, texts) -> tuple:
     """
     lines = []
     indent = ""
-    # inside a sum: its index, and the line before which a read that does
-    # not mention it is taken, once
-    inside, hoist = None, 0
+    # inside a sum: its index, the line before which a read that does not
+    # mention it is taken, once, and the exponents that cannot be negative
+    # there (j and k-j in a loop over j = 0..k)
+    inside, hoist, nonnegative = None, 0, ()
 
     def local(expr):
         """A new local bound to `expr`."""
@@ -189,7 +191,7 @@ def _pair_lines(key, variables, texts) -> tuple:
     def pair(node, text):
         """(numerator, denominator) source of `node` of the Python `text`;
         None for denominator 1."""
-        nonlocal indent, inside, hoist
+        nonlocal indent, inside, hoist, nonnegative
         source = text[node.col_offset:node.end_col_offset]
         if isinstance(node, ast.Constant) and type(node.value) is int:
             return repr(node.value), None
@@ -203,9 +205,11 @@ def _pair_lines(key, variables, texts) -> tuple:
             return f"({n}) ** {e.value}", d and f"({d}) ** {e.value}"
         if e is not None and _index(e):
             n, d = pair(node.left, text)
-            e = name(text[e.col_offset:e.end_col_offset])
-            message = f"{key}: a negative exponent in {source}: "
-            lines.append(f"{indent}if {e} < 0: raise ValueError({message!r} + str({e}))")
+            exponent = text[e.col_offset:e.end_col_offset]
+            e = name(exponent)
+            if exponent not in nonnegative:
+                message = f"{key}: a negative exponent in {source}: "
+                lines.append(f"{indent}if {e} < 0: raise ValueError({message!r} + str({e}))")
             return f"({n}) ** {e}", d and f"({d}) ** {e}"
         if op is ast.Mult:
             (na, da), (nb, db) = pair(node.left, text), pair(node.right, text)
@@ -232,6 +236,8 @@ def _pair_lines(key, variables, texts) -> tuple:
             # a loop adding each summand into one pair by ratio_sum's two gcds
             n, d = local(0), local(1)
             inside, hoist = loop.target.id, len(lines)
+            bound = loop.iter.args[0].left      # range(k+1)'s k
+            nonnegative = {inside, f"{text[bound.col_offset:bound.end_col_offset]}-{inside}"}
             lines.append(f"{indent}for {text[loop.target.col_offset:loop.iter.end_col_offset]}:")
             indent += "    "
             sn, sd = pair(node.args[0].elt, text)
@@ -241,7 +247,7 @@ def _pair_lines(key, variables, texts) -> tuple:
             total = local(f"{n} * ({sd} // {g}) + {sn} * {s}")
             lines.append(f"{indent}{g} = gcd({total}, {g})")
             lines.append(f"{indent}{n}, {d} = {total} // {g}, {s} * ({sd} // {g})")
-            indent, inside = indent[:-4], None
+            indent, inside, nonnegative = indent[:-4], None, ()
             return n, d
         if (isinstance(node, ast.Attribute) and node.attr in _SCALARS
                 or isinstance(call, ast.Attribute) and call.attr in _INDEXED

@@ -369,11 +369,12 @@ def binet_term(params: HoradamParams, kind: SequenceKind, n: int):
     require_int("n", n)
     if params.modulus:
         raise TypeError("binet_term needs rational parameters")
-    if params.discriminant == 0:
-        raise DegenerateRoot(f"p^2 - 4q = 0 for p={params.p}, q={params.q}")
     P, Q, X0, X1, L, D, _ = _kernel(params, kind, False)
+    d = P * P - 4 * Q   # d' = L^2*(p^2 - 4q)
+    if d == 0:
+        raise DegenerateRoot(f"p^2 - 4q = 0 for p={params.p}, q={params.q}")
     m = abs(n)
-    e0, e1 = _quad_pow(P, P * P - 4 * Q, m)     # E = (P + sqrt(d'))^m
+    e0, e1 = _quad_pow(P, d, m)     # E = (P + sqrt(d'))^m
     # alpha^m = E/(2L)^m; alpha^-m = beta^m/q^m = conj(E)*L^m/(2Q)^m = conj(E)/(2Q/L)^m,
     # L dividing Q = q*L^2
     if n < 0:
@@ -396,8 +397,10 @@ class _Run(dict):
     `forward` and `backward` are [P, Q, L, M, X_{k-1}, X_k, L^k*D, k], k the
     walk's signed end index, or None before that direction's first miss.
     A direction's first miss derives only the kind's seeds (`_seeded`), from
-    the two it caches and the context's `coefficients`. The run keeps no
-    reference to its context."""
+    the two it caches and the context's `coefficients`. `kind` names the
+    run's sequence, for a reader that tells the runs apart: the library
+    reads it nowhere, the lookup-count tests record each read under it. The
+    run keeps no reference to its context."""
 
     __slots__ = ("coefficients", "kind", "forward", "backward")
 
@@ -448,37 +451,18 @@ class _Run(dict):
         return val
 
 
-class _QPowers(dict):
-    """q^e by e, each built on its first read (`__missing__`): over Q q's
-    reduced pair (n, d) raised to |e|, swapped for e < 0, which is reduced
-    too and needs no gcd; over GF(M) `q ** e`."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q):
-        self.q = q
-
-    def __missing__(self, e: int):
-        q = self.q
-        if type(q) is tuple:
-            n, d = q if e >= 0 else q[::-1]
-            val = n ** abs(e), d ** abs(e)
-        else:
-            val = q ** e
-        self[e] = val
-        return val
-
-
 class Terms:
     """The checkers' accessor over one TermContext with w read as `kind`:
     u, v, w, qp, p, q, and a, b = that kind's x_0, x_1, on the cached scalars
-    themselves (`(n, d)` tuples over Q, not reduced). u, v, w and qp are the
-    bound `__getitem__` of the context's cache dicts (`_Run`, `_QPowers`),
-    so a cached read is one C-level dict lookup and starts no Python frame; a
-    miss walks in the dict's `__missing__`. The context keeps no reference
-    to the accessor, and the dicts none to the context: a reference cycle
-    would keep the cache alive after its last user until a full garbage
-    collection."""
+    themselves (`(n, d)` tuples over Q, not reduced). u, v and w are the
+    bound `__getitem__` of the context's runs (`_Run`), so a cached read is
+    one C-level dict lookup and starts no Python frame; a miss walks in the
+    run's `__missing__`. qp(e) computes q^e, uncached: over Q q's reduced
+    pair (n, d) raised to e, or (d, n) raised to -e for e < 0, which is
+    reduced too and needs no gcd; over GF(M) `q ** e`. The context keeps no
+    reference to the accessor, and the runs none to the context: a
+    reference cycle would keep the cache alive after its last user until a
+    full garbage collection."""
 
     __slots__ = ("u", "v", "w", "qp", "p", "q", "a", "b")
 
@@ -487,8 +471,12 @@ class Terms:
         self.u, self.v = vals[U].__getitem__, vals[V].__getitem__
         run = vals[kind]
         self.w = run.__getitem__
-        self.qp = ctx._qpows.__getitem__
         self.p, self.q = ctx._scalars
+        if type(self.q) is tuple:
+            qn, qd = self.q
+            self.qp = lambda e: (qn ** e, qd ** e) if e >= 0 else (qd ** -e, qn ** -e)
+        else:
+            self.qp = self.q.__pow__
         # the seeds by get, which takes no subscript: they are not term reads
         self.a, self.b = run.get(0), run.get(1)
 
@@ -503,18 +491,18 @@ class TermContext:
     off the walk, over GF(M) a `ModInt`. The context derives the parameter
     set's `_coefficients` once, from the integer pairs (over GF(M), the
     residues) it keeps for p and q; every walk starts from them and derives
-    only its kind's seeds. Each q-power is cached as a reduced pair
-    (`_QPowers`, read by subscript). `_get` reads one cached term. The
-    public accessors u, v, w and qp return what term() does, a reduced
-    `Fraction` (one gcd per call) or a `ModInt`, and p, q, a and b are the
-    parameters, so the context is itself an accessor over reduced values,
-    with w read as W: `catalog.evaluate` runs the operator sides on it.
-    `Terms(ctx, kind)` is the checkers' accessor over the cached scalars themselves; `fuzz` and
-    the theorem engine evaluate on it and reduce each reported value once.
+    only its kind's seeds. `_get` reads one cached term. The public
+    accessors u, v and w return what term() does, a reduced `Fraction` (one
+    gcd per call) or a `ModInt`, qp(e) returns `q ** e`, computed and not
+    cached, and p, q, a and b are the parameters, so the context is itself
+    an accessor over reduced values, with w read as W: `catalog.evaluate`
+    runs the operator sides on it. `Terms(ctx, kind)` is the checkers'
+    accessor over the cached scalars themselves; `fuzz` and the theorem
+    engine evaluate on it and reduce each reported value once.
     Not synchronized; confine an instance to a single thread of work.
     """
 
-    __slots__ = ("params", "_scalars", "_vals", "_qpows")
+    __slots__ = ("params", "_scalars", "_vals")
 
     p, q, a, b = (property(attrgetter(f"params.{x}")) for x in "pqab")
 
@@ -535,7 +523,6 @@ class TermContext:
         self._vals = {U: _Run(coefficients, U, zero, one),
                       V: _Run(coefficients, V, two, p),
                       W: _Run(coefficients, W, a, b)}
-        self._qpows = _QPowers(q)
 
     def _get(self, kind: SequenceKind, n: int):
         return self._vals[kind][n]
@@ -553,6 +540,6 @@ class TermContext:
         return reduced(self._get(SequenceKind.W, n))
 
     def qp(self, e: int):
-        """q**e, memoized."""
+        """q**e."""
         require_int("e", e)
-        return reduced(self._qpows[e])
+        return self.q ** e

@@ -627,21 +627,21 @@ class TestTermContext:
             assert (type(pair), *pair) == (tuple, x.numerator, x.denominator)
 
     def test_qpow_pairs_are_the_operators_pairs(self):
-        # the cached pair of q^e is the reduced pair of Fraction's q ** e, at
-        # either sign of q and of e, with the sign on the denominator where
+        # the checkers' pair of q^e is the reduced pair of Fraction's q ** e,
+        # at either sign of q and of e, with the sign on the denominator where
         # q's reciprocal puts it: at a negative q to an odd negative power
         for q in (Fraction(2, 3), Fraction(-2, 3), Fraction(-5), Fraction(7, 4), Fraction(1)):
             ctx = TermContext(HoradamParams(0, 1, 1, q))
             for e in range(-6, 7):
-                pair = ctx._qpows[e]
+                pair = Terms(ctx, W).qp(e)
                 x = q ** e
                 sign = -1 if q < 0 and e < 0 and e % 2 else 1
                 assert (type(pair), *pair) == (
                     tuple, sign * x.numerator, sign * x.denominator), (q, e)
-                assert ctx._qpows[e] is pair
         f = PrimeField(101)
         ctx = TermContext(HoradamParams(f(0), f(1), f(1), f(5)))
-        assert ctx._qpows[-3] == f(5) ** -3 and isinstance(ctx._qpows[-3], ModInt)
+        qp = Terms(ctx, W).qp(-3)
+        assert qp == f(5) ** -3 and isinstance(qp, ModInt)
 
     def test_qp(self):
         ctx = TermContext(HoradamParams(0, 1, 1, Fraction(2, 3)))
@@ -654,23 +654,23 @@ class TestTermContext:
         assert ctx.u(13) == ctx.u(13)
 
     def test_checker_reads_are_the_cache_dicts_subscripts(self):
-        # u, v, w and qp are the C-level __getitem__ of the context's dicts:
-        # w of the kind's own run, qp of the q-power cache
+        # u, v and w are the C-level __getitem__ of the context's runs, w of
+        # the kind's own run
         ctx = TermContext(FIBW)
         for kind in SequenceKind:
             t = Terms(ctx, kind)
             for member, cache in (("u", ctx._vals[U]), ("v", ctx._vals[V]),
-                                  ("w", ctx._vals[kind]), ("qp", ctx._qpows)):
+                                  ("w", ctx._vals[kind])):
                 read = getattr(t, member)
                 assert inspect.isbuiltin(read), (kind, member)
                 assert read.__self__ is cache and read.__name__ == "__getitem__"
 
     def test_a_cached_read_starts_no_python_frame(self):
         t = Terms(TermContext(FIBW), W)
-        reads = (t.u, t.v, t.w, t.qp)
+        reads = (t.u, t.v, t.w)
         for read in reads:
             read(-6)
-            read(7)     # the walks and the q-powers are built before the hits
+            read(7)     # the walks are built before the hits
         events = []
         sys.setprofile(lambda frame, event, arg: events.append(event))
         try:
@@ -679,8 +679,8 @@ class TestTermContext:
                 read(7)
         finally:
             sys.setprofile(None)
-        # eight C calls and returns, then the profiler's own removal
-        assert events == ["c_call", "c_return"] * 8 + ["c_call"]
+        # six C calls and returns, then the profiler's own removal
+        assert events == ["c_call", "c_return"] * 6 + ["c_call"]
 
     @pytest.mark.parametrize("field", ["Q", "GF(10^9+7)"])
     def test_subscripts_equal_term(self, field):
@@ -695,8 +695,9 @@ class TestTermContext:
             run = ctx._vals[kind]
             for n in order:
                 assert reduced(run[n]) == term(params, kind, n), (field, kind, n)
+        t = Terms(ctx, W)
         for e in range(-5, 6):
-            assert reduced(ctx._qpows[e]) == params.q ** e
+            assert ctx.qp(e) == reduced(t.qp(e)) == params.q ** e
 
 
 # every public function of `horadam` with an index argument, with a valid

@@ -9,6 +9,17 @@ import types
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "horadam"
 
 
+def test_one_term_cache():
+    # the term layer caches in one dict type, each kind's run of terms; a
+    # q-power is computed from q, not cached
+    subclasses = [(path.name, node.name)
+                  for path in sorted(SRC.glob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.ClassDef)
+                  and any(getattr(base, "id", None) == "dict" for base in node.bases)]
+    assert subclasses == [("sequences.py", "_Run")], subclasses
+
+
 def test_library_has_no_assert_statements():
     # `python -O` strips assert statements, so a check written as one
     # silently stops running; the library raises instead

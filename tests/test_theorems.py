@@ -819,6 +819,23 @@ class TestPairSides:
         assert looped and sorted(found, key=repr) == sorted(
             (x for text in texts for x in reads(text)), key=repr)
 
+    def test_no_sign_check_inside_a_sum_loop(self):
+        # inside a loop over j = 0..k every index exponent is j or k-j, which
+        # cannot be negative: no pair code of a theorem form or a lemma text
+        # checks an exponent's sign inside its loop
+        compiled = [(form.key, "nmrsk", [*sides(form.formula), form.factor_text])
+                    for form in theorems._FORMS.values()]
+        texts = {left_side for left_side, _, _ in lemmas._VARIANTS.values()}
+        compiled += [(text, "nkcd", [text])
+                     for text in sorted(texts | {lemmas._TELESCOPED, lemmas._SCALED})]
+        assert len(compiled) == 11 + 5
+        for key, variables, texts in compiled:
+            lines = _pair_lines(key, variables, texts)[0]
+            looped = [line for line in lines if line.startswith(" ")]
+            assert bool(looped) == any("sum_" in text for text in texts), key
+            checks = [line for line in looped if re.search(r"\bif .* < 0: raise ValueError", line)]
+            assert not checks, (key, checks)
+
     def test_a_vanishing_divisor_raises_in_the_sides(self):
         # the lemma leg's scan raises SingularSummand first; called alone,
         # the pair sides raise as the operator side does on Fraction reads
